@@ -1,12 +1,15 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Everything the attention blocks need lives here: batched matmul, elementwise
-arithmetic, shape moves, masked softmax/mean, layer norm, GELU, and the node
-gather/scatter that lays tensors out per subgraph. All data is 64-bit and
-row-major. matmul feeds a global FLOP counter when counting is enabled.
+arithmetic, shape moves, masked softmax/mean, fused scaled dot-product
+attention, layer norm, GELU, and the node gather/scatter that lays tensors
+out per subgraph. All data is 64-bit and row-major. matmul and attention feed
+a global FLOP counter when counting is enabled.
 
-Gradients are first-order only. Calling backward() again without resetting
-grads accumulates, matching the usual optimizer contract.
+Gradients are first-order only and are stored on leaf tensors (those created
+with requires_grad=True rather than by an op); intermediate gradients live
+only while backward() runs. Calling backward() again without resetting grads
+accumulates, matching the usual optimizer contract.
 """
 from __future__ import annotations
 
@@ -139,10 +142,13 @@ class Tensor:
         return reshape(self, shape)
 
     def backward(self):
-        """Populate grad with dself/dtensor for every tensor on the tape.
+        """Add dself/dleaf to the grad of every leaf tensor on the tape.
 
-        The root must be a scalar. Propagation runs on a per-call grad map so
-        that repeated calls accumulate exactly one contribution each.
+        A leaf has requires_grad and no backward function: the parameters
+        and inputs, not op outputs. Intermediate tensors never get a grad;
+        each one's entry in the per-call grad map is dropped as soon as its
+        backward has run. The root must be a scalar. Each call adds exactly
+        one contribution, so repeated calls accumulate.
         """
         if self.data.shape != ():
             raise ContractError(
@@ -153,8 +159,10 @@ class Tensor:
         order = _toposort(self)
         local = {id(self): np.asarray(1.0)}
         for node in reversed(order):
-            g = local.get(id(node))
-            if g is None or node._backward is None:
+            if node._backward is None:
+                continue
+            g = local.pop(id(node), None)
+            if g is None:
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
@@ -268,6 +276,13 @@ def div(a, b) -> Tensor:
     return _from_op(data, "div", (a, b), backward)
 
 
+def _count_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray):
+    """Report out = a @ b to the FLOP counter, batch taken from out's leading axes."""
+    if flops.enabled:
+        batch = int(np.prod(out.shape[:-2], dtype=np.int64)) if out.ndim > 2 else 1
+        flops.count_matmul(batch, a.shape[-2], a.shape[-1], b.shape[-1])
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product with numpy-style leading batch broadcasting."""
     a, b = as_tensor(a), as_tensor(b)
@@ -280,11 +295,7 @@ def matmul(a, b) -> Tensor:
             f"matmul inner extents disagree: {a.data.shape} x {b.data.shape}"
         )
     data = np.matmul(a.data, b.data)
-    if flops.enabled:
-        m, k = a.data.shape[-2], a.data.shape[-1]
-        n = b.data.shape[-1]
-        batch = int(np.prod(data.shape[:-2], dtype=np.int64)) if data.ndim > 2 else 1
-        flops.count_matmul(batch, m, k, n)
+    _count_matmul(a.data, b.data, data)
 
     def backward(g):
         ga = gb = None
@@ -347,22 +358,86 @@ def masked_softmax(logits, valid=None) -> Tensor:
     boolean array broadcastable to the logits' shape; None means no mask.
     """
     x = as_tensor(logits)
-    if valid is None:
-        shifted = x.data - x.data.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-    else:
-        vb = np.broadcast_to(np.asarray(valid, dtype=bool), x.data.shape)
-        if not vb.any(axis=-1).all():
-            raise DegenerateMaskError("masked_softmax: a row has every entry masked")
-        mx = np.max(np.where(vb, x.data, -np.inf), axis=-1, keepdims=True)
-        e = np.where(vb, np.exp(np.where(vb, x.data - mx, 0.0)), 0.0)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_rows(x.data, valid)
 
     def backward(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner),)
+        return (_softmax_backward(g, y),)
 
     return _from_op(y, "masked_softmax", (x,), backward)
+
+
+def _softmax_rows(x: np.ndarray, valid) -> np.ndarray:
+    """Row softmax of x over the last axis; masked entries come out exactly 0.
+
+    Masked logits are replaced by -inf before the row max is taken, so they
+    neither shift the max nor survive exp. The all-masked check runs on the
+    mask itself, before it is broadcast to x's shape.
+    """
+    if valid is None:
+        e = x - x.max(axis=-1, keepdims=True)
+    else:
+        valid = np.asarray(valid, dtype=bool)
+        if not valid.any(axis=-1).all():
+            raise DegenerateMaskError("softmax: a row has every entry masked")
+        e = np.where(np.broadcast_to(valid, x.shape), x, -np.inf)
+        e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient through y = softmax(x) over the last axis, given dL/dy = g."""
+    inner = (g * y).sum(axis=-1, keepdims=True)
+    return y * (g - inner)
+
+
+def attention(q, k, v, valid=None):
+    """softmax(q k^T / sqrt(d_head)) v over the last two axes, as one tape node.
+
+    q is (..., s_q, d_head), k is (..., s_k, d_head) and v is (..., s_k, d_v);
+    leading axes broadcast. valid masks key positions (True = attend) and
+    broadcasts to the (..., s_q, s_k) scores. Returns (output, weights):
+    weights is an untracked tensor whose rows over valid keys sum to one,
+    with masked keys exact zeros. The values and gradients equal those of
+    matmul, mul by the scale, masked_softmax and matmul applied in turn;
+    the backward reuses the stored weights instead of four tape nodes.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if (
+        min(q.data.ndim, k.data.ndim, v.data.ndim) < 2
+        or q.data.shape[-1] != k.data.shape[-1]
+        or k.data.shape[-2] != v.data.shape[-2]
+    ):
+        raise ShapeError(
+            f"attention needs q (..., s_q, d), k (..., s_k, d), v (..., s_k, d_v); "
+            f"got {q.data.shape}, {k.data.shape} and {v.data.shape}"
+        )
+    scale = 1.0 / math.sqrt(q.data.shape[-1])
+    kt = np.swapaxes(k.data, -1, -2)
+    scores = np.matmul(q.data, kt)
+    _count_matmul(q.data, kt, scores)
+    scores *= scale
+    _finite(scores, "attention")
+    weights = _softmax_rows(scores, valid)
+    data = np.matmul(weights, v.data)
+    _count_matmul(weights, v.data, data)
+
+    def backward(g):
+        gq = gk = gv = None
+        if v.requires_grad:
+            gv = _unbroadcast(np.matmul(np.swapaxes(weights, -1, -2), g), v.data.shape)
+        if q.requires_grad or k.requires_grad:
+            gs = _softmax_backward(np.matmul(g, np.swapaxes(v.data, -1, -2)), weights)
+            gs *= scale
+            if q.requires_grad:
+                gq = _unbroadcast(np.matmul(gs, k.data), q.data.shape)
+            if k.requires_grad:
+                gkt = np.matmul(np.swapaxes(q.data, -1, -2), gs)
+                gk = np.swapaxes(_unbroadcast(gkt, kt.shape), -1, -2)
+        return gq, gk, gv
+
+    return _from_op(data, "attention", (q, k, v), backward), Tensor(weights)
 
 
 def masked_mean(x, valid) -> Tensor:
@@ -415,15 +490,40 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x) -> Tensor:
-    """x * Phi(x) via the tanh approximation."""
+    """x * Phi(x) via the tanh approximation.
+
+    The cube is x * x * x: numpy's float power is an order of magnitude
+    slower. In-place updates touch only arrays created here, never the input
+    or the incoming gradient, which may be shared or a read-only view.
+    """
     t = as_tensor(x)
-    u = _GELU_C * (t.data + 0.044715 * t.data**3)
-    th = np.tanh(u)
-    data = 0.5 * t.data * (1.0 + th)
+    xd = t.data
+    th = np.asarray(xd * xd)  # 0-d inputs give a scalar; keep an array for out=
+    th *= xd
+    th *= 0.044715
+    th += xd
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    data = th + 1.0
+    data *= xd
+    data *= 0.5
 
     def backward(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * t.data**2)
-        return (g * (0.5 * (1.0 + th) + 0.5 * t.data * (1.0 - th * th) * du),)
+        # dgelu/dx = 0.5 (1 + th) + 0.5 x (1 - th^2) du/dx
+        du = xd * xd
+        du *= 3 * 0.044715
+        du += 1.0
+        du *= _GELU_C
+        gx = th * th  # th^2 - 1 in place; the -0.5 restores the sign exactly
+        gx -= 1.0
+        gx *= xd
+        gx *= -0.5
+        gx *= du
+        du = th + 1.0
+        du *= 0.5
+        gx += du
+        gx *= g
+        return (gx,)
 
     return _from_op(data, "gelu", (t,), backward)
 

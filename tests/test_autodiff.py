@@ -115,6 +115,21 @@ class TestFlopCounter:
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
         assert ad.flops.report() == {"mults": 12, "adds": 8, "total": 20}
 
+    def test_disabled_counting_is_bit_identical_for_attention(self):
+        q, k, v = np.random.default_rng(2).standard_normal((3, 2, 5, 4))
+        valid = np.array([True, False, True, True, True])
+
+        def run():
+            qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
+            out, weights = ad.attention(qt, kt, vt, valid)
+            ad.tensor_sum(ad.mul(out, out)).backward()
+            return [out.data, weights.data, qt.grad, kt.grad, vt.grad]
+
+        plain = run()
+        with ad.flops.counting():
+            counted = run()
+        assert all(np.array_equal(a, b) for a, b in zip(plain, counted))
+
 
 class TestMaskedSoftmax:
     def test_symmetric_no_mask(self):
@@ -153,6 +168,62 @@ class TestMaskedSoftmax:
     def test_fully_masked_row_raises(self):
         with pytest.raises(DegenerateMaskError):
             ad.masked_softmax(Tensor([1.0, 2.0]), np.array([False, False]))
+
+
+def unfused_attention(q, k, v, valid):
+    """The four-op chain ad.attention replaces."""
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    alpha = ad.masked_softmax(ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), scale), valid)
+    return ad.matmul(alpha, v), alpha
+
+
+class TestAttention:
+    def _inputs(self, seed):
+        """Intra-attention shapes (p, heads, m, d_head) and a (p, 1, 1, m) key mask."""
+        rng = np.random.default_rng(seed)
+        q, k, v = rng.standard_normal((3, 3, 2, 5, 4))
+        valid = rng.random((3, 1, 1, 5)) > 0.4
+        valid[:, ..., 0] = True
+        return q, k, v, valid
+
+    def _run(self, fn, q, k, v, valid, weights):
+        qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
+        out, alpha = fn(qt, kt, vt, valid)
+        ad.tensor_sum(ad.mul(out, Tensor(weights))).backward()
+        return [out.data, alpha.data, qt.grad, kt.grad, vt.grad]
+
+    def test_matches_unfused_chain_bit_for_bit(self):
+        q, k, v, valid = self._inputs(12)
+        weights = np.random.default_rng(13).standard_normal(q.shape)
+        fused = self._run(ad.attention, q, k, v, valid, weights)
+        chain = self._run(unfused_attention, q, k, v, valid, weights)
+        for a, b in zip(fused, chain):
+            assert np.array_equal(a, b)
+
+    def test_masked_logits_have_no_influence(self):
+        q, k, v, valid = self._inputs(14)
+        weights = np.random.default_rng(15).standard_normal(q.shape)
+        base = self._run(ad.attention, q, k, v, valid, weights)
+        loud = k.copy()
+        loud[np.broadcast_to(~valid[:, :, 0, :, None], k.shape)] = 1e6
+        scores = np.abs(q @ np.swapaxes(loud, -1, -2))
+        assert scores[np.broadcast_to(~valid, scores.shape)].min() > 1e4
+        fused = self._run(ad.attention, q, loud, v, valid, weights)
+        chain = self._run(unfused_attention, q, loud, v, valid, weights)
+        for a, b, c in zip(fused, chain, base):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    def test_all_masked_row_raises(self):
+        q, k, v, valid = self._inputs(16)
+        valid[1] = False
+        with pytest.raises(DegenerateMaskError):
+            ad.attention(Tensor(q), Tensor(k), Tensor(v), valid)
+
+    def test_extent_mismatch_raises(self):
+        with pytest.raises(ShapeError):
+            ad.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 5))), Tensor(np.ones((3, 2))))
+        with pytest.raises(ShapeError):
+            ad.attention(Tensor(np.ones(4)), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 2))))
 
 
 class TestMaskedMean:
@@ -222,6 +293,25 @@ class TestGelu:
             ad.gelu(Tensor(np.array([1.0]))).data[0], 0.8411919906082768, atol=1e-3
         )
 
+    def test_matches_power_cube_oracle(self):
+        from test_model import oracle_gelu
+
+        x = np.linspace(-30.0, 30.0, 200001)
+        np.testing.assert_allclose(ad.gelu(Tensor(x)).data, oracle_gelu(x), rtol=1e-13, atol=1e-14)
+
+    def test_input_and_incoming_gradient_untouched(self):
+        x0 = np.random.default_rng(17).standard_normal((4, 5)) * 3
+        x = Tensor(x0.copy(), requires_grad=True)
+        out = ad.gelu(x)
+        g = np.random.default_rng(18).standard_normal(x0.shape)
+        g.flags.writeable = False  # as tensor_sum's broadcast view is
+        (gx,) = out._backward(g)
+        assert np.array_equal(x.data, x0) and gx is not g
+        # add hands one grad to both parents; each branch must see it intact
+        ad.tensor_sum(ad.add(ad.gelu(x), ad.gelu(x))).backward()
+        assert np.array_equal(x.data, x0)
+        np.testing.assert_array_equal(x.grad, 2.0 * ad.gelu(x)._backward(np.ones(x0.shape))[0])
+
 
 class TestBackward:
     def test_sum_gives_ones(self):
@@ -273,6 +363,9 @@ class TestGradientSoundness:
         "concat": lambda x, aux: ad.concat([x, ad.mul(x, Tensor(aux))], axis=-1),
         "swapaxes": lambda x, aux: ad.swapaxes(ad.mul(x, x), -1, -2),
         "abs": lambda x, aux: ad.tensor_abs(x),
+        "attention": lambda x, aux: ad.attention(
+            x, ad.mul(x, Tensor(aux)), ad.gelu(x), aux[:, 0] >= np.median(aux[:, 0])
+        )[0],
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -426,6 +426,17 @@ class TestFlopsEstimate:
         assert abs(sba["ratio"] - 1.0) <= 0.01
         assert abs(dense["ratio"] - 1.0) <= 0.01
 
+    def test_fused_attention_counts_equal_closed_form(self):
+        rng = np.random.default_rng(22)
+        p, h, m, dh = 3, 2, 7, 5
+        q, k, v = rng.standard_normal((3, p, h, m, dh))
+        valid = np.ones((p, 1, 1, m), dtype=bool)
+        valid[1, ..., 4:] = False  # padding costs the same FLOPs as real slots
+        ad.flops.reset()
+        with ad.flops.counting():
+            ad.attention(Tensor(q), Tensor(k), Tensor(v), valid)
+        assert (ad.flops.mults, ad.flops.adds) == md._attention_flops(p * h, m, dh)
+
     def test_measured_equals_closed_form(self):
         rng = np.random.default_rng(18)
         for _ in range(3):
@@ -466,6 +477,27 @@ class TestParamsAndCheckpoint:
 
 
 class TestFullModelGradients:
+    def test_grads_only_on_leaves(self):
+        rng = np.random.default_rng(23)
+        model, _ = tiny_model(rng)
+        x = rng.standard_normal((2, 9, 4, 1))
+        loss = md.mae_loss(model.forward(Tensor(x)), rng.standard_normal((2, 9, 3, 1)))
+        loss.backward()
+        params = model.params.tensors()
+        assert all(t.grad is not None and t.grad.shape == t.shape for t in params)
+        leaves = {id(t) for t in params}
+        seen, stack, inner = {id(loss)}, [loss], 0
+        while stack:
+            node = stack.pop()
+            if id(node) not in leaves:
+                assert node.grad is None
+                inner += node._backward is not None
+            for parent in node._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert inner > 50
+
     def test_gradcheck_against_finite_differences(self):
         from test_autodiff import assert_grads_close
 
