@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import load_config, write_effective_config
-from .data import Dataset, Normalizer, chrono_split, make_windows, save_series, synth_diffusion, window_arrays
+from .data import SPLITS, Dataset, save_series, split_setup, synth_diffusion, window_arrays
 from .data import load_series as load_series_file
 from .errors import ContractError, InputError, NumericError, SbaError
 from .graph import (
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
 
     p = sub.add_parser("bench", help="attention cost scaling, instrumented")
     p.add_argument("--n-list", type=_positive_int_list, default=[256, 512, 1024])
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--window", type=int, required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--out-dir", required=True)
     return top
 
@@ -344,15 +344,13 @@ def cmd_dump_attention(args) -> int:
         raise ContractError("checkpoint config does not match the run config")
     model = SbaTransformer(mc, plans, pe.vectors, params=params, seed=seed)
 
-    splits = chrono_split(dataset.steps, min_len=mc.t + mc.f)
-    index = {"train": 0, "val": 1, "test": 2}[args.split]
-    normalizer = Normalizer.fit(dataset.series[:, splits[0][0] : splits[0][1]])
-    windows = make_windows(splits[index], mc.t, mc.f, split=args.split)
+    _, series_norm, by_split = split_setup(dataset, mc.t, mc.f)
+    windows = by_split[args.split]
     if not 0 <= args.window < len(windows):
         raise InputError(
             f"window {args.window} out of range; {args.split} has {len(windows)} windows"
         )
-    xs, _ = window_arrays(normalizer.apply(dataset.series), windows, at=[args.window])
+    xs, _ = window_arrays(series_norm, windows, at=[args.window])
     capture = []
     with ad.no_grad():
         model.forward(Tensor(xs[0]), capture=capture)

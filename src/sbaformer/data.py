@@ -26,6 +26,8 @@ from .graph import SpatialGraph, build_epsilon_graph, connected_components, load
 
 log = logging.getLogger(__name__)
 
+SPLITS = ("train", "val", "test")
+
 
 @dataclass
 class Dataset:
@@ -104,7 +106,7 @@ def chrono_split(total_steps: int, ratios=(0.6, 0.2, 0.2), min_len: int | None =
         (n_train + n_val, total_steps),
     )
     if min_len is not None:
-        for (lo, hi), label in zip(bounds, ("train", "val", "test")):
+        for (lo, hi), label in zip(bounds, SPLITS):
             if hi - lo < min_len:
                 raise ConfigError(
                     f"{label} split has {hi - lo} steps, need at least {min_len}"
@@ -124,6 +126,18 @@ def make_windows(step_range, t: int, f: int, stride: int = 1, split: str = "trai
     else:
         starts = range(lo, hi - t - f + 1, stride)
     return WindowSet(indices=[(s, t, f) for s in starts], split=split, too_short=too_short)
+
+
+def split_setup(dataset: Dataset, t: int, f: int):
+    """Chronological splits of a dataset, normalized on the train range only.
+
+    Returns (normalizer, normalized series, {split name: WindowSet}).
+    """
+    bounds = chrono_split(dataset.steps, min_len=t + f)
+    train_lo, train_hi = bounds[0]
+    normalizer = Normalizer.fit(dataset.series[:, train_lo:train_hi])
+    windows = {name: make_windows(b, t, f, split=name) for name, b in zip(SPLITS, bounds)}
+    return normalizer, normalizer.apply(dataset.series), windows
 
 
 def window_arrays(series: np.ndarray, windows, at=None):

@@ -1,9 +1,10 @@
 """Spatial graphs, their Laplacians, and eigenvector positional encodings.
 
-Graphs are undirected, weighted, self-loop free. The eigensolver is a cyclic
-Jacobi rotation scheme, which is plenty at desk scale and preserves block
-structure on disconnected graphs. For graphs past a block limit the encoding
-is computed per partition block and stitched back into node order.
+Graphs are undirected, weighted, self-loop free. The eigensolver runs
+np.linalg.eigh once per connected block of the matrix, so eigenvectors of a
+disconnected graph stay inside their component. For graphs past a block
+limit the encoding is computed per partition block and stitched back into
+node order.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, InputError, NumericError
+from .errors import ContractError, InputError
 
 log = logging.getLogger(__name__)
 
@@ -152,13 +153,34 @@ def connected_components(g: SpatialGraph) -> list:
     return comps
 
 
-def sym_eigen(mat, k: int, max_sweeps: int = 60):
-    """k smallest eigenpairs of a symmetric matrix via cyclic Jacobi rotations.
+def _pattern_blocks(a: np.ndarray) -> list:
+    """Index arrays of the connected blocks of a's nonzero pattern, by first node."""
+    linked = a != 0
+    unseen = np.ones(len(a), dtype=bool)
+    blocks = []
+    while unseen.any():
+        block = np.zeros(len(a), dtype=bool)
+        frontier = block.copy()
+        frontier[np.argmax(unseen)] = True
+        while frontier.any():
+            block |= frontier
+            frontier = linked[frontier].any(axis=0) & ~block
+        unseen &= ~block
+        blocks.append(np.flatnonzero(block))
+    return blocks
 
-    Returns (values ascending, vectors n x k). Vector signs are canonical:
-    the first component with magnitude > 1e-12 is made positive, so repeated
-    runs are bit-identical. Rotations are skipped on exactly-zero pivots,
-    which keeps eigenvectors of block-diagonal matrices inside their blocks.
+
+def sym_eigen(mat, k: int):
+    """k smallest eigenpairs of a symmetric matrix, solved per connected block.
+
+    Returns (values ascending, vectors n x k). The matrix is split into the
+    connected blocks of its nonzero pattern and each block goes to
+    np.linalg.eigh, so every eigenvector stays inside one block (one
+    connected component, for a Laplacian). Ties keep block order, then the
+    solver's order. Vector signs are canonical: the first component with
+    magnitude > 1e-12 is made positive, so repeated runs are bit-identical.
+    Inside a repeated eigenvalue of one block the basis is the one the
+    solver returns; only the spanned space is defined.
     """
     a = np.array(mat, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -170,57 +192,18 @@ def sym_eigen(mat, k: int, max_sweeps: int = 60):
     if not 1 <= k <= n:
         raise ContractError(f"k must lie in [1, {n}], got {k}")
 
-    v = np.eye(n)
-    norm_f = float(np.linalg.norm(a))
-    tol_off = 1e-13 * max(1.0, norm_f)
-    off_mask = ~np.eye(n, dtype=bool)
-
-    def off_norm():
-        return float(np.sqrt((a[off_mask] ** 2).sum()))
-
-    if n > 1:
-        for _ in range(max_sweeps):
-            if off_norm() <= tol_off:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if apq == 0.0:
-                        continue
-                    h = a[q, q] - a[p, p]
-                    if abs(h) > 1e150 * abs(apq):
-                        t = apq / h  # angle below resolution; avoid overflow
-                    else:
-                        theta = h / (2.0 * apq)
-                        t = math.copysign(1.0, theta) / (
-                            abs(theta) + math.sqrt(theta * theta + 1.0)
-                        )
-                    c = 1.0 / math.sqrt(t * t + 1.0)
-                    s = t * c
-                    col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                    a[:, p] = c * col_p - s * col_q
-                    a[:, q] = s * col_p + c * col_q
-                    row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                    a[p, :] = c * row_p - s * row_q
-                    a[q, :] = s * row_p + c * row_q
-                    a[p, q] = 0.0
-                    a[q, p] = 0.0
-                    vp, vq = v[:, p].copy(), v[:, q].copy()
-                    v[:, p] = c * vp - s * vq
-                    v[:, q] = s * vp + c * vq
-        else:
-            raise NumericError(
-                f"Jacobi failed to converge in {max_sweeps} sweeps; "
-                f"off-diagonal {off_norm():.3e}"
-            )
-
-    order = np.argsort(np.diag(a), kind="stable")[:k]
-    values = np.diag(a)[order].copy()
-    vectors = v[:, order].copy()
-    for col in range(vectors.shape[1]):
-        nz = np.nonzero(np.abs(vectors[:, col]) > 1e-12)[0]
-        if nz.size and vectors[nz[0], col] < 0:
-            vectors[:, col] = -vectors[:, col]
+    values = np.empty(n)
+    vectors = np.zeros((n, n))
+    at = 0
+    for nodes in _pattern_blocks(a):
+        cols = slice(at, at + len(nodes))
+        values[cols], vectors[nodes, cols] = np.linalg.eigh(a[np.ix_(nodes, nodes)])
+        at += len(nodes)
+    order = np.argsort(values, kind="stable")[:k]
+    values, vectors = values[order], vectors[:, order]
+    first = np.argmax(np.abs(vectors) > 1e-12, axis=0)
+    flip = vectors[first, np.arange(k)] < 0
+    vectors[:, flip] = -vectors[:, flip]
     return values, vectors
 
 
@@ -246,37 +229,29 @@ def laplacian_pe(g: SpatialGraph, k: int, block_limit: int = 2000) -> Positional
     if block_limit < k + 1:
         raise InputError("block_limit must be at least k+1")
     if g.n <= block_limit:
-        _, vectors = sym_eigen(laplacian(g), min(k, g.n))
-        if vectors.shape[1] < k:
-            log.warning(
-                "graph has %d nodes < k+1=%d; zero-padding encoding", g.n, k + 1
-            )
-            vectors = np.pad(vectors, ((0, 0), (0, k - vectors.shape[1])))
-        return PositionalEncoding(k=k, vectors=vectors, source="whole-graph")
+        blocks, source = [np.arange(g.n)], "whole-graph"
+    else:
+        from .partition import partition_kway  # deferred to avoid a cycle
 
-    from .partition import partition_kway  # deferred to avoid a cycle
-
-    p = math.ceil(g.n / block_limit)
-    while True:
-        plan = partition_kway(g, p, balance_factor=1.1, seed=0)
-        if max(plan.sizes()) <= block_limit:
-            break
-        p += 1
+        p = math.ceil(g.n / block_limit)
+        while True:
+            plan = partition_kway(g, p, balance_factor=1.1, seed=0)
+            if max(plan.sizes()) <= block_limit:
+                break
+            p += 1
+        blocks = [[int(i) for i in plan.gather[b] if i >= 0] for b in range(plan.p)]
+        source = "per-subgraph"
     out = np.zeros((g.n, k))
-    for b in range(plan.p):
-        nodes = [int(i) for i in plan.gather[b] if i >= 0]
-        block = g.subgraph(nodes)
-        kb = min(k, block.n)
-        if kb < k:
+    for b, nodes in enumerate(blocks):
+        block = g if source == "whole-graph" else g.subgraph(nodes)
+        if block.n < k:
+            label = "graph" if source == "whole-graph" else f"block {b}"
             log.warning(
-                "block %d has %d nodes < k+1=%d; zero-padding its encoding",
-                b,
-                block.n,
-                k + 1,
+                "%s has %d nodes < k+1=%d; zero-padding its encoding", label, block.n, k + 1
             )
-        _, vectors = sym_eigen(laplacian(block), kb)
-        out[nodes, :kb] = vectors
-    return PositionalEncoding(k=k, vectors=out, source="per-subgraph")
+        _, vectors = sym_eigen(laplacian(block), min(k, block.n))
+        out[nodes, : vectors.shape[1]] = vectors
+    return PositionalEncoding(k=k, vectors=out, source=source)
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +351,10 @@ def load_pe(path, g: SpatialGraph | None = None) -> PositionalEncoding:
     stem = _pe_stem(path)
     with open(stem + ".json") as fh:
         sidecar = json.load(fh)
-    vectors = np.fromfile(stem + ".bin", dtype="<f8").reshape(sidecar["n"], sidecar["k"])
+    flat = np.fromfile(stem + ".bin", dtype="<f8")
+    n, k = sidecar["n"], sidecar["k"]
+    if flat.size != n * k:
+        raise InputError(f"{stem}.bin: payload holds {flat.size} values, sidecar implies {n * k}")
     if g is not None and graph_hash(g) != sidecar["graph_hash"]:
         raise InputError(f"{stem}: cached encoding was built for a different graph")
-    return PositionalEncoding(
-        k=sidecar["k"], vectors=vectors.astype(np.float64), source=sidecar["source"]
-    )
+    return PositionalEncoding(k=k, vectors=flat.reshape(n, k), source=sidecar["source"])

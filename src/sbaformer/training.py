@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Dataset, Normalizer, chrono_split, make_windows, metrics, window_arrays
+from .data import SPLITS, Dataset, metrics, split_setup, window_arrays
 from .errors import ConfigError, ContractError, NumericError
 from .model import ModelParams, SbaTransformer, mae_loss
 
@@ -111,11 +111,8 @@ def train(model: SbaTransformer, dataset: Dataset, cfg: TrainConfig):
         raise ContractError(
             f"dataset ({dataset.n} nodes, {dataset.c} ch) does not match the model config"
         )
-    splits = chrono_split(dataset.steps, min_len=mc.t + mc.f)
-    normalizer = Normalizer.fit(dataset.series[:, splits[0][0] : splits[0][1]])
-    series_norm = normalizer.apply(dataset.series)
-    train_ws = make_windows(splits[0], mc.t, mc.f, split="train")
-    val_ws = make_windows(splits[1], mc.t, mc.f, split="val")
+    _, series_norm, windows = split_setup(dataset, mc.t, mc.f)
+    train_ws, val_ws = windows["train"], windows["val"]
     if not len(train_ws) or not len(val_ws):
         raise ConfigError("train/val splits yield no complete windows")
 
@@ -191,13 +188,10 @@ def evaluate(
     mc = model.config
     if dataset.n != mc.n or dataset.c != mc.c:
         raise ContractError("checkpoint config does not match the dataset shapes")
-    splits = chrono_split(dataset.steps, min_len=mc.t + mc.f)
-    index = {"train": 0, "val": 1, "test": 2}
-    if split not in index:
+    if split not in SPLITS:
         raise ConfigError(f"unknown split {split!r}")
-    normalizer = Normalizer.fit(dataset.series[:, splits[0][0] : splits[0][1]])
-    series_norm = normalizer.apply(dataset.series)
-    windows = make_windows(splits[index[split]], mc.t, mc.f, split=split)
+    normalizer, series_norm, by_split = split_setup(dataset, mc.t, mc.f)
+    windows = by_split[split]
     if not len(windows):
         raise ConfigError(f"{split} split yields no complete windows")
 

@@ -90,6 +90,26 @@ class TestNormalizer:
         np.testing.assert_allclose(z.std(axis=(0, 1)), 1.0, atol=1e-12)
 
 
+class TestSplitSetup:
+    def test_matches_the_composed_steps(self):
+        ds = dt.synth_diffusion(n=9, steps=120, seed=3)
+        normalizer, series_norm, windows = dt.split_setup(ds, t=6, f=3)
+        bounds = dt.chrono_split(ds.steps, min_len=9)
+        fit = dt.Normalizer.fit(ds.series[:, bounds[0][0] : bounds[0][1]])
+        assert np.array_equal(normalizer.mean, fit.mean)
+        assert np.array_equal(normalizer.std, fit.std)
+        assert np.array_equal(series_norm, fit.apply(ds.series))
+        assert list(windows) == list(dt.SPLITS)
+        for name, b in zip(dt.SPLITS, bounds):
+            assert windows[name].split == name
+            assert windows[name].indices == dt.make_windows(b, 6, 3).indices
+
+    def test_short_split_raises_config_error(self):
+        ds = dt.synth_diffusion(n=9, steps=40, seed=3)
+        with pytest.raises(ConfigError, match="split has"):
+            dt.split_setup(ds, t=6, f=3)
+
+
 class TestSynthDiffusion:
     def test_frozen_dynamics_at_gamma_zero(self):
         ds = dt.synth_diffusion(n=9, steps=5, gamma=0.0, season_amp=0.0, noise_std=0.0, seed=0)

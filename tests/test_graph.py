@@ -1,4 +1,4 @@
-"""Graph construction, the Jacobi eigensolver, and positional encodings."""
+"""Graph construction, the per-block eigensolver, and positional encodings."""
 import math
 
 import numpy as np
@@ -127,6 +127,31 @@ class TestSymEigen:
         with pytest.raises(ContractError):
             gr.sym_eigen([[0.0, 1.0], [0.5, 0.0]], k=1)
 
+    def test_interleaved_identical_components_stay_apart(self):
+        # identical components share every eigenvalue, so a whole-matrix solve
+        # is free to mix them; the per-block solve must not
+        rng = np.random.default_rng(12)
+        size, copies = 6, 3
+        template = random_connected_graph(size, rng)
+        label = rng.permutation(size * copies).reshape(copies, size)
+        g = gr.SpatialGraph(size * copies)
+        for comp in label:
+            for i, j, w in template.edges():
+                g.add_edge(int(comp[i]), int(comp[j]), w)
+        comps = gr.connected_components(g)
+        assert sorted(map(sorted, comps)) == sorted(sorted(c.tolist()) for c in label)
+        values, vectors = gr.sym_eigen(gr.laplacian(g), k=2 * copies + 1)
+        for col in range(vectors.shape[1]):
+            touched = [c for c in comps if np.abs(vectors[c, col]).max() > 1e-12]
+            assert len(touched) == 1
+        null = np.flatnonzero(np.abs(values) < 1e-9)
+        owners = set()
+        for col in null:
+            (owner,) = [i for i, c in enumerate(comps) if np.abs(vectors[c, col]).max() > 1e-12]
+            np.testing.assert_allclose(vectors[comps[owner], col], 1.0 / math.sqrt(size), atol=1e-12)
+            owners.add(owner)
+        assert len(null) == len(owners) == copies
+
     def test_sign_canonical_and_deterministic(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((6, 6))
@@ -219,6 +244,16 @@ class TestGraphFiles:
         other = random_connected_graph(8, np.random.default_rng(11))
         with pytest.raises(InputError):
             gr.load_pe(path, other)
+
+    @pytest.mark.parametrize("cut", [-8, 8])
+    def test_pe_cache_wrong_blob_size(self, tmp_path, cut):
+        g = random_connected_graph(9, np.random.default_rng(13))
+        path = tmp_path / "pe.bin"
+        gr.save_pe(path, gr.laplacian_pe(g, k=3), g, block_limit=2000)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:cut] if cut < 0 else blob + bytes(cut))
+        with pytest.raises(InputError, match="payload holds"):
+            gr.load_pe(path, g)
 
     def test_malformed_edge_line(self, tmp_path):
         path = tmp_path / "bad.csv"
