@@ -19,10 +19,18 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import load_config, write_effective_config
-from .data import SPLITS, Dataset, save_series, split_setup, synth_diffusion, window_arrays
-from .data import load_series as load_series_file
+from .data import (
+    SPLITS,
+    Dataset,
+    load_series,
+    save_series,
+    split_setup,
+    synth_diffusion,
+    window_arrays,
+)
 from .errors import ContractError, InputError, NumericError, SbaError
 from .graph import (
+    SpatialGraph,
     build_epsilon_graph,
     build_gaussian_graph,
     laplacian_pe,
@@ -40,7 +48,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .partition import build_scale_series, uniform_plan, save_series as save_plan_series, ScaleSeries
+from .partition import build_scale_series, uniform_plan, save_plans, ScaleSeries
 from .training import TrainConfig, evaluate, train
 
 
@@ -114,9 +122,9 @@ def _build_graph(cfg, n: int):
         if dc["graph"] is None:
             raise InputError("graph.builder=file requires data.graph")
         graph = load_graph(dc["graph"], n=n)
-        if dc["coords"] is not None:
-            graph.coords = load_coords(dc["coords"])
-        return graph
+        if dc["coords"] is None:
+            return graph
+        return SpatialGraph(graph.n, *graph.edge_arrays(), load_coords(dc["coords"]))
     if dc["coords"] is None:
         raise InputError(f"graph.builder={gc['builder']} requires data.coords")
     coords = load_coords(dc["coords"])
@@ -134,7 +142,7 @@ def _build_graph(cfg, n: int):
 def _assemble(cfg):
     """Dataset, scale series, and positional encoding for a validated config."""
     dc = cfg["data"]
-    series, meta = load_series_file(dc["series"], dc["format"])
+    series, meta = load_series(dc["series"], dc["format"])
     graph = _build_graph(cfg, series.shape[0])
     dataset = Dataset(
         series=series,
@@ -183,7 +191,7 @@ def _train_config(cfg) -> TrainConfig:
 def cmd_partition(args) -> int:
     graph = load_graph(args.graph)
     series = build_scale_series(graph, args.parts, args.levels, args.balance, args.seed)
-    save_plan_series(args.out, series)
+    save_plans(args.out, series)
     for level, plan in enumerate(series.plans):
         print(
             f"level {level}: p={plan.p} m={plan.m} edge_cut={plan.edge_cut:g} "
@@ -225,7 +233,7 @@ def cmd_train(args) -> int:
 
     dataset, plans, pe, mc = _assemble(cfg)
     save_pe(os.path.join(out_dir, "pe.bin"), pe, dataset.graph, cfg["pe"]["block_limit"])
-    save_plan_series(os.path.join(out_dir, "scale_series.json"), plans)
+    save_plans(os.path.join(out_dir, "scale_series.json"), plans)
     model = SbaTransformer(mc, plans, pe.vectors, seed=cfg["train"]["seed"])
     best, history, timings = train(model, dataset, _train_config(cfg))
     save_checkpoint(os.path.join(out_dir, "checkpoint"), best, mc, cfg["train"]["seed"])

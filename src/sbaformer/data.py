@@ -155,7 +155,8 @@ def window_arrays(series: np.ndarray, windows, at=None):
 
 
 def make_grid_graph(rows: int, cols: int) -> SpatialGraph:
-    """4-neighbor grid with unit spacing, built as a distance-threshold graph."""
+    """8-neighbour (king's move) grid with unit spacing: a distance-threshold
+    graph with epsilon=1.5, which also links the diagonals at sqrt(2)."""
     xs, ys = np.meshgrid(np.arange(cols), np.arange(rows))
     coords = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
     return build_epsilon_graph(coords, epsilon=1.5)
@@ -314,7 +315,7 @@ def load_dataset(
             raise NodeCountError(
                 f"coords file has {coords.shape[0]} nodes, series has {series.shape[0]}"
             )
-        graph.coords = coords
+        graph = SpatialGraph(graph.n, *graph.edge_arrays(), coords)
     if meta is not None:
         freq_minutes = meta["freq_minutes"] if freq_minutes is None else freq_minutes
         name = meta["name"] if name is None else name

@@ -1,10 +1,11 @@
 """Spatial graphs, their Laplacians, and eigenvector positional encodings.
 
-Graphs are undirected, weighted, self-loop free. The eigensolver runs
-np.linalg.eigh once per connected block of the matrix, so eigenvectors of a
-disconnected graph stay inside their component. For graphs past a block
-limit the encoding is computed per partition block and stitched back into
-node order.
+Graphs are undirected, weighted, self-loop free, and held as immutable CSR
+arrays (row offsets, sorted neighbour ids, weights) built from edge arrays.
+The eigensolver runs np.linalg.eigh once per connected block of the matrix,
+so eigenvectors of a disconnected graph stay inside their component. For
+graphs past a block limit the encoding is computed per partition block and
+stitched back into node order.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,74 +22,87 @@ from .errors import ContractError, InputError
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True, init=False, eq=False)
 class SpatialGraph:
-    """Symmetric weighted adjacency over n nodes, stored as per-node dicts."""
+    """Immutable symmetric weighted adjacency over n nodes in CSR form.
+
+    Row i holds the neighbours of i, indices[indptr[i]:indptr[i + 1]], in
+    ascending order, with the matching edge weights; every undirected edge
+    appears in both of its rows. Weights are finite and > 0; there are no
+    self-loops and no repeated edges.
+    """
 
     n: int
-    adj: list = field(default_factory=list)  # adj[i] = {j: weight}
+    indptr: np.ndarray  # (n + 1,) row offsets
+    indices: np.ndarray  # (2 * edges,) neighbour ids, sorted per row
+    weights: np.ndarray  # (2 * edges,) edge weights, aligned with indices
     coords: np.ndarray | None = None  # (n, 2) metric coordinates
     epsilon: float | None = None
 
-    def __post_init__(self):
-        if not self.adj:
-            self.adj = [dict() for _ in range(self.n)]
+    def __init__(self, n: int, src=(), dst=(), weights=(), coords=None, epsilon=None):
+        """Build from undirected edge arrays: edge e joins src[e] and dst[e]
+        with weight weights[e], each pair listed once. Zero weights add no edge."""
+        src = np.asarray(src, dtype=np.int64).ravel()
+        dst = np.asarray(dst, dtype=np.int64).ravel()
+        w = np.asarray(weights, dtype=np.float64).ravel()
+        if not src.shape == dst.shape == w.shape:
+            raise ContractError(f"edge arrays differ in length: {src.size}, {dst.size}, {w.size}")
+        if src.size and (min(src.min(), dst.min()) < 0 or max(src.max(), dst.max()) >= n):
+            raise ContractError(f"edge endpoint outside [0, {n})")
+        if (src == dst).any():
+            raise ContractError(f"self-loop on node {int(src[src == dst][0])}")
+        if not (np.isfinite(w) & (w >= 0)).all():
+            raise ContractError("edge weights must be finite and >= 0")
+        keep = w != 0
+        rows = np.concatenate([src[keep], dst[keep]])
+        cols = np.concatenate([dst[keep], src[keep]])
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        if ((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])).any():
+            raise ContractError("an edge is listed twice")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        csr = (indptr, cols, np.concatenate([w[keep], w[keep]])[order])
+        for arr in csr:
+            arr.flags.writeable = False
+        fields = (int(n), *csr, coords, epsilon)
+        for name, value in zip(("n", "indptr", "indices", "weights", "coords", "epsilon"), fields):
+            object.__setattr__(self, name, value)
 
-    def add_edge(self, i: int, j: int, w: float):
-        if i == j:
-            raise ContractError(f"self-loop on node {i}")
-        if not math.isfinite(w) or w < 0:
-            raise ContractError(f"edge weight must be finite and >= 0, got {w}")
-        if w == 0:
-            return
-        self.adj[i][j] = w
-        self.adj[j][i] = w
+    def edge_arrays(self):
+        """(src, dst, weights) with src < dst, each undirected edge once, sorted."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = rows < self.indices
+        return rows[upper], self.indices[upper], self.weights[upper]
 
     def edges(self):
-        """Yield (i, j, w) with i < j, each undirected edge once, sorted."""
-        for i in range(self.n):
-            for j in sorted(self.adj[i]):
-                if i < j:
-                    yield i, j, self.adj[i][j]
+        """Yield (i, j, w) as Python numbers with i < j, each undirected edge once, sorted."""
+        return zip(*(a.tolist() for a in self.edge_arrays()))
 
     def weight(self, i: int, j: int) -> float:
-        return self.adj[i].get(j, 0.0)
-
-    def degree(self, i: int) -> float:
-        return sum(self.adj[i].values())
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        k = lo + int(np.searchsorted(self.indices[lo:hi], j))
+        return float(self.weights[k]) if k < hi and self.indices[k] == j else 0.0
 
     def total_edge_weight(self) -> float:
-        return sum(w for _, _, w in self.edges())
+        return sum(self.edge_arrays()[2].tolist())
 
     def dense_adjacency(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        for i, j, w in self.edges():
-            a[i, j] = w
-            a[j, i] = w
+        src, dst, w = self.edge_arrays()
+        a[src, dst] = w
+        a[dst, src] = w
         return a
 
     def subgraph(self, nodes) -> "SpatialGraph":
         """Induced subgraph; node order follows the given sequence."""
-        nodes = list(nodes)
-        pos = {node: k for k, node in enumerate(nodes)}
-        sub = SpatialGraph(len(nodes))
-        if self.coords is not None:
-            sub.coords = self.coords[nodes]
-        for k, node in enumerate(nodes):
-            for nbr, w in self.adj[node].items():
-                if nbr in pos and node < nbr:
-                    sub.add_edge(k, pos[nbr], w)
-        return sub
-
-    def validate(self):
-        for i in range(self.n):
-            if i in self.adj[i]:
-                raise ContractError(f"self-loop on node {i}")
-            for j, w in self.adj[i].items():
-                if not math.isfinite(w) or w < 0:
-                    raise ContractError(f"bad weight {w} on edge ({i},{j})")
-                if self.adj[j].get(i) != w:
-                    raise ContractError(f"asymmetric edge ({i},{j})")
+        nodes = np.asarray(nodes, dtype=np.int64)
+        pos = np.full(self.n, -1, dtype=np.int64)
+        pos[nodes] = np.arange(nodes.size)
+        src, dst, w = self.edge_arrays()
+        inside = (pos[src] >= 0) & (pos[dst] >= 0)
+        coords = None if self.coords is None else self.coords[nodes]
+        return SpatialGraph(nodes.size, pos[src[inside]], pos[dst[inside]], w[inside], coords)
 
 
 def build_epsilon_graph(coords, epsilon: float) -> SpatialGraph:
@@ -100,13 +114,9 @@ def build_epsilon_graph(coords, epsilon: float) -> SpatialGraph:
         raise InputError("coords contain non-finite values")
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
-    g = SpatialGraph(coords.shape[0], coords=coords)
-    g.epsilon = float(epsilon)
     dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1))
     src, dst = np.nonzero(np.triu(dist < epsilon, k=1))
-    for i, j in zip(src.tolist(), dst.tolist()):
-        g.add_edge(i, j, 1.0)
-    return g
+    return SpatialGraph(len(coords), src, dst, np.ones(src.size), coords, float(epsilon))
 
 
 def build_gaussian_graph(coords, sigma: float, threshold: float) -> SpatialGraph:
@@ -118,13 +128,10 @@ def build_gaussian_graph(coords, sigma: float, threshold: float) -> SpatialGraph
         raise InputError("sigma must be positive")
     if not 0 <= threshold < 1:
         raise InputError("threshold must lie in [0, 1)")
-    g = SpatialGraph(coords.shape[0], coords=coords)
     d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1)
     w = np.exp(-d2 / (sigma * sigma))
     src, dst = np.nonzero(np.triu(w >= threshold, k=1))
-    for i, j in zip(src.tolist(), dst.tolist()):
-        g.add_edge(i, j, float(w[i, j]))
-    return g
+    return SpatialGraph(len(coords), src, dst, w[src, dst], coords)
 
 
 def laplacian(g: SpatialGraph) -> np.ndarray:
@@ -135,6 +142,7 @@ def laplacian(g: SpatialGraph) -> np.ndarray:
 
 def connected_components(g: SpatialGraph) -> list:
     """List of components, each a sorted list of node ids."""
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
     seen = [False] * g.n
     comps = []
     for start in range(g.n):
@@ -145,29 +153,12 @@ def connected_components(g: SpatialGraph) -> list:
         while stack:
             u = stack.pop()
             comp.append(u)
-            for v in g.adj[u]:
+            for v in indices[indptr[u] : indptr[u + 1]]:
                 if not seen[v]:
                     seen[v] = True
                     stack.append(v)
         comps.append(sorted(comp))
     return comps
-
-
-def _pattern_blocks(a: np.ndarray) -> list:
-    """Index arrays of the connected blocks of a's nonzero pattern, by first node."""
-    linked = a != 0
-    unseen = np.ones(len(a), dtype=bool)
-    blocks = []
-    while unseen.any():
-        block = np.zeros(len(a), dtype=bool)
-        frontier = block.copy()
-        frontier[np.argmax(unseen)] = True
-        while frontier.any():
-            block |= frontier
-            frontier = linked[frontier].any(axis=0) & ~block
-        unseen &= ~block
-        blocks.append(np.flatnonzero(block))
-    return blocks
 
 
 def sym_eigen(mat, k: int):
@@ -195,7 +186,8 @@ def sym_eigen(mat, k: int):
     values = np.empty(n)
     vectors = np.zeros((n, n))
     at = 0
-    for nodes in _pattern_blocks(a):
+    src, dst = np.nonzero(np.triu((a != 0) | (a.T != 0), k=1))
+    for nodes in connected_components(SpatialGraph(n, src, dst, np.ones(src.size))):
         cols = slice(at, at + len(nodes))
         values[cols], vectors[nodes, cols] = np.linalg.eigh(a[np.ix_(nodes, nodes)])
         at += len(nodes)
@@ -266,7 +258,8 @@ def save_graph(path, g: SpatialGraph):
 
 
 def load_graph(path, n: int | None = None) -> SpatialGraph:
-    triples = []
+    """Read an edge list; a repeated pair keeps its last non-zero weight."""
+    pairs = {}
     max_id = -1
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -280,17 +273,21 @@ def load_graph(path, n: int | None = None) -> SpatialGraph:
                 i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
-            triples.append((i, j, w))
+            if min(i, j) < 0:
+                raise InputError(f"{path}:{lineno}: negative node id")
+            if i == j:
+                raise InputError(f"{path}:{lineno}: self-loop on node {i}")
+            if not math.isfinite(w) or w < 0:
+                raise InputError(f"{path}:{lineno}: edge weight must be finite and >= 0, got {w}")
+            if w != 0:
+                pairs[min(i, j), max(i, j)] = w
             max_id = max(max_id, i, j)
     if n is None:
         n = max_id + 1
     if max_id >= n:
         raise InputError(f"{path}: node id {max_id} exceeds declared n={n}")
-    g = SpatialGraph(n)
-    for i, j, w in triples:
-        g.add_edge(i, j, w)
-    g.validate()
-    return g
+    ends = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return SpatialGraph(n, ends[:, 0], ends[:, 1], list(pairs.values()))
 
 
 def save_coords(path, coords):

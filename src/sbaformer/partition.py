@@ -2,8 +2,10 @@
 
 The partitioner is a self-contained multilevel scheme: heavy-edge-matching
 coarsening, greedy region-growing initial assignment, and Kernighan-Lin
-style boundary refinement (best-prefix passes) during uncoarsening. It is
-deterministic for a fixed seed. Coarser scales are built by pair-merging
+style boundary refinement (best-prefix passes) during uncoarsening. Every
+level is a SpatialGraph. Refinement reads move gains from a (nodes x p)
+node-to-part weight table, and a move recomputes only its neighbours' rows.
+It is deterministic for a fixed seed. Coarser scales are built by pair-merging
 subgraphs of the previous scale, so the halving relation holds exactly and
 boundary nodes of fine subgraphs meet inside coarser ones.
 """
@@ -153,7 +155,9 @@ def uniform_plan(n: int, p: int) -> PartitionPlan:
 
 
 def _edge_cut(g: SpatialGraph, assign) -> float:
-    return sum(w for i, j, w in g.edges() if assign[i] != assign[j])
+    """Weight of the edges between parts, summed in edge order."""
+    src, dst, w = g.edge_arrays()
+    return sum(w[assign[src] != assign[dst]].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -182,54 +186,54 @@ def partition_kway(
         return plan_from_assign(np.arange(n, dtype=np.int64), p, g, balance_factor, seed)
 
     rng = np.random.default_rng(seed)
-    adj = [dict(sorted(g.adj[i].items())) for i in range(n)]
-    node_w = np.ones(n, dtype=np.int64)
+    level, node_w = g, np.ones(n, dtype=np.int64)
     cap = balance_factor * math.ceil(n / p)
 
     # coarsening
-    levels = []  # (fine adj, fine node_w, fine->coarse map)
+    levels = []  # (fine graph, fine node_w, fine->coarse map)
     target = max(4 * p, 64)
-    while len(adj) > target:
-        cmap, cn = _heavy_edge_matching(adj, rng)
-        if cn > 0.95 * len(adj):
+    while level.n > target:
+        cmap, cn = _heavy_edge_matching(level, rng)
+        if cn > 0.95 * level.n:
             break
-        cadj, cw = _contract(adj, node_w, cmap, cn)
-        levels.append((adj, node_w, cmap))
-        adj, node_w = cadj, cw
+        levels.append((level, node_w, cmap))
+        level, node_w = _contract(level, node_w, cmap, cn)
 
     # initial partition on the coarsest graph, best of a few seeded restarts
     best_assign, best_key = None, None
     for child in rng.spawn(4):
-        assign = _region_grow(adj, node_w, p, child)
-        _rebalance(adj, node_w, assign, p, cap)
-        _fm_refine(adj, node_w, assign, p, cap)
-        cut = _cut_of(adj, assign)
-        feasible = _part_weights(node_w, assign, p).max() <= cap + 1e-9
-        key = (not feasible, cut)
+        parts = _Parts(level, node_w, _region_grow(level, node_w, p, child), p, cap)
+        _rebalance(parts)
+        _fm_refine(parts)
+        feasible = parts.part_w.max() <= cap + 1e-9
+        key = (not feasible, _edge_cut(level, parts.assign))
         if best_key is None or key < best_key:
-            best_assign, best_key = assign.copy(), key
+            best_assign, best_key = parts.assign, key
     assign = best_assign
 
     # uncoarsen and refine at every level
-    for fine_adj, fine_w, cmap in reversed(levels):
-        assign = assign[cmap]
-        _rebalance(fine_adj, fine_w, assign, p, cap)
-        _fm_refine(fine_adj, fine_w, assign, p, cap)
+    for fine, fine_w, cmap in reversed(levels):
+        parts = _Parts(fine, fine_w, assign[cmap], p, cap)
+        _rebalance(parts)
+        _fm_refine(parts)
+        assign = parts.assign
 
     plan = plan_from_assign(assign, p, g, balance_factor, seed)
     plan.validate(g)
     return plan
 
 
-def _heavy_edge_matching(adj, rng):
+def _heavy_edge_matching(g: SpatialGraph, rng):
     """Match each node with its heaviest unmatched neighbor, random visit order."""
-    nn = len(adj)
-    match = np.full(nn, -1, dtype=np.int64)
-    for u in rng.permutation(nn):
+    nn = g.n
+    indptr, indices, weights = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
+    match = [-1] * nn
+    for u in rng.permutation(nn).tolist():
         if match[u] >= 0:
             continue
         best, best_w = -1, -1.0
-        for v, w in adj[u].items():
+        for k in range(indptr[u], indptr[u + 1]):
+            v, w = indices[k], weights[k]
             if match[v] >= 0:
                 continue
             if w > best_w or (w == best_w and v < best):
@@ -239,37 +243,27 @@ def _heavy_edge_matching(adj, rng):
             match[best] = u
         else:
             match[u] = u
-    cmap = np.full(nn, -1, dtype=np.int64)
-    next_id = 0
-    for u in range(nn):
-        if cmap[u] >= 0:
-            continue
-        cmap[u] = next_id
-        cmap[match[u]] = next_id
-        next_id += 1
-    return cmap, next_id
+    # coarse ids follow each pair's lower node
+    lower = np.minimum(np.arange(nn), match)
+    coarse_id = np.cumsum(lower == np.arange(nn)) - 1
+    return coarse_id[lower], int(coarse_id[-1]) + 1
 
 
-def _contract(adj, node_w, cmap, cn):
-    cadj = [dict() for _ in range(cn)]
-    cw = np.zeros(cn, dtype=np.int64)
-    for u in range(len(adj)):
-        cw[cmap[u]] += node_w[u]
-        cu = cmap[u]
-        for v, w in adj[u].items():
-            if v <= u:
-                continue
-            cv = cmap[v]
-            if cu == cv:
-                continue
-            cadj[cu][cv] = cadj[cu].get(cv, 0.0) + w
-            cadj[cv][cu] = cadj[cv].get(cu, 0.0) + w
-    return [dict(sorted(row.items())) for row in cadj], cw
+def _contract(g: SpatialGraph, node_w, cmap, cn):
+    """Coarse graph and node weights; parallel coarse edges sum in edge order."""
+    src, dst, w = g.edge_arrays()
+    lo = np.minimum(cmap[src], cmap[dst])
+    hi = np.maximum(cmap[src], cmap[dst])
+    between = lo != hi
+    pair, slot = np.unique(lo[between] * cn + hi[between], return_inverse=True)
+    coarse = SpatialGraph(cn, pair // cn, pair % cn, np.bincount(slot, weights=w[between]))
+    return coarse, np.bincount(cmap, weights=node_w, minlength=cn).astype(np.int64)
 
 
-def _region_grow(adj, node_w, p, rng):
+def _region_grow(g: SpatialGraph, node_w, p, rng):
     """Grow p regions to the ideal weight, each from a random seed node."""
-    nn = len(adj)
+    nn = g.n
+    indptr, indices, weights = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
     assign = np.full(nn, -1, dtype=np.int64)
     ideal = math.ceil(int(node_w.sum()) / p)
     unassigned = nn
@@ -285,9 +279,10 @@ def _region_grow(adj, node_w, p, rng):
             conn.pop(cur, None)
             if unassigned <= later_parts or part_w >= ideal:
                 break
-            for v, w in adj[cur].items():
+            for k in range(indptr[cur], indptr[cur + 1]):
+                v = indices[k]
                 if assign[v] < 0:
-                    conn[v] = conn.get(v, 0.0) + w
+                    conn[v] = conn.get(v, 0.0) + weights[k]
             if conn:
                 cur = max(conn.items(), key=lambda kv: (kv[1], -kv[0]))[0]
             else:
@@ -296,48 +291,74 @@ def _region_grow(adj, node_w, p, rng):
     return assign
 
 
-def _part_weights(node_w, assign, p):
-    return np.bincount(assign, weights=node_w, minlength=p)
+class _Parts:
+    """One level's assignment under a part-weight cap, its part weights and
+    sizes, and the node-to-part table: conn[u, q] is the edge weight from
+    node u into part q."""
+
+    def __init__(self, g: SpatialGraph, node_w, assign, p, cap):
+        self.g, self.node_w, self.assign, self.p, self.cap = g, node_w, assign, p, cap
+        self.part_w = np.bincount(assign, weights=node_w, minlength=p)
+        self.part_count = np.bincount(assign, minlength=p)
+        everyone = np.arange(g.n)
+        self.conn = self._conn_rows(everyone)
+        self.boundary = self._outside(everyone)
+
+    def _conn_rows(self, rows):
+        """Table rows of `rows`, each summed over its neighbours in ascending order."""
+        indptr = self.g.indptr
+        lens = indptr[rows + 1] - indptr[rows]
+        # CSR positions of the rows' entries, row after row
+        at = np.repeat(indptr[rows] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        slot = np.repeat(np.arange(rows.size) * self.p, lens) + self.assign[self.g.indices[at]]
+        table = np.bincount(slot, weights=self.g.weights[at], minlength=rows.size * self.p)
+        return table.reshape(rows.size, self.p)
+
+    def _outside(self, rows):
+        """Whether each of `rows` has a neighbour in another part."""
+        linked = self.conn[rows] > 0
+        linked[np.arange(rows.size), self.assign[rows]] = False
+        return linked.any(axis=1)
+
+    def move(self, u: int, to: int) -> int:
+        """Move node u to part `to`, refresh its neighbours' rows; return u's old part."""
+        frm = int(self.assign[u])
+        self.assign[u] = to
+        self.part_w[frm] -= self.node_w[u]
+        self.part_w[to] += self.node_w[u]
+        self.part_count[frm] -= 1
+        self.part_count[to] += 1
+        nbrs = self.g.indices[self.g.indptr[u] : self.g.indptr[u + 1]]
+        self.conn[nbrs] = self._conn_rows(nbrs)
+        near = np.append(nbrs, u)
+        self.boundary[near] = self._outside(near)
+        return frm
+
+    def best_move(self, nodes):
+        """Highest-gain (gain, u, to) moving one of `nodes` (ascending) into
+        another part that stays within the cap, or None. Ties go to the
+        lowest node, then the lowest part."""
+        here, frm = np.arange(nodes.size), self.assign[nodes]
+        conn = self.conn[nodes]
+        gain = conn - conn[here, frm][:, None]
+        fits = self.part_w + self.node_w[nodes][:, None] <= self.cap + 1e-9
+        fits[here, frm] = False
+        if not fits.any():
+            return None
+        gain[~fits] = -np.inf
+        k, to = divmod(int(np.argmax(gain)), self.p)
+        return gain[k, to], int(nodes[k]), to
 
 
-def _cut_of(adj, assign) -> float:
-    cut = 0.0
-    for u in range(len(adj)):
-        for v, w in adj[u].items():
-            if v > u and assign[u] != assign[v]:
-                cut += w
-    return cut
-
-
-def _node_conn(adj, assign, u, p):
-    """Total edge weight from u into each part."""
-    conn = np.zeros(p)
-    for v, w in adj[u].items():
-        conn[assign[v]] += w
-    return conn
-
-
-def _boundary(adj, assign):
-    out = []
-    for u in range(len(adj)):
-        for v in adj[u]:
-            if assign[v] != assign[u]:
-                out.append(u)
-                break
-    return out
-
-
-def _fm_refine(adj, node_w, assign, p, cap, max_passes: int = 10):
+def _fm_refine(parts: _Parts, max_passes: int = 10):
     """KL/FM passes: greedy single-node moves with best-prefix rollback.
 
     Moves may go downhill inside a pass; the pass keeps the prefix with the
-    best total gain. Balance and non-emptiness are never violated. Ties
-    break on (gain, lowest node, lowest target part) so runs are
-    deterministic.
+    best total gain. Only boundary nodes move. Balance and non-emptiness are
+    never violated. Ties break on (gain, lowest node, lowest target part) so
+    runs are deterministic.
     """
-    nn = len(adj)
-    part_w = _part_weights(node_w, assign, p)
-    part_count = np.bincount(assign, minlength=p)
+    nn = parts.g.n
     move_limit = nn if nn <= 128 else max(128, nn // 8)
     for _ in range(max_passes):
         locked = np.zeros(nn, dtype=bool)
@@ -346,82 +367,44 @@ def _fm_refine(adj, node_w, assign, p, cap, max_passes: int = 10):
         best_improvement = 0.0
         best_prefix = 0
         while len(moves) < move_limit:
-            candidates = [u for u in _boundary(adj, assign) if not locked[u]]
-            best = None  # (gain, u, to)
-            for u in candidates:
-                frm = assign[u]
-                if part_count[frm] == 1:
-                    continue
-                conn = _node_conn(adj, assign, u, p)
-                for to in range(p):
-                    if to == frm or part_w[to] + node_w[u] > cap + 1e-9:
-                        continue
-                    gain = conn[to] - conn[frm]
-                    if best is None or (gain, -u, -to) > (best[0], -best[1], -best[2]):
-                        best = (gain, u, to)
+            movable = parts.boundary & ~locked & (parts.part_count[parts.assign] > 1)
+            best = parts.best_move(np.flatnonzero(movable))
             if best is None:
                 break
             gain, u, to = best
-            frm = assign[u]
-            assign[u] = to
-            part_w[frm] -= node_w[u]
-            part_w[to] += node_w[u]
-            part_count[frm] -= 1
-            part_count[to] += 1
+            moves.append((u, parts.move(u, to)))
             locked[u] = True
-            moves.append((u, frm, to))
             improvement += gain
             if improvement > best_improvement + 1e-12:
                 best_improvement = improvement
                 best_prefix = len(moves)
-        for u, frm, to in reversed(moves[best_prefix:]):
-            assign[u] = frm
-            part_w[to] -= node_w[u]
-            part_w[frm] += node_w[u]
-            part_count[to] -= 1
-            part_count[frm] += 1
+        for u, frm in reversed(moves[best_prefix:]):
+            parts.move(u, frm)
         if best_improvement <= 1e-12:
             break
-    return assign
 
 
-def _rebalance(adj, node_w, assign, p, cap):
+def _rebalance(parts: _Parts):
     """Move nodes out of overweight parts, cheapest cut increase first."""
-    nn = len(adj)
-    part_w = _part_weights(node_w, assign, p)
-    part_count = np.bincount(assign, minlength=p)
-    for _ in range(4 * nn):
-        over = int(np.argmax(part_w))
-        if part_w[over] <= cap + 1e-9:
-            return True
-        best = None  # (gain, u, to)
-        for u in np.flatnonzero(assign == over):
-            if part_count[over] == 1:
-                break
-            conn = _node_conn(adj, assign, int(u), p)
-            for to in range(p):
-                if to == over or part_w[to] + node_w[u] > cap + 1e-9:
-                    continue
-                gain = conn[to] - conn[over]
-                if best is None or (gain, -u, -to) > (best[0], -best[1], -best[2]):
-                    best = (gain, int(u), to)
+    for _ in range(4 * parts.g.n):
+        over = int(np.argmax(parts.part_w))
+        if parts.part_w[over] <= parts.cap + 1e-9:
+            return
+        movable = np.flatnonzero(parts.assign == over)
+        best = parts.best_move(movable) if parts.part_count[over] > 1 else None
         if best is None:
             # no receiver under the cap; shift to the lightest part if that
             # still improves the imbalance, otherwise give up
-            lightest = int(np.argmin(part_w))
-            movable = np.flatnonzero(assign == over)
-            if part_count[over] == 1 or part_w[lightest] + node_w[movable].min() >= part_w[over]:
-                return False
-            u = int(movable[np.argmin(node_w[movable])])
-            best = (0.0, u, lightest)
+            lightest = int(np.argmin(parts.part_w))
+            lightest_node = int(movable[np.argmin(parts.node_w[movable])])
+            if (
+                parts.part_count[over] == 1
+                or parts.part_w[lightest] + parts.node_w[lightest_node] >= parts.part_w[over]
+            ):
+                return
+            best = (0.0, lightest_node, lightest)
         _, u, to = best
-        frm = assign[u]
-        assign[u] = to
-        part_w[frm] -= node_w[u]
-        part_w[to] += node_w[u]
-        part_count[frm] -= 1
-        part_count[to] += 1
-    return bool(part_w.max() <= cap + 1e-9)
+        parts.move(u, to)
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +437,15 @@ def build_scale_series(
         )
     plans = [partition_kway(g, p0, balance_factor, seed)]
     merge_maps = []
+    src, dst, edge_w = g.edge_arrays()
     for _ in range(1, l):
         prev = plans[-1]
-        cut_w = np.zeros((prev.p, prev.p))
-        for i, j, w in g.edges():
-            a, b = prev.assign[i], prev.assign[j]
-            if a != b:
-                cut_w[a, b] += w
-                cut_w[b, a] += w
+        pa, pb = prev.assign[src], prev.assign[dst]
+        between = pa != pb
+        # both orientations of each edge in turn, so every cell sums in edge order
+        cells = np.stack([pa * prev.p + pb, pb * prev.p + pa], axis=1)[between].ravel()
+        cut_w = np.bincount(cells, np.repeat(edge_w[between], 2), prev.p * prev.p)
+        cut_w = cut_w.reshape(prev.p, prev.p)
         available = list(range(prev.p))
         groups = []
         while len(available) >= 2:
@@ -534,13 +518,13 @@ def _plan_from_dict(doc: dict) -> PartitionPlan:
     return plan
 
 
-def save_series(path, series: ScaleSeries):
+def save_plans(path, series: ScaleSeries):
     with open(path, "w") as fh:
         json.dump(series.to_dict(), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def load_series(path) -> ScaleSeries:
+def load_plans(path) -> ScaleSeries:
     with open(path) as fh:
         doc = json.load(fh)
     plans = [_plan_from_dict(d) for d in doc["plans"]]

@@ -302,7 +302,7 @@ def test_c10_determinism(e2e_runs, tmp_path):
     g = random_connected_graph(30, rng)
     paths = [tmp_path / "s1.json", tmp_path / "s2.json"]
     for path in paths:
-        pt.save_series(path, build_scale_series(g, 4, 2, seed=9))
+        pt.save_plans(path, build_scale_series(g, 4, 2, seed=9))
     assert paths[0].read_bytes() == paths[1].read_bytes()
     report(10, "re-runs with identical seeds produced byte-identical plan "
                "files, histories, and checkpoints")

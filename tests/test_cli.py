@@ -8,7 +8,7 @@ import pytest
 from sbaformer.cli import main
 from sbaformer.config import DATASET_P_DEFAULTS, default_config, load_config, validate_config
 from sbaformer.errors import ConfigError
-from sbaformer.partition import load_series as load_plan_series
+from sbaformer.partition import load_plans
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +90,7 @@ class TestPartitionCommand:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2 and lines[0].startswith("level 0: p=4")
-        series = load_plan_series(out)
+        series = load_plans(out)
         assert [p.p for p in series.plans] == [4, 2]
 
     def test_single_part(self, synth_dir, tmp_path):
@@ -98,7 +98,7 @@ class TestPartitionCommand:
         rc = main(["partition", "--graph", str(synth_dir / "graph.csv"),
                    "--parts", "1", "--out", str(out)])
         assert rc == 0
-        series = load_plan_series(out)
+        series = load_plans(out)
         assert series.plans[0].p == 1 and series.plans[0].edge_cut == 0.0
 
     def test_infeasible_levels_exit_2(self, synth_dir, tmp_path, capsys):
@@ -106,6 +106,14 @@ class TestPartitionCommand:
                    "--parts", "4", "--levels", "5", "--out", str(tmp_path / "x.json")])
         assert rc == 2
         assert "maximum feasible levels" in capsys.readouterr().err
+
+    def test_bad_edge_line_exit_2(self, tmp_path, capsys):
+        graph = tmp_path / "graph.csv"
+        graph.write_text("0,1,1.0\n1,1,1.0\n")
+        rc = main(["partition", "--graph", str(graph), "--parts", "1",
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert f"{graph}:2: self-loop" in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, synth_dir, tmp_path):
         out = tmp_path / "plan.json"

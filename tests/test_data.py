@@ -110,6 +110,13 @@ class TestSplitSetup:
             dt.split_setup(ds, t=6, f=3)
 
 
+class TestGridGraph:
+    def test_eight_neighbour_grid(self):
+        g = dt.make_grid_graph(8, 8)
+        assert sum(1 for _ in g.edges()) == 7 * 8 * 2 + 7 * 7 * 2 == 210
+        assert g.weight(0, 9) == 1.0 and g.weight(0, 2) == 0.0
+
+
 class TestSynthDiffusion:
     def test_frozen_dynamics_at_gamma_zero(self):
         ds = dt.synth_diffusion(n=9, steps=5, gamma=0.0, season_amp=0.0, noise_std=0.0, seed=0)
@@ -134,9 +141,7 @@ class TestSynthDiffusion:
     def test_mean_conserved_on_regular_graph(self):
         # ring graph is regular, so the row-normalized adjacency is doubly
         # stochastic and the diffusion conserves the mean exactly
-        ring = SpatialGraph(12)
-        for i in range(12):
-            ring.add_edge(i, (i + 1) % 12, 1.0)
+        ring = SpatialGraph(12, np.arange(12), (np.arange(12) + 1) % 12, np.ones(12))
         ds = dt.synth_diffusion(
             n=12, steps=40, graph=ring, gamma=0.4, season_amp=0.0, noise_std=0.0, seed=2
         )
@@ -144,9 +149,7 @@ class TestSynthDiffusion:
         np.testing.assert_allclose(means, means[0], atol=1e-12)
 
     def test_disconnected_graph_rejected(self):
-        g = SpatialGraph(4)
-        g.add_edge(0, 1, 1.0)
-        g.add_edge(2, 3, 1.0)
+        g = SpatialGraph(4, [0, 2], [1, 3], [1.0, 1.0])
         with pytest.raises(ConfigError):
             dt.synth_diffusion(n=4, steps=8, graph=g)
 
@@ -196,8 +199,7 @@ class TestSeriesFiles:
     def test_load_dataset_node_mismatch(self, tmp_path):
         rng = np.random.default_rng(6)
         dt.save_series(tmp_path / "s.bin", rng.standard_normal((3, 4, 1)), "bin")
-        g = SpatialGraph(2)
-        g.add_edge(0, 1, 1.0)
+        g = SpatialGraph(2, [0], [1], [1.0])
         save_graph(tmp_path / "g.csv", g)
         # graph file only names nodes 0..1; the loader sizes it from the series
         # but a coords file of the wrong length must be rejected

@@ -1,26 +1,71 @@
 """Graph construction, the per-block eigensolver, and positional encodings."""
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from sbaformer import graph as gr
+from sbaformer.data import make_grid_graph
 from sbaformer.errors import ContractError, InputError
 
 
 def random_connected_graph(n, rng, extra_edges=None):
     """Random spanning tree plus extra random weighted edges."""
-    g = gr.SpatialGraph(n)
+    src, dst, w = [], [], []
     order = rng.permutation(n)
     for i in range(1, n):
-        j = order[rng.integers(0, i)]
-        g.add_edge(int(order[i]), int(j), float(rng.uniform(0.5, 2.0)))
+        src.append(int(order[i]))
+        dst.append(int(order[rng.integers(0, i)]))
+        w.append(float(rng.uniform(0.5, 2.0)))
+    linked = {frozenset(pair) for pair in zip(src, dst)}
     extra = int(rng.integers(0, n)) if extra_edges is None else extra_edges
     for _ in range(extra):
-        i, j = rng.integers(0, n, size=2)
-        if i != j and g.weight(int(i), int(j)) == 0:
-            g.add_edge(int(i), int(j), float(rng.uniform(0.5, 2.0)))
-    return g
+        i, j = (int(v) for v in rng.integers(0, n, size=2))
+        if i != j and frozenset((i, j)) not in linked:
+            linked.add(frozenset((i, j)))
+            src.append(i)
+            dst.append(j)
+            w.append(float(rng.uniform(0.5, 2.0)))
+    return gr.SpatialGraph(n, src, dst, w)
+
+
+def clique_edges(nodes):
+    """(src, dst) arrays joining every pair of the given nodes."""
+    return np.array(list(itertools.combinations(nodes, 2))).T
+
+
+class TestSpatialGraph:
+    def test_csr_rows_sorted_and_symmetric(self):
+        g = gr.SpatialGraph(4, [3, 0, 2], [0, 2, 1], [0.5, 2.0, 1.5])
+        assert g.indptr.tolist() == [0, 2, 3, 5, 6]
+        assert g.indices.tolist() == [2, 3, 2, 0, 1, 0]
+        assert g.weights.tolist() == [2.0, 0.5, 1.5, 2.0, 1.5, 0.5]
+        assert list(g.edges()) == [(0, 2, 2.0), (0, 3, 0.5), (1, 2, 1.5)]
+        assert all(type(v) is t for e in g.edges() for v, t in zip(e, (int, int, float)))
+
+    def test_zero_weight_adds_no_edge(self):
+        g = gr.SpatialGraph(3, [0, 1], [1, 2], [0.0, 1.0])
+        assert list(g.edges()) == [(1, 2, 1.0)] and g.weight(0, 1) == 0.0
+
+    @pytest.mark.parametrize("src, dst, w", [
+        ([1], [1], [1.0]),  # self-loop
+        ([0, 1], [1, 0], [1.0, 2.0]),  # the same edge twice
+        ([0], [1], [-1.0]),
+        ([0], [1], [np.nan]),
+        ([0], [3], [1.0]),  # endpoint past n
+    ])
+    def test_constructor_rejects_bad_edges(self, src, dst, w):
+        with pytest.raises(ContractError):
+            gr.SpatialGraph(3, src, dst, w)
+
+    def test_immutable(self):
+        g = gr.SpatialGraph(2, [0], [1], [1.0])
+        with pytest.raises(ValueError):
+            g.weights[0] = 2.0
+        with pytest.raises(AttributeError):
+            g.n = 3
 
 
 class TestEpsilonGraph:
@@ -49,7 +94,8 @@ class TestEpsilonGraph:
     def test_symmetric_and_loop_free(self):
         rng = np.random.default_rng(0)
         g = gr.build_epsilon_graph(rng.random((20, 2)), epsilon=0.4)
-        g.validate()
+        a = g.dense_adjacency()
+        assert (a == a.T).all() and not a.diagonal().any()
 
 
 class TestGaussianGraph:
@@ -69,17 +115,14 @@ class TestGaussianGraph:
 
 class TestLaplacian:
     def test_single_edge(self):
-        g = gr.SpatialGraph(2)
-        g.add_edge(0, 1, 1.0)
+        g = gr.SpatialGraph(2, [0], [1], [1.0])
         np.testing.assert_array_equal(gr.laplacian(g), [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_isolated_node(self):
         np.testing.assert_array_equal(gr.laplacian(gr.SpatialGraph(1)), [[0.0]])
 
     def test_triangle(self):
-        g = gr.SpatialGraph(3)
-        for i, j in ((0, 1), (1, 2), (0, 2)):
-            g.add_edge(i, j, 1.0)
+        g = gr.SpatialGraph(3, *clique_edges(range(3)), np.ones(3))
         lap = gr.laplacian(g)
         np.testing.assert_array_equal(np.diag(lap), [2.0, 2.0, 2.0])
         assert (lap[~np.eye(3, dtype=bool)] == -1.0).all()
@@ -134,10 +177,8 @@ class TestSymEigen:
         size, copies = 6, 3
         template = random_connected_graph(size, rng)
         label = rng.permutation(size * copies).reshape(copies, size)
-        g = gr.SpatialGraph(size * copies)
-        for comp in label:
-            for i, j, w in template.edges():
-                g.add_edge(int(comp[i]), int(comp[j]), w)
+        i, j, w = template.edge_arrays()
+        g = gr.SpatialGraph(size * copies, label[:, i], label[:, j], np.tile(w, copies))
         comps = gr.connected_components(g)
         assert sorted(map(sorted, comps)) == sorted(sorted(c.tolist()) for c in label)
         values, vectors = gr.sym_eigen(gr.laplacian(g), k=2 * copies + 1)
@@ -166,8 +207,7 @@ class TestSymEigen:
 
 class TestLaplacianPE:
     def test_two_node_path_constant_vector(self):
-        g = gr.SpatialGraph(2)
-        g.add_edge(0, 1, 1.0)
+        g = gr.SpatialGraph(2, [0], [1], [1.0])
         pe = gr.laplacian_pe(g, k=1)
         np.testing.assert_allclose(pe.vectors, 1.0 / math.sqrt(2.0), atol=1e-12)
         assert pe.source == "whole-graph"
@@ -183,11 +223,8 @@ class TestLaplacianPE:
         # two disconnected cliques, one per block: the blockwise encoding must
         # equal an independent eigensolve of each component's own Laplacian
         size = 6
-        g = gr.SpatialGraph(2 * size)
-        for base in (0, size):
-            for i in range(size):
-                for j in range(i + 1, size):
-                    g.add_edge(base + i, base + j, 1.0)
+        src, dst = clique_edges(range(size))
+        g = gr.SpatialGraph(2 * size, [src, src + size], [dst, dst + size], np.ones(2 * src.size))
         pe = gr.laplacian_pe(g, k=3, block_limit=size)
         assert pe.source == "per-subgraph"
         for base in (0, size):
@@ -203,8 +240,7 @@ class TestLaplacianPE:
         np.testing.assert_allclose(vectors[:, 0], 1.0 / math.sqrt(16), atol=1e-8)
 
     def test_tiny_block_zero_pads(self, caplog):
-        g = gr.SpatialGraph(2)
-        g.add_edge(0, 1, 1.0)
+        g = gr.SpatialGraph(2, [0], [1], [1.0])
         with caplog.at_level("WARNING"):
             pe = gr.laplacian_pe(g, k=4, block_limit=1000)
         assert pe.vectors.shape == (2, 4)
@@ -260,3 +296,44 @@ class TestGraphFiles:
         path.write_text("0,1\n")
         with pytest.raises(InputError):
             gr.load_graph(path)
+
+    @pytest.mark.parametrize("line", ["-1,1,1.0", "2,2,1.0", "0,2,-1.0", "0,2,nan", "0,2,inf"])
+    def test_bad_edge_line_names_its_line(self, tmp_path, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"0,1,1.0\n{line}\n1,2,1.0\n")
+        with pytest.raises(InputError, match=f"{path}:2: "):
+            gr.load_graph(path, n=3)
+
+    def test_repeated_pair_keeps_last_nonzero_weight(self, tmp_path):
+        path = tmp_path / "graph.csv"
+        path.write_text("0,1,1.0\n1,0,2.5\n0,1,0.0\n1,2,0\n")
+        g = gr.load_graph(path)
+        assert g.n == 3 and list(g.edges()) == [(0, 1, 2.5)]
+
+
+class TestFingerprints:
+    """Literal hashes from before the CSR storage: cached PE files stay valid."""
+
+    def test_grid_graph_hash_and_file_bytes(self, tmp_path):
+        self.check(tmp_path, make_grid_graph(8, 8),
+                   "fdf896ec449ae37e683b6479e6a9e3484412f260fb08f86b0320c992b3f72e40",
+                   "fdbe581793b436ac4767e98d832304f3b28a7d263594c385ad90e054ff49bba3")
+
+    def test_gaussian_graph_hash_and_file_bytes(self, tmp_path):
+        coords = np.random.default_rng(0).random((40, 2)) * 4.0
+        self.check(tmp_path, gr.build_gaussian_graph(coords, sigma=1.0, threshold=0.1),
+                   "6b9fc2cea93a7967b5579fbbd6909982f8d96fc37bca1d5ecb8d43103fb59294",
+                   "2a918d45c333f73f8cd6ff22abe990f03fea0d3cfe8f7d108301bbf3bbd3350b")
+
+    @staticmethod
+    def check(tmp_path, g, graph_hash, file_sha):
+        gr.save_graph(tmp_path / "g.csv", g)
+        assert gr.graph_hash(g) == graph_hash
+        assert hashlib.sha256((tmp_path / "g.csv").read_bytes()).hexdigest() == file_sha
+
+    def test_blockwise_pe_bytes(self):
+        pe = gr.laplacian_pe(make_grid_graph(24, 24), 8, 96)
+        assert pe.source == "per-subgraph"
+        assert hashlib.sha256(pe.vectors.tobytes()).hexdigest() == (
+            "7d2d7938295865982ebb81e1789cc3c1a6539cd013a172907c54a90116e28746"
+        )

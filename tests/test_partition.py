@@ -1,5 +1,7 @@
 """Partitioner quality/structure oracles and the padded layout round trip."""
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -7,17 +9,15 @@ import pytest
 
 from sbaformer import partition as pt
 from sbaformer.autodiff import Tensor
+from sbaformer.data import make_grid_graph
 from sbaformer.errors import InputError, ShapeError
 from sbaformer.graph import SpatialGraph
 
-from test_graph import random_connected_graph
+from test_graph import clique_edges, random_connected_graph
 
 
 def path_graph(n):
-    g = SpatialGraph(n)
-    for i in range(n - 1):
-        g.add_edge(i, i + 1, 1.0)
-    return g
+    return SpatialGraph(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
 
 
 def best_balanced_bipartition(g, balance_factor=1.3):
@@ -115,12 +115,14 @@ class TestScaleSeries:
         # two 4-cliques joined by one bridge edge; with p0=4 the partitioner
         # splits each clique in two, and the level-2 pairing must reunite the
         # clique halves (max cut weight) rather than pair across the bridge
-        g = SpatialGraph(8)
-        for base in (0, 4):
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    g.add_edge(base + i, base + j, 1.0)
-        g.add_edge(3, 4, 1.0)
+        src, dst = clique_edges(range(4))
+        bridge = [3], [4]
+        g = SpatialGraph(
+            8,
+            np.concatenate([src, src + 4, bridge[0]]),
+            np.concatenate([dst, dst + 4, bridge[1]]),
+            np.ones(13),
+        )
         series = pt.build_scale_series(g, p0=4, l=2, seed=0)
         fine, coarse = series.plans
         # oracle: enumerate all pair-merges and confirm the greedy picks argmax
@@ -155,18 +157,40 @@ class TestScaleSeries:
         with pytest.raises(InputError, match="maximum feasible levels: 3"):
             pt.build_scale_series(g, p0=4, l=4)
 
+    # sha256 of the series JSON and the edge cuts, from before the CSR partitioner
+    FINGERPRINTS = {
+        "grid8": ("ee2895c22cb5546d2c57d50ba9660a48760f1dea702f966dd81bb206ae7f7621",
+                  [72, 50, 28]),
+        "grid24": ("a62f046c28201413d05547dfe18fb5733c936b33dbd31b433c830ed9628352cb",
+                   [370, 263, 162]),
+        "random200": ("16ad6302c95811292ecbd66861a78bb46ec8087c9f7dd6c294185674dfeccaaa",
+                      [234.73305640161627, 185.18351413801054, 117.1157241377305]),
+    }
+
+    @pytest.mark.parametrize("graph, p0", [("grid8", 8), ("grid24", 16), ("random200", 8)])
+    def test_series_fingerprint(self, graph, p0):
+        if graph == "random200":
+            g = random_connected_graph(200, np.random.default_rng(3), extra_edges=300)
+        else:
+            g = make_grid_graph(int(graph[4:]), int(graph[4:]))
+        series = pt.build_scale_series(g, p0, 3)
+        text = json.dumps(series.to_dict(), sort_keys=True, indent=2)
+        digest, cuts = self.FINGERPRINTS[graph]
+        assert [plan.edge_cut for plan in series.plans] == cuts
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_series_file_roundtrip(self, tmp_path):
         rng = np.random.default_rng(6)
         g = random_connected_graph(18, rng)
         series = pt.build_scale_series(g, p0=4, l=2, seed=3)
         path = tmp_path / "series.json"
-        pt.save_series(path, series)
-        loaded = pt.load_series(path)
+        pt.save_plans(path, series)
+        loaded = pt.load_plans(path)
         for a, b in zip(series.plans, loaded.plans):
             assert np.array_equal(a.assign, b.assign)
             assert a.edge_cut == b.edge_cut and a.m == b.m
         first = path.read_bytes()
-        pt.save_series(path, loaded)
+        pt.save_plans(path, loaded)
         assert path.read_bytes() == first
 
 
