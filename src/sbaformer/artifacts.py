@@ -1,0 +1,77 @@
+"""On-disk artifacts: the one module that opens files for writing.
+
+`atomic_open` writes to a temporary file beside the target and renames it over
+the target only once the write has finished, so an interrupted process leaves
+the previous file (or none) and no temporary. Files are not fsynced: this guards
+against a crash of the process, not of the machine.
+
+JSON has one written form: sorted keys, indent 2, a trailing newline. Arrays are
+blobs: little-endian f64 in `<stem>.bin` plus a JSON sidecar `<stem>.json`, the
+stem being the path without a trailing ".bin" ("ckpt" and "ckpt.bin" name one
+pair; "s.dat" names s.dat.bin and s.dat.json). The blob is written before its
+sidecar, and the reader checks the payload size against the sidecar's shape.
+"""
+from __future__ import annotations
+
+import json
+import math
+import os
+from contextlib import contextmanager, suppress
+
+import numpy as np
+
+from .errors import HeaderMismatchError
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Yield a file opened with `mode` that replaces `path` when the block exits cleanly."""
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_json(path, doc):
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def write_jsonl(path, records):
+    """One compact, key-sorted JSON object per line."""
+    with atomic_open(path) as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _stem(path) -> str:
+    return os.fspath(path).removesuffix(".bin")
+
+
+def write_blob(path, arrays, sidecar: dict):
+    """Concatenate `arrays` as little-endian f64 into the blob, then write the sidecar."""
+    stem = _stem(path)
+    with atomic_open(stem + ".bin", "wb") as fh:
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    write_json(stem + ".json", sidecar)
+
+
+def read_blob(path, shape_of):
+    """Returns (payload shaped as `shape_of(sidecar)`, sidecar)."""
+    stem = _stem(path)
+    with open(stem + ".json") as fh:
+        sidecar = json.load(fh)
+    shape = tuple(shape_of(sidecar))
+    flat = np.fromfile(stem + ".bin", dtype="<f8").astype(np.float64, copy=False)
+    if flat.size != math.prod(shape):
+        raise HeaderMismatchError(f"{stem}.bin: payload holds {flat.size} values, "
+                                  f"sidecar implies {math.prod(shape)}")
+    return flat.reshape(shape), sidecar

@@ -9,7 +9,6 @@ artifacts are written deterministically, so re-runs are byte-identical
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -17,6 +16,7 @@ import time
 import numpy as np
 
 from . import autodiff as ad
+from .artifacts import atomic_open, write_blob, write_json, write_jsonl
 from .autodiff import Tensor
 from .config import load_config, write_effective_config
 from .data import (
@@ -124,10 +124,10 @@ def _build_graph(cfg, n: int):
         graph = load_graph(dc["graph"], n=n)
         if dc["coords"] is None:
             return graph
-        return SpatialGraph(graph.n, *graph.edge_arrays(), load_coords(dc["coords"]))
+        return SpatialGraph(graph.n, *graph.edge_arrays(), load_coords(dc["coords"], n))
     if dc["coords"] is None:
         raise InputError(f"graph.builder={gc['builder']} requires data.coords")
-    coords = load_coords(dc["coords"])
+    coords = load_coords(dc["coords"], n)
     if gc["builder"] == "epsilon":
         if gc["epsilon"] is None:
             raise InputError("graph.builder=epsilon requires graph.epsilon")
@@ -237,12 +237,8 @@ def cmd_train(args) -> int:
     model = SbaTransformer(mc, plans, pe.vectors, seed=cfg["train"]["seed"])
     best, history, timings = train(model, dataset, _train_config(cfg))
     save_checkpoint(os.path.join(out_dir, "checkpoint"), best, mc, cfg["train"]["seed"])
-    with open(os.path.join(out_dir, "history.jsonl"), "w") as fh:
-        for record in history:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    with open(os.path.join(out_dir, "timing.jsonl"), "w") as fh:
-        for seconds in timings:
-            fh.write(json.dumps({"seconds": seconds}) + "\n")
+    write_jsonl(os.path.join(out_dir, "history.jsonl"), history)
+    write_jsonl(os.path.join(out_dir, "timing.jsonl"), ({"seconds": s} for s in timings))
     done = [h for h in history if "val_mae" in h]
     if done:
         best_epoch = min(done, key=lambda h: h["val_mae"])
@@ -276,9 +272,7 @@ def cmd_eval(args) -> int:
     report = evaluate(model, dataset, args.split)
     out_dir = cfg["paths"]["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, f"metrics_{args.split}.json"), "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, f"metrics_{args.split}.json"), report)
     print(f"{dataset.name} [{args.split}] model:")
     print(_horizon_table(report["model"]))
     print("persistence baseline:")
@@ -328,7 +322,7 @@ def cmd_bench(args) -> int:
         for mode in modes
         for n in args.n_list
     ]
-    with open(args.out, "w") as fh:
+    with atomic_open(args.out) as fh:
         fh.write(",".join(fields) + "\n")
         for row in rows:
             fh.write(",".join(_csv_cell(row[k]) for k in fields) + "\n")
@@ -365,33 +359,21 @@ def cmd_dump_attention(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
     for b, block in enumerate(capture):
-        for name, payload in (("intra", block["intra"]), ("inter", [block["inter"]])):
-            mats = payload
-            offsets, blob = [], b""
+        for name, mats in (("intra", block["intra"]), ("inter", [block["inter"]])):
             for mat in mats:
-                rowsum = mat.sum(axis=-1)
-                if np.abs(rowsum - 1.0).max() > 1e-9:
-                    raise ContractError(
-                        f"block {b} {name} attention rows are not stochastic"
-                    )
-                offsets.append(len(blob) // 8)
-                blob += np.ascontiguousarray(mat, dtype="<f8").tobytes()
-            stem = os.path.join(args.out_dir, f"block{b}_{name}")
-            with open(stem + ".bin", "wb") as fh:
-                fh.write(blob)
+                if np.abs(mat.sum(axis=-1) - 1.0).max() > 1e-9:
+                    raise ContractError(f"block {b} {name} attention rows are not stochastic")
             sidecar = {
                 "block": b,
                 "kind": name,
                 "sizes": [list(m.shape) for m in mats],
-                "offsets": offsets,
+                "offsets": np.cumsum([0] + [m.size for m in mats])[:-1].tolist(),
                 "heads_averaged": True,
                 "window": args.window,
                 "split": args.split,
                 "dtype": "<f8",
             }
-            with open(stem + ".json", "w") as fh:
-                json.dump(sidecar, fh, sort_keys=True, indent=2)
-                fh.write("\n")
+            write_blob(os.path.join(args.out_dir, f"block{b}_{name}"), mats, sidecar)
     print(f"wrote attention maps for {len(capture)} blocks to {args.out_dir}")
     return 0
 

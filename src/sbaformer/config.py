@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import json
 
+from .artifacts import write_json
 from .errors import ConfigError
 
 DATASET_P_DEFAULTS = {
@@ -55,7 +56,6 @@ SCHEMA = {
         "heads": (4, int),
         "t": (96, int),
         "f": (12, int),
-        "k_pe": (8, int),
         "ffn_mult": (4, int),
     },
     "train": {
@@ -135,6 +135,4 @@ def load_config(path) -> dict:
 
 def write_effective_config(cfg: dict, path):
     """Echo file; re-loading it reproduces the identical effective config."""
-    with open(path, "w") as fh:
-        json.dump(cfg, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, cfg)

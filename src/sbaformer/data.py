@@ -6,13 +6,13 @@ JSON sidecar {n, t, c, freq_minutes, name}. Loading rejects NaN outright.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import atomic_open, read_blob, write_blob
 from .errors import (
     ConfigError,
     ContractError,
@@ -227,17 +227,13 @@ def synth_diffusion(
 
 def save_series(path, series: np.ndarray, fmt: str = "bin",
                 freq_minutes: int = 15, name: str = "dataset"):
-    path = str(path)
+    """`bin` writes the blob pair for `path` (see artifacts.py); `csv` writes `path`."""
     n, t, c = series.shape
     if fmt == "bin":
-        with open(path, "wb") as fh:
-            fh.write(np.ascontiguousarray(series, dtype="<f8").tobytes())
         sidecar = {"n": n, "t": t, "c": c, "freq_minutes": freq_minutes, "name": name}
-        with open(_sidecar_path(path), "w") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_blob(path, [series], sidecar)
     elif fmt == "csv":
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             fh.write("node,step," + ",".join(f"c{i}" for i in range(c)) + "\n")
             for node in range(n):
                 for step in range(t):
@@ -247,23 +243,10 @@ def save_series(path, series: np.ndarray, fmt: str = "bin",
         raise InputError(f"unknown series format {fmt!r}")
 
 
-def _sidecar_path(path: str) -> str:
-    return (path[:-4] if path.endswith(".bin") else path) + ".json"
-
-
 def load_series(path, fmt: str = "bin"):
     """Returns (series, meta dict or None). Raises distinct errors per failure."""
-    path = str(path)
     if fmt == "bin":
-        with open(_sidecar_path(path)) as fh:
-            meta = json.load(fh)
-        flat = np.fromfile(path, dtype="<f8")
-        expect = meta["n"] * meta["t"] * meta["c"]
-        if flat.size != expect:
-            raise HeaderMismatchError(
-                f"{path}: payload holds {flat.size} values, header implies {expect}"
-            )
-        series = flat.reshape(meta["n"], meta["t"], meta["c"]).astype(np.float64)
+        series, meta = read_blob(path, lambda m: (m["n"], m["t"], m["c"]))
     elif fmt == "csv":
         meta = None
         with open(path) as fh:
@@ -310,12 +293,7 @@ def load_dataset(
     series, meta = load_series(series_path, schema)
     graph = load_graph(graph_path, n=series.shape[0])
     if coords_path is not None:
-        coords = load_coords(coords_path)
-        if coords.shape[0] != series.shape[0]:
-            raise NodeCountError(
-                f"coords file has {coords.shape[0]} nodes, series has {series.shape[0]}"
-            )
-        graph = SpatialGraph(graph.n, *graph.edge_arrays(), coords)
+        graph = SpatialGraph(graph.n, *graph.edge_arrays(), load_coords(coords_path, graph.n))
     if meta is not None:
         freq_minutes = meta["freq_minutes"] if freq_minutes is None else freq_minutes
         name = meta["name"] if name is None else name

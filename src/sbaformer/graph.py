@@ -10,14 +10,14 @@ stitched back into node order.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, InputError
+from .artifacts import atomic_open, read_blob, write_blob
+from .errors import ContractError, InputError, NodeCountError
 
 log = logging.getLogger(__name__)
 
@@ -252,7 +252,7 @@ def laplacian_pe(g: SpatialGraph, k: int, block_limit: int = 2000) -> Positional
 
 def save_graph(path, g: SpatialGraph):
     """Edge-list text: one `src,dst,weight` per line, each undirected edge once."""
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for i, j, w in g.edges():
             fh.write(f"{i},{j},{float(w)!r}\n")
 
@@ -292,12 +292,13 @@ def load_graph(path, n: int | None = None) -> SpatialGraph:
 
 def save_coords(path, coords):
     coords = np.asarray(coords, dtype=np.float64)
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for i, (x, y) in enumerate(coords):
             fh.write(f"{i},{float(x)!r},{float(y)!r}\n")
 
 
-def load_coords(path) -> np.ndarray:
+def load_coords(path, n: int | None = None) -> np.ndarray:
+    """Read `node_id,x,y` lines; with `n` given, the file must hold exactly n nodes."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -307,10 +308,15 @@ def load_coords(path) -> np.ndarray:
             parts = line.split(",")
             if len(parts) != 3:
                 raise InputError(f"{path}:{lineno}: expected node_id,x,y")
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2])))
+            try:
+                rows.append((int(parts[0]), float(parts[1]), float(parts[2])))
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from exc
     rows.sort()
     if [r[0] for r in rows] != list(range(len(rows))):
         raise InputError(f"{path}: node ids must be 0..n-1 without gaps")
+    if n is not None and len(rows) != n:
+        raise NodeCountError(f"{path}: coords file has {len(rows)} nodes, series has {n}")
     return np.array([[x, y] for _, x, y in rows])
 
 
@@ -322,16 +328,8 @@ def graph_hash(g: SpatialGraph) -> str:
     return h.hexdigest()
 
 
-def _pe_stem(path) -> str:
-    path = str(path)
-    return path[:-4] if path.endswith(".bin") else path
-
-
 def save_pe(path, pe: PositionalEncoding, g: SpatialGraph, block_limit: int):
-    """Binary little-endian f64 rows plus a JSON sidecar for validation."""
-    stem = _pe_stem(path)
-    with open(stem + ".bin", "wb") as fh:
-        fh.write(np.ascontiguousarray(pe.vectors, dtype="<f8").tobytes())
+    """Blob of the (n, k) encoding rows plus a sidecar for validation."""
     sidecar = {
         "n": int(pe.vectors.shape[0]),
         "k": int(pe.k),
@@ -339,19 +337,11 @@ def save_pe(path, pe: PositionalEncoding, g: SpatialGraph, block_limit: int):
         "graph_hash": graph_hash(g),
         "source": pe.source,
     }
-    with open(stem + ".json", "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_blob(path, [pe.vectors], sidecar)
 
 
 def load_pe(path, g: SpatialGraph | None = None) -> PositionalEncoding:
-    stem = _pe_stem(path)
-    with open(stem + ".json") as fh:
-        sidecar = json.load(fh)
-    flat = np.fromfile(stem + ".bin", dtype="<f8")
-    n, k = sidecar["n"], sidecar["k"]
-    if flat.size != n * k:
-        raise InputError(f"{stem}.bin: payload holds {flat.size} values, sidecar implies {n * k}")
+    vectors, sidecar = read_blob(path, lambda s: (s["n"], s["k"]))
     if g is not None and graph_hash(g) != sidecar["graph_hash"]:
-        raise InputError(f"{stem}: cached encoding was built for a different graph")
-    return PositionalEncoding(k=k, vectors=flat.reshape(n, k), source=sidecar["source"])
+        raise InputError(f"{path}: cached encoding was built for a different graph")
+    return PositionalEncoding(k=sidecar["k"], vectors=vectors, source=sidecar["source"])

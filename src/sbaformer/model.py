@@ -11,13 +11,13 @@ padded values can never leak into real nodes.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
+from .artifacts import read_blob, write_blob
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, InputError, ShapeError
 from .partition import PartitionPlan, ScaleSeries, apply_plan, revert_plan
@@ -447,46 +447,26 @@ def attention_peak_bytes(config: ModelConfig, series: ScaleSeries) -> int:
 # checkpoints
 
 
-def _strip_bin(path) -> str:
-    path = str(path)
-    return path[:-4] if path.endswith(".bin") else path
-
-
 def save_checkpoint(path, params: ModelParams, config: ModelConfig, seed: int = 0):
-    """Little-endian f64 blob in manifest order + JSON manifest alongside."""
-    stem = _strip_bin(path)
-    offset = 0
-    entries = []
-    with open(stem + ".bin", "wb") as fh:
-        for name, t in params.named():
-            blob = np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-            fh.write(blob)
-            entries.append(
-                {"name": name, "shape": list(t.data.shape), "offset": offset}
-            )
-            offset += t.data.size
+    """Blob of every tensor in manifest order, with the manifest as its sidecar."""
+    tensors = [t.data for _, t in params.named()]
+    offsets = np.cumsum([0] + [t.size for t in tensors]).tolist()
     manifest = {
         "config": asdict(config),
         "seed": seed,
-        "tensors": entries,
-        "total": offset,
+        "tensors": [
+            {"name": name, "shape": list(t.data.shape), "offset": offset}
+            for (name, t), offset in zip(params.named(), offsets)
+        ],
+        "total": offsets[-1],
     }
-    with open(stem + ".json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_blob(path, tensors, manifest)
 
 
 def load_checkpoint(path):
     """Returns (params, config, seed); shapes are validated against the manifest."""
-    stem = _strip_bin(path)
-    with open(stem + ".json") as fh:
-        manifest = json.load(fh)
+    flat, manifest = read_blob(path, lambda m: (m["total"],))
     config = ModelConfig(**manifest["config"])
-    flat = np.fromfile(stem + ".bin", dtype="<f8")
-    if flat.size != manifest["total"]:
-        raise InputError(
-            f"checkpoint blob holds {flat.size} values, manifest says {manifest['total']}"
-        )
     params = init_params(config, manifest["seed"])
     by_name = dict(params.named())
     if len(manifest["tensors"]) != len(by_name):
@@ -495,10 +475,6 @@ def load_checkpoint(path):
         t = by_name.get(entry["name"])
         if t is None or list(t.data.shape) != entry["shape"]:
             raise InputError(f"unexpected checkpoint tensor {entry['name']}")
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        t.data = (
-            flat[entry["offset"] : entry["offset"] + size]
-            .reshape(entry["shape"])
-            .astype(np.float64)
-        )
+        # a copy per tensor, so no parameter is a view into the shared blob
+        t.data = flat[entry["offset"] : entry["offset"] + t.data.size].reshape(t.data.shape).copy()
     return params, config, manifest["seed"]

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import write_json
 from .autodiff import Tensor, as_tensor, gather_nodes, scatter_nodes
 from .errors import ContractError, InputError, ShapeError
 from .graph import SpatialGraph
@@ -519,9 +520,7 @@ def _plan_from_dict(doc: dict) -> PartitionPlan:
 
 
 def save_plans(path, series: ScaleSeries):
-    with open(path, "w") as fh:
-        json.dump(series.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, series.to_dict())
 
 
 def load_plans(path) -> ScaleSeries:

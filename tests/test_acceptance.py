@@ -51,7 +51,7 @@ def e2e_runs(tmp_path_factory):
                 "name": "synthetic",
             },
             "partition": {"p0": 8, "seed": 0},
-            "model": {"d_model": 32, "l": 3, "heads": 4, "t": 24, "f": 12, "k_pe": 8},
+            "model": {"d_model": 32, "l": 3, "heads": 4, "t": 24, "f": 12},
             "train": {"lr": 2e-3, "max_epochs": 8, "patience": 5,
                       "batch_size": 16, "seed": 0},
             "pe": {"k": 8},

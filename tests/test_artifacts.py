@@ -1,0 +1,179 @@
+"""Artifact files: byte fingerprints, blob size checks, atomic writes, one writer."""
+import ast
+import hashlib
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import sbaformer
+from sbaformer.artifacts import atomic_open, write_blob, write_json
+from sbaformer.cli import main
+from sbaformer.data import load_series, save_series
+from sbaformer.errors import HeaderMismatchError
+from sbaformer.graph import laplacian_pe, load_pe, save_pe
+from sbaformer.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+
+from test_graph import random_connected_graph
+
+TINY = ModelConfig(n=6, t=3, c=1, f=2, d_model=4, l=1, heads=2, p0=2, k_pe=2)
+
+
+def sha(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestFingerprints:
+    """Literal hashes from before the artifacts module: every file keeps its bytes."""
+
+    def test_checkpoint_bytes(self, tmp_path):
+        save_checkpoint(tmp_path / "ckpt", init_params(TINY, seed=3), TINY, seed=3)
+        assert sha(tmp_path / "ckpt.bin") == (
+            "9e7867ba0d2d8b95eca3eee053956842847674d4b0adabdb480678dd46b6c270"
+        )
+        assert sha(tmp_path / "ckpt.json") == (
+            "0fc81d5ba3f3572aa9f8efbacd85dd15037732aaae00595dbe8cf3c67c9b1e8b"
+        )
+
+    def test_series_bytes(self, tmp_path):
+        series = np.random.default_rng(0).standard_normal((3, 5, 2))
+        save_series(tmp_path / "s.bin", series, "bin", freq_minutes=5, name="toy")
+        save_series(tmp_path / "s.csv", series, "csv")
+        assert sha(tmp_path / "s.bin") == (
+            "84b131451eb95da6467ff1d612859067e49c35d32056bdf0a389886eaf678ad4"
+        )
+        assert sha(tmp_path / "s.json") == (
+            "8e9773c59518c728391742a2775530ea35eb7a2ba9b9a9732d03b66da253207c"
+        )
+        assert sha(tmp_path / "s.csv") == (
+            "590b0092b8e2c366e72966f4bd2057fdf774c3dacdfc642139ec35e9a31c709e"
+        )
+
+    def test_attention_dump_bytes(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "data"), "--nodes", "9",
+                     "--steps", "60", "--seed", "1"]) == 0
+        config = ModelConfig(n=9, t=4, c=1, f=2, d_model=8, l=2, heads=2, p0=2, k_pe=2)
+        save_checkpoint(tmp_path / "ckpt", init_params(config, seed=0), config, seed=0)
+        data = tmp_path / "data"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "data": {"series": str(data / "series.bin"), "graph": str(data / "graph.csv"),
+                     "coords": str(data / "coords.csv")},
+            "partition": {"p0": 2},
+            "model": {"d_model": 8, "l": 2, "heads": 2, "t": 4, "f": 2},
+            "pe": {"k": 2},
+            "paths": {"out_dir": str(tmp_path / "out")},
+        }))
+        assert main(["dump-attention", "--config", str(cfg), "--checkpoint",
+                     str(tmp_path / "ckpt"), "--window", "1", "--out-dir",
+                     str(tmp_path / "attn")]) == 0
+        files = sorted((tmp_path / "attn").iterdir())
+        assert [f.name for f in files] == [
+            f"block{b}_{kind}.{ext}"
+            for b in (0, 1) for kind in ("inter", "intra") for ext in ("bin", "json")
+        ]
+        digest = hashlib.sha256()
+        for f in files:
+            digest.update(f.name.encode() + f.read_bytes())
+        assert digest.hexdigest() == (
+            "9acae0309e3d4427d19b69fad8ca8f0b167fa4d9a200a02d170bddd1db3cc154"
+        )
+
+
+def _pe_pair(tmp_path):
+    g = random_connected_graph(9, np.random.default_rng(13))
+    save_pe(tmp_path / "pe.bin", laplacian_pe(g, k=3), g, block_limit=2000)
+    return tmp_path / "pe.bin", lambda: load_pe(tmp_path / "pe.bin", g)
+
+
+def _series_pair(tmp_path):
+    save_series(tmp_path / "s.bin", np.random.default_rng(5).standard_normal((2, 3, 1)))
+    return tmp_path / "s.bin", lambda: load_series(tmp_path / "s.bin")
+
+
+def _checkpoint_pair(tmp_path):
+    save_checkpoint(tmp_path / "ckpt", init_params(TINY, seed=0), TINY)
+    return tmp_path / "ckpt.bin", lambda: load_checkpoint(tmp_path / "ckpt")
+
+
+PAIRS = {"pe": _pe_pair, "series": _series_pair, "checkpoint": _checkpoint_pair}
+
+
+class TestBlobs:
+    @pytest.mark.parametrize("kind, cut", [(k, c) for k in PAIRS for c in (-8, 8)])
+    def test_wrong_blob_size(self, tmp_path, kind, cut):
+        blob, load = PAIRS[kind](tmp_path)
+        load()
+        data = blob.read_bytes()
+        blob.write_bytes(data[:cut] if cut < 0 else data + bytes(cut))
+        expect = len(data) // 8
+        with pytest.raises(
+            HeaderMismatchError,
+            match=f"{blob}: payload holds {expect + cut // 8} values, sidecar implies {expect}",
+        ):
+            load()
+
+    def test_checkpoint_tensors_own_their_arrays(self, tmp_path):
+        _, load = _checkpoint_pair(tmp_path)
+        params, _, _ = load()
+        assert all(t.data.flags.owndata for _, t in params.named())
+
+    def test_series_path_without_bin_names_the_stem(self, tmp_path):
+        series = np.arange(6.0).reshape(2, 3, 1)
+        save_series(tmp_path / "s.dat", series)
+        assert sorted(os.listdir(tmp_path)) == ["s.dat.bin", "s.dat.json"]
+        loaded, _ = load_series(tmp_path / "s.dat")
+        assert np.array_equal(loaded, series)
+
+
+class TestAtomicWrites:
+    def test_interrupted_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(path, {"a": 1})
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with atomic_open(path) as fh:
+                fh.write('{"a": ')
+                raise RuntimeError("interrupted")
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+    def test_interrupted_blob_keeps_previous_pair(self, tmp_path):
+        write_blob(tmp_path / "x", [np.arange(4.0)], {"n": 4})
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError):
+            write_blob(tmp_path / "x", [np.ones(8), "not a number"], {"n": 8})
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_interrupted_first_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(KeyboardInterrupt):
+            with atomic_open(tmp_path / "new.bin", "wb") as fh:
+                fh.write(b"\0" * 16)
+                raise KeyboardInterrupt
+        assert os.listdir(tmp_path) == []
+
+
+def _write_calls(tree):
+    """Line numbers of open(...) calls whose mode may write, append or create."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+        for mode in modes:
+            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax"):
+                yield node.lineno
+
+
+def test_only_artifacts_opens_files_for_writing():
+    src = Path(sbaformer.__file__).parent
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "artifacts.py"
+        for lineno in _write_calls(ast.parse(path.read_text()))
+    ]
+    assert offenders == []
+    assert list(_write_calls(ast.parse((src / "artifacts.py").read_text())))

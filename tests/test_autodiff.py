@@ -1,4 +1,6 @@
 """Tensor core: forward contracts, the FLOP counter, and gradient soundness."""
+import zlib
+
 import numpy as np
 import pytest
 
@@ -358,7 +360,10 @@ class TestGradientSoundness:
             x, Tensor(aux[0] + 2.0), Tensor(aux[1])
         ),
         "softmax": lambda x, aux: ad.masked_softmax(x),
-        "masked_softmax": lambda x, aux: ad.masked_softmax(x, aux > -0.8),
+        # each row keeps its largest aux entry valid, so no row is all-masked
+        "masked_softmax": lambda x, aux: ad.masked_softmax(
+            x, (aux > -0.8) | (aux == aux.max(axis=-1, keepdims=True))
+        ),
         "masked_mean": lambda x, aux: ad.masked_mean(x, (aux > -0.8).any(axis=-1)),
         "concat": lambda x, aux: ad.concat([x, ad.mul(x, Tensor(aux))], axis=-1),
         "swapaxes": lambda x, aux: ad.swapaxes(ad.mul(x, x), -1, -2),
@@ -370,7 +375,7 @@ class TestGradientSoundness:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_op_gradient(self, name):
-        rng = np.random.default_rng(hash(name) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         for trial in range(3):
             if name == "matmul_batched":
                 shape = (2, int(rng.integers(2, 6)), int(rng.integers(2, 6)))

@@ -30,7 +30,7 @@ def run_config(synth_dir, tmp_path_factory):
             "name": "synthetic",
         },
         "partition": {"p0": 4},
-        "model": {"d_model": 8, "l": 2, "heads": 2, "t": 6, "f": 3, "k_pe": 2},
+        "model": {"d_model": 8, "l": 2, "heads": 2, "t": 6, "f": 3},
         "train": {"max_epochs": 2, "batch_size": 16, "patience": 5, "seed": 0},
         "pe": {"k": 2},
         "paths": {"out_dir": str(work / "out")},
@@ -57,6 +57,13 @@ class TestSchema:
     def test_unknown_key_rejected_with_path(self):
         doc = {"train": {"batch_sz": 4}, "data": {"series": "x"}, "paths": {"out_dir": "y"}}
         with pytest.raises(ConfigError, match="train.batch_sz"):
+            validate_config(doc)
+
+    def test_model_k_pe_rejected(self):
+        # the encoding width is pe.k; model.k_pe was accepted and ignored
+        doc = {"data": {"series": "x"}, "model": {"k_pe": 5}, "pe": {"k": 2},
+               "paths": {"out_dir": "y"}}
+        with pytest.raises(ConfigError, match="unknown config key: model.k_pe"):
             validate_config(doc)
 
     def test_unknown_section_rejected(self):
@@ -181,6 +188,32 @@ class TestTrainEvalCommands:
         fresh = init_params(config, seed)
         for (_, a), (_, b) in zip(params.named(), fresh.named()):
             assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("rows, message", [
+        (["0,0.0,x"], ":1: could not convert string to float"),
+        ([f"{i},{i}.0,0.0" for i in range(10)], ": coords file has 10 nodes, series has 16"),
+    ], ids=["bad-field", "ten-rows"])
+    def test_bad_coords_exit_2(self, run_config, tmp_path, capsys, rows, message):
+        config_path, _ = run_config
+        coords = tmp_path / "coords.csv"
+        coords.write_text("\n".join(rows) + "\n")
+        cfg = json.loads(config_path.read_text())
+        cfg["data"]["coords"] = str(coords)
+        cfg["pe"]["block_limit"] = 8
+        cfg["paths"]["out_dir"] = str(tmp_path / "out")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(bad)]) == 2
+        assert f"{coords}{message}" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exit_2(self, run_config, tmp_path, capsys):
+        config_path, out_dir = run_config
+        for ext in (".bin", ".json"):
+            blob = (out_dir / f"checkpoint{ext}").read_bytes()
+            (tmp_path / f"ck{ext}").write_bytes(blob[:-8] if ext == ".bin" else blob)
+        rc = main(["eval", "--config", str(config_path), "--checkpoint", str(tmp_path / "ck")])
+        assert rc == 2
+        assert "ck.bin: payload holds" in capsys.readouterr().err
 
     def test_strict_schema_violation_exit_2(self, run_config, tmp_path, capsys):
         config_path, _ = run_config
