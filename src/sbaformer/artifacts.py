@@ -5,7 +5,9 @@ the target only once the write has finished, so an interrupted process leaves
 the previous file (or none) and no temporary. Files are not fsynced: this guards
 against a crash of the process, not of the machine.
 
-JSON has one written form: sorted keys, indent 2, a trailing newline. Arrays are
+JSON has one written form: sorted keys, indent 2, a trailing newline, and one
+read, `read_json`, which turns a document that is not JSON or lacks a key its
+reader looks up into HeaderMismatchError (exit 2) naming the file. Arrays are
 blobs: little-endian f64 in `<stem>.bin` plus a JSON sidecar `<stem>.json`, the
 stem being the path without a trailing ".bin" ("ckpt" and "ckpt.bin" name one
 pair; "s.dat" names s.dat.bin and s.dat.json). The blob is written before its
@@ -51,6 +53,21 @@ def write_jsonl(path, records):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def read_json(path, parse):
+    """Returns `parse(doc)` for the JSON document at `path`.
+
+    Text that does not parse as JSON, or a document without a key that
+    `parse` looks up, raises HeaderMismatchError naming the path.
+    """
+    with open(path) as fh:
+        try:
+            return parse(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise HeaderMismatchError(f"{path}: not valid JSON ({exc})") from None
+        except KeyError as exc:
+            raise HeaderMismatchError(f"{path}: missing key {exc}") from None
+
+
 def _stem(path) -> str:
     return os.fspath(path).removesuffix(".bin")
 
@@ -67,9 +84,7 @@ def write_blob(path, arrays, sidecar: dict):
 def read_blob(path, shape_of):
     """Returns (payload shaped as `shape_of(sidecar)`, sidecar)."""
     stem = _stem(path)
-    with open(stem + ".json") as fh:
-        sidecar = json.load(fh)
-    shape = tuple(shape_of(sidecar))
+    sidecar, shape = read_json(stem + ".json", lambda doc: (doc, tuple(shape_of(doc))))
     flat = np.fromfile(stem + ".bin", dtype="<f8").astype(np.float64, copy=False)
     if flat.size != math.prod(shape):
         raise HeaderMismatchError(f"{stem}.bin: payload holds {flat.size} values, "

@@ -2,9 +2,10 @@
 
 Everything the attention blocks need lives here: batched matmul, elementwise
 arithmetic, shape moves, masked softmax/mean, fused scaled dot-product
-attention, layer norm, GELU, and the node gather/scatter that lays tensors
-out per subgraph. All data is 64-bit and row-major. matmul and attention feed
-a global FLOP counter when counting is enabled.
+attention (masked, or per subgraph at its exact size), layer norm, GELU, and
+the node gather/scatter that lays tensors out per subgraph. All data is
+64-bit and row-major. matmul and the two attention ops feed a global FLOP
+counter when counting is enabled.
 
 Gradients are first-order only and are stored on leaf tensors (those created
 with requires_grad=True rather than by an op); intermediate gradients live
@@ -358,7 +359,7 @@ def masked_softmax(logits, valid=None) -> Tensor:
     boolean array broadcastable to the logits' shape; None means no mask.
     """
     x = as_tensor(logits)
-    y = _softmax_rows(x.data, valid)
+    y = _softmax_rows(x.data.copy(), valid)
 
     def backward(g):
         return (_softmax_backward(g, y),)
@@ -369,18 +370,20 @@ def masked_softmax(logits, valid=None) -> Tensor:
 def _softmax_rows(x: np.ndarray, valid) -> np.ndarray:
     """Row softmax of x over the last axis; masked entries come out exactly 0.
 
-    Masked logits are replaced by -inf before the row max is taken, so they
-    neither shift the max nor survive exp. The all-masked check runs on the
-    mask itself, before it is broadcast to x's shape.
+    x must be a scratch array the caller owns: with no mask the result is
+    computed in place, which spares a fresh score-sized allocation. Masked
+    logits are replaced by -inf before the row max is taken, so they neither
+    shift the max nor survive exp. The all-masked check runs on the mask
+    itself, before it is broadcast to x's shape.
     """
     if valid is None:
-        e = x - x.max(axis=-1, keepdims=True)
+        e = x
     else:
         valid = np.asarray(valid, dtype=bool)
         if not valid.any(axis=-1).all():
             raise DegenerateMaskError("softmax: a row has every entry masked")
         e = np.where(np.broadcast_to(valid, x.shape), x, -np.inf)
-        e -= e.max(axis=-1, keepdims=True)
+    e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -438,6 +441,70 @@ def attention(q, k, v, valid=None):
         return gq, gk, gv
 
     return _from_op(data, "attention", (q, k, v), backward), Tensor(weights)
+
+
+def subgraph_attention(q, k, v, sizes):
+    """Attention within each part of a padded layout, at each part's exact size.
+
+    q, k and v are (..., p, h, m, d_head) and part i holds its valid slots
+    first: slots [0, sizes[i]). Part i computes softmax(q k^T / sqrt(d_head)) v
+    over its first sizes[i] queries and keys only, so padding costs no
+    attention work and needs no mask. Padded query rows of the output are
+    exact zeros. Returns (output, weights), weights being a list of p arrays
+    (..., h, sizes[i], sizes[i]) whose rows sum to one. The backward reuses
+    them part by part. No padded (..., p, h, m, m) tensor is ever built.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    shape = q.data.shape
+    sizes = [int(s) for s in sizes]
+    if (
+        q.data.ndim < 4
+        or k.data.shape != shape
+        or v.data.shape[:-1] != shape[:-1]
+        or len(sizes) != shape[-4]
+        or max(sizes) > shape[-2]
+    ):
+        raise ShapeError(
+            f"subgraph_attention needs q and k (..., p, h, m, d), v (..., p, h, m, d_v) "
+            f"and p sizes of at most m; got {q.data.shape}, {k.data.shape}, "
+            f"{v.data.shape} and sizes {sizes}"
+        )
+    if min(sizes) < 1:
+        raise DegenerateMaskError("subgraph_attention: a part has no valid slots")
+    scale = 1.0 / math.sqrt(shape[-1])
+    data = np.zeros(v.data.shape)
+    weights = []
+    for i, s in enumerate(sizes):
+        part = (..., i, slice(None), slice(s), slice(None))
+        qi, vi = q.data[part], v.data[part]
+        kt = np.swapaxes(k.data[part], -1, -2)
+        scores = np.matmul(qi, kt)
+        _count_matmul(qi, kt, scores)
+        scores *= scale
+        _finite(scores, "subgraph_attention")
+        w = _softmax_rows(scores, None)
+        out = np.matmul(w, vi)
+        _count_matmul(w, vi, out)
+        data[part] = out
+        weights.append(w)
+
+    def backward(g):
+        gq, gk, gv = (np.zeros(t.data.shape) if t.requires_grad else None for t in (q, k, v))
+        for i, (s, w) in enumerate(zip(sizes, weights)):
+            part = (..., i, slice(None), slice(s), slice(None))
+            gi = g[part]
+            if gv is not None:
+                gv[part] = np.matmul(np.swapaxes(w, -1, -2), gi)
+            if gq is not None or gk is not None:
+                gs = _softmax_backward(np.matmul(gi, np.swapaxes(v.data[part], -1, -2)), w)
+                gs *= scale
+                if gq is not None:
+                    gq[part] = np.matmul(gs, k.data[part])
+                if gk is not None:
+                    gk[part] = np.matmul(np.swapaxes(gs, -1, -2), q.data[part])
+        return gq, gk, gv
+
+    return _from_op(data, "subgraph_attention", (q, k, v), backward), weights
 
 
 def masked_mean(x, valid) -> Tensor:

@@ -1,13 +1,18 @@
 """The two-level attention forecaster.
 
-One block: lay nodes out per subgraph, attend within each subgraph over
-valid keys only, mean-pool each subgraph to a summary token, attend across
+One block: lay nodes out per subgraph, attend within each subgraph over its
+own nodes only, mean-pool each subgraph to a summary token, attend across
 summaries, broadcast the refreshed summaries back, fuse with the local
 representation through a 2D->D linear map, and add a block-level residual in
 node order. Blocks are stacked over a coarsening partition series. All
-sublayers are pre-norm with residuals; padded slots are re-zeroed after
-every sublayer, so zero padding is an invariant of the whole block and
-padded values can never leak into real nodes.
+sublayers are pre-norm with residuals.
+
+Padding costs no attention work: intra attention runs each subgraph at its
+exact size (ad.subgraph_attention), so its cost is the sum of s_i^2 over the
+subgraph sizes s_i, not p * m^2, and its padded rows come out as exact
+zeros. The FFN and the fuse map re-zero padded rows, so zero padding is an
+invariant of the whole block and padded values can never leak into real
+nodes.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from . import autodiff as ad
 from .artifacts import read_blob, write_blob
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError, InputError, ShapeError
-from .partition import PartitionPlan, ScaleSeries, apply_plan, revert_plan
+from .partition import PartitionPlan, ScaleSeries, apply_plan, prefix_sizes, revert_plan
 
 
 @dataclass
@@ -192,28 +197,18 @@ def _merge_heads(x: Tensor) -> Tensor:
     return ad.reshape(out, out.shape[:-2] + (out.shape[-2] * out.shape[-1],))
 
 
-def attention_core(q: Tensor, k: Tensor, v: Tensor, valid=None):
-    """softmax(q k^T / sqrt(d_head)) v over the last two axes.
-
-    valid masks key positions (True = attend). Returns (output, weights);
-    the weights rows over valid keys sum to one and masked keys are exact
-    zeros. This is the only place attention FLOPs are spent, which is what
-    the instrumented benchmark measures.
-    """
-    return ad.attention(q, k, v, valid)
-
-
 def _rezero(x: Tensor, valid: np.ndarray) -> Tensor:
     """Multiply padded rows by exact 0.0 (valid rows by 1.0, bit-preserving)."""
     return ad.mul(x, valid[..., None].astype(np.float64))
 
 
-def _attn_sublayer(x: Tensor, prm: AttnParams, heads: int, key_valid=None):
+def _attn_sublayer(x: Tensor, prm: AttnParams, heads: int, attend):
+    """x + attention of the layer-normed x; `attend(q, k, v)` returns (out, weights)."""
     h = ad.layer_norm(x, prm.ln1_gamma, prm.ln1_beta)
     q = _split_heads(ad.matmul(h, prm.wq), heads)
     k = _split_heads(ad.matmul(h, prm.wk), heads)
     v = _split_heads(ad.matmul(h, prm.wv), heads)
-    att, alpha = attention_core(q, k, v, key_valid)
+    att, alpha = attend(q, k, v)
     return ad.add(x, _merge_heads(att)), alpha
 
 
@@ -225,13 +220,18 @@ def _ffn_sublayer(x: Tensor, prm: AttnParams) -> Tensor:
 def intra_attention(xp: Tensor, valid, prm: AttnParams, heads: int):
     """Per-subgraph self-attention over valid nodes; padded rows stay zero.
 
-    xp is (..., p, m, d); valid is the (p, m) node validity table. Returns
-    (y, alpha) with alpha shaped (..., p, heads, m, m).
+    xp is (..., p, m, d); valid is the (p, m) node validity table, whose
+    valid slots must come first in each row (the layout plan_from_assign
+    builds; ContractError otherwise). Returns
+    (y, alpha) with alpha a list of p arrays (..., heads, s_i, s_i), s_i the
+    size of subgraph i. The attention output is exactly zero on padded rows,
+    so only the FFN needs re-zeroing.
     """
     valid = np.asarray(valid, dtype=bool)
-    key_valid = valid[:, None, None, :]  # broadcast over heads and query rows
-    u, alpha = _attn_sublayer(xp, prm, heads, key_valid)
-    u = _rezero(u, valid)
+    sizes = prefix_sizes(valid)
+    u, alpha = _attn_sublayer(
+        xp, prm, heads, lambda q, k, v: ad.subgraph_attention(q, k, v, sizes)
+    )
     y = _rezero(_ffn_sublayer(u, prm), valid)
     return y, alpha
 
@@ -243,7 +243,7 @@ def pool_subgraphs(y: Tensor, valid) -> Tensor:
 
 def inter_attention(s: Tensor, prm: AttnParams, heads: int):
     """Full self-attention across the p subgraph summaries, same wrapping as intra."""
-    u, alpha = _attn_sublayer(s, prm, heads, None)
+    u, alpha = _attn_sublayer(s, prm, heads, ad.attention)
     return _ffn_sublayer(u, prm), alpha
 
 
@@ -271,22 +271,18 @@ def sba_block(
     s2, alpha2 = inter_attention(s, prm.inter, heads)
     fused = fuse(y, s2, prm.fuse, plan.mask)
     if capture is not None:
-        capture.append(_capture_block(alpha, alpha2, plan))
+        capture.append(_capture_block(alpha, alpha2))
     return ad.add(revert_plan(fused, plan), x)
 
 
-def _capture_block(alpha: Tensor, alpha2: Tensor, plan: PartitionPlan) -> dict:
+def _capture_block(alpha: list, alpha2: Tensor) -> dict:
     """Head-averaged attention maps at valid sizes, for dump/inspection."""
-    a = alpha.data
-    a2 = alpha2.data
-    if a.ndim != 4:
+    if alpha2.data.ndim != 3:
         raise ContractError("attention capture expects a single unbatched window")
-    a = a.mean(axis=1)  # (p, m, m) averaged over heads
-    intra = []
-    for sub in range(plan.p):
-        size = int(plan.mask[sub].sum())
-        intra.append(a[sub, :size, :size].copy())
-    return {"intra": intra, "inter": a2.mean(axis=0).copy()}
+    return {
+        "intra": [a.mean(axis=0) for a in alpha],  # each (h, s_i, s_i) -> (s_i, s_i)
+        "inter": alpha2.data.mean(axis=0),
+    }
 
 
 def embed(x, params: ModelParams, pe_vectors) -> Tensor:
@@ -381,10 +377,10 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
 
     Only the two attention matmuls count (scores and weights-times-values);
     the per-node projections are linear in n and excluded on both sides. The
-    measured pass drives attention_core on dummy tensors of the real shapes
-    with the counter on, so the two columns must agree. Note the literal sum
-    of the intra term over subgraphs is p * m^2 * d; the report carries the
-    true totals rather than the looser per-subgraph bound.
+    intra term sums each subgraph at its exact size s_i, which is what the
+    model computes; padding adds nothing. The measured pass drives the two
+    attention ops on dummy tensors of the real shapes with the counter on,
+    so the two columns must agree.
     """
     h, dh = config.heads, config.d_head
     rng = np.random.default_rng(0)
@@ -393,7 +389,8 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
     ad.flops.reset()
     with ad.flops.counting():
         for plan in series.plans:
-            im, ia = _attention_flops(plan.p * h, plan.m, dh)
+            sizes = plan.sizes()
+            im, ia = map(sum, zip(*(_attention_flops(h, int(s), dh) for s in sizes)))
             xm, xa = _attention_flops(h, plan.p, dh)
             per_block.append(
                 {
@@ -409,11 +406,11 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
                 q = Tensor(rng.standard_normal((plan.p, h, plan.m, dh)))
                 k = Tensor(rng.standard_normal((plan.p, h, plan.m, dh)))
                 v = Tensor(rng.standard_normal((plan.p, h, plan.m, dh)))
-                attention_core(q, k, v, plan.mask[:, None, None, :])
+                ad.subgraph_attention(q, k, v, sizes)
                 qs = Tensor(rng.standard_normal((h, plan.p, dh)))
                 ks = Tensor(rng.standard_normal((h, plan.p, dh)))
                 vs = Tensor(rng.standard_normal((h, plan.p, dh)))
-                attention_core(qs, ks, vs, None)
+                ad.attention(qs, ks, vs)
     measured = ad.flops.report()
     closed_total = closed_mults + closed_adds
     return {
@@ -431,13 +428,15 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
 def attention_peak_bytes(config: ModelConfig, series: ScaleSeries) -> int:
     """Analytic peak working set of one block's attention, in bytes.
 
-    Counts q/k/v, the score and weight matrices, and the attended output at
-    their f64 sizes; the largest block wins. Deterministic by construction.
+    Counts q/k/v and the attended output in the padded layout, and the score
+    and weight matrices of each subgraph at its exact size, at their f64
+    sizes; the largest block wins. Deterministic by construction.
     """
     h, dh = config.heads, config.d_head
     peak = 0
     for plan in series.plans:
-        intra = 8 * (4 * plan.p * plan.m * h * dh + 2 * plan.p * h * plan.m**2)
+        scores = h * int((plan.sizes() ** 2).sum())
+        intra = 8 * (4 * plan.p * plan.m * h * dh + 2 * scores)
         inter = 8 * (4 * plan.p * h * dh + 2 * h * plan.p**2)
         peak = max(peak, intra + inter)
     return peak

@@ -11,13 +11,12 @@ boundary nodes of fine subgraphs meet inside coarser ones.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import read_json, write_json
 from .autodiff import Tensor, as_tensor, gather_nodes, scatter_nodes
 from .errors import ContractError, InputError, ShapeError
 from .graph import SpatialGraph
@@ -48,7 +47,7 @@ class PartitionPlan:
             raise ContractError("gather table does not cover every node exactly once")
         if not np.array_equal(self.mask, self.gather >= 0):
             raise ContractError("mask disagrees with gather padding")
-        sizes = self.sizes()
+        sizes = prefix_sizes(self.mask)
         if (sizes < 1).any():
             raise ContractError("a subgraph is empty")
         cap = self.balance_factor * math.ceil(self.n / self.p)
@@ -75,6 +74,19 @@ class PartitionPlan:
             "achieved_factor": self.achieved_factor,
             "over_balance": self.over_balance,
         }
+
+
+def prefix_sizes(mask) -> np.ndarray:
+    """Valid-slot count per row of a (p, m) mask whose valid slots come first.
+
+    This is the layout plan_from_assign builds, and the one exact-size
+    attention relies on. Raises ContractError for any other mask.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    sizes = mask.sum(axis=1)
+    if not np.array_equal(mask, np.arange(mask.shape[1]) < sizes[:, None]):
+        raise ContractError("a subgraph's valid slots are not a prefix of its row")
+    return sizes
 
 
 @dataclass
@@ -523,11 +535,13 @@ def save_plans(path, series: ScaleSeries):
     write_json(path, series.to_dict())
 
 
-def load_plans(path) -> ScaleSeries:
-    with open(path) as fh:
-        doc = json.load(fh)
+def _series_from_dict(doc: dict) -> ScaleSeries:
     plans = [_plan_from_dict(d) for d in doc["plans"]]
     maps = [np.asarray(m, dtype=np.int64) for m in doc["merge_maps"]]
-    series = ScaleSeries(plans=plans, merge_maps=maps)
+    return ScaleSeries(plans=plans, merge_maps=maps)
+
+
+def load_plans(path) -> ScaleSeries:
+    series = read_json(path, _series_from_dict)
     series.validate()
     return series

@@ -15,6 +15,7 @@ from sbaformer.data import load_series, save_series
 from sbaformer.errors import HeaderMismatchError
 from sbaformer.graph import laplacian_pe, load_pe, save_pe
 from sbaformer.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from sbaformer.partition import build_scale_series, load_plans, save_plans
 
 from test_graph import random_connected_graph
 
@@ -101,6 +102,16 @@ def _checkpoint_pair(tmp_path):
 PAIRS = {"pe": _pe_pair, "series": _series_pair, "checkpoint": _checkpoint_pair}
 
 
+def _json_file(tmp_path, kind):
+    """(JSON file, its loader): a blob sidecar, or a plan file."""
+    if kind == "plans":
+        g = random_connected_graph(12, np.random.default_rng(14))
+        save_plans(tmp_path / "plans.json", build_scale_series(g, 4, 2))
+        return tmp_path / "plans.json", lambda: load_plans(tmp_path / "plans.json")
+    blob, load = PAIRS[kind](tmp_path)
+    return blob.with_suffix(".json"), load
+
+
 class TestBlobs:
     @pytest.mark.parametrize("kind, cut", [(k, c) for k in PAIRS for c in (-8, 8)])
     def test_wrong_blob_size(self, tmp_path, kind, cut):
@@ -113,6 +124,24 @@ class TestBlobs:
             HeaderMismatchError,
             match=f"{blob}: payload holds {expect + cut // 8} values, sidecar implies {expect}",
         ):
+            load()
+
+    @pytest.mark.parametrize("kind", ["pe", "checkpoint", "plans"])
+    def test_truncated_json(self, tmp_path, kind):
+        path, load = _json_file(tmp_path, kind)
+        path.write_bytes(path.read_bytes()[:100])
+        with pytest.raises(HeaderMismatchError, match=f"{path}: not valid JSON"):
+            load()
+
+    @pytest.mark.parametrize("kind, key", [("pe", "k"), ("checkpoint", "total"),
+                                           ("plans", "merge_maps")])
+    def test_json_missing_key(self, tmp_path, kind, key):
+        path, load = _json_file(tmp_path, kind)
+        load()
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(HeaderMismatchError, match=f"{path}: missing key '{key}'"):
             load()
 
     def test_checkpoint_tensors_own_their_arrays(self, tmp_path):

@@ -147,6 +147,13 @@ class TestMaskedSoftmax:
         out = ad.masked_softmax(Tensor([0.0, np.log(3.0)]))
         np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-15)
 
+    def test_input_untouched(self):
+        # the shared row softmax works in place on a scratch copy
+        x0 = np.random.default_rng(6).standard_normal((3, 4))
+        x = Tensor(x0.copy())
+        ad.masked_softmax(x)
+        assert np.array_equal(x.data, x0)
+
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         logits = rng.standard_normal((5, 9)) * 30
@@ -226,6 +233,60 @@ class TestAttention:
             ad.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 5))), Tensor(np.ones((3, 2))))
         with pytest.raises(ShapeError):
             ad.attention(Tensor(np.ones(4)), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 2))))
+
+
+class TestSubgraphAttention:
+    SIZES = [5, 1, 3]
+
+    def _leaves(self, seed):
+        """(p, heads, m, d_head) leaves for parts of 5, 1 and 3 slots, junk in the padding."""
+        rng = np.random.default_rng(seed)
+        q, k, v = rng.standard_normal((3, 3, 2, 5, 4))
+        for i, s in enumerate(self.SIZES):
+            for a in (q, k, v):
+                a[i, :, s:] = 1e6
+        return [Tensor(a, requires_grad=True) for a in (q, k, v)]
+
+    def test_each_part_matches_attention_on_its_slice(self):
+        q, k, v = self._leaves(20)
+        weights = np.random.default_rng(21).standard_normal(q.shape)
+        out, alpha = ad.subgraph_attention(q, k, v, self.SIZES)
+        ad.tensor_sum(ad.mul(out, Tensor(weights))).backward()
+        for i, s in enumerate(self.SIZES):
+            part, pad = (i, slice(None), slice(s)), (i, slice(None), slice(s, None))
+            qs, ks, vs = (Tensor(t.data[part], requires_grad=True) for t in (q, k, v))
+            ref, ref_alpha = ad.attention(qs, ks, vs)
+            ad.tensor_sum(ad.mul(ref, Tensor(weights[part]))).backward()
+            got = [out.data[part], alpha[i], q.grad[part], k.grad[part], v.grad[part]]
+            want = [ref.data, ref_alpha.data, qs.grad, ks.grad, vs.grad]
+            for a, b in zip(got, want):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+            for a in (out.data, q.grad, k.grad, v.grad):
+                assert (a[pad] == 0.0).all()
+
+    def test_empty_part_raises(self):
+        q, k, v = self._leaves(22)
+        with pytest.raises(DegenerateMaskError):
+            ad.subgraph_attention(q, k, v, [5, 0, 3])
+
+    def test_bad_sizes_or_shapes_raise(self):
+        q, k, v = self._leaves(23)
+        for sizes in ([5, 1], [6, 1, 3]):
+            with pytest.raises(ShapeError):
+                ad.subgraph_attention(q, k, v, sizes)
+        with pytest.raises(ShapeError):
+            ad.subgraph_attention(q, Tensor(k.data[..., :3]), v, self.SIZES)
+
+
+def subgraph_case(x, aux):
+    """x (a, b) as a parts of b slots, 2 heads of width 2; part i keeps 1 + 3i mod b slots."""
+    a, b = x.shape
+    cols = [x, ad.mul(x, Tensor(aux)), ad.gelu(x), ad.mul(x, x)]
+    slots = ad.concat([ad.reshape(c, (a, b, 1)) for c in cols], axis=-1)
+    q = ad.swapaxes(ad.reshape(slots, (a, b, 2, 2)), -2, -3)
+    k = ad.mul(q, Tensor(aux[:, None, :, None]))
+    sizes = [1 + 3 * i % b for i in range(a)]
+    return ad.subgraph_attention(q, k, ad.gelu(q), sizes)[0]
 
 
 class TestMaskedMean:
@@ -371,6 +432,7 @@ class TestGradientSoundness:
         "attention": lambda x, aux: ad.attention(
             x, ad.mul(x, Tensor(aux)), ad.gelu(x), aux[:, 0] >= np.median(aux[:, 0])
         )[0],
+        "subgraph_attention": subgraph_case,
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

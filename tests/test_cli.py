@@ -215,6 +215,14 @@ class TestTrainEvalCommands:
         assert rc == 2
         assert "ck.bin: payload holds" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_sidecar_exit_2(self, run_config, tmp_path, capsys):
+        config_path, out_dir = run_config
+        (tmp_path / "ck.bin").write_bytes((out_dir / "checkpoint.bin").read_bytes())
+        (tmp_path / "ck.json").write_bytes((out_dir / "checkpoint.json").read_bytes()[:100])
+        rc = main(["eval", "--config", str(config_path), "--checkpoint", str(tmp_path / "ck")])
+        assert rc == 2
+        assert f"{tmp_path / 'ck.json'}: not valid JSON" in capsys.readouterr().err
+
     def test_strict_schema_violation_exit_2(self, run_config, tmp_path, capsys):
         config_path, _ = run_config
         cfg = json.loads(config_path.read_text())

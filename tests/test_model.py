@@ -8,7 +8,8 @@ from sbaformer import autodiff as ad
 from sbaformer import model as md
 from sbaformer import partition as pt
 from sbaformer.autodiff import Tensor
-from sbaformer.errors import ShapeError
+from sbaformer.data import make_grid_graph
+from sbaformer.errors import ContractError, ShapeError
 from sbaformer.graph import laplacian_pe
 from sbaformer.partition import build_scale_series, plan_from_assign, uniform_plan
 
@@ -100,7 +101,7 @@ class TestIntraAttention:
         x = rng.standard_normal((5, d))
         plan = uniform_plan(5, 5)
         y, alpha = md.intra_attention(pt.apply_plan(Tensor(x), plan), plan.mask, prm, 2)
-        np.testing.assert_allclose(alpha.data, 1.0, atol=1e-15)
+        np.testing.assert_allclose(np.stack(alpha), 1.0, atol=1e-15)
         for node in range(5):
             expected, _ = oracle_dense_attention_branch(x[node : node + 1], prm, 2)
             np.testing.assert_allclose(y.data[node, 0], expected[0], atol=1e-10)
@@ -123,6 +124,12 @@ class TestIntraAttention:
         x = rng.standard_normal((5, d))
         y, _ = md.intra_attention(pt.apply_plan(Tensor(x), plan), plan.mask, prm, 2)
         assert (y.data[~plan.mask] == 0.0).all()
+
+    def test_non_prefix_mask_rejected(self):
+        prm = branch_params(8, 2, np.random.default_rng(3))
+        valid = np.array([[True, True, True], [False, True, True]])
+        with pytest.raises(ContractError, match="prefix"):
+            md.intra_attention(Tensor(np.zeros((2, 3, 8))), valid, prm, 2)
 
 
 class TestInterAttention:
@@ -436,6 +443,31 @@ class TestFlopsEstimate:
         with ad.flops.counting():
             ad.attention(Tensor(q), Tensor(k), Tensor(v), valid)
         assert (ad.flops.mults, ad.flops.adds) == md._attention_flops(p * h, m, dh)
+
+    def test_subgraph_attention_counts_each_part_at_its_size(self):
+        rng = np.random.default_rng(23)
+        p, h, m, dh = 3, 2, 7, 5
+        q, k, v = rng.standard_normal((3, p, h, m, dh))
+        sizes = [7, 1, 4]
+        ad.flops.reset()
+        with ad.flops.counting():
+            ad.subgraph_attention(Tensor(q), Tensor(k), Tensor(v), sizes)
+        parts = [md._attention_flops(h, s, dh) for s in sizes]
+        assert (ad.flops.mults, ad.flops.adds) == tuple(map(sum, zip(*parts)))
+
+    def test_uneven_parts_cost_their_squared_sizes(self):
+        # the e2e config: 8x8 grid, p0=8, l=3, d=32, 4 heads; uneven parts
+        series = build_scale_series(make_grid_graph(8, 8), 8, 3, seed=0)
+        config = md.ModelConfig(n=64, t=1, c=1, f=1, d_model=32, l=3, heads=4, p0=8, k_pe=1)
+        est = md.flops_estimate(config, series)
+        h, dh = 4, 8
+        for plan, blk in zip(series.plans, est["per_block"]):
+            sizes = plan.sizes()
+            assert sizes.min() < plan.m
+            sq = int((sizes**2).sum())
+            assert blk["intra"] == h * (2 * dh * sq + (dh - 1) * sq + dh * (sq - int(sizes.sum())))
+            assert blk["intra"] < sum(md._attention_flops(plan.p * h, plan.m, dh))
+        assert est["measured_total"] == est["closed_total"]
 
     def test_measured_equals_closed_form(self):
         rng = np.random.default_rng(18)

@@ -10,7 +10,7 @@ import pytest
 from sbaformer import partition as pt
 from sbaformer.autodiff import Tensor
 from sbaformer.data import make_grid_graph
-from sbaformer.errors import InputError, ShapeError
+from sbaformer.errors import ContractError, InputError, ShapeError
 from sbaformer.graph import SpatialGraph
 
 from test_graph import clique_edges, random_connected_graph
@@ -88,6 +88,14 @@ class TestPartitionKway:
         assert plan.over_balance
         assert plan.achieved_factor == pytest.approx(5 / 3)
         plan.validate()  # balance violation is not silent, so this passes
+
+    def test_validate_rejects_padding_before_a_valid_slot(self):
+        plan = pt.plan_from_assign(np.array([0, 0, 0, 1, 1]), 2)
+        plan.validate()
+        plan.gather = np.array([[0, 1, 2], [-1, 3, 4]])  # part 1 starts with padding
+        plan.mask = plan.gather >= 0
+        with pytest.raises(ContractError, match="prefix"):
+            plan.validate()
 
     def test_coarsening_path_on_larger_graph(self):
         # n=200 with p=2 forces at least one coarsening level (target 64)
