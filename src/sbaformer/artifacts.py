@@ -6,12 +6,13 @@ the previous file (or none) and no temporary. Files are not fsynced: this guards
 against a crash of the process, not of the machine.
 
 JSON has one written form: sorted keys, indent 2, a trailing newline, and one
-read, `read_json`, which turns a document that is not JSON or lacks a key its
-reader looks up into HeaderMismatchError (exit 2) naming the file. Arrays are
-blobs: little-endian f64 in `<stem>.bin` plus a JSON sidecar `<stem>.json`, the
-stem being the path without a trailing ".bin" ("ckpt" and "ckpt.bin" name one
-pair; "s.dat" names s.dat.bin and s.dat.json). The blob is written before its
-sidecar, and the reader checks the payload size against the sidecar's shape.
+read, `read_json`, which turns a document that is not JSON, lacks a key its
+reader looks up or holds a value the reader cannot use into
+HeaderMismatchError (exit 2) naming the file. Arrays are blobs: little-endian
+f64 in `<stem>.bin` plus a JSON sidecar `<stem>.json`, the stem being the path
+without a trailing ".bin" ("ckpt" and "ckpt.bin" name one pair; "s.dat" names
+s.dat.bin and s.dat.json). The blob is written before its sidecar, and the
+reader checks the payload size against the sidecar's shape.
 """
 from __future__ import annotations
 
@@ -56,8 +57,9 @@ def write_jsonl(path, records):
 def read_json(path, parse):
     """Returns `parse(doc)` for the JSON document at `path`.
 
-    Text that does not parse as JSON, or a document without a key that
-    `parse` looks up, raises HeaderMismatchError naming the path.
+    Text that does not parse as JSON, a document without a key that `parse`
+    looks up, or a value it cannot use (TypeError, ValueError) raises
+    HeaderMismatchError naming the path, so `parse` should read every field.
     """
     with open(path) as fh:
         try:
@@ -66,6 +68,8 @@ def read_json(path, parse):
             raise HeaderMismatchError(f"{path}: not valid JSON ({exc})") from None
         except KeyError as exc:
             raise HeaderMismatchError(f"{path}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise HeaderMismatchError(f"{path}: malformed value ({exc})") from None
 
 
 def _stem(path) -> str:
@@ -81,12 +85,17 @@ def write_blob(path, arrays, sidecar: dict):
     write_json(stem + ".json", sidecar)
 
 
-def read_blob(path, shape_of):
-    """Returns (payload shaped as `shape_of(sidecar)`, sidecar)."""
+def read_blob(path, parse):
+    """Returns (payload, fields) where `parse(sidecar)` gives (payload shape, fields)."""
     stem = _stem(path)
-    sidecar, shape = read_json(stem + ".json", lambda doc: (doc, tuple(shape_of(doc))))
+
+    def shape_and_fields(doc):
+        shape, fields = parse(doc)
+        return tuple(int(v) for v in shape), fields
+
+    shape, fields = read_json(stem + ".json", shape_and_fields)
     flat = np.fromfile(stem + ".bin", dtype="<f8").astype(np.float64, copy=False)
     if flat.size != math.prod(shape):
         raise HeaderMismatchError(f"{stem}.bin: payload holds {flat.size} values, "
                                   f"sidecar implies {math.prod(shape)}")
-    return flat.reshape(shape), sidecar
+    return flat.reshape(shape), fields

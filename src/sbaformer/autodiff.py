@@ -1,11 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Everything the attention blocks need lives here: batched matmul, elementwise
-arithmetic, shape moves, masked softmax/mean, fused scaled dot-product
-attention (masked, or per subgraph at its exact size), layer norm, GELU, and
-the node gather/scatter that lays tensors out per subgraph. All data is
-64-bit and row-major. matmul and the two attention ops feed a global FLOP
-counter when counting is enabled.
+arithmetic, shape moves, masked softmax, fused scaled dot-product attention
+(masked, or within runs of consecutive rows), layer norm, GELU, and the row
+moves of the subgraph layout: a row permutation, a mean over each run of
+rows and its adjoint, which repeats a row over its run. All data is 64-bit
+and row-major. matmul and the two attention ops feed a global FLOP counter
+when counting is enabled.
 
 Gradients are first-order only and are stored on leaf tensors (those created
 with requires_grad=True rather than by an op); intermediate gradients live
@@ -329,16 +330,6 @@ def swapaxes(x, axis1: int, axis2: int) -> Tensor:
     return _from_op(data, "swapaxes", (x,), backward)
 
 
-def broadcast_to(x, shape) -> Tensor:
-    x = as_tensor(x)
-    data = np.broadcast_to(x.data, shape)
-
-    def backward(g):
-        return (_unbroadcast(g, x.data.shape),)
-
-    return _from_op(data, "broadcast_to", (x,), backward)
-
-
 def concat(parts, axis: int = -1) -> Tensor:
     ts = [as_tensor(p) for p in parts]
     data = np.concatenate([t.data for t in ts], axis=axis)
@@ -443,41 +434,45 @@ def attention(q, k, v, valid=None):
     return _from_op(data, "attention", (q, k, v), backward), Tensor(weights)
 
 
-def subgraph_attention(q, k, v, sizes):
-    """Attention within each part of a padded layout, at each part's exact size.
+def _runs(sizes) -> tuple:
+    """(sizes, starts) of consecutive row runs; every run holds at least one row."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.min(initial=1) < 1:
+        raise DegenerateMaskError(f"a run of rows is empty: sizes {sizes.tolist()}")
+    return sizes, np.cumsum(sizes) - sizes
 
-    q, k and v are (..., p, h, m, d_head) and part i holds its valid slots
-    first: slots [0, sizes[i]). Part i computes softmax(q k^T / sqrt(d_head)) v
-    over its first sizes[i] queries and keys only, so padding costs no
-    attention work and needs no mask. Padded query rows of the output are
-    exact zeros. Returns (output, weights), weights being a list of p arrays
-    (..., h, sizes[i], sizes[i]) whose rows sum to one. The backward reuses
-    them part by part. No padded (..., p, h, m, m) tensor is ever built.
+
+def _check_rows(x: np.ndarray, rows: int, op: str):
+    if x.ndim < 2 or x.shape[-2] != rows:
+        raise ShapeError(f"{op} expects (..., {rows}, d), got {x.shape}")
+
+
+def subgraph_attention(q, k, v, sizes):
+    """Attention within each run of consecutive rows, at each run's exact size.
+
+    q and k are (..., h, n, d_head) and v is (..., h, n, d_v); sizes splits
+    the n rows into consecutive runs, one per subgraph, and must sum to n.
+    Run i computes softmax(q k^T / sqrt(d_head)) v over its own rows only, so
+    no mask is needed. Returns (output, weights), weights being a list of
+    arrays (..., h, sizes[i], sizes[i]) whose rows sum to one. The backward
+    reuses them run by run.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     shape = q.data.shape
-    sizes = [int(s) for s in sizes]
-    if (
-        q.data.ndim < 4
-        or k.data.shape != shape
-        or v.data.shape[:-1] != shape[:-1]
-        or len(sizes) != shape[-4]
-        or max(sizes) > shape[-2]
-    ):
+    if k.data.shape != shape or v.data.shape[:-1] != shape[:-1]:
         raise ShapeError(
-            f"subgraph_attention needs q and k (..., p, h, m, d), v (..., p, h, m, d_v) "
-            f"and p sizes of at most m; got {q.data.shape}, {k.data.shape}, "
-            f"{v.data.shape} and sizes {sizes}"
+            f"subgraph_attention needs q and k (..., n, d) and v (..., n, d_v); got "
+            f"{q.data.shape}, {k.data.shape} and {v.data.shape}"
         )
-    if min(sizes) < 1:
-        raise DegenerateMaskError("subgraph_attention: a part has no valid slots")
+    sizes, starts = _runs(sizes)
+    _check_rows(q.data, int(sizes.sum()), "subgraph_attention")
     scale = 1.0 / math.sqrt(shape[-1])
-    data = np.zeros(v.data.shape)
+    runs = [(..., slice(a, a + s), slice(None)) for a, s in zip(starts.tolist(), sizes.tolist())]
+    data = np.empty(v.data.shape)
     weights = []
-    for i, s in enumerate(sizes):
-        part = (..., i, slice(None), slice(s), slice(None))
-        qi, vi = q.data[part], v.data[part]
-        kt = np.swapaxes(k.data[part], -1, -2)
+    for run in runs:
+        qi, vi = q.data[run], v.data[run]
+        kt = np.swapaxes(k.data[run], -1, -2)
         scores = np.matmul(qi, kt)
         _count_matmul(qi, kt, scores)
         scores *= scale
@@ -485,46 +480,79 @@ def subgraph_attention(q, k, v, sizes):
         w = _softmax_rows(scores, None)
         out = np.matmul(w, vi)
         _count_matmul(w, vi, out)
-        data[part] = out
+        data[run] = out
         weights.append(w)
 
     def backward(g):
-        gq, gk, gv = (np.zeros(t.data.shape) if t.requires_grad else None for t in (q, k, v))
-        for i, (s, w) in enumerate(zip(sizes, weights)):
-            part = (..., i, slice(None), slice(s), slice(None))
-            gi = g[part]
+        gq, gk, gv = (np.empty(t.data.shape) if t.requires_grad else None for t in (q, k, v))
+        for run, w in zip(runs, weights):
+            gi = g[run]
             if gv is not None:
-                gv[part] = np.matmul(np.swapaxes(w, -1, -2), gi)
+                gv[run] = np.matmul(np.swapaxes(w, -1, -2), gi)
             if gq is not None or gk is not None:
-                gs = _softmax_backward(np.matmul(gi, np.swapaxes(v.data[part], -1, -2)), w)
+                gs = _softmax_backward(np.matmul(gi, np.swapaxes(v.data[run], -1, -2)), w)
                 gs *= scale
                 if gq is not None:
-                    gq[part] = np.matmul(gs, k.data[part])
+                    gq[run] = np.matmul(gs, k.data[run])
                 if gk is not None:
-                    gk[part] = np.matmul(np.swapaxes(gs, -1, -2), q.data[part])
+                    gk[run] = np.matmul(np.swapaxes(gs, -1, -2), q.data[run])
         return gq, gk, gv
 
     return _from_op(data, "subgraph_attention", (q, k, v), backward), weights
 
 
-def masked_mean(x, valid) -> Tensor:
-    """Mean over axis -2 counting only rows flagged valid.
+def segment_mean(x, sizes) -> Tensor:
+    """Mean over each run of consecutive rows: (..., n, d) -> (..., len(sizes), d).
 
-    x has shape (..., m, d); valid broadcasts to (..., m). Rows with
-    valid == False contribute exactly zero.
+    The runs must tile the n rows. The backward repeats each run's gradient,
+    divided by the run's size, over the run.
     """
     t = as_tensor(x)
-    vb = np.broadcast_to(np.asarray(valid, dtype=bool), t.data.shape[:-1])
-    cnt = vb.sum(axis=-1)
-    if (cnt == 0).any():
-        raise DegenerateMaskError("masked_mean: a subgraph has no valid rows")
-    w = vb[..., None].astype(np.float64)
-    data = (t.data * w).sum(axis=-2) / cnt[..., None]
+    sizes, starts = _runs(sizes)
+    _check_rows(t.data, int(sizes.sum()), "segment_mean")
+    counts = sizes[:, None].astype(np.float64)
+    data = np.add.reduceat(t.data, starts, axis=-2) / counts
 
     def backward(g):
-        return (w * (g[..., None, :] / cnt[..., None, None]),)
+        return (np.repeat(g / counts, sizes, axis=-2),)
 
-    return _from_op(data, "masked_mean", (t,), backward)
+    return _from_op(data, "segment_mean", (t,), backward)
+
+
+def repeat_rows(x, sizes) -> Tensor:
+    """Row i of (..., p, d) repeated sizes[i] times: (..., sum(sizes), d).
+
+    The adjoint of a per-run sum, which is what the backward computes.
+    """
+    t = as_tensor(x)
+    sizes, starts = _runs(sizes)
+    _check_rows(t.data, sizes.size, "repeat_rows")
+    data = np.repeat(t.data, sizes, axis=-2)
+
+    def backward(g):
+        return (np.add.reduceat(g, starts, axis=-2),)
+
+    return _from_op(data, "repeat_rows", (t,), backward)
+
+
+def permute_rows(x, order) -> Tensor:
+    """Row i of the (..., n, d) output is row order[i] of x.
+
+    order must be a permutation of range(n); the backward applies its
+    inverse, so no gradient is summed.
+    """
+    t = as_tensor(x)
+    order = np.asarray(order, dtype=np.int64)
+    _check_rows(t.data, order.size, "permute_rows")
+    if not np.array_equal(np.sort(order), np.arange(order.size)):
+        raise ContractError("permute_rows: order is not a permutation of the rows")
+    data = np.take(t.data, order, axis=-2)
+    inverse = np.argsort(order)
+
+    def backward(g):
+        return (np.take(g, inverse, axis=-2),)
+
+    return _from_op(data, "permute_rows", (t,), backward)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -623,43 +651,3 @@ def tensor_abs(x) -> Tensor:
         return (g * np.sign(t.data),)
 
     return _from_op(data, "abs", (t,), backward)
-
-
-def gather_nodes(x, index, valid) -> Tensor:
-    """Lay node rows (..., n, d) out as (..., p, m, d) slots.
-
-    index is the p-by-m gather table (node ids, -1 on padding) and valid the
-    matching boolean table. Padded slots are exact zeros. Each node id must
-    appear exactly once across the table, which makes the scatter in the
-    backward pass collision-free.
-    """
-    t = as_tensor(x)
-    index = np.asarray(index)
-    valid = np.asarray(valid, dtype=bool)
-    nodes = index[valid]
-    data = np.take(t.data, np.where(valid, index, 0), axis=-2)
-    data = np.where(valid[..., None], data, 0.0)
-
-    def backward(g):
-        gx = np.zeros_like(t.data)
-        gx[..., nodes, :] = g[..., valid, :]
-        return (gx,)
-
-    return _from_op(data, "gather_nodes", (t,), backward)
-
-
-def scatter_nodes(y, index, valid, n: int) -> Tensor:
-    """Inverse of gather_nodes: (..., p, m, d) back to (..., n, d), padding dropped."""
-    t = as_tensor(y)
-    index = np.asarray(index)
-    valid = np.asarray(valid, dtype=bool)
-    nodes = index[valid]
-    data = np.zeros(t.data.shape[:-3] + (n, t.data.shape[-1]))
-    data[..., nodes, :] = t.data[..., valid, :]
-
-    def backward(g):
-        gy = np.zeros_like(t.data)
-        gy[..., valid, :] = g[..., nodes, :]
-        return (gy,)
-
-    return _from_op(data, "scatter_nodes", (t,), backward)

@@ -227,6 +227,7 @@ def cmd_train(args) -> int:
         cfg["train"]["seed"] = args.seed
     if args.max_epochs is not None:
         cfg["train"]["max_epochs"] = args.max_epochs
+    train_config = _train_config(cfg)  # a bad value exits before any set-up work
     out_dir = cfg["paths"]["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     write_effective_config(cfg, os.path.join(out_dir, "effective_config.json"))
@@ -235,7 +236,7 @@ def cmd_train(args) -> int:
     save_pe(os.path.join(out_dir, "pe.bin"), pe, dataset.graph, cfg["pe"]["block_limit"])
     save_plans(os.path.join(out_dir, "scale_series.json"), plans)
     model = SbaTransformer(mc, plans, pe.vectors, seed=cfg["train"]["seed"])
-    best, history, timings = train(model, dataset, _train_config(cfg))
+    best, history, timings = train(model, dataset, train_config)
     save_checkpoint(os.path.join(out_dir, "checkpoint"), best, mc, cfg["train"]["seed"])
     write_jsonl(os.path.join(out_dir, "history.jsonl"), history)
     write_jsonl(os.path.join(out_dir, "timing.jsonl"), ({"seconds": s} for s in timings))

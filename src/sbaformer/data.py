@@ -246,7 +246,9 @@ def save_series(path, series: np.ndarray, fmt: str = "bin",
 def load_series(path, fmt: str = "bin"):
     """Returns (series, meta dict or None). Raises distinct errors per failure."""
     if fmt == "bin":
-        series, meta = read_blob(path, lambda m: (m["n"], m["t"], m["c"]))
+        series, meta = read_blob(path, lambda m: (
+            (m["n"], m["t"], m["c"]), {"freq_minutes": m["freq_minutes"], "name": m["name"]}
+        ))
     elif fmt == "csv":
         meta = None
         with open(path) as fh:

@@ -341,7 +341,9 @@ def save_pe(path, pe: PositionalEncoding, g: SpatialGraph, block_limit: int):
 
 
 def load_pe(path, g: SpatialGraph | None = None) -> PositionalEncoding:
-    vectors, sidecar = read_blob(path, lambda s: (s["n"], s["k"]))
-    if g is not None and graph_hash(g) != sidecar["graph_hash"]:
+    vectors, (k, digest, source) = read_blob(
+        path, lambda s: ((s["n"], s["k"]), (int(s["k"]), s["graph_hash"], s["source"]))
+    )
+    if g is not None and graph_hash(g) != digest:
         raise InputError(f"{path}: cached encoding was built for a different graph")
-    return PositionalEncoding(k=sidecar["k"], vectors=vectors, source=sidecar["source"])
+    return PositionalEncoding(k=k, vectors=vectors, source=source)

@@ -1,18 +1,16 @@
 """The two-level attention forecaster.
 
-One block: lay nodes out per subgraph, attend within each subgraph over its
-own nodes only, mean-pool each subgraph to a summary token, attend across
-summaries, broadcast the refreshed summaries back, fuse with the local
-representation through a 2D->D linear map, and add a block-level residual in
-node order. Blocks are stacked over a coarsening partition series. All
-sublayers are pre-norm with residuals.
+One block: reorder node rows so each subgraph's rows are consecutive, attend
+within each subgraph over its own rows only, mean-pool each subgraph to a
+summary token, attend across summaries, repeat each refreshed summary over
+its subgraph's rows, fuse with the local representation through a 2D->D
+linear map, restore node order and add a block-level residual. Blocks are
+stacked over a coarsening partition series. All sublayers are pre-norm with
+residuals.
 
-Padding costs no attention work: intra attention runs each subgraph at its
-exact size (ad.subgraph_attention), so its cost is the sum of s_i^2 over the
-subgraph sizes s_i, not p * m^2, and its padded rows come out as exact
-zeros. The FFN and the fuse map re-zero padded rows, so zero padding is an
-invariant of the whole block and padded values can never leak into real
-nodes.
+A block holds exactly the n node rows, so there is no padding: intra
+attention costs the sum of s_i^2 over the subgraph sizes s_i, and every
+per-row stage costs n rows.
 """
 from __future__ import annotations
 
@@ -197,11 +195,6 @@ def _merge_heads(x: Tensor) -> Tensor:
     return ad.reshape(out, out.shape[:-2] + (out.shape[-2] * out.shape[-1],))
 
 
-def _rezero(x: Tensor, valid: np.ndarray) -> Tensor:
-    """Multiply padded rows by exact 0.0 (valid rows by 1.0, bit-preserving)."""
-    return ad.mul(x, valid[..., None].astype(np.float64))
-
-
 def _attn_sublayer(x: Tensor, prm: AttnParams, heads: int, attend):
     """x + attention of the layer-normed x; `attend(q, k, v)` returns (out, weights)."""
     h = ad.layer_norm(x, prm.ln1_gamma, prm.ln1_beta)
@@ -218,27 +211,24 @@ def _ffn_sublayer(x: Tensor, prm: AttnParams) -> Tensor:
 
 
 def intra_attention(xp: Tensor, valid, prm: AttnParams, heads: int):
-    """Per-subgraph self-attention over valid nodes; padded rows stay zero.
+    """Per-subgraph self-attention and FFN over node rows in subgraph order.
 
-    xp is (..., p, m, d); valid is the (p, m) node validity table, whose
-    valid slots must come first in each row (the layout plan_from_assign
-    builds; ContractError otherwise). Returns
+    xp is (..., n, d) as apply_plan lays it out; valid is the plan's (p, m)
+    table, whose row counts are the subgraph sizes and whose valid slots
+    must come first in each row (ContractError otherwise). Returns
     (y, alpha) with alpha a list of p arrays (..., heads, s_i, s_i), s_i the
-    size of subgraph i. The attention output is exactly zero on padded rows,
-    so only the FFN needs re-zeroing.
+    size of subgraph i.
     """
-    valid = np.asarray(valid, dtype=bool)
     sizes = prefix_sizes(valid)
     u, alpha = _attn_sublayer(
         xp, prm, heads, lambda q, k, v: ad.subgraph_attention(q, k, v, sizes)
     )
-    y = _rezero(_ffn_sublayer(u, prm), valid)
-    return y, alpha
+    return _ffn_sublayer(u, prm), alpha
 
 
 def pool_subgraphs(y: Tensor, valid) -> Tensor:
-    """Masked mean over each subgraph's valid rows: (..., p, m, d) -> (..., p, d)."""
-    return ad.masked_mean(y, np.asarray(valid, dtype=bool))
+    """Mean over each subgraph's rows: (..., n, d) -> (..., p, d)."""
+    return ad.segment_mean(y, prefix_sizes(valid))
 
 
 def inter_attention(s: Tensor, prm: AttnParams, heads: int):
@@ -248,13 +238,9 @@ def inter_attention(s: Tensor, prm: AttnParams, heads: int):
 
 
 def fuse(y: Tensor, s_prime: Tensor, w_fuse: Tensor, valid) -> Tensor:
-    """Broadcast summaries along m, concat with local rows, map 2D -> D."""
-    valid = np.asarray(valid, dtype=bool)
-    m = y.shape[-2]
-    sp = ad.reshape(s_prime, s_prime.shape[:-1] + (1, s_prime.shape[-1]))
-    sp = ad.broadcast_to(sp, sp.shape[:-2] + (m, sp.shape[-1]))
-    out = ad.matmul(ad.concat([y, sp], axis=-1), w_fuse)
-    return _rezero(out, valid)
+    """Repeat each summary over its subgraph's rows, concat with them, map 2D -> D."""
+    sp = ad.repeat_rows(s_prime, prefix_sizes(valid))
+    return ad.matmul(ad.concat([y, sp], axis=-1), w_fuse)
 
 
 def sba_block(
@@ -403,9 +389,9 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
             closed_mults += im + xm
             closed_adds += ia + xa
             with ad.no_grad():
-                q = Tensor(rng.standard_normal((plan.p, h, plan.m, dh)))
-                k = Tensor(rng.standard_normal((plan.p, h, plan.m, dh)))
-                v = Tensor(rng.standard_normal((plan.p, h, plan.m, dh)))
+                q = Tensor(rng.standard_normal((h, plan.n, dh)))
+                k = Tensor(rng.standard_normal((h, plan.n, dh)))
+                v = Tensor(rng.standard_normal((h, plan.n, dh)))
                 ad.subgraph_attention(q, k, v, sizes)
                 qs = Tensor(rng.standard_normal((h, plan.p, dh)))
                 ks = Tensor(rng.standard_normal((h, plan.p, dh)))
@@ -428,7 +414,7 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
 def attention_peak_bytes(config: ModelConfig, series: ScaleSeries) -> int:
     """Analytic peak working set of one block's attention, in bytes.
 
-    Counts q/k/v and the attended output in the padded layout, and the score
+    Counts q/k/v and the attended output over the n node rows, and the score
     and weight matrices of each subgraph at its exact size, at their f64
     sizes; the largest block wins. Deterministic by construction.
     """
@@ -436,7 +422,7 @@ def attention_peak_bytes(config: ModelConfig, series: ScaleSeries) -> int:
     peak = 0
     for plan in series.plans:
         scores = h * int((plan.sizes() ** 2).sum())
-        intra = 8 * (4 * plan.p * plan.m * h * dh + 2 * scores)
+        intra = 8 * (4 * plan.n * h * dh + 2 * scores)
         inter = 8 * (4 * plan.p * h * dh + 2 * h * plan.p**2)
         peak = max(peak, intra + inter)
     return peak
@@ -462,18 +448,23 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig, seed: int = 
     write_blob(path, tensors, manifest)
 
 
+def _parse_manifest(doc):
+    """Checkpoint sidecar -> ((total,), (config, seed, [(name, shape, offset)]))."""
+    tensors = [(e["name"], e["shape"], int(e["offset"])) for e in doc["tensors"]]
+    return (doc["total"],), (ModelConfig(**doc["config"]), int(doc["seed"]), tensors)
+
+
 def load_checkpoint(path):
     """Returns (params, config, seed); shapes are validated against the manifest."""
-    flat, manifest = read_blob(path, lambda m: (m["total"],))
-    config = ModelConfig(**manifest["config"])
-    params = init_params(config, manifest["seed"])
+    flat, (config, seed, tensors) = read_blob(path, _parse_manifest)
+    params = init_params(config, seed)
     by_name = dict(params.named())
-    if len(manifest["tensors"]) != len(by_name):
+    if len(tensors) != len(by_name):
         raise InputError("checkpoint manifest does not match the parameter manifest")
-    for entry in manifest["tensors"]:
-        t = by_name.get(entry["name"])
-        if t is None or list(t.data.shape) != entry["shape"]:
-            raise InputError(f"unexpected checkpoint tensor {entry['name']}")
+    for name, shape, offset in tensors:
+        t = by_name.get(name)
+        if t is None or list(t.data.shape) != shape or not 0 <= offset <= flat.size - t.data.size:
+            raise InputError(f"unexpected checkpoint tensor {name}")
         # a copy per tensor, so no parameter is a view into the shared blob
-        t.data = flat[entry["offset"] : entry["offset"] + t.data.size].reshape(t.data.shape).copy()
-    return params, config, manifest["seed"]
+        t.data = flat[offset : offset + t.data.size].reshape(t.data.shape).copy()
+    return params, config, seed

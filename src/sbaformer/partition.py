@@ -17,14 +17,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifacts import read_json, write_json
-from .autodiff import Tensor, as_tensor, gather_nodes, scatter_nodes
-from .errors import ContractError, InputError, ShapeError
+from .autodiff import Tensor, permute_rows
+from .errors import ContractError, InputError
 from .graph import SpatialGraph
 
 
 @dataclass
 class PartitionPlan:
-    """Node-to-subgraph assignment plus the padded gather layout it induces."""
+    """Node-to-subgraph assignment plus the padded (p, m) table it induces.
+
+    The model never builds the padded layout: apply_plan reads gather[mask]
+    as one permutation of the n node rows. The table is kept for plan files
+    and partition reports (m, padding ratio).
+    """
 
     n: int
     p: int
@@ -79,8 +84,8 @@ class PartitionPlan:
 def prefix_sizes(mask) -> np.ndarray:
     """Valid-slot count per row of a (p, m) mask whose valid slots come first.
 
-    This is the layout plan_from_assign builds, and the one exact-size
-    attention relies on. Raises ContractError for any other mask.
+    This is the layout plan_from_assign builds, and the model reads a plan's
+    subgraph sizes through it. Raises ContractError for any other mask.
     """
     mask = np.asarray(mask, dtype=bool)
     sizes = mask.sum(axis=1)
@@ -488,27 +493,21 @@ def build_scale_series(
 
 
 # ---------------------------------------------------------------------------
-# padded layout application
+# subgraph row order
 
 
 def apply_plan(x, plan: PartitionPlan) -> Tensor:
-    """Reshape node rows (..., n, d) into the padded (..., p, m, d) layout."""
-    t = as_tensor(x)
-    if t.ndim < 2 or t.shape[-2] != plan.n:
-        raise ShapeError(
-            f"apply_plan expects (..., {plan.n}, d), got {tuple(t.shape)}"
-        )
-    return gather_nodes(t, plan.gather, plan.mask)
+    """Reorder node rows (..., n, d) so each subgraph's rows are consecutive.
+
+    Subgraph i's nodes come i-th, in the order of its gather row; no padded
+    row is built.
+    """
+    return permute_rows(x, plan.gather[plan.mask])
 
 
 def revert_plan(y, plan: PartitionPlan) -> Tensor:
-    """Restore (..., p, m, d) to node order (..., n, d); padding is dropped."""
-    t = as_tensor(y)
-    if t.ndim < 3 or t.shape[-3] != plan.p or t.shape[-2] != plan.m:
-        raise ShapeError(
-            f"revert_plan expects (..., {plan.p}, {plan.m}, d), got {tuple(t.shape)}"
-        )
-    return scatter_nodes(t, plan.gather, plan.mask, plan.n)
+    """Inverse of apply_plan: rows in subgraph order back to node order."""
+    return permute_rows(y, np.argsort(plan.gather[plan.mask]))
 
 
 # ---------------------------------------------------------------------------

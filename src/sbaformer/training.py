@@ -40,6 +40,10 @@ class TrainConfig:
             raise ConfigError("betas must lie in (0, 1)")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if not self.eps > 0:
+            raise ConfigError("eps must be > 0")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ConfigError("grad_clip must be > 0 when set")
 
 
 @dataclass

@@ -79,7 +79,7 @@ class TestFingerprints:
         for f in files:
             digest.update(f.name.encode() + f.read_bytes())
         assert digest.hexdigest() == (
-            "9acae0309e3d4427d19b69fad8ca8f0b167fa4d9a200a02d170bddd1db3cc154"
+            "53c475835f6740560262ed075a3f6bc8f5e71285934588db1b022e5782417744"
         )
 
 
@@ -134,7 +134,8 @@ class TestBlobs:
             load()
 
     @pytest.mark.parametrize("kind, key", [("pe", "k"), ("checkpoint", "total"),
-                                           ("plans", "merge_maps")])
+                                           ("plans", "merge_maps"), ("checkpoint", "config"),
+                                           ("pe", "source"), ("series", "name")])
     def test_json_missing_key(self, tmp_path, kind, key):
         path, load = _json_file(tmp_path, kind)
         load()
@@ -142,6 +143,19 @@ class TestBlobs:
         del doc[key]
         path.write_text(json.dumps(doc))
         with pytest.raises(HeaderMismatchError, match=f"{path}: missing key '{key}'"):
+            load()
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["config"].update(bogus=1),
+        lambda doc: doc["config"].pop("n"),
+        lambda doc: doc["tensors"][0].update(offset=None),
+    ], ids=["unknown-config-key", "missing-config-key", "null-offset"])
+    def test_checkpoint_bad_manifest_value(self, tmp_path, edit):
+        path, load = _json_file(tmp_path, "checkpoint")
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(HeaderMismatchError, match=f"{path}: malformed value"):
             load()
 
     def test_checkpoint_tensors_own_their_arrays(self, tmp_path):

@@ -239,21 +239,17 @@ class TestSubgraphAttention:
     SIZES = [5, 1, 3]
 
     def _leaves(self, seed):
-        """(p, heads, m, d_head) leaves for parts of 5, 1 and 3 slots, junk in the padding."""
+        """(batch, heads, n, d_head) leaves whose 9 rows form runs of 5, 1 and 3."""
         rng = np.random.default_rng(seed)
-        q, k, v = rng.standard_normal((3, 3, 2, 5, 4))
-        for i, s in enumerate(self.SIZES):
-            for a in (q, k, v):
-                a[i, :, s:] = 1e6
-        return [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        return [Tensor(a, requires_grad=True) for a in rng.standard_normal((3, 2, 2, 9, 4))]
 
     def test_each_part_matches_attention_on_its_slice(self):
         q, k, v = self._leaves(20)
         weights = np.random.default_rng(21).standard_normal(q.shape)
         out, alpha = ad.subgraph_attention(q, k, v, self.SIZES)
         ad.tensor_sum(ad.mul(out, Tensor(weights))).backward()
-        for i, s in enumerate(self.SIZES):
-            part, pad = (i, slice(None), slice(s)), (i, slice(None), slice(s, None))
+        for i, (a, s) in enumerate(zip([0, 5, 6], self.SIZES)):
+            part = (..., slice(a, a + s), slice(None))
             qs, ks, vs = (Tensor(t.data[part], requires_grad=True) for t in (q, k, v))
             ref, ref_alpha = ad.attention(qs, ks, vs)
             ad.tensor_sum(ad.mul(ref, Tensor(weights[part]))).backward()
@@ -261,61 +257,86 @@ class TestSubgraphAttention:
             want = [ref.data, ref_alpha.data, qs.grad, ks.grad, vs.grad]
             for a, b in zip(got, want):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
-            for a in (out.data, q.grad, k.grad, v.grad):
-                assert (a[pad] == 0.0).all()
 
     def test_empty_part_raises(self):
         q, k, v = self._leaves(22)
         with pytest.raises(DegenerateMaskError):
-            ad.subgraph_attention(q, k, v, [5, 0, 3])
+            ad.subgraph_attention(q, k, v, [5, 0, 4])
 
     def test_bad_sizes_or_shapes_raise(self):
         q, k, v = self._leaves(23)
-        for sizes in ([5, 1], [6, 1, 3]):
+        for sizes in ([5, 1], [6, 1, 3], []):  # 6, 10 and 0 rows for 9
             with pytest.raises(ShapeError):
                 ad.subgraph_attention(q, k, v, sizes)
         with pytest.raises(ShapeError):
             ad.subgraph_attention(q, Tensor(k.data[..., :3]), v, self.SIZES)
 
 
+def uneven_runs(n):
+    """Run sizes 1, 2, 3, 1, 2, ... that tile n rows (the last one cut short)."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(1 + len(sizes) % 3, n - sum(sizes)))
+    return sizes
+
+
 def subgraph_case(x, aux):
-    """x (a, b) as a parts of b slots, 2 heads of width 2; part i keeps 1 + 3i mod b slots."""
+    """x (a, b) as a heads over b rows of width 4, split into uneven runs."""
     a, b = x.shape
     cols = [x, ad.mul(x, Tensor(aux)), ad.gelu(x), ad.mul(x, x)]
-    slots = ad.concat([ad.reshape(c, (a, b, 1)) for c in cols], axis=-1)
-    q = ad.swapaxes(ad.reshape(slots, (a, b, 2, 2)), -2, -3)
-    k = ad.mul(q, Tensor(aux[:, None, :, None]))
-    sizes = [1 + 3 * i % b for i in range(a)]
-    return ad.subgraph_attention(q, k, ad.gelu(q), sizes)[0]
+    q = ad.concat([ad.reshape(c, (a, b, 1)) for c in cols], axis=-1)
+    k = ad.mul(q, Tensor(aux[:, :, None]))
+    return ad.subgraph_attention(q, k, ad.gelu(q), uneven_runs(b))[0]
 
 
-class TestMaskedMean:
+class TestSegmentMean:
     def test_plain_mean(self):
-        out = ad.masked_mean(Tensor([[2.0, 4.0], [6.0, 8.0]]), np.array([True, True]))
-        np.testing.assert_array_equal(out.data, [4.0, 6.0])
+        out = ad.segment_mean(Tensor([[2.0, 4.0], [6.0, 8.0]]), [2])
+        np.testing.assert_array_equal(out.data, [[4.0, 6.0]])
 
-    def test_single_valid_row(self):
-        x = Tensor([[2.0, 4.0], [999.0, 999.0]])
-        out = ad.masked_mean(x, np.array([True, False]))
-        np.testing.assert_array_equal(out.data, [2.0, 4.0])
+    def test_single_row(self):
+        out = ad.segment_mean(Tensor([[2.0, 4.0], [999.0, 999.0]]), [1, 1])
+        np.testing.assert_array_equal(out.data, [[2.0, 4.0], [999.0, 999.0]])
 
     def test_scalar_oracle_case(self):
         x = Tensor([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        out = ad.masked_mean(x, np.array([True, True, False]))
-        np.testing.assert_array_equal(out.data, [0.5, 0.5])
+        out = ad.segment_mean(x, [2, 1])
+        np.testing.assert_array_equal(out.data, [[0.5, 0.5], [1.0, 1.0]])
 
-    def test_masked_rows_have_no_influence(self):
+    def test_other_runs_have_no_influence(self):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((4, 3))
-        valid = np.array([True, False, True, False])
-        base = ad.masked_mean(Tensor(x), valid).data
+        x = rng.standard_normal((2, 4, 3))
+        base = ad.segment_mean(Tensor(x), [1, 3]).data
         x2 = x.copy()
-        x2[~valid] = 1e9
-        assert np.array_equal(base, ad.masked_mean(Tensor(x2), valid).data)
+        x2[:, 1:] = 1e9
+        assert np.array_equal(base[:, 0], ad.segment_mean(Tensor(x2), [1, 3]).data[:, 0])
 
-    def test_all_masked_raises(self):
+    def test_empty_run_raises(self):
         with pytest.raises(DegenerateMaskError):
-            ad.masked_mean(Tensor(np.ones((2, 2))), np.array([False, False]))
+            ad.segment_mean(Tensor(np.ones((2, 2))), [2, 0])
+
+    def test_sizes_must_tile_the_rows(self):
+        for sizes in ([1], [2, 1]):
+            with pytest.raises(ShapeError):
+                ad.segment_mean(Tensor(np.ones((2, 2))), sizes)
+
+
+class TestRowMoves:
+    def test_repeat_rows_values(self):
+        out = ad.repeat_rows(Tensor([[1.0, 2.0], [3.0, 4.0]]), [1, 3])
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0]] + [[3.0, 4.0]] * 3)
+        with pytest.raises(ShapeError):
+            ad.repeat_rows(Tensor(np.ones((2, 2))), [1, 1, 1])
+        with pytest.raises(DegenerateMaskError):
+            ad.repeat_rows(Tensor(np.ones((2, 2))), [1, 0])
+
+    def test_permute_rows_values_and_contract(self):
+        x = np.arange(8.0).reshape(4, 2)
+        out = ad.permute_rows(Tensor(x), [2, 0, 3, 1])
+        np.testing.assert_array_equal(out.data, x[[2, 0, 3, 1]])
+        for order in ([0, 1, 2], [0, 0, 1, 2]):
+            with pytest.raises(ContractError):
+                ad.permute_rows(Tensor(x), order)
 
 
 class TestLayerNorm:
@@ -425,7 +446,11 @@ class TestGradientSoundness:
         "masked_softmax": lambda x, aux: ad.masked_softmax(
             x, (aux > -0.8) | (aux == aux.max(axis=-1, keepdims=True))
         ),
-        "masked_mean": lambda x, aux: ad.masked_mean(x, (aux > -0.8).any(axis=-1)),
+        "segment_mean": lambda x, aux: ad.segment_mean(x, uneven_runs(x.shape[-2])),
+        "repeat_rows": lambda x, aux: ad.repeat_rows(
+            ad.mul(x, x), [1 + i % 3 for i in range(x.shape[-2])]
+        ),
+        "permute_rows": lambda x, aux: ad.permute_rows(ad.mul(x, x), np.argsort(aux[:, 0])),
         "concat": lambda x, aux: ad.concat([x, ad.mul(x, Tensor(aux))], axis=-1),
         "swapaxes": lambda x, aux: ad.swapaxes(ad.mul(x, x), -1, -2),
         "abs": lambda x, aux: ad.tensor_abs(x),
@@ -461,21 +486,24 @@ class TestGradientSoundness:
             ad.tensor_sum(ad.mul(out, Tensor(weights))).backward()
             assert_grads_close(x.grad, numeric_grad(scalar_fn, x0.copy()))
 
-    def test_gather_scatter_roundtrip_gradient(self):
+    def test_permute_roundtrip_gradient(self):
         rng = np.random.default_rng(11)
-        index = np.array([[3, 1, -1], [0, 2, 4]])
-        valid = index >= 0
+        order = np.array([3, 1, 0, 2, 4])
         x0 = rng.standard_normal((5, 3))
         weights = rng.standard_normal((5, 3))
 
+        def roundtrip(t):
+            mid = ad.permute_rows(t, order)
+            return ad.permute_rows(ad.gelu(mid), np.argsort(order))
+
         def scalar_fn(arr):
             with ad.no_grad():
-                mid = ad.gather_nodes(Tensor(arr), index, valid)
-                out = ad.scatter_nodes(ad.gelu(mid), index, valid, 5)
+                out = roundtrip(Tensor(arr))
             return float((out.data * weights).sum())
 
         x = Tensor(x0.copy(), requires_grad=True)
-        out = ad.scatter_nodes(ad.gelu(ad.gather_nodes(x, index, valid)), index, valid, 5)
+        out = roundtrip(x)
+        assert np.array_equal(out.data, ad.gelu(Tensor(x0)).data)
         ad.tensor_sum(ad.mul(out, Tensor(weights))).backward()
         assert_grads_close(x.grad, numeric_grad(scalar_fn, x0.copy()))
 

@@ -223,6 +223,32 @@ class TestTrainEvalCommands:
         assert rc == 2
         assert f"{tmp_path / 'ck.json'}: not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("config"), "missing key 'config'"),
+        (lambda doc: doc["config"].update(bogus=1), "malformed value"),
+    ], ids=["no-config", "unknown-config-key"])
+    def test_bad_checkpoint_config_exit_2(self, run_config, tmp_path, capsys, edit, message):
+        config_path, out_dir = run_config
+        (tmp_path / "ck.bin").write_bytes((out_dir / "checkpoint.bin").read_bytes())
+        doc = json.loads((out_dir / "checkpoint.json").read_text())
+        edit(doc)
+        (tmp_path / "ck.json").write_text(json.dumps(doc))
+        rc = main(["eval", "--config", str(config_path), "--checkpoint", str(tmp_path / "ck")])
+        assert rc == 2
+        assert f"{tmp_path / 'ck.json'}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("grad_clip", -1.0), ("eps", 0.0)])
+    def test_training_breaking_value_exit_2(self, run_config, tmp_path, capsys, key, value):
+        config_path, _ = run_config
+        cfg = json.loads(config_path.read_text())
+        cfg["train"][key] = value
+        cfg["paths"]["out_dir"] = str(tmp_path / "out")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(bad)]) == 2
+        assert f"{key} must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_strict_schema_violation_exit_2(self, run_config, tmp_path, capsys):
         config_path, _ = run_config
         cfg = json.loads(config_path.read_text())

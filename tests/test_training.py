@@ -6,7 +6,7 @@ from sbaformer import autodiff as ad
 from sbaformer import model as md
 from sbaformer.autodiff import Tensor
 from sbaformer.data import Normalizer, chrono_split, make_windows, synth_diffusion, window_arrays
-from sbaformer.errors import NumericError
+from sbaformer.errors import ConfigError, NumericError
 from sbaformer.graph import laplacian_pe
 from sbaformer.model import ModelConfig, SbaTransformer, mae_loss
 from sbaformer.partition import build_scale_series
@@ -37,6 +37,14 @@ def small_setup(n=8, steps=120, t=6, f=3, d=8, l=2, p0=2, seed=0, noise=0.0):
 
 
 class TestAdamStep:
+    @pytest.mark.parametrize("field, value", [
+        ("grad_clip", -1.0), ("grad_clip", 0.0), ("eps", 0.0), ("eps", -1e-8),
+    ])
+    def test_config_rejects_values_that_break_training(self, field, value):
+        # a negative clip flips the step's sign; eps = 0 turns a zero gradient into 0/0
+        with pytest.raises(ConfigError, match=f"{field} must be > 0"):
+            TrainConfig(**{field: value})
+
     def test_zero_gradients_leave_params_unchanged(self):
         params = scalar_param_model()
         state = TrainState.for_params(params)
