@@ -28,8 +28,8 @@ print(f"input {x.shape} -> output {out.data.shape} (residual in node order)")
 
 # assemble the node-level local attention map and show its sparsity pattern
 assembled = np.zeros((n, n))
-for sub, mat in enumerate(capture[0]["intra"]):
-    nodes = plan.gather[sub][plan.mask[sub]]
+subgraphs = np.split(plan.order, np.cumsum(plan.sizes)[:-1])
+for nodes, mat in zip(subgraphs, capture[0]["intra"]):
     assembled[np.ix_(nodes, nodes)] = mat
 print("\nnode-level local attention (. = structural zero):")
 for i in range(n):

@@ -1,8 +1,8 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Everything the attention blocks need lives here: batched matmul, elementwise
-arithmetic, shape moves, masked softmax, fused scaled dot-product attention
-(masked, or within runs of consecutive rows), layer norm, GELU, and the row
+arithmetic, shape moves, softmax, fused scaled dot-product attention (over
+all rows, or within runs of consecutive rows), layer norm, GELU, and the row
 moves of the subgraph layout: a row permutation, a mean over each run of
 rows and its adjoint, which repeats a row over its run. All data is 64-bit
 and row-major. matmul and the two attention ops feed a global FLOP counter
@@ -341,43 +341,30 @@ def concat(parts, axis: int = -1) -> Tensor:
     return _from_op(data, "concat", tuple(ts), backward)
 
 
-def masked_softmax(logits, valid=None) -> Tensor:
-    """Softmax over the last axis restricted to positions where valid is True.
+def softmax(logits) -> Tensor:
+    """Softmax over the last axis; each row sums to 1.
 
-    Masked positions come out exactly 0 and each row of survivors sums to 1;
-    stabilization subtracts the row max over unmasked entries only, so masked
-    values never influence the result. valid may be a length-n vector or any
-    boolean array broadcastable to the logits' shape; None means no mask.
+    Stabilization subtracts the row max before exp.
     """
     x = as_tensor(logits)
-    y = _softmax_rows(x.data.copy(), valid)
+    y = _softmax_rows(x.data.copy())
 
     def backward(g):
         return (_softmax_backward(g, y),)
 
-    return _from_op(y, "masked_softmax", (x,), backward)
+    return _from_op(y, "softmax", (x,), backward)
 
 
-def _softmax_rows(x: np.ndarray, valid) -> np.ndarray:
-    """Row softmax of x over the last axis; masked entries come out exactly 0.
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Row softmax of x over the last axis, computed in place.
 
-    x must be a scratch array the caller owns: with no mask the result is
-    computed in place, which spares a fresh score-sized allocation. Masked
-    logits are replaced by -inf before the row max is taken, so they neither
-    shift the max nor survive exp. The all-masked check runs on the mask
-    itself, before it is broadcast to x's shape.
+    x must be a scratch array the caller owns, which spares a fresh
+    score-sized allocation.
     """
-    if valid is None:
-        e = x
-    else:
-        valid = np.asarray(valid, dtype=bool)
-        if not valid.any(axis=-1).all():
-            raise DegenerateMaskError("softmax: a row has every entry masked")
-        e = np.where(np.broadcast_to(valid, x.shape), x, -np.inf)
-    e -= e.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -386,15 +373,13 @@ def _softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y * (g - inner)
 
 
-def attention(q, k, v, valid=None):
+def attention(q, k, v):
     """softmax(q k^T / sqrt(d_head)) v over the last two axes, as one tape node.
 
     q is (..., s_q, d_head), k is (..., s_k, d_head) and v is (..., s_k, d_v);
-    leading axes broadcast. valid masks key positions (True = attend) and
-    broadcasts to the (..., s_q, s_k) scores. Returns (output, weights):
-    weights is an untracked tensor whose rows over valid keys sum to one,
-    with masked keys exact zeros. The values and gradients equal those of
-    matmul, mul by the scale, masked_softmax and matmul applied in turn;
+    leading axes broadcast. Returns (output, weights): weights is an
+    untracked tensor whose rows sum to one. The values and gradients equal
+    those of matmul, mul by the scale, softmax and matmul applied in turn;
     the backward reuses the stored weights instead of four tape nodes.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
@@ -413,7 +398,7 @@ def attention(q, k, v, valid=None):
     _count_matmul(q.data, kt, scores)
     scores *= scale
     _finite(scores, "attention")
-    weights = _softmax_rows(scores, valid)
+    weights = _softmax_rows(scores)
     data = np.matmul(weights, v.data)
     _count_matmul(weights, v.data, data)
 
@@ -477,7 +462,7 @@ def subgraph_attention(q, k, v, sizes):
         _count_matmul(qi, kt, scores)
         scores *= scale
         _finite(scores, "subgraph_attention")
-        w = _softmax_rows(scores, None)
+        w = _softmax_rows(scores)
         out = np.matmul(w, vi)
         _count_matmul(w, vi, out)
         data[run] = out

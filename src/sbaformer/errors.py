@@ -43,7 +43,7 @@ class ShapeError(ContractError):
 
 
 class DegenerateMaskError(ContractError):
-    """A masked reduction saw a row or subgraph with no valid entries."""
+    """A run of rows (one subgraph's rows) is empty."""
 
 
 class NumericError(SbaError):

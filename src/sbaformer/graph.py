@@ -228,10 +228,10 @@ def laplacian_pe(g: SpatialGraph, k: int, block_limit: int = 2000) -> Positional
         p = math.ceil(g.n / block_limit)
         while True:
             plan = partition_kway(g, p, balance_factor=1.1, seed=0)
-            if max(plan.sizes()) <= block_limit:
+            if plan.m <= block_limit:
                 break
             p += 1
-        blocks = [[int(i) for i in plan.gather[b] if i >= 0] for b in range(plan.p)]
+        blocks = np.split(plan.order, np.cumsum(plan.sizes)[:-1])
         source = "per-subgraph"
     out = np.zeros((g.n, k))
     for b, nodes in enumerate(blocks):

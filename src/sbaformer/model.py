@@ -214,7 +214,7 @@ def intra_attention(xp: Tensor, valid, prm: AttnParams, heads: int):
     """Per-subgraph self-attention and FFN over node rows in subgraph order.
 
     xp is (..., n, d) as apply_plan lays it out; valid is the plan's (p, m)
-    table, whose row counts are the subgraph sizes and whose valid slots
+    mask, whose row counts are the subgraph sizes and whose valid slots
     must come first in each row (ContractError otherwise). Returns
     (y, alpha) with alpha a list of p arrays (..., heads, s_i, s_i), s_i the
     size of subgraph i.
@@ -325,6 +325,11 @@ class SbaTransformer:
             raise ContractError(
                 f"series starts at p={series.plans[0].p}, config.p0={config.p0}"
             )
+        if any(plan.n != config.n for plan in series.plans):
+            raise ContractError(
+                f"series plans cover {[plan.n for plan in series.plans]} nodes, "
+                f"config.n={config.n}"
+            )
         pe_vectors = np.asarray(pe_vectors, dtype=np.float64)
         if pe_vectors.shape != (config.n, config.k_pe):
             raise ContractError(
@@ -375,7 +380,7 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
     ad.flops.reset()
     with ad.flops.counting():
         for plan in series.plans:
-            sizes = plan.sizes()
+            sizes = plan.sizes
             im, ia = map(sum, zip(*(_attention_flops(h, int(s), dh) for s in sizes)))
             xm, xa = _attention_flops(h, plan.p, dh)
             per_block.append(
@@ -421,7 +426,7 @@ def attention_peak_bytes(config: ModelConfig, series: ScaleSeries) -> int:
     h, dh = config.heads, config.d_head
     peak = 0
     for plan in series.plans:
-        scores = h * int((plan.sizes() ** 2).sum())
+        scores = h * int((plan.sizes ** 2).sum())
         intra = 8 * (4 * plan.n * h * dh + 2 * scores)
         inter = 8 * (4 * plan.p * h * dh + 2 * h * plan.p**2)
         peak = max(peak, intra + inter)

@@ -22,44 +22,77 @@ from .errors import ContractError, InputError
 from .graph import SpatialGraph
 
 
-@dataclass
+@dataclass(frozen=True, init=False, eq=False)
 class PartitionPlan:
-    """Node-to-subgraph assignment plus the padded (p, m) table it induces.
+    """A node-to-subgraph assignment and the row order and sizes it implies.
 
-    The model never builds the padded layout: apply_plan reads gather[mask]
-    as one permutation of the n node rows. The table is kept for plan files
-    and partition reports (m, padding ratio).
+    assign[u] is the subgraph of node u, in [0, p); it is the one stored form
+    of the partition, and every subgraph holds at least one node. The rest is
+    derived from it once, at construction: `order` lists the node ids by
+    subgraph, ascending within each, so apply_plan is one row permutation;
+    `inverse` undoes it for revert_plan; `sizes` counts each subgraph's
+    nodes. m, achieved_factor, over_balance and the (p, m) mask follow from
+    the sizes.
     """
 
     n: int
     p: int
-    m: int
     assign: np.ndarray  # (n,) subgraph index per node
-    gather: np.ndarray  # (p, m) node ids, -1 on padding
-    mask: np.ndarray  # (p, m) True where gather >= 0
+    order: np.ndarray  # (n,) node ids sorted by subgraph
+    inverse: np.ndarray  # (n,) position of each node in order
+    sizes: np.ndarray  # (p,) node count per subgraph
     edge_cut: float
     balance_factor: float
     seed: int
-    achieved_factor: float = 1.0
-    over_balance: bool = False
 
-    def sizes(self) -> np.ndarray:
-        return self.mask.sum(axis=1)
+    def __init__(self, assign, p: int, edge_cut: float, balance_factor: float, seed: int):
+        assign = np.array(assign, dtype=np.int64)
+        if assign.ndim != 1 or p < 1 or ((assign < 0) | (assign >= p)).any():
+            raise ContractError(f"assignment must be a vector of labels in [0, {p})")
+        sizes = np.bincount(assign, minlength=p)
+        if (sizes == 0).any():
+            raise ContractError(f"empty subgraph in assignment: sizes {sizes.tolist()}")
+        order = np.argsort(assign, kind="stable")
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.size)
+        arrays = (assign, order, inverse, sizes)
+        for arr in arrays:
+            arr.flags.writeable = False
+        fields = (assign.size, p, *arrays, edge_cut, balance_factor, seed)
+        names = ("n", "p", "assign", "order", "inverse", "sizes", "edge_cut",
+                 "balance_factor", "seed")
+        for name, value in zip(names, fields):
+            object.__setattr__(self, name, value)
+
+    @property
+    def m(self) -> int:
+        """Size of the largest subgraph."""
+        return int(self.sizes.max())
+
+    @property
+    def achieved_factor(self) -> float:
+        """m over the ideal size ceil(n / p)."""
+        return self.m / math.ceil(self.n / self.p)
+
+    @property
+    def over_balance(self) -> bool:
+        """Whether m exceeds the cap balance_factor * ceil(n / p)."""
+        return bool(self.m > self.balance_factor * math.ceil(self.n / self.p) + 1e-9)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """(p, m) table, True on the first sizes[i] slots of row i."""
+        return np.arange(self.m) < self.sizes[:, None]
 
     def validate(self, g: SpatialGraph | None = None):
-        """Check every structural invariant; raises on violation."""
-        if sorted(self.gather[self.mask].tolist()) != list(range(self.n)):
-            raise ContractError("gather table does not cover every node exactly once")
-        if not np.array_equal(self.mask, self.gather >= 0):
-            raise ContractError("mask disagrees with gather padding")
-        sizes = prefix_sizes(self.mask)
-        if (sizes < 1).any():
-            raise ContractError("a subgraph is empty")
+        """Check the balance flag and, given the graph, the stored edge cut.
+
+        Construction already guarantees that each node lies in exactly one
+        non-empty subgraph; raises ContractError on violation.
+        """
         cap = self.balance_factor * math.ceil(self.n / self.p)
-        if sizes.max() > cap + 1e-9 and not self.over_balance:
-            raise ContractError(
-                f"balance violated silently: max size {sizes.max()} > {cap}"
-            )
+        if self.m > cap + 1e-9 and not self.over_balance:
+            raise ContractError(f"balance violated silently: max size {self.m} > {cap}")
         if g is not None:
             cut = _edge_cut(g, self.assign)
             if abs(cut - self.edge_cut) > 1e-9 * max(1.0, abs(cut)):
@@ -84,8 +117,8 @@ class PartitionPlan:
 def prefix_sizes(mask) -> np.ndarray:
     """Valid-slot count per row of a (p, m) mask whose valid slots come first.
 
-    This is the layout plan_from_assign builds, and the model reads a plan's
-    subgraph sizes through it. Raises ContractError for any other mask.
+    This is the layout of a plan's mask, through which the model stages read
+    the subgraph sizes. Raises ContractError for any other mask.
     """
     mask = np.asarray(mask, dtype=bool)
     sizes = mask.sum(axis=1)
@@ -131,34 +164,9 @@ def plan_from_assign(
     balance_factor: float = 1.3,
     seed: int = 0,
 ) -> PartitionPlan:
-    """Build the padded layout (gather/mask/m) a raw assignment induces."""
-    assign = np.asarray(assign, dtype=np.int64)
-    n = assign.shape[0]
-    sizes = np.bincount(assign, minlength=p)
-    if (sizes == 0).any():
-        raise ContractError(f"empty subgraph in assignment: sizes {sizes.tolist()}")
-    m = int(sizes.max())
-    gather = np.full((p, m), -1, dtype=np.int64)
-    for part in range(p):
-        nodes = np.flatnonzero(assign == part)
-        gather[part, : nodes.size] = nodes
-    mask = gather >= 0
-    cut = _edge_cut(g, assign) if g is not None else 0.0
-    cap = balance_factor * math.ceil(n / p)
-    achieved = m / math.ceil(n / p)
-    return PartitionPlan(
-        n=n,
-        p=p,
-        m=m,
-        assign=assign,
-        gather=gather,
-        mask=mask,
-        edge_cut=cut,
-        balance_factor=balance_factor,
-        seed=seed,
-        achieved_factor=achieved,
-        over_balance=bool(m > cap + 1e-9),
-    )
+    """The plan of a raw assignment, with its edge cut on g (0.0 without g)."""
+    cut = _edge_cut(g, np.asarray(assign)) if g is not None else 0.0
+    return PartitionPlan(assign, p, cut, balance_factor, seed)
 
 
 def uniform_plan(n: int, p: int) -> PartitionPlan:
@@ -499,15 +507,15 @@ def build_scale_series(
 def apply_plan(x, plan: PartitionPlan) -> Tensor:
     """Reorder node rows (..., n, d) so each subgraph's rows are consecutive.
 
-    Subgraph i's nodes come i-th, in the order of its gather row; no padded
-    row is built.
+    Subgraph i's nodes come i-th, in ascending node order; no padded row is
+    built.
     """
-    return permute_rows(x, plan.gather[plan.mask])
+    return permute_rows(x, plan.order)
 
 
 def revert_plan(y, plan: PartitionPlan) -> Tensor:
     """Inverse of apply_plan: rows in subgraph order back to node order."""
-    return permute_rows(y, np.argsort(plan.gather[plan.mask]))
+    return permute_rows(y, plan.inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -515,18 +523,17 @@ def revert_plan(y, plan: PartitionPlan) -> Tensor:
 
 
 def _plan_from_dict(doc: dict) -> PartitionPlan:
-    plan = plan_from_assign(
-        np.asarray(doc["assign"], dtype=np.int64),
-        doc["p"],
-        None,
-        doc["balance_factor"],
-        doc["seed"],
-    )
-    plan.edge_cut = float(doc["edge_cut"])
-    plan.achieved_factor = float(doc.get("achieved_factor", plan.achieved_factor))
-    plan.over_balance = bool(doc.get("over_balance", plan.over_balance))
-    if plan.m != doc["m"] or plan.n != doc["n"]:
-        raise InputError("plan file layout disagrees with its assignment")
+    """Plan of a plan-file entry; ValueError (exit 2 through read_json) when
+    the assignment is invalid or a stored value disagrees with it."""
+    try:
+        plan = PartitionPlan(
+            doc["assign"], doc["p"], float(doc["edge_cut"]), doc["balance_factor"], doc["seed"]
+        )
+    except ContractError as exc:
+        raise ValueError(str(exc)) from None
+    for key in ("n", "m", "achieved_factor", "over_balance"):
+        if doc[key] != getattr(plan, key):
+            raise ValueError(f"stored {key} {doc[key]!r} != {getattr(plan, key)!r} from assign")
     return plan
 
 

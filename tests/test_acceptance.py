@@ -166,8 +166,8 @@ def test_c04_structured_sparsity_block_diagonal():
         model.forward(Tensor(rng.standard_normal((n, 6, 1))), capture=capture)
     plan = series.plans[0]
     assembled = np.zeros((n, n))
-    for sub, mat in enumerate(capture[0]["intra"]):
-        nodes = plan.gather[sub][plan.mask[sub]]
+    subgraphs = np.split(plan.order, np.cumsum(plan.sizes)[:-1])
+    for nodes, mat in zip(subgraphs, capture[0]["intra"]):
         assembled[np.ix_(nodes, nodes)] = mat
     cross = 0
     for i in range(n):
@@ -189,7 +189,7 @@ def test_c05_padding_invariance():
     rng = np.random.default_rng(11)
     g = random_connected_graph(13, rng)  # 13 nodes over p0=4: uneven subgraphs
     series = build_scale_series(g, p0=4, l=2, seed=0)
-    assert series.plans[0].sizes().tolist() == [5, 3, 4, 1]
+    assert series.plans[0].sizes.tolist() == [5, 3, 4, 1]
     config = ModelConfig(n=13, t=5, c=1, f=3, d_model=8, l=2, heads=2, p0=4, k_pe=2)
     pe = laplacian_pe(g, k=2)
     model = SbaTransformer(config, series, pe.vectors, seed=0)

@@ -119,11 +119,10 @@ class TestFlopCounter:
 
     def test_disabled_counting_is_bit_identical_for_attention(self):
         q, k, v = np.random.default_rng(2).standard_normal((3, 2, 5, 4))
-        valid = np.array([True, False, True, True, True])
 
         def run():
             qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
-            out, weights = ad.attention(qt, kt, vt, valid)
+            out, weights = ad.attention(qt, kt, vt)
             ad.tensor_sum(ad.mul(out, out)).backward()
             return [out.data, weights.data, qt.grad, kt.grad, vt.grad]
 
@@ -135,98 +134,50 @@ class TestFlopCounter:
 
 class TestMaskedSoftmax:
     def test_symmetric_no_mask(self):
-        out = ad.masked_softmax(Tensor([0.0, 0.0]))
+        out = ad.softmax(Tensor([0.0, 0.0]))
         np.testing.assert_array_equal(out.data, [0.5, 0.5])
 
-    def test_masked_entry_is_exact_zero(self):
-        out = ad.masked_softmax(Tensor([1.0, 1.0, 123.0]), np.array([True, True, False]))
-        assert out.data[2] == 0.0
-        np.testing.assert_array_equal(out.data[:2], [0.5, 0.5])
-
     def test_log3_hand_value(self):
-        out = ad.masked_softmax(Tensor([0.0, np.log(3.0)]))
+        out = ad.softmax(Tensor([0.0, np.log(3.0)]))
         np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-15)
 
     def test_input_untouched(self):
         # the shared row softmax works in place on a scratch copy
         x0 = np.random.default_rng(6).standard_normal((3, 4))
         x = Tensor(x0.copy())
-        ad.masked_softmax(x)
+        ad.softmax(x)
         assert np.array_equal(x.data, x0)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         logits = rng.standard_normal((5, 9)) * 30
-        valid = rng.random((5, 9)) > 0.3
-        valid[:, 0] = True
-        out = ad.masked_softmax(Tensor(logits), valid).data
+        out = ad.softmax(Tensor(logits)).data
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
-        assert (out[~valid] == 0.0).all()
-        assert (out[valid] > 0.0).all()
-
-    def test_mask_invariance_bit_identical(self):
-        rng = np.random.default_rng(4)
-        logits = rng.standard_normal(6)
-        valid = np.array([True, False, True, True, False, True])
-        base = ad.masked_softmax(Tensor(logits), valid).data
-        noisy = logits.copy()
-        noisy[~valid] = rng.standard_normal(2) * 1e6
-        again = ad.masked_softmax(Tensor(noisy), valid).data
-        assert np.array_equal(base, again)
-
-    def test_fully_masked_row_raises(self):
-        with pytest.raises(DegenerateMaskError):
-            ad.masked_softmax(Tensor([1.0, 2.0]), np.array([False, False]))
+        assert (out > 0.0).all()
 
 
-def unfused_attention(q, k, v, valid):
+def unfused_attention(q, k, v):
     """The four-op chain ad.attention replaces."""
     scale = 1.0 / np.sqrt(q.shape[-1])
-    alpha = ad.masked_softmax(ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), scale), valid)
+    alpha = ad.softmax(ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), scale))
     return ad.matmul(alpha, v), alpha
 
 
 class TestAttention:
-    def _inputs(self, seed):
-        """Intra-attention shapes (p, heads, m, d_head) and a (p, 1, 1, m) key mask."""
-        rng = np.random.default_rng(seed)
-        q, k, v = rng.standard_normal((3, 3, 2, 5, 4))
-        valid = rng.random((3, 1, 1, 5)) > 0.4
-        valid[:, ..., 0] = True
-        return q, k, v, valid
-
-    def _run(self, fn, q, k, v, valid, weights):
+    def _run(self, fn, q, k, v, weights):
         qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
-        out, alpha = fn(qt, kt, vt, valid)
+        out, alpha = fn(qt, kt, vt)
         ad.tensor_sum(ad.mul(out, Tensor(weights))).backward()
         return [out.data, alpha.data, qt.grad, kt.grad, vt.grad]
 
     def test_matches_unfused_chain_bit_for_bit(self):
-        q, k, v, valid = self._inputs(12)
+        # (batch, heads, s, d_head) inputs, as inter attention sees them
+        q, k, v = np.random.default_rng(12).standard_normal((3, 3, 2, 5, 4))
         weights = np.random.default_rng(13).standard_normal(q.shape)
-        fused = self._run(ad.attention, q, k, v, valid, weights)
-        chain = self._run(unfused_attention, q, k, v, valid, weights)
+        fused = self._run(ad.attention, q, k, v, weights)
+        chain = self._run(unfused_attention, q, k, v, weights)
         for a, b in zip(fused, chain):
             assert np.array_equal(a, b)
-
-    def test_masked_logits_have_no_influence(self):
-        q, k, v, valid = self._inputs(14)
-        weights = np.random.default_rng(15).standard_normal(q.shape)
-        base = self._run(ad.attention, q, k, v, valid, weights)
-        loud = k.copy()
-        loud[np.broadcast_to(~valid[:, :, 0, :, None], k.shape)] = 1e6
-        scores = np.abs(q @ np.swapaxes(loud, -1, -2))
-        assert scores[np.broadcast_to(~valid, scores.shape)].min() > 1e4
-        fused = self._run(ad.attention, q, loud, v, valid, weights)
-        chain = self._run(unfused_attention, q, loud, v, valid, weights)
-        for a, b, c in zip(fused, chain, base):
-            assert np.array_equal(a, b) and np.array_equal(a, c)
-
-    def test_all_masked_row_raises(self):
-        q, k, v, valid = self._inputs(16)
-        valid[1] = False
-        with pytest.raises(DegenerateMaskError):
-            ad.attention(Tensor(q), Tensor(k), Tensor(v), valid)
 
     def test_extent_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -441,11 +392,7 @@ class TestGradientSoundness:
         "layer_norm": lambda x, aux: ad.layer_norm(
             x, Tensor(aux[0] + 2.0), Tensor(aux[1])
         ),
-        "softmax": lambda x, aux: ad.masked_softmax(x),
-        # each row keeps its largest aux entry valid, so no row is all-masked
-        "masked_softmax": lambda x, aux: ad.masked_softmax(
-            x, (aux > -0.8) | (aux == aux.max(axis=-1, keepdims=True))
-        ),
+        "softmax": lambda x, aux: ad.softmax(x),
         "segment_mean": lambda x, aux: ad.segment_mean(x, uneven_runs(x.shape[-2])),
         "repeat_rows": lambda x, aux: ad.repeat_rows(
             ad.mul(x, x), [1 + i % 3 for i in range(x.shape[-2])]
@@ -454,9 +401,7 @@ class TestGradientSoundness:
         "concat": lambda x, aux: ad.concat([x, ad.mul(x, Tensor(aux))], axis=-1),
         "swapaxes": lambda x, aux: ad.swapaxes(ad.mul(x, x), -1, -2),
         "abs": lambda x, aux: ad.tensor_abs(x),
-        "attention": lambda x, aux: ad.attention(
-            x, ad.mul(x, Tensor(aux)), ad.gelu(x), aux[:, 0] >= np.median(aux[:, 0])
-        )[0],
+        "attention": lambda x, aux: ad.attention(x, ad.mul(x, Tensor(aux)), ad.gelu(x))[0],
         "subgraph_attention": subgraph_case,
     }
 
@@ -527,7 +472,7 @@ def test_determinism_bit_identical():
     def run():
         rng = np.random.default_rng(42)
         x = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
-        y = ad.masked_softmax(ad.matmul(ad.gelu(x), Tensor(rng.standard_normal((6, 6)))))
+        y = ad.softmax(ad.matmul(ad.gelu(x), Tensor(rng.standard_normal((6, 6)))))
         loss = ad.tensor_mean(y)
         loss.backward()
         return y.data.copy(), x.grad.copy()

@@ -1,6 +1,5 @@
 """Model blocks against independent dense oracles, plus structural invariants."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,8 +284,8 @@ class TestSbaBlock:
             model.forward(Tensor(x), capture=capture)
         plan = model.series.plans[0]
         assembled = np.zeros((12, 12))
-        for sub, mat in enumerate(capture[0]["intra"]):
-            nodes = plan.gather[sub][plan.mask[sub]]
+        subgraphs = np.split(plan.order, np.cumsum(plan.sizes)[:-1])
+        for nodes, mat in zip(subgraphs, capture[0]["intra"]):
             assembled[np.ix_(nodes, nodes)] = mat
         for i in range(12):
             for j in range(12):
@@ -352,26 +351,13 @@ class TestForward:
         out = model.predict(x)
         np.testing.assert_allclose(out[0], out[1], atol=1e-12)
 
-    def test_padding_invariance_through_full_model(self):
-        # widening every plan's padded table by two empty columns leaves the
-        # forecast bit-identical: the model never reads m
+    def test_plans_for_another_node_count_rejected(self):
+        # a series partitioning 16 nodes cannot drive a 12-node model
         rng = np.random.default_rng(16)
-        model, _ = tiny_model(rng, n=11, p0=3, l=2)
-        x = rng.standard_normal((11, model.config.t, 1))
-        clean = model.predict(x)
-        wide = [
-            replace(
-                plan,
-                m=plan.m + 2,
-                gather=np.pad(plan.gather, ((0, 0), (0, 2)), constant_values=-1),
-                mask=np.pad(plan.mask, ((0, 0), (0, 2))),
-            )
-            for plan in model.series.plans
-        ]
-        series = pt.ScaleSeries(plans=wide, merge_maps=model.series.merge_maps)
-        series.validate()
-        widened = md.SbaTransformer(model.config, series, model.pe_vectors, model.params)
-        assert np.array_equal(widened.predict(x), clean)
+        model, _ = tiny_model(rng, n=12, p0=4, l=1)
+        series = build_scale_series(random_connected_graph(16, rng), 4, 1)
+        with pytest.raises(ContractError, match="config.n=12"):
+            md.SbaTransformer(model.config, series, model.pe_vectors)
 
 
 class TestMaeLoss:
@@ -432,11 +418,9 @@ class TestFlopsEstimate:
         rng = np.random.default_rng(22)
         p, h, m, dh = 3, 2, 7, 5
         q, k, v = rng.standard_normal((3, p, h, m, dh))
-        valid = np.ones((p, 1, 1, m), dtype=bool)
-        valid[1, ..., 4:] = False  # padding costs the same FLOPs as real slots
         ad.flops.reset()
         with ad.flops.counting():
-            ad.attention(Tensor(q), Tensor(k), Tensor(v), valid)
+            ad.attention(Tensor(q), Tensor(k), Tensor(v))
         assert (ad.flops.mults, ad.flops.adds) == md._attention_flops(p * h, m, dh)
 
     def test_subgraph_attention_counts_each_part_at_its_size(self):
@@ -457,7 +441,7 @@ class TestFlopsEstimate:
         est = md.flops_estimate(config, series)
         h, dh = 4, 8
         for plan, blk in zip(series.plans, est["per_block"]):
-            sizes = plan.sizes()
+            sizes = plan.sizes
             assert sizes.min() < plan.m
             sq = int((sizes**2).sum())
             assert blk["intra"] == h * (2 * dh * sq + (dh - 1) * sq + dh * (sq - int(sizes.sum())))

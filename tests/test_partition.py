@@ -1,4 +1,4 @@
-"""Partitioner quality/structure oracles and the padded layout round trip."""
+"""Partitioner quality/structure oracles, plan files and the row-order round trip."""
 import hashlib
 import itertools
 import json
@@ -89,13 +89,24 @@ class TestPartitionKway:
         assert plan.achieved_factor == pytest.approx(5 / 3)
         plan.validate()  # balance violation is not silent, so this passes
 
-    def test_validate_rejects_padding_before_a_valid_slot(self):
-        plan = pt.plan_from_assign(np.array([0, 0, 0, 1, 1]), 2)
-        plan.validate()
-        plan.gather = np.array([[0, 1, 2], [-1, 3, 4]])  # part 1 starts with padding
-        plan.mask = plan.gather >= 0
-        with pytest.raises(ContractError, match="prefix"):
-            plan.validate()
+    @pytest.mark.parametrize("assign, p, match", [
+        ([0, 2, 1], 2, "labels in"),
+        ([0, -1, 1], 2, "labels in"),
+        ([0, 0, 2], 3, "empty subgraph"),
+        ([], 1, "empty subgraph"),
+    ], ids=["label-past-p", "negative-label", "empty-part", "no-nodes"])
+    def test_plan_rejects_bad_labels_and_empty_parts(self, assign, p, match):
+        with pytest.raises(ContractError, match=match):
+            pt.plan_from_assign(np.array(assign, dtype=np.int64), p)
+
+    def test_plan_derives_order_and_sizes_from_assign(self):
+        plan = pt.plan_from_assign(np.array([2, 0, 1, 0, 2, 2]), 3)
+        assert plan.order.tolist() == [1, 3, 2, 0, 4, 5]
+        assert plan.inverse.tolist() == [3, 0, 2, 1, 4, 5]
+        assert plan.sizes.tolist() == [2, 1, 3] and plan.m == 3
+        assert plan.mask.tolist() == [[True, True, False], [True, False, False], [True] * 3]
+        with pytest.raises(AttributeError):
+            plan.m = 4
 
     def test_coarsening_path_on_larger_graph(self):
         # n=200 with p=2 forces at least one coarsening level (target 64)
@@ -175,17 +186,40 @@ class TestScaleSeries:
                       [234.73305640161627, 185.18351413801054, 117.1157241377305]),
     }
 
-    @pytest.mark.parametrize("graph, p0", [("grid8", 8), ("grid24", 16), ("random200", 8)])
-    def test_series_fingerprint(self, graph, p0):
+    # sha256 of each level's row order as int64 bytes, from the padded-table plans
+    ORDERS = {
+        "grid8": ["0a3ff31e91ceff2583e79314f658195c0a3660bfe08bd533f177ca0c385ace88",
+                  "60070afc978b9111723f797e72d106d2c5d8413e7d04e95b37b6a15b07abc4f8",
+                  "9a0bd3debaa2ea35c6693e0748de6bcb061792fbdd0d321f67bfe004d73f2e50"],
+        "grid24": ["299199c2fb011d739cda53b7124148c9988584432e516926c51b698796235469",
+                   "3dfbfd84c18d58d47bc2a9f787f2e54cf672346eb50cf6a071d1d76ee07815a4",
+                   "b4f0fa81a7c6e40e2fba47e337722983bf4160082f88ec5474a0fb3537189fb0"],
+        "random200": ["be23440aa269944a96538a8592fcd028ce57d58006c70d6000c1567317e2f6a1",
+                      "82e4d9e32f1b6ab714d949fecb6c0239e78e908eed67451ab17ab2014eda9439",
+                      "46fb3f2271ae61042624607b04e193345082d824dd40bc1ba6dcffbdb92153a8"],
+    }
+    GRAPHS = [("grid8", 8), ("grid24", 16), ("random200", 8)]
+
+    @staticmethod
+    def _series(graph, p0):
         if graph == "random200":
             g = random_connected_graph(200, np.random.default_rng(3), extra_edges=300)
         else:
             g = make_grid_graph(int(graph[4:]), int(graph[4:]))
-        series = pt.build_scale_series(g, p0, 3)
+        return pt.build_scale_series(g, p0, 3)
+
+    @pytest.mark.parametrize("graph, p0", GRAPHS)
+    def test_series_fingerprint(self, graph, p0):
+        series = self._series(graph, p0)
         text = json.dumps(series.to_dict(), sort_keys=True, indent=2)
         digest, cuts = self.FINGERPRINTS[graph]
         assert [plan.edge_cut for plan in series.plans] == cuts
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("graph, p0", GRAPHS)
+    def test_series_row_order(self, graph, p0):
+        orders = [plan.order.astype(np.int64).tobytes() for plan in self._series(graph, p0).plans]
+        assert [hashlib.sha256(o).hexdigest() for o in orders] == self.ORDERS[graph]
 
     def test_series_file_roundtrip(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -201,6 +235,25 @@ class TestScaleSeries:
         pt.save_plans(path, loaded)
         assert path.read_bytes() == first
 
+    @pytest.mark.parametrize("edit, match", [
+        (lambda plan: plan.update(achieved_factor=plan["achieved_factor"] + 0.5),
+         "stored achieved_factor"),
+        (lambda plan: plan.update(assign=[0] * 15 + [1, 2, 3], m=15, achieved_factor=3.0),
+         "stored over_balance"),
+        (lambda plan: plan["assign"].__setitem__(0, plan["p"]), "labels in"),
+    ], ids=["tampered-achieved-factor", "lopsided-assign", "label-past-p"])
+    def test_plan_file_disagreeing_with_its_assignment_is_input_error(
+        self, tmp_path, edit, match
+    ):
+        g = random_connected_graph(18, np.random.default_rng(6))
+        path = tmp_path / "series.json"
+        pt.save_plans(path, pt.build_scale_series(g, p0=4, l=1, seed=3))
+        doc = json.loads(path.read_text())
+        edit(doc["plans"][0])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match=match):
+            pt.load_plans(path)
+
 
 class TestApplyRevert:
     def test_identity_single_subgraph(self):
@@ -214,13 +267,12 @@ class TestApplyRevert:
         # row: just the 3 node rows, each subgraph's rows consecutive
         g = path_graph(3)
         plan = pt.partition_kway(g, 2, seed=0)
-        assert plan.m == 2 and plan.mask.sum() == 3
+        assert plan.m == 2 and plan.sizes.sum() == 3
         x = np.arange(6.0).reshape(3, 2)
         out = pt.apply_plan(Tensor(x), plan).data
         assert out.shape == (3, 2)
-        order = plan.gather[plan.mask]
-        np.testing.assert_array_equal(out, x[order])
-        assert (np.diff(plan.assign[order]) >= 0).all()
+        np.testing.assert_array_equal(out, x[plan.order])
+        assert (np.diff(plan.assign[plan.order]) >= 0).all()
 
     def test_roundtrip_random_plan(self):
         rng = np.random.default_rng(7)
