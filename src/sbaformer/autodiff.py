@@ -1,12 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Everything the attention blocks need lives here: batched matmul, elementwise
-arithmetic, shape moves, softmax, fused scaled dot-product attention (over
-all rows, or within runs of consecutive rows), layer norm, GELU, and the row
-moves of the subgraph layout: a row permutation, a mean over each run of
-rows and its adjoint, which repeats a row over its run. All data is 64-bit
-and row-major. matmul and the two attention ops feed a global FLOP counter
-when counting is enabled.
+arithmetic, shape moves, softmax, fused scaled dot-product attention within
+runs of consecutive rows (one run being attention over all rows), layer
+norm, GELU, and the row moves of the subgraph layout: a row permutation, a
+mean over each run of rows and its adjoint, which repeats a row over its
+run. All data is 64-bit and row-major. matmul and attention feed a global
+FLOP counter when counting is enabled.
 
 Gradients are first-order only and are stored on leaf tensors (those created
 with requires_grad=True rather than by an op); intermediate gradients live
@@ -373,52 +373,6 @@ def _softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y * (g - inner)
 
 
-def attention(q, k, v):
-    """softmax(q k^T / sqrt(d_head)) v over the last two axes, as one tape node.
-
-    q is (..., s_q, d_head), k is (..., s_k, d_head) and v is (..., s_k, d_v);
-    leading axes broadcast. Returns (output, weights): weights is an
-    untracked tensor whose rows sum to one. The values and gradients equal
-    those of matmul, mul by the scale, softmax and matmul applied in turn;
-    the backward reuses the stored weights instead of four tape nodes.
-    """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if (
-        min(q.data.ndim, k.data.ndim, v.data.ndim) < 2
-        or q.data.shape[-1] != k.data.shape[-1]
-        or k.data.shape[-2] != v.data.shape[-2]
-    ):
-        raise ShapeError(
-            f"attention needs q (..., s_q, d), k (..., s_k, d), v (..., s_k, d_v); "
-            f"got {q.data.shape}, {k.data.shape} and {v.data.shape}"
-        )
-    scale = 1.0 / math.sqrt(q.data.shape[-1])
-    kt = np.swapaxes(k.data, -1, -2)
-    scores = np.matmul(q.data, kt)
-    _count_matmul(q.data, kt, scores)
-    scores *= scale
-    _finite(scores, "attention")
-    weights = _softmax_rows(scores)
-    data = np.matmul(weights, v.data)
-    _count_matmul(weights, v.data, data)
-
-    def backward(g):
-        gq = gk = gv = None
-        if v.requires_grad:
-            gv = _unbroadcast(np.matmul(np.swapaxes(weights, -1, -2), g), v.data.shape)
-        if q.requires_grad or k.requires_grad:
-            gs = _softmax_backward(np.matmul(g, np.swapaxes(v.data, -1, -2)), weights)
-            gs *= scale
-            if q.requires_grad:
-                gq = _unbroadcast(np.matmul(gs, k.data), q.data.shape)
-            if k.requires_grad:
-                gkt = np.matmul(np.swapaxes(q.data, -1, -2), gs)
-                gk = np.swapaxes(_unbroadcast(gkt, kt.shape), -1, -2)
-        return gq, gk, gv
-
-    return _from_op(data, "attention", (q, k, v), backward), Tensor(weights)
-
-
 def _runs(sizes) -> tuple:
     """(sizes, starts) of consecutive row runs; every run holds at least one row."""
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -432,25 +386,26 @@ def _check_rows(x: np.ndarray, rows: int, op: str):
         raise ShapeError(f"{op} expects (..., {rows}, d), got {x.shape}")
 
 
-def subgraph_attention(q, k, v, sizes):
-    """Attention within each run of consecutive rows, at each run's exact size.
+def attention(q, k, v, sizes):
+    """Scaled dot-product attention within each run of consecutive rows.
 
-    q and k are (..., h, n, d_head) and v is (..., h, n, d_v); sizes splits
-    the n rows into consecutive runs, one per subgraph, and must sum to n.
-    Run i computes softmax(q k^T / sqrt(d_head)) v over its own rows only, so
-    no mask is needed. Returns (output, weights), weights being a list of
-    arrays (..., h, sizes[i], sizes[i]) whose rows sum to one. The backward
-    reuses them run by run.
+    q and k are (..., n, d_head) and v is (..., n, d_v); sizes splits the n
+    rows into consecutive runs and must sum to n. Run i computes
+    softmax(q k^T / sqrt(d_head)) v over its own rows only, at its exact
+    size, so no mask is needed; sizes [n] is attention over all rows.
+    Returns (output, weights), weights being a list of arrays
+    (..., sizes[i], sizes[i]) whose rows sum to one. The backward reuses them
+    run by run instead of replaying matmul, scale, softmax and matmul.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     shape = q.data.shape
     if k.data.shape != shape or v.data.shape[:-1] != shape[:-1]:
         raise ShapeError(
-            f"subgraph_attention needs q and k (..., n, d) and v (..., n, d_v); got "
+            f"attention needs q and k (..., n, d) and v (..., n, d_v); got "
             f"{q.data.shape}, {k.data.shape} and {v.data.shape}"
         )
     sizes, starts = _runs(sizes)
-    _check_rows(q.data, int(sizes.sum()), "subgraph_attention")
+    _check_rows(q.data, int(sizes.sum()), "attention")
     scale = 1.0 / math.sqrt(shape[-1])
     runs = [(..., slice(a, a + s), slice(None)) for a, s in zip(starts.tolist(), sizes.tolist())]
     data = np.empty(v.data.shape)
@@ -461,7 +416,7 @@ def subgraph_attention(q, k, v, sizes):
         scores = np.matmul(qi, kt)
         _count_matmul(qi, kt, scores)
         scores *= scale
-        _finite(scores, "subgraph_attention")
+        _finite(scores, "attention")
         w = _softmax_rows(scores)
         out = np.matmul(w, vi)
         _count_matmul(w, vi, out)
@@ -483,7 +438,7 @@ def subgraph_attention(q, k, v, sizes):
                     gk[run] = np.matmul(np.swapaxes(gs, -1, -2), q.data[run])
         return gq, gk, gv
 
-    return _from_op(data, "subgraph_attention", (q, k, v), backward), weights
+    return _from_op(data, "attention", (q, k, v), backward), weights
 
 
 def segment_mean(x, sizes) -> Tensor:

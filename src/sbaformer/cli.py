@@ -54,9 +54,12 @@ from .training import TrainConfig, evaluate, train
 
 def _positive_int_list(text: str):
     try:
-        return [int(v) for v in text.split(",") if v]
+        values = [int(v) for v in text.split(",") if v]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if min(values, default=1) < 1:
+        raise argparse.ArgumentTypeError(f"entries must be >= 1, got {text}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,6 +314,8 @@ def _bench_one(mode: str, n: int, m: int, d: int, heads: int) -> dict:
 
 def cmd_bench(args) -> int:
     modes = ("sba", "dense") if args.mode == "both" else (args.mode,)
+    if args.m < 1:
+        raise InputError(f"--m must be >= 1, got {args.m}")
     for n in args.n_list:
         if "sba" in modes and n % args.m != 0:
             raise InputError(f"n={n} must be a multiple of m={args.m} in sba mode")

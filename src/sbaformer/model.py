@@ -15,7 +15,7 @@ per-row stage costs n rows.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,12 +40,13 @@ class ModelConfig:
     ffn_mult: int = 4
 
     def __post_init__(self):
+        small = [name for name, value in vars(self).items() if value < 1]
+        if small:
+            raise ConfigError(f"model sizes must be >= 1: {', '.join(small)}")
         if self.d_model % self.heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} must be divisible by heads={self.heads}"
             )
-        if self.f < 1 or self.t < 1 or self.l < 1:
-            raise ConfigError("t, f, and l must all be >= 1")
 
     @property
     def d_head(self) -> int:
@@ -195,13 +196,16 @@ def _merge_heads(x: Tensor) -> Tensor:
     return ad.reshape(out, out.shape[:-2] + (out.shape[-2] * out.shape[-1],))
 
 
-def _attn_sublayer(x: Tensor, prm: AttnParams, heads: int, attend):
-    """x + attention of the layer-normed x; `attend(q, k, v)` returns (out, weights)."""
+def _attn_sublayer(x: Tensor, prm: AttnParams, heads: int, sizes):
+    """x + attention of the layer-normed x within each run of `sizes` rows.
+
+    Returns (y, alpha), alpha holding each run's (..., heads, s, s) weights.
+    """
     h = ad.layer_norm(x, prm.ln1_gamma, prm.ln1_beta)
     q = _split_heads(ad.matmul(h, prm.wq), heads)
     k = _split_heads(ad.matmul(h, prm.wk), heads)
     v = _split_heads(ad.matmul(h, prm.wv), heads)
-    att, alpha = attend(q, k, v)
+    att, alpha = ad.attention(q, k, v, sizes)
     return ad.add(x, _merge_heads(att)), alpha
 
 
@@ -219,10 +223,7 @@ def intra_attention(xp: Tensor, valid, prm: AttnParams, heads: int):
     (y, alpha) with alpha a list of p arrays (..., heads, s_i, s_i), s_i the
     size of subgraph i.
     """
-    sizes = prefix_sizes(valid)
-    u, alpha = _attn_sublayer(
-        xp, prm, heads, lambda q, k, v: ad.subgraph_attention(q, k, v, sizes)
-    )
+    u, alpha = _attn_sublayer(xp, prm, heads, prefix_sizes(valid))
     return _ffn_sublayer(u, prm), alpha
 
 
@@ -232,8 +233,12 @@ def pool_subgraphs(y: Tensor, valid) -> Tensor:
 
 
 def inter_attention(s: Tensor, prm: AttnParams, heads: int):
-    """Full self-attention across the p subgraph summaries, same wrapping as intra."""
-    u, alpha = _attn_sublayer(s, prm, heads, ad.attention)
+    """Self-attention across all p subgraph summaries, same wrapping as intra.
+
+    s is (..., p, d); the p rows form one run. Returns (y, alpha) with alpha
+    a one-element list holding the (..., heads, p, p) weights.
+    """
+    u, alpha = _attn_sublayer(s, prm, heads, [s.shape[-2]])
     return _ffn_sublayer(u, prm), alpha
 
 
@@ -261,13 +266,13 @@ def sba_block(
     return ad.add(revert_plan(fused, plan), x)
 
 
-def _capture_block(alpha: list, alpha2: Tensor) -> dict:
+def _capture_block(alpha: list, alpha2: list) -> dict:
     """Head-averaged attention maps at valid sizes, for dump/inspection."""
-    if alpha2.data.ndim != 3:
+    if alpha2[0].ndim != 3:
         raise ContractError("attention capture expects a single unbatched window")
     return {
         "intra": [a.mean(axis=0) for a in alpha],  # each (h, s_i, s_i) -> (s_i, s_i)
-        "inter": alpha2.data.mean(axis=0),
+        "inter": alpha2[0].mean(axis=0),
     }
 
 
@@ -369,9 +374,10 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
     Only the two attention matmuls count (scores and weights-times-values);
     the per-node projections are linear in n and excluded on both sides. The
     intra term sums each subgraph at its exact size s_i, which is what the
-    model computes; padding adds nothing. The measured pass drives the two
-    attention ops on dummy tensors of the real shapes with the counter on,
-    so the two columns must agree.
+    model computes; padding adds nothing. The measured pass drives the
+    attention op on dummy tensors of the real shapes with the counter on,
+    once with the subgraph runs and once with the p summaries as one run, so
+    the two columns must agree.
     """
     h, dh = config.heads, config.d_head
     rng = np.random.default_rng(0)
@@ -397,11 +403,11 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
                 q = Tensor(rng.standard_normal((h, plan.n, dh)))
                 k = Tensor(rng.standard_normal((h, plan.n, dh)))
                 v = Tensor(rng.standard_normal((h, plan.n, dh)))
-                ad.subgraph_attention(q, k, v, sizes)
+                ad.attention(q, k, v, sizes)
                 qs = Tensor(rng.standard_normal((h, plan.p, dh)))
                 ks = Tensor(rng.standard_normal((h, plan.p, dh)))
                 vs = Tensor(rng.standard_normal((h, plan.p, dh)))
-                ad.attention(qs, ks, vs)
+                ad.attention(qs, ks, vs, [plan.p])
     measured = ad.flops.report()
     closed_total = closed_mults + closed_adds
     return {

@@ -84,21 +84,17 @@ class PartitionPlan:
         """(p, m) table, True on the first sizes[i] slots of row i."""
         return np.arange(self.m) < self.sizes[:, None]
 
-    def validate(self, g: SpatialGraph | None = None):
-        """Check the balance flag and, given the graph, the stored edge cut.
+    def validate(self, g: SpatialGraph):
+        """Check the stored edge cut against the one recomputed on g.
 
         Construction already guarantees that each node lies in exactly one
-        non-empty subgraph; raises ContractError on violation.
+        non-empty subgraph, and over_balance is derived from the sizes, so
+        the edge cut is the one stored value left to check. Raises
+        ContractError on violation.
         """
-        cap = self.balance_factor * math.ceil(self.n / self.p)
-        if self.m > cap + 1e-9 and not self.over_balance:
-            raise ContractError(f"balance violated silently: max size {self.m} > {cap}")
-        if g is not None:
-            cut = _edge_cut(g, self.assign)
-            if abs(cut - self.edge_cut) > 1e-9 * max(1.0, abs(cut)):
-                raise ContractError(
-                    f"stored edge_cut {self.edge_cut} != recomputed {cut}"
-                )
+        cut = _edge_cut(g, self.assign)
+        if abs(cut - self.edge_cut) > 1e-9 * max(1.0, abs(cut)):
+            raise ContractError(f"stored edge_cut {self.edge_cut} != recomputed {cut}")
 
     def to_dict(self) -> dict:
         return {
@@ -138,17 +134,29 @@ class ScaleSeries:
         return len(self.plans)
 
     def validate(self, g: SpatialGraph | None = None):
-        for plan in self.plans:
-            plan.validate(g)
-        for i in range(1, len(self.plans)):
-            prev, cur = self.plans[i - 1], self.plans[i]
+        """Check halving, the merge maps and nesting, and, given g, each edge cut.
+
+        Raises ContractError on violation.
+        """
+        if len(self.merge_maps) != len(self.plans) - 1:
+            raise ContractError(
+                f"got {len(self.merge_maps)} merge maps for {len(self.plans)} levels"
+            )
+        levels = zip(self.plans, self.plans[1:], self.merge_maps)
+        for i, (prev, cur, mapping) in enumerate(levels, start=1):
             if cur.p != math.ceil(prev.p / 2):
                 raise ContractError(
                     f"halving violated at level {i}: {prev.p} -> {cur.p}"
                 )
-            mapping = self.merge_maps[i - 1]
+            if mapping.shape != (prev.p,) or ((mapping < 0) | (mapping >= cur.p)).any():
+                raise ContractError(
+                    f"merge map {i - 1} must hold {prev.p} labels in [0, {cur.p})"
+                )
             if not np.array_equal(cur.assign, mapping[prev.assign]):
                 raise ContractError(f"level {i} is not a union of level {i - 1} groups")
+        if g is not None:
+            for plan in self.plans:
+                plan.validate(g)
 
     def to_dict(self) -> dict:
         return {
@@ -523,14 +531,11 @@ def revert_plan(y, plan: PartitionPlan) -> Tensor:
 
 
 def _plan_from_dict(doc: dict) -> PartitionPlan:
-    """Plan of a plan-file entry; ValueError (exit 2 through read_json) when
-    the assignment is invalid or a stored value disagrees with it."""
-    try:
-        plan = PartitionPlan(
-            doc["assign"], doc["p"], float(doc["edge_cut"]), doc["balance_factor"], doc["seed"]
-        )
-    except ContractError as exc:
-        raise ValueError(str(exc)) from None
+    """Plan of a plan-file entry; ValueError when a stored value disagrees
+    with the assignment, ContractError when the assignment is invalid."""
+    plan = PartitionPlan(
+        doc["assign"], doc["p"], float(doc["edge_cut"]), doc["balance_factor"], doc["seed"]
+    )
     for key in ("n", "m", "achieved_factor", "over_balance"):
         if doc[key] != getattr(plan, key):
             raise ValueError(f"stored {key} {doc[key]!r} != {getattr(plan, key)!r} from assign")
@@ -542,12 +547,18 @@ def save_plans(path, series: ScaleSeries):
 
 
 def _series_from_dict(doc: dict) -> ScaleSeries:
-    plans = [_plan_from_dict(d) for d in doc["plans"]]
-    maps = [np.asarray(m, dtype=np.int64) for m in doc["merge_maps"]]
-    return ScaleSeries(plans=plans, merge_maps=maps)
+    """The checked series of a plan file; an invalid plan, merge map or level
+    raises ValueError, which read_json reports as HeaderMismatchError (exit 2)."""
+    try:
+        series = ScaleSeries(
+            plans=[_plan_from_dict(d) for d in doc["plans"]],
+            merge_maps=[np.asarray(m, dtype=np.int64) for m in doc["merge_maps"]],
+        )
+        series.validate()
+    except ContractError as exc:
+        raise ValueError(str(exc)) from None
+    return series
 
 
 def load_plans(path) -> ScaleSeries:
-    series = read_json(path, _series_from_dict)
-    series.validate()
-    return series
+    return read_json(path, _series_from_dict)

@@ -220,3 +220,28 @@ def test_only_artifacts_opens_files_for_writing():
     ]
     assert offenders == []
     assert list(_write_calls(ast.parse((src / "artifacts.py").read_text())))
+
+
+def _unused_imports(tree):
+    """(line, name) of each name a module imports and never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_an_unused_name():
+    src = Path(sbaformer.__file__).parent
+    offenders = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(ast.parse(path.read_text()))
+    ]
+    assert offenders == []

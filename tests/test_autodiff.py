@@ -122,9 +122,9 @@ class TestFlopCounter:
 
         def run():
             qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
-            out, weights = ad.attention(qt, kt, vt)
+            out, weights = ad.attention(qt, kt, vt, [2, 3])
             ad.tensor_sum(ad.mul(out, out)).backward()
-            return [out.data, weights.data, qt.grad, kt.grad, vt.grad]
+            return [out.data, *weights, qt.grad, kt.grad, vt.grad]
 
         plain = run()
         with ad.flops.counting():
@@ -157,7 +157,7 @@ class TestMaskedSoftmax:
 
 
 def unfused_attention(q, k, v):
-    """The four-op chain ad.attention replaces."""
+    """The four-op chain ad.attention replaces within each run."""
     scale = 1.0 / np.sqrt(q.shape[-1])
     alpha = ad.softmax(ad.mul(ad.matmul(q, ad.swapaxes(k, -1, -2)), scale))
     return ad.matmul(alpha, v), alpha
@@ -171,19 +171,25 @@ class TestAttention:
         return [out.data, alpha.data, qt.grad, kt.grad, vt.grad]
 
     def test_matches_unfused_chain_bit_for_bit(self):
-        # (batch, heads, s, d_head) inputs, as inter attention sees them
+        # (batch, heads, s, d_head) inputs as one run, as inter attention sees them
         q, k, v = np.random.default_rng(12).standard_normal((3, 3, 2, 5, 4))
         weights = np.random.default_rng(13).standard_normal(q.shape)
-        fused = self._run(ad.attention, q, k, v, weights)
+
+        def one_run(qt, kt, vt):
+            out, alpha = ad.attention(qt, kt, vt, [5])
+            return out, Tensor(alpha[0])
+
+        fused = self._run(one_run, q, k, v, weights)
         chain = self._run(unfused_attention, q, k, v, weights)
         for a, b in zip(fused, chain):
             assert np.array_equal(a, b)
 
     def test_extent_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            ad.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 5))), Tensor(np.ones((3, 2))))
+            ad.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 5))),
+                         Tensor(np.ones((3, 2))), [3])
         with pytest.raises(ShapeError):
-            ad.attention(Tensor(np.ones(4)), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 2))))
+            ad.attention(Tensor(np.ones(4)), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 2))), [3])
 
 
 class TestSubgraphAttention:
@@ -197,12 +203,12 @@ class TestSubgraphAttention:
     def test_each_part_matches_attention_on_its_slice(self):
         q, k, v = self._leaves(20)
         weights = np.random.default_rng(21).standard_normal(q.shape)
-        out, alpha = ad.subgraph_attention(q, k, v, self.SIZES)
+        out, alpha = ad.attention(q, k, v, self.SIZES)
         ad.tensor_sum(ad.mul(out, Tensor(weights))).backward()
         for i, (a, s) in enumerate(zip([0, 5, 6], self.SIZES)):
             part = (..., slice(a, a + s), slice(None))
             qs, ks, vs = (Tensor(t.data[part], requires_grad=True) for t in (q, k, v))
-            ref, ref_alpha = ad.attention(qs, ks, vs)
+            ref, ref_alpha = unfused_attention(qs, ks, vs)
             ad.tensor_sum(ad.mul(ref, Tensor(weights[part]))).backward()
             got = [out.data[part], alpha[i], q.grad[part], k.grad[part], v.grad[part]]
             want = [ref.data, ref_alpha.data, qs.grad, ks.grad, vs.grad]
@@ -212,15 +218,15 @@ class TestSubgraphAttention:
     def test_empty_part_raises(self):
         q, k, v = self._leaves(22)
         with pytest.raises(DegenerateMaskError):
-            ad.subgraph_attention(q, k, v, [5, 0, 4])
+            ad.attention(q, k, v, [5, 0, 4])
 
     def test_bad_sizes_or_shapes_raise(self):
         q, k, v = self._leaves(23)
         for sizes in ([5, 1], [6, 1, 3], []):  # 6, 10 and 0 rows for 9
             with pytest.raises(ShapeError):
-                ad.subgraph_attention(q, k, v, sizes)
+                ad.attention(q, k, v, sizes)
         with pytest.raises(ShapeError):
-            ad.subgraph_attention(q, Tensor(k.data[..., :3]), v, self.SIZES)
+            ad.attention(q, Tensor(k.data[..., :3]), v, self.SIZES)
 
 
 def uneven_runs(n):
@@ -231,13 +237,13 @@ def uneven_runs(n):
     return sizes
 
 
-def subgraph_case(x, aux):
+def attention_runs_case(x, aux):
     """x (a, b) as a heads over b rows of width 4, split into uneven runs."""
     a, b = x.shape
     cols = [x, ad.mul(x, Tensor(aux)), ad.gelu(x), ad.mul(x, x)]
     q = ad.concat([ad.reshape(c, (a, b, 1)) for c in cols], axis=-1)
     k = ad.mul(q, Tensor(aux[:, :, None]))
-    return ad.subgraph_attention(q, k, ad.gelu(q), uneven_runs(b))[0]
+    return ad.attention(q, k, ad.gelu(q), uneven_runs(b))[0]
 
 
 class TestSegmentMean:
@@ -401,8 +407,10 @@ class TestGradientSoundness:
         "concat": lambda x, aux: ad.concat([x, ad.mul(x, Tensor(aux))], axis=-1),
         "swapaxes": lambda x, aux: ad.swapaxes(ad.mul(x, x), -1, -2),
         "abs": lambda x, aux: ad.tensor_abs(x),
-        "attention": lambda x, aux: ad.attention(x, ad.mul(x, Tensor(aux)), ad.gelu(x))[0],
-        "subgraph_attention": subgraph_case,
+        "attention": lambda x, aux: ad.attention(
+            x, ad.mul(x, Tensor(aux)), ad.gelu(x), [x.shape[-2]]
+        )[0],
+        "attention_runs": attention_runs_case,
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))

@@ -249,6 +249,16 @@ class TestTrainEvalCommands:
         assert f"{key} must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_zero_heads_exit_2(self, run_config, tmp_path, capsys):
+        config_path, _ = run_config
+        cfg = json.loads(config_path.read_text())
+        cfg["model"]["heads"] = 0
+        cfg["paths"]["out_dir"] = str(tmp_path / "out")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(bad)]) == 2
+        assert "model sizes must be >= 1: heads" in capsys.readouterr().err
+
     def test_strict_schema_violation_exit_2(self, run_config, tmp_path, capsys):
         config_path, _ = run_config
         cfg = json.loads(config_path.read_text())
@@ -277,6 +287,17 @@ class TestBenchCommand:
         assert sba[128] / sba[64] < 3.0
         for r in rows:
             assert abs(float(r["flops_measured"]) / float(r["flops_closed_form"]) - 1) <= 0.01
+
+    def test_zero_m_exit_2(self, tmp_path, capsys):
+        rc = main(["bench", "--n-list", "64", "--m", "0", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "--m must be >= 1" in capsys.readouterr().err
+
+    def test_n_list_entry_below_one_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--n-list", "64,0", "--out", str(tmp_path / "x.csv")])
+        assert exit_info.value.code == 2
+        assert "entries must be >= 1" in capsys.readouterr().err
 
     def test_sba_requires_divisible_n(self, tmp_path, capsys):
         rc = main(["bench", "--n-list", "100", "--m", "32", "--mode", "sba",

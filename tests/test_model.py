@@ -9,7 +9,7 @@ from sbaformer import model as md
 from sbaformer import partition as pt
 from sbaformer.autodiff import Tensor
 from sbaformer.data import make_grid_graph
-from sbaformer.errors import ContractError, ShapeError
+from sbaformer.errors import ConfigError, ContractError, ShapeError
 from sbaformer.graph import laplacian_pe
 from sbaformer.partition import build_scale_series, plan_from_assign, uniform_plan
 
@@ -130,7 +130,7 @@ class TestInterAttention:
         prm = branch_params(d, 2, rng)
         s = rng.standard_normal((1, d))
         out, alpha = md.inter_attention(Tensor(s), prm, 2)
-        np.testing.assert_allclose(alpha.data, 1.0, atol=1e-15)
+        np.testing.assert_allclose(alpha[0], 1.0, atol=1e-15)
         expected, _ = oracle_dense_attention_branch(s, prm, 2)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -140,7 +140,7 @@ class TestInterAttention:
         prm = branch_params(d, 2, rng)
         s = np.tile(rng.standard_normal(d), (6, 1))
         _, alpha = md.inter_attention(Tensor(s), prm, 2)
-        np.testing.assert_allclose(alpha.data, 1.0 / 6.0, atol=1e-12)
+        np.testing.assert_allclose(alpha[0], 1.0 / 6.0, atol=1e-12)
 
     def test_matches_dense_oracle_for_singleton_pooling(self):
         for seed in range(4):
@@ -420,7 +420,7 @@ class TestFlopsEstimate:
         q, k, v = rng.standard_normal((3, p, h, m, dh))
         ad.flops.reset()
         with ad.flops.counting():
-            ad.attention(Tensor(q), Tensor(k), Tensor(v))
+            ad.attention(Tensor(q), Tensor(k), Tensor(v), [m])
         assert (ad.flops.mults, ad.flops.adds) == md._attention_flops(p * h, m, dh)
 
     def test_subgraph_attention_counts_each_part_at_its_size(self):
@@ -430,7 +430,7 @@ class TestFlopsEstimate:
         q, k, v = rng.standard_normal((3, h, sum(sizes), dh))
         ad.flops.reset()
         with ad.flops.counting():
-            ad.subgraph_attention(Tensor(q), Tensor(k), Tensor(v), sizes)
+            ad.attention(Tensor(q), Tensor(k), Tensor(v), sizes)
         parts = [md._attention_flops(h, s, dh) for s in sizes]
         assert (ad.flops.mults, ad.flops.adds) == tuple(map(sum, zip(*parts)))
 
@@ -455,6 +455,15 @@ class TestFlopsEstimate:
             p = int(rng.choice([1, 2, 4, 8]))
             est = md.flops_estimate(self._config(n, p, d=32, heads=2), self._series(n, p))
             assert est["measured_total"] == est["closed_total"]
+
+
+class TestModelConfig:
+    SIZES = dict(n=8, t=6, c=2, f=3, d_model=16, l=2, heads=4, p0=2, k_pe=4, ffn_mult=4)
+
+    @pytest.mark.parametrize("name, value", [(name, 0) for name in SIZES] + [("heads", -2)])
+    def test_size_below_one_is_config_error(self, name, value):
+        with pytest.raises(ConfigError, match=f"must be >= 1: {name}$"):
+            md.ModelConfig(**{**self.SIZES, name: value})
 
 
 class TestParamsAndCheckpoint:

@@ -10,7 +10,7 @@ import pytest
 from sbaformer import partition as pt
 from sbaformer.autodiff import Tensor
 from sbaformer.data import make_grid_graph
-from sbaformer.errors import ContractError, InputError, ShapeError
+from sbaformer.errors import ContractError, HeaderMismatchError, InputError, ShapeError
 from sbaformer.graph import SpatialGraph
 
 from test_graph import clique_edges, random_connected_graph
@@ -87,7 +87,6 @@ class TestPartitionKway:
         plan = pt.plan_from_assign(np.array([0, 0, 0, 0, 0, 1]), 2)
         assert plan.over_balance
         assert plan.achieved_factor == pytest.approx(5 / 3)
-        plan.validate()  # balance violation is not silent, so this passes
 
     @pytest.mark.parametrize("assign, p, match", [
         ([0, 2, 1], 2, "labels in"),
@@ -236,22 +235,31 @@ class TestScaleSeries:
         assert path.read_bytes() == first
 
     @pytest.mark.parametrize("edit, match", [
-        (lambda plan: plan.update(achieved_factor=plan["achieved_factor"] + 0.5),
+        (lambda doc: doc["plans"][0].update(
+            achieved_factor=doc["plans"][0]["achieved_factor"] + 0.5),
          "stored achieved_factor"),
-        (lambda plan: plan.update(assign=[0] * 15 + [1, 2, 3], m=15, achieved_factor=3.0),
+        (lambda doc: doc["plans"][0].update(
+            assign=[0] * 15 + [1, 2, 3], m=15, achieved_factor=3.0),
          "stored over_balance"),
-        (lambda plan: plan["assign"].__setitem__(0, plan["p"]), "labels in"),
-    ], ids=["tampered-achieved-factor", "lopsided-assign", "label-past-p"])
+        (lambda doc: doc["plans"][0]["assign"].__setitem__(0, 4), "labels in"),
+        (lambda doc: doc["merge_maps"][0].__delitem__(slice(2, None)), "merge map 0 must"),
+        (lambda doc: doc["merge_maps"][0].__setitem__(0, 1 - doc["merge_maps"][0][0]),
+         "not a union"),
+        (lambda doc: (doc["plans"].append(doc["plans"][1]), doc["merge_maps"].append([0, 1])),
+         "halving violated"),
+        (lambda doc: doc["merge_maps"].pop(), "0 merge maps for 2 levels"),
+    ], ids=["tampered-achieved-factor", "lopsided-assign", "label-past-p", "short-merge-map",
+            "wrong-merge-map", "repeated-level", "missing-merge-map"])
     def test_plan_file_disagreeing_with_its_assignment_is_input_error(
         self, tmp_path, edit, match
     ):
         g = random_connected_graph(18, np.random.default_rng(6))
         path = tmp_path / "series.json"
-        pt.save_plans(path, pt.build_scale_series(g, p0=4, l=1, seed=3))
+        pt.save_plans(path, pt.build_scale_series(g, p0=4, l=2, seed=3))
         doc = json.loads(path.read_text())
-        edit(doc["plans"][0])
+        edit(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(InputError, match=match):
+        with pytest.raises(HeaderMismatchError, match=match):
             pt.load_plans(path)
 
 
