@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -142,35 +143,50 @@ def _build_graph(cfg, n: int):
     raise InputError(f"unknown graph.builder {gc['builder']!r}")
 
 
-def _assemble(cfg):
-    """Dataset, scale series, and positional encoding for a validated config."""
-    dc = cfg["data"]
+def _assemble(cfg, checkpoint=None):
+    """Dataset, positional encoding and model of a validated run config.
+
+    The cheap checks run first: the series shape and the model section give
+    the ModelConfig, and a checkpoint's config must equal it field by field
+    (InputError naming the fields that differ). Only then are the graph, the
+    scale series and the encoding built. Without a checkpoint the model is
+    freshly initialized from train.seed.
+    """
+    dc, mcfg, pc = cfg["data"], cfg["model"], cfg["partition"]
     series, meta = load_series(dc["series"], dc["format"])
-    graph = _build_graph(cfg, series.shape[0])
+    mc = ModelConfig(
+        n=series.shape[0],
+        t=mcfg["t"],
+        c=series.shape[2],
+        f=mcfg["f"],
+        d_model=mcfg["d_model"],
+        l=mcfg["l"],
+        heads=mcfg["heads"],
+        p0=pc["p0"],
+        k_pe=cfg["pe"]["k"],
+        ffn_mult=mcfg["ffn_mult"],
+    )
+    params, seed = None, cfg["train"]["seed"]
+    if checkpoint is not None:
+        params, ck_config, seed = load_checkpoint(checkpoint)
+        ours, theirs = asdict(mc), asdict(ck_config)
+        differ = [f"{k} (checkpoint {theirs[k]}, run {ours[k]})"
+                  for k in ours if theirs[k] != ours[k]]
+        if differ:
+            raise InputError(
+                f"{checkpoint}: checkpoint config does not match the run config: "
+                + ", ".join(differ)
+            )
+    graph = _build_graph(cfg, mc.n)
     dataset = Dataset(
         series=series,
         graph=graph,
         freq_minutes=meta["freq_minutes"] if meta else dc["freq_minutes"],
         name=meta["name"] if meta else dc["name"],
     )
-    pc = cfg["partition"]
-    series_plans = build_scale_series(
-        graph, pc["p0"], cfg["model"]["l"], pc["balance_factor"], pc["seed"]
-    )
-    pe = laplacian_pe(graph, cfg["pe"]["k"], cfg["pe"]["block_limit"])
-    mc = ModelConfig(
-        n=dataset.n,
-        t=cfg["model"]["t"],
-        c=dataset.c,
-        f=cfg["model"]["f"],
-        d_model=cfg["model"]["d_model"],
-        l=cfg["model"]["l"],
-        heads=cfg["model"]["heads"],
-        p0=pc["p0"],
-        k_pe=cfg["pe"]["k"],
-        ffn_mult=cfg["model"]["ffn_mult"],
-    )
-    return dataset, series_plans, pe, mc
+    plans = build_scale_series(graph, mc.p0, mc.l, pc["balance_factor"], pc["seed"])
+    pe = laplacian_pe(graph, mc.k_pe, cfg["pe"]["block_limit"])
+    return dataset, pe, SbaTransformer(mc, plans, pe.vectors, params=params, seed=seed)
 
 
 def _train_config(cfg) -> TrainConfig:
@@ -230,17 +246,15 @@ def cmd_train(args) -> int:
         cfg["train"]["seed"] = args.seed
     if args.max_epochs is not None:
         cfg["train"]["max_epochs"] = args.max_epochs
-    train_config = _train_config(cfg)  # a bad value exits before any set-up work
+    train_config = _train_config(cfg)
+    dataset, pe, model = _assemble(cfg)  # a bad config fails before out_dir exists
     out_dir = cfg["paths"]["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     write_effective_config(cfg, os.path.join(out_dir, "effective_config.json"))
-
-    dataset, plans, pe, mc = _assemble(cfg)
     save_pe(os.path.join(out_dir, "pe.bin"), pe, dataset.graph, cfg["pe"]["block_limit"])
-    save_plans(os.path.join(out_dir, "scale_series.json"), plans)
-    model = SbaTransformer(mc, plans, pe.vectors, seed=cfg["train"]["seed"])
+    save_plans(os.path.join(out_dir, "scale_series.json"), model.series)
     best, history, timings = train(model, dataset, train_config)
-    save_checkpoint(os.path.join(out_dir, "checkpoint"), best, mc, cfg["train"]["seed"])
+    save_checkpoint(os.path.join(out_dir, "checkpoint"), best, model.config, model.seed)
     write_jsonl(os.path.join(out_dir, "history.jsonl"), history)
     write_jsonl(os.path.join(out_dir, "timing.jsonl"), ({"seconds": s} for s in timings))
     done = [h for h in history if "val_mae" in h]
@@ -268,11 +282,7 @@ def _horizon_table(report: dict) -> str:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
-    dataset, plans, pe, mc = _assemble(cfg)
-    params, ck_config, seed = load_checkpoint(args.checkpoint)
-    if ck_config != mc:
-        raise ContractError("checkpoint config does not match the run config")
-    model = SbaTransformer(mc, plans, pe.vectors, params=params, seed=seed)
+    dataset, _, model = _assemble(cfg, args.checkpoint)
     report = evaluate(model, dataset, args.split)
     out_dir = cfg["paths"]["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -346,13 +356,9 @@ def _csv_cell(v) -> str:
 
 def cmd_dump_attention(args) -> int:
     cfg = load_config(args.config)
-    dataset, plans, pe, mc = _assemble(cfg)
-    params, ck_config, seed = load_checkpoint(args.checkpoint)
-    if ck_config != mc:
-        raise ContractError("checkpoint config does not match the run config")
-    model = SbaTransformer(mc, plans, pe.vectors, params=params, seed=seed)
+    dataset, _, model = _assemble(cfg, args.checkpoint)
 
-    _, series_norm, by_split = split_setup(dataset, mc.t, mc.f)
+    _, series_norm, by_split = split_setup(dataset, model.config.t, model.config.f)
     windows = by_split[args.split]
     if not 0 <= args.window < len(windows):
         raise InputError(

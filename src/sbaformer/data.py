@@ -22,7 +22,7 @@ from .errors import (
     NodeCountError,
     ShapeError,
 )
-from .graph import SpatialGraph, build_epsilon_graph, connected_components, load_coords, load_graph
+from .graph import SpatialGraph, build_epsilon_graph, connected_components
 
 log = logging.getLogger(__name__)
 
@@ -281,30 +281,6 @@ def load_series(path, fmt: str = "bin"):
     if np.isnan(series).any():
         raise NanPayloadError(f"{path}: payload contains NaN")
     return series, meta
-
-
-def load_dataset(
-    series_path,
-    graph_path,
-    coords_path=None,
-    schema: str = "bin",
-    freq_minutes: int | None = None,
-    name: str | None = None,
-) -> Dataset:
-    """Load and cross-validate a series file plus its graph (and coordinates)."""
-    series, meta = load_series(series_path, schema)
-    graph = load_graph(graph_path, n=series.shape[0])
-    if coords_path is not None:
-        graph = SpatialGraph(graph.n, *graph.edge_arrays(), load_coords(coords_path, graph.n))
-    if meta is not None:
-        freq_minutes = meta["freq_minutes"] if freq_minutes is None else freq_minutes
-        name = meta["name"] if name is None else name
-    return Dataset(
-        series=series,
-        graph=graph,
-        freq_minutes=15 if freq_minutes is None else freq_minutes,
-        name="dataset" if name is None else name,
-    )
 
 
 # ---------------------------------------------------------------------------

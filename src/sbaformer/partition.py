@@ -182,10 +182,7 @@ def uniform_plan(n: int, p: int) -> PartitionPlan:
     if not 1 <= p <= n:
         raise InputError(f"p must lie in [1, {n}], got {p}")
     bounds = np.linspace(0, n, p + 1).round().astype(np.int64)
-    assign = np.zeros(n, dtype=np.int64)
-    for part in range(p):
-        assign[bounds[part] : bounds[part + 1]] = part
-    return plan_from_assign(assign, p)
+    return plan_from_assign(np.repeat(np.arange(p), np.diff(bounds)), p)
 
 
 def _edge_cut(g: SpatialGraph, assign) -> float:
@@ -479,33 +476,33 @@ def build_scale_series(
         # both orientations of each edge in turn, so every cell sums in edge order
         cells = np.stack([pa * prev.p + pb, pb * prev.p + pa], axis=1)[between].ravel()
         cut_w = np.bincount(cells, np.repeat(edge_w[between], 2), prev.p * prev.p)
-        cut_w = cut_w.reshape(prev.p, prev.p)
-        available = list(range(prev.p))
-        groups = []
-        while len(available) >= 2:
-            best = None  # (weight, a, b)
-            for ia, a in enumerate(available):
-                for b in available[ia + 1 :]:
-                    w = cut_w[a, b]
-                    if best is None or (w, -a, -b) > (best[0], -best[1], -best[2]):
-                        best = (w, a, b)
-            _, a, b = best
-            groups.append((a, b))
-            available.remove(a)
-            available.remove(b)
-        if available:
-            groups.append((available[0],))
-        groups.sort(key=min)
-        mapping = np.zeros(prev.p, dtype=np.int64)
-        for gi, grp in enumerate(groups):
-            for member in grp:
-                mapping[member] = gi
+        mapping = _merge_map(cut_w.reshape(prev.p, prev.p))
         merge_maps.append(mapping)
         assign = mapping[prev.assign]
-        plans.append(plan_from_assign(assign, len(groups), g, balance_factor, seed))
+        plans.append(plan_from_assign(assign, int(mapping.max()) + 1, g, balance_factor, seed))
     series = ScaleSeries(plans=plans, merge_maps=merge_maps)
     series.validate(g)
     return series
+
+
+def _merge_map(cut_w) -> np.ndarray:
+    """Merge map of one level from its (p, p) symmetric cut-weight matrix.
+
+    Pairs are taken in order of falling cut weight, ties to the lowest
+    (a, b), whenever both ends are still free; this is the greedy that
+    repeatedly merges the heaviest remaining pair. An odd leftover stays
+    alone. Group ids follow each group's lowest member.
+    """
+    p = cut_w.shape[0]
+    a, b = np.triu_indices(p, k=1)
+    order = np.lexsort((b, a, -cut_w[a, b]))
+    partner = np.arange(p)
+    for i, j in zip(a[order].tolist(), b[order].tolist()):
+        if partner[i] == i and partner[j] == j:
+            partner[i], partner[j] = j, i
+    lower = np.minimum(np.arange(p), partner)
+    group = np.cumsum(lower == np.arange(p)) - 1
+    return group[lower]
 
 
 # ---------------------------------------------------------------------------

@@ -245,3 +245,33 @@ def test_no_module_imports_an_unused_name():
         for line, name in _unused_imports(ast.parse(path.read_text()))
     ]
     assert offenders == []
+
+
+def _unreferenced_private_defs(trees):
+    """(module, line, name) of each top-level private function or class that
+    no other top-level statement of the package names."""
+    names_in = {}  # (module, statement index) -> names it reads or calls
+    for module, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            names_in[module, i] = {
+                getattr(node, "id", None) or getattr(node, "attr", None)
+                for node in ast.walk(stmt)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+    return sorted(
+        (module, stmt.lineno, stmt.name)
+        for module, tree in trees.items()
+        for i, stmt in enumerate(tree.body)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_")
+        and not any(stmt.name in names for key, names in names_in.items() if key != (module, i))
+    )
+
+
+def test_no_private_definition_is_left_unused():
+    src = Path(sbaformer.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    offenders = [
+        f"{module}:{line} {name}" for module, line, name in _unreferenced_private_defs(trees)
+    ]
+    assert offenders == []

@@ -40,6 +40,25 @@ def run_config(synth_dir, tmp_path_factory):
     return path, work / "out"
 
 
+@pytest.fixture
+def no_setup_work(monkeypatch):
+    """Fail the test if the run set-up reaches the partitioner or the PE."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("set-up work ran before the cheap checks failed")
+
+    monkeypatch.setattr("sbaformer.cli.build_scale_series", forbidden)
+    monkeypatch.setattr("sbaformer.cli.laplacian_pe", forbidden)
+
+
+def _with_d_model(config_path, tmp_path, d_model):
+    """A copy of the run config with another model width."""
+    cfg = json.loads(config_path.read_text())
+    cfg["model"]["d_model"] = d_model
+    path = tmp_path / f"d{d_model}.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 class TestSchema:
     def test_defaults_echo_headline_values(self):
         cfg = default_config()
@@ -249,7 +268,7 @@ class TestTrainEvalCommands:
         assert f"{key} must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_zero_heads_exit_2(self, run_config, tmp_path, capsys):
+    def test_zero_heads_exit_2(self, run_config, tmp_path, capsys, no_setup_work):
         config_path, _ = run_config
         cfg = json.loads(config_path.read_text())
         cfg["model"]["heads"] = 0
@@ -258,6 +277,17 @@ class TestTrainEvalCommands:
         bad.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(bad)]) == 2
         assert "model sizes must be >= 1: heads" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_mismatched_checkpoint_exit_2(self, run_config, tmp_path, capsys,
+                                               no_setup_work):
+        config_path, out_dir = run_config
+        wide = _with_d_model(config_path, tmp_path, 16)
+        rc = main(["eval", "--config", str(wide), "--checkpoint", str(out_dir / "checkpoint")])
+        assert rc == 2
+        assert "does not match the run config: d_model (checkpoint 8, run 16)" in (
+            capsys.readouterr().err
+        )
 
     def test_strict_schema_violation_exit_2(self, run_config, tmp_path, capsys):
         config_path, _ = run_config
@@ -326,6 +356,16 @@ class TestDumpAttention:
         p = inter["sizes"][0][0]
         mat = np.fromfile(dump_dir / "block0_inter.bin", dtype="<f8").reshape(p, p)
         np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_mismatched_checkpoint_exit_2(self, run_config, tmp_path, capsys, no_setup_work):
+        config_path, out_dir = run_config
+        wide = _with_d_model(config_path, tmp_path, 16)
+        rc = main(["dump-attention", "--config", str(wide),
+                   "--checkpoint", str(out_dir / "checkpoint"),
+                   "--window", "0", "--out-dir", str(tmp_path / "attn")])
+        assert rc == 2
+        assert "d_model (checkpoint 8, run 16)" in capsys.readouterr().err
+        assert not (tmp_path / "attn").exists()
 
     def test_window_out_of_range_exit_2(self, run_config, tmp_path, capsys):
         config_path, out_dir = run_config

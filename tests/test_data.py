@@ -10,7 +10,7 @@ from sbaformer.errors import (
     NanPayloadError,
     NodeCountError,
 )
-from sbaformer.graph import SpatialGraph, save_graph
+from sbaformer.graph import SpatialGraph, load_coords, load_graph, save_graph
 
 
 class TestChronoSplit:
@@ -193,27 +193,30 @@ class TestSeriesFiles:
         rng = np.random.default_rng(10)
         dt.save_series(tmp_path / "s.bin", rng.standard_normal((2, 4, 1)), "bin")
         (tmp_path / "g.csv").write_text("0,1,1.0\n1,2,1.0\n")  # node 2 > n-1
+        series, _ = dt.load_series(tmp_path / "s.bin", "bin")
         with pytest.raises(InputError, match="exceeds"):
-            dt.load_dataset(tmp_path / "s.bin", tmp_path / "g.csv")
+            load_graph(tmp_path / "g.csv", n=series.shape[0])
 
-    def test_load_dataset_node_mismatch(self, tmp_path):
+    def test_coords_count_differing_from_series_rejected(self, tmp_path):
         rng = np.random.default_rng(6)
         dt.save_series(tmp_path / "s.bin", rng.standard_normal((3, 4, 1)), "bin")
-        g = SpatialGraph(2, [0], [1], [1.0])
-        save_graph(tmp_path / "g.csv", g)
-        # graph file only names nodes 0..1; the loader sizes it from the series
+        save_graph(tmp_path / "g.csv", SpatialGraph(2, [0], [1], [1.0]))
+        series, _ = dt.load_series(tmp_path / "s.bin", "bin")
+        # graph file only names nodes 0..1, which the series size accepts,
         # but a coords file of the wrong length must be rejected
+        assert load_graph(tmp_path / "g.csv", n=series.shape[0]).n == 3
         (tmp_path / "c.csv").write_text("0,0.0,0.0\n1,1.0,0.0\n")
         with pytest.raises(NodeCountError):
-            dt.load_dataset(tmp_path / "s.bin", tmp_path / "g.csv", tmp_path / "c.csv")
+            load_coords(tmp_path / "c.csv", series.shape[0])
 
-    def test_load_dataset_roundtrip(self, tmp_path):
+    def test_series_and_graph_roundtrip(self, tmp_path):
         ds = dt.synth_diffusion(n=9, steps=16, seed=7)
         dt.save_series(tmp_path / "s.bin", ds.series, "bin", name="synthetic")
         save_graph(tmp_path / "g.csv", ds.graph)
-        loaded = dt.load_dataset(tmp_path / "s.bin", tmp_path / "g.csv")
-        assert np.array_equal(loaded.series, ds.series)
-        assert list(loaded.graph.edges()) == list(ds.graph.edges())
+        series, meta = dt.load_series(tmp_path / "s.bin", "bin")
+        graph = load_graph(tmp_path / "g.csv", n=series.shape[0])
+        assert np.array_equal(series, ds.series) and meta["name"] == "synthetic"
+        assert list(graph.edges()) == list(ds.graph.edges())
 
 
 class TestMetrics:

@@ -20,6 +20,24 @@ def path_graph(n):
     return SpatialGraph(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
 
 
+def greedy_merge_map(cut_w):
+    """Reference pairing: repeatedly merge the free pair with the heaviest
+    cut (ties to the lowest indices); group ids follow the lowest member."""
+    available = list(range(cut_w.shape[0]))
+    groups = []
+    while len(available) >= 2:
+        pairs = itertools.combinations(available, 2)
+        a, b = max(pairs, key=lambda ab: (cut_w[ab], -ab[0], -ab[1]))
+        groups.append((a, b))
+        available.remove(a)
+        available.remove(b)
+    groups += [(x,) for x in available]
+    mapping = np.zeros(cut_w.shape[0], dtype=np.int64)
+    for gi, grp in enumerate(sorted(groups, key=min)):
+        mapping[list(grp)] = gi
+    return mapping
+
+
 def best_balanced_bipartition(g, balance_factor=1.3):
     """Exhaustive minimum edge cut over balanced 2-way splits."""
     cap = balance_factor * math.ceil(g.n / 2)
@@ -162,6 +180,16 @@ class TestScaleSeries:
         for part in range(coarse.p):
             nodes = np.flatnonzero(coarse.assign == part)
             assert (nodes < 4).all() or (nodes >= 4).all()
+        # whole merge maps match the greedy scan over all free pairs, on
+        # random symmetric weights with many ties
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            p = int(rng.integers(1, 20))
+            w = np.triu(rng.integers(0, 3, (p, p)).astype(float), 1)
+            if rng.random() < 0.3:
+                w = np.triu(rng.random((p, p)), 1)
+            w = w + w.T
+            assert np.array_equal(pt._merge_map(w), greedy_merge_map(w))
 
     def test_odd_count_carries_leftover(self):
         rng = np.random.default_rng(5)
