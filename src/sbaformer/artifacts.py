@@ -1,4 +1,4 @@
-"""On-disk artifacts: the one module that opens files for writing.
+"""On-disk artifacts: the one module that opens files, for reading or writing.
 
 `atomic_open` writes to a temporary file beside the target and renames it over
 the target only once the write has finished, so an interrupted process leaves
@@ -12,7 +12,12 @@ HeaderMismatchError (exit 2) naming the file. Arrays are blobs: little-endian
 f64 in `<stem>.bin` plus a JSON sidecar `<stem>.json`, the stem being the path
 without a trailing ".bin" ("ckpt" and "ckpt.bin" name one pair; "s.dat" names
 s.dat.bin and s.dat.json). The blob is written before its sidecar, and the
-reader checks the payload size against the sidecar's shape.
+reader checks the payload size against the sidecar's shape. Tables (edge
+lists, coordinates, CSV series, bench results) are comma-separated text, one
+row per line: `write_csv` writes floats with `repr` and everything else with
+`str`, and `read_csv` converts each field by its column's kind, turning a
+wrong field count or an unconvertible field into DataLoadError (exit 2)
+naming `<path>:<line>:`.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from .errors import HeaderMismatchError
+from .errors import DataLoadError, HeaderMismatchError
 
 
 @contextmanager
@@ -70,6 +75,40 @@ def read_json(path, parse):
             raise HeaderMismatchError(f"{path}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise HeaderMismatchError(f"{path}: malformed value ({exc})") from None
+
+
+def write_csv(path, rows, header=()):
+    """One comma-separated line per row, after a `header` line when one is given."""
+    with atomic_open(path) as fh:
+        if header:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
+def read_csv(path, kinds):
+    """[(line number, values)] of the non-blank lines at `path`, each field
+    converted by its column's kind (int, float, ...). A function `kinds` reads
+    the first line as a header and returns the kinds, or raises ValueError.
+    A wrong field count or an unconvertible field raises DataLoadError."""
+    rows, lineno = [], 1
+    # undecodable bytes reach the converters, which reject them on their own line
+    with open(path, errors="surrogateescape") as fh:
+        try:
+            if callable(kinds):
+                kinds = kinds(fh.readline().strip().split(","))
+                lineno = 2
+            for lineno, line in enumerate(fh, lineno):
+                fields = line.strip().split(",")
+                if fields == [""]:
+                    continue
+                if len(fields) != len(kinds):
+                    raise ValueError(f"expected {len(kinds)} fields, got {len(fields)}")
+                rows.append((lineno, [kind(v) for kind, v in zip(kinds, fields)]))
+        except ValueError as exc:
+            raise DataLoadError(f"{path}:{lineno}: {exc}") from None
+    return rows
 
 
 def _stem(path) -> str:

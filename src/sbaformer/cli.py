@@ -17,23 +17,26 @@ from dataclasses import asdict
 import numpy as np
 
 from . import autodiff as ad
-from .artifacts import atomic_open, write_blob, write_json, write_jsonl
+from .artifacts import write_blob, write_csv, write_json, write_jsonl
 from .autodiff import Tensor
 from .config import load_config, write_effective_config
 from .data import (
     SPLITS,
     Dataset,
+    chrono_split,
     load_series,
+    make_windows,
     save_series,
     split_setup,
     synth_diffusion,
     window_arrays,
 )
-from .errors import ContractError, InputError, NumericError, SbaError
+from .errors import ContractError, InputError, SbaError
 from .graph import (
     SpatialGraph,
     build_epsilon_graph,
     build_gaussian_graph,
+    check_pe_sizes,
     laplacian_pe,
     load_coords,
     load_graph,
@@ -143,14 +146,16 @@ def _build_graph(cfg, n: int):
     raise InputError(f"unknown graph.builder {gc['builder']!r}")
 
 
-def _assemble(cfg, checkpoint=None):
+def _assemble(cfg, checkpoint=None, window=None):
     """Dataset, positional encoding and model of a validated run config.
 
     The cheap checks run first: the series shape and the model section give
     the ModelConfig, and a checkpoint's config must equal it field by field
-    (InputError naming the fields that differ). Only then are the graph, the
-    scale series and the encoding built. Without a checkpoint the model is
-    freshly initialized from train.seed.
+    (InputError naming the fields that differ). Every split must hold t + f
+    steps, the encoding sizes must fit pe.block_limit, and a `window` given
+    as (split, index) must name a window of that split. Only then are the
+    graph, the scale series and the encoding built. Without a checkpoint the
+    model is freshly initialized from train.seed.
     """
     dc, mcfg, pc = cfg["data"], cfg["model"], cfg["partition"]
     series, meta = load_series(dc["series"], dc["format"])
@@ -177,6 +182,13 @@ def _assemble(cfg, checkpoint=None):
                 f"{checkpoint}: checkpoint config does not match the run config: "
                 + ", ".join(differ)
             )
+    bounds = chrono_split(series.shape[1], min_len=mc.t + mc.f)
+    check_pe_sizes(mc.k_pe, cfg["pe"]["block_limit"])
+    if window is not None:
+        split, index = window
+        count = len(make_windows(bounds[SPLITS.index(split)], mc.t, mc.f))
+        if not 0 <= index < count:
+            raise InputError(f"window {index} out of range; {split} has {count} windows")
     graph = _build_graph(cfg, mc.n)
     dataset = Dataset(
         series=series,
@@ -338,10 +350,9 @@ def cmd_bench(args) -> int:
         for mode in modes
         for n in args.n_list
     ]
-    with atomic_open(args.out) as fh:
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(row[k]) for k in fields) + "\n")
+    table = ([f"{v:.6f}" if isinstance(v, float) else v for v in map(row.get, fields)]
+             for row in rows)
+    write_csv(args.out, table, fields)
     for row in rows:
         print(
             f"{row['mode']:>5} n={row['n']:<5d} p={row['p']:<4d} m={row['m']:<4d} "
@@ -350,21 +361,11 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _csv_cell(v) -> str:
-    return f"{v:.6f}" if isinstance(v, float) else str(v)
-
-
 def cmd_dump_attention(args) -> int:
     cfg = load_config(args.config)
-    dataset, _, model = _assemble(cfg, args.checkpoint)
-
+    dataset, _, model = _assemble(cfg, args.checkpoint, (args.split, args.window))
     _, series_norm, by_split = split_setup(dataset, model.config.t, model.config.f)
-    windows = by_split[args.split]
-    if not 0 <= args.window < len(windows):
-        raise InputError(
-            f"window {args.window} out of range; {args.split} has {len(windows)} windows"
-        )
-    xs, _ = window_arrays(series_norm, windows, at=[args.window])
+    xs, _ = window_arrays(series_norm, by_split[args.split], at=[args.window])
     capture = []
     with ad.no_grad():
         model.forward(Tensor(xs[0]), capture=capture)
@@ -404,13 +405,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ContractError, NumericError, SbaError) as exc:
+    except SbaError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

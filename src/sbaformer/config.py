@@ -10,9 +10,8 @@ ALL 64. Unknown names require an explicit p0.
 from __future__ import annotations
 
 import copy
-import json
 
-from .artifacts import write_json
+from .artifacts import read_json, write_json
 from .errors import ConfigError
 
 DATASET_P_DEFAULTS = {
@@ -125,12 +124,7 @@ def validate_config(doc: dict) -> dict:
 
 
 def load_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return validate_config(doc)
+    return read_json(path, validate_config)
 
 
 def write_effective_config(cfg: dict, path):

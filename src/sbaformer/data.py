@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import atomic_open, read_blob, write_blob
+from .artifacts import read_blob, read_csv, write_blob, write_csv
 from .errors import (
     ConfigError,
     ContractError,
@@ -233,12 +233,9 @@ def save_series(path, series: np.ndarray, fmt: str = "bin",
         sidecar = {"n": n, "t": t, "c": c, "freq_minutes": freq_minutes, "name": name}
         write_blob(path, [series], sidecar)
     elif fmt == "csv":
-        with atomic_open(path) as fh:
-            fh.write("node,step," + ",".join(f"c{i}" for i in range(c)) + "\n")
-            for node in range(n):
-                for step in range(t):
-                    vals = ",".join(repr(float(v)) for v in series[node, step])
-                    fh.write(f"{node},{step},{vals}\n")
+        rows = ([node, step, *series[node, step].tolist()]
+                for node in range(n) for step in range(t))
+        write_csv(path, rows, header=["node", "step", *(f"c{i}" for i in range(c))])
     else:
         raise InputError(f"unknown series format {fmt!r}")
 
@@ -251,28 +248,22 @@ def load_series(path, fmt: str = "bin"):
         ))
     elif fmt == "csv":
         meta = None
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
+
+        def columns(header):
             if header[:2] != ["node", "step"]:
-                raise HeaderMismatchError(f"{path}: expected node,step,c0... header")
-            c = len(header) - 2
-            rows = {}
-            for lineno, line in enumerate(fh, 2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2 + c:
-                    raise HeaderMismatchError(f"{path}:{lineno}: expected {2 + c} fields")
-                rows[(int(parts[0]), int(parts[1]))] = [float(v) for v in parts[2:]]
+                raise ValueError("expected node,step,c0... header")
+            return (int, int) + (float,) * (len(header) - 2)
+
+        rows = {(node, step): vals for _, (node, step, *vals) in read_csv(path, columns)}
         if not rows:
             raise HeaderMismatchError(f"{path}: no data rows")
         n = max(k[0] for k in rows) + 1
         t = max(k[1] for k in rows) + 1
-        if len(rows) != n * t:
+        if len(rows) != n * t or min(min(k) for k in rows) < 0:
             raise HeaderMismatchError(
                 f"{path}: {len(rows)} rows do not cover the {n}x{t} grid"
             )
+        c = len(next(iter(rows.values())))
         series = np.empty((n, t, c))
         for (node, step), vals in rows.items():
             series[node, step] = vals

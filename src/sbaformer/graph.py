@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import atomic_open, read_blob, write_blob
+from .artifacts import read_blob, read_csv, write_blob, write_csv
 from .errors import ContractError, InputError, NodeCountError
 
 log = logging.getLogger(__name__)
@@ -37,9 +37,8 @@ class SpatialGraph:
     indices: np.ndarray  # (2 * edges,) neighbour ids, sorted per row
     weights: np.ndarray  # (2 * edges,) edge weights, aligned with indices
     coords: np.ndarray | None = None  # (n, 2) metric coordinates
-    epsilon: float | None = None
 
-    def __init__(self, n: int, src=(), dst=(), weights=(), coords=None, epsilon=None):
+    def __init__(self, n: int, src=(), dst=(), weights=(), coords=None):
         """Build from undirected edge arrays: edge e joins src[e] and dst[e]
         with weight weights[e], each pair listed once. Zero weights add no edge."""
         src = np.asarray(src, dtype=np.int64).ravel()
@@ -65,8 +64,8 @@ class SpatialGraph:
         csr = (indptr, cols, np.concatenate([w[keep], w[keep]])[order])
         for arr in csr:
             arr.flags.writeable = False
-        fields = (int(n), *csr, coords, epsilon)
-        for name, value in zip(("n", "indptr", "indices", "weights", "coords", "epsilon"), fields):
+        fields = (int(n), *csr, coords)
+        for name, value in zip(("n", "indptr", "indices", "weights", "coords"), fields):
             object.__setattr__(self, name, value)
 
     def edge_arrays(self):
@@ -116,7 +115,7 @@ def build_epsilon_graph(coords, epsilon: float) -> SpatialGraph:
         raise InputError("epsilon must be positive")
     dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1))
     src, dst = np.nonzero(np.triu(dist < epsilon, k=1))
-    return SpatialGraph(len(coords), src, dst, np.ones(src.size), coords, float(epsilon))
+    return SpatialGraph(len(coords), src, dst, np.ones(src.size), coords)
 
 
 def build_gaussian_graph(coords, sigma: float, threshold: float) -> SpatialGraph:
@@ -208,6 +207,14 @@ class PositionalEncoding:
     source: str  # "whole-graph" | "per-subgraph"
 
 
+def check_pe_sizes(k: int, block_limit: int):
+    """The size checks of laplacian_pe, which need no graph."""
+    if k < 1:
+        raise InputError("k must be >= 1")
+    if block_limit < k + 1:
+        raise InputError("block_limit must be at least k+1")
+
+
 def laplacian_pe(g: SpatialGraph, k: int, block_limit: int = 2000) -> PositionalEncoding:
     """Eigenvectors of the k smallest Laplacian eigenvalues as node features.
 
@@ -216,10 +223,7 @@ def laplacian_pe(g: SpatialGraph, k: int, block_limit: int = 2000) -> Positional
     Laplacian is solved independently, rows assembled back into node order.
     Blocks smaller than k+1 nodes get their trailing columns zero-padded.
     """
-    if k < 1:
-        raise InputError("k must be >= 1")
-    if block_limit < k + 1:
-        raise InputError("block_limit must be at least k+1")
+    check_pe_sizes(k, block_limit)
     if g.n <= block_limit:
         blocks, source = [np.arange(g.n)], "whole-graph"
     else:
@@ -252,36 +256,23 @@ def laplacian_pe(g: SpatialGraph, k: int, block_limit: int = 2000) -> Positional
 
 def save_graph(path, g: SpatialGraph):
     """Edge-list text: one `src,dst,weight` per line, each undirected edge once."""
-    with atomic_open(path) as fh:
-        for i, j, w in g.edges():
-            fh.write(f"{i},{j},{float(w)!r}\n")
+    write_csv(path, g.edges())
 
 
 def load_graph(path, n: int | None = None) -> SpatialGraph:
     """Read an edge list; a repeated pair keeps its last non-zero weight."""
     pairs = {}
     max_id = -1
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise InputError(f"{path}:{lineno}: expected src,dst,weight")
-            try:
-                i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
-            if min(i, j) < 0:
-                raise InputError(f"{path}:{lineno}: negative node id")
-            if i == j:
-                raise InputError(f"{path}:{lineno}: self-loop on node {i}")
-            if not math.isfinite(w) or w < 0:
-                raise InputError(f"{path}:{lineno}: edge weight must be finite and >= 0, got {w}")
-            if w != 0:
-                pairs[min(i, j), max(i, j)] = w
-            max_id = max(max_id, i, j)
+    for lineno, (i, j, w) in read_csv(path, (int, int, float)):
+        if min(i, j) < 0:
+            raise InputError(f"{path}:{lineno}: negative node id")
+        if i == j:
+            raise InputError(f"{path}:{lineno}: self-loop on node {i}")
+        if not math.isfinite(w) or w < 0:
+            raise InputError(f"{path}:{lineno}: edge weight must be finite and >= 0, got {w}")
+        if w != 0:
+            pairs[min(i, j), max(i, j)] = w
+        max_id = max(max_id, i, j)
     if n is None:
         n = max_id + 1
     if max_id >= n:
@@ -291,28 +282,14 @@ def load_graph(path, n: int | None = None) -> SpatialGraph:
 
 
 def save_coords(path, coords):
-    coords = np.asarray(coords, dtype=np.float64)
-    with atomic_open(path) as fh:
-        for i, (x, y) in enumerate(coords):
-            fh.write(f"{i},{float(x)!r},{float(y)!r}\n")
+    """One `node_id,x,y` line per node."""
+    rows = np.asarray(coords, dtype=np.float64).tolist()
+    write_csv(path, ((i, x, y) for i, (x, y) in enumerate(rows)))
 
 
 def load_coords(path, n: int | None = None) -> np.ndarray:
     """Read `node_id,x,y` lines; with `n` given, the file must hold exactly n nodes."""
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise InputError(f"{path}:{lineno}: expected node_id,x,y")
-            try:
-                rows.append((int(parts[0]), float(parts[1]), float(parts[2])))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
-    rows.sort()
+    rows = sorted(row for _, row in read_csv(path, (int, float, float)))
     if [r[0] for r in rows] != list(range(len(rows))):
         raise InputError(f"{path}: node ids must be 0..n-1 without gaps")
     if n is not None and len(rows) != n:

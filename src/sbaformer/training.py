@@ -36,6 +36,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr < 0:
             raise ConfigError("lr must be >= 0")
+        if not (len(self.betas) == 2 and all(isinstance(b, (int, float)) for b in self.betas)):
+            raise ConfigError(f"betas must be two numbers, got {list(self.betas)}")
         if not (0 < self.betas[0] < 1 and 0 < self.betas[1] < 1):
             raise ConfigError("betas must lie in (0, 1)")
         if self.batch_size < 1:

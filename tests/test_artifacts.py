@@ -1,4 +1,4 @@
-"""Artifact files: byte fingerprints, blob size checks, atomic writes, one writer."""
+"""Artifact files: byte fingerprints, blob size checks, atomic writes, one opener of files."""
 import ast
 import hashlib
 import json
@@ -198,28 +198,32 @@ class TestAtomicWrites:
         assert os.listdir(tmp_path) == []
 
 
-def _write_calls(tree):
-    """Line numbers of open(...) calls whose mode may write, append or create."""
+NUMPY_FILE_READERS = {"fromfile", "load", "loadtxt", "genfromtxt", "memmap"}
+
+
+def _file_calls(tree):
+    """Line numbers of open(...) calls and of numpy calls that read a file."""
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "open"):
+        if not isinstance(node, ast.Call):
             continue
-        modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
-        for mode in modes:
-            if not isinstance(mode, ast.Constant) or set(str(mode.value)) & set("wax"):
-                yield node.lineno
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            yield node.lineno
+        elif (isinstance(func, ast.Attribute) and func.attr in NUMPY_FILE_READERS
+              and isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")):
+            yield node.lineno
 
 
-def test_only_artifacts_opens_files_for_writing():
+def test_only_artifacts_opens_files():
     src = Path(sbaformer.__file__).parent
     offenders = [
         f"{path.name}:{lineno}"
         for path in sorted(src.glob("*.py"))
         if path.name != "artifacts.py"
-        for lineno in _write_calls(ast.parse(path.read_text()))
+        for lineno in _file_calls(ast.parse(path.read_text()))
     ]
     assert offenders == []
-    assert list(_write_calls(ast.parse((src / "artifacts.py").read_text())))
+    assert list(_file_calls(ast.parse((src / "artifacts.py").read_text())))
 
 
 def _unused_imports(tree):

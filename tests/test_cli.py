@@ -59,6 +59,16 @@ def _with_d_model(config_path, tmp_path, d_model):
     return path
 
 
+def _edited(config_path, tmp_path, edit):
+    """A copy of the run config after `edit(cfg)`, writing to tmp_path/out."""
+    cfg = json.loads(config_path.read_text())
+    cfg["paths"]["out_dir"] = str(tmp_path / "out")
+    edit(cfg)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 class TestSchema:
     def test_defaults_echo_headline_values(self):
         cfg = default_config()
@@ -140,6 +150,12 @@ class TestPartitionCommand:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
         assert f"{graph}:2: self-loop" in capsys.readouterr().err
+
+    def test_directory_as_graph_exit_2(self, tmp_path, capsys):
+        rc = main(["partition", "--graph", str(tmp_path), "--parts", "1",
+                   "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert str(tmp_path) in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, synth_dir, tmp_path):
         out = tmp_path / "plan.json"
@@ -289,6 +305,39 @@ class TestTrainEvalCommands:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("betas", [[0.9], ["a", "b"]], ids=["one", "strings"])
+    def test_malformed_betas_exit_2(self, run_config, tmp_path, capsys, betas):
+        bad = _edited(run_config[0], tmp_path, lambda cfg: cfg["train"].update(betas=betas))
+        assert main(["train", "--config", str(bad)]) == 2
+        assert "betas must be two numbers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg["model"].update(t=60), "val split has 32 steps, need at least 63"),
+        (lambda cfg: cfg["pe"].update(block_limit=2), "block_limit must be at least k+1"),
+    ], ids=["t-plus-f-over-split", "block-limit-below-k"])
+    def test_bad_sizes_exit_2_before_setup(self, run_config, tmp_path, capsys, no_setup_work,
+                                           edit, message):
+        bad = _edited(run_config[0], tmp_path, edit)
+        assert main(["train", "--config", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rows", [["0,x,2.0"], ["0,1,abc"]], ids=["step", "value"])
+    def test_bad_series_csv_field_exit_2(self, run_config, tmp_path, capsys, rows):
+        series = tmp_path / "series.csv"
+        series.write_text("node,step,c0\n0,0,1.0\n" + "\n".join(rows) + "\n")
+        bad = _edited(run_config[0], tmp_path,
+                      lambda cfg: cfg["data"].update(series=str(series), format="csv"))
+        assert main(["train", "--config", str(bad)]) == 2
+        assert f"{series}:3: " in capsys.readouterr().err
+
+    def test_malformed_config_json_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"data": ')
+        assert main(["train", "--config", str(bad)]) == 2
+        assert f"{bad}: not valid JSON" in capsys.readouterr().err
+
     def test_strict_schema_violation_exit_2(self, run_config, tmp_path, capsys):
         config_path, _ = run_config
         cfg = json.loads(config_path.read_text())
@@ -367,13 +416,14 @@ class TestDumpAttention:
         assert "d_model (checkpoint 8, run 16)" in capsys.readouterr().err
         assert not (tmp_path / "attn").exists()
 
-    def test_window_out_of_range_exit_2(self, run_config, tmp_path, capsys):
+    def test_window_out_of_range_exit_2(self, run_config, tmp_path, capsys, no_setup_work):
         config_path, out_dir = run_config
         rc = main(["dump-attention", "--config", str(config_path),
                    "--checkpoint", str(out_dir / "checkpoint"),
                    "--window", "999999", "--out-dir", str(tmp_path / "y")])
         assert rc == 2
-        assert "out of range" in capsys.readouterr().err
+        assert "window 999999 out of range; test has" in capsys.readouterr().err
+        assert not (tmp_path / "y").exists()
 
 
 def test_synth_formats_equivalent(tmp_path):

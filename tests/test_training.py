@@ -45,6 +45,11 @@ class TestAdamStep:
         with pytest.raises(ConfigError, match=f"{field} must be > 0"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("betas", [(0.9,), ("a", "b"), (0.9, 0.99, 0.999)])
+    def test_config_rejects_betas_that_are_not_two_numbers(self, betas):
+        with pytest.raises(ConfigError, match="betas must be two numbers"):
+            TrainConfig(betas=betas)
+
     def test_zero_gradients_leave_params_unchanged(self):
         params = scalar_param_model()
         state = TrainState.for_params(params)
