@@ -290,8 +290,17 @@ def save_coords(path, coords):
 def load_coords(path, n: int | None = None) -> np.ndarray:
     """Read `node_id,x,y` lines; with `n` given, the file must hold exactly n nodes."""
     rows = sorted(row for _, row in read_csv(path, (int, float, float)))
-    if [r[0] for r in rows] != list(range(len(rows))):
-        raise InputError(f"{path}: node ids must be 0..n-1 without gaps")
+    ids = [r[0] for r in rows]
+    k = next((k for k, node in enumerate(ids) if node != k), None)
+    if k is not None:
+        # ids are sorted, so below k means a repeat of ids[k - 1] or, at 0, a negative id
+        if ids[k] >= k:
+            fault = f"node id {k} is missing"
+        elif k:
+            fault = f"node id {ids[k]} repeats"
+        else:
+            fault = f"node id {ids[k]} is negative"
+        raise InputError(f"{path}: {fault}; node ids must be 0..n-1, each once")
     if n is not None and len(rows) != n:
         raise NodeCountError(f"{path}: coords file has {len(rows)} nodes, series has {n}")
     return np.array([[x, y] for _, x, y in rows])

@@ -186,7 +186,7 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
     """(..., s, d) -> (..., heads, s, d/heads)."""
-    s, d = x.shape[-2], x.shape[-1]
+    d = x.shape[-1]
     out = ad.reshape(x, x.shape[:-1] + (heads, d // heads))
     return ad.swapaxes(out, -2, -3)
 
@@ -317,6 +317,10 @@ def mae_loss(pred: Tensor, target) -> Tensor:
     return ad.tensor_mean(ad.tensor_abs(ad.sub(pred, tgt)))
 
 
+# Working-set budget of one `predict` tile: half of a 2 MiB L2 cache.
+_TILE_BYTES = 1 << 20
+
+
 class SbaTransformer:
     """Config, partition series, positional encoding, and parameters in one place."""
 
@@ -353,8 +357,34 @@ class SbaTransformer:
         )
 
     def predict(self, x: np.ndarray) -> np.ndarray:
+        """Forecasts with the tape off, in cache-sized tiles of windows.
+
+        x is (n, t, c) for one window or (..., n, t, c) for a batch. A batch
+        runs through `forward` a tile of windows at a time, each tile sized
+        so that its largest temporary (the FFN hidden layer or the biggest
+        attention run's scores) fits in `_TILE_BYTES`, and each tile's
+        forecasts are written into one preallocated output. Every op works
+        on each window on its own, so the result equals one whole-batch
+        forward bit for bit; only the working set shrinks.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim < 4:
+            with ad.no_grad():
+                return self.forward(Tensor(x)).data
+        mc = self.config
+        windows = x.reshape((-1,) + x.shape[-3:])
+        out = np.empty((len(windows), x.shape[-3], mc.f, mc.c))
+        tile = max(1, _TILE_BYTES // self._window_bytes())
         with ad.no_grad():
-            return self.forward(Tensor(x)).data
+            for lo in range(0, len(windows), tile):
+                out[lo : lo + tile] = self.forward(Tensor(windows[lo : lo + tile])).data
+        return out.reshape(x.shape[:-3] + out.shape[1:])
+
+    def _window_bytes(self) -> int:
+        """f64 bytes of one window's largest temporary in `forward`."""
+        mc = self.config
+        run = max(max(plan.m, plan.p) for plan in self.series.plans)
+        return 8 * max(mc.n * mc.ffn_mult * mc.d_model, mc.heads * run * run)
 
 
 # ---------------------------------------------------------------------------
@@ -383,32 +413,37 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
     rng = np.random.default_rng(0)
     per_block = []
     closed_mults = closed_adds = 0
+    # measure from zero, then hand the caller back the count it had open
+    saved = ad.flops.mults, ad.flops.adds
     ad.flops.reset()
-    with ad.flops.counting():
-        for plan in series.plans:
-            sizes = plan.sizes
-            im, ia = map(sum, zip(*(_attention_flops(h, int(s), dh) for s in sizes)))
-            xm, xa = _attention_flops(h, plan.p, dh)
-            per_block.append(
-                {
-                    "p": plan.p,
-                    "m": plan.m,
-                    "intra": im + ia,
-                    "inter": xm + xa,
-                }
-            )
-            closed_mults += im + xm
-            closed_adds += ia + xa
-            with ad.no_grad():
-                q = Tensor(rng.standard_normal((h, plan.n, dh)))
-                k = Tensor(rng.standard_normal((h, plan.n, dh)))
-                v = Tensor(rng.standard_normal((h, plan.n, dh)))
-                ad.attention(q, k, v, sizes)
-                qs = Tensor(rng.standard_normal((h, plan.p, dh)))
-                ks = Tensor(rng.standard_normal((h, plan.p, dh)))
-                vs = Tensor(rng.standard_normal((h, plan.p, dh)))
-                ad.attention(qs, ks, vs, [plan.p])
-    measured = ad.flops.report()
+    try:
+        with ad.flops.counting():
+            for plan in series.plans:
+                sizes = plan.sizes
+                im, ia = map(sum, zip(*(_attention_flops(h, int(s), dh) for s in sizes)))
+                xm, xa = _attention_flops(h, plan.p, dh)
+                per_block.append(
+                    {
+                        "p": plan.p,
+                        "m": plan.m,
+                        "intra": im + ia,
+                        "inter": xm + xa,
+                    }
+                )
+                closed_mults += im + xm
+                closed_adds += ia + xa
+                with ad.no_grad():
+                    q = Tensor(rng.standard_normal((h, plan.n, dh)))
+                    k = Tensor(rng.standard_normal((h, plan.n, dh)))
+                    v = Tensor(rng.standard_normal((h, plan.n, dh)))
+                    ad.attention(q, k, v, sizes)
+                    qs = Tensor(rng.standard_normal((h, plan.p, dh)))
+                    ks = Tensor(rng.standard_normal((h, plan.p, dh)))
+                    vs = Tensor(rng.standard_normal((h, plan.p, dh)))
+                    ad.attention(qs, ks, vs, [plan.p])
+        measured = ad.flops.report()
+    finally:
+        ad.flops.mults, ad.flops.adds = saved
     closed_total = closed_mults + closed_adds
     return {
         "per_block": per_block,

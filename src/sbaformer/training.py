@@ -94,14 +94,16 @@ def adam_step(params: ModelParams, state: TrainState, cfg: TrainConfig):
 
 
 def _batched_mae(model: SbaTransformer, series_norm, windows, batch: int = 64) -> float:
-    """Mean of per-window MAE over a window set, batched, no tape."""
+    """Mean of per-window MAE over a window set.
+
+    Windows are gathered `batch` at a time and forecast by `model.predict`,
+    which runs with the tape off in cache-sized tiles of windows.
+    """
     total = 0.0
-    with ad.no_grad():
-        for lo in range(0, len(windows), batch):
-            sel = range(lo, min(lo + batch, len(windows)))
-            xs, ys = window_arrays(series_norm, windows, at=sel)
-            pred = model.forward(Tensor(xs)).data
-            total += float(np.abs(pred - ys).mean()) * len(sel)
+    for lo in range(0, len(windows), batch):
+        sel = range(lo, min(lo + batch, len(windows)))
+        xs, ys = window_arrays(series_norm, windows, at=sel)
+        total += float(np.abs(model.predict(xs) - ys).mean()) * len(sel)
     return total / len(windows)
 
 
@@ -187,9 +189,10 @@ def evaluate(
 ) -> dict:
     """Metric report on de-normalized forecasts, with a persistence reference row.
 
-    Forecasts come from the normalized pipeline and are inverted back to the
-    raw scale before scoring; the persistence row goes through the exact
-    same metric path.
+    Forecasts come from `model.predict` (tape off, cache-sized tiles of
+    windows, `batch` windows gathered at a time) on the normalized series
+    and are inverted back to the raw scale before scoring; the persistence
+    row goes through the exact same metric path.
     """
     mc = model.config
     if dataset.n != mc.n or dataset.c != mc.c:
@@ -202,14 +205,13 @@ def evaluate(
         raise ConfigError(f"{split} split yields no complete windows")
 
     preds, targets, naive = [], [], []
-    with ad.no_grad():
-        for lo in range(0, len(windows), batch):
-            sel = range(lo, min(lo + batch, len(windows)))
-            xs_n, _ = window_arrays(series_norm, windows, at=sel)
-            xs_raw, ys_raw = window_arrays(dataset.series, windows, at=sel)
-            preds.append(normalizer.invert(model.forward(Tensor(xs_n)).data))
-            targets.append(ys_raw)
-            naive.append(persistence_forecast(xs_raw, mc.f))
+    for lo in range(0, len(windows), batch):
+        sel = range(lo, min(lo + batch, len(windows)))
+        xs_n, _ = window_arrays(series_norm, windows, at=sel)
+        xs_raw, ys_raw = window_arrays(dataset.series, windows, at=sel)
+        preds.append(normalizer.invert(model.predict(xs_n)))
+        targets.append(ys_raw)
+        naive.append(persistence_forecast(xs_raw, mc.f))
     pred = np.concatenate(preds)
     target = np.concatenate(targets)
     report = {

@@ -279,3 +279,40 @@ def test_no_private_definition_is_left_unused():
         f"{module}:{line} {name}" for module, line, name in _unreferenced_private_defs(trees)
     ]
     assert offenders == []
+
+
+def _unread_locals(tree):
+    """(line, function, name) of each local a function assigns and never reads.
+
+    Reads in nested functions and comprehensions count; names starting with
+    `_` and names declared `global` or `nonlocal` are exempt.
+    """
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read, declared = {}, set(), set()
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+            elif isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    read.add(node.id)
+        found.update(
+            (line, fn.name, name)
+            for name, line in stored.items()
+            if not name.startswith("_") and name not in read and name not in declared
+        )
+    return sorted(found)
+
+
+def test_no_function_assigns_an_unread_local():
+    src = Path(sbaformer.__file__).parent
+    offenders = [
+        f"{path.name}:{line} {fn} {name}"
+        for path in sorted(src.glob("*.py"))
+        for line, fn, name in _unread_locals(ast.parse(path.read_text()))
+    ]
+    assert offenders == []

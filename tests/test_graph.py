@@ -276,6 +276,19 @@ class TestGraphFiles:
         with pytest.raises(InputError, match=f"{path}:2: "):
             gr.load_coords(path)
 
+    @pytest.mark.parametrize("ids, fault", [
+        ((0, 0, 1), "node id 0 repeats"),
+        ((0, 1, 2, 2), "node id 2 repeats"),
+        ((1, 2), "node id 0 is missing"),
+        ((0, 1, 3, 3), "node id 2 is missing"),
+        ((-1, 0, 1), "node id -1 is negative"),
+    ])
+    def test_bad_coords_ids_name_the_first_bad_id(self, tmp_path, ids, fault):
+        path = tmp_path / "coords.csv"
+        path.write_text("".join(f"{i},{float(i)},0.0\n" for i in ids))
+        with pytest.raises(InputError, match=f"{path}: {fault}; "):
+            gr.load_coords(path)
+
     def test_coords_node_count_checked(self, tmp_path):
         path = tmp_path / "coords.csv"
         gr.save_coords(path, np.zeros((3, 2)))

@@ -307,7 +307,7 @@ class TestForward:
         xs = rng.standard_normal((3, model.config.n, model.config.t, 1))
         batched = model.predict(xs)
         for i in range(3):
-            np.testing.assert_allclose(batched[i], model.predict(xs[i]), atol=1e-12)
+            assert np.array_equal(batched[i], model.predict(xs[i]))
 
     def test_l1_p1_end_to_end_matches_dense_composition_oracle(self):
         # a one-block single-subgraph model is embed -> dense attention branch
@@ -358,6 +358,73 @@ class TestForward:
         series = build_scale_series(random_connected_graph(16, rng), 4, 1)
         with pytest.raises(ContractError, match="config.n=12"):
             md.SbaTransformer(model.config, series, model.pe_vectors)
+
+
+class TestTiledPredict:
+    """predict runs batches in tiles of windows; the bits must not move."""
+
+    def _recorded(self, model, monkeypatch):
+        """Window counts of each forward call that predict makes."""
+        calls = []
+        forward = model.forward
+
+        def recording(x, capture=None):
+            calls.append(x.shape[0] if x.ndim == 4 else None)
+            return forward(x, capture)
+
+        monkeypatch.setattr(model, "forward", recording)
+        return calls
+
+    def _whole_batch(self, model, xs):
+        with ad.no_grad():
+            return model.forward(Tensor(xs)).data
+
+    @pytest.mark.parametrize("tile, counts", [(1, [1] * 7), (3, [3, 3, 1]), (7, [7])])
+    def test_tiles_equal_one_whole_batch_forward(self, monkeypatch, tile, counts):
+        rng = np.random.default_rng(31)
+        model, _ = tiny_model(rng)
+        xs = rng.standard_normal((7, model.config.n, model.config.t, 1))
+        whole = self._whole_batch(model, xs)
+        budget = 1 if tile == 1 else tile * model._window_bytes() + 7
+        monkeypatch.setattr(md, "_TILE_BYTES", budget)
+        calls = self._recorded(model, monkeypatch)
+        assert np.array_equal(model.predict(xs), whole)
+        assert calls == counts
+
+    def test_more_leading_axes_tile_over_all_windows(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        model, _ = tiny_model(rng)
+        xs = rng.standard_normal((2, 3, model.config.n, model.config.t, 1))
+        whole = self._whole_batch(model, xs)
+        monkeypatch.setattr(md, "_TILE_BYTES", 4 * model._window_bytes())
+        calls = self._recorded(model, monkeypatch)
+        out = model.predict(xs)
+        assert out.shape == (2, 3, model.config.n, model.config.f, 1)
+        assert np.array_equal(out, whole)
+        assert calls == [4, 2]
+
+    def test_unbatched_window_runs_whole(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        model, _ = tiny_model(rng)
+        x = rng.standard_normal((model.config.n, model.config.t, 1))
+        whole = self._whole_batch(model, x)
+        monkeypatch.setattr(md, "_TILE_BYTES", 1)
+        calls = self._recorded(model, monkeypatch)
+        assert np.array_equal(model.predict(x), whole)
+        assert calls == [None]
+
+    def test_window_bytes_is_the_largest_temporary(self):
+        # e2e config: the FFN hidden layer (64 x 128) beats 4 heads x m^2
+        g = make_grid_graph(8, 8)
+        config = md.ModelConfig(n=64, t=24, c=1, f=12, d_model=32, l=3, heads=4, p0=8, k_pe=8)
+        model = md.SbaTransformer(config, build_scale_series(g, 8, 3, seed=0),
+                                  laplacian_pe(g, 8).vectors)
+        assert model._window_bytes() == 8 * 64 * 4 * 32
+        # one subgraph of 40 nodes at width 2: its 2 x 40 x 40 scores win
+        small = md.ModelConfig(n=40, t=1, c=1, f=1, d_model=2, l=1, heads=2, p0=1, k_pe=1)
+        model = md.SbaTransformer(small, pt.ScaleSeries(plans=[uniform_plan(40, 1)]),
+                                  np.zeros((40, 1)))
+        assert model._window_bytes() == 8 * 2 * 40 * 40
 
 
 class TestMaeLoss:
@@ -447,6 +514,16 @@ class TestFlopsEstimate:
             assert blk["intra"] == h * (2 * dh * sq + (dh - 1) * sq + dh * (sq - int(sizes.sum())))
             assert blk["intra"] < sum(md._attention_flops(plan.p * h, plan.m, dh))
         assert est["measured_total"] == est["closed_total"]
+
+    def test_caller_count_survives(self, monkeypatch):
+        config, series = self._config(64, 4), self._series(64, 4)
+        monkeypatch.setattr(ad.flops, "mults", 0)
+        monkeypatch.setattr(ad.flops, "adds", 0)
+        fresh = md.flops_estimate(config, series)
+        ad.flops.mults, ad.flops.adds = 1234, 567
+        est = md.flops_estimate(config, series)
+        assert (ad.flops.mults, ad.flops.adds) == (1234, 567)
+        assert est == fresh
 
     def test_measured_equals_closed_form(self):
         rng = np.random.default_rng(18)

@@ -5,7 +5,14 @@ import pytest
 from sbaformer import autodiff as ad
 from sbaformer import model as md
 from sbaformer.autodiff import Tensor
-from sbaformer.data import Normalizer, chrono_split, make_windows, synth_diffusion, window_arrays
+from sbaformer.data import (
+    Normalizer,
+    chrono_split,
+    make_windows,
+    split_setup,
+    synth_diffusion,
+    window_arrays,
+)
 from sbaformer.errors import ConfigError, NumericError
 from sbaformer.graph import laplacian_pe
 from sbaformer.model import ModelConfig, SbaTransformer, mae_loss
@@ -13,6 +20,7 @@ from sbaformer.partition import build_scale_series
 from sbaformer.training import (
     TrainConfig,
     TrainState,
+    _batched_mae,
     adam_step,
     evaluate,
     persistence_forecast,
@@ -215,3 +223,22 @@ class TestEvaluate:
         trained = SbaTransformer(model.config, model.series, model.pe_vectors, params=best)
         trained_report = evaluate(trained, ds, "test")
         assert init_report["model"]["mae"] == trained_report["model"]["mae"]
+
+    def test_tiled_predict_leaves_scores_unchanged(self, monkeypatch):
+        # the whole-batch tape-off forward both functions ran before predict
+        # took tiles, against one-window tiles
+        model, ds = small_setup(n=9, steps=400, seed=11)
+        _, series_norm, windows = split_setup(ds, model.config.t, model.config.f)
+        val = windows["val"]
+        assert len(val) > 64
+        total = 0.0
+        with ad.no_grad():
+            for lo in range(0, len(val), 64):
+                sel = range(lo, min(lo + 64, len(val)))
+                xs, ys = window_arrays(series_norm, val, at=sel)
+                total += float(np.abs(model.forward(Tensor(xs)).data - ys).mean()) * len(sel)
+        monkeypatch.setattr(md, "_TILE_BYTES", 1 << 40)
+        whole = evaluate(model, ds, "val")
+        monkeypatch.setattr(md, "_TILE_BYTES", 1)
+        assert _batched_mae(model, series_norm, val) == total / len(val)
+        assert evaluate(model, ds, "val") == whole
