@@ -3,9 +3,10 @@
 Everything the attention blocks need lives here: batched matmul, elementwise
 arithmetic, shape moves, softmax, fused scaled dot-product attention within
 runs of consecutive rows (one run being attention over all rows), layer
-norm, GELU, and the row moves of the subgraph layout: a row permutation, a
+norm, GELU, a fused GELU feed-forward that recomputes its hidden layer in
+the backward, and the row moves of the subgraph layout: a row permutation, a
 mean over each run of rows and its adjoint, which repeats a row over its
-run. All data is 64-bit and row-major. matmul and attention feed a global
+run. All data is 64-bit and row-major. matmul, attention and ffn feed a global
 FLOP counter when counting is enabled.
 
 Gradients are first-order only and are stored on leaf tensors (those created
@@ -47,7 +48,8 @@ def no_grad():
 
 
 class FlopCounter:
-    """Counts multiplies/adds issued by matmul while enabled.
+    """Counts multiplies/adds of the forward products of matmul, attention
+    and ffn while enabled.
 
     Disabled counting leaves results bit-identical; the counter only ever
     observes, never alters, the arithmetic.
@@ -521,15 +523,12 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(x) -> Tensor:
-    """x * Phi(x) via the tanh approximation.
+def _gelu_forward(xd: np.ndarray) -> tuple:
+    """(x * Phi(x), th) via the tanh approximation; the backward needs th.
 
     The cube is x * x * x: numpy's float power is an order of magnitude
-    slower. In-place updates touch only arrays created here, never the input
-    or the incoming gradient, which may be shared or a read-only view.
+    slower. In-place updates touch only arrays created here, never xd.
     """
-    t = as_tensor(x)
-    xd = t.data
     th = np.asarray(xd * xd)  # 0-d inputs give a scalar; keep an array for out=
     th *= xd
     th *= 0.044715
@@ -539,25 +538,110 @@ def gelu(x) -> Tensor:
     data = th + 1.0
     data *= xd
     data *= 0.5
+    return data, th
+
+
+def _gelu_backward(g: np.ndarray, xd: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Gradient through GELU at xd, given dL/dy = g and the forward's th.
+
+    Touches neither g nor xd, which may be shared or a read-only view.
+    """
+    # dgelu/dx = 0.5 (1 + th) + 0.5 x (1 - th^2) du/dx
+    du = xd * xd
+    du *= 3 * 0.044715
+    du += 1.0
+    du *= _GELU_C
+    gx = th * th  # th^2 - 1 in place; the -0.5 restores the sign exactly
+    gx -= 1.0
+    gx *= xd
+    gx *= -0.5
+    gx *= du
+    du = th + 1.0
+    du *= 0.5
+    gx += du
+    gx *= g
+    return gx
+
+
+def gelu(x) -> Tensor:
+    """x * Phi(x) via the tanh approximation."""
+    t = as_tensor(x)
+    data, th = _gelu_forward(t.data)
 
     def backward(g):
-        # dgelu/dx = 0.5 (1 + th) + 0.5 x (1 - th^2) du/dx
-        du = xd * xd
-        du *= 3 * 0.044715
-        du += 1.0
-        du *= _GELU_C
-        gx = th * th  # th^2 - 1 in place; the -0.5 restores the sign exactly
-        gx -= 1.0
-        gx *= xd
-        gx *= -0.5
-        gx *= du
-        du = th + 1.0
-        du *= 0.5
-        gx += du
-        gx *= g
-        return (gx,)
+        return (_gelu_backward(g, t.data, th),)
 
     return _from_op(data, "gelu", (t,), backward)
+
+
+# Hidden-layer budget of one `ffn` tile. Its few tile-sized temporaries stay
+# in L2 and below glibc's default mmap threshold (128 KiB), so the heap
+# reuses them every step instead of mapping and faulting them in afresh.
+_FFN_TILE_BYTES = 1 << 16
+
+
+def ffn(x, w1, w2) -> Tensor:
+    """gelu(x @ w1) @ w2 as one tape node that saves only its inputs.
+
+    x is (..., n, d); w1 (d, h) and w2 (h, d_out) are 2-D. Each (n, d)
+    slice of x is a window, and the op runs a tile of whole windows at a
+    time: as many as keep the tile's hidden layer within _FFN_TILE_BYTES,
+    and at least one. The backward reruns each tile's x @ w1 and GELU
+    instead of keeping the hidden layer, its tanh and the GELU output on
+    the tape. Every product is the chain's per-window BLAS call, and the
+    per-window weight-gradient partials are summed by matmul's own
+    _unbroadcast, so outputs, gradients and the FLOP count equal those of
+    matmul -> gelu -> matmul bit for bit. The rerun is not counted.
+    """
+    x, w1, w2 = as_tensor(x), as_tensor(w1), as_tensor(w2)
+    if (x.data.ndim < 2 or w1.data.ndim != 2 or w2.data.ndim != 2
+            or x.data.shape[-1] != w1.data.shape[0] or w1.data.shape[1] != w2.data.shape[0]):
+        raise ShapeError(
+            f"ffn expects x (..., n, d), w1 (d, h) and w2 (h, d_out); got "
+            f"{x.data.shape}, {w1.data.shape} and {w2.data.shape}"
+        )
+    wins = x.data.reshape((-1,) + x.data.shape[-2:])
+    out = np.empty(wins.shape[:-1] + w2.data.shape[1:])
+    tile = max(1, _FFN_TILE_BYTES // (8 * w1.data.shape[1] * wins.shape[1]))
+    tiles = [slice(lo, lo + tile) for lo in range(0, len(wins), tile)]
+    for t in tiles:
+        h = np.matmul(wins[t], w1.data)
+        _count_matmul(wins[t], w1.data, h)
+        _finite(h, "ffn")
+        act, _ = _gelu_forward(h)
+        np.matmul(act, w2.data, out=out[t])
+        _count_matmul(act, w2.data, out[t])
+
+    def backward(g):
+        g = g.reshape(out.shape)
+        gx, gw1, gw2 = (
+            np.empty(shape) if src.requires_grad else None
+            for src, shape in ((x, wins.shape), (w1, wins.shape[:1] + w1.data.shape),
+                               (w2, wins.shape[:1] + w2.data.shape))
+        )
+        for t in tiles:
+            h = np.matmul(wins[t], w1.data)
+            act, th = _gelu_forward(h)
+            if gw2 is not None:
+                np.matmul(np.swapaxes(act, -1, -2), g[t], out=gw2[t])
+            gh = _gelu_backward(np.matmul(g[t], np.swapaxes(w2.data, -1, -2)), h, th)
+            if gx is not None:
+                np.matmul(gh, np.swapaxes(w1.data, -1, -2), out=gx[t])
+            if gw1 is not None:
+                np.matmul(np.swapaxes(wins[t], -1, -2), gh, out=gw1[t])
+
+        def summed(gw, w):
+            """Per-window partials summed to the shape of w, as matmul does."""
+            return _unbroadcast(gw.reshape(x.data.shape[:-2] + w.shape), w.shape)
+
+        return (
+            None if gx is None else gx.reshape(x.data.shape),
+            None if gw1 is None else summed(gw1, w1.data),
+            None if gw2 is None else summed(gw2, w2.data),
+        )
+
+    data = out.reshape(x.data.shape[:-1] + w2.data.shape[1:])
+    return _from_op(data, "ffn", (x, w1, w2), backward)
 
 
 def tensor_sum(x) -> Tensor:

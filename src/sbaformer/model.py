@@ -211,7 +211,7 @@ def _attn_sublayer(x: Tensor, prm: AttnParams, heads: int, sizes):
 
 def _ffn_sublayer(x: Tensor, prm: AttnParams) -> Tensor:
     h = ad.layer_norm(x, prm.ln2_gamma, prm.ln2_beta)
-    return ad.add(x, ad.matmul(ad.gelu(ad.matmul(h, prm.ffn_w1)), prm.ffn_w2))
+    return ad.add(x, ad.ffn(h, prm.ffn_w1, prm.ffn_w2))
 
 
 def intra_attention(xp: Tensor, valid, prm: AttnParams, heads: int):
@@ -381,7 +381,11 @@ class SbaTransformer:
         return out.reshape(x.shape[:-3] + out.shape[1:])
 
     def _window_bytes(self) -> int:
-        """f64 bytes of one window's largest temporary in `forward`."""
+        """f64 bytes of one window's largest temporary in `forward`.
+
+        The FFN hidden layer counts at its whole-window size, though
+        `ad.ffn` now also tiles it internally, by `ad._FFN_TILE_BYTES`.
+        """
         mc = self.config
         run = max(max(plan.m, plan.p) for plan in self.series.plans)
         return 8 * max(mc.n * mc.ffn_mult * mc.d_model, mc.heads * run * run)

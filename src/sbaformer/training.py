@@ -93,6 +93,19 @@ def adam_step(params: ModelParams, state: TrainState, cfg: TrainConfig):
         t.data = t.data - cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
 
 
+def _train_step(model: SbaTransformer, state: TrainState, cfg: TrainConfig, xs, ys) -> float:
+    """One Adam step on one batch; returns the batch loss.
+
+    The tape lives only in this frame, so it is freed before the next
+    batch's forward builds another one.
+    """
+    model.params.zero_grad()
+    loss = mae_loss(model.forward(Tensor(xs)), Tensor(ys))
+    loss.backward()
+    adam_step(model.params, state, cfg)
+    return loss.item()
+
+
 def _batched_mae(model: SbaTransformer, series_norm, windows, batch: int = 64) -> float:
     """Mean of per-window MAE over a window set.
 
@@ -139,16 +152,12 @@ def train(model: SbaTransformer, dataset: Dataset, cfg: TrainConfig):
             for lo in range(0, len(order), cfg.batch_size):
                 sel = order[lo : lo + cfg.batch_size]
                 xs, ys = window_arrays(series_norm, train_ws, at=sel)
-                model.params.zero_grad()
                 try:
-                    loss = mae_loss(model.forward(Tensor(xs)), Tensor(ys))
-                    loss.backward()
-                    adam_step(model.params, state, cfg)
+                    losses.append(_train_step(model, state, cfg, xs, ys))
                 except NumericError as exc:
                     log.error("aborting training at epoch %d: %s", epoch, exc)
                     aborted = True
                     break
-                losses.append(loss.item())
         if aborted:
             history.append({"epoch": epoch, "aborted": True})
             timings.append(time.perf_counter() - tic)

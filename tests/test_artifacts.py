@@ -316,3 +316,30 @@ def test_no_function_assigns_an_unread_local():
         for line, fn, name in _unread_locals(ast.parse(path.read_text()))
     ]
     assert offenders == []
+
+
+ENVIRONMENT_NAMES = {"environ", "getenv", "putenv"}
+
+
+def _environment_reads(tree):
+    """Line numbers of each os.environ, os.getenv and os.putenv use, and of
+    each `from os import` of one of them."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+            alias.name in ENVIRONMENT_NAMES for alias in node.names
+        ):
+            yield node.lineno
+
+
+def test_no_module_reads_the_environment():
+    # budgets such as the tile sizes stay module constants, never env knobs
+    src = Path(sbaformer.__file__).parent
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py"))
+        for line in _environment_reads(ast.parse(path.read_text()))
+    ]
+    assert offenders == []

@@ -354,6 +354,78 @@ class TestGelu:
         np.testing.assert_array_equal(x.grad, 2.0 * ad.gelu(x)._backward(np.ones(x0.shape))[0])
 
 
+def unfused_ffn(x, w1, w2):
+    """The three-op chain ad.ffn replaces."""
+    return ad.matmul(ad.gelu(ad.matmul(x, w1)), w2)
+
+
+class TestFfn:
+    D, H = 4, 12  # one (5, 4) window's hidden layer is 5 * 12 * 8 = 480 bytes
+
+    def _run(self, fn, x0, w10, w20, weights):
+        """[out, dx, dw1, dw2] and the forward's FLOP report, with the count
+        after the backward as well."""
+        x, w1, w2 = (Tensor(a.copy(), requires_grad=True) for a in (x0, w10, w20))
+        ad.flops.reset()
+        with ad.flops.counting():
+            out = fn(x, w1, w2)
+            forward = ad.flops.report()
+            ad.tensor_sum(ad.mul(out, Tensor(weights))).backward()
+            after = ad.flops.report()
+        return [out.data, x.grad, w1.grad, w2.grad], forward, after
+
+    def _case(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        x0 = rng.standard_normal(shape + (5, self.D))
+        w10 = rng.standard_normal((self.D, self.H))
+        w20 = rng.standard_normal((self.H, self.D))
+        return x0, w10, w20, rng.standard_normal(x0.shape)
+
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3)], ids=["unbatched", "one-axis", "two-axes"])
+    @pytest.mark.parametrize("budget", [1, 3 * 480 + 7, 1 << 30], ids=["1", "3", "all"])
+    def test_matches_unfused_chain_bit_for_bit(self, monkeypatch, shape, budget):
+        # tiles of one window, of three (7 windows end in a ragged tile of
+        # one) and of every window
+        case = self._case(shape, 40 + len(shape))
+        chain, chain_flops, _ = self._run(unfused_ffn, *case)
+        monkeypatch.setattr(ad, "_FFN_TILE_BYTES", budget)
+        fused, fused_flops, after = self._run(ad.ffn, *case)
+        assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
+        assert fused_flops == chain_flops and after == fused_flops
+
+    def test_tiles_cover_the_windows(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ad, "_count_matmul", lambda a, b, out: calls.append(out.shape[0]))
+        monkeypatch.setattr(ad, "_FFN_TILE_BYTES", 3 * 480 + 7)
+        x0, w10, w20, _ = self._case((7,), 44)
+        ad.ffn(Tensor(x0), Tensor(w10), Tensor(w20))
+        assert calls == [3, 3, 3, 3, 1, 1]  # x @ w1 then gelu @ w2, per tile
+
+    def test_leaves_without_grad_get_none(self):
+        x0, w10, w20, weights = self._case((3,), 45)
+        x, w1 = Tensor(x0), Tensor(w10)
+        w2 = Tensor(w20.copy(), requires_grad=True)
+        ad.tensor_sum(ad.mul(ad.ffn(x, w1, w2), Tensor(weights))).backward()
+        ref = Tensor(w20.copy(), requires_grad=True)
+        ad.tensor_sum(ad.mul(unfused_ffn(Tensor(x0), Tensor(w10), ref), Tensor(weights))).backward()
+        assert x.grad is None and w1.grad is None
+        assert np.array_equal(w2.grad, ref.grad)
+
+    def test_overflowing_hidden_layer_names_ffn(self):
+        x = Tensor(np.full((2, 3, self.D), 1e200))
+        w1 = Tensor(np.full((self.D, self.H), -1e200))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="ffn"):
+            ad.ffn(x, w1, Tensor(np.zeros((self.H, self.D))))
+
+    def test_bad_shapes_raise(self):
+        x, w1, w2 = (Tensor(np.ones(s)) for s in ((5, 4), (4, 12), (12, 4)))
+        for args in ((Tensor(np.ones(4)), w1, w2), (x, Tensor(np.ones((3, 12))), w2),
+                     (x, w1, Tensor(np.ones((11, 4)))), (x, Tensor(np.ones((1, 4, 12))), w2)):
+            with pytest.raises(ShapeError, match="ffn expects"):
+                ad.ffn(*args)
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         w = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
@@ -395,6 +467,10 @@ class TestGradientSoundness:
         "mul": lambda x, aux: ad.mul(x, Tensor(aux)),
         "div": lambda x, aux: ad.div(x, Tensor(np.abs(aux) + 1.0)),
         "gelu": lambda x, aux: ad.gelu(x),
+        # x (a, b) feeds all three operands, so dw1 and dw2 reach dx too
+        "ffn": lambda x, aux: ad.ffn(
+            x, ad.swapaxes(ad.mul(x, Tensor(aux)), -1, -2), ad.mul(x, x)
+        ),
         "layer_norm": lambda x, aux: ad.layer_norm(
             x, Tensor(aux[0] + 2.0), Tensor(aux[1])
         ),

@@ -1,5 +1,6 @@
 """Model blocks against independent dense oracles, plus structural invariants."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -624,3 +625,34 @@ class TestFullModelGradients:
                 flat[i] = orig
                 num[i] = (up - down) / (2 * h)
             assert_grads_close(t.grad.ravel(), num)
+
+    def test_fused_ffn_keeps_every_bit_and_shrinks_the_tape(self, monkeypatch):
+        def tape_run(model, x, target):
+            """Bytes the tape holds after the forward, the output and the grads."""
+            model.params.zero_grad()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = model.forward(Tensor(x))
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            md.mae_loss(out, target).backward()
+            return held, [out.data] + [t.grad for t in model.params.tensors()]
+
+        def unfused_sublayer(x, prm):
+            h = ad.layer_norm(x, prm.ln2_gamma, prm.ln2_beta)
+            return ad.add(x, ad.matmul(ad.gelu(ad.matmul(h, prm.ffn_w1)), prm.ffn_w2))
+
+        rng = np.random.default_rng(24)
+        b, n, d = 4, 16, 16
+        model, _ = tiny_model(rng, n=n, t=4, d=d, l=2, heads=2, p0=4)
+        x = rng.standard_normal((b, n, 4, 1))
+        target = rng.standard_normal((b, n, 3, 1))
+        fused_bytes, fused = tape_run(model, x, target)
+        monkeypatch.setattr(md, "_ffn_sublayer", unfused_sublayer)
+        chain_bytes, chain = tape_run(model, x, target)
+        assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
+        # the intra hidden layer, its GELU tanh and the GELU output, per block
+        hidden = 8 * b * n * model.config.ffn_mult * d
+        assert chain_bytes - fused_bytes >= 3 * model.config.l * hidden

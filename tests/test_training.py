@@ -1,4 +1,6 @@
 """Optimizer contracts, the training loop, and evaluation reports."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,30 @@ class TestTrainLoop:
         assert any(h.get("aborted") for h in history) or len(history) == 6
         for _, t in best.named():
             assert np.all(np.isfinite(t.data))
+
+    def test_epoch_peak_holds_one_tape_at_a_time(self):
+        # a step's tape must be freed before the next batch builds its own
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                fn()
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        model, ds = small_setup(n=64, steps=300, t=12, f=6, d=16, l=2, p0=4)
+        cfg = TrainConfig(batch_size=16, max_epochs=1)
+        _, series_norm, windows = split_setup(ds, model.config.t, model.config.f)
+        assert len(windows["train"]) > 8 * cfg.batch_size
+        xs, ys = window_arrays(series_norm, windows["train"], at=range(cfg.batch_size))
+
+        def one_step():
+            mae_loss(model.forward(Tensor(xs)), Tensor(ys)).backward()
+
+        step = traced_peak(one_step)
+        epoch = traced_peak(lambda: train(model, ds, cfg))
+        assert epoch < 1.5 * step
 
 
 class TestEvaluate:
