@@ -16,8 +16,8 @@ print(f"graph: {graph.n} nodes, {sum(1 for _ in graph.edges())} edges (8x8 grid)
 # one flat partition: balanced, minimal edge cut, deterministic per seed
 plan = partition_kway(graph, p=8, balance_factor=1.3, seed=0)
 print(f"\nflat partition into p={plan.p}:")
-print(f"  largest subgraph m={plan.m}, edge cut {plan.edge_cut:g}, "
-      f"balance {plan.achieved_factor:.2f}")
+print(f"  largest subgraph m={plan.m}, smallest min={plan.sizes.min()}, "
+      f"edge cut {plan.edge_cut:g}, balance {plan.achieved_factor:.2f}")
 for part in range(plan.p):
     nodes = np.flatnonzero(plan.assign == part)
     print(f"  subgraph {part}: {nodes.tolist()}")
@@ -27,7 +27,7 @@ for part in range(plan.p):
 series = build_scale_series(graph, p0=8, l=3, seed=0)
 print("\nscale series:")
 for level, p in enumerate(series.plans):
-    print(f"  level {level}: p={p.p} m={p.m} edge_cut={p.edge_cut:g}")
+    print(f"  level {level}: p={p.p} m={p.m} min={p.sizes.min()} edge_cut={p.edge_cut:g}")
 for level, mapping in enumerate(series.merge_maps):
     groups = {}
     for fine, coarse in enumerate(mapping):

@@ -225,7 +225,8 @@ def cmd_partition(args) -> int:
     save_plans(args.out, series)
     for level, plan in enumerate(series.plans):
         print(
-            f"level {level}: p={plan.p} m={plan.m} edge_cut={plan.edge_cut:g} "
+            f"level {level}: p={plan.p} m={plan.m} min={plan.sizes.min()} "
+            f"edge_cut={plan.edge_cut:g} "
             f"balance={plan.achieved_factor:.3f}"
             + (" OVER" if plan.over_balance else "")
         )

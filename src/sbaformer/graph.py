@@ -232,6 +232,7 @@ def laplacian_pe(g: SpatialGraph, k: int, block_limit: int = 2000) -> Positional
         p = math.ceil(g.n / block_limit)
         while True:
             plan = partition_kway(g, p, balance_factor=1.1, seed=0)
+            log.debug("PE blocks: p=%d gives m=%d (block_limit %d)", p, plan.m, block_limit)
             if plan.m <= block_limit:
                 break
             p += 1

@@ -4,10 +4,13 @@ The partitioner is a self-contained multilevel scheme: heavy-edge-matching
 coarsening, greedy region-growing initial assignment, and Kernighan-Lin
 style boundary refinement (best-prefix passes) during uncoarsening. Every
 level is a SpatialGraph. Refinement reads move gains from a (nodes x p)
-node-to-part weight table, and a move recomputes only its neighbours' rows.
-It is deterministic for a fixed seed. Coarser scales are built by pair-merging
-subgraphs of the previous scale, so the halving relation holds exactly and
-boundary nodes of fine subgraphs meet inside coarser ones.
+node-to-part weight table. A move re-sums only the two columns it changes
+(the old and the new part) in its neighbours' rows, in CSR order, so the
+table keeps the bits of a full rebuild. It costs one plain-Python walk of
+each neighbour's row and no numpy call beyond scalar writes. The
+partitioner is deterministic for a fixed seed. Coarser scales are built by
+pair-merging subgraphs of the previous scale, so the halving relation holds
+exactly and boundary nodes of fine subgraphs meet inside coarser ones.
 """
 from __future__ import annotations
 
@@ -323,60 +326,86 @@ def _region_grow(g: SpatialGraph, node_w, p, rng):
 
 
 class _Parts:
-    """One level's assignment under a part-weight cap, its part weights and
-    sizes, and the node-to-part table: conn[u, q] is the edge weight from
-    node u into part q."""
+    """One level's assignment under a part-weight cap, with the state that
+    refinement reads: part weights and sizes, the node-to-part table
+    conn[u, q] (the edge weight from node u into part q), and, per node, the
+    count of neighbours in other parts (`outside`), nonzero on the
+    `boundary`.
+
+    Moving u from part a to part b changes only columns a and b of its
+    neighbours' rows. So move() re-sums just those two entries, walking each
+    neighbour's row in CSR order with `s += w` from 0.0: sum(deg(v) for v
+    near u) plain Python steps, and no numpy call but scalar writes. That is
+    the order np.bincount accumulates in when the table is built, so the
+    refreshed entries have the bits a full rebuild would give. Weights are
+    > 0, so conn[v, q] > 0 exactly when v has a neighbour in q, and the
+    boundary follows from neighbour labels alone.
+    """
 
     def __init__(self, g: SpatialGraph, node_w, assign, p, cap):
         self.g, self.node_w, self.assign, self.p, self.cap = g, node_w, assign, p, cap
         self.part_w = np.bincount(assign, weights=node_w, minlength=p)
         self.part_count = np.bincount(assign, minlength=p)
-        everyone = np.arange(g.n)
-        self.conn = self._conn_rows(everyone)
-        self.boundary = self._outside(everyone)
-
-    def _conn_rows(self, rows):
-        """Table rows of `rows`, each summed over its neighbours in ascending order."""
-        indptr = self.g.indptr
-        lens = indptr[rows + 1] - indptr[rows]
-        # CSR positions of the rows' entries, row after row
-        at = np.repeat(indptr[rows] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-        slot = np.repeat(np.arange(rows.size) * self.p, lens) + self.assign[self.g.indices[at]]
-        table = np.bincount(slot, weights=self.g.weights[at], minlength=rows.size * self.p)
-        return table.reshape(rows.size, self.p)
-
-    def _outside(self, rows):
-        """Whether each of `rows` has a neighbour in another part."""
-        linked = self.conn[rows] > 0
-        linked[np.arange(rows.size), self.assign[rows]] = False
-        return linked.any(axis=1)
+        rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+        cols = assign[g.indices]
+        table = np.bincount(rows * p + cols, weights=g.weights, minlength=g.n * p)
+        self.conn = table.reshape(g.n, p)
+        self.outside = np.bincount(rows[assign[rows] != cols], minlength=g.n)
+        # best_move's (nodes x p) work space, kept for the level: allocated
+        # afresh per call, it page-faulted anew on every call at n=8649
+        self._grid = np.empty_like(self.conn)
+        self._fits = np.empty(self.conn.shape, dtype=bool)
+        # the CSR arrays and a mirror of assign as lists, for move()'s walks
+        self._csr = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
+        self._labels = assign.tolist()
 
     def move(self, u: int, to: int) -> int:
-        """Move node u to part `to`, refresh its neighbours' rows; return u's old part."""
-        frm = int(self.assign[u])
+        """Move node u to part `to`, refresh its neighbours' state; return u's old part."""
+        labels, (indptr, indices, weights) = self._labels, self._csr
+        frm = labels[u]
+        labels[u] = to
         self.assign[u] = to
         self.part_w[frm] -= self.node_w[u]
         self.part_w[to] += self.node_w[u]
         self.part_count[frm] -= 1
         self.part_count[to] += 1
-        nbrs = self.g.indices[self.g.indptr[u] : self.g.indptr[u + 1]]
-        self.conn[nbrs] = self._conn_rows(nbrs)
-        near = np.append(nbrs, u)
-        self.boundary[near] = self._outside(near)
+        u_out = 0
+        for v in indices[indptr[u] : indptr[u + 1]]:
+            here = labels[v]
+            u_out += here != to
+            if here == frm or here == to:  # u left v's part, or joined it
+                self.outside[v] += 1 if here == frm else -1
+            w_frm = w_to = 0.0
+            for k in range(indptr[v], indptr[v + 1]):
+                there = labels[indices[k]]
+                if there == frm:
+                    w_frm += weights[k]
+                elif there == to:
+                    w_to += weights[k]
+            self.conn[v, frm] = w_frm
+            self.conn[v, to] = w_to
+        self.outside[u] = u_out
         return frm
+
+    @property
+    def boundary(self) -> np.ndarray:
+        """Whether each node has a neighbour in another part."""
+        return self.outside > 0
 
     def best_move(self, nodes):
         """Highest-gain (gain, u, to) moving one of `nodes` (ascending) into
         another part that stays within the cap, or None. Ties go to the
         lowest node, then the lowest part."""
         here, frm = np.arange(nodes.size), self.assign[nodes]
-        conn = self.conn[nodes]
-        gain = conn - conn[here, frm][:, None]
-        fits = self.part_w + self.node_w[nodes][:, None] <= self.cap + 1e-9
+        grid, fits = self._grid[: nodes.size], self._fits[: nodes.size]
+        np.add(self.part_w, self.node_w[nodes][:, None], out=grid)
+        np.less_equal(grid, self.cap + 1e-9, out=fits)
         fits[here, frm] = False
         if not fits.any():
             return None
-        gain[~fits] = -np.inf
+        gain = np.take(self.conn, nodes, axis=0, out=grid)
+        gain -= gain[here, frm][:, None]
+        np.putmask(gain, np.logical_not(fits, out=fits), -np.inf)
         k, to = divmod(int(np.argmax(gain)), self.p)
         return gain[k, to], int(nodes[k]), to
 

@@ -128,6 +128,10 @@ class TestPartitionCommand:
         assert len(lines) == 2 and lines[0].startswith("level 0: p=4")
         series = load_plans(out)
         assert [p.p for p in series.plans] == [4, 2]
+        for line, plan in zip(lines, series.plans):
+            fields = dict(f.split("=") for f in line.split()[2:] if "=" in f)
+            assert int(fields["m"]) == plan.m
+            assert int(fields["min"]) == plan.sizes.min()
 
     def test_single_part(self, synth_dir, tmp_path):
         out = tmp_path / "p1.json"

@@ -246,6 +246,14 @@ class TestLaplacianPE:
         assert pe.vectors.shape == (2, 4)
         assert (pe.vectors[:, 2:] == 0.0).all()
 
+    def test_block_search_logs_each_try(self, caplog):
+        with caplog.at_level("DEBUG", logger="sbaformer.graph"):
+            gr.laplacian_pe(make_grid_graph(24, 24), 8, 96)
+        assert [r.getMessage() for r in caplog.records] == [
+            "PE blocks: p=6 gives m=105 (block_limit 96)",
+            "PE blocks: p=7 gives m=91 (block_limit 96)",
+        ]
+
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(7)
         g = random_connected_graph(12, rng)

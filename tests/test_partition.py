@@ -11,13 +11,21 @@ from sbaformer import partition as pt
 from sbaformer.autodiff import Tensor
 from sbaformer.data import make_grid_graph
 from sbaformer.errors import ContractError, HeaderMismatchError, InputError, ShapeError
-from sbaformer.graph import SpatialGraph
+from sbaformer.graph import SpatialGraph, build_gaussian_graph
 
 from test_graph import clique_edges, random_connected_graph
 
 
 def path_graph(n):
     return SpatialGraph(n, np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+
+
+def two_cluster_graph():
+    """Gaussian-kernel graph on two far-apart clusters of 80 random points:
+    non-integer weights and two connected components."""
+    rng = np.random.default_rng(5)
+    coords = np.concatenate([rng.uniform(0, 5, (80, 2)), rng.uniform(12, 17, (80, 2))])
+    return build_gaussian_graph(coords, sigma=1.0, threshold=0.1)
 
 
 def greedy_merge_map(cut_w):
@@ -134,6 +142,49 @@ class TestPartitionKway:
         assert not plan.over_balance
 
 
+class TestPartsBookkeeping:
+    """move() keeps the refinement state equal, bit for bit, to a rebuild."""
+
+    @staticmethod
+    def _level(kind):
+        rng = np.random.default_rng(9)
+        g = random_connected_graph(60, rng, extra_edges=90)
+        node_w = np.ones(g.n, dtype=np.int64)
+        if kind == "contracted":
+            cmap, cn = pt._heavy_edge_matching(g, rng)
+            g, node_w = pt._contract(g, node_w, cmap, cn)
+            assert node_w.max() > 1
+        return g, node_w
+
+    @staticmethod
+    def _assert_rebuilt(parts):
+        fresh = pt._Parts(parts.g, parts.node_w, parts.assign.copy(), parts.p, parts.cap)
+        for name in ("conn", "outside", "boundary", "part_w", "part_count"):
+            assert np.array_equal(getattr(parts, name), getattr(fresh, name)), name
+        movable = np.flatnonzero(parts.boundary & (parts.part_count[parts.assign] > 1))
+        assert parts.best_move(movable) == fresh.best_move(movable)
+
+    @pytest.mark.parametrize("kind", ["random", "contracted"])
+    def test_moves_and_undos_match_a_rebuild(self, kind):
+        g, node_w = self._level(kind)
+        p = 4
+        rng = np.random.default_rng(11)
+        # a cap that some moves break, so best_move filters as well as ranks
+        parts = pt._Parts(g, node_w, rng.integers(0, p, g.n), p, cap=node_w.sum() / 3)
+        self._assert_rebuilt(parts)
+        for _ in range(6):
+            moves = []
+            for _ in range(12):
+                u = int(rng.integers(0, g.n))
+                to = int((parts.assign[u] + rng.integers(1, p)) % p)
+                moves.append((u, parts.move(u, to)))
+                self._assert_rebuilt(parts)
+            # roll a suffix back in reverse, as a best-prefix pass does
+            for u, frm in reversed(moves[int(rng.integers(0, len(moves))):]):
+                parts.move(u, frm)
+                self._assert_rebuilt(parts)
+
+
 class TestScaleSeries:
     def test_counts_halve_8_4_2(self):
         rng = np.random.default_rng(4)
@@ -211,6 +262,11 @@ class TestScaleSeries:
                    [370, 263, 162]),
         "random200": ("16ad6302c95811292ecbd66861a78bb46ec8087c9f7dd6c294185674dfeccaaa",
                       [234.73305640161627, 185.18351413801054, 117.1157241377305]),
+        # computed by the partitioner before move() refreshed two table columns
+        "grid45": ("2f271296edbd567c53e0a7a09be0a3774e013e8c86c0c791a135be9fea951228",
+                   [1077.0, 796.0, 587.0]),
+        "gauss160": ("0a276bc769f520f679562b17dbaf0f477db4d24d765739ae25737c27514ed694",
+                     [96.95755460057515, 37.31753345022441, 0]),
     }
 
     # sha256 of each level's row order as int64 bytes, from the padded-table plans
@@ -224,13 +280,21 @@ class TestScaleSeries:
         "random200": ["be23440aa269944a96538a8592fcd028ce57d58006c70d6000c1567317e2f6a1",
                       "82e4d9e32f1b6ab714d949fecb6c0239e78e908eed67451ab17ab2014eda9439",
                       "46fb3f2271ae61042624607b04e193345082d824dd40bc1ba6dcffbdb92153a8"],
+        "grid45": ["bca9cde9d916ca6eab3bfd0dcc0a3cf72e11b8527dd1f30ac538dae6d2462c92",
+                   "b24e80a53918af7dfb1b4f3b6e52f372a80d82db120bf5124e6d0cd7f7b28c41",
+                   "c630a725fdf771a53bf4d62da88a13056b8f2e5f77a7b16c9c8d7c9495fe0790"],
+        "gauss160": ["6722750efa01bd3ab4311d768c08054b42e9b2dc2fa80729880babb8c6910ea6",
+                     "278c0b346d83a6aa6651eb3ae99b51ba1ad1b98825760c21ec2a5c5c5896c4a5",
+                     "7be21acae1abdb46365b03d00614ebca75107f603ccf23a3c848143f811eeb67"],
     }
-    GRAPHS = [("grid8", 8), ("grid24", 16), ("random200", 8)]
+    GRAPHS = [("grid8", 8), ("grid24", 16), ("random200", 8), ("grid45", 32), ("gauss160", 8)]
 
     @staticmethod
     def _series(graph, p0):
         if graph == "random200":
             g = random_connected_graph(200, np.random.default_rng(3), extra_edges=300)
+        elif graph == "gauss160":
+            g = two_cluster_graph()
         else:
             g = make_grid_graph(int(graph[4:]), int(graph[4:]))
         return pt.build_scale_series(g, p0, 3)
