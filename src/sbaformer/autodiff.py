@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, DegenerateMaskError, NumericError, ShapeError
+from .errors import ContractError, EmptyRunError, NumericError, ShapeError
 
 _DEBUG_CHECKS = True
 _GRAD_ENABLED = True
@@ -112,35 +112,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; constants are accepted on either side
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
     def backward(self):
         """Add dself/dleaf to the grad of every leaf tensor on the tape.
@@ -376,7 +347,7 @@ def _runs(sizes) -> tuple:
     """(sizes, starts) of consecutive row runs; every run holds at least one row."""
     sizes = np.asarray(sizes, dtype=np.int64)
     if sizes.min(initial=1) < 1:
-        raise DegenerateMaskError(f"a run of rows is empty: sizes {sizes.tolist()}")
+        raise EmptyRunError(f"a run of rows is empty: sizes {sizes.tolist()}")
     return sizes, np.cumsum(sizes) - sizes
 
 

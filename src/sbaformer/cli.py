@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .artifacts import write_blob, write_csv, write_json, write_jsonl
 from .autodiff import Tensor
-from .config import load_config, write_effective_config
+from .config import load_config
 from .data import (
     SPLITS,
     Dataset,
@@ -157,19 +157,10 @@ def _assemble(cfg, checkpoint=None, window=None):
     graph, the scale series and the encoding built. Without a checkpoint the
     model is freshly initialized from train.seed.
     """
-    dc, mcfg, pc = cfg["data"], cfg["model"], cfg["partition"]
+    dc, pc = cfg["data"], cfg["partition"]
     series, meta = load_series(dc["series"], dc["format"])
     mc = ModelConfig(
-        n=series.shape[0],
-        t=mcfg["t"],
-        c=series.shape[2],
-        f=mcfg["f"],
-        d_model=mcfg["d_model"],
-        l=mcfg["l"],
-        heads=mcfg["heads"],
-        p0=pc["p0"],
-        k_pe=cfg["pe"]["k"],
-        ffn_mult=mcfg["ffn_mult"],
+        n=series.shape[0], c=series.shape[2], p0=pc["p0"], k_pe=cfg["pe"]["k"], **cfg["model"]
     )
     params, seed = None, cfg["train"]["seed"]
     if checkpoint is not None:
@@ -199,20 +190,6 @@ def _assemble(cfg, checkpoint=None, window=None):
     plans = build_scale_series(graph, mc.p0, mc.l, pc["balance_factor"], pc["seed"])
     pe = laplacian_pe(graph, mc.k_pe, cfg["pe"]["block_limit"])
     return dataset, pe, SbaTransformer(mc, plans, pe.vectors, params=params, seed=seed)
-
-
-def _train_config(cfg) -> TrainConfig:
-    tc = cfg["train"]
-    return TrainConfig(
-        lr=tc["lr"],
-        betas=tuple(tc["betas"]),
-        eps=tc["eps"],
-        batch_size=tc["batch_size"],
-        max_epochs=tc["max_epochs"],
-        patience=tc["patience"],
-        grad_clip=tc["grad_clip"],
-        seed=tc["seed"],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +236,11 @@ def cmd_train(args) -> int:
         cfg["train"]["seed"] = args.seed
     if args.max_epochs is not None:
         cfg["train"]["max_epochs"] = args.max_epochs
-    train_config = _train_config(cfg)
+    train_config = TrainConfig(**{**cfg["train"], "betas": tuple(cfg["train"]["betas"])})
     dataset, pe, model = _assemble(cfg)  # a bad config fails before out_dir exists
     out_dir = cfg["paths"]["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    write_effective_config(cfg, os.path.join(out_dir, "effective_config.json"))
+    write_json(os.path.join(out_dir, "effective_config.json"), cfg)
     save_pe(os.path.join(out_dir, "pe.bin"), pe, dataset.graph, cfg["pe"]["block_limit"])
     save_plans(os.path.join(out_dir, "scale_series.json"), model.series)
     best, history, timings = train(model, dataset, train_config)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 
-from .artifacts import read_json, write_json
+from .artifacts import read_json
 from .errors import ConfigError
 
 DATASET_P_DEFAULTS = {
@@ -125,8 +125,3 @@ def validate_config(doc: dict) -> dict:
 
 def load_config(path) -> dict:
     return read_json(path, validate_config)
-
-
-def write_effective_config(cfg: dict, path):
-    """Echo file; re-loading it reproduces the identical effective config."""
-    write_json(path, cfg)

@@ -42,7 +42,7 @@ class ShapeError(ContractError):
     """Tensor shapes incompatible with the requested operation."""
 
 
-class DegenerateMaskError(ContractError):
+class EmptyRunError(ContractError):
     """A run of rows (one subgraph's rows) is empty."""
 
 

@@ -104,13 +104,19 @@ class SpatialGraph:
         return SpatialGraph(nodes.size, pos[src[inside]], pos[dst[inside]], w[inside], coords)
 
 
-def build_epsilon_graph(coords, epsilon: float) -> SpatialGraph:
-    """Unit-weight edge between every pair closer than epsilon."""
+def _check_coords(coords) -> np.ndarray:
+    """coords as an (n, dim) float array with n >= 1 and finite entries."""
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[0] < 1:
         raise InputError(f"coords must be (n, dim) with n >= 1, got {coords.shape}")
     if not np.all(np.isfinite(coords)):
         raise InputError("coords contain non-finite values")
+    return coords
+
+
+def build_epsilon_graph(coords, epsilon: float) -> SpatialGraph:
+    """Unit-weight edge between every pair closer than epsilon."""
+    coords = _check_coords(coords)
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
     dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1))
@@ -120,9 +126,7 @@ def build_epsilon_graph(coords, epsilon: float) -> SpatialGraph:
 
 def build_gaussian_graph(coords, sigma: float, threshold: float) -> SpatialGraph:
     """Thresholded Gaussian kernel weights: exp(-d^2/sigma^2), dropped below threshold."""
-    coords = np.asarray(coords, dtype=np.float64)
-    if not np.all(np.isfinite(coords)):
-        raise InputError("coords contain non-finite values")
+    coords = _check_coords(coords)
     if sigma <= 0:
         raise InputError("sigma must be positive")
     if not 0 <= threshold < 1:

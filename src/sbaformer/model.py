@@ -14,8 +14,9 @@ per-row stage costs n rows.
 """
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -86,16 +87,11 @@ class ModelParams:
         """Yield (name, tensor) in manifest order; this order IS the format."""
         yield "embed", self.embed
         yield "pe_proj", self.pe_proj
-        branch_fields = [
-            "wq", "wk", "wv",
-            "ln1_gamma", "ln1_beta",
-            "ffn_w1", "ffn_w2",
-            "ln2_gamma", "ln2_beta",
-        ]
+        branch = [fld.name for fld in fields(AttnParams)]
         for b, blk in enumerate(self.blocks):
             for side in ("intra", "inter"):
                 prm = getattr(blk, side)
-                for name in branch_fields:
+                for name in branch:
                     yield f"block{b}.{side}.{name}", getattr(prm, name)
             yield f"block{b}.fuse", blk.fuse
         yield "head", self.head
@@ -111,24 +107,10 @@ class ModelParams:
             t.grad = None
 
     def clone(self) -> "ModelParams":
-        def cp(t):
-            out = Tensor(t.data.copy(), requires_grad=True)
-            return out
-
-        def cp_branch(prm):
-            return AttnParams(**{k: cp(v) for k, v in vars(prm).items()})
-
-        return ModelParams(
-            embed=cp(self.embed),
-            pe_proj=cp(self.pe_proj),
-            blocks=[
-                SbaBlockParams(
-                    intra=cp_branch(b.intra), inter=cp_branch(b.inter), fuse=cp(b.fuse)
-                )
-                for b in self.blocks
-            ],
-            head=cp(self.head),
-        )
+        """A copy of every tensor, with no gradients."""
+        out = copy.deepcopy(self)
+        out.zero_grad()
+        return out
 
 
 def expected_param_count(config: ModelConfig) -> int:
@@ -291,24 +273,6 @@ def embed(x, params: ModelParams, pe_vectors) -> Tensor:
     return ad.add(base, ad.matmul(Tensor(pe_vectors), params.pe_proj))
 
 
-def forward(
-    x,
-    series: ScaleSeries,
-    params: ModelParams,
-    pe_vectors,
-    heads: int,
-    f: int,
-    c: int,
-    capture: list | None = None,
-) -> Tensor:
-    """Full pipeline: embed, l blocks over the scale series, linear head."""
-    h = embed(x, params, pe_vectors)
-    for plan, blk in zip(series.plans, params.blocks):
-        h = sba_block(h, plan, blk, heads, capture)
-    out = ad.matmul(h, params.head)
-    return ad.reshape(out, out.shape[:-1] + (f, c))
-
-
 def mae_loss(pred: Tensor, target) -> Tensor:
     """Mean absolute error over every element (sum |err| / (n*f*c) per window)."""
     tgt = ad.as_tensor(target)
@@ -351,10 +315,12 @@ class SbaTransformer:
         self.seed = seed
 
     def forward(self, x, capture: list | None = None) -> Tensor:
-        return forward(
-            x, self.series, self.params, self.pe_vectors,
-            self.config.heads, self.config.f, self.config.c, capture,
-        )
+        """Full pipeline: embed, l blocks over the scale series, linear head."""
+        h = embed(x, self.params, self.pe_vectors)
+        for plan, blk in zip(self.series.plans, self.params.blocks):
+            h = sba_block(h, plan, blk, self.config.heads, capture)
+        out = ad.matmul(h, self.params.head)
+        return ad.reshape(out, out.shape[:-1] + (self.config.f, self.config.c))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Forecasts with the tape off, in cache-sized tiles of windows.

@@ -133,9 +133,6 @@ class ScaleSeries:
     plans: list
     merge_maps: list = field(default_factory=list)  # maps[i]: plans[i].p -> plans[i+1] index
 
-    def __len__(self):
-        return len(self.plans)
-
     def validate(self, g: SpatialGraph | None = None):
         """Check halving, the merge maps and nesting, and, given g, each edge cut.
 

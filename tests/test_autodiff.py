@@ -6,7 +6,7 @@ import pytest
 
 from sbaformer import autodiff as ad
 from sbaformer.autodiff import Tensor
-from sbaformer.errors import ContractError, DegenerateMaskError, NumericError, ShapeError
+from sbaformer.errors import ContractError, EmptyRunError, NumericError, ShapeError
 
 
 def matmul_oracle(a, b):
@@ -217,7 +217,7 @@ class TestSubgraphAttention:
 
     def test_empty_part_raises(self):
         q, k, v = self._leaves(22)
-        with pytest.raises(DegenerateMaskError):
+        with pytest.raises(EmptyRunError):
             ad.attention(q, k, v, [5, 0, 4])
 
     def test_bad_sizes_or_shapes_raise(self):
@@ -269,7 +269,7 @@ class TestSegmentMean:
         assert np.array_equal(base[:, 0], ad.segment_mean(Tensor(x2), [1, 3]).data[:, 0])
 
     def test_empty_run_raises(self):
-        with pytest.raises(DegenerateMaskError):
+        with pytest.raises(EmptyRunError):
             ad.segment_mean(Tensor(np.ones((2, 2))), [2, 0])
 
     def test_sizes_must_tile_the_rows(self):
@@ -284,7 +284,7 @@ class TestRowMoves:
         np.testing.assert_array_equal(out.data, [[1.0, 2.0]] + [[3.0, 4.0]] * 3)
         with pytest.raises(ShapeError):
             ad.repeat_rows(Tensor(np.ones((2, 2))), [1, 1, 1])
-        with pytest.raises(DegenerateMaskError):
+        with pytest.raises(EmptyRunError):
             ad.repeat_rows(Tensor(np.ones((2, 2))), [1, 0])
 
     def test_permute_rows_values_and_contract(self):

@@ -98,6 +98,16 @@ class TestEpsilonGraph:
         assert (a == a.T).all() and not a.diagonal().any()
 
 
+@pytest.mark.parametrize("coords", [np.zeros(5), np.zeros((0, 2))], ids=["flat", "no-nodes"])
+@pytest.mark.parametrize("build", [
+    lambda coords: gr.build_epsilon_graph(coords, epsilon=1.0),
+    lambda coords: gr.build_gaussian_graph(coords, sigma=1.0, threshold=0.1),
+], ids=["epsilon", "gaussian"])
+def test_builders_reject_coords_not_n_by_dim(build, coords):
+    with pytest.raises(InputError, match=r"coords must be \(n, dim\) with n >= 1"):
+        build(coords)
+
+
 class TestGaussianGraph:
     def test_coincident_pair_weight_one(self):
         g = gr.build_gaussian_graph([[1.0, 1.0], [1.0, 1.0]], sigma=2.0, threshold=0.5)

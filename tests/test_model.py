@@ -1,4 +1,5 @@
 """Model blocks against independent dense oracles, plus structural invariants."""
+import json
 import math
 import tracemalloc
 
@@ -572,6 +573,42 @@ class TestParamsAndCheckpoint:
             stem.with_suffix(".bin").read_bytes(),
             stem.with_suffix(".json").read_bytes(),
         )
+
+    def test_manifest_order_pinned(self, tmp_path):
+        # the checkpoint format: these names, in this order, at running offsets
+        expected = [
+            "embed", "pe_proj",
+            "block0.intra.wq", "block0.intra.wk", "block0.intra.wv",
+            "block0.intra.ln1_gamma", "block0.intra.ln1_beta",
+            "block0.intra.ffn_w1", "block0.intra.ffn_w2",
+            "block0.intra.ln2_gamma", "block0.intra.ln2_beta",
+            "block0.inter.wq", "block0.inter.wk", "block0.inter.wv",
+            "block0.inter.ln1_gamma", "block0.inter.ln1_beta",
+            "block0.inter.ffn_w1", "block0.inter.ffn_w2",
+            "block0.inter.ln2_gamma", "block0.inter.ln2_beta",
+            "block0.fuse",
+            "block1.intra.wq", "block1.intra.wk", "block1.intra.wv",
+            "block1.intra.ln1_gamma", "block1.intra.ln1_beta",
+            "block1.intra.ffn_w1", "block1.intra.ffn_w2",
+            "block1.intra.ln2_gamma", "block1.intra.ln2_beta",
+            "block1.inter.wq", "block1.inter.wk", "block1.inter.wv",
+            "block1.inter.ln1_gamma", "block1.inter.ln1_beta",
+            "block1.inter.ffn_w1", "block1.inter.ffn_w2",
+            "block1.inter.ln2_gamma", "block1.inter.ln2_beta",
+            "block1.fuse",
+            "head",
+        ]
+        model, _ = tiny_model(np.random.default_rng(21), l=2)
+        assert [name for name, _ in model.params.named()] == expected
+        stem = tmp_path / "ckpt"
+        md.save_checkpoint(stem, model.params, model.config)
+        sidecar = json.loads(stem.with_suffix(".json").read_text())
+        assert [e["name"] for e in sidecar["tensors"]] == expected
+        offset = 0
+        for entry in sidecar["tensors"]:
+            assert entry["offset"] == offset, entry["name"]
+            offset += math.prod(entry["shape"])
+        assert sidecar["total"] == offset == model.params.count()
 
 
 class TestFullModelGradients:

@@ -185,6 +185,18 @@ class TestPartsBookkeeping:
                 self._assert_rebuilt(parts)
 
 
+class TestRebalance:
+    def test_no_fitting_move_falls_back_to_the_lightest_part(self):
+        # part 0 weighs 5 over a cap of 3.5, and any node joining part 1
+        # breaks the cap; node 0 goes to the lightest part anyway, then the
+        # loop stops because a further move cannot narrow the gap
+        parts = pt._Parts(path_graph(4), np.array([1.0, 1.0, 3.0, 3.0]),
+                          np.array([0, 0, 0, 1]), 2, cap=3.5)
+        pt._rebalance(parts)
+        assert parts.assign.tolist() == [1, 0, 0, 1]
+        assert parts.part_w.tolist() == [4.0, 4.0]
+
+
 class TestScaleSeries:
     def test_counts_halve_8_4_2(self):
         rng = np.random.default_rng(4)

@@ -1,11 +1,13 @@
 """Optimizer contracts, the training loop, and evaluation reports."""
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sbaformer import autodiff as ad
 from sbaformer import model as md
+from sbaformer import training
 from sbaformer.autodiff import Tensor
 from sbaformer.data import (
     Normalizer,
@@ -184,6 +186,34 @@ class TestTrainLoop:
         assert any(h.get("aborted") for h in history) or len(history) == 6
         for _, t in best.named():
             assert np.all(np.isfinite(t.data))
+
+    def test_numeric_error_mid_epoch_aborts_and_keeps_best(self, monkeypatch):
+        # NumericError from the second step of epoch 1 ends training with an
+        # abort record; the params returned are those of epoch 0
+        cfg = TrainConfig(lr=1e-3, max_epochs=4, patience=10, batch_size=8, seed=0)
+        model, ds = small_setup(seed=7)
+        _, _, windows = split_setup(ds, model.config.t, model.config.f)
+        per_epoch = -(-len(windows["train"]) // cfg.batch_size)
+        assert per_epoch > 2
+        calls = []
+        step = training._train_step
+
+        def failing_step(*args):
+            calls.append(None)
+            if len(calls) == per_epoch + 2:
+                raise NumericError("injected")
+            return step(*args)
+
+        monkeypatch.setattr(training, "_train_step", failing_step)
+        best, history, timings = train(model, ds, cfg)
+        monkeypatch.undo()
+        assert history[-1] == {"epoch": 1, "aborted": True}
+        assert len(history) == 2 and len(timings) == len(history)
+
+        model_ref, ds_ref = small_setup(seed=7)
+        reference, _, _ = train(model_ref, ds_ref, replace(cfg, max_epochs=1))
+        for (name, t), (_, ref) in zip(best.named(), reference.named()):
+            assert np.array_equal(t.data, ref.data), name
 
     def test_epoch_peak_holds_one_tape_at_a_time(self):
         # a step's tape must be freed before the next batch builds its own
