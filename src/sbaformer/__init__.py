@@ -10,12 +10,10 @@ from .autodiff import (
     FlopCounter,
     Tensor,
     flops,
-    gelu,
     layer_norm,
     matmul,
     no_grad,
     set_debug_checks,
-    softmax,
 )
 from .data import (
     Dataset,
@@ -100,7 +98,6 @@ __all__ = [
     "flops",
     "flops_estimate",
     "fuse",
-    "gelu",
     "init_params",
     "inter_attention",
     "intra_attention",
@@ -122,7 +119,6 @@ __all__ = [
     "save_checkpoint",
     "sba_block",
     "set_debug_checks",
-    "softmax",
     "split_setup",
     "sym_eigen",
     "synth_diffusion",

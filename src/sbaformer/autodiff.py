@@ -9,6 +9,11 @@ mean over each run of rows and its adjoint, which repeats a row over its
 run. All data is 64-bit and row-major. matmul, attention and ffn feed a global
 FLOP counter when counting is enabled.
 
+The model calls neither mul, div, tensor_sum, softmax nor gelu. They are
+kept as the reference chain that tests compare the fused ops against bit for
+bit: matmul -> mul -> softmax -> matmul for attention, and
+matmul -> gelu -> matmul for ffn.
+
 Gradients are first-order only and are stored on leaf tensors (those created
 with requires_grad=True rather than by an op); intermediate gradients live
 only while backward() runs. Calling backward() again without resetting grads
@@ -317,7 +322,7 @@ def softmax(logits) -> Tensor:
     Stabilization subtracts the row max before exp.
     """
     x = as_tensor(logits)
-    y = _softmax_rows(x.data.copy())
+    y, _ = _softmax_rows(x.data.copy())
 
     def backward(g):
         return (_softmax_backward(g, y),)
@@ -325,16 +330,20 @@ def softmax(logits) -> Tensor:
     return _from_op(y, "softmax", (x,), backward)
 
 
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
+def _softmax_rows(x: np.ndarray, stats=None) -> tuple:
     """Row softmax of x over the last axis, computed in place.
 
     x must be a scratch array the caller owns, which spares a fresh
-    score-sized allocation.
+    score-sized allocation. Returns (x, stats), stats being the row max
+    and the row sum of the exponentials. Given the stats of an earlier call
+    on the same values, it skips both reductions and gives the same bits.
     """
-    x -= x.max(axis=-1, keepdims=True)
+    top = x.max(axis=-1, keepdims=True) if stats is None else stats[0]
+    x -= top
     np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
-    return x
+    total = x.sum(axis=-1, keepdims=True) if stats is None else stats[1]
+    x /= total
+    return x, (top, total)
 
 
 def _softmax_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -356,16 +365,38 @@ def _check_rows(x: np.ndarray, rows: int, op: str):
         raise ShapeError(f"{op} expects (..., {rows}, d), got {x.shape}")
 
 
-def attention(q, k, v, sizes):
+def _run_weights(qi: np.ndarray, kt: np.ndarray, scale: float, stats=None) -> tuple:
+    """Softmax weights of one attention run: softmax(qi @ kt * scale).
+
+    The forward calls it without stats: it checks the scores for
+    non-finite values and returns the row max and row sum it used. The
+    backward passes them back in and so replays the forward's own ops in
+    the same order, which rebuilds its weights bit for bit. Returns
+    (weights, stats).
+    """
+    w = np.matmul(qi, kt)
+    w *= scale
+    if stats is None:
+        _finite(w, "attention")
+    return _softmax_rows(w, stats)
+
+
+def attention(q, k, v, sizes, return_weights: bool = False):
     """Scaled dot-product attention within each run of consecutive rows.
 
     q and k are (..., n, d_head) and v is (..., n, d_v); sizes splits the n
     rows into consecutive runs and must sum to n. Run i computes
     softmax(q k^T / sqrt(d_head)) v over its own rows only, at its exact
     size, so no mask is needed; sizes [n] is attention over all rows.
-    Returns (output, weights), weights being a list of arrays
-    (..., sizes[i], sizes[i]) whose rows sum to one. The backward reuses them
-    run by run instead of replaying matmul, scale, softmax and matmul.
+
+    Returns (output, weights). weights is None unless return_weights is
+    set; then it is a list of arrays (..., sizes[i], sizes[i]) whose rows
+    sum to one. The op holds one run's weights at a time and keeps only
+    each run's row max and row sum of the softmax. The backward rebuilds
+    each run's weights from q and k with those (FlashAttention's
+    recomputation; Dao et al. 2022), so outputs and gradients equal those
+    of matmul, scale, softmax and matmul bit for bit. The rebuild is not
+    counted as FLOPs.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     shape = q.data.shape
@@ -379,23 +410,23 @@ def attention(q, k, v, sizes):
     scale = 1.0 / math.sqrt(shape[-1])
     runs = [(..., slice(a, a + s), slice(None)) for a, s in zip(starts.tolist(), sizes.tolist())]
     data = np.empty(v.data.shape)
-    weights = []
+    stats = []
+    weights = [] if return_weights else None
     for run in runs:
-        qi, vi = q.data[run], v.data[run]
-        kt = np.swapaxes(k.data[run], -1, -2)
-        scores = np.matmul(qi, kt)
-        _count_matmul(qi, kt, scores)
-        scores *= scale
-        _finite(scores, "attention")
-        w = _softmax_rows(scores)
-        out = np.matmul(w, vi)
-        _count_matmul(w, vi, out)
-        data[run] = out
-        weights.append(w)
+        qi, kt, vi = q.data[run], np.swapaxes(k.data[run], -1, -2), v.data[run]
+        w, st = _run_weights(qi, kt, scale)
+        _count_matmul(qi, kt, w)
+        data[run] = np.matmul(w, vi)
+        _count_matmul(w, vi, data[run])
+        stats.append(st)
+        if weights is not None:
+            weights.append(w)
+        del w  # free this run's weights before the next run's are made
 
     def backward(g):
         gq, gk, gv = (np.empty(t.data.shape) if t.requires_grad else None for t in (q, k, v))
-        for run, w in zip(runs, weights):
+        for run, st in zip(runs, stats):
+            w, _ = _run_weights(q.data[run], np.swapaxes(k.data[run], -1, -2), scale, st)
             gi = g[run]
             if gv is not None:
                 gv[run] = np.matmul(np.swapaxes(w, -1, -2), gi)

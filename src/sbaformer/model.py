@@ -178,16 +178,17 @@ def _merge_heads(x: Tensor) -> Tensor:
     return ad.reshape(out, out.shape[:-2] + (out.shape[-2] * out.shape[-1],))
 
 
-def _attn_sublayer(x: Tensor, prm: AttnParams, heads: int, sizes):
+def _attn_sublayer(x: Tensor, prm: AttnParams, heads: int, sizes, return_weights: bool = False):
     """x + attention of the layer-normed x within each run of `sizes` rows.
 
-    Returns (y, alpha), alpha holding each run's (..., heads, s, s) weights.
+    Returns (y, alpha). alpha is None unless return_weights is set; then
+    it holds each run's (..., heads, s, s) weights.
     """
     h = ad.layer_norm(x, prm.ln1_gamma, prm.ln1_beta)
     q = _split_heads(ad.matmul(h, prm.wq), heads)
     k = _split_heads(ad.matmul(h, prm.wk), heads)
     v = _split_heads(ad.matmul(h, prm.wv), heads)
-    att, alpha = ad.attention(q, k, v, sizes)
+    att, alpha = ad.attention(q, k, v, sizes, return_weights=return_weights)
     return ad.add(x, _merge_heads(att)), alpha
 
 
@@ -196,16 +197,16 @@ def _ffn_sublayer(x: Tensor, prm: AttnParams) -> Tensor:
     return ad.add(x, ad.ffn(h, prm.ffn_w1, prm.ffn_w2))
 
 
-def intra_attention(xp: Tensor, valid, prm: AttnParams, heads: int):
+def intra_attention(xp: Tensor, valid, prm: AttnParams, heads: int, return_weights: bool = False):
     """Per-subgraph self-attention and FFN over node rows in subgraph order.
 
     xp is (..., n, d) as apply_plan lays it out; valid is the plan's (p, m)
     mask, whose row counts are the subgraph sizes and whose valid slots
     must come first in each row (ContractError otherwise). Returns
-    (y, alpha) with alpha a list of p arrays (..., heads, s_i, s_i), s_i the
-    size of subgraph i.
+    (y, alpha). alpha is None unless return_weights is set; then it is a
+    list of p arrays (..., heads, s_i, s_i), s_i the size of subgraph i.
     """
-    u, alpha = _attn_sublayer(xp, prm, heads, prefix_sizes(valid))
+    u, alpha = _attn_sublayer(xp, prm, heads, prefix_sizes(valid), return_weights)
     return _ffn_sublayer(u, prm), alpha
 
 
@@ -214,13 +215,14 @@ def pool_subgraphs(y: Tensor, valid) -> Tensor:
     return ad.segment_mean(y, prefix_sizes(valid))
 
 
-def inter_attention(s: Tensor, prm: AttnParams, heads: int):
+def inter_attention(s: Tensor, prm: AttnParams, heads: int, return_weights: bool = False):
     """Self-attention across all p subgraph summaries, same wrapping as intra.
 
-    s is (..., p, d); the p rows form one run. Returns (y, alpha) with alpha
-    a one-element list holding the (..., heads, p, p) weights.
+    s is (..., p, d); the p rows form one run. Returns (y, alpha). alpha is
+    None unless return_weights is set; then it is a one-element list
+    holding the (..., heads, p, p) weights.
     """
-    u, alpha = _attn_sublayer(s, prm, heads, [s.shape[-2]])
+    u, alpha = _attn_sublayer(s, prm, heads, [s.shape[-2]], return_weights)
     return _ffn_sublayer(u, prm), alpha
 
 
@@ -237,13 +239,17 @@ def sba_block(
     heads: int,
     capture: list | None = None,
 ) -> Tensor:
-    """One block in node order: partition, attend, pool, exchange, fuse, residual."""
+    """One block in node order: partition, attend, pool, exchange, fuse, residual.
+
+    The attention weights are kept only when capture asks for them.
+    """
+    keep = capture is not None
     xp = apply_plan(x, plan)
-    y, alpha = intra_attention(xp, plan.mask, prm.intra, heads)
+    y, alpha = intra_attention(xp, plan.mask, prm.intra, heads, keep)
     s = pool_subgraphs(y, plan.mask)
-    s2, alpha2 = inter_attention(s, prm.inter, heads)
+    s2, alpha2 = inter_attention(s, prm.inter, heads, keep)
     fused = fuse(y, s2, prm.fuse, plan.mask)
-    if capture is not None:
+    if keep:
         capture.append(_capture_block(alpha, alpha2))
     return ad.add(revert_plan(fused, plan), x)
 
@@ -430,18 +436,19 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
 def attention_peak_bytes(config: ModelConfig, series: ScaleSeries) -> int:
     """Analytic peak working set of one block's attention, in bytes.
 
-    Counts q/k/v and the attended output over the n node rows, and the score
-    and weight matrices of each subgraph at its exact size, at their f64
-    sizes; the largest block wins. Deterministic by construction.
+    An attention op over `rows` rows holds q, k, v and its output, the row
+    max and row sum of every run (kept for the backward), and the weights
+    of one run at a time, the largest. A block counts its intra op over
+    the n node rows, whose largest run is m, and its inter op over the p
+    summaries, one run; the largest block wins, at f64 sizes.
+    Deterministic by construction.
     """
     h, dh = config.heads, config.d_head
-    peak = 0
-    for plan in series.plans:
-        scores = h * int((plan.sizes ** 2).sum())
-        intra = 8 * (4 * plan.n * h * dh + 2 * scores)
-        inter = 8 * (4 * plan.p * h * dh + 2 * h * plan.p**2)
-        peak = max(peak, intra + inter)
-    return peak
+
+    def held(rows, largest):
+        return h * (4 * rows * dh + 2 * rows + largest * largest)
+
+    return max(8 * (held(plan.n, plan.m) + held(plan.p, plan.p)) for plan in series.plans)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Tensor core: forward contracts, the FLOP counter, and gradient soundness."""
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -122,7 +123,7 @@ class TestFlopCounter:
 
         def run():
             qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
-            out, weights = ad.attention(qt, kt, vt, [2, 3])
+            out, weights = ad.attention(qt, kt, vt, [2, 3], return_weights=True)
             ad.tensor_sum(ad.mul(out, out)).backward()
             return [out.data, *weights, qt.grad, kt.grad, vt.grad]
 
@@ -176,13 +177,58 @@ class TestAttention:
         weights = np.random.default_rng(13).standard_normal(q.shape)
 
         def one_run(qt, kt, vt):
-            out, alpha = ad.attention(qt, kt, vt, [5])
+            out, alpha = ad.attention(qt, kt, vt, [5], return_weights=True)
             return out, Tensor(alpha[0])
 
         fused = self._run(one_run, q, k, v, weights)
         chain = self._run(unfused_attention, q, k, v, weights)
         for a, b in zip(fused, chain):
             assert np.array_equal(a, b)
+
+    def test_weights_only_on_request(self):
+        q, k, v = (Tensor(a) for a in np.random.default_rng(14).standard_normal((3, 2, 6, 4)))
+        out, weights = ad.attention(q, k, v, [2, 4])
+        kept, asked = ad.attention(q, k, v, [2, 4], return_weights=True)
+        assert weights is None and np.array_equal(out.data, kept.data)
+        assert [w.shape for w in asked] == [(2, 2, 2), (2, 4, 4)]
+
+    def test_tape_off_holds_one_run_of_weights(self):
+        # the largest run comes last, so both peaks fall in it and hold the
+        # same output temporary; without the request the earlier runs'
+        # weights are freed, with it they are all still held
+        sizes = [3, 1, 4, 2, 6]
+        b, h = 2, 3
+        q, k, v = (Tensor(a) for a in np.random.default_rng(15).standard_normal(
+            (3, b, h, sum(sizes), 4)))
+
+        def peak(return_weights):
+            tracemalloc.start()
+            try:
+                with ad.no_grad():
+                    ad.attention(q, k, v, sizes, return_weights=return_weights)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        squares = [s * s for s in sizes]
+        assert peak(True) - peak(False) >= 8 * b * h * (sum(squares) - max(squares))
+
+    def test_tape_holds_row_statistics_not_weights(self):
+        # after the forward the op keeps each run's row max and row sum, two
+        # values per row, which is less than even its largest run's weights
+        sizes = [12, 5, 20, 9]
+        b, h = 2, 3
+        q, k, v = (Tensor(a, requires_grad=True) for a in np.random.default_rng(16).standard_normal(
+            (3, b, h, sum(sizes), 4)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out, _ = ad.attention(q, k, v, sizes)
+            held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held < 8 * b * h * max(sizes) ** 2
 
     def test_extent_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -203,7 +249,7 @@ class TestSubgraphAttention:
     def test_each_part_matches_attention_on_its_slice(self):
         q, k, v = self._leaves(20)
         weights = np.random.default_rng(21).standard_normal(q.shape)
-        out, alpha = ad.attention(q, k, v, self.SIZES)
+        out, alpha = ad.attention(q, k, v, self.SIZES, return_weights=True)
         ad.tensor_sum(ad.mul(out, Tensor(weights))).backward()
         for i, (a, s) in enumerate(zip([0, 5, 6], self.SIZES)):
             part = (..., slice(a, a + s), slice(None))

@@ -102,7 +102,8 @@ class TestIntraAttention:
         prm = branch_params(d, 2, rng)
         x = rng.standard_normal((5, d))
         plan = uniform_plan(5, 5)
-        y, alpha = md.intra_attention(pt.apply_plan(Tensor(x), plan), plan.mask, prm, 2)
+        xp = pt.apply_plan(Tensor(x), plan)
+        y, alpha = md.intra_attention(xp, plan.mask, prm, 2, return_weights=True)
         np.testing.assert_allclose(np.stack(alpha), 1.0, atol=1e-15)
         for node in range(5):
             expected, _ = oracle_dense_attention_branch(x[node : node + 1], prm, 2)
@@ -131,7 +132,7 @@ class TestInterAttention:
         d = 8
         prm = branch_params(d, 2, rng)
         s = rng.standard_normal((1, d))
-        out, alpha = md.inter_attention(Tensor(s), prm, 2)
+        out, alpha = md.inter_attention(Tensor(s), prm, 2, return_weights=True)
         np.testing.assert_allclose(alpha[0], 1.0, atol=1e-15)
         expected, _ = oracle_dense_attention_branch(s, prm, 2)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -141,7 +142,7 @@ class TestInterAttention:
         d = 8
         prm = branch_params(d, 2, rng)
         s = np.tile(rng.standard_normal(d), (6, 1))
-        _, alpha = md.inter_attention(Tensor(s), prm, 2)
+        _, alpha = md.inter_attention(Tensor(s), prm, 2, return_weights=True)
         np.testing.assert_allclose(alpha[0], 1.0 / 6.0, atol=1e-12)
 
     def test_matches_dense_oracle_for_singleton_pooling(self):
@@ -429,6 +430,22 @@ class TestTiledPredict:
         assert model._window_bytes() == 8 * 2 * 40 * 40
 
 
+class TestAttentionPeakBytes:
+    def test_counts_one_run_of_weights_per_op(self):
+        # n=10 in runs of 6 and 4, then one run of 10; 2 heads of width 4.
+        # An op over r rows with largest run s holds 2 * (4*r*4 + 2*r + s*s)
+        # values: q, k, v, the output, each run's row max and sum, one run's
+        # weights. Level 0: intra 2 * (160 + 20 + 36) = 432, inter (p=2)
+        # 2 * (32 + 4 + 4) = 80. Level 1: intra 2 * (160 + 20 + 100) = 560,
+        # inter (p=1) 2 * (16 + 2 + 1) = 38. The largest block is level 1.
+        config = md.ModelConfig(n=10, t=1, c=1, f=1, d_model=8, l=2, heads=2, p0=2, k_pe=1)
+        series = pt.ScaleSeries(plans=[plan_from_assign([0] * 6 + [1] * 4, 2),
+                                       uniform_plan(10, 1)])
+        assert md.attention_peak_bytes(config, series) == 8 * (560 + 38)
+        level0 = pt.ScaleSeries(plans=series.plans[:1])
+        assert md.attention_peak_bytes(config, level0) == 8 * (432 + 80)
+
+
 class TestMaeLoss:
     def test_zero_when_equal(self):
         x = Tensor(np.ones((2, 3, 1)))
@@ -663,10 +680,13 @@ class TestFullModelGradients:
                 num[i] = (up - down) / (2 * h)
             assert_grads_close(t.grad.ravel(), num)
 
-    def test_fused_ffn_keeps_every_bit_and_shrinks_the_tape(self, monkeypatch):
-        def tape_run(model, x, target):
-            """Bytes the tape holds after the forward, the output and the grads."""
-            model.params.zero_grad()
+    @staticmethod
+    def _tape_run(model, x, target):
+        """Bytes the tape holds after the forward, the output and the grads,
+        and the FLOP report of the forward and the backward."""
+        model.params.zero_grad()
+        ad.flops.reset()
+        with ad.flops.counting():
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
@@ -675,8 +695,9 @@ class TestFullModelGradients:
             finally:
                 tracemalloc.stop()
             md.mae_loss(out, target).backward()
-            return held, [out.data] + [t.grad for t in model.params.tensors()]
+        return held, [out.data] + [t.grad for t in model.params.tensors()], ad.flops.report()
 
+    def test_fused_ffn_keeps_every_bit_and_shrinks_the_tape(self, monkeypatch):
         def unfused_sublayer(x, prm):
             h = ad.layer_norm(x, prm.ln2_gamma, prm.ln2_beta)
             return ad.add(x, ad.matmul(ad.gelu(ad.matmul(h, prm.ffn_w1)), prm.ffn_w2))
@@ -686,10 +707,46 @@ class TestFullModelGradients:
         model, _ = tiny_model(rng, n=n, t=4, d=d, l=2, heads=2, p0=4)
         x = rng.standard_normal((b, n, 4, 1))
         target = rng.standard_normal((b, n, 3, 1))
-        fused_bytes, fused = tape_run(model, x, target)
+        fused_bytes, fused, _ = self._tape_run(model, x, target)
         monkeypatch.setattr(md, "_ffn_sublayer", unfused_sublayer)
-        chain_bytes, chain = tape_run(model, x, target)
+        chain_bytes, chain, _ = self._tape_run(model, x, target)
         assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
         # the intra hidden layer, its GELU tanh and the GELU output, per block
         hidden = 8 * b * n * model.config.ffn_mult * d
         assert chain_bytes - fused_bytes >= 3 * model.config.l * hidden
+
+    def test_attention_rebuild_keeps_every_bit_and_shrinks_the_tape(self, monkeypatch):
+        from test_autodiff import unfused_attention
+
+        def rows(x, a, s):
+            """Rows a..a+s of x (..., n, d) as a tape op, zero gradient elsewhere."""
+            def backward(g):
+                gx = np.zeros(x.shape)
+                gx[..., a : a + s, :] = g
+                return (gx,)
+
+            return ad._from_op(x.data[..., a : a + s, :], "rows", (x,), backward)
+
+        def chain_attention(q, k, v, sizes, return_weights=False):
+            """The weight-keeping chain run by run, joined along the rows."""
+            outs = [
+                unfused_attention(rows(q, a, s), rows(k, a, s), rows(v, a, s))[0]
+                for a, s in zip(np.cumsum(sizes) - sizes, sizes)
+            ]
+            return ad.concat(outs, axis=-2), None
+
+        rng = np.random.default_rng(25)
+        b, h = 4, 2
+        # d_head=6: the scale 1/sqrt(6) is inexact, so any change of op order shows
+        model, _ = tiny_model(rng, n=16, t=4, d=12, l=2, heads=h, p0=2)
+        x = rng.standard_normal((b, 16, 4, 1))
+        target = rng.standard_normal((b, 16, 3, 1))
+        fused_bytes, fused, fused_flops = self._tape_run(model, x, target)
+        monkeypatch.setattr(ad, "attention", chain_attention)
+        chain_bytes, chain, chain_flops = self._tape_run(model, x, target)
+        assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
+        assert fused_flops == chain_flops  # the rebuild's q k^T is not counted
+        # each run's weights, over the intra and inter runs of every block
+        weights = sum(8 * b * h * (int((plan.sizes**2).sum()) + plan.p**2)
+                      for plan in model.series.plans)
+        assert chain_bytes - fused_bytes >= weights
