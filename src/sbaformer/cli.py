@@ -61,7 +61,9 @@ def _positive_int_list(text: str):
         values = [int(v) for v in text.split(",") if v]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    if min(values, default=1) < 1:
+    if not values:
+        raise argparse.ArgumentTypeError(f"needs at least one entry, got {text!r}")
+    if min(values) < 1:
         raise argparse.ArgumentTypeError(f"entries must be >= 1, got {text}")
     return values
 

@@ -222,10 +222,12 @@ def check_pe_sizes(k: int, block_limit: int):
 def laplacian_pe(g: SpatialGraph, k: int, block_limit: int = 2000) -> PositionalEncoding:
     """Eigenvectors of the k smallest Laplacian eigenvalues as node features.
 
-    Graphs up to block_limit nodes are solved whole; larger ones are split
-    into balanced blocks (minimal edge cut) and each block's induced
-    Laplacian is solved independently, rows assembled back into node order.
-    Blocks smaller than k+1 nodes get their trailing columns zero-padded.
+    Graphs up to block_limit nodes are solved whole. A larger graph is split
+    by one partition_kway call into the fewest blocks that can hold it,
+    p = ceil(n / block_limit), each at most block_limit nodes, with minimal
+    edge cut. Each block's induced Laplacian is solved independently and its
+    rows assembled back into node order. A graph or block of fewer than k
+    nodes gets its trailing columns zero-padded.
     """
     check_pe_sizes(k, block_limit)
     if g.n <= block_limit:
@@ -233,13 +235,11 @@ def laplacian_pe(g: SpatialGraph, k: int, block_limit: int = 2000) -> Positional
     else:
         from .partition import partition_kway  # deferred to avoid a cycle
 
+        # The cap, balance_factor * ceil(n / p), lies between ceil(n / p) and
+        # block_limit. With unit node weights some part has room while
+        # another is over the cap, so refinement always ends within it.
         p = math.ceil(g.n / block_limit)
-        while True:
-            plan = partition_kway(g, p, balance_factor=1.1, seed=0)
-            log.debug("PE blocks: p=%d gives m=%d (block_limit %d)", p, plan.m, block_limit)
-            if plan.m <= block_limit:
-                break
-            p += 1
+        plan = partition_kway(g, p, min(1.1, block_limit / math.ceil(g.n / p)), seed=0)
         blocks = np.split(plan.order, np.cumsum(plan.sizes)[:-1])
         source = "per-subgraph"
     out = np.zeros((g.n, k))
@@ -247,16 +247,14 @@ def laplacian_pe(g: SpatialGraph, k: int, block_limit: int = 2000) -> Positional
         block = g if source == "whole-graph" else g.subgraph(nodes)
         if block.n < k:
             label = "graph" if source == "whole-graph" else f"block {b}"
-            log.warning(
-                "%s has %d nodes < k+1=%d; zero-padding its encoding", label, block.n, k + 1
-            )
+            log.warning("%s has %d nodes < k=%d; zero-padding its encoding", label, block.n, k)
         _, vectors = sym_eigen(laplacian(block), min(k, block.n))
         out[nodes, : vectors.shape[1]] = vectors
     return PositionalEncoding(k=k, vectors=out, source=source)
 
 
 # ---------------------------------------------------------------------------
-# file formats: edge lists, coordinates, encoding cache
+# file formats: edge lists, coordinates, encodings
 
 
 def save_graph(path, g: SpatialGraph):

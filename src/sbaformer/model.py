@@ -113,19 +113,6 @@ class ModelParams:
         return out
 
 
-def expected_param_count(config: ModelConfig) -> int:
-    """Closed-form manifest total; init and checkpoints are checked against it."""
-    d = config.d_model
-    branch = 3 * d * d + 2 * config.ffn_mult * d * d + 4 * d
-    per_block = 2 * branch + 2 * d * d
-    return (
-        config.t * config.c * d
-        + config.k_pe * d
-        + config.l * per_block
-        + d * config.f * config.c
-    )
-
-
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) linear maps, unit layer norms."""
     rng = np.random.default_rng(seed)
@@ -148,7 +135,7 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
             ln2_beta=Tensor(np.zeros(d), True),
         )
 
-    params = ModelParams(
+    return ModelParams(
         embed=linear(config.t * config.c, d),
         pe_proj=linear(config.k_pe, d),
         blocks=[
@@ -157,9 +144,6 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
         ],
         head=linear(d, config.f * config.c),
     )
-    if params.count() != expected_param_count(config):
-        raise ContractError("parameter manifest disagrees with the closed form")
-    return params
 
 
 # ---------------------------------------------------------------------------

@@ -249,9 +249,7 @@ def partition_kway(
         _fm_refine(parts)
         assign = parts.assign
 
-    plan = plan_from_assign(assign, p, g, balance_factor, seed)
-    plan.validate(g)
-    return plan
+    return plan_from_assign(assign, p, g, balance_factor, seed)
 
 
 def _heavy_edge_matching(g: SpatialGraph, rng):
@@ -506,9 +504,7 @@ def build_scale_series(
         merge_maps.append(mapping)
         assign = mapping[prev.assign]
         plans.append(plan_from_assign(assign, int(mapping.max()) + 1, g, balance_factor, seed))
-    series = ScaleSeries(plans=plans, merge_maps=merge_maps)
-    series.validate(g)
-    return series
+    return ScaleSeries(plans=plans, merge_maps=merge_maps)
 
 
 def _merge_map(cut_w) -> np.ndarray:

@@ -382,6 +382,14 @@ class TestBenchCommand:
         assert exit_info.value.code == 2
         assert "entries must be >= 1" in capsys.readouterr().err
 
+    def test_empty_n_list_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--n-list", ",", "--out", str(out)])
+        assert exit_info.value.code == 2
+        assert "needs at least one entry" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sba_requires_divisible_n(self, tmp_path, capsys):
         rc = main(["bench", "--n-list", "100", "--m", "32", "--mode", "sba",
                    "--out", str(tmp_path / "x.csv")])

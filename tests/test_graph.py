@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sbaformer import graph as gr
+from sbaformer import partition as pt
 from sbaformer.data import make_grid_graph
 from sbaformer.errors import ContractError, InputError, NodeCountError
 
@@ -255,14 +256,39 @@ class TestLaplacianPE:
             pe = gr.laplacian_pe(g, k=4, block_limit=1000)
         assert pe.vectors.shape == (2, 4)
         assert (pe.vectors[:, 2:] == 0.0).all()
-
-    def test_block_search_logs_each_try(self, caplog):
-        with caplog.at_level("DEBUG", logger="sbaformer.graph"):
-            gr.laplacian_pe(make_grid_graph(24, 24), 8, 96)
         assert [r.getMessage() for r in caplog.records] == [
-            "PE blocks: p=6 gives m=105 (block_limit 96)",
-            "PE blocks: p=7 gives m=91 (block_limit 96)",
+            "graph has 2 nodes < k=4; zero-padding its encoding"
         ]
+
+    @pytest.mark.parametrize("name, k, block_limit", [
+        ("grid24", 8, 17), ("grid24", 8, 96), ("grid45", 8, 96), ("cliques", 3, 6),
+        ("gaussian", 4, 5),
+    ])
+    def test_one_partition_call_gives_fewest_blocks_under_the_limit(
+        self, monkeypatch, name, k, block_limit
+    ):
+        size = 6
+        src, dst = clique_edges(range(size))
+        coords = np.random.default_rng(0).random((40, 2)) * 4.0
+        g = {
+            "grid24": lambda: make_grid_graph(24, 24),
+            "grid45": lambda: make_grid_graph(45, 45),
+            "cliques": lambda: gr.SpatialGraph(
+                2 * size, [src, src + size], [dst, dst + size], np.ones(2 * src.size)
+            ),
+            "gaussian": lambda: gr.build_gaussian_graph(coords, sigma=1.0, threshold=0.1),
+        }[name]()
+        plans, partition_kway = [], pt.partition_kway
+
+        def counted(*args, **kwargs):
+            plans.append(partition_kway(*args, **kwargs))
+            return plans[-1]
+
+        monkeypatch.setattr(pt, "partition_kway", counted)
+        pe = gr.laplacian_pe(g, k, block_limit)
+        assert pe.source == "per-subgraph" and len(plans) == 1
+        assert plans[0].p == math.ceil(g.n / block_limit)
+        assert plans[0].m <= block_limit
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(7)
@@ -370,5 +396,5 @@ class TestFingerprints:
         pe = gr.laplacian_pe(make_grid_graph(24, 24), 8, 96)
         assert pe.source == "per-subgraph"
         assert hashlib.sha256(pe.vectors.tobytes()).hexdigest() == (
-            "7d2d7938295865982ebb81e1789cc3c1a6539cd013a172907c54a90116e28746"
+            "3c7314f5c23295de474409b1bbce3789c89d8e704c98f21fadfbad43e6a4fc02"
         )
