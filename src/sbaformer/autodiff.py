@@ -416,7 +416,7 @@ def attention(q, k, v, sizes, return_weights: bool = False):
         qi, kt, vi = q.data[run], np.swapaxes(k.data[run], -1, -2), v.data[run]
         w, st = _run_weights(qi, kt, scale)
         _count_matmul(qi, kt, w)
-        data[run] = np.matmul(w, vi)
+        np.matmul(w, vi, out=data[run])
         _count_matmul(w, vi, data[run])
         stats.append(st)
         if weights is not None:

@@ -156,8 +156,10 @@ def _assemble(cfg, checkpoint=None, window=None):
     (InputError naming the fields that differ). Every split must hold t + f
     steps, the encoding sizes must fit pe.block_limit, and a `window` given
     as (split, index) must name a window of that split. Only then are the
-    graph, the scale series and the encoding built. Without a checkpoint the
-    model is freshly initialized from train.seed.
+    graph, the scale series and the encoding built, from the config alone:
+    the copies `train` records beside a checkpoint are never read, so a bare
+    checkpoint needs no run directory. Without a checkpoint the model is
+    freshly initialized from train.seed.
     """
     dc, pc = cfg["data"], cfg["partition"]
     series, meta = load_series(dc["series"], dc["format"])
@@ -213,7 +215,6 @@ def cmd_partition(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     dataset = synth_diffusion(
         n=args.nodes,
         steps=args.steps,
@@ -223,6 +224,7 @@ def cmd_synth(args) -> int:
         period=args.period,
         seed=args.seed,
     )
+    os.makedirs(args.out, exist_ok=True)
     ext = "bin" if args.format == "bin" else "csv"
     series_path = os.path.join(args.out, f"series.{ext}")
     save_series(series_path, dataset.series, args.format, dataset.freq_minutes, dataset.name)

@@ -192,6 +192,10 @@ def synth_diffusion(
     """
     if not 0 <= gamma < 1:
         raise ConfigError(f"gamma must lie in [0, 1), got {gamma}")
+    if n < 1 or steps < 1:
+        raise ConfigError(f"n and steps must be >= 1, got n={n}, steps={steps}")
+    if not period > 0:
+        raise ConfigError(f"period must be > 0, got {period}")
     if graph is None:
         graph = make_grid_graph(*_grid_shape(n))
     if graph.n != n:

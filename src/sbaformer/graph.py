@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_blob, read_csv, write_blob, write_csv
+from .artifacts import read_csv, write_blob, write_csv
 from .errors import ContractError, InputError, NodeCountError
 
 log = logging.getLogger(__name__)
@@ -77,11 +77,6 @@ class SpatialGraph:
     def edges(self):
         """Yield (i, j, w) as Python numbers with i < j, each undirected edge once, sorted."""
         return zip(*(a.tolist() for a in self.edge_arrays()))
-
-    def weight(self, i: int, j: int) -> float:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        k = lo + int(np.searchsorted(self.indices[lo:hi], j))
-        return float(self.weights[k]) if k < hi and self.indices[k] == j else 0.0
 
     def total_edge_weight(self) -> float:
         return sum(self.edge_arrays()[2].tolist())
@@ -318,7 +313,8 @@ def graph_hash(g: SpatialGraph) -> str:
 
 
 def save_pe(path, pe: PositionalEncoding, g: SpatialGraph, block_limit: int):
-    """Blob of the (n, k) encoding rows plus a sidecar for validation."""
+    """Blob of the (n, k) encoding rows plus a sidecar naming its graph by
+    hash; written for inspection, nothing in sbaformer reads it back."""
     sidecar = {
         "n": int(pe.vectors.shape[0]),
         "k": int(pe.k),
@@ -327,12 +323,3 @@ def save_pe(path, pe: PositionalEncoding, g: SpatialGraph, block_limit: int):
         "source": pe.source,
     }
     write_blob(path, [pe.vectors], sidecar)
-
-
-def load_pe(path, g: SpatialGraph | None = None) -> PositionalEncoding:
-    vectors, (k, digest, source) = read_blob(
-        path, lambda s: ((s["n"], s["k"]), (int(s["k"]), s["graph_hash"], s["source"]))
-    )
-    if g is not None and graph_hash(g) != digest:
-        raise InputError(f"{path}: cached encoding was built for a different graph")
-    return PositionalEncoding(k=k, vectors=vectors, source=source)

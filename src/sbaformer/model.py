@@ -315,8 +315,8 @@ class SbaTransformer:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Forecasts with the tape off, in cache-sized tiles of windows.
 
-        x is (n, t, c) for one window or (..., n, t, c) for a batch. A batch
-        runs through `forward` a tile of windows at a time, each tile sized
+        x is (..., n, t, c); one window (n, t, c) runs as a tile of one.
+        The windows run through `forward` a tile at a time, each tile sized
         so that its largest temporary (the FFN hidden layer or the biggest
         attention run's scores) fits in `_TILE_BYTES`, and each tile's
         forecasts are written into one preallocated output. Every op works
@@ -324,9 +324,8 @@ class SbaTransformer:
         forward bit for bit; only the working set shrinks.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim < 4:
-            with ad.no_grad():
-                return self.forward(Tensor(x)).data
+        if x.ndim < 3:
+            raise ShapeError(f"predict expects (..., n, t, c), got {x.shape}")
         mc = self.config
         windows = x.reshape((-1,) + x.shape[-3:])
         out = np.empty((len(windows), x.shape[-3], mc.f, mc.c))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import write_json
 from .autodiff import Tensor, permute_rows
 from .errors import ContractError, InputError
 from .graph import SpatialGraph
@@ -133,8 +133,8 @@ class ScaleSeries:
     plans: list
     merge_maps: list = field(default_factory=list)  # maps[i]: plans[i].p -> plans[i+1] index
 
-    def validate(self, g: SpatialGraph | None = None):
-        """Check halving, the merge maps and nesting, and, given g, each edge cut.
+    def validate(self, g: SpatialGraph):
+        """Check halving, the merge maps and nesting, and each edge cut on g.
 
         Raises ContractError on violation.
         """
@@ -154,9 +154,8 @@ class ScaleSeries:
                 )
             if not np.array_equal(cur.assign, mapping[prev.assign]):
                 raise ContractError(f"level {i} is not a union of level {i - 1} groups")
-        if g is not None:
-            for plan in self.plans:
-                plan.validate(g)
+        for plan in self.plans:
+            plan.validate(g)
 
     def to_dict(self) -> dict:
         return {
@@ -549,35 +548,6 @@ def revert_plan(y, plan: PartitionPlan) -> Tensor:
 # plan files
 
 
-def _plan_from_dict(doc: dict) -> PartitionPlan:
-    """Plan of a plan-file entry; ValueError when a stored value disagrees
-    with the assignment, ContractError when the assignment is invalid."""
-    plan = PartitionPlan(
-        doc["assign"], doc["p"], float(doc["edge_cut"]), doc["balance_factor"], doc["seed"]
-    )
-    for key in ("n", "m", "achieved_factor", "over_balance"):
-        if doc[key] != getattr(plan, key):
-            raise ValueError(f"stored {key} {doc[key]!r} != {getattr(plan, key)!r} from assign")
-    return plan
-
-
 def save_plans(path, series: ScaleSeries):
+    """Write the series as JSON for inspection; nothing in sbaformer reads it back."""
     write_json(path, series.to_dict())
-
-
-def _series_from_dict(doc: dict) -> ScaleSeries:
-    """The checked series of a plan file; an invalid plan, merge map or level
-    raises ValueError, which read_json reports as HeaderMismatchError (exit 2)."""
-    try:
-        series = ScaleSeries(
-            plans=[_plan_from_dict(d) for d in doc["plans"]],
-            merge_maps=[np.asarray(m, dtype=np.int64) for m in doc["merge_maps"]],
-        )
-        series.validate()
-    except ContractError as exc:
-        raise ValueError(str(exc)) from None
-    return series
-
-
-def load_plans(path) -> ScaleSeries:
-    return read_json(path, _series_from_dict)

@@ -13,11 +13,8 @@ from sbaformer.artifacts import atomic_open, write_blob, write_json
 from sbaformer.cli import main
 from sbaformer.data import load_series, save_series
 from sbaformer.errors import HeaderMismatchError
-from sbaformer.graph import laplacian_pe, load_pe, save_pe
 from sbaformer.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
-from sbaformer.partition import build_scale_series, load_plans, save_plans
 
-from test_graph import random_connected_graph
 
 TINY = ModelConfig(n=6, t=3, c=1, f=2, d_model=4, l=1, heads=2, p0=2, k_pe=2)
 
@@ -83,12 +80,6 @@ class TestFingerprints:
         )
 
 
-def _pe_pair(tmp_path):
-    g = random_connected_graph(9, np.random.default_rng(13))
-    save_pe(tmp_path / "pe.bin", laplacian_pe(g, k=3), g, block_limit=2000)
-    return tmp_path / "pe.bin", lambda: load_pe(tmp_path / "pe.bin", g)
-
-
 def _series_pair(tmp_path):
     save_series(tmp_path / "s.bin", np.random.default_rng(5).standard_normal((2, 3, 1)))
     return tmp_path / "s.bin", lambda: load_series(tmp_path / "s.bin")
@@ -99,15 +90,11 @@ def _checkpoint_pair(tmp_path):
     return tmp_path / "ckpt.bin", lambda: load_checkpoint(tmp_path / "ckpt")
 
 
-PAIRS = {"pe": _pe_pair, "series": _series_pair, "checkpoint": _checkpoint_pair}
+PAIRS = {"series": _series_pair, "checkpoint": _checkpoint_pair}
 
 
 def _json_file(tmp_path, kind):
-    """(JSON file, its loader): a blob sidecar, or a plan file."""
-    if kind == "plans":
-        g = random_connected_graph(12, np.random.default_rng(14))
-        save_plans(tmp_path / "plans.json", build_scale_series(g, 4, 2))
-        return tmp_path / "plans.json", lambda: load_plans(tmp_path / "plans.json")
+    """(blob sidecar, its loader)."""
     blob, load = PAIRS[kind](tmp_path)
     return blob.with_suffix(".json"), load
 
@@ -126,16 +113,15 @@ class TestBlobs:
         ):
             load()
 
-    @pytest.mark.parametrize("kind", ["pe", "checkpoint", "plans"])
+    @pytest.mark.parametrize("kind", ["checkpoint"])
     def test_truncated_json(self, tmp_path, kind):
         path, load = _json_file(tmp_path, kind)
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(HeaderMismatchError, match=f"{path}: not valid JSON"):
             load()
 
-    @pytest.mark.parametrize("kind, key", [("pe", "k"), ("checkpoint", "total"),
-                                           ("plans", "merge_maps"), ("checkpoint", "config"),
-                                           ("pe", "source"), ("series", "name")])
+    @pytest.mark.parametrize("kind, key", [("checkpoint", "total"), ("checkpoint", "config"),
+                                           ("series", "name")])
     def test_json_missing_key(self, tmp_path, kind, key):
         path, load = _json_file(tmp_path, kind)
         load()
@@ -277,6 +263,45 @@ def test_no_private_definition_is_left_unused():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     offenders = [
         f"{module}:{line} {name}" for module, line, name in _unreferenced_private_defs(trees)
+    ]
+    assert offenders == []
+
+
+# The reference chain of the fused-op tests (see the `autodiff` docstring).
+REFERENCE_OPS = {"mul", "div", "softmax", "gelu", "tensor_sum"}
+
+
+def _public_defs(body):
+    """Public functions and classes of a statement list, and the public
+    methods of its classes."""
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not stmt.name.startswith("_"):
+                yield stmt
+            if isinstance(stmt, ast.ClassDef):
+                yield from _public_defs(stmt.body)
+
+
+def test_every_public_definition_has_a_program_caller():
+    """Each public definition is named by the package, a demo or a
+    benchmark workload; tests alone do not keep code alive."""
+    src = Path(sbaformer.__file__).parent
+    root = Path(__file__).resolve().parent.parent
+    programs = [path for path in sorted(src.glob("*.py")) if path.name != "__init__.py"]
+    programs += sorted((root / "demos").rglob("*.py"))
+    programs += [path for path in sorted((root / "perfbench").rglob("*.py"))
+                 if root / "perfbench" / "tests" not in path.parents]
+    named = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for path in programs
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    offenders = [
+        f"{path.name}:{fn.lineno} {fn.name}"
+        for path in sorted(src.glob("*.py"))
+        for fn in _public_defs(ast.parse(path.read_text()).body)
+        if fn.name not in named | REFERENCE_OPS
     ]
     assert offenders == []
 

@@ -8,7 +8,15 @@ import pytest
 from sbaformer.cli import main
 from sbaformer.config import DATASET_P_DEFAULTS, default_config, load_config, validate_config
 from sbaformer.errors import ConfigError
-from sbaformer.partition import load_plans
+from sbaformer.partition import PartitionPlan
+
+
+def read_plans(path):
+    """The plans of a plan file, each rebuilt from its stored assignment."""
+    return [
+        PartitionPlan(d["assign"], d["p"], d["edge_cut"], d["balance_factor"], d["seed"])
+        for d in json.loads(path.read_text())["plans"]
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -126,9 +134,9 @@ class TestPartitionCommand:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2 and lines[0].startswith("level 0: p=4")
-        series = load_plans(out)
-        assert [p.p for p in series.plans] == [4, 2]
-        for line, plan in zip(lines, series.plans):
+        plans = read_plans(out)
+        assert [p.p for p in plans] == [4, 2]
+        for line, plan in zip(lines, plans):
             fields = dict(f.split("=") for f in line.split()[2:] if "=" in f)
             assert int(fields["m"]) == plan.m
             assert int(fields["min"]) == plan.sizes.min()
@@ -138,8 +146,8 @@ class TestPartitionCommand:
         rc = main(["partition", "--graph", str(synth_dir / "graph.csv"),
                    "--parts", "1", "--out", str(out)])
         assert rc == 0
-        series = load_plans(out)
-        assert series.plans[0].p == 1 and series.plans[0].edge_cut == 0.0
+        plans = read_plans(out)
+        assert plans[0].p == 1 and plans[0].edge_cut == 0.0
 
     def test_infeasible_levels_exit_2(self, synth_dir, tmp_path, capsys):
         rc = main(["partition", "--graph", str(synth_dir / "graph.csv"),
@@ -436,6 +444,19 @@ class TestDumpAttention:
         assert rc == 2
         assert "window 999999 out of range; test has" in capsys.readouterr().err
         assert not (tmp_path / "y").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--nodes", "0", "n and steps must be >= 1, got n=0"),
+    ("--nodes", "-4", "n and steps must be >= 1, got n=-4"),
+    ("--steps", "0", "n and steps must be >= 1, got n=64, steps=0"),
+    ("--period", "0", "period must be > 0, got 0.0"),
+])
+def test_synth_rejects_sizes_it_cannot_build(tmp_path, capsys, flag, value, message):
+    rc = main(["synth", "--out", str(tmp_path / "d"), flag, value])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_synth_formats_equivalent(tmp_path):

@@ -48,7 +48,7 @@ class TestSpatialGraph:
 
     def test_zero_weight_adds_no_edge(self):
         g = gr.SpatialGraph(3, [0, 1], [1, 2], [0.0, 1.0])
-        assert list(g.edges()) == [(1, 2, 1.0)] and g.weight(0, 1) == 0.0
+        assert list(g.edges()) == [(1, 2, 1.0)] and g.dense_adjacency()[0, 1] == 0.0
 
     @pytest.mark.parametrize("src, dst, w", [
         ([1], [1], [1.0]),  # self-loop
@@ -72,11 +72,11 @@ class TestSpatialGraph:
 class TestEpsilonGraph:
     def test_edge_when_closer_than_epsilon(self):
         g = gr.build_epsilon_graph([[0.0, 0.0], [0.5, 0.0]], epsilon=1.0)
-        assert g.weight(0, 1) == 1.0
+        assert g.dense_adjacency()[0, 1] == 1.0
 
     def test_no_edge_at_distance_two(self):
         g = gr.build_epsilon_graph([[0.0, 0.0], [2.0, 0.0]], epsilon=1.0)
-        assert g.weight(0, 1) == 0.0
+        assert g.dense_adjacency()[0, 1] == 0.0
 
     def test_collinear_path_matches_pairwise_oracle(self):
         coords = np.array([[float(i), 0.0] for i in range(4)])
@@ -112,16 +112,16 @@ def test_builders_reject_coords_not_n_by_dim(build, coords):
 class TestGaussianGraph:
     def test_coincident_pair_weight_one(self):
         g = gr.build_gaussian_graph([[1.0, 1.0], [1.0, 1.0]], sigma=2.0, threshold=0.5)
-        assert g.weight(0, 1) == 1.0
+        assert g.dense_adjacency()[0, 1] == 1.0
 
     def test_distance_sigma_gives_inverse_e(self):
         g = gr.build_gaussian_graph([[0.0, 0.0], [3.0, 0.0]], sigma=3.0, threshold=0.0)
-        np.testing.assert_allclose(g.weight(0, 1), math.exp(-1.0), atol=1e-12)
+        np.testing.assert_allclose(g.dense_adjacency()[0, 1], math.exp(-1.0), atol=1e-12)
 
     def test_cutoff_drops_weak_edges(self):
         d = math.sqrt(-math.log(0.1)) * 2.0  # weight exactly 0.1 at sigma=2
         g = gr.build_gaussian_graph([[0.0, 0.0], [d, 0.0]], sigma=2.0, threshold=0.2)
-        assert g.weight(0, 1) == 0.0
+        assert g.dense_adjacency()[0, 1] == 0.0
 
 
 class TestLaplacian:
@@ -339,18 +339,6 @@ class TestGraphFiles:
         assert gr.load_coords(path, n=3).shape == (3, 2)
         with pytest.raises(NodeCountError, match="coords file has 3 nodes, series has 4"):
             gr.load_coords(path, n=4)
-
-    def test_pe_cache_roundtrip_and_hash_guard(self, tmp_path):
-        rng = np.random.default_rng(10)
-        g = random_connected_graph(8, rng)
-        pe = gr.laplacian_pe(g, k=3)
-        path = tmp_path / "pe.bin"
-        gr.save_pe(path, pe, g, block_limit=2000)
-        loaded = gr.load_pe(path, g)
-        assert np.array_equal(loaded.vectors, pe.vectors)
-        other = random_connected_graph(8, np.random.default_rng(11))
-        with pytest.raises(InputError):
-            gr.load_pe(path, other)
 
     def test_malformed_edge_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -414,7 +414,12 @@ class TestTiledPredict:
         monkeypatch.setattr(md, "_TILE_BYTES", 1)
         calls = self._recorded(model, monkeypatch)
         assert np.array_equal(model.predict(x), whole)
-        assert calls == [None]
+        assert calls == [1]
+
+    def test_fewer_than_three_axes_is_shape_error(self):
+        model, _ = tiny_model(np.random.default_rng(34))
+        with pytest.raises(ShapeError, match=r"predict expects \(\.\.\., n, t, c\)"):
+            model.predict(np.zeros((model.config.n, model.config.t)))
 
     def test_window_bytes_is_the_largest_temporary(self):
         # e2e config: the FFN hidden layer (64 x 128) beats 4 heads x m^2

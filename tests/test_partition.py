@@ -10,7 +10,7 @@ import pytest
 from sbaformer import partition as pt
 from sbaformer.autodiff import Tensor
 from sbaformer.data import make_grid_graph
-from sbaformer.errors import ContractError, HeaderMismatchError, InputError, ShapeError
+from sbaformer.errors import ContractError, InputError, ShapeError
 from sbaformer.graph import SpatialGraph, build_gaussian_graph
 
 from test_graph import clique_edges, random_connected_graph
@@ -324,47 +324,24 @@ class TestScaleSeries:
         orders = [plan.order.astype(np.int64).tobytes() for plan in self._series(graph, p0).plans]
         assert [hashlib.sha256(o).hexdigest() for o in orders] == self.ORDERS[graph]
 
-    def test_series_file_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        g = random_connected_graph(18, rng)
-        series = pt.build_scale_series(g, p0=4, l=2, seed=3)
-        path = tmp_path / "series.json"
-        pt.save_plans(path, series)
-        loaded = pt.load_plans(path)
-        for a, b in zip(series.plans, loaded.plans):
-            assert np.array_equal(a.assign, b.assign)
-            assert a.edge_cut == b.edge_cut and a.m == b.m
-        first = path.read_bytes()
-        pt.save_plans(path, loaded)
-        assert path.read_bytes() == first
-
     @pytest.mark.parametrize("edit, match", [
-        (lambda doc: doc["plans"][0].update(
-            achieved_factor=doc["plans"][0]["achieved_factor"] + 0.5),
-         "stored achieved_factor"),
-        (lambda doc: doc["plans"][0].update(
-            assign=[0] * 15 + [1, 2, 3], m=15, achieved_factor=3.0),
-         "stored over_balance"),
-        (lambda doc: doc["plans"][0]["assign"].__setitem__(0, 4), "labels in"),
-        (lambda doc: doc["merge_maps"][0].__delitem__(slice(2, None)), "merge map 0 must"),
-        (lambda doc: doc["merge_maps"][0].__setitem__(0, 1 - doc["merge_maps"][0][0]),
-         "not a union"),
-        (lambda doc: (doc["plans"].append(doc["plans"][1]), doc["merge_maps"].append([0, 1])),
+        (lambda s: s.merge_maps.__setitem__(0, s.merge_maps[0][:2]), "merge map 0 must"),
+        (lambda s: s.merge_maps[0].__setitem__(0, 1 - s.merge_maps[0][0]), "not a union"),
+        (lambda s: (s.plans.append(s.plans[1]), s.merge_maps.append(np.array([0, 1]))),
          "halving violated"),
-        (lambda doc: doc["merge_maps"].pop(), "0 merge maps for 2 levels"),
-    ], ids=["tampered-achieved-factor", "lopsided-assign", "label-past-p", "short-merge-map",
-            "wrong-merge-map", "repeated-level", "missing-merge-map"])
-    def test_plan_file_disagreeing_with_its_assignment_is_input_error(
-        self, tmp_path, edit, match
-    ):
+        (lambda s: s.merge_maps.pop(), "0 merge maps for 2 levels"),
+        (lambda s: s.plans.__setitem__(1, pt.PartitionPlan(
+            (c := s.plans[1]).assign, c.p, c.edge_cut + 1.0, c.balance_factor, c.seed)),
+         "stored edge_cut"),
+    ], ids=["short-merge-map", "wrong-merge-map", "repeated-level", "missing-merge-map",
+            "tampered-edge-cut"])
+    def test_broken_series_fails_validation(self, edit, match):
         g = random_connected_graph(18, np.random.default_rng(6))
-        path = tmp_path / "series.json"
-        pt.save_plans(path, pt.build_scale_series(g, p0=4, l=2, seed=3))
-        doc = json.loads(path.read_text())
-        edit(doc)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(HeaderMismatchError, match=match):
-            pt.load_plans(path)
+        series = pt.build_scale_series(g, p0=4, l=2, seed=3)
+        series.validate(g)
+        edit(series)
+        with pytest.raises(ContractError, match=match):
+            series.validate(g)
 
 
 class TestApplyRevert:
