@@ -53,31 +53,21 @@ def no_grad():
 
 
 class FlopCounter:
-    """Counts multiplies/adds of the forward products of matmul, attention
-    and ffn while enabled.
+    """One running FLOP count, multiplies plus adds, of the forward products
+    of matmul, attention and ffn while enabled: b·m·n·(2k−1) per batch of b
+    (m x k) @ (k x n) products.
 
     Disabled counting leaves results bit-identical; the counter only ever
-    observes, never alters, the arithmetic.
+    observes, never alters, the arithmetic. Callers measure a span as the
+    difference of total() before and after it.
     """
 
     def __init__(self):
-        self.mults = 0
-        self.adds = 0
+        self.count = 0
         self.enabled = False
 
-    def reset(self):
-        self.mults = 0
-        self.adds = 0
-
-    def count_matmul(self, batch: int, m: int, k: int, n: int):
-        self.mults += batch * m * n * k
-        self.adds += batch * m * n * (k - 1)
-
     def total(self) -> int:
-        return self.mults + self.adds
-
-    def report(self) -> dict:
-        return {"mults": self.mults, "adds": self.adds, "total": self.total()}
+        return self.count
 
     @contextlib.contextmanager
     def counting(self):
@@ -254,10 +244,10 @@ def div(a, b) -> Tensor:
 
 
 def _count_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray):
-    """Report out = a @ b to the FLOP counter, batch taken from out's leading axes."""
+    """Add out = a @ b to the FLOP counter, batch taken from out's leading axes."""
     if flops.enabled:
-        batch = int(np.prod(out.shape[:-2], dtype=np.int64)) if out.ndim > 2 else 1
-        flops.count_matmul(batch, a.shape[-2], a.shape[-1], b.shape[-1])
+        m, k = a.shape[-2:]
+        flops.count += math.prod(out.shape[:-2]) * m * b.shape[-1] * (2 * k - 1)
 
 
 def matmul(a, b) -> Tensor:

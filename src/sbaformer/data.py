@@ -87,7 +87,6 @@ class WindowSet:
 
     indices: list
     split: str
-    too_short: bool = False
 
     def __len__(self):
         return len(self.indices)
@@ -119,13 +118,10 @@ def make_windows(step_range, t: int, f: int, stride: int = 1, split: str = "trai
     lo, hi = step_range
     if t < 1 or f < 1 or stride < 1:
         raise ConfigError("t, f, and stride must be >= 1")
-    too_short = hi - lo < t + f
-    if too_short:
+    if hi - lo < t + f:
         log.warning("range %s too short for t=%d f=%d; empty window set", step_range, t, f)
-        starts = []
-    else:
-        starts = range(lo, hi - t - f + 1, stride)
-    return WindowSet(indices=[(s, t, f) for s in starts], split=split, too_short=too_short)
+    starts = range(lo, hi - t - f + 1, stride)  # empty when the range is too short
+    return WindowSet(indices=[(s, t, f) for s in starts], split=split)
 
 
 def split_setup(dataset: Dataset, t: int, f: int):

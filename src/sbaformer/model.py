@@ -253,6 +253,9 @@ def embed(x, params: ModelParams, pe_vectors) -> Tensor:
     t = ad.as_tensor(x)
     if t.ndim < 3:
         raise ShapeError(f"embed expects (..., n, t, c), got {tuple(t.shape)}")
+    n = len(pe_vectors)
+    if t.shape[-3] != n:
+        raise ShapeError(f"history has {t.shape[-3]} nodes; the model has {n}")
     flat = ad.reshape(t, t.shape[:-2] + (t.shape[-2] * t.shape[-1],))
     if flat.shape[-1] != params.embed.shape[0]:
         raise ShapeError(
@@ -350,11 +353,10 @@ class SbaTransformer:
 # attention cost: closed form and instrumented measurement
 
 
-def _attention_flops(batch: int, s: int, dh: int) -> tuple:
-    """(mults, adds) for scores (s x dh by dh x s) plus weights-times-values."""
-    mults = batch * (s * s * dh + s * dh * s)
-    adds = batch * (s * s * (dh - 1) + s * dh * (s - 1))
-    return mults, adds
+def _attention_flops(batch: int, s: int, dh: int) -> int:
+    """FLOPs, multiplies plus adds, of scores (s x dh by dh x s) plus
+    weights-times-values (s x s by s x dh)."""
+    return batch * (s * s * (2 * dh - 1) + s * dh * (2 * s - 1))
 
 
 def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
@@ -366,53 +368,37 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
     model computes; padding adds nothing. The measured pass drives the
     attention op on dummy tensors of the real shapes with the counter on,
     once with the subgraph runs and once with the p summaries as one run, so
-    the two columns must agree.
+    the two columns must agree. The pass is measured as the difference of
+    `ad.flops`, which then holds the caller's count again.
+
+    Returns `per_block` (p, m and the closed-form intra and inter FLOPs of
+    each block), `closed_total`, `measured_total` and their `ratio`.
     """
     h, dh = config.heads, config.d_head
     rng = np.random.default_rng(0)
     per_block = []
-    closed_mults = closed_adds = 0
-    # measure from zero, then hand the caller back the count it had open
-    saved = ad.flops.mults, ad.flops.adds
-    ad.flops.reset()
-    try:
-        with ad.flops.counting():
-            for plan in series.plans:
-                sizes = plan.sizes
-                im, ia = map(sum, zip(*(_attention_flops(h, int(s), dh) for s in sizes)))
-                xm, xa = _attention_flops(h, plan.p, dh)
-                per_block.append(
-                    {
-                        "p": plan.p,
-                        "m": plan.m,
-                        "intra": im + ia,
-                        "inter": xm + xa,
-                    }
-                )
-                closed_mults += im + xm
-                closed_adds += ia + xa
-                with ad.no_grad():
-                    q = Tensor(rng.standard_normal((h, plan.n, dh)))
-                    k = Tensor(rng.standard_normal((h, plan.n, dh)))
-                    v = Tensor(rng.standard_normal((h, plan.n, dh)))
-                    ad.attention(q, k, v, sizes)
-                    qs = Tensor(rng.standard_normal((h, plan.p, dh)))
-                    ks = Tensor(rng.standard_normal((h, plan.p, dh)))
-                    vs = Tensor(rng.standard_normal((h, plan.p, dh)))
-                    ad.attention(qs, ks, vs, [plan.p])
-        measured = ad.flops.report()
-    finally:
-        ad.flops.mults, ad.flops.adds = saved
-    closed_total = closed_mults + closed_adds
+    before = ad.flops.total()
+    with ad.flops.counting(), ad.no_grad():
+        for plan in series.plans:
+            per_block.append(
+                {
+                    "p": plan.p,
+                    "m": plan.m,
+                    "intra": sum(_attention_flops(h, int(s), dh) for s in plan.sizes),
+                    "inter": _attention_flops(h, plan.p, dh),
+                }
+            )
+            q, k, v = (Tensor(rng.standard_normal((h, plan.n, dh))) for _ in range(3))
+            ad.attention(q, k, v, plan.sizes)
+            qs, ks, vs = (Tensor(rng.standard_normal((h, plan.p, dh))) for _ in range(3))
+            ad.attention(qs, ks, vs, [plan.p])
+    measured_total, ad.flops.count = ad.flops.total() - before, before
+    closed_total = sum(blk["intra"] + blk["inter"] for blk in per_block)
     return {
         "per_block": per_block,
-        "closed_mults": closed_mults,
-        "closed_adds": closed_adds,
         "closed_total": closed_total,
-        "measured_mults": measured["mults"],
-        "measured_adds": measured["adds"],
-        "measured_total": measured["total"],
-        "ratio": measured["total"] / closed_total,
+        "measured_total": measured_total,
+        "ratio": measured_total / closed_total,
     }
 
 

@@ -40,8 +40,9 @@ class TrainConfig:
             raise ConfigError(f"betas must be two numbers, got {list(self.betas)}")
         if not (0 < self.betas[0] < 1 and 0 < self.betas[1] < 1):
             raise ConfigError("betas must lie in (0, 1)")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if not self.eps > 0:
             raise ConfigError("eps must be > 0")
         if self.grad_clip is not None and not self.grad_clip > 0:

@@ -297,6 +297,7 @@ def test_c10_determinism(e2e_runs, tmp_path):
     hist_a = (a["out_dir"] / "history.jsonl").read_bytes()
     hist_b = (b["out_dir"] / "history.jsonl").read_bytes()
     assert hist_a == hist_b
+    assert json.loads(hist_a.splitlines()[0])["flops"] == 7149223416
     plan_a = (a["out_dir"] / "scale_series.json").read_bytes()
     plan_b = (b["out_dir"] / "scale_series.json").read_bytes()
     assert plan_a == plan_b

@@ -296,6 +296,20 @@ class TestTrainEvalCommands:
         assert f"{key} must be > 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, flags", [
+        ("max_epochs", 0, []), ("patience", 0, []), ("max_epochs", 2, ["--max-epochs", "0"]),
+    ])
+    def test_epoch_counts_below_one_exit_2(self, run_config, tmp_path, capsys, key, value, flags):
+        config_path, _ = run_config
+        cfg = json.loads(config_path.read_text())
+        cfg["train"][key] = value
+        cfg["paths"]["out_dir"] = str(tmp_path / "out")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(bad)] + flags) == 2
+        assert f"{key} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_heads_exit_2(self, run_config, tmp_path, capsys, no_setup_work):
         config_path, _ = run_config
         cfg = json.loads(config_path.read_text())
@@ -378,6 +392,22 @@ class TestBenchCommand:
         assert sba[128] / sba[64] < 3.0
         for r in rows:
             assert abs(float(r["flops_measured"]) / float(r["flops_closed_form"]) - 1) <= 0.01
+
+    def test_flop_columns_are_pinned(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--n-list", "64,128,256", "--m", "16", "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
+        counts = [(r["mode"], int(r["n"]), int(r["flops_measured"]), int(r["flops_closed_form"]))
+                  for r in rows]
+        assert counts == [
+            ("sba", 64, 257728, 257728),
+            ("sba", 128, 523520, 523520),
+            ("sba", 256, 1079296, 1079296),
+            ("dense", 64, 1028284, 1028284),
+            ("dense", 128, 4120764, 4120764),
+            ("dense", 256, 16498876, 16498876),
+        ]
 
     def test_zero_m_exit_2(self, tmp_path, capsys):
         rc = main(["bench", "--n-list", "64", "--m", "0", "--out", str(tmp_path / "x.csv")])

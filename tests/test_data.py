@@ -46,10 +46,11 @@ class TestMakeWindows:
         ws = dt.make_windows((0, 20), t=3, f=2, stride=5)
         assert [s for s, _, _ in ws.indices] == [0, 5, 10, 15]
 
-    def test_too_short_flags_and_warns(self, caplog):
+    def test_too_short_range_warns(self, caplog):
         with caplog.at_level("WARNING"):
             ws = dt.make_windows((0, 4), t=3, f=2)
-        assert len(ws) == 0 and ws.too_short
+        assert len(ws) == 0
+        assert "range (0, 4) too short for t=3 f=2; empty window set" in caplog.text
 
     def test_windows_deterministic(self):
         a = dt.make_windows((5, 50), 4, 3)

@@ -421,6 +421,11 @@ class TestTiledPredict:
         with pytest.raises(ShapeError, match=r"predict expects \(\.\.\., n, t, c\)"):
             model.predict(np.zeros((model.config.n, model.config.t)))
 
+    def test_wrong_node_count_is_shape_error(self):
+        model, _ = tiny_model(np.random.default_rng(35), n=16, t=6, p0=4)
+        with pytest.raises(ShapeError, match="history has 15 nodes; the model has 16"):
+            model.predict(np.zeros((2, 15, 6, 1)))
+
     def test_window_bytes_is_the_largest_temporary(self):
         # e2e config: the FFN hidden layer (64 x 128) beats 4 heads x m^2
         g = make_grid_graph(8, 8)
@@ -509,21 +514,20 @@ class TestFlopsEstimate:
         rng = np.random.default_rng(22)
         p, h, m, dh = 3, 2, 7, 5
         q, k, v = rng.standard_normal((3, p, h, m, dh))
-        ad.flops.reset()
+        before = ad.flops.total()
         with ad.flops.counting():
             ad.attention(Tensor(q), Tensor(k), Tensor(v), [m])
-        assert (ad.flops.mults, ad.flops.adds) == md._attention_flops(p * h, m, dh)
+        assert ad.flops.total() - before == md._attention_flops(p * h, m, dh)
 
     def test_subgraph_attention_counts_each_part_at_its_size(self):
         rng = np.random.default_rng(23)
         h, dh = 2, 5
         sizes = [7, 1, 4]
         q, k, v = rng.standard_normal((3, h, sum(sizes), dh))
-        ad.flops.reset()
+        before = ad.flops.total()
         with ad.flops.counting():
             ad.attention(Tensor(q), Tensor(k), Tensor(v), sizes)
-        parts = [md._attention_flops(h, s, dh) for s in sizes]
-        assert (ad.flops.mults, ad.flops.adds) == tuple(map(sum, zip(*parts)))
+        assert ad.flops.total() - before == sum(md._attention_flops(h, s, dh) for s in sizes)
 
     def test_uneven_parts_cost_their_squared_sizes(self):
         # the e2e config: 8x8 grid, p0=8, l=3, d=32, 4 heads; uneven parts
@@ -536,17 +540,21 @@ class TestFlopsEstimate:
             assert sizes.min() < plan.m
             sq = int((sizes**2).sum())
             assert blk["intra"] == h * (2 * dh * sq + (dh - 1) * sq + dh * (sq - int(sizes.sum())))
-            assert blk["intra"] < sum(md._attention_flops(plan.p * h, plan.m, dh))
-        assert est["measured_total"] == est["closed_total"]
+            assert blk["intra"] < md._attention_flops(plan.p * h, plan.m, dh)
+        assert est["measured_total"] == est["closed_total"] == 477752
+        assert est["per_block"] == [
+            {"p": 8, "m": 10, "intra": 72104, "inter": 7680},
+            {"p": 4, "m": 20, "intra": 131624, "inter": 1856},
+            {"p": 2, "m": 39, "intra": 264056, "inter": 432},
+        ]
 
     def test_caller_count_survives(self, monkeypatch):
         config, series = self._config(64, 4), self._series(64, 4)
-        monkeypatch.setattr(ad.flops, "mults", 0)
-        monkeypatch.setattr(ad.flops, "adds", 0)
+        monkeypatch.setattr(ad.flops, "count", 0)
         fresh = md.flops_estimate(config, series)
-        ad.flops.mults, ad.flops.adds = 1234, 567
+        ad.flops.count = 1234 + 567
         est = md.flops_estimate(config, series)
-        assert (ad.flops.mults, ad.flops.adds) == (1234, 567)
+        assert ad.flops.total() == 1234 + 567
         assert est == fresh
 
     def test_measured_equals_closed_form(self):
@@ -683,9 +691,9 @@ class TestFullModelGradients:
     @staticmethod
     def _tape_run(model, x, target):
         """Bytes the tape holds after the forward, the output and the grads,
-        and the FLOP report of the forward and the backward."""
+        and the FLOP count of the forward and the backward."""
         model.params.zero_grad()
-        ad.flops.reset()
+        counted = ad.flops.total()
         with ad.flops.counting():
             tracemalloc.start()
             try:
@@ -695,7 +703,7 @@ class TestFullModelGradients:
             finally:
                 tracemalloc.stop()
             md.mae_loss(out, target).backward()
-        return held, [out.data] + [t.grad for t in model.params.tensors()], ad.flops.report()
+        return held, [out.data] + [t.grad for t in model.params.tensors()], ad.flops.total() - counted
 
     def test_fused_ffn_keeps_every_bit_and_shrinks_the_tape(self, monkeypatch):
         def unfused_sublayer(x, prm):

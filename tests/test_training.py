@@ -57,6 +57,14 @@ class TestAdamStep:
         with pytest.raises(ConfigError, match=f"{field} must be > 0"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_epochs", 0), ("max_epochs", -1), ("patience", 0), ("patience", -2),
+    ])
+    def test_config_rejects_epoch_counts_below_one(self, field, value):
+        # max_epochs = 0 would save an untrained model; patience = 0 would act as 1
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            TrainConfig(**{field: value})
+
     @pytest.mark.parametrize("betas", [(0.9,), ("a", "b"), (0.9, 0.99, 0.999)])
     def test_config_rejects_betas_that_are_not_two_numbers(self, betas):
         with pytest.raises(ConfigError, match="betas must be two numbers"):
