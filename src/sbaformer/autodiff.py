@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 
 import numpy as np
 
@@ -59,12 +60,19 @@ class FlopCounter:
 
     Disabled counting leaves results bit-identical; the counter only ever
     observes, never alters, the arithmetic. Callers measure a span as the
-    difference of total() before and after it.
+    difference of total() before and after it. add() takes a lock, so
+    products counted from several threads at once (`predict`'s workers)
+    lose no update; disabled counting never reaches it.
     """
 
     def __init__(self):
         self.count = 0
         self.enabled = False
+        self._lock = threading.Lock()
+
+    def add(self, n: int):
+        with self._lock:
+            self.count += n
 
     def total(self) -> int:
         return self.count
@@ -247,7 +255,7 @@ def _count_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray):
     """Add out = a @ b to the FLOP counter, batch taken from out's leading axes."""
     if flops.enabled:
         m, k = a.shape[-2:]
-        flops.count += math.prod(out.shape[:-2]) * m * b.shape[-1] * (2 * k - 1)
+        flops.add(math.prod(out.shape[:-2]) * m * b.shape[-1] * (2 * k - 1))
 
 
 def matmul(a, b) -> Tensor:

@@ -4,7 +4,7 @@ Subcommands: partition, synth, train, eval, bench, dump-attention. Configs
 are strict JSON (see config.py); flags only override scalar fields. Exit
 codes: 0 success, 2 user/input error, 3 internal contract violation. All
 artifacts are written deterministically, so re-runs are byte-identical
-(wall-clock timings live in separate files).
+(wall-clock timings and the environment record live in separate files).
 """
 from __future__ import annotations
 
@@ -47,6 +47,7 @@ from .graph import (
 from .model import (
     ModelConfig,
     SbaTransformer,
+    _usable_cpus,
     attention_peak_bytes,
     flops_estimate,
     load_checkpoint,
@@ -234,6 +235,18 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _environment() -> dict:
+    """What a run's bits depend on beyond the code: numpy and its BLAS. The
+    CPU and predict worker counts ride along; they change timings, not bits."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        "predict_workers": _usable_cpus(),
+    }
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -251,6 +264,7 @@ def cmd_train(args) -> int:
     save_checkpoint(os.path.join(out_dir, "checkpoint"), best, model.config, model.seed)
     write_jsonl(os.path.join(out_dir, "history.jsonl"), history)
     write_jsonl(os.path.join(out_dir, "timing.jsonl"), ({"seconds": s} for s in timings))
+    write_json(os.path.join(out_dir, "environment.json"), _environment())
     done = [h for h in history if "val_mae" in h]
     if done:
         best_epoch = min(done, key=lambda h: h["val_mae"])
@@ -294,6 +308,7 @@ def _bench_one(mode: str, n: int, m: int, d: int, heads: int) -> dict:
     mc = ModelConfig(n=n, t=1, c=1, f=1, d_model=d, l=1, heads=heads, p0=plan.p, k_pe=1)
     was_debug = ad.set_debug_checks(False)
     try:
+        flops_estimate(mc, series)  # untimed: the first call of a process warms up
         tic = time.perf_counter()
         est = flops_estimate(mc, series)
         wall_ms = (time.perf_counter() - tic) * 1e3

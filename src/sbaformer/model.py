@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import copy
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -278,6 +280,13 @@ def mae_loss(pred: Tensor, target) -> Tensor:
 _TILE_BYTES = 1 << 20
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class SbaTransformer:
     """Config, partition series, positional encoding, and parameters in one place."""
 
@@ -316,15 +325,21 @@ class SbaTransformer:
         return ad.reshape(out, out.shape[:-1] + (self.config.f, self.config.c))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Forecasts with the tape off, in cache-sized tiles of windows.
+        """Forecasts with the tape off, in cache-sized tiles of windows run
+        on one worker thread per usable CPU.
 
         x is (..., n, t, c); one window (n, t, c) runs as a tile of one.
         The windows run through `forward` a tile at a time, each tile sized
         so that its largest temporary (the FFN hidden layer or the biggest
-        attention run's scores) fits in `_TILE_BYTES`, and each tile's
-        forecasts are written into one preallocated output. Every op works
-        on each window on its own, so the result equals one whole-batch
-        forward bit for bit; only the working set shrinks.
+        attention run's scores) fits in `_TILE_BYTES`, and each tile writes
+        its forecasts into its own slice of one preallocated output. The
+        tiles run on a thread pool of one worker per CPU the process may use
+        (capped at the tile count; `taskset` limits it), which lives only
+        inside this call and under `ad.no_grad()`; numpy's kernels release
+        the GIL, so tiles overlap. Every op works on each window on its own,
+        so the result equals one whole-batch forward bit for bit at any
+        tile size and worker count. The first tile to fail cancels the
+        tiles not yet started, and its error is raised here.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim < 3:
@@ -333,9 +348,20 @@ class SbaTransformer:
         windows = x.reshape((-1,) + x.shape[-3:])
         out = np.empty((len(windows), x.shape[-3], mc.f, mc.c))
         tile = max(1, _TILE_BYTES // self._window_bytes())
-        with ad.no_grad():
-            for lo in range(0, len(windows), tile):
-                out[lo : lo + tile] = self.forward(Tensor(windows[lo : lo + tile])).data
+        starts = range(0, len(windows), tile)
+
+        def run(lo):
+            out[lo : lo + tile] = self.forward(Tensor(windows[lo : lo + tile])).data
+
+        workers = max(1, min(_usable_cpus(), len(starts)))
+        with ad.no_grad(), ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(run, lo) for lo in starts]
+            try:
+                for done in as_completed(futures):
+                    done.result()
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
         return out.reshape(x.shape[:-3] + out.shape[1:])
 
     def _window_bytes(self) -> int:

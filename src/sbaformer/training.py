@@ -111,7 +111,8 @@ def _batched_mae(model: SbaTransformer, series_norm, windows, batch: int = 64) -
     """Mean of per-window MAE over a window set.
 
     Windows are gathered `batch` at a time and forecast by `model.predict`,
-    which runs with the tape off in cache-sized tiles of windows.
+    which runs with the tape off in cache-sized tiles of windows on one
+    worker thread per usable CPU; the worker count never changes the bits.
     """
     total = 0.0
     for lo in range(0, len(windows), batch):
@@ -200,7 +201,8 @@ def evaluate(
     """Metric report on de-normalized forecasts, with a persistence reference row.
 
     Forecasts come from `model.predict` (tape off, cache-sized tiles of
-    windows, `batch` windows gathered at a time) on the normalized series
+    windows on one worker thread per usable CPU, `batch` windows gathered
+    at a time; bit-identical at any worker count) on the normalized series
     and are inverted back to the raw scale before scoring; the persistence
     row goes through the exact same metric path.
     """

@@ -3,8 +3,10 @@
 Byte-identical re-runs hold for a fixed BLAS thread count. This guard runs
 one forward, backward and Adam step of the e2e config in two subprocesses,
 one with OPENBLAS_NUM_THREADS=1 and one with =2, and compares digests of the
-forecasts, the gradients and the updated parameters. When a pinned digest
-breaks, it tells whether threading or the code changed the bits.
+forecasts, the gradients and the updated parameters, and of a `predict`
+whose tiles run on two worker threads beside the BLAS threads. When a
+pinned digest breaks, it tells whether threading or the code changed the
+bits.
 """
 import os
 import pathlib
@@ -16,6 +18,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 STEP = """
 import hashlib
 import numpy as np
+from sbaformer import model as md
 from sbaformer.autodiff import Tensor
 from sbaformer.data import make_grid_graph
 from sbaformer.graph import laplacian_pe
@@ -37,6 +40,10 @@ params = model.params.tensors()
 parts = [pred.data] + [t.grad for t in params]
 adam_step(model.params, TrainState.for_params(model.params), TrainConfig(lr=2e-3))
 parts += [t.data for t in params]
+# predict of 8 windows in 4 tiles of 2, on 2 worker threads
+md._TILE_BYTES = 2 * model._window_bytes()
+md._usable_cpus = lambda: 2
+parts.append(model.predict(rng.standard_normal((8, 64, 24, 1))))
 print(hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in parts)).hexdigest())
 """
 

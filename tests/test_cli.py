@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: artifacts, exit codes, idempotence."""
 import json
 import os
+import types
 
 import numpy as np
 import pytest
 
+from sbaformer import cli
 from sbaformer.cli import main
 from sbaformer.config import DATASET_P_DEFAULTS, default_config, load_config, validate_config
 from sbaformer.errors import ConfigError
@@ -186,13 +188,21 @@ class TestTrainEvalCommands:
         assert rc == 0
         for artifact in (
             "checkpoint.bin", "checkpoint.json", "history.jsonl",
-            "timing.jsonl", "effective_config.json", "scale_series.json",
-            "pe.bin", "pe.json",
+            "timing.jsonl", "environment.json", "effective_config.json",
+            "scale_series.json", "pe.bin", "pe.json",
         ):
             assert (out_dir / artifact).exists(), artifact
         history = [json.loads(l) for l in (out_dir / "history.jsonl").read_text().splitlines()]
         assert len(history) == 2
         assert {"epoch", "train_loss", "val_mae", "flops"} <= set(history[0])
+        # the environment sits beside the timings, out of the deterministic records
+        env = json.loads((out_dir / "environment.json").read_text())
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["predict_workers"] >= 1
+        for name in ("history.jsonl", "checkpoint.json"):
+            assert "numpy" not in (out_dir / name).read_text()
 
     def test_effective_config_roundtrips(self, run_config):
         config_path, out_dir = run_config
@@ -408,6 +418,23 @@ class TestBenchCommand:
             ("dense", 128, 4120764, 4120764),
             ("dense", 256, 16498876, 16498876),
         ]
+
+    def test_each_row_times_a_warm_call(self, monkeypatch):
+        events = []
+        estimate = cli.flops_estimate
+
+        def recording(*args):
+            events.append("estimate")
+            return estimate(*args)
+
+        def tick():
+            events.append("tick")
+            return 0.0
+
+        monkeypatch.setattr(cli, "flops_estimate", recording)
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=tick))
+        cli._bench_one("sba", 64, 16, 64, 4)
+        assert events == ["estimate", "tick", "estimate", "tick"]
 
     def test_zero_m_exit_2(self, tmp_path, capsys):
         rc = main(["bench", "--n-list", "64", "--m", "0", "--out", str(tmp_path / "x.csv")])

@@ -1,6 +1,8 @@
 """Model blocks against independent dense oracles, plus structural invariants."""
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,7 +13,7 @@ from sbaformer import model as md
 from sbaformer import partition as pt
 from sbaformer.autodiff import Tensor
 from sbaformer.data import make_grid_graph
-from sbaformer.errors import ConfigError, ContractError, ShapeError
+from sbaformer.errors import ConfigError, ContractError, NumericError, ShapeError
 from sbaformer.graph import laplacian_pe
 from sbaformer.partition import build_scale_series, plan_from_assign, uniform_plan
 
@@ -364,7 +366,8 @@ class TestForward:
 
 
 class TestTiledPredict:
-    """predict runs batches in tiles of windows; the bits must not move."""
+    """predict runs batches in tiles of windows on worker threads; the bits
+    must not move. Tiles may start in any order, so call lists are sorted."""
 
     def _recorded(self, model, monkeypatch):
         """Window counts of each forward call that predict makes."""
@@ -382,7 +385,7 @@ class TestTiledPredict:
         with ad.no_grad():
             return model.forward(Tensor(xs)).data
 
-    @pytest.mark.parametrize("tile, counts", [(1, [1] * 7), (3, [3, 3, 1]), (7, [7])])
+    @pytest.mark.parametrize("tile, counts", [(1, [1] * 7), (3, [1, 3, 3]), (7, [7])])
     def test_tiles_equal_one_whole_batch_forward(self, monkeypatch, tile, counts):
         rng = np.random.default_rng(31)
         model, _ = tiny_model(rng)
@@ -392,7 +395,7 @@ class TestTiledPredict:
         monkeypatch.setattr(md, "_TILE_BYTES", budget)
         calls = self._recorded(model, monkeypatch)
         assert np.array_equal(model.predict(xs), whole)
-        assert calls == counts
+        assert sorted(calls) == counts
 
     def test_more_leading_axes_tile_over_all_windows(self, monkeypatch):
         rng = np.random.default_rng(32)
@@ -404,7 +407,7 @@ class TestTiledPredict:
         out = model.predict(xs)
         assert out.shape == (2, 3, model.config.n, model.config.f, 1)
         assert np.array_equal(out, whole)
-        assert calls == [4, 2]
+        assert sorted(calls) == [2, 4]
 
     def test_unbatched_window_runs_whole(self, monkeypatch):
         rng = np.random.default_rng(33)
@@ -415,6 +418,86 @@ class TestTiledPredict:
         calls = self._recorded(model, monkeypatch)
         assert np.array_equal(model.predict(x), whole)
         assert calls == [1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_count_never_changes_bits(self, monkeypatch, workers):
+        rng = np.random.default_rng(36)
+        model, _ = tiny_model(rng)
+        xs = rng.standard_normal((7, model.config.n, model.config.t, 1))
+        whole = self._whole_batch(model, xs)
+        monkeypatch.setattr(md, "_TILE_BYTES", 1)
+        monkeypatch.setattr(md, "_usable_cpus", lambda: workers)
+        threads = set()
+        forward = model.forward
+
+        def recording(x, capture=None):
+            threads.add(threading.get_ident())
+            return forward(x, capture)
+
+        monkeypatch.setattr(model, "forward", recording)
+        assert np.array_equal(model.predict(xs), whole)
+        assert 1 <= len(threads) <= workers
+        assert threading.get_ident() not in threads
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_tile_raises_cancels_the_rest_and_leaves_no_thread(self, monkeypatch, workers):
+        rng = np.random.default_rng(37)
+        model, _ = tiny_model(rng)
+        xs = rng.standard_normal((7, model.config.n, model.config.t, 1))
+        xs[0, 2, 1, 0] = np.nan
+        monkeypatch.setattr(md, "_TILE_BYTES", 1)
+        monkeypatch.setattr(md, "_usable_cpus", lambda: workers)
+        calls = []
+        forward = model.forward
+
+        def slow_after_the_first(x, capture=None):
+            calls.append(x.shape[0])
+            if len(calls) > 1:  # time for predict to cancel the tiles not started
+                threading.Event().wait(0.5)
+            return forward(x, capture)
+
+        monkeypatch.setattr(model, "forward", slow_after_the_first)
+        before = threading.active_count()
+        with pytest.raises(NumericError):
+            model.predict(xs)
+        assert threading.active_count() == before
+        assert ad._GRAD_ENABLED
+        # the failed tile, and on each worker at most one tile started before
+        # the failure was seen; the other tiles of 7 never ran
+        assert len(calls) <= 1 + workers
+
+    def test_flop_count_is_exact_under_threads(self, monkeypatch):
+        # e2e config, 64 one-window tiles on more workers than cores, with the
+        # interpreter switching threads as often as it can: a lost update
+        # in the counter would show as a short count
+        g = make_grid_graph(8, 8)
+        config = md.ModelConfig(n=64, t=24, c=1, f=12, d_model=32, l=3, heads=4, p0=8, k_pe=8)
+        model = md.SbaTransformer(config, build_scale_series(g, 8, 3, seed=0),
+                                  laplacian_pe(g, 8).vectors)
+        xs = np.random.default_rng(39).standard_normal((64, 64, 24, 1))
+        # the reference: the same 64 one-window tiles, one after another on
+        # this thread. Each tile projects the encoding once (64 x 8 @ 8 x 32,
+        # 30720 FLOPs), which a whole-batch forward does once in all.
+        before = ad.flops.total()
+        with ad.flops.counting(), ad.no_grad():
+            for i in range(len(xs)):
+                model.forward(Tensor(xs[i : i + 1]))
+        serial = ad.flops.total() - before
+        assert serial == 383_436_288 + 63 * 64 * 32 * 15
+        monkeypatch.setattr(md, "_TILE_BYTES", 1)
+        monkeypatch.setattr(md, "_usable_cpus", lambda: 4)
+        counts = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                before = ad.flops.total()
+                with ad.flops.counting():
+                    model.predict(xs)
+                counts.append(ad.flops.total() - before)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [serial] * 4
 
     def test_fewer_than_three_axes_is_shape_error(self):
         model, _ = tiny_model(np.random.default_rng(34))
