@@ -276,8 +276,16 @@ def mae_loss(pred: Tensor, target) -> Tensor:
     return ad.tensor_mean(ad.tensor_abs(ad.sub(pred, tgt)))
 
 
-# Working-set budget of one `predict` tile: half of a 2 MiB L2 cache.
-_TILE_BYTES = 1 << 20
+# Memory cap of one `predict` tile, counted in `_window_bytes` per window.
+_TILE_BYTES = 6 << 20
+
+
+def _tile_windows(windows: int, workers: int, window_bytes: int) -> int:
+    """Windows per `predict` tile: two tiles per worker, for load balance,
+    but no more windows than keep `tile * window_bytes` within `_TILE_BYTES`,
+    and never fewer than one."""
+    per_worker = -(-windows // (2 * workers))
+    return max(1, min(per_worker, _TILE_BYTES // window_bytes))
 
 
 def _usable_cpus() -> int:
@@ -325,16 +333,15 @@ class SbaTransformer:
         return ad.reshape(out, out.shape[:-1] + (self.config.f, self.config.c))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Forecasts with the tape off, in cache-sized tiles of windows run
-        on one worker thread per usable CPU.
+        """Forecasts with the tape off, in tiles of windows run on one
+        worker thread per usable CPU.
 
         x is (..., n, t, c); one window (n, t, c) runs as a tile of one.
-        The windows run through `forward` a tile at a time, each tile sized
-        so that its largest temporary (the FFN hidden layer or the biggest
-        attention run's scores) fits in `_TILE_BYTES`, and each tile writes
-        its forecasts into its own slice of one preallocated output. The
-        tiles run on a thread pool of one worker per CPU the process may use
-        (capped at the tile count; `taskset` limits it), which lives only
+        The windows run through `forward` a tile at a time, two tiles per
+        worker where `_TILE_BYTES` allows (`_tile_windows`), and each tile
+        writes its forecasts into its own slice of one preallocated output.
+        The tiles run on a thread pool of one worker per CPU the process may
+        use (capped at the tile count; `taskset` limits it), which lives only
         inside this call and under `ad.no_grad()`; numpy's kernels release
         the GIL, so tiles overlap. Every op works on each window on its own,
         so the result equals one whole-batch forward bit for bit at any
@@ -347,13 +354,14 @@ class SbaTransformer:
         mc = self.config
         windows = x.reshape((-1,) + x.shape[-3:])
         out = np.empty((len(windows), x.shape[-3], mc.f, mc.c))
-        tile = max(1, _TILE_BYTES // self._window_bytes())
+        cpus = _usable_cpus()
+        tile = _tile_windows(len(windows), cpus, self._window_bytes())
         starts = range(0, len(windows), tile)
 
         def run(lo):
             out[lo : lo + tile] = self.forward(Tensor(windows[lo : lo + tile])).data
 
-        workers = max(1, min(_usable_cpus(), len(starts)))
+        workers = max(1, min(cpus, len(starts)))
         with ad.no_grad(), ThreadPoolExecutor(workers) as pool:
             futures = [pool.submit(run, lo) for lo in starts]
             try:
@@ -365,10 +373,12 @@ class SbaTransformer:
         return out.reshape(x.shape[:-3] + out.shape[1:])
 
     def _window_bytes(self) -> int:
-        """f64 bytes of one window's largest temporary in `forward`.
+        """f64 bytes of one window's largest temporary in `forward`: the
+        unit in which `_TILE_BYTES` caps a `predict` tile.
 
         The FFN hidden layer counts at its whole-window size, though
-        `ad.ffn` now also tiles it internally, by `ad._FFN_TILE_BYTES`.
+        `ad.ffn` also tiles it internally, by `ad._FFN_TILE_BYTES`. A
+        tape-off forward of k windows peaks at a few times k units.
         """
         mc = self.config
         run = max(max(plan.m, plan.p) for plan in self.series.plans)

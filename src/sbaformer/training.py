@@ -111,8 +111,9 @@ def _batched_mae(model: SbaTransformer, series_norm, windows, batch: int = 64) -
     """Mean of per-window MAE over a window set.
 
     Windows are gathered `batch` at a time and forecast by `model.predict`,
-    which runs with the tape off in cache-sized tiles of windows on one
-    worker thread per usable CPU; the worker count never changes the bits.
+    which runs with the tape off in tiles of windows, two per worker thread
+    under a memory cap, on one worker thread per usable CPU; neither the
+    tile size nor the worker count changes the bits.
     """
     total = 0.0
     for lo in range(0, len(windows), batch):
@@ -200,9 +201,9 @@ def evaluate(
 ) -> dict:
     """Metric report on de-normalized forecasts, with a persistence reference row.
 
-    Forecasts come from `model.predict` (tape off, cache-sized tiles of
-    windows on one worker thread per usable CPU, `batch` windows gathered
-    at a time; bit-identical at any worker count) on the normalized series
+    Forecasts come from `model.predict` (tape off, tiles of windows on one
+    worker thread per usable CPU, `batch` windows gathered at a time;
+    bit-identical at any tile size and worker count) on the normalized series
     and are inverted back to the raw scale before scoring; the persistence
     row goes through the exact same metric path.
     """

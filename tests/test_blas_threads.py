@@ -40,9 +40,9 @@ params = model.params.tensors()
 parts = [pred.data] + [t.grad for t in params]
 adam_step(model.params, TrainState.for_params(model.params), TrainConfig(lr=2e-3))
 parts += [t.data for t in params]
-# predict of 8 windows in 4 tiles of 2, on 2 worker threads
-md._TILE_BYTES = 2 * model._window_bytes()
+# predict of 8 windows on 2 worker threads: the rule gives 4 tiles of 2
 md._usable_cpus = lambda: 2
+assert md._tile_windows(8, 2, model._window_bytes()) == 2
 parts.append(model.predict(rng.standard_normal((8, 64, 24, 1))))
 print(hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in parts)).hexdigest())
 """

@@ -385,36 +385,77 @@ class TestTiledPredict:
         with ad.no_grad():
             return model.forward(Tensor(xs)).data
 
+    def _force_tile(self, monkeypatch, tile):
+        """Tiles of `tile` windows on any machine, whatever its CPU count."""
+        monkeypatch.setattr(md, "_tile_windows", lambda windows, workers, window_bytes: tile)
+
+    @pytest.mark.parametrize("windows, workers, window_bytes, tile", [
+        (16, 2, 8 * 576 * 4 * 64, 4),    # forecast_grid576: two tiles per worker
+        (64, 2, 8 * 64 * 4 * 32, 16),    # the e2e validation batch
+        (64, 2, 8 * 576 * 4 * 64, 5),    # n=576 at batch 64: the cap binds
+        (16, 2, 8 * 8649 * 4 * 64, 1),   # CA size: one FFN hidden layer is over the cap
+        (1, 2, 8 * 64 * 4 * 32, 1),
+        (0, 2, 8 * 64 * 4 * 32, 1),
+        (7, 1, 8 * 64 * 4 * 32, 4),      # one worker: tiles of 4 and 3
+    ])
+    def test_tile_is_two_per_worker_under_the_memory_cap(self, windows, workers,
+                                                         window_bytes, tile):
+        assert md._tile_windows(windows, workers, window_bytes) == tile
+
+    def test_tile_working_set_is_a_few_window_units(self):
+        # e2e config at the rule's tile for a 64-window batch on 2 workers:
+        # a tape-off forward of k >= 4 windows peaks at about 2.6 k units of
+        # `_window_bytes` (tracemalloc), one window at about 4.4
+        g = make_grid_graph(8, 8)
+        config = md.ModelConfig(n=64, t=24, c=1, f=12, d_model=32, l=3, heads=4, p0=8, k_pe=8)
+        model = md.SbaTransformer(config, build_scale_series(g, 8, 3, seed=0),
+                                  laplacian_pe(g, 8).vectors)
+        unit = model._window_bytes()
+        tile = md._tile_windows(64, 2, unit)
+        xs = np.random.default_rng(38).standard_normal((tile, 64, 24, 1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            self._whole_batch(model, xs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * tile * unit
+
     @pytest.mark.parametrize("tile, counts", [(1, [1] * 7), (3, [1, 3, 3]), (7, [7])])
     def test_tiles_equal_one_whole_batch_forward(self, monkeypatch, tile, counts):
         rng = np.random.default_rng(31)
         model, _ = tiny_model(rng)
         xs = rng.standard_normal((7, model.config.n, model.config.t, 1))
         whole = self._whole_batch(model, xs)
-        budget = 1 if tile == 1 else tile * model._window_bytes() + 7
-        monkeypatch.setattr(md, "_TILE_BYTES", budget)
+        self._force_tile(monkeypatch, tile)
         calls = self._recorded(model, monkeypatch)
         assert np.array_equal(model.predict(xs), whole)
         assert sorted(calls) == counts
 
     def test_more_leading_axes_tile_over_all_windows(self, monkeypatch):
+        # 6 windows in tiles of 4, and two empty batches that run no tile
         rng = np.random.default_rng(32)
         model, _ = tiny_model(rng)
-        xs = rng.standard_normal((2, 3, model.config.n, model.config.t, 1))
-        whole = self._whole_batch(model, xs)
-        monkeypatch.setattr(md, "_TILE_BYTES", 4 * model._window_bytes())
-        calls = self._recorded(model, monkeypatch)
-        out = model.predict(xs)
-        assert out.shape == (2, 3, model.config.n, model.config.f, 1)
-        assert np.array_equal(out, whole)
-        assert sorted(calls) == [2, 4]
+        mc = model.config
+        for lead, counts in (((2, 3), [2, 4]), ((0,), []), ((2, 0), [])):
+            xs = rng.standard_normal(lead + (mc.n, mc.t, 1))
+            whole = self._whole_batch(model, xs)
+            # the rule's own tiles on this machine's CPUs, then tiles of 4
+            assert np.array_equal(model.predict(xs), whole)
+            with monkeypatch.context() as mp:
+                self._force_tile(mp, 4)
+                calls = self._recorded(model, mp)
+                out = model.predict(xs)
+            assert out.shape == lead + (mc.n, mc.f, 1)
+            assert np.array_equal(out, whole)
+            assert sorted(calls) == counts
 
     def test_unbatched_window_runs_whole(self, monkeypatch):
         rng = np.random.default_rng(33)
         model, _ = tiny_model(rng)
         x = rng.standard_normal((model.config.n, model.config.t, 1))
         whole = self._whole_batch(model, x)
-        monkeypatch.setattr(md, "_TILE_BYTES", 1)
         calls = self._recorded(model, monkeypatch)
         assert np.array_equal(model.predict(x), whole)
         assert calls == [1]

@@ -301,8 +301,8 @@ class TestEvaluate:
                 sel = range(lo, min(lo + 64, len(val)))
                 xs, ys = window_arrays(series_norm, val, at=sel)
                 total += float(np.abs(model.forward(Tensor(xs)).data - ys).mean()) * len(sel)
-        monkeypatch.setattr(md, "_TILE_BYTES", 1 << 40)
+        monkeypatch.setattr(md, "_tile_windows", lambda windows, workers, window_bytes: windows)
         whole = evaluate(model, ds, "val")
-        monkeypatch.setattr(md, "_TILE_BYTES", 1)
+        monkeypatch.setattr(md, "_tile_windows", lambda windows, workers, window_bytes: 1)
         assert _batched_mae(model, series_norm, val) == total / len(val)
         assert evaluate(model, ds, "val") == whole
