@@ -208,7 +208,7 @@ def cmd_partition(args) -> int:
     for level, plan in enumerate(series.plans):
         print(
             f"level {level}: p={plan.p} m={plan.m} min={plan.sizes.min()} "
-            f"edge_cut={plan.edge_cut:g} "
+            f"split={plan.split_parts(graph)} edge_cut={plan.edge_cut:g} "
             f"balance={plan.achieved_factor:.3f}"
             + (" OVER" if plan.over_balance else "")
         )

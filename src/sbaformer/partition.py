@@ -3,17 +3,20 @@
 The partitioner is a self-contained multilevel scheme: heavy-edge-matching
 coarsening, greedy region-growing initial assignment, and Kernighan-Lin
 style boundary refinement (best-prefix passes) during uncoarsening. Every
-level is a SpatialGraph. Refinement reads move gains from a (nodes x p)
-node-to-part weight table. A move re-sums only the two columns it changes
+level is a SpatialGraph. Refinement reads move gains from per-node rows of
+node-to-part edge weights. A move re-sums only the two entries it changes
 (the old and the new part) in its neighbours' rows, in CSR order, so the
-table keeps the bits of a full rebuild. It costs one plain-Python walk of
-each neighbour's row and no numpy call beyond scalar writes. The
-partitioner is deterministic for a fixed seed. Coarser scales are built by
-pair-merging subgraphs of the previous scale, so the halving relation holds
-exactly and boundary nodes of fine subgraphs meet inside coarser ones.
+rows keep the bits of a full rebuild, and a rollback puts the replaced rows
+back. Each move is taken from a heap of candidate moves in which only the
+moved node's neighbours are remade, in the order a scan over every legal
+move would give (Fiduccia and Mattheyses, DAC 1982). The partitioner is
+deterministic for a fixed seed. Coarser scales are built by pair-merging
+subgraphs of the previous scale, so the halving relation holds exactly and
+boundary nodes of fine subgraphs meet inside coarser ones.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +25,7 @@ import numpy as np
 from .artifacts import write_json
 from .autodiff import Tensor, permute_rows
 from .errors import ContractError, InputError
-from .graph import SpatialGraph
+from .graph import SpatialGraph, connected_components
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -98,6 +101,14 @@ class PartitionPlan:
         cut = _edge_cut(g, self.assign)
         if abs(cut - self.edge_cut) > 1e-9 * max(1.0, abs(cut)):
             raise ContractError(f"stored edge_cut {self.edge_cut} != recomputed {cut}")
+
+    def split_parts(self, g: SpatialGraph) -> int:
+        """How many parts do not form one connected piece of g."""
+        src, dst, w = g.edge_arrays()
+        inside = self.assign[src] == self.assign[dst]
+        pieces = connected_components(SpatialGraph(g.n, src[inside], dst[inside], w[inside]))
+        part_of_piece = self.assign[[piece[0] for piece in pieces]]
+        return int((np.bincount(part_of_piece, minlength=self.p) > 1).sum())
 
     def to_dict(self) -> dict:
         return {
@@ -235,7 +246,7 @@ def partition_kway(
         parts = _Parts(level, node_w, _region_grow(level, node_w, p, child), p, cap)
         _rebalance(parts)
         _fm_refine(parts)
-        feasible = parts.part_w.max() <= cap + 1e-9
+        feasible = parts.within_cap(max(parts.part_w))
         key = (not feasible, _edge_cut(level, parts.assign))
         if best_key is None or key < best_key:
             best_assign, best_key = parts.assign, key
@@ -319,56 +330,70 @@ def _region_grow(g: SpatialGraph, node_w, p, rng):
     return assign
 
 
+def _conn_table(g: SpatialGraph, assign, p, nodes):
+    """Rows `nodes` of the node-to-part table: entry [i, q] is the weight of
+    the edges from node nodes[i] into part q, summed in CSR order."""
+    deg = np.diff(g.indptr)[nodes]
+    # the CSR positions of the nodes' edges, one node's row after another
+    edge = np.repeat(g.indptr[nodes] - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+    cell = np.repeat(np.arange(nodes.size), deg) * p + assign[g.indices[edge]]
+    return np.bincount(cell, weights=g.weights[edge], minlength=nodes.size * p).reshape(-1, p)
+
+
 class _Parts:
     """One level's assignment under a part-weight cap, with the state that
-    refinement reads: part weights and sizes, the node-to-part table
-    conn[u, q] (the edge weight from node u into part q), and, per node, the
-    count of neighbours in other parts (`outside`), nonzero on the
-    `boundary`.
+    refinement reads: part weights and sizes, and per node u the row
+    rows[u] = {q: edge weight from u into part q} over the parts u touches.
+    Weights are > 0, so q is in u's row exactly when u has a neighbour in q,
+    and u is on the boundary when its row names a part besides its own.
 
-    Moving u from part a to part b changes only columns a and b of its
-    neighbours' rows. So move() re-sums just those two entries, walking each
-    neighbour's row in CSR order with `s += w` from 0.0: sum(deg(v) for v
-    near u) plain Python steps, and no numpy call but scalar writes. That is
-    the order np.bincount accumulates in when the table is built, so the
-    refreshed entries have the bits a full rebuild would give. Weights are
-    > 0, so conn[v, q] > 0 exactly when v has a neighbour in q, and the
-    boundary follows from neighbour labels alone.
+    Moving u from part a to part b changes only entries a and b of its
+    neighbours' rows. So move() gives each neighbour a copy of its row with
+    just those two entries re-summed, walking the neighbour's CSR row with
+    `s += w` from 0.0: sum(deg(v) for v near u) plain Python steps. That is
+    the order np.bincount accumulates in when the rows are built, so every
+    entry has the bits a full rebuild would give. move() returns the rows it
+    replaced, and undo() puts them back, so a rollback restores bits instead
+    of re-summing them. The part weights and sizes, and the node weights,
+    are kept as lists too, since the refinement loops read them one at a
+    time.
     """
 
     def __init__(self, g: SpatialGraph, node_w, assign, p, cap):
         self.g, self.node_w, self.assign, self.p, self.cap = g, node_w, assign, p, cap
-        self.part_w = np.bincount(assign, weights=node_w, minlength=p)
-        self.part_count = np.bincount(assign, minlength=p)
-        rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
-        cols = assign[g.indices]
-        table = np.bincount(rows * p + cols, weights=g.weights, minlength=g.n * p)
-        self.conn = table.reshape(g.n, p)
-        self.outside = np.bincount(rows[assign[rows] != cols], minlength=g.n)
-        # best_move's (nodes x p) work space, kept for the level: allocated
-        # afresh per call, it page-faulted anew on every call at n=8649
-        self._grid = np.empty_like(self.conn)
-        self._fits = np.empty(self.conn.shape, dtype=bool)
+        self.part_w = np.bincount(assign, weights=node_w, minlength=p).tolist()
+        self.part_count = np.bincount(assign, minlength=p).tolist()
+        self.weight = node_w.tolist()
+        table = _conn_table(g, assign, p, np.arange(g.n)).ravel()
+        cells = np.flatnonzero(table)
+        self.rows = [{} for _ in range(g.n)]
+        for c, w in zip(cells.tolist(), table[cells].tolist()):
+            self.rows[c // p][c % p] = w
         # the CSR arrays and a mirror of assign as lists, for move()'s walks
         self._csr = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
-        self._labels = assign.tolist()
+        self.labels = assign.tolist()
 
-    def move(self, u: int, to: int) -> int:
-        """Move node u to part `to`, refresh its neighbours' state; return u's old part."""
-        labels, (indptr, indices, weights) = self._labels, self._csr
+    def within_cap(self, weight):
+        """Whether a part of this weight (or array of weights) keeps the cap."""
+        return weight <= self.cap + 1e-9
+
+    def move(self, u: int, to: int):
+        """Move node u to part `to` and refresh its neighbours' rows.
+
+        Returns the record undo() takes: (u, old part, [(v, v's replaced
+        row), ...]).
+        """
+        labels, rows, (indptr, indices, weights) = self.labels, self.rows, self._csr
+        part_w, part_count, w = self.part_w, self.part_count, self.weight[u]
         frm = labels[u]
         labels[u] = to
         self.assign[u] = to
-        self.part_w[frm] -= self.node_w[u]
-        self.part_w[to] += self.node_w[u]
-        self.part_count[frm] -= 1
-        self.part_count[to] += 1
-        u_out = 0
+        part_w[frm] -= w
+        part_w[to] += w
+        part_count[frm] -= 1
+        part_count[to] += 1
+        replaced = []
         for v in indices[indptr[u] : indptr[u + 1]]:
-            here = labels[v]
-            u_out += here != to
-            if here == frm or here == to:  # u left v's part, or joined it
-                self.outside[v] += 1 if here == frm else -1
             w_frm = w_to = 0.0
             for k in range(indptr[v], indptr[v + 1]):
                 there = labels[indices[k]]
@@ -376,32 +401,160 @@ class _Parts:
                     w_frm += weights[k]
                 elif there == to:
                     w_to += weights[k]
-            self.conn[v, frm] = w_frm
-            self.conn[v, to] = w_to
-        self.outside[u] = u_out
-        return frm
+            old = rows[v]
+            replaced.append((v, old))
+            row = rows[v] = old.copy()
+            row[to] = w_to
+            if w_frm:
+                row[frm] = w_frm
+            else:
+                del row[frm]
+        return u, frm, replaced
 
-    @property
-    def boundary(self) -> np.ndarray:
-        """Whether each node has a neighbour in another part."""
-        return self.outside > 0
+    def undo(self, record):
+        """Reverse the move() that returned `record`; undo the latest first."""
+        u, frm, replaced = record
+        to = self.labels[u]
+        self.labels[u] = frm
+        self.assign[u] = frm
+        self.part_w[to] -= self.weight[u]
+        self.part_w[frm] += self.weight[u]
+        self.part_count[to] -= 1
+        self.part_count[frm] += 1
+        for v, row in replaced:
+            self.rows[v] = row
 
     def best_move(self, nodes):
         """Highest-gain (gain, u, to) moving one of `nodes` (ascending) into
         another part that stays within the cap, or None. Ties go to the
-        lowest node, then the lowest part."""
+        lowest node, then the lowest part. _rebalance's pick among the nodes
+        of one part; FM passes take theirs from a _MoveQueue."""
         here, frm = np.arange(nodes.size), self.assign[nodes]
-        grid, fits = self._grid[: nodes.size], self._fits[: nodes.size]
-        np.add(self.part_w, self.node_w[nodes][:, None], out=grid)
-        np.less_equal(grid, self.cap + 1e-9, out=fits)
+        fits = self.within_cap(np.asarray(self.part_w) + self.node_w[nodes][:, None])
         fits[here, frm] = False
         if not fits.any():
             return None
-        gain = np.take(self.conn, nodes, axis=0, out=grid)
+        gain = _conn_table(self.g, self.assign, self.p, nodes)
         gain -= gain[here, frm][:, None]
-        np.putmask(gain, np.logical_not(fits, out=fits), -np.inf)
+        gain[~fits] = -np.inf
         k, to = divmod(int(np.argmax(gain)), self.p)
         return gain[k, to], int(nodes[k]), to
+
+
+class _MoveQueue:
+    """One FM pass's legal moves, best first, in the order of a scan over
+    all of them: highest gain, then lowest node, then lowest part.
+
+    The heap holds entries (-gain, u, q, stamp, spread), made from u's row
+    and part a. There is one entry per part q that u touches, with gain
+    rows[u][q] - rows[u][a]. One `spread` entry stands for the parts u does
+    not touch, which all have gain -rows[u][a]; its q is the lowest of them
+    that may still take u, found when it is popped. After a move only the
+    moved node's neighbours get new entries, under a new stamp, and the older
+    ones are dropped when popped.
+
+    The legality rule is kept here: u is unlocked and on the boundary (only
+    such nodes get entries, in `_entries`), its part keeps at least one node
+    and the target stays within the cap (`_wait`, checked on popping, since
+    part sizes and weights change under an entry). An entry that fails waits
+    until a move could make it legal: its source part gains a node, its
+    target part loses one and it then fits, or, for a spread entry that no
+    part would take, any part loses one. Then it returns to the heap.
+    """
+
+    def __init__(self, parts: _Parts):
+        self.parts = parts
+        n, p = parts.g.n, parts.p
+        self.stamp = [0] * n
+        self.locked = [False] * n
+        self.joined = [[] for _ in range(p)]  # entries waiting for a node to join part q
+        self.left = [[] for _ in range(p)]  # ... for a node to leave part q
+        self.left_any = []  # spread entries with no part to take them: any part losing a node
+        self.heap = [entry for u in range(n) for entry in self._entries(u)]
+        heapq.heapify(self.heap)
+
+    def _entries(self, u):
+        """u's entries under its current stamp; none unless it is unlocked
+        and on the boundary."""
+        row, a = self.parts.rows[u], self.parts.labels[u]
+        if len(row) == (a in row) or self.locked[u]:
+            return []
+        here, stamp = row.get(a, 0.0), self.stamp[u]
+        out = [(here - w, u, q, stamp, False) for q, w in row.items() if q != a]
+        q = 0
+        while q == a or q in row:
+            q += 1
+        if q < self.parts.p:
+            out.append((here, u, q, stamp, True))
+        return out
+
+    def _wait(self, u, q):
+        """None when moving u to part q is legal, else the list it waits on."""
+        parts = self.parts
+        a = parts.labels[u]
+        if parts.part_count[a] < 2:
+            return self.joined[a]
+        if not parts.within_cap(parts.part_w[q] + parts.weight[u]):
+            return self.left[q]
+        return None
+
+    def pop(self):
+        """The best legal move as (gain, u, to), or None."""
+        parts, heap, stamps, pop = self.parts, self.heap, self.stamp, heapq.heappop
+        while heap:
+            entry = pop(heap)
+            key, u, q, stamp, spread = entry
+            if stamp != stamps[u]:
+                continue
+            row, a = parts.rows[u], parts.labels[u]
+            if spread:
+                # the lowest untouched part from q on that may take u
+                for q in range(entry[2], parts.p):
+                    if q != a and q not in row:
+                        wait = self._wait(u, q)
+                        if wait is not self.left[q]:  # legal, or u's part is too small
+                            break
+                else:
+                    wait = self.left_any
+                if wait is None and q != entry[2]:
+                    heapq.heappush(heap, (key, u, q, stamp, True))
+                    continue
+            else:
+                wait = self._wait(u, q)
+            if wait is not None:
+                wait.append(entry)
+                continue
+            return row.get(q, 0.0) - row.get(a, 0.0), u, q
+        return None
+
+    def moved(self, record):
+        """Account for parts.move()'s `record`: lock the moved node, remake
+        its neighbours' entries and requeue those the move may have freed."""
+        u, frm, replaced = record
+        heap, stamp, locked, entries = self.heap, self.stamp, self.locked, self._entries
+        push = heapq.heappush
+        locked[u] = True
+        stamp[u] += 1
+        for v, _ in replaced:
+            if not locked[v]:
+                stamp[v] += 1
+                for entry in entries(v):
+                    push(heap, entry)
+        # part frm lost a node: its waiting entries that fit now return
+        left, wait = self.left[frm], []
+        for entry in left:
+            if entry[3] == stamp[entry[1]]:
+                if self._wait(entry[1], frm) is left:
+                    wait.append(entry)
+                else:
+                    push(heap, entry)
+        self.left[frm] = wait
+        # and u's new part gained one; a spread entry may find any part
+        for wait in (self.joined[self.parts.labels[u]], self.left_any):
+            for entry in wait:
+                if entry[3] == stamp[entry[1]]:
+                    push(heap, entry)
+            wait.clear()
 
 
 def _fm_refine(parts: _Parts, max_passes: int = 10):
@@ -409,31 +562,34 @@ def _fm_refine(parts: _Parts, max_passes: int = 10):
 
     Moves may go downhill inside a pass; the pass keeps the prefix with the
     best total gain. Only boundary nodes move. Balance and non-emptiness are
-    never violated. Ties break on (gain, lowest node, lowest target part) so
-    runs are deterministic.
+    never violated. A _MoveQueue picks each move, the one a scan over every
+    legal move would pick: ties break on (gain, lowest node, lowest target
+    part), so runs are deterministic. The rollback undoes moves from their
+    records.
     """
+    if not parts.within_cap(min(parts.part_w) + parts.node_w.min()):
+        return  # every part is too full for the lightest node: no move is legal
     nn = parts.g.n
     move_limit = nn if nn <= 128 else max(128, nn // 8)
     for _ in range(max_passes):
-        locked = np.zeros(nn, dtype=bool)
+        queue = _MoveQueue(parts)
         moves = []
         improvement = 0.0
         best_improvement = 0.0
         best_prefix = 0
         while len(moves) < move_limit:
-            movable = parts.boundary & ~locked & (parts.part_count[parts.assign] > 1)
-            best = parts.best_move(np.flatnonzero(movable))
+            best = queue.pop()
             if best is None:
                 break
             gain, u, to = best
-            moves.append((u, parts.move(u, to)))
-            locked[u] = True
+            moves.append(parts.move(u, to))
+            queue.moved(moves[-1])
             improvement += gain
             if improvement > best_improvement + 1e-12:
                 best_improvement = improvement
                 best_prefix = len(moves)
-        for u, frm in reversed(moves[best_prefix:]):
-            parts.move(u, frm)
+        for record in reversed(moves[best_prefix:]):
+            parts.undo(record)
         if best_improvement <= 1e-12:
             break
 
@@ -442,7 +598,7 @@ def _rebalance(parts: _Parts):
     """Move nodes out of overweight parts, cheapest cut increase first."""
     for _ in range(4 * parts.g.n):
         over = int(np.argmax(parts.part_w))
-        if parts.part_w[over] <= parts.cap + 1e-9:
+        if parts.within_cap(parts.part_w[over]):
             return
         movable = np.flatnonzero(parts.assign == over)
         best = parts.best_move(movable) if parts.part_count[over] > 1 else None

@@ -9,7 +9,9 @@ import pytest
 from sbaformer import cli
 from sbaformer.cli import main
 from sbaformer.config import DATASET_P_DEFAULTS, default_config, load_config, validate_config
+from sbaformer.data import make_grid_graph
 from sbaformer.errors import ConfigError
+from sbaformer.graph import save_graph
 from sbaformer.partition import PartitionPlan
 
 
@@ -142,6 +144,16 @@ class TestPartitionCommand:
             fields = dict(f.split("=") for f in line.split()[2:] if "=" in f)
             assert int(fields["m"]) == plan.m
             assert int(fields["min"]) == plan.sizes.min()
+
+    @pytest.mark.parametrize("side, parts, split", [(8, 8, [0, 1, 1]), (24, 16, [0, 2, 1])])
+    def test_prints_the_parts_split_in_pieces(self, side, parts, split, tmp_path, capsys):
+        graph = tmp_path / "graph.csv"
+        save_graph(graph, make_grid_graph(side, side))
+        rc = main(["partition", "--graph", str(graph), "--parts", str(parts),
+                   "--levels", "3", "--out", str(tmp_path / "plan.json")])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [int(line.split("split=")[1].split()[0]) for line in lines] == split
 
     def test_single_part(self, synth_dir, tmp_path):
         out = tmp_path / "p1.json"

@@ -60,6 +60,131 @@ def best_balanced_bipartition(g, balance_factor=1.3):
     return best
 
 
+# ---------------------------------------------------------------------------
+# the scan-based FM refinement that _MoveQueue replaced, kept verbatim (but
+# for the names) as the oracle of TestMoveQueue: it rescores every movable
+# row before each move and rolls back by re-summing rows
+
+
+class ScanParts:
+    """One level's assignment under a part-weight cap, with the state that
+    refinement reads: part weights and sizes, the node-to-part table
+    conn[u, q] (the edge weight from node u into part q), and, per node, the
+    count of neighbours in other parts (`outside`), nonzero on the
+    `boundary`.
+
+    Moving u from part a to part b changes only columns a and b of its
+    neighbours' rows. So move() re-sums just those two entries, walking each
+    neighbour's row in CSR order with `s += w` from 0.0: sum(deg(v) for v
+    near u) plain Python steps, and no numpy call but scalar writes. That is
+    the order np.bincount accumulates in when the table is built, so the
+    refreshed entries have the bits a full rebuild would give. Weights are
+    > 0, so conn[v, q] > 0 exactly when v has a neighbour in q, and the
+    boundary follows from neighbour labels alone.
+    """
+
+    def __init__(self, g: SpatialGraph, node_w, assign, p, cap):
+        self.g, self.node_w, self.assign, self.p, self.cap = g, node_w, assign, p, cap
+        self.part_w = np.bincount(assign, weights=node_w, minlength=p)
+        self.part_count = np.bincount(assign, minlength=p)
+        rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+        cols = assign[g.indices]
+        table = np.bincount(rows * p + cols, weights=g.weights, minlength=g.n * p)
+        self.conn = table.reshape(g.n, p)
+        self.outside = np.bincount(rows[assign[rows] != cols], minlength=g.n)
+        # best_move's (nodes x p) work space, kept for the level: allocated
+        # afresh per call, it page-faulted anew on every call at n=8649
+        self._grid = np.empty_like(self.conn)
+        self._fits = np.empty(self.conn.shape, dtype=bool)
+        # the CSR arrays and a mirror of assign as lists, for move()'s walks
+        self._csr = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
+        self._labels = assign.tolist()
+
+    def move(self, u: int, to: int) -> int:
+        """Move node u to part `to`, refresh its neighbours' state; return u's old part."""
+        labels, (indptr, indices, weights) = self._labels, self._csr
+        frm = labels[u]
+        labels[u] = to
+        self.assign[u] = to
+        self.part_w[frm] -= self.node_w[u]
+        self.part_w[to] += self.node_w[u]
+        self.part_count[frm] -= 1
+        self.part_count[to] += 1
+        u_out = 0
+        for v in indices[indptr[u] : indptr[u + 1]]:
+            here = labels[v]
+            u_out += here != to
+            if here == frm or here == to:  # u left v's part, or joined it
+                self.outside[v] += 1 if here == frm else -1
+            w_frm = w_to = 0.0
+            for k in range(indptr[v], indptr[v + 1]):
+                there = labels[indices[k]]
+                if there == frm:
+                    w_frm += weights[k]
+                elif there == to:
+                    w_to += weights[k]
+            self.conn[v, frm] = w_frm
+            self.conn[v, to] = w_to
+        self.outside[u] = u_out
+        return frm
+
+    @property
+    def boundary(self) -> np.ndarray:
+        """Whether each node has a neighbour in another part."""
+        return self.outside > 0
+
+    def best_move(self, nodes):
+        """Highest-gain (gain, u, to) moving one of `nodes` (ascending) into
+        another part that stays within the cap, or None. Ties go to the
+        lowest node, then the lowest part."""
+        here, frm = np.arange(nodes.size), self.assign[nodes]
+        grid, fits = self._grid[: nodes.size], self._fits[: nodes.size]
+        np.add(self.part_w, self.node_w[nodes][:, None], out=grid)
+        np.less_equal(grid, self.cap + 1e-9, out=fits)
+        fits[here, frm] = False
+        if not fits.any():
+            return None
+        gain = np.take(self.conn, nodes, axis=0, out=grid)
+        gain -= gain[here, frm][:, None]
+        np.putmask(gain, np.logical_not(fits, out=fits), -np.inf)
+        k, to = divmod(int(np.argmax(gain)), self.p)
+        return gain[k, to], int(nodes[k]), to
+
+
+def scan_fm_refine(parts: ScanParts, max_passes: int = 10):
+    """KL/FM passes: greedy single-node moves with best-prefix rollback.
+
+    Moves may go downhill inside a pass; the pass keeps the prefix with the
+    best total gain. Only boundary nodes move. Balance and non-emptiness are
+    never violated. Ties break on (gain, lowest node, lowest target part) so
+    runs are deterministic.
+    """
+    nn = parts.g.n
+    move_limit = nn if nn <= 128 else max(128, nn // 8)
+    for _ in range(max_passes):
+        locked = np.zeros(nn, dtype=bool)
+        moves = []
+        improvement = 0.0
+        best_improvement = 0.0
+        best_prefix = 0
+        while len(moves) < move_limit:
+            movable = parts.boundary & ~locked & (parts.part_count[parts.assign] > 1)
+            best = parts.best_move(np.flatnonzero(movable))
+            if best is None:
+                break
+            gain, u, to = best
+            moves.append((u, parts.move(u, to)))
+            locked[u] = True
+            improvement += gain
+            if improvement > best_improvement + 1e-12:
+                best_improvement = improvement
+                best_prefix = len(moves)
+        for u, frm in reversed(moves[best_prefix:]):
+            parts.move(u, frm)
+        if best_improvement <= 1e-12:
+            break
+
+
 class TestPartitionKway:
     def test_path_four_nodes_optimal_split(self):
         plan = pt.partition_kway(path_graph(4), p=2, seed=0)
@@ -133,6 +258,13 @@ class TestPartitionKway:
         with pytest.raises(AttributeError):
             plan.m = 4
 
+    def test_split_parts_counts_parts_in_pieces(self):
+        # on the path 0-1-2-3-4, parts {0, 2, 4} and {1, 3} fall apart, while
+        # {0, 1}, {2, 3} and the lone node 4 are each one piece
+        plan = pt.plan_from_assign(np.array([0, 1, 0, 1, 0]), 2)
+        assert plan.split_parts(path_graph(5)) == 2
+        assert pt.plan_from_assign(np.array([0, 0, 1, 1, 2]), 3).split_parts(path_graph(5)) == 0
+
     def test_coarsening_path_on_larger_graph(self):
         # n=200 with p=2 forces at least one coarsening level (target 64)
         rng = np.random.default_rng(3)
@@ -143,7 +275,7 @@ class TestPartitionKway:
 
 
 class TestPartsBookkeeping:
-    """move() keeps the refinement state equal, bit for bit, to a rebuild."""
+    """move() and undo() keep the refinement state equal, bit for bit, to a rebuild."""
 
     @staticmethod
     def _level(kind):
@@ -159,9 +291,15 @@ class TestPartsBookkeeping:
     @staticmethod
     def _assert_rebuilt(parts):
         fresh = pt._Parts(parts.g, parts.node_w, parts.assign.copy(), parts.p, parts.cap)
-        for name in ("conn", "outside", "boundary", "part_w", "part_count"):
+        assert parts.labels == parts.assign.tolist() == fresh.labels
+        for name in ("part_w", "part_count"):
             assert np.array_equal(getattr(parts, name), getattr(fresh, name)), name
-        movable = np.flatnonzero(parts.boundary & (parts.part_count[parts.assign] > 1))
+        # each row entry by its float bits, so equal values with other bits fail
+        bits = [[sorted((q, w.hex()) for q, w in row.items()) for row in state.rows]
+                for state in (parts, fresh)]
+        assert bits[0] == bits[1]
+        boundary = [len(row) > (a in row) for row, a in zip(parts.rows, parts.labels)]
+        movable = np.flatnonzero(np.array(boundary) & (np.array(parts.part_count)[parts.assign] > 1))
         assert parts.best_move(movable) == fresh.best_move(movable)
 
     @pytest.mark.parametrize("kind", ["random", "contracted"])
@@ -177,12 +315,86 @@ class TestPartsBookkeeping:
             for _ in range(12):
                 u = int(rng.integers(0, g.n))
                 to = int((parts.assign[u] + rng.integers(1, p)) % p)
-                moves.append((u, parts.move(u, to)))
+                moves.append(parts.move(u, to))
                 self._assert_rebuilt(parts)
             # roll a suffix back in reverse, as a best-prefix pass does
-            for u, frm in reversed(moves[int(rng.integers(0, len(moves))):]):
-                parts.move(u, frm)
+            for record in reversed(moves[int(rng.integers(0, len(moves))):]):
+                parts.undo(record)
                 self._assert_rebuilt(parts)
+
+
+class TestMoveQueue:
+    """The FM pass's move queue picks the scan's move at every step, so
+    refinement ends where ScanParts and scan_fm_refine end."""
+
+    @staticmethod
+    def _graph(kind, rng):
+        if kind == "grid":
+            return make_grid_graph(int(rng.integers(5, 15)), int(rng.integers(5, 15)))
+        if kind == "random":
+            n = int(rng.integers(20, 160))
+            return random_connected_graph(n, rng, extra_edges=int(rng.integers(0, 2 * n)))
+        # Gaussian kernel weights; two far-apart clusters are two components
+        n = int(rng.integers(30, 160))
+        coords = rng.uniform(0, 6, (n, 2))
+        if rng.random() < 0.5:
+            coords[: n // 3] += 20.0
+        return build_gaussian_graph(coords, sigma=1.0, threshold=0.1)
+
+    @staticmethod
+    def _refine_both(g, node_w, assign, p, cap):
+        new = pt._Parts(g, node_w, assign.copy(), p, cap)
+        old = ScanParts(g, node_w, assign.copy(), p, cap)
+        pt._fm_refine(new)
+        scan_fm_refine(old)
+        return new, old
+
+    def test_refinement_matches_the_scan(self):
+        rng = np.random.default_rng(21)
+        kinds = itertools.cycle(["grid", "random", "gauss"])
+        factors = itertools.cycle([1.0, 1.05, 1.3, 2.0])
+        moved = 0
+        for case in range(120):
+            g = self._graph(next(kinds), rng)
+            node_w = np.ones(g.n, dtype=np.int64)
+            if case % 3 == 0:  # a contracted level: node weights above 1
+                cmap, cn = pt._heavy_edge_matching(g, rng)
+                g, node_w = pt._contract(g, node_w, cmap, cn)
+            p = int(rng.integers(2, max(3, g.n // 3 + 1)))
+            cap = next(factors) * math.ceil(node_w.sum() / p)
+            if case % 2:
+                assign = pt._region_grow(g, node_w, p, rng)
+            else:
+                assign = rng.integers(0, p, g.n)
+            new, old = self._refine_both(g, node_w, assign, p, cap)
+            assert new.assign.tolist() == old.assign.tolist(), case
+            assert new.part_w == old.part_w.tolist(), case
+            assert pt._edge_cut(g, new.assign) == pt._edge_cut(g, old.assign), case
+            moved += int((new.assign != assign).any())
+        assert moved > 60
+
+    def test_full_touched_parts_send_a_node_to_a_part_it_does_not_touch(self):
+        # the path 0-1-2-3 and a lone node 4: parts {0, 1} and {2, 3} are at
+        # the cap of 2, so nodes 1 and 2 can only join part 2, which neither
+        # touches; both such moves cost 1, and the lower node goes first
+        g = SpatialGraph(5, [0, 1, 2], [1, 2, 3], [1.0, 1.0, 1.0])
+        node_w, assign = np.ones(5, dtype=np.int64), np.array([0, 0, 1, 1, 2])
+        queue = pt._MoveQueue(pt._Parts(g, node_w, assign.copy(), 3, 2.0))
+        scan = ScanParts(g, node_w, assign.copy(), 3, 2.0)
+        assert queue.pop() == scan.best_move(np.array([1, 2])) == (-1.0, 1, 2)
+        new, old = self._refine_both(g, node_w, assign, 3, 2.0)
+        assert new.assign.tolist() == old.assign.tolist() == assign.tolist()
+
+    def test_equal_gains_go_to_the_lowest_part_touched_or_not(self):
+        # node 0 sits in part 1 on an edge of weight 1e20, so joining part 2
+        # (1 - 1e20) and joining an untouched part (0 - 1e20) round to the
+        # same gain; untouched part 0 is full and part 3 is open, and the
+        # scan's tie order picks part 2 over part 3
+        g = SpatialGraph(6, [0, 0, 3], [1, 2, 4], [1e20, 1.0, 1.0])
+        node_w, assign = np.ones(6, dtype=np.int64), np.array([1, 1, 2, 0, 0, 3])
+        queue = pt._MoveQueue(pt._Parts(g, node_w, assign.copy(), 4, 2.0))
+        scan = ScanParts(g, node_w, assign.copy(), 4, 2.0)
+        assert queue.pop() == scan.best_move(np.array([0])) == (-1e20, 0, 2)
 
 
 class TestRebalance:
@@ -194,7 +406,7 @@ class TestRebalance:
                           np.array([0, 0, 0, 1]), 2, cap=3.5)
         pt._rebalance(parts)
         assert parts.assign.tolist() == [1, 0, 0, 1]
-        assert parts.part_w.tolist() == [4.0, 4.0]
+        assert parts.part_w == [4.0, 4.0]
 
 
 class TestScaleSeries:
@@ -279,6 +491,9 @@ class TestScaleSeries:
                    [1077.0, 796.0, 587.0]),
         "gauss160": ("0a276bc769f520f679562b17dbaf0f477db4d24d765739ae25737c27514ed694",
                      [96.95755460057515, 37.31753345022441, 0]),
+        # computed by the refinement that scanned every movable row per move
+        "grid64": ("00a0354f38f17f109d4d395ebbe6b0df9e01409b84032b2c8064af078d1021a3",
+                   [2323.0, 1775.0, 1288.0]),
     }
 
     # sha256 of each level's row order as int64 bytes, from the padded-table plans
@@ -298,8 +513,12 @@ class TestScaleSeries:
         "gauss160": ["6722750efa01bd3ab4311d768c08054b42e9b2dc2fa80729880babb8c6910ea6",
                      "278c0b346d83a6aa6651eb3ae99b51ba1ad1b98825760c21ec2a5c5c5896c4a5",
                      "7be21acae1abdb46365b03d00614ebca75107f603ccf23a3c848143f811eeb67"],
+        "grid64": ["0727f805f375ba41816b30ddee2f29b01b1549106135e271af3406b87b1a89b2",
+                   "a7d49dc2c3dc08f08f37aa182dbbbec479af95586de35fbe977b961d165e0c51",
+                   "b985bf9e0e385a3a4bb61093e352823eaaeff7fdaefc538683fdf003d499f097"],
     }
-    GRAPHS = [("grid8", 8), ("grid24", 16), ("random200", 8), ("grid45", 32), ("gauss160", 8)]
+    GRAPHS = [("grid8", 8), ("grid24", 16), ("random200", 8), ("grid45", 32), ("gauss160", 8),
+              ("grid64", 64)]
 
     @staticmethod
     def _series(graph, p0):
