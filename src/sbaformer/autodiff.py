@@ -18,6 +18,15 @@ Gradients are first-order only and are stored on leaf tensors (those created
 with requires_grad=True rather than by an op); intermediate gradients live
 only while backward() runs. Calling backward() again without resetting grads
 accumulates, matching the usual optimizer contract.
+
+The tape links nodes, not tensors: an op output records a `_Node` of its
+parents' nodes and its backward, and each backward closure captures only the
+arrays, shapes and flags it reads (saved tensors, as in PyTorch's autograd;
+Paszke et al. 2019). So the tape keeps what the backward needs, and an op
+output no backward reads, such as a residual sum or a merged-heads copy, is
+freed once the caller drops it. On the e2e config (n=64, d=32, batch 16) the
+tape after one forward holds 31.25 activation units, one unit being a
+(batch, n, d) float64 array.
 """
 from __future__ import annotations
 
@@ -90,17 +99,49 @@ class FlopCounter:
 flops = FlopCounter()
 
 
-class Tensor:
-    """A float64 ndarray plus optional gradient and tape linkage."""
+class _Node:
+    """The tape's record of one op output: its parents' nodes and its
+    backward, and no output data."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("_parents", "_backward")
+    requires_grad = True  # the tape records an op only when a parent needs a grad
+    grad = None  # only leaf tensors get a grad
+
+    def __init__(self, parents: tuple, backward):
+        self._parents = parents
+        self._backward = backward
+
+
+class Tensor:
+    """A float64 ndarray plus optional gradient and tape linkage.
+
+    An op output made while the tape is on links to its op's `_Node`;
+    `_parents` and `_backward` read through to it, so a walk of the tape
+    from a tensor goes on through nodes. Every other tensor (a parameter,
+    an input, a constant) is a node of its own, with no parents and no
+    backward. The tape never holds an op output's `data`: a backward that
+    reads it captures the array itself.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._backward = None
+        self._op = None
+
+    @property
+    def _node(self):
+        return self if self._op is None else self._op
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._op is None else self._op._parents
+
+    @property
+    def _backward(self):
+        return None if self._op is None else self._op._backward
 
     @property
     def shape(self):
@@ -120,10 +161,11 @@ class Tensor:
         """Add dself/dleaf to the grad of every leaf tensor on the tape.
 
         A leaf has requires_grad and no backward function: the parameters
-        and inputs, not op outputs. Intermediate tensors never get a grad;
-        each one's entry in the per-call grad map is dropped as soon as its
-        backward has run. The root must be a scalar. Each call adds exactly
-        one contribution, so repeated calls accumulate.
+        and inputs, not op outputs. The walk runs over the op nodes, and
+        an op output never gets a grad: its node's entry in the per-call
+        grad map is dropped as soon as its backward has run. The root must
+        be a scalar. Each call adds exactly one contribution, so repeated
+        calls accumulate.
         """
         if self.data.shape != ():
             raise ContractError(
@@ -131,8 +173,9 @@ class Tensor:
             )
         if not self.requires_grad:
             raise ContractError("backward root does not depend on any gradient tensor")
-        order = _toposort(self)
-        local = {id(self): np.asarray(1.0)}
+        root = self._node
+        order = _toposort(root)
+        local = {id(root): np.asarray(1.0)}
         for node in reversed(order):
             if node._backward is None:
                 continue
@@ -154,7 +197,7 @@ class Tensor:
                 node.grad = g.copy() if node.grad is None else node.grad + g
 
 
-def _toposort(root: Tensor) -> list:
+def _toposort(root: Tensor | _Node) -> list:
     """Iterative DFS, parents before children (tapes outgrow the recursion limit)."""
     order, seen, stack = [], set(), [(root, False)]
     while stack:
@@ -187,8 +230,7 @@ def _from_op(data, op, parents, backward) -> Tensor:
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._op = _Node(tuple(p._node for p in parents), backward)
     return out
 
 
@@ -206,9 +248,10 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _from_op(data, "add", (a, b), backward)
 
@@ -216,9 +259,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data - b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, a_shape), -_unbroadcast(g, b_shape)
 
     return _from_op(data, "sub", (a, b), backward)
 
@@ -226,10 +270,14 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
+    # each operand's gradient reads only the other operand
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
-        ga = _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None
+        ga = None if b_data is None else _unbroadcast(g * b_data, a_shape)
+        gb = None if a_data is None else _unbroadcast(g * a_data, b_shape)
         return ga, gb
 
     return _from_op(data, "mul", (a, b), backward)
@@ -238,12 +286,14 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data / b.data
+    a_shape, a_grad, b_data = a.data.shape, a.requires_grad, b.data
+    a_data = a.data if b.requires_grad else None  # only b's gradient reads a
 
     def backward(g):
-        ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
+        ga = _unbroadcast(g / b_data, a_shape) if a_grad else None
         gb = (
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
-            if b.requires_grad
+            _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape)
+            if a_data is not None
             else None
         )
         return ga, gb
@@ -271,13 +321,17 @@ def matmul(a, b) -> Tensor:
         )
     data = np.matmul(a.data, b.data)
     _count_matmul(a.data, b.data, data)
+    a_shape, b_shape = a.data.shape, b.data.shape
+    # each operand's gradient reads only the other operand
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
         ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+        if b_data is not None:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape)
+        if a_data is not None:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape)
         return ga, gb
 
     return _from_op(data, "matmul", (a, b), backward)
@@ -286,9 +340,10 @@ def matmul(a, b) -> Tensor:
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
     data = x.data.reshape(shape)
+    x_shape = x.data.shape
 
     def backward(g):
-        return (g.reshape(x.data.shape),)
+        return (g.reshape(x_shape),)
 
     return _from_op(data, "reshape", (x,), backward)
 
@@ -408,10 +463,12 @@ def attention(q, k, v, sizes, return_weights: bool = False):
     scale = 1.0 / math.sqrt(shape[-1])
     runs = [(..., slice(a, a + s), slice(None)) for a, s in zip(starts.tolist(), sizes.tolist())]
     data = np.empty(v.data.shape)
+    qd, kd, vd = q.data, k.data, v.data
+    wants = [t.requires_grad for t in (q, k, v)]
     stats = []
     weights = [] if return_weights else None
     for run in runs:
-        qi, kt, vi = q.data[run], np.swapaxes(k.data[run], -1, -2), v.data[run]
+        qi, kt, vi = qd[run], np.swapaxes(kd[run], -1, -2), vd[run]
         w, st = _run_weights(qi, kt, scale)
         _count_matmul(qi, kt, w)
         np.matmul(w, vi, out=data[run])
@@ -422,19 +479,19 @@ def attention(q, k, v, sizes, return_weights: bool = False):
         del w  # free this run's weights before the next run's are made
 
     def backward(g):
-        gq, gk, gv = (np.empty(t.data.shape) if t.requires_grad else None for t in (q, k, v))
+        gq, gk, gv = (np.empty(a.shape) if want else None for a, want in zip((qd, kd, vd), wants))
         for run, st in zip(runs, stats):
-            w, _ = _run_weights(q.data[run], np.swapaxes(k.data[run], -1, -2), scale, st)
+            w, _ = _run_weights(qd[run], np.swapaxes(kd[run], -1, -2), scale, st)
             gi = g[run]
             if gv is not None:
                 gv[run] = np.matmul(np.swapaxes(w, -1, -2), gi)
             if gq is not None or gk is not None:
-                gs = _softmax_backward(np.matmul(gi, np.swapaxes(v.data[run], -1, -2)), w)
+                gs = _softmax_backward(np.matmul(gi, np.swapaxes(vd[run], -1, -2)), w)
                 gs *= scale
                 if gq is not None:
-                    gq[run] = np.matmul(gs, k.data[run])
+                    gq[run] = np.matmul(gs, kd[run])
                 if gk is not None:
-                    gk[run] = np.matmul(np.swapaxes(gs, -1, -2), q.data[run])
+                    gk[run] = np.matmul(np.swapaxes(gs, -1, -2), qd[run])
         return gq, gk, gv
 
     return _from_op(data, "attention", (q, k, v), backward), weights
@@ -505,16 +562,18 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     data = ga.data * xhat + be.data
+    gamma, want_gamma = ga.data, ga.requires_grad
+    beta_shape, want_beta = be.data.shape, be.requires_grad
 
     def backward(g):
-        gy = g * ga.data
+        gy = g * gamma
         gx = inv * (
             gy
             - gy.mean(axis=-1, keepdims=True)
             - xhat * (gy * xhat).mean(axis=-1, keepdims=True)
         )
-        g_gamma = _unbroadcast(g * xhat, ga.data.shape) if ga.requires_grad else None
-        g_beta = _unbroadcast(g, be.data.shape) if be.requires_grad else None
+        g_gamma = _unbroadcast(g * xhat, gamma.shape) if want_gamma else None
+        g_beta = _unbroadcast(g, beta_shape) if want_beta else None
         return gx, g_gamma, g_beta
 
     return _from_op(data, "layer_norm", (t, ga, be), backward)
@@ -566,10 +625,11 @@ def _gelu_backward(g: np.ndarray, xd: np.ndarray, th: np.ndarray) -> np.ndarray:
 def gelu(x) -> Tensor:
     """x * Phi(x) via the tanh approximation."""
     t = as_tensor(x)
-    data, th = _gelu_forward(t.data)
+    xd = t.data
+    data, th = _gelu_forward(xd)
 
     def backward(g):
-        return (_gelu_backward(g, t.data, th),)
+        return (_gelu_backward(g, xd, th),)
 
     return _from_op(data, "gelu", (t,), backward)
 
@@ -600,56 +660,60 @@ def ffn(x, w1, w2) -> Tensor:
             f"ffn expects x (..., n, d), w1 (d, h) and w2 (h, d_out); got "
             f"{x.data.shape}, {w1.data.shape} and {w2.data.shape}"
         )
-    wins = x.data.reshape((-1,) + x.data.shape[-2:])
-    out = np.empty(wins.shape[:-1] + w2.data.shape[1:])
-    tile = max(1, _FFN_TILE_BYTES // (8 * w1.data.shape[1] * wins.shape[1]))
+    x_shape, w1d, w2d = x.data.shape, w1.data, w2.data
+    wants = [t.requires_grad for t in (x, w1, w2)]
+    wins = x.data.reshape((-1,) + x_shape[-2:])
+    out = np.empty(wins.shape[:-1] + w2d.shape[1:])
+    tile = max(1, _FFN_TILE_BYTES // (8 * w1d.shape[1] * wins.shape[1]))
     tiles = [slice(lo, lo + tile) for lo in range(0, len(wins), tile)]
     for t in tiles:
-        h = np.matmul(wins[t], w1.data)
-        _count_matmul(wins[t], w1.data, h)
+        h = np.matmul(wins[t], w1d)
+        _count_matmul(wins[t], w1d, h)
         _finite(h, "ffn")
         act, _ = _gelu_forward(h)
-        np.matmul(act, w2.data, out=out[t])
-        _count_matmul(act, w2.data, out[t])
+        np.matmul(act, w2d, out=out[t])
+        _count_matmul(act, w2d, out[t])
+    out_shape = out.shape
 
     def backward(g):
-        g = g.reshape(out.shape)
+        g = g.reshape(out_shape)
         gx, gw1, gw2 = (
-            np.empty(shape) if src.requires_grad else None
-            for src, shape in ((x, wins.shape), (w1, wins.shape[:1] + w1.data.shape),
-                               (w2, wins.shape[:1] + w2.data.shape))
+            np.empty(shape) if want else None
+            for want, shape in zip(wants, (wins.shape, wins.shape[:1] + w1d.shape,
+                                           wins.shape[:1] + w2d.shape))
         )
         for t in tiles:
-            h = np.matmul(wins[t], w1.data)
+            h = np.matmul(wins[t], w1d)
             act, th = _gelu_forward(h)
             if gw2 is not None:
                 np.matmul(np.swapaxes(act, -1, -2), g[t], out=gw2[t])
-            gh = _gelu_backward(np.matmul(g[t], np.swapaxes(w2.data, -1, -2)), h, th)
+            gh = _gelu_backward(np.matmul(g[t], np.swapaxes(w2d, -1, -2)), h, th)
             if gx is not None:
-                np.matmul(gh, np.swapaxes(w1.data, -1, -2), out=gx[t])
+                np.matmul(gh, np.swapaxes(w1d, -1, -2), out=gx[t])
             if gw1 is not None:
                 np.matmul(np.swapaxes(wins[t], -1, -2), gh, out=gw1[t])
 
         def summed(gw, w):
             """Per-window partials summed to the shape of w, as matmul does."""
-            return _unbroadcast(gw.reshape(x.data.shape[:-2] + w.shape), w.shape)
+            return _unbroadcast(gw.reshape(x_shape[:-2] + w.shape), w.shape)
 
         return (
-            None if gx is None else gx.reshape(x.data.shape),
-            None if gw1 is None else summed(gw1, w1.data),
-            None if gw2 is None else summed(gw2, w2.data),
+            None if gx is None else gx.reshape(x_shape),
+            None if gw1 is None else summed(gw1, w1d),
+            None if gw2 is None else summed(gw2, w2d),
         )
 
-    data = out.reshape(x.data.shape[:-1] + w2.data.shape[1:])
+    data = out.reshape(x_shape[:-1] + w2d.shape[1:])
     return _from_op(data, "ffn", (x, w1, w2), backward)
 
 
 def tensor_sum(x) -> Tensor:
     t = as_tensor(x)
     data = t.data.sum()
+    shape = t.data.shape
 
     def backward(g):
-        return (np.broadcast_to(g, t.data.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return _from_op(data, "sum", (t,), backward)
 
@@ -657,18 +721,20 @@ def tensor_sum(x) -> Tensor:
 def tensor_mean(x) -> Tensor:
     t = as_tensor(x)
     data = t.data.mean()
+    shape, size = t.data.shape, t.data.size
 
     def backward(g):
-        return (np.broadcast_to(g / t.data.size, t.data.shape),)
+        return (np.broadcast_to(g / size, shape),)
 
     return _from_op(data, "mean", (t,), backward)
 
 
 def tensor_abs(x) -> Tensor:
     t = as_tensor(x)
-    data = np.abs(t.data)
+    xd = t.data
+    data = np.abs(xd)
 
     def backward(g):
-        return (g * np.sign(t.data),)
+        return (g * np.sign(xd),)
 
     return _from_op(data, "abs", (t,), backward)
