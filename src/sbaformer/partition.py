@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,26 +142,28 @@ class ScaleSeries:
     """Partitions for successive blocks; subgraph count halves (ceil) per level."""
 
     plans: list
-    merge_maps: list = field(default_factory=list)  # maps[i]: plans[i].p -> plans[i+1] index
+
+    @property
+    def merge_maps(self) -> list:
+        """maps[i][a]: the subgraph of plans[i + 1] that holds subgraph a of
+        plans[i]. The plans are the one stored form; the maps follow from them."""
+        maps = []
+        for prev, cur in zip(self.plans, self.plans[1:]):
+            mapping = np.empty(prev.p, dtype=np.int64)
+            mapping[prev.assign] = cur.assign
+            maps.append(mapping)
+        return maps
 
     def validate(self, g: SpatialGraph):
-        """Check halving, the merge maps and nesting, and each edge cut on g.
+        """Check halving, nesting and each edge cut on g.
 
         Raises ContractError on violation.
         """
-        if len(self.merge_maps) != len(self.plans) - 1:
-            raise ContractError(
-                f"got {len(self.merge_maps)} merge maps for {len(self.plans)} levels"
-            )
         levels = zip(self.plans, self.plans[1:], self.merge_maps)
         for i, (prev, cur, mapping) in enumerate(levels, start=1):
             if cur.p != math.ceil(prev.p / 2):
                 raise ContractError(
                     f"halving violated at level {i}: {prev.p} -> {cur.p}"
-                )
-            if mapping.shape != (prev.p,) or ((mapping < 0) | (mapping >= cur.p)).any():
-                raise ContractError(
-                    f"merge map {i - 1} must hold {prev.p} labels in [0, {cur.p})"
                 )
             if not np.array_equal(cur.assign, mapping[prev.assign]):
                 raise ContractError(f"level {i} is not a union of level {i - 1} groups")
@@ -243,23 +245,27 @@ def partition_kway(
     # initial partition on the coarsest graph, best of a few seeded restarts
     best_assign, best_key = None, None
     for child in rng.spawn(4):
-        parts = _Parts(level, node_w, _region_grow(level, node_w, p, child), p, cap)
-        _rebalance(parts)
-        _fm_refine(parts)
-        feasible = parts.within_cap(max(parts.part_w))
-        key = (not feasible, _edge_cut(level, parts.assign))
+        grown = _region_grow(level, node_w, p, child)
+        assign, feasible = _refine_level(level, node_w, grown, p, cap)
+        key = (not feasible, _edge_cut(level, assign))
         if best_key is None or key < best_key:
-            best_assign, best_key = parts.assign, key
+            best_assign, best_key = assign, key
     assign = best_assign
 
     # uncoarsen and refine at every level
     for fine, fine_w, cmap in reversed(levels):
-        parts = _Parts(fine, fine_w, assign[cmap], p, cap)
-        _rebalance(parts)
-        _fm_refine(parts)
-        assign = parts.assign
+        assign, _ = _refine_level(fine, fine_w, assign[cmap], p, cap)
 
     return plan_from_assign(assign, p, g, balance_factor, seed)
+
+
+def _refine_level(g: SpatialGraph, node_w, assign, p, cap):
+    """Rebalance, then FM-refine, one level's assignment. Returns the labels
+    as an array, and whether every part keeps the cap."""
+    parts = _Parts(g, node_w, assign, p, cap)
+    _rebalance(parts)
+    _fm_refine(parts)
+    return np.array(parts.labels), parts.within_cap(max(parts.part_w))
 
 
 def _heavy_edge_matching(g: SpatialGraph, rng):
@@ -330,22 +336,22 @@ def _region_grow(g: SpatialGraph, node_w, p, rng):
     return assign
 
 
-def _conn_table(g: SpatialGraph, assign, p, nodes):
-    """Rows `nodes` of the node-to-part table: entry [i, q] is the weight of
-    the edges from node nodes[i] into part q, summed in CSR order."""
-    deg = np.diff(g.indptr)[nodes]
-    # the CSR positions of the nodes' edges, one node's row after another
-    edge = np.repeat(g.indptr[nodes] - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
-    cell = np.repeat(np.arange(nodes.size), deg) * p + assign[g.indices[edge]]
-    return np.bincount(cell, weights=g.weights[edge], minlength=nodes.size * p).reshape(-1, p)
+def _conn_table(g: SpatialGraph, assign, p):
+    """The node-to-part table, flat: entry [u * p + q] is the weight of the
+    edges from node u into part q, summed in CSR order."""
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    return np.bincount(rows * p + assign[g.indices], weights=g.weights, minlength=g.n * p)
 
 
 class _Parts:
     """One level's assignment under a part-weight cap, with the state that
-    refinement reads: part weights and sizes, and per node u the row
+    both move rules read, as lists since they read it one entry at a time:
+    labels, node and part weights, part sizes, and per node u the row
     rows[u] = {q: edge weight from u into part q} over the parts u touches.
     Weights are > 0, so q is in u's row exactly when u has a neighbour in q,
-    and u is on the boundary when its row names a part besides its own.
+    and u is on the boundary when its row names a part besides its own. A
+    move of u from part a to part q gains rows[u][q] - rows[u][a] (a missing
+    entry is 0.0), in _rebalance's scan and in FM's _MoveQueue alike.
 
     Moving u from part a to part b changes only entries a and b of its
     neighbours' rows. So move() gives each neighbour a copy of its row with
@@ -354,27 +360,25 @@ class _Parts:
     the order np.bincount accumulates in when the rows are built, so every
     entry has the bits a full rebuild would give. move() returns the rows it
     replaced, and undo() puts them back, so a rollback restores bits instead
-    of re-summing them. The part weights and sizes, and the node weights,
-    are kept as lists too, since the refinement loops read them one at a
-    time.
+    of re-summing them.
     """
 
     def __init__(self, g: SpatialGraph, node_w, assign, p, cap):
-        self.g, self.node_w, self.assign, self.p, self.cap = g, node_w, assign, p, cap
+        self.g, self.p, self.cap = g, p, cap
+        self.labels = assign.tolist()
+        self.weight = node_w.tolist()
         self.part_w = np.bincount(assign, weights=node_w, minlength=p).tolist()
         self.part_count = np.bincount(assign, minlength=p).tolist()
-        self.weight = node_w.tolist()
-        table = _conn_table(g, assign, p, np.arange(g.n)).ravel()
+        table = _conn_table(g, assign, p)
         cells = np.flatnonzero(table)
         self.rows = [{} for _ in range(g.n)]
         for c, w in zip(cells.tolist(), table[cells].tolist()):
             self.rows[c // p][c % p] = w
-        # the CSR arrays and a mirror of assign as lists, for move()'s walks
+        # the CSR arrays as lists, for move()'s walks
         self._csr = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
-        self.labels = assign.tolist()
 
     def within_cap(self, weight):
-        """Whether a part of this weight (or array of weights) keeps the cap."""
+        """Whether a part of this weight keeps the cap."""
         return weight <= self.cap + 1e-9
 
     def move(self, u: int, to: int):
@@ -387,7 +391,6 @@ class _Parts:
         part_w, part_count, w = self.part_w, self.part_count, self.weight[u]
         frm = labels[u]
         labels[u] = to
-        self.assign[u] = to
         part_w[frm] -= w
         part_w[to] += w
         part_count[frm] -= 1
@@ -416,29 +419,12 @@ class _Parts:
         u, frm, replaced = record
         to = self.labels[u]
         self.labels[u] = frm
-        self.assign[u] = frm
         self.part_w[to] -= self.weight[u]
         self.part_w[frm] += self.weight[u]
         self.part_count[to] -= 1
         self.part_count[frm] += 1
         for v, row in replaced:
             self.rows[v] = row
-
-    def best_move(self, nodes):
-        """Highest-gain (gain, u, to) moving one of `nodes` (ascending) into
-        another part that stays within the cap, or None. Ties go to the
-        lowest node, then the lowest part. _rebalance's pick among the nodes
-        of one part; FM passes take theirs from a _MoveQueue."""
-        here, frm = np.arange(nodes.size), self.assign[nodes]
-        fits = self.within_cap(np.asarray(self.part_w) + self.node_w[nodes][:, None])
-        fits[here, frm] = False
-        if not fits.any():
-            return None
-        gain = _conn_table(self.g, self.assign, self.p, nodes)
-        gain -= gain[here, frm][:, None]
-        gain[~fits] = -np.inf
-        k, to = divmod(int(np.argmax(gain)), self.p)
-        return gain[k, to], int(nodes[k]), to
 
 
 class _MoveQueue:
@@ -557,7 +543,10 @@ class _MoveQueue:
             wait.clear()
 
 
-def _fm_refine(parts: _Parts, max_passes: int = 10):
+_FM_PASSES = 10  # at most this many passes per level
+
+
+def _fm_refine(parts: _Parts):
     """KL/FM passes: greedy single-node moves with best-prefix rollback.
 
     Moves may go downhill inside a pass; the pass keeps the prefix with the
@@ -567,11 +556,11 @@ def _fm_refine(parts: _Parts, max_passes: int = 10):
     part), so runs are deterministic. The rollback undoes moves from their
     records.
     """
-    if not parts.within_cap(min(parts.part_w) + parts.node_w.min()):
+    if not parts.within_cap(min(parts.part_w) + min(parts.weight)):
         return  # every part is too full for the lightest node: no move is legal
     nn = parts.g.n
     move_limit = nn if nn <= 128 else max(128, nn // 8)
-    for _ in range(max_passes):
+    for _ in range(_FM_PASSES):
         queue = _MoveQueue(parts)
         moves = []
         improvement = 0.0
@@ -595,22 +584,30 @@ def _fm_refine(parts: _Parts, max_passes: int = 10):
 
 
 def _rebalance(parts: _Parts):
-    """Move nodes out of overweight parts, cheapest cut increase first."""
+    """Move nodes out of overweight parts, cheapest cut increase first: of
+    the heaviest part's nodes and the parts that would keep the cap, the
+    highest gain (see _Parts), ties to the lowest node, then the lowest part."""
+    labels, rows, weight, part_w = parts.labels, parts.rows, parts.weight, parts.part_w
     for _ in range(4 * parts.g.n):
-        over = int(np.argmax(parts.part_w))
-        if parts.within_cap(parts.part_w[over]):
+        over = int(np.argmax(part_w))
+        if parts.within_cap(part_w[over]) or parts.part_count[over] < 2:
             return
-        movable = np.flatnonzero(parts.assign == over)
-        best = parts.best_move(movable) if parts.part_count[over] > 1 else None
+        movable = [u for u, a in enumerate(labels) if a == over]
+        best = None
+        for u in movable:
+            row, w = rows[u], weight[u]
+            here = row.get(over, 0.0)
+            for q in range(parts.p):
+                if q != over and parts.within_cap(part_w[q] + w):
+                    gain = row.get(q, 0.0) - here
+                    if best is None or gain > best[0]:
+                        best = gain, u, q
         if best is None:
             # no receiver under the cap; shift to the lightest part if that
             # still improves the imbalance, otherwise give up
-            lightest = int(np.argmin(parts.part_w))
-            lightest_node = int(movable[np.argmin(parts.node_w[movable])])
-            if (
-                parts.part_count[over] == 1
-                or parts.part_w[lightest] + parts.node_w[lightest_node] >= parts.part_w[over]
-            ):
+            lightest = int(np.argmin(part_w))
+            lightest_node = min(movable, key=weight.__getitem__)
+            if part_w[lightest] + weight[lightest_node] >= part_w[over]:
                 return
             best = (0.0, lightest_node, lightest)
         _, u, to = best
@@ -646,7 +643,6 @@ def build_scale_series(
             f"{max_feasible_levels(p0)}"
         )
     plans = [partition_kway(g, p0, balance_factor, seed)]
-    merge_maps = []
     src, dst, edge_w = g.edge_arrays()
     for _ in range(1, l):
         prev = plans[-1]
@@ -656,10 +652,9 @@ def build_scale_series(
         cells = np.stack([pa * prev.p + pb, pb * prev.p + pa], axis=1)[between].ravel()
         cut_w = np.bincount(cells, np.repeat(edge_w[between], 2), prev.p * prev.p)
         mapping = _merge_map(cut_w.reshape(prev.p, prev.p))
-        merge_maps.append(mapping)
         assign = mapping[prev.assign]
         plans.append(plan_from_assign(assign, int(mapping.max()) + 1, g, balance_factor, seed))
-    return ScaleSeries(plans=plans, merge_maps=merge_maps)
+    return ScaleSeries(plans=plans)
 
 
 def _merge_map(cut_w) -> np.ndarray:

@@ -201,8 +201,7 @@ def test_c05_padding_invariance():
         perms = [np.random.default_rng(1000 + trial).permutation(p.p) for p in series.plans]
         plans = [pt.plan_from_assign(perm[plan.assign], plan.p, g, plan.balance_factor,
                                      plan.seed) for plan, perm in zip(series.plans, perms)]
-        maps = [perms[i + 1][m[np.argsort(perms[i])]] for i, m in enumerate(series.merge_maps)]
-        relabeled_series = pt.ScaleSeries(plans=plans, merge_maps=maps)
+        relabeled_series = pt.ScaleSeries(plans=plans)
         relabeled_series.validate(g)
         relabeled_model = SbaTransformer(config, relabeled_series, pe.vectors, model.params)
         worst = max(worst, float(np.abs(relabeled_model.predict(x) - clean).max()))

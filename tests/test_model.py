@@ -344,10 +344,7 @@ class TestForward:
         n, t, c, f = 6, 4, 1, 3
         assign = np.array([0, 0, 0, 1, 1, 1])
         plan = plan_from_assign(assign, 2)
-        series = pt.ScaleSeries(
-            plans=[plan, plan_from_assign(np.zeros(n, dtype=np.int64), 1)],
-            merge_maps=[np.zeros(2, dtype=np.int64)],
-        )
+        series = pt.ScaleSeries(plans=[plan, plan_from_assign(np.zeros(n, dtype=np.int64), 1)])
         config = md.ModelConfig(n=n, t=t, c=c, f=f, d_model=d, l=2, heads=heads, p0=2, k_pe=2)
         pe = np.zeros((n, 2))
         model = md.SbaTransformer(config, series, pe, seed=3)

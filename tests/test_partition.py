@@ -63,7 +63,9 @@ def best_balanced_bipartition(g, balance_factor=1.3):
 # ---------------------------------------------------------------------------
 # the scan-based FM refinement that _MoveQueue replaced, kept verbatim (but
 # for the names) as the oracle of TestMoveQueue: it rescores every movable
-# row before each move and rolls back by re-summing rows
+# row before each move and rolls back by re-summing rows. scan_rebalance is
+# the rebalance that scored its moves with the same best_move (verbatim but
+# for the names and the inlined cap test), the oracle of TestRebalance
 
 
 class ScanParts:
@@ -185,6 +187,44 @@ def scan_fm_refine(parts: ScanParts, max_passes: int = 10):
             break
 
 
+def scan_rebalance(parts: ScanParts):
+    """Move nodes out of overweight parts, cheapest cut increase first."""
+    for _ in range(4 * parts.g.n):
+        over = int(np.argmax(parts.part_w))
+        if parts.part_w[over] <= parts.cap + 1e-9:
+            return
+        movable = np.flatnonzero(parts.assign == over)
+        best = parts.best_move(movable) if parts.part_count[over] > 1 else None
+        if best is None:
+            # no receiver under the cap; shift to the lightest part if that
+            # still improves the imbalance, otherwise give up
+            lightest = int(np.argmin(parts.part_w))
+            lightest_node = int(movable[np.argmin(parts.node_w[movable])])
+            if (
+                parts.part_count[over] == 1
+                or parts.part_w[lightest] + parts.node_w[lightest_node] >= parts.part_w[over]
+            ):
+                return
+            best = (0.0, lightest_node, lightest)
+        _, u, to = best
+        parts.move(u, to)
+
+
+def level_graph(kind, rng):
+    """A random level for the refinement oracles: a grid, a random graph, or
+    Gaussian kernel weights, where two far-apart clusters are two components."""
+    if kind == "grid":
+        return make_grid_graph(int(rng.integers(5, 15)), int(rng.integers(5, 15)))
+    if kind == "random":
+        n = int(rng.integers(20, 160))
+        return random_connected_graph(n, rng, extra_edges=int(rng.integers(0, 2 * n)))
+    n = int(rng.integers(30, 160))
+    coords = rng.uniform(0, 6, (n, 2))
+    if rng.random() < 0.5:
+        coords[: n // 3] += 20.0
+    return build_gaussian_graph(coords, sigma=1.0, threshold=0.1)
+
+
 class TestPartitionKway:
     def test_path_four_nodes_optimal_split(self):
         plan = pt.partition_kway(path_graph(4), p=2, seed=0)
@@ -290,31 +330,28 @@ class TestPartsBookkeeping:
 
     @staticmethod
     def _assert_rebuilt(parts):
-        fresh = pt._Parts(parts.g, parts.node_w, parts.assign.copy(), parts.p, parts.cap)
-        assert parts.labels == parts.assign.tolist() == fresh.labels
+        fresh = pt._Parts(parts.g, np.array(parts.weight), np.array(parts.labels), parts.p,
+                          parts.cap)
+        assert parts.labels == fresh.labels
         for name in ("part_w", "part_count"):
             assert np.array_equal(getattr(parts, name), getattr(fresh, name)), name
         # each row entry by its float bits, so equal values with other bits fail
         bits = [[sorted((q, w.hex()) for q, w in row.items()) for row in state.rows]
                 for state in (parts, fresh)]
         assert bits[0] == bits[1]
-        boundary = [len(row) > (a in row) for row, a in zip(parts.rows, parts.labels)]
-        movable = np.flatnonzero(np.array(boundary) & (np.array(parts.part_count)[parts.assign] > 1))
-        assert parts.best_move(movable) == fresh.best_move(movable)
 
     @pytest.mark.parametrize("kind", ["random", "contracted"])
     def test_moves_and_undos_match_a_rebuild(self, kind):
         g, node_w = self._level(kind)
         p = 4
         rng = np.random.default_rng(11)
-        # a cap that some moves break, so best_move filters as well as ranks
         parts = pt._Parts(g, node_w, rng.integers(0, p, g.n), p, cap=node_w.sum() / 3)
         self._assert_rebuilt(parts)
         for _ in range(6):
             moves = []
             for _ in range(12):
                 u = int(rng.integers(0, g.n))
-                to = int((parts.assign[u] + rng.integers(1, p)) % p)
+                to = int((parts.labels[u] + rng.integers(1, p)) % p)
                 moves.append(parts.move(u, to))
                 self._assert_rebuilt(parts)
             # roll a suffix back in reverse, as a best-prefix pass does
@@ -326,20 +363,6 @@ class TestPartsBookkeeping:
 class TestMoveQueue:
     """The FM pass's move queue picks the scan's move at every step, so
     refinement ends where ScanParts and scan_fm_refine end."""
-
-    @staticmethod
-    def _graph(kind, rng):
-        if kind == "grid":
-            return make_grid_graph(int(rng.integers(5, 15)), int(rng.integers(5, 15)))
-        if kind == "random":
-            n = int(rng.integers(20, 160))
-            return random_connected_graph(n, rng, extra_edges=int(rng.integers(0, 2 * n)))
-        # Gaussian kernel weights; two far-apart clusters are two components
-        n = int(rng.integers(30, 160))
-        coords = rng.uniform(0, 6, (n, 2))
-        if rng.random() < 0.5:
-            coords[: n // 3] += 20.0
-        return build_gaussian_graph(coords, sigma=1.0, threshold=0.1)
 
     @staticmethod
     def _refine_both(g, node_w, assign, p, cap):
@@ -355,7 +378,7 @@ class TestMoveQueue:
         factors = itertools.cycle([1.0, 1.05, 1.3, 2.0])
         moved = 0
         for case in range(120):
-            g = self._graph(next(kinds), rng)
+            g = level_graph(next(kinds), rng)
             node_w = np.ones(g.n, dtype=np.int64)
             if case % 3 == 0:  # a contracted level: node weights above 1
                 cmap, cn = pt._heavy_edge_matching(g, rng)
@@ -367,10 +390,10 @@ class TestMoveQueue:
             else:
                 assign = rng.integers(0, p, g.n)
             new, old = self._refine_both(g, node_w, assign, p, cap)
-            assert new.assign.tolist() == old.assign.tolist(), case
+            assert new.labels == old.assign.tolist(), case
             assert new.part_w == old.part_w.tolist(), case
-            assert pt._edge_cut(g, new.assign) == pt._edge_cut(g, old.assign), case
-            moved += int((new.assign != assign).any())
+            assert pt._edge_cut(g, np.array(new.labels)) == pt._edge_cut(g, old.assign), case
+            moved += int(new.labels != assign.tolist())
         assert moved > 60
 
     def test_full_touched_parts_send_a_node_to_a_part_it_does_not_touch(self):
@@ -383,7 +406,7 @@ class TestMoveQueue:
         scan = ScanParts(g, node_w, assign.copy(), 3, 2.0)
         assert queue.pop() == scan.best_move(np.array([1, 2])) == (-1.0, 1, 2)
         new, old = self._refine_both(g, node_w, assign, 3, 2.0)
-        assert new.assign.tolist() == old.assign.tolist() == assign.tolist()
+        assert new.labels == old.assign.tolist() == assign.tolist()
 
     def test_equal_gains_go_to_the_lowest_part_touched_or_not(self):
         # node 0 sits in part 1 on an edge of weight 1e20, so joining part 2
@@ -405,8 +428,33 @@ class TestRebalance:
         parts = pt._Parts(path_graph(4), np.array([1.0, 1.0, 3.0, 3.0]),
                           np.array([0, 0, 0, 1]), 2, cap=3.5)
         pt._rebalance(parts)
-        assert parts.assign.tolist() == [1, 0, 0, 1]
+        assert parts.labels == [1, 0, 0, 1]
         assert parts.part_w == [4.0, 4.0]
+
+    def test_rebalance_matches_the_scan(self):
+        rng = np.random.default_rng(31)
+        kinds = itertools.cycle(["grid", "random", "gauss"])
+        factors = itertools.cycle([1.0, 1.05, 1.3, 1.6, 2.0])
+        moved = over_cap = 0
+        for case in range(150):
+            g = level_graph(next(kinds), rng)
+            node_w = np.ones(g.n, dtype=np.int64)
+            if case % 3 == 0:  # a contracted level: node weights above 1
+                cmap, cn = pt._heavy_edge_matching(g, rng)
+                g, node_w = pt._contract(g, node_w, cmap, cn)
+            p = int(rng.integers(2, max(3, g.n // 3 + 1)))
+            cap = next(factors) * math.ceil(node_w.sum() / p)
+            # lopsided: each part draws about half the nodes of the one before
+            assign = np.minimum(rng.geometric(0.5, g.n) - 1, p - 1)
+            new = pt._Parts(g, node_w, assign.copy(), p, cap)
+            old = ScanParts(g, node_w, assign.copy(), p, cap)
+            pt._rebalance(new)
+            scan_rebalance(old)
+            assert new.labels == old.assign.tolist(), case
+            assert new.part_w == old.part_w.tolist(), case
+            moved += new.labels != assign.tolist()
+            over_cap += not new.within_cap(max(new.part_w))
+        assert moved > 100 and over_cap > 0
 
 
 class TestScaleSeries:
@@ -544,16 +592,14 @@ class TestScaleSeries:
         assert [hashlib.sha256(o).hexdigest() for o in orders] == self.ORDERS[graph]
 
     @pytest.mark.parametrize("edit, match", [
-        (lambda s: s.merge_maps.__setitem__(0, s.merge_maps[0][:2]), "merge map 0 must"),
-        (lambda s: s.merge_maps[0].__setitem__(0, 1 - s.merge_maps[0][0]), "not a union"),
-        (lambda s: (s.plans.append(s.plans[1]), s.merge_maps.append(np.array([0, 1]))),
-         "halving violated"),
-        (lambda s: s.merge_maps.pop(), "0 merge maps for 2 levels"),
+        # level 1 alternates nodes, which splits level-0 groups between its parts
+        (lambda s: s.plans.__setitem__(1, pt.plan_from_assign(np.arange(s.plans[0].n) % 2, 2)),
+         "not a union"),
+        (lambda s: s.plans.append(s.plans[1]), "halving violated"),
         (lambda s: s.plans.__setitem__(1, pt.PartitionPlan(
             (c := s.plans[1]).assign, c.p, c.edge_cut + 1.0, c.balance_factor, c.seed)),
          "stored edge_cut"),
-    ], ids=["short-merge-map", "wrong-merge-map", "repeated-level", "missing-merge-map",
-            "tampered-edge-cut"])
+    ], ids=["non-nested-level", "repeated-level", "tampered-edge-cut"])
     def test_broken_series_fails_validation(self, edit, match):
         g = random_connected_graph(18, np.random.default_rng(6))
         series = pt.build_scale_series(g, p0=4, l=2, seed=3)
