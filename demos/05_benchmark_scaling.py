@@ -3,28 +3,17 @@
 With the subgraph size m held fixed, the local term grows linearly in n and
 the global term quadratically in the (much smaller) subgraph count, so the
 total grows far slower than dense attention's n^2. The FLOP counter measures
-the actual attention matmuls and must agree with the closed form.
+the actual attention matmuls, and `sbaformer bench` checks it against the
+closed form.
 """
-from sbaformer import ModelConfig, flops_estimate, set_debug_checks, uniform_plan
-from sbaformer.partition import ScaleSeries
+import sys
 
-set_debug_checks(False)  # benchmark mode
-m, d, heads = 32, 64, 4
+from sbaformer.cli import main
 
-print(f"{'n':>6} {'mode':>6} {'p':>5} {'flops':>14} {'vs prev':>8}")
-prev = {}
-for n in (256, 512, 1024, 2048):
-    for mode in ("sba", "dense"):
-        p = 1 if mode == "dense" else n // m
-        series = ScaleSeries(plans=[uniform_plan(n, p)])
-        config = ModelConfig(n=n, t=1, c=1, f=1, d_model=d, l=1, heads=heads,
-                             p0=p, k_pe=1)
-        est = flops_estimate(config, series)
-        assert est["measured_total"] == est["closed_total"]
-        growth = est["measured_total"] / prev[mode] if mode in prev else float("nan")
-        prev[mode] = est["measured_total"]
-        print(f"{n:>6} {mode:>6} {p:>5} {est['measured_total']:>14,} {growth:>8.2f}")
+status = main(["bench", "--n-list", "256,512,1024,2048", "--m", "32", "--mode", "both",
+               "--out", "bench.csv"])
+if status:
+    sys.exit(status)
 
 print("\nfixed m: partitioned attention roughly doubles per doubling of n,")
-print("dense attention quadruples. The same numbers come out of the CLI:")
-print("  sbaformer bench --n-list 256,512,1024 --m 32 --mode both --out bench.csv")
+print("dense attention quadruples. The table is in bench.csv.")

@@ -161,11 +161,12 @@ class Tensor:
         """Add dself/dleaf to the grad of every leaf tensor on the tape.
 
         A leaf has requires_grad and no backward function: the parameters
-        and inputs, not op outputs. The walk runs over the op nodes, and
-        an op output never gets a grad: its node's entry in the per-call
-        grad map is dropped as soon as its backward has run. The root must
-        be a scalar. Each call adds exactly one contribution, so repeated
-        calls accumulate.
+        and inputs, not op outputs. One walk in reverse topological order
+        runs each op node's backward and hands each leaf its grad, since
+        every consumer of a node comes before it. An op output never gets a
+        grad: its node's entry in the per-call grad map is dropped as soon
+        as its backward has run. The root must be a scalar. Each call adds
+        exactly one contribution, so repeated calls accumulate.
         """
         if self.data.shape != ():
             raise ContractError(
@@ -177,10 +178,12 @@ class Tensor:
         order = _toposort(root)
         local = {id(root): np.asarray(1.0)}
         for node in reversed(order):
-            if node._backward is None:
-                continue
             g = local.pop(id(node), None)
             if g is None:
+                continue
+            if node._backward is None:  # a leaf
+                g = np.asarray(g, dtype=np.float64)
+                node.grad = g.copy() if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
@@ -190,11 +193,6 @@ class Tensor:
                     local[key] = local[key] + pg
                 else:
                     local[key] = pg
-        for node in order:
-            g = local.get(id(node))
-            if g is not None:
-                g = np.asarray(g, dtype=np.float64)
-                node.grad = g.copy() if node.grad is None else node.grad + g
 
 
 def _toposort(root: Tensor | _Node) -> list:
@@ -551,15 +549,16 @@ def permute_rows(x, order) -> Tensor:
     return _from_op(data, "permute_rows", (t,), backward)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+_LN_EPS = 1e-5  # added to the variance before the square root
+
+
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then scale and shift."""
-    if eps <= 0:
-        raise ContractError("layer_norm eps must be positive")
     t, ga, be = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     mu = t.data.mean(axis=-1, keepdims=True)
     xc = t.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = xc * inv
     data = ga.data * xhat + be.data
     gamma, want_gamma = ga.data, ga.requires_grad

@@ -27,6 +27,7 @@ from .graph import SpatialGraph, build_epsilon_graph, connected_components
 log = logging.getLogger(__name__)
 
 SPLITS = ("train", "val", "test")
+_NULL_THRESHOLD = 1e-4  # MAPE skips targets of smaller magnitude
 
 
 @dataclass
@@ -138,7 +139,7 @@ def split_setup(dataset: Dataset, t: int, f: int):
 
 def window_arrays(series: np.ndarray, windows, at=None):
     """Stack (inputs, targets) for the given windows: (w, n, t, c) and (w, n, f, c)."""
-    idx = windows.indices if isinstance(windows, WindowSet) else windows
+    idx = windows.indices
     if at is not None:
         idx = [idx[i] for i in at]
     xs = np.stack([series[:, s : s + t, :] for s, t, f in idx])
@@ -174,8 +175,6 @@ def synth_diffusion(
     noise_std: float = 0.05,
     period: float = 64.0,
     seed: int = 0,
-    freq_minutes: int = 15,
-    name: str = "synthetic",
 ) -> Dataset:
     """Diffusion on a graph plus a spatially smooth seasonal drive plus noise.
 
@@ -218,7 +217,7 @@ def synth_diffusion(
         if noise_std > 0:
             state = state + noise_std * rng.standard_normal(n)
         x[:, t, 0] = state
-    return Dataset(series=x, graph=graph, freq_minutes=freq_minutes, name=name)
+    return Dataset(series=x, graph=graph, name="synthetic")
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +277,8 @@ def load_series(path, fmt: str = "bin"):
 # evaluation metrics
 
 
-def metrics(pred: np.ndarray, target: np.ndarray, null_threshold: float = 1e-4) -> dict:
-    """MAE/RMSE over everything; MAPE in percent over |target| >= threshold.
+def metrics(pred: np.ndarray, target: np.ndarray) -> dict:
+    """MAE/RMSE over everything; MAPE in percent over |target| >= _NULL_THRESHOLD.
 
     The horizon axis is -2, and the report carries a per-step breakdown in
     the same three metrics. Excluded-entry counts make the MAPE masking
@@ -294,7 +293,7 @@ def metrics(pred: np.ndarray, target: np.ndarray, null_threshold: float = 1e-4) 
     def _one(e, t):
         mae = float(np.abs(e).mean())
         rmse = float(np.sqrt((e * e).mean()))
-        keep = np.abs(t) >= null_threshold
+        keep = np.abs(t) >= _NULL_THRESHOLD
         excluded = int(t.size - keep.sum())
         mape = (
             float((np.abs(e[keep]) / np.abs(t[keep])).mean() * 100.0)

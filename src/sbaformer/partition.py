@@ -240,7 +240,7 @@ def partition_kway(
         if cn > 0.95 * level.n:
             break
         levels.append((level, node_w, cmap))
-        level, node_w = _contract(level, node_w, cmap, cn)
+        level, node_w = _contract(level, cmap, cn), np.bincount(cmap, node_w, cn).astype(np.int64)
 
     # initial partition on the coarsest graph, best of a few seeded restarts
     best_assign, best_key = None, None
@@ -294,15 +294,16 @@ def _heavy_edge_matching(g: SpatialGraph, rng):
     return coarse_id[lower], int(coarse_id[-1]) + 1
 
 
-def _contract(g: SpatialGraph, node_w, cmap, cn):
-    """Coarse graph and node weights; parallel coarse edges sum in edge order."""
+def _contract(g: SpatialGraph, cmap, cn) -> SpatialGraph:
+    """The graph of g's node groups: node cmap[u] holds u, and the edge
+    between two groups weighs the edges of g between them, summed in edge
+    order."""
     src, dst, w = g.edge_arrays()
     lo = np.minimum(cmap[src], cmap[dst])
     hi = np.maximum(cmap[src], cmap[dst])
     between = lo != hi
     pair, slot = np.unique(lo[between] * cn + hi[between], return_inverse=True)
-    coarse = SpatialGraph(cn, pair // cn, pair % cn, np.bincount(slot, weights=w[between]))
-    return coarse, np.bincount(cmap, weights=node_w, minlength=cn).astype(np.int64)
+    return SpatialGraph(cn, pair // cn, pair % cn, np.bincount(slot, weights=w[between]))
 
 
 def _region_grow(g: SpatialGraph, node_w, p, rng):
@@ -618,10 +619,6 @@ def _rebalance(parts: _Parts):
 # multiscale series
 
 
-def max_feasible_levels(p0: int) -> int:
-    return int(math.floor(math.log2(p0))) + 1
-
-
 def build_scale_series(
     g: SpatialGraph,
     p0: int,
@@ -631,49 +628,46 @@ def build_scale_series(
 ) -> ScaleSeries:
     """Partition once at p0 subgraphs, then pair-merge level by level.
 
-    Each level merges the pair of remaining subgraphs with the largest
-    inter-subgraph cut weight first (ties to the lowest indices); an odd
-    leftover carries over unmerged, giving p_i = ceil(p_{i-1} / 2).
+    Each level pairs the parts of the one before on their part graph (see
+    _merge_map), giving p_i = ceil(p_{i-1} / 2).
     """
     if p0 < 1 or l < 1:
         raise InputError("p0 and l must be >= 1")
     if p0 < 2 ** (l - 1):
         raise InputError(
-            f"p0={p0} cannot sustain {l} levels; maximum feasible levels: "
-            f"{max_feasible_levels(p0)}"
+            f"p0={p0} cannot sustain {l} levels; maximum feasible levels: {p0.bit_length()}"
         )
     plans = [partition_kway(g, p0, balance_factor, seed)]
-    src, dst, edge_w = g.edge_arrays()
     for _ in range(1, l):
         prev = plans[-1]
-        pa, pb = prev.assign[src], prev.assign[dst]
-        between = pa != pb
-        # both orientations of each edge in turn, so every cell sums in edge order
-        cells = np.stack([pa * prev.p + pb, pb * prev.p + pa], axis=1)[between].ravel()
-        cut_w = np.bincount(cells, np.repeat(edge_w[between], 2), prev.p * prev.p)
-        mapping = _merge_map(cut_w.reshape(prev.p, prev.p))
+        mapping = _merge_map(_contract(g, prev.assign, prev.p))
         assign = mapping[prev.assign]
         plans.append(plan_from_assign(assign, int(mapping.max()) + 1, g, balance_factor, seed))
     return ScaleSeries(plans=plans)
 
 
-def _merge_map(cut_w) -> np.ndarray:
-    """Merge map of one level from its (p, p) symmetric cut-weight matrix.
+def _merge_map(parts: SpatialGraph) -> np.ndarray:
+    """Merge map of one level from its part graph: a node per part, an edge
+    per pair of parts that touch, weighing their cut.
 
     Pairs are taken in order of falling cut weight, ties to the lowest
     (a, b), whenever both ends are still free; this is the greedy that
-    repeatedly merges the heaviest remaining pair. An odd leftover stays
-    alone. Group ids follow each group's lowest member.
+    repeatedly merges the heaviest remaining pair. The parts left free then
+    pair up in index order, and an odd leftover stays alone. Group ids
+    follow each group's lowest member.
     """
-    p = cut_w.shape[0]
-    a, b = np.triu_indices(p, k=1)
-    order = np.lexsort((b, a, -cut_w[a, b]))
-    partner = np.arange(p)
+    a, b, w = parts.edge_arrays()
+    order = np.lexsort((b, a, -w))
+    ids = np.arange(parts.n)
+    partner = ids.copy()
     for i, j in zip(a[order].tolist(), b[order].tolist()):
         if partner[i] == i and partner[j] == j:
             partner[i], partner[j] = j, i
-    lower = np.minimum(np.arange(p), partner)
-    group = np.cumsum(lower == np.arange(p)) - 1
+    free = np.flatnonzero(partner == ids)
+    pairs = free[: free.size // 2 * 2].reshape(-1, 2)
+    partner[pairs[:, 0]], partner[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    lower = np.minimum(ids, partner)
+    group = np.cumsum(lower == ids) - 1
     return group[lower]
 
 

@@ -21,6 +21,8 @@ from .model import ModelParams, SbaTransformer, mae_loss
 
 log = logging.getLogger(__name__)
 
+_EVAL_BATCH = 64  # windows gathered per predict call when scoring a split
+
 
 @dataclass
 class TrainConfig:
@@ -107,17 +109,17 @@ def _train_step(model: SbaTransformer, state: TrainState, cfg: TrainConfig, xs, 
     return loss.item()
 
 
-def _batched_mae(model: SbaTransformer, series_norm, windows, batch: int = 64) -> float:
+def _batched_mae(model: SbaTransformer, series_norm, windows) -> float:
     """Mean of per-window MAE over a window set.
 
-    Windows are gathered `batch` at a time and forecast by `model.predict`,
+    Windows are gathered _EVAL_BATCH at a time and forecast by `model.predict`,
     which runs with the tape off in tiles of windows, two per worker thread
     under a memory cap, on one worker thread per usable CPU; neither the
     tile size nor the worker count changes the bits.
     """
     total = 0.0
-    for lo in range(0, len(windows), batch):
-        sel = range(lo, min(lo + batch, len(windows)))
+    for lo in range(0, len(windows), _EVAL_BATCH):
+        sel = range(lo, min(lo + _EVAL_BATCH, len(windows)))
         xs, ys = window_arrays(series_norm, windows, at=sel)
         total += float(np.abs(model.predict(xs) - ys).mean()) * len(sel)
     return total / len(windows)
@@ -192,17 +194,11 @@ def persistence_forecast(xs: np.ndarray, f: int) -> np.ndarray:
     return np.repeat(xs[..., -1:, :], f, axis=-2)
 
 
-def evaluate(
-    model: SbaTransformer,
-    dataset: Dataset,
-    split: str = "test",
-    null_threshold: float = 1e-4,
-    batch: int = 64,
-) -> dict:
+def evaluate(model: SbaTransformer, dataset: Dataset, split: str = "test") -> dict:
     """Metric report on de-normalized forecasts, with a persistence reference row.
 
     Forecasts come from `model.predict` (tape off, tiles of windows on one
-    worker thread per usable CPU, `batch` windows gathered at a time;
+    worker thread per usable CPU, _EVAL_BATCH windows gathered at a time;
     bit-identical at any tile size and worker count) on the normalized series
     and are inverted back to the raw scale before scoring; the persistence
     row goes through the exact same metric path.
@@ -218,8 +214,8 @@ def evaluate(
         raise ConfigError(f"{split} split yields no complete windows")
 
     preds, targets, naive = [], [], []
-    for lo in range(0, len(windows), batch):
-        sel = range(lo, min(lo + batch, len(windows)))
+    for lo in range(0, len(windows), _EVAL_BATCH):
+        sel = range(lo, min(lo + _EVAL_BATCH, len(windows)))
         xs_n, _ = window_arrays(series_norm, windows, at=sel)
         xs_raw, ys_raw = window_arrays(dataset.series, windows, at=sel)
         preds.append(normalizer.invert(model.predict(xs_n)))
@@ -230,7 +226,7 @@ def evaluate(
     report = {
         "split": split,
         "windows": len(windows),
-        "model": metrics(pred, target, null_threshold),
-        "persistence": metrics(np.concatenate(naive), target, null_threshold),
+        "model": metrics(pred, target),
+        "persistence": metrics(np.concatenate(naive), target),
     }
     return report

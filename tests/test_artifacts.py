@@ -306,6 +306,68 @@ def test_every_public_definition_has_a_program_caller():
     assert offenders == []
 
 
+def _defaulted_parameters(tree):
+    """(function, line, parameter, position) of each defaulted parameter of
+    a module's functions and its classes' methods. Calls name a class's
+    __init__ by the class, and the position skips `self` and `cls`; it is
+    None for a keyword-only parameter."""
+    for stmt in tree.body:
+        methods = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+        for fn in methods:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = stmt.name if fn.name == "__init__" else fn.name
+            bound = fn is not stmt and not any(
+                getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list
+            )
+            positional = fn.args.posonlyargs + fn.args.args
+            for i in range(len(positional) - len(fn.args.defaults), len(positional)):
+                yield name, fn.lineno, positional[i].arg, i - bound
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield name, fn.lineno, arg.arg, None
+
+
+def _passed_arguments(tree):
+    """(callee name, position or keyword) of each argument a call passes.
+    `run.stage(fn, *args)` and `run.op(label, fn, *args)` call fn with
+    args; a position after a starred argument is unknown and not counted."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, args = node.func, node.args
+        if isinstance(func, ast.Attribute) and func.attr in ("stage", "op"):
+            at = 0 if func.attr == "stage" else 1
+            func, args = args[at], args[at + 1:]
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        for i, arg in enumerate(args):
+            if isinstance(arg, ast.Starred):
+                break
+            yield name, i
+        for keyword in node.keywords:
+            if keyword.arg is not None:
+                yield name, keyword.arg
+
+
+def test_every_defaulted_parameter_is_passed_by_a_program():
+    """A default that no command, demo or benchmark workload overrides is
+    a constant; keep it one."""
+    src = Path(sbaformer.__file__).parent
+    root = Path(__file__).resolve().parent.parent
+    programs = sorted(src.glob("*.py")) + sorted((root / "demos").rglob("*.py"))
+    programs += [path for path in sorted((root / "perfbench").rglob("*.py"))
+                 if root / "perfbench" / "tests" not in path.parents]
+    passed = {call for path in programs
+              for call in _passed_arguments(ast.parse(path.read_text()))}
+    offenders = [
+        f"{path.name}:{line} {fn}({param})"
+        for path in sorted(src.glob("*.py"))
+        for fn, line, param, position in _defaulted_parameters(ast.parse(path.read_text()))
+        if (fn, param) not in passed and (fn, position) not in passed
+    ]
+    assert offenders == []
+
+
 def _unread_locals(tree):
     """(line, function, name) of each local a function assigns and never reads.
 

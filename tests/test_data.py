@@ -237,7 +237,7 @@ class TestMetrics:
         rng = np.random.default_rng(8)
         pred = rng.standard_normal((4, 3, 1))
         target = rng.standard_normal((4, 3, 1)) + 2.0
-        report = dt.metrics(pred, target, null_threshold=1e-4)
+        report = dt.metrics(pred, target)
         err = pred - target
         np.testing.assert_allclose(report["mae"], np.abs(err).mean(), atol=1e-15)
         np.testing.assert_allclose(report["rmse"], np.sqrt((err**2).mean()), atol=1e-15)

@@ -11,7 +11,7 @@ from sbaformer import partition as pt
 from sbaformer.autodiff import Tensor
 from sbaformer.data import make_grid_graph
 from sbaformer.errors import ContractError, InputError, ShapeError
-from sbaformer.graph import SpatialGraph, build_gaussian_graph
+from sbaformer.graph import SpatialGraph, build_epsilon_graph, build_gaussian_graph
 
 from test_graph import clique_edges, random_connected_graph
 
@@ -44,6 +44,18 @@ def greedy_merge_map(cut_w):
     for gi, grp in enumerate(sorted(groups, key=min)):
         mapping[list(grp)] = gi
     return mapping
+
+
+def cut_matrix(g, assign, p):
+    """(p, p) symmetric cut weights between the parts of `assign`, summed
+    edge by edge in g's edge order."""
+    cut_w = np.zeros((p, p))
+    for i, j, w in g.edges():
+        a, b = assign[i], assign[j]
+        if a != b:
+            cut_w[a, b] += w
+            cut_w[b, a] += w
+    return cut_w
 
 
 def best_balanced_bipartition(g, balance_factor=1.3):
@@ -324,7 +336,7 @@ class TestPartsBookkeeping:
         node_w = np.ones(g.n, dtype=np.int64)
         if kind == "contracted":
             cmap, cn = pt._heavy_edge_matching(g, rng)
-            g, node_w = pt._contract(g, node_w, cmap, cn)
+            g, node_w = pt._contract(g, cmap, cn), np.bincount(cmap, minlength=cn)
             assert node_w.max() > 1
         return g, node_w
 
@@ -382,7 +394,7 @@ class TestMoveQueue:
             node_w = np.ones(g.n, dtype=np.int64)
             if case % 3 == 0:  # a contracted level: node weights above 1
                 cmap, cn = pt._heavy_edge_matching(g, rng)
-                g, node_w = pt._contract(g, node_w, cmap, cn)
+                g, node_w = pt._contract(g, cmap, cn), np.bincount(cmap, minlength=cn)
             p = int(rng.integers(2, max(3, g.n // 3 + 1)))
             cap = next(factors) * math.ceil(node_w.sum() / p)
             if case % 2:
@@ -441,7 +453,7 @@ class TestRebalance:
             node_w = np.ones(g.n, dtype=np.int64)
             if case % 3 == 0:  # a contracted level: node weights above 1
                 cmap, cn = pt._heavy_edge_matching(g, rng)
-                g, node_w = pt._contract(g, node_w, cmap, cn)
+                g, node_w = pt._contract(g, cmap, cn), np.bincount(cmap, minlength=cn)
             p = int(rng.integers(2, max(3, g.n // 3 + 1)))
             cap = next(factors) * math.ceil(node_w.sum() / p)
             # lopsided: each part draws about half the nodes of the one before
@@ -485,12 +497,7 @@ class TestScaleSeries:
         series = pt.build_scale_series(g, p0=4, l=2, seed=0)
         fine, coarse = series.plans
         # oracle: enumerate all pair-merges and confirm the greedy picks argmax
-        cut_w = np.zeros((4, 4))
-        for i, j, w in g.edges():
-            a, b = fine.assign[i], fine.assign[j]
-            if a != b:
-                cut_w[a, b] += w
-                cut_w[b, a] += w
+        cut_w = cut_matrix(g, fine.assign, 4)
         merged_pairs = [
             tuple(sorted(np.flatnonzero(series.merge_maps[0] == grp).tolist()))
             for grp in range(coarse.p)
@@ -504,15 +511,35 @@ class TestScaleSeries:
             nodes = np.flatnonzero(coarse.assign == part)
             assert (nodes < 4).all() or (nodes >= 4).all()
         # whole merge maps match the greedy scan over all free pairs, on
-        # random symmetric weights with many ties
+        # random part graphs with many ties and many parts that do not touch
         rng = np.random.default_rng(12)
         for _ in range(300):
             p = int(rng.integers(1, 20))
             w = np.triu(rng.integers(0, 3, (p, p)).astype(float), 1)
             if rng.random() < 0.3:
                 w = np.triu(rng.random((p, p)), 1)
-            w = w + w.T
-            assert np.array_equal(pt._merge_map(w), greedy_merge_map(w))
+            a, b = np.nonzero(w)
+            parts = SpatialGraph(p, a, b, w[a, b])
+            assert np.array_equal(pt._merge_map(parts), greedy_merge_map(w + w.T))
+
+    @pytest.mark.parametrize("kind", ["grid", "gauss", "epsilon"])
+    def test_levels_merge_by_the_greedy_on_the_cut_matrix(self, kind):
+        # each level's merge map is the greedy over every pair of parts of the
+        # level before, zero-cut pairs included, on the cut matrix of g
+        rng = np.random.default_rng(41)
+        for _ in range(6):
+            if kind == "grid":
+                g = make_grid_graph(int(rng.integers(5, 14)), int(rng.integers(5, 14)))
+            elif kind == "gauss":
+                g = two_cluster_graph()
+            else:
+                coords = rng.uniform(0, 10, (int(rng.integers(40, 120)), 2))
+                g = build_epsilon_graph(coords, epsilon=float(rng.uniform(1.0, 2.0)))
+            p0 = int(rng.integers(3, 24))
+            series = pt.build_scale_series(g, p0, p0.bit_length(), seed=int(rng.integers(5)))
+            for prev, mapping in zip(series.plans, series.merge_maps):
+                cut_w = cut_matrix(g, prev.assign, prev.p)
+                assert np.array_equal(mapping, greedy_merge_map(cut_w))
 
     def test_odd_count_carries_leftover(self):
         rng = np.random.default_rng(5)
