@@ -1,18 +1,19 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Everything the attention blocks need lives here: batched matmul, elementwise
-arithmetic, shape moves, softmax, fused scaled dot-product attention within
-runs of consecutive rows (one run being attention over all rows), layer
-norm, GELU, a fused GELU feed-forward that recomputes its hidden layer in
-the backward, and the row moves of the subgraph layout: a row permutation, a
-mean over each run of rows and its adjoint, which repeats a row over its
-run. All data is 64-bit and row-major. matmul, attention and ffn feed a global
-FLOP counter when counting is enabled.
+Everything the attention blocks need lives here: batched matmul,
+elementwise add, sub and abs, shape moves, fused scaled dot-product
+attention within runs of consecutive rows (one run being attention over all
+rows) that holds one bounded chunk of weights at a time, layer norm, a
+fused GELU feed-forward that recomputes its hidden layer in the backward,
+and the row moves of the subgraph layout: a row permutation, a mean over
+each run of rows and its adjoint, which repeats a row over its run. All
+data is 64-bit. matmul, attention and ffn feed a global FLOP counter when
+counting is enabled.
 
-The model calls neither mul, div, tensor_sum, softmax nor gelu. They are
-kept as the reference chain that tests compare the fused ops against bit for
-bit: matmul -> mul -> softmax -> matmul for attention, and
-matmul -> gelu -> matmul for ffn.
+The tests hold the unfused chains the fused ops replace (matmul -> mul ->
+softmax -> matmul for attention, matmul -> gelu -> matmul for ffn) as tape
+ops of their own, built on this module's row softmax and GELU kernels, and
+compare the fused ops against them bit for bit.
 
 Gradients are first-order only and are stored on leaf tensors (those created
 with requires_grad=True rather than by an op); intermediate gradients live
@@ -23,7 +24,7 @@ The tape links nodes, not tensors: an op output records a `_Node` of its
 parents' nodes and its backward, and each backward closure captures only the
 arrays, shapes and flags it reads (saved tensors, as in PyTorch's autograd;
 Paszke et al. 2019). So the tape keeps what the backward needs, and an op
-output no backward reads, such as a residual sum or a merged-heads copy, is
+output no backward reads, such as a residual sum or the attention output, is
 freed once the caller drops it. On the e2e config (n=64, d=32, batch 16) the
 tape after one forward holds 31.25 activation units, one unit being a
 (batch, n, d) float64 array.
@@ -265,40 +266,6 @@ def sub(a, b) -> Tensor:
     return _from_op(data, "sub", (a, b), backward)
 
 
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-    a_shape, b_shape = a.data.shape, b.data.shape
-    # each operand's gradient reads only the other operand
-    a_data = a.data if b.requires_grad else None
-    b_data = b.data if a.requires_grad else None
-
-    def backward(g):
-        ga = None if b_data is None else _unbroadcast(g * b_data, a_shape)
-        gb = None if a_data is None else _unbroadcast(g * a_data, b_shape)
-        return ga, gb
-
-    return _from_op(data, "mul", (a, b), backward)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data / b.data
-    a_shape, a_grad, b_data = a.data.shape, a.requires_grad, b.data
-    a_data = a.data if b.requires_grad else None  # only b's gradient reads a
-
-    def backward(g):
-        ga = _unbroadcast(g / b_data, a_shape) if a_grad else None
-        gb = (
-            _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape)
-            if a_data is not None
-            else None
-        )
-        return ga, gb
-
-    return _from_op(data, "div", (a, b), backward)
-
-
 def _count_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray):
     """Add out = a @ b to the FLOP counter, batch taken from out's leading axes."""
     if flops.enabled:
@@ -367,20 +334,6 @@ def concat(parts, axis: int = -1) -> Tensor:
     return _from_op(data, "concat", tuple(ts), backward)
 
 
-def softmax(logits) -> Tensor:
-    """Softmax over the last axis; each row sums to 1.
-
-    Stabilization subtracts the row max before exp.
-    """
-    x = as_tensor(logits)
-    y, _ = _softmax_rows(x.data.copy())
-
-    def backward(g):
-        return (_softmax_backward(g, y),)
-
-    return _from_op(y, "softmax", (x,), backward)
-
-
 def _softmax_rows(x: np.ndarray, stats=None) -> tuple:
     """Row softmax of x over the last axis, computed in place.
 
@@ -432,6 +385,23 @@ def _run_weights(qi: np.ndarray, kt: np.ndarray, scale: float, stats=None) -> tu
     return _softmax_rows(w, stats)
 
 
+# Weights budget of one `attention` chunk. A run's scores, their softmax and
+# the backward's score-sized temporaries exist one chunk at a time.
+_ATTN_TILE_BYTES = 1 << 20
+
+
+def _chunks(lead: tuple, s: int) -> list:
+    """Index prefixes that cut a run of s rows along the first of its
+    leading axes `lead`: as many items a chunk as keep the chunk's
+    (..., s, s) weights within _ATTN_TILE_BYTES, and at least one. With no
+    leading axis the run is one chunk; an empty first axis gives one empty
+    chunk."""
+    if not lead:
+        return [()]
+    step = max(1, _ATTN_TILE_BYTES // (8 * s * s * max(1, math.prod(lead[1:]))))
+    return [(slice(lo, lo + step),) for lo in range(0, max(1, lead[0]), step)]
+
+
 def attention(q, k, v, sizes, return_weights: bool = False):
     """Scaled dot-product attention within each run of consecutive rows.
 
@@ -442,12 +412,19 @@ def attention(q, k, v, sizes, return_weights: bool = False):
 
     Returns (output, weights). weights is None unless return_weights is
     set; then it is a list of arrays (..., sizes[i], sizes[i]) whose rows
-    sum to one. The op holds one run's weights at a time and keeps only
-    each run's row max and row sum of the softmax. The backward rebuilds
-    each run's weights from q and k with those (FlashAttention's
-    recomputation; Dao et al. 2022), so outputs and gradients equal those
-    of matmul, scale, softmax and matmul bit for bit. The rebuild is not
-    counted as FLOPs.
+    sum to one, one whole run each. Otherwise each run goes in chunks of
+    its first leading axis (windows when batched, heads when not), as many
+    as keep a chunk's weights within _ATTN_TILE_BYTES, so the op holds one
+    chunk's weights at a time. It keeps only each chunk's row max and row
+    sum of the softmax. The backward walks the same chunks and rebuilds
+    their weights from q and k with those (FlashAttention's recomputation;
+    Dao et al. 2022). Every product is one BLAS call per 2-D slice and the
+    softmax works row by row, so outputs and gradients equal those of
+    matmul, scale, softmax and matmul bit for bit at any chunk size. The
+    rebuild is not counted as FLOPs. The output and the gradients take the
+    memory order of v, q and k, so a (..., n, heads, d_head) array viewed
+    as (..., heads, n, d_head) gets an output that merges back into rows
+    without a copy.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     shape = q.data.shape
@@ -459,37 +436,41 @@ def attention(q, k, v, sizes, return_weights: bool = False):
     sizes, starts = _runs(sizes)
     _check_rows(q.data, int(sizes.sum()), "attention")
     scale = 1.0 / math.sqrt(shape[-1])
-    runs = [(..., slice(a, a + s), slice(None)) for a, s in zip(starts.tolist(), sizes.tolist())]
-    data = np.empty(v.data.shape)
+    pieces = [
+        chunk + (..., slice(a, a + s), slice(None))
+        for a, s in zip(starts.tolist(), sizes.tolist())
+        for chunk in ([()] if return_weights else _chunks(shape[:-2], s))
+    ]
     qd, kd, vd = q.data, k.data, v.data
+    data = np.empty_like(vd)
     wants = [t.requires_grad for t in (q, k, v)]
     stats = []
     weights = [] if return_weights else None
-    for run in runs:
-        qi, kt, vi = qd[run], np.swapaxes(kd[run], -1, -2), vd[run]
+    for piece in pieces:
+        qi, kt, vi, out = qd[piece], np.swapaxes(kd[piece], -1, -2), vd[piece], data[piece]
         w, st = _run_weights(qi, kt, scale)
         _count_matmul(qi, kt, w)
-        np.matmul(w, vi, out=data[run])
-        _count_matmul(w, vi, data[run])
+        np.matmul(w, vi, out=out)
+        _count_matmul(w, vi, out)
         stats.append(st)
         if weights is not None:
             weights.append(w)
-        del w  # free this run's weights before the next run's are made
+        del w  # free this chunk's weights before the next chunk's are made
 
     def backward(g):
-        gq, gk, gv = (np.empty(a.shape) if want else None for a, want in zip((qd, kd, vd), wants))
-        for run, st in zip(runs, stats):
-            w, _ = _run_weights(qd[run], np.swapaxes(kd[run], -1, -2), scale, st)
-            gi = g[run]
+        gq, gk, gv = (np.empty_like(a) if want else None for a, want in zip((qd, kd, vd), wants))
+        for piece, st in zip(pieces, stats):
+            w, _ = _run_weights(qd[piece], np.swapaxes(kd[piece], -1, -2), scale, st)
+            gi = g[piece]
             if gv is not None:
-                gv[run] = np.matmul(np.swapaxes(w, -1, -2), gi)
+                np.matmul(np.swapaxes(w, -1, -2), gi, out=gv[piece])
             if gq is not None or gk is not None:
-                gs = _softmax_backward(np.matmul(gi, np.swapaxes(vd[run], -1, -2)), w)
+                gs = _softmax_backward(np.matmul(gi, np.swapaxes(vd[piece], -1, -2)), w)
                 gs *= scale
                 if gq is not None:
-                    gq[run] = np.matmul(gs, kd[run])
+                    np.matmul(gs, kd[piece], out=gq[piece])
                 if gk is not None:
-                    gk[run] = np.matmul(np.swapaxes(gs, -1, -2), qd[run])
+                    np.matmul(np.swapaxes(gs, -1, -2), qd[piece], out=gk[piece])
         return gq, gk, gv
 
     return _from_op(data, "attention", (q, k, v), backward), weights
@@ -556,11 +537,12 @@ def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then scale and shift."""
     t, ga, be = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     mu = t.data.mean(axis=-1, keepdims=True)
-    xc = t.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = t.data - mu  # centred here, normalized in place below
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    data = ga.data * xhat + be.data
+    xhat *= inv
+    data = ga.data * xhat
+    data += be.data
     gamma, want_gamma = ga.data, ga.requires_grad
     beta_shape, want_beta = be.data.shape, be.requires_grad
 
@@ -619,18 +601,6 @@ def _gelu_backward(g: np.ndarray, xd: np.ndarray, th: np.ndarray) -> np.ndarray:
     gx += du
     gx *= g
     return gx
-
-
-def gelu(x) -> Tensor:
-    """x * Phi(x) via the tanh approximation."""
-    t = as_tensor(x)
-    xd = t.data
-    data, th = _gelu_forward(xd)
-
-    def backward(g):
-        return (_gelu_backward(g, xd, th),)
-
-    return _from_op(data, "gelu", (t,), backward)
 
 
 # Hidden-layer budget of one `ffn` tile. Its few tile-sized temporaries stay
@@ -704,17 +674,6 @@ def ffn(x, w1, w2) -> Tensor:
 
     data = out.reshape(x_shape[:-1] + w2d.shape[1:])
     return _from_op(data, "ffn", (x, w1, w2), backward)
-
-
-def tensor_sum(x) -> Tensor:
-    t = as_tensor(x)
-    data = t.data.sum()
-    shape = t.data.shape
-
-    def backward(g):
-        return (np.broadcast_to(g, shape),)
-
-    return _from_op(data, "sum", (t,), backward)
 
 
 def tensor_mean(x) -> Tensor:

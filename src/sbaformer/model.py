@@ -153,28 +153,36 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
-    """(..., s, d) -> (..., heads, s, d/heads)."""
+    """(..., s, d) -> (..., heads, s, d/heads), a view of x."""
     d = x.shape[-1]
     out = ad.reshape(x, x.shape[:-1] + (heads, d // heads))
     return ad.swapaxes(out, -2, -3)
 
 
 def _merge_heads(x: Tensor) -> Tensor:
+    """(..., heads, s, d_head) -> (..., s, heads * d_head). A view when x
+    lies in memory as (..., s, heads, d_head), as attention's output of
+    `_split_heads` views does."""
     out = ad.swapaxes(x, -2, -3)
     return ad.reshape(out, out.shape[:-2] + (out.shape[-2] * out.shape[-1],))
+
+
+def _heads_qkv(x: Tensor, prm: AttnParams, heads: int) -> list:
+    """q, k and v of the layer-normed x, each split into heads."""
+    h = ad.layer_norm(x, prm.ln1_gamma, prm.ln1_beta)
+    return [_split_heads(ad.matmul(h, w), heads) for w in (prm.wq, prm.wk, prm.wv)]
 
 
 def _attn_sublayer(x: Tensor, prm: AttnParams, heads: int, sizes, return_weights: bool = False):
     """x + attention of the layer-normed x within each run of `sizes` rows.
 
     Returns (y, alpha). alpha is None unless return_weights is set; then
-    it holds each run's (..., heads, s, s) weights.
+    it holds each run's (..., heads, s, s) weights. With the tape off the
+    layer norm is freed once q, k and v exist, and q, k and v once
+    attention returns, so the residual add holds only x, the attention
+    output (whose merged heads are a view of it) and the sum.
     """
-    h = ad.layer_norm(x, prm.ln1_gamma, prm.ln1_beta)
-    q = _split_heads(ad.matmul(h, prm.wq), heads)
-    k = _split_heads(ad.matmul(h, prm.wk), heads)
-    v = _split_heads(ad.matmul(h, prm.wv), heads)
-    att, alpha = ad.attention(q, k, v, sizes, return_weights=return_weights)
+    att, alpha = ad.attention(*_heads_qkv(x, prm, heads), sizes, return_weights=return_weights)
     return ad.add(x, _merge_heads(att)), alpha
 
 
@@ -376,8 +384,10 @@ class SbaTransformer:
         """f64 bytes of one window's largest temporary in `forward`: the
         unit in which `_TILE_BYTES` caps a `predict` tile.
 
-        The FFN hidden layer counts at its whole-window size, though
-        `ad.ffn` also tiles it internally, by `ad._FFN_TILE_BYTES`. A
+        The FFN hidden layer counts at its whole-window size, and the
+        attention scores at all heads of the largest run, though `ad.ffn`
+        tiles the first by `ad._FFN_TILE_BYTES` and `ad.attention` chunks
+        the second by `ad._ATTN_TILE_BYTES`; so each is an upper bound. A
         tape-off forward of k windows peaks at a few times k units.
         """
         mc = self.config
@@ -446,7 +456,9 @@ def attention_peak_bytes(config: ModelConfig, series: ScaleSeries) -> int:
     of one run at a time, the largest. A block counts its intra op over
     the n node rows, whose largest run is m, and its inter op over the p
     summaries, one run; the largest block wins, at f64 sizes.
-    Deterministic by construction.
+    Deterministic by construction. Once a run's weights over all heads
+    exceed `ad._ATTN_TILE_BYTES`, the op holds them a chunk of heads at a
+    time, and this count is an upper bound.
     """
     h, dh = config.heads, config.d_head
 

@@ -1,0 +1,92 @@
+"""Unfused tape ops that the fused-op tests compare against bit for bit.
+
+The model never calls these. They are the reference chains of the fused
+ops in `sbaformer.autodiff`: matmul -> mul -> softmax -> matmul for
+`attention`, and matmul -> gelu -> matmul for `ffn`. Each one runs the
+package's own kernels (`_softmax_rows`, `_gelu_forward` and their
+backwards) one op at a time, so any difference from a fused op is the
+fusion's.
+"""
+import numpy as np
+
+from sbaformer.autodiff import (
+    Tensor,
+    _from_op,
+    _gelu_backward,
+    _gelu_forward,
+    _softmax_backward,
+    _softmax_rows,
+    _unbroadcast,
+    as_tensor,
+)
+
+
+def mul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    data = a.data * b.data
+    a_shape, b_shape = a.data.shape, b.data.shape
+    # each operand's gradient reads only the other operand
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
+
+    def backward(g):
+        ga = None if b_data is None else _unbroadcast(g * b_data, a_shape)
+        gb = None if a_data is None else _unbroadcast(g * a_data, b_shape)
+        return ga, gb
+
+    return _from_op(data, "mul", (a, b), backward)
+
+
+def div(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    data = a.data / b.data
+    a_shape, a_grad, b_data = a.data.shape, a.requires_grad, b.data
+    a_data = a.data if b.requires_grad else None  # only b's gradient reads a
+
+    def backward(g):
+        ga = _unbroadcast(g / b_data, a_shape) if a_grad else None
+        gb = (
+            _unbroadcast(-g * a_data / (b_data * b_data), b_data.shape)
+            if a_data is not None
+            else None
+        )
+        return ga, gb
+
+    return _from_op(data, "div", (a, b), backward)
+
+
+def softmax(logits) -> Tensor:
+    """Softmax over the last axis; each row sums to 1.
+
+    Stabilization subtracts the row max before exp.
+    """
+    x = as_tensor(logits)
+    y, _ = _softmax_rows(x.data.copy())
+
+    def backward(g):
+        return (_softmax_backward(g, y),)
+
+    return _from_op(y, "softmax", (x,), backward)
+
+
+def gelu(x) -> Tensor:
+    """x * Phi(x) via the tanh approximation."""
+    t = as_tensor(x)
+    xd = t.data
+    data, th = _gelu_forward(xd)
+
+    def backward(g):
+        return (_gelu_backward(g, xd, th),)
+
+    return _from_op(data, "gelu", (t,), backward)
+
+
+def tensor_sum(x) -> Tensor:
+    t = as_tensor(x)
+    data = t.data.sum()
+    shape = t.data.shape
+
+    def backward(g):
+        return (np.broadcast_to(g, shape),)
+
+    return _from_op(data, "sum", (t,), backward)

@@ -267,10 +267,6 @@ def test_no_private_definition_is_left_unused():
     assert offenders == []
 
 
-# The reference chain of the fused-op tests (see the `autodiff` docstring).
-REFERENCE_OPS = {"mul", "div", "softmax", "gelu", "tensor_sum"}
-
-
 def _public_defs(body):
     """Public functions and classes of a statement list, and the public
     methods of its classes."""
@@ -301,7 +297,7 @@ def test_every_public_definition_has_a_program_caller():
         f"{path.name}:{fn.lineno} {fn.name}"
         for path in sorted(src.glob("*.py"))
         for fn in _public_defs(ast.parse(path.read_text()).body)
-        if fn.name not in named | REFERENCE_OPS
+        if fn.name not in named
     ]
     assert offenders == []
 

@@ -1,4 +1,5 @@
 """Model blocks against independent dense oracles, plus structural invariants."""
+import contextlib
 import json
 import math
 import sys
@@ -17,6 +18,7 @@ from sbaformer.errors import ConfigError, ContractError, NumericError, ShapeErro
 from sbaformer.graph import laplacian_pe
 from sbaformer.partition import build_scale_series, plan_from_assign, uniform_plan
 
+import reference_ops as rops
 from test_graph import random_connected_graph
 
 
@@ -577,6 +579,41 @@ class TestAttentionPeakBytes:
         assert md.attention_peak_bytes(config, level0) == 8 * (432 + 80)
 
 
+class TestAttentionWorkingSet:
+    def test_merged_heads_are_a_view_of_the_attention_output(self):
+        rng = np.random.default_rng(39)
+        prm = branch_params(8, 2, rng)
+        x = Tensor(rng.standard_normal((3, 7, 8)))
+        for tape in (True, False):
+            with contextlib.nullcontext() if tape else ad.no_grad():
+                att, _ = ad.attention(*md._heads_qkv(x, prm, 2), [3, 4])
+                merged = md._merge_heads(att)
+            assert att.shape == (3, 2, 7, 4) and merged.shape == (3, 7, 8)
+            assert np.shares_memory(merged.data, att.data)
+
+    def test_tape_off_forward_holds_a_chunk_of_scores(self):
+        # one run of 128 rows, 4 heads, 8 windows: the batch's scores are
+        # 4 MiB (16 units), over the 1 MiB attention budget, so a chunk of
+        # two windows (4 units) is all that exists at once. 10.7 units
+        # measured; holding the whole batch's scores peaks at 25.0
+        b, n, d = 8, 128, 32
+        config = md.ModelConfig(n=n, t=4, c=1, f=2, d_model=d, l=1, heads=4, p0=1, k_pe=2)
+        model = md.SbaTransformer(config, pt.ScaleSeries(plans=[uniform_plan(n, 1)]),
+                                  np.zeros((n, 2)))
+        x = np.random.default_rng(40).standard_normal((b, n, 4, 1))
+        unit = 8 * b * n * d  # one (batch, n, d_model) float64 array
+        assert 8 * b * config.heads * n * n > ad._ATTN_TILE_BYTES
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with ad.no_grad():
+                model.forward(Tensor(x))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * unit
+
+
 class TestMaeLoss:
     def test_zero_when_equal(self):
         x = Tensor(np.ones((2, 3, 1)))
@@ -829,7 +866,7 @@ class TestFullModelGradients:
     def test_fused_ffn_keeps_every_bit_and_shrinks_the_tape(self, monkeypatch):
         def unfused_sublayer(x, prm):
             h = ad.layer_norm(x, prm.ln2_gamma, prm.ln2_beta)
-            return ad.add(x, ad.matmul(ad.gelu(ad.matmul(h, prm.ffn_w1)), prm.ffn_w2))
+            return ad.add(x, ad.matmul(rops.gelu(ad.matmul(h, prm.ffn_w1)), prm.ffn_w2))
 
         rng = np.random.default_rng(24)
         b, n, d = 4, 16, 16
