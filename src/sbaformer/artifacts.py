@@ -7,12 +7,13 @@ against a crash of the process, not of the machine.
 
 JSON has one written form: sorted keys, indent 2, a trailing newline, and one
 read, `read_json`, which turns a document that is not JSON, lacks a key its
-reader looks up or holds a value the reader cannot use into
-HeaderMismatchError (exit 2) naming the file. Arrays are blobs: little-endian
-f64 in `<stem>.bin` plus a JSON sidecar `<stem>.json`, the stem being the path
-without a trailing ".bin" ("ckpt" and "ckpt.bin" name one pair; "s.dat" names
-s.dat.bin and s.dat.json). The blob is written before its sidecar, and the
-reader checks the payload size against the sidecar's shape. Tables (edge
+reader looks up or holds a value the reader cannot use (TypeError,
+ValueError or ConfigError) into HeaderMismatchError (exit 2) naming the
+file. Arrays are blobs: little-endian f64 in `<stem>.bin` plus a JSON
+sidecar `<stem>.json`, the stem being the path without a trailing ".bin"
+("ckpt" and "ckpt.bin" name one pair; "s.dat" names s.dat.bin and
+s.dat.json). The blob is written before its sidecar, and the reader checks
+the payload size against the sidecar's shape. Tables (edge
 lists, coordinates, CSV series, bench results) are comma-separated text, one
 row per line: `write_csv` writes floats with `repr` and everything else with
 `str`, and `read_csv` converts each field by its column's kind, turning a
@@ -28,7 +29,7 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from .errors import DataLoadError, HeaderMismatchError
+from .errors import ConfigError, DataLoadError, HeaderMismatchError
 
 
 @contextmanager
@@ -63,8 +64,9 @@ def read_json(path, parse):
     """Returns `parse(doc)` for the JSON document at `path`.
 
     Text that does not parse as JSON, a document without a key that `parse`
-    looks up, or a value it cannot use (TypeError, ValueError) raises
-    HeaderMismatchError naming the path, so `parse` should read every field.
+    looks up, or a value it cannot use (TypeError, ValueError, or a
+    ConfigError from a config object it builds) raises HeaderMismatchError
+    naming the path, so `parse` should read every field.
     """
     with open(path) as fh:
         try:
@@ -73,7 +75,7 @@ def read_json(path, parse):
             raise HeaderMismatchError(f"{path}: not valid JSON ({exc})") from None
         except KeyError as exc:
             raise HeaderMismatchError(f"{path}: missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ConfigError) as exc:
             raise HeaderMismatchError(f"{path}: malformed value ({exc})") from None
 
 

@@ -1,19 +1,21 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Everything the attention blocks need lives here: batched matmul,
-elementwise add, sub and abs, shape moves, fused scaled dot-product
+elementwise add, reshape and concat, fused multi-head scaled dot-product
 attention within runs of consecutive rows (one run being attention over all
-rows) that holds one bounded chunk of weights at a time, layer norm, a
-fused GELU feed-forward that recomputes its hidden layer in the backward,
-and the row moves of the subgraph layout: a row permutation, a mean over
-each run of rows and its adjoint, which repeats a row over its run. All
-data is 64-bit. matmul, attention and ffn feed a global FLOP counter when
-counting is enabled.
+rows) that splits its rows into heads itself and holds one bounded chunk of
+weights at a time, layer norm, a fused GELU feed-forward that recomputes
+its hidden layer in the backward, the row moves of the subgraph layout (a
+row permutation, a mean over each run of rows and its adjoint, which
+repeats a row over its run) and the mean absolute error loss. All data is
+64-bit. matmul, attention and ffn feed a global FLOP counter when counting
+is enabled.
 
-The tests hold the unfused chains the fused ops replace (matmul -> mul ->
-softmax -> matmul for attention, matmul -> gelu -> matmul for ffn) as tape
-ops of their own, built on this module's row softmax and GELU kernels, and
-compare the fused ops against them bit for bit.
+The tests hold the unfused chains the fused ops replace (head split ->
+matmul -> mul -> softmax -> matmul -> head merge for attention, matmul ->
+gelu -> matmul for ffn) as tape ops of their own, built on this module's
+row softmax and GELU kernels, and compare the fused ops against them bit
+for bit.
 
 Gradients are first-order only and are stored on leaf tensors (those created
 with requires_grad=True rather than by an op); intermediate gradients live
@@ -255,17 +257,6 @@ def add(a, b) -> Tensor:
     return _from_op(data, "add", (a, b), backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data - b.data
-    a_shape, b_shape = a.data.shape, b.data.shape
-
-    def backward(g):
-        return _unbroadcast(g, a_shape), -_unbroadcast(g, b_shape)
-
-    return _from_op(data, "sub", (a, b), backward)
-
-
 def _count_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray):
     """Add out = a @ b to the FLOP counter, batch taken from out's leading axes."""
     if flops.enabled:
@@ -311,16 +302,6 @@ def reshape(x, shape) -> Tensor:
         return (g.reshape(x_shape),)
 
     return _from_op(data, "reshape", (x,), backward)
-
-
-def swapaxes(x, axis1: int, axis2: int) -> Tensor:
-    x = as_tensor(x)
-    data = np.swapaxes(x.data, axis1, axis2)
-
-    def backward(g):
-        return (np.swapaxes(g, axis1, axis2),)
-
-    return _from_op(data, "swapaxes", (x,), backward)
 
 
 def concat(parts, axis: int = -1) -> Tensor:
@@ -393,61 +374,68 @@ _ATTN_TILE_BYTES = 1 << 20
 def _chunks(lead: tuple, s: int) -> list:
     """Index prefixes that cut a run of s rows along the first of its
     leading axes `lead`: as many items a chunk as keep the chunk's
-    (..., s, s) weights within _ATTN_TILE_BYTES, and at least one. With no
-    leading axis the run is one chunk; an empty first axis gives one empty
-    chunk."""
-    if not lead:
-        return [()]
+    (..., s, s) weights within _ATTN_TILE_BYTES, and at least one. An empty
+    first axis gives one empty chunk."""
     step = max(1, _ATTN_TILE_BYTES // (8 * s * s * max(1, math.prod(lead[1:]))))
     return [(slice(lo, lo + step),) for lo in range(0, max(1, lead[0]), step)]
 
 
-def attention(q, k, v, sizes, return_weights: bool = False):
-    """Scaled dot-product attention within each run of consecutive rows.
+def attention(q, k, v, sizes, heads: int, return_weights: bool = False):
+    """Multi-head scaled dot-product attention within each run of consecutive rows.
 
-    q and k are (..., n, d_head) and v is (..., n, d_v); sizes splits the n
-    rows into consecutive runs and must sum to n. Run i computes
+    q, k and v are (..., n, d) rows of `heads` heads side by side, each
+    d_head = d / heads columns wide; sizes splits the n rows into
+    consecutive runs and must sum to n. Run i computes, head by head,
     softmax(q k^T / sqrt(d_head)) v over its own rows only, at its exact
-    size, so no mask is needed; sizes [n] is attention over all rows.
+    size, so no mask is needed; sizes [n] is attention over all rows. The
+    op works on (..., heads, n, d_head) views of its rows, and the output
+    is (..., n, d) rows written through such a view of one buffer.
 
     Returns (output, weights). weights is None unless return_weights is
-    set; then it is a list of arrays (..., sizes[i], sizes[i]) whose rows
-    sum to one, one whole run each. Otherwise each run goes in chunks of
-    its first leading axis (windows when batched, heads when not), as many
-    as keep a chunk's weights within _ATTN_TILE_BYTES, so the op holds one
-    chunk's weights at a time. It keeps only each chunk's row max and row
-    sum of the softmax. The backward walks the same chunks and rebuilds
-    their weights from q and k with those (FlashAttention's recomputation;
-    Dao et al. 2022). Every product is one BLAS call per 2-D slice and the
-    softmax works row by row, so outputs and gradients equal those of
-    matmul, scale, softmax and matmul bit for bit at any chunk size. The
-    rebuild is not counted as FLOPs. The output and the gradients take the
-    memory order of v, q and k, so a (..., n, heads, d_head) array viewed
-    as (..., heads, n, d_head) gets an output that merges back into rows
-    without a copy.
+    set; then it is a list of arrays (..., heads, sizes[i], sizes[i]) whose
+    rows sum to one, one whole run each. Otherwise each run goes in chunks
+    of the first leading axis of the views (windows when batched, heads
+    when not), as many as keep a chunk's weights within _ATTN_TILE_BYTES,
+    so the op holds one chunk's weights at a time. It keeps only each
+    chunk's row max and row sum of the softmax. The backward walks the same
+    chunks and rebuilds their weights from q and k with those
+    (FlashAttention's recomputation; Dao et al. 2022). Every product is one
+    BLAS call per 2-D slice and the softmax works row by row, so outputs
+    and gradients equal those of a head split, matmul, scale, softmax,
+    matmul and head merge bit for bit at any chunk size. The rebuild is not
+    counted as FLOPs.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     shape = q.data.shape
-    if k.data.shape != shape or v.data.shape[:-1] != shape[:-1]:
+    if k.data.shape != shape or v.data.shape != shape:
         raise ShapeError(
-            f"attention needs q and k (..., n, d) and v (..., n, d_v); got "
+            f"attention needs q, k and v of one shape (..., n, d); got "
             f"{q.data.shape}, {k.data.shape} and {v.data.shape}"
         )
     sizes, starts = _runs(sizes)
     _check_rows(q.data, int(sizes.sum()), "attention")
-    scale = 1.0 / math.sqrt(shape[-1])
+    if heads < 1 or shape[-1] % heads:
+        raise ShapeError(f"attention cannot split width {shape[-1]} into {heads} heads")
+    d_head = shape[-1] // heads
+
+    def split(rows: np.ndarray) -> np.ndarray:
+        """The (..., heads, n, d_head) view of (..., n, d) rows."""
+        return np.swapaxes(rows.reshape(rows.shape[:-1] + (heads, d_head)), -2, -3)
+
+    scale = 1.0 / math.sqrt(d_head)
+    qd, kd, vd = split(q.data), split(k.data), split(v.data)
     pieces = [
         chunk + (..., slice(a, a + s), slice(None))
         for a, s in zip(starts.tolist(), sizes.tolist())
-        for chunk in ([()] if return_weights else _chunks(shape[:-2], s))
+        for chunk in ([()] if return_weights else _chunks(qd.shape[:-2], s))
     ]
-    qd, kd, vd = q.data, k.data, v.data
-    data = np.empty_like(vd)
+    data = np.empty(shape)
+    heads_out = split(data)
     wants = [t.requires_grad for t in (q, k, v)]
     stats = []
     weights = [] if return_weights else None
     for piece in pieces:
-        qi, kt, vi, out = qd[piece], np.swapaxes(kd[piece], -1, -2), vd[piece], data[piece]
+        qi, kt, vi, out = qd[piece], np.swapaxes(kd[piece], -1, -2), vd[piece], heads_out[piece]
         w, st = _run_weights(qi, kt, scale)
         _count_matmul(qi, kt, w)
         np.matmul(w, vi, out=out)
@@ -458,7 +446,9 @@ def attention(q, k, v, sizes, return_weights: bool = False):
         del w  # free this chunk's weights before the next chunk's are made
 
     def backward(g):
-        gq, gk, gv = (np.empty_like(a) if want else None for a, want in zip((qd, kd, vd), wants))
+        g = split(g)
+        grads = [np.empty(shape) if want else None for want in wants]
+        gq, gk, gv = (None if a is None else split(a) for a in grads)
         for piece, st in zip(pieces, stats):
             w, _ = _run_weights(qd[piece], np.swapaxes(kd[piece], -1, -2), scale, st)
             gi = g[piece]
@@ -471,7 +461,7 @@ def attention(q, k, v, sizes, return_weights: bool = False):
                     np.matmul(gs, kd[piece], out=gq[piece])
                 if gk is not None:
                     np.matmul(np.swapaxes(gs, -1, -2), qd[piece], out=gk[piece])
-        return gq, gk, gv
+        return tuple(grads)
 
     return _from_op(data, "attention", (q, k, v), backward), weights
 
@@ -676,23 +666,15 @@ def ffn(x, w1, w2) -> Tensor:
     return _from_op(data, "ffn", (x, w1, w2), backward)
 
 
-def tensor_mean(x) -> Tensor:
-    t = as_tensor(x)
-    data = t.data.mean()
-    shape, size = t.data.shape, t.data.size
+def mae(pred, target) -> Tensor:
+    """Mean absolute error, the mean of |pred - target|, of two arrays of one
+    shape. Only pred gets a gradient: target is data."""
+    p, t = as_tensor(pred), as_tensor(target)
+    diff = p.data - t.data
+    data = np.abs(diff).mean()
+    size = diff.size
 
     def backward(g):
-        return (np.broadcast_to(g / size, shape),)
+        return np.sign(diff) * (g / size), None
 
-    return _from_op(data, "mean", (t,), backward)
-
-
-def tensor_abs(x) -> Tensor:
-    t = as_tensor(x)
-    xd = t.data
-    data = np.abs(xd)
-
-    def backward(g):
-        return (g * np.sign(xd),)
-
-    return _from_op(data, "abs", (t,), backward)
+    return _from_op(data, "mae", (p, t), backward)

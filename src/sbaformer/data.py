@@ -2,7 +2,7 @@
 
 Series live as (n, steps, c) float64 arrays. Two interchangeable on-disk
 encodings: CSV rows `node,step,c0[,c1...]` and raw little-endian f64 with a
-JSON sidecar {n, t, c, freq_minutes, name}. Loading rejects NaN outright.
+JSON sidecar {n, t, c, freq_minutes, name}. Loading rejects NaN and ±inf.
 """
 from __future__ import annotations
 
@@ -44,8 +44,8 @@ class Dataset:
             raise NodeCountError(
                 f"series has {self.series.shape[0]} nodes, graph has {self.graph.n}"
             )
-        if np.isnan(self.series).any():
-            raise NanPayloadError("series contains NaN values")
+        if not np.isfinite(self.series).all():
+            raise NanPayloadError("series contains non-finite values")
 
     @property
     def n(self):
@@ -268,8 +268,8 @@ def load_series(path, fmt: str = "bin"):
             series[node, step] = vals
     else:
         raise InputError(f"unknown series format {fmt!r}")
-    if np.isnan(series).any():
-        raise NanPayloadError(f"{path}: payload contains NaN")
+    if not np.isfinite(series).all():
+        raise NanPayloadError(f"{path}: payload contains non-finite values")
     return series, meta
 
 

@@ -27,7 +27,7 @@ class HeaderMismatchError(DataLoadError):
 
 
 class NanPayloadError(DataLoadError):
-    """Series payload contains NaN values."""
+    """Series payload contains NaN or infinite values."""
 
 
 class NodeCountError(DataLoadError):

@@ -6,7 +6,9 @@ summary token, attend across summaries, repeat each refreshed summary over
 its subgraph's rows, fuse with the local representation through a 2D->D
 linear map, restore node order and add a block-level residual. Blocks are
 stacked over a coarsening partition series. All sublayers are pre-norm with
-residuals.
+residuals. An attention sublayer is a layer norm, the q, k and v
+projections, one `ad.attention` op over rows, which splits the heads
+itself, and the residual add.
 
 A block holds exactly the n node rows, so there is no padding: intra
 attention costs the sum of s_i^2 over the subgraph sizes s_i, and every
@@ -43,6 +45,10 @@ class ModelConfig:
     ffn_mult: int = 4
 
     def __post_init__(self):
+        typed = [name for name, value in vars(self).items()
+                 if not isinstance(value, int) or isinstance(value, bool)]
+        if typed:
+            raise ConfigError(f"model sizes must be integers: {', '.join(typed)}")
         small = [name for name, value in vars(self).items() if value < 1]
         if small:
             raise ConfigError(f"model sizes must be >= 1: {', '.join(small)}")
@@ -152,38 +158,22 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
 # forward graph
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    """(..., s, d) -> (..., heads, s, d/heads), a view of x."""
-    d = x.shape[-1]
-    out = ad.reshape(x, x.shape[:-1] + (heads, d // heads))
-    return ad.swapaxes(out, -2, -3)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    """(..., heads, s, d_head) -> (..., s, heads * d_head). A view when x
-    lies in memory as (..., s, heads, d_head), as attention's output of
-    `_split_heads` views does."""
-    out = ad.swapaxes(x, -2, -3)
-    return ad.reshape(out, out.shape[:-2] + (out.shape[-2] * out.shape[-1],))
-
-
-def _heads_qkv(x: Tensor, prm: AttnParams, heads: int) -> list:
-    """q, k and v of the layer-normed x, each split into heads."""
-    h = ad.layer_norm(x, prm.ln1_gamma, prm.ln1_beta)
-    return [_split_heads(ad.matmul(h, w), heads) for w in (prm.wq, prm.wk, prm.wv)]
-
-
 def _attn_sublayer(x: Tensor, prm: AttnParams, heads: int, sizes, return_weights: bool = False):
-    """x + attention of the layer-normed x within each run of `sizes` rows.
+    """x + multi-head attention of the layer-normed x within each run of
+    `sizes` rows.
 
     Returns (y, alpha). alpha is None unless return_weights is set; then
     it holds each run's (..., heads, s, s) weights. With the tape off the
     layer norm is freed once q, k and v exist, and q, k and v once
     attention returns, so the residual add holds only x, the attention
-    output (whose merged heads are a view of it) and the sum.
+    output and the sum.
     """
-    att, alpha = ad.attention(*_heads_qkv(x, prm, heads), sizes, return_weights=return_weights)
-    return ad.add(x, _merge_heads(att)), alpha
+    h = ad.layer_norm(x, prm.ln1_gamma, prm.ln1_beta)
+    qkv = [ad.matmul(h, w) for w in (prm.wq, prm.wk, prm.wv)]
+    del h
+    att, alpha = ad.attention(*qkv, sizes, heads, return_weights=return_weights)
+    del qkv
+    return ad.add(x, att), alpha
 
 
 def _ffn_sublayer(x: Tensor, prm: AttnParams) -> Tensor:
@@ -281,7 +271,7 @@ def mae_loss(pred: Tensor, target) -> Tensor:
     tgt = ad.as_tensor(target)
     if tuple(pred.shape) != tuple(tgt.shape):
         raise ShapeError(f"loss shapes differ: {tuple(pred.shape)} vs {tuple(tgt.shape)}")
-    return ad.tensor_mean(ad.tensor_abs(ad.sub(pred, tgt)))
+    return ad.mae(pred, tgt)
 
 
 # Memory cap of one `predict` tile, counted in `_window_bytes` per window.
@@ -412,9 +402,10 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
     the per-node projections are linear in n and excluded on both sides. The
     intra term sums each subgraph at its exact size s_i, which is what the
     model computes; padding adds nothing. The measured pass drives the
-    attention op on dummy tensors of the real shapes with the counter on,
-    once with the subgraph runs and once with the p summaries as one run, so
-    the two columns must agree. The pass is measured as the difference of
+    attention op on dummy (rows, heads * d_head) tensors with the model's
+    head count and the counter on, once over the n node rows in the
+    subgraph runs and once over the p summaries as one run, so the two
+    columns must agree. The pass is measured as the difference of
     `ad.flops`, which then holds the caller's count again.
 
     Returns `per_block` (p, m and the closed-form intra and inter FLOPs of
@@ -434,10 +425,10 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
                     "inter": _attention_flops(h, plan.p, dh),
                 }
             )
-            q, k, v = (Tensor(rng.standard_normal((h, plan.n, dh))) for _ in range(3))
-            ad.attention(q, k, v, plan.sizes)
-            qs, ks, vs = (Tensor(rng.standard_normal((h, plan.p, dh))) for _ in range(3))
-            ad.attention(qs, ks, vs, [plan.p])
+            q, k, v = (Tensor(rng.standard_normal((plan.n, h * dh))) for _ in range(3))
+            ad.attention(q, k, v, plan.sizes, h)
+            qs, ks, vs = (Tensor(rng.standard_normal((plan.p, h * dh))) for _ in range(3))
+            ad.attention(qs, ks, vs, [plan.p], h)
     measured_total, ad.flops.count = ad.flops.total() - before, before
     closed_total = sum(blk["intra"] + blk["inter"] for blk in per_block)
     return {

@@ -1,7 +1,8 @@
 """Unfused tape ops that the fused-op tests compare against bit for bit.
 
 The model never calls these. They are the reference chains of the fused
-ops in `sbaformer.autodiff`: matmul -> mul -> softmax -> matmul for
+ops in `sbaformer.autodiff`: a head split (reshape -> swapaxes), matmul ->
+mul -> softmax -> matmul and a head merge (swapaxes -> reshape) for
 `attention`, and matmul -> gelu -> matmul for `ffn`. Each one runs the
 package's own kernels (`_softmax_rows`, `_gelu_forward` and their
 backwards) one op at a time, so any difference from a fused op is the
@@ -35,6 +36,16 @@ def mul(a, b) -> Tensor:
         return ga, gb
 
     return _from_op(data, "mul", (a, b), backward)
+
+
+def swapaxes(x, axis1: int, axis2: int) -> Tensor:
+    t = as_tensor(x)
+    data = np.swapaxes(t.data, axis1, axis2)
+
+    def backward(g):
+        return (np.swapaxes(g, axis1, axis2),)
+
+    return _from_op(data, "swapaxes", (t,), backward)
 
 
 def div(a, b) -> Tensor:

@@ -9,7 +9,7 @@ import pytest
 from sbaformer import cli
 from sbaformer.cli import main
 from sbaformer.config import DATASET_P_DEFAULTS, default_config, load_config, validate_config
-from sbaformer.data import make_grid_graph
+from sbaformer.data import load_series, make_grid_graph, save_series
 from sbaformer.errors import ConfigError
 from sbaformer.graph import save_graph
 from sbaformer.partition import PartitionPlan
@@ -295,7 +295,11 @@ class TestTrainEvalCommands:
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.pop("config"), "missing key 'config'"),
         (lambda doc: doc["config"].update(bogus=1), "malformed value"),
-    ], ids=["no-config", "unknown-config-key"])
+        (lambda doc: doc["config"].update(d_model=8.0),
+         "malformed value (model sizes must be integers: d_model)"),
+        (lambda doc: doc["config"].update(heads=True),
+         "malformed value (model sizes must be integers: heads)"),
+    ], ids=["no-config", "unknown-config-key", "float-d-model", "bool-heads"])
     def test_bad_checkpoint_config_exit_2(self, run_config, tmp_path, capsys, edit, message):
         config_path, out_dir = run_config
         (tmp_path / "ck.bin").write_bytes((out_dir / "checkpoint.bin").read_bytes())
@@ -379,6 +383,19 @@ class TestTrainEvalCommands:
                       lambda cfg: cfg["data"].update(series=str(series), format="csv"))
         assert main(["train", "--config", str(bad)]) == 2
         assert f"{series}:3: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["bin", "csv"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_series_exit_2(self, synth_dir, run_config, tmp_path, capsys, fmt, value):
+        series, _ = load_series(synth_dir / "series.bin")
+        series[3, 40, 0] = value
+        path = tmp_path / f"series.{fmt}"
+        save_series(path, series, fmt)
+        bad = _edited(run_config[0], tmp_path,
+                      lambda cfg: cfg["data"].update(series=str(path), format=fmt))
+        assert main(["train", "--config", str(bad)]) == 2
+        assert f"{path}: payload contains non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
