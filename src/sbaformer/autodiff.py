@@ -1,21 +1,21 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Everything the attention blocks need lives here: batched matmul,
-elementwise add, reshape and concat, fused multi-head scaled dot-product
-attention within runs of consecutive rows (one run being attention over all
-rows) that splits its rows into heads itself and holds one bounded chunk of
+elementwise add and reshape, fused multi-head scaled dot-product attention
+within runs of consecutive rows (one run being attention over all rows)
+that splits its rows into heads itself and holds one bounded chunk of
 weights at a time, layer norm, a fused GELU feed-forward that recomputes
 its hidden layer in the backward, the row moves of the subgraph layout (a
-row permutation, a mean over each run of rows and its adjoint, which
-repeats a row over its run) and the mean absolute error loss. All data is
-64-bit. matmul, attention and ffn feed a global FLOP counter when counting
-is enabled.
+row permutation and a mean over each run of rows), a fused map of each row
+joined with its run's summary (`fuse`) and the mean absolute error loss.
+All data is 64-bit. matmul, attention, ffn and fuse feed a global FLOP
+counter when counting is enabled.
 
 The tests hold the unfused chains the fused ops replace (head split ->
 matmul -> mul -> softmax -> matmul -> head merge for attention, matmul ->
-gelu -> matmul for ffn) as tape ops of their own, built on this module's
-row softmax and GELU kernels, and compare the fused ops against them bit
-for bit.
+gelu -> matmul for ffn, repeat_rows -> concat -> matmul for fuse) as tape
+ops of their own, built on this module's row softmax and GELU kernels, and
+compare the fused ops against them bit for bit.
 
 Gradients are first-order only and are stored on leaf tensors (those created
 with requires_grad=True rather than by an op); intermediate gradients live
@@ -27,9 +27,14 @@ parents' nodes and its backward, and each backward closure captures only the
 arrays, shapes and flags it reads (saved tensors, as in PyTorch's autograd;
 Paszke et al. 2019). So the tape keeps what the backward needs, and an op
 output no backward reads, such as a residual sum or the attention output, is
-freed once the caller drops it. On the e2e config (n=64, d=32, batch 16) the
-tape after one forward holds 31.25 activation units, one unit being a
-(batch, n, d) float64 array.
+freed once the caller drops it. A node may also offer a rebuild of its
+output from what its own backward keeps: layer_norm's is gamma * xhat +
+beta, by the forward's own ops. An op whose backward reads an operand
+(matmul, ffn, fuse) keeps that rebuild, through `_saved`, instead of the
+array, and gets the same bits back (selective recomputation; Korthikanti et
+al. 2022). On the e2e config (n=64, d=32, batch 16) the tape after one
+forward holds 22.0 activation units, one unit being a (batch, n, d) float64
+array.
 """
 from __future__ import annotations
 
@@ -67,8 +72,8 @@ def no_grad():
 
 class FlopCounter:
     """One running FLOP count, multiplies plus adds, of the forward products
-    of matmul, attention and ffn while enabled: b·m·n·(2k−1) per batch of b
-    (m x k) @ (k x n) products.
+    of matmul, attention, ffn and fuse while enabled: b·m·n·(2k−1) per
+    batch of b (m x k) @ (k x n) products.
 
     Disabled counting leaves results bit-identical; the counter only ever
     observes, never alters, the arithmetic. Callers measure a span as the
@@ -103,16 +108,18 @@ flops = FlopCounter()
 
 
 class _Node:
-    """The tape's record of one op output: its parents' nodes and its
-    backward, and no output data."""
+    """The tape's record of one op output: its parents' nodes, its backward
+    and, for an op that offers one, a rebuild of its output; no output
+    data."""
 
-    __slots__ = ("_parents", "_backward")
+    __slots__ = ("_parents", "_backward", "_rebuild")
     requires_grad = True  # the tape records an op only when a parent needs a grad
     grad = None  # only leaf tensors get a grad
 
-    def __init__(self, parents: tuple, backward):
+    def __init__(self, parents: tuple, backward, rebuild=None):
         self._parents = parents
         self._backward = backward
+        self._rebuild = rebuild
 
 
 class Tensor:
@@ -123,7 +130,7 @@ class Tensor:
     from a tensor goes on through nodes. Every other tensor (a parameter,
     an input, a constant) is a node of its own, with no parents and no
     backward. The tape never holds an op output's `data`: a backward that
-    reads it captures the array itself.
+    reads it captures the array itself, or the rebuild its node offers.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_op")
@@ -226,13 +233,22 @@ def _finite(data: np.ndarray, op: str) -> np.ndarray:
     return data
 
 
-def _from_op(data, op, parents, backward) -> Tensor:
+def _from_op(data, op, parents, backward, rebuild=None) -> Tensor:
     _finite(data, op)
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._op = _Node(tuple(p._node for p in parents), backward)
+        out._op = _Node(tuple(p._node for p in parents), backward, rebuild)
     return out
+
+
+def _saved(t: Tensor):
+    """A function that gives t's data back in a backward: the rebuild that
+    t's op node offers, or else one that returns the array itself."""
+    if t._op is not None and t._op._rebuild is not None:
+        return t._op._rebuild
+    data = t.data
+    return lambda: data
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -279,15 +295,15 @@ def matmul(a, b) -> Tensor:
     _count_matmul(a.data, b.data, data)
     a_shape, b_shape = a.data.shape, b.data.shape
     # each operand's gradient reads only the other operand
-    a_data = a.data if b.requires_grad else None
-    b_data = b.data if a.requires_grad else None
+    a_saved = _saved(a) if b.requires_grad else None
+    b_saved = _saved(b) if a.requires_grad else None
 
     def backward(g):
         ga = gb = None
-        if b_data is not None:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape)
-        if a_data is not None:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape)
+        if b_saved is not None:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b_saved(), -1, -2)), a_shape)
+        if a_saved is not None:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a_saved(), -1, -2), g), b_shape)
         return ga, gb
 
     return _from_op(data, "matmul", (a, b), backward)
@@ -302,17 +318,6 @@ def reshape(x, shape) -> Tensor:
         return (g.reshape(x_shape),)
 
     return _from_op(data, "reshape", (x,), backward)
-
-
-def concat(parts, axis: int = -1) -> Tensor:
-    ts = [as_tensor(p) for p in parts]
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-
-    def backward(g):
-        return tuple(np.split(g, np.cumsum(sizes[:-1]), axis=axis))
-
-    return _from_op(data, "concat", tuple(ts), backward)
 
 
 def _softmax_rows(x: np.ndarray, stats=None) -> tuple:
@@ -367,8 +372,12 @@ def _run_weights(qi: np.ndarray, kt: np.ndarray, scale: float, stats=None) -> tu
 
 
 # Weights budget of one `attention` chunk. A run's scores, their softmax and
-# the backward's score-sized temporaries exist one chunk at a time.
-_ATTN_TILE_BYTES = 1 << 20
+# the backward's score-sized temporaries exist one chunk at a time. The
+# backward holds three chunk-sized arrays at once (the rebuilt weights, the
+# score gradient and the softmax-backward product), so the budget is one
+# activation unit of the e2e config (16 windows, 64 rows, width 32): a
+# larger chunk sets a training step's peak there.
+_ATTN_TILE_BYTES = 1 << 18
 
 
 def _chunks(lead: tuple, s: int) -> list:
@@ -484,20 +493,53 @@ def segment_mean(x, sizes) -> Tensor:
     return _from_op(data, "segment_mean", (t,), backward)
 
 
-def repeat_rows(x, sizes) -> Tensor:
-    """Row i of (..., p, d) repeated sizes[i] times: (..., sum(sizes), d).
+def fuse(y, s, sizes, w) -> Tensor:
+    """concat([y, s with row i repeated sizes[i] times]) @ w as one tape node
+    that keeps y and s, not the concat.
 
-    The adjoint of a per-run sum, which is what the backward computes.
+    y is (..., n, d_y) rows in consecutive runs of `sizes`, which must sum
+    to n; s is (..., len(sizes), d_s), one row a run, and w is
+    (d_y + d_s, d_out). Row r of the output is [y_r, s_i] @ w for the run i
+    that holds r. The forward joins y and the repeated s with np.repeat and
+    np.concatenate, and the backward rebuilds that join for w's gradient.
+    g @ w^T splits at d_y into y's gradient and the repeated rows', which
+    np.add.reduceat sums over each run. These are the calls of the
+    repeat_rows -> concat -> matmul chain, so outputs, gradients and the
+    FLOP count equal the chain's bit for bit.
     """
-    t = as_tensor(x)
+    y, s, w = as_tensor(y), as_tensor(s), as_tensor(w)
     sizes, starts = _runs(sizes)
-    _check_rows(t.data, sizes.size, "repeat_rows")
-    data = np.repeat(t.data, sizes, axis=-2)
+    _check_rows(y.data, int(sizes.sum()), "fuse")
+    _check_rows(s.data, sizes.size, "fuse")
+    width = y.data.shape[-1]
+    if w.data.ndim != 2 or w.data.shape[0] != width + s.data.shape[-1]:
+        raise ShapeError(
+            f"fuse expects w ({width} + {s.data.shape[-1]}, d_out); got {w.data.shape}"
+        )
+
+    # the repeat lives until the product exists, as in the chain: freeing it
+    # first fragments the heaps of `predict`'s worker threads, whose peak RSS
+    # then creeps up by several MB over a long run
+    rep = np.repeat(s.data, sizes, axis=-2)
+    rows = np.concatenate([y.data, rep], axis=-1)
+    data = np.matmul(rows, w.data)
+    _count_matmul(rows, w.data, data)
+    del rows, rep
+    w_shape = w.data.shape
+    y_saved, s_saved = (_saved(y), _saved(s)) if w.requires_grad else (None, None)
+    w_saved = _saved(w) if y.requires_grad or s.requires_grad else None
 
     def backward(g):
-        return (np.add.reduceat(g, starts, axis=-2),)
+        gy = gs = gw = None
+        if w_saved is not None:
+            gy, g_rep = np.split(np.matmul(g, np.swapaxes(w_saved(), -1, -2)), [width], axis=-1)
+            gs = np.add.reduceat(g_rep, starts, axis=-2)
+        if y_saved is not None:
+            rows = np.concatenate([y_saved(), np.repeat(s_saved(), sizes, axis=-2)], axis=-1)
+            gw = _unbroadcast(np.matmul(np.swapaxes(rows, -1, -2), g), w_shape)
+        return gy, gs, gw
 
-    return _from_op(data, "repeat_rows", (t,), backward)
+    return _from_op(data, "fuse", (y, s, w), backward)
 
 
 def permute_rows(x, order) -> Tensor:
@@ -524,17 +566,28 @@ _LN_EPS = 1e-5  # added to the variance before the square root
 
 
 def layer_norm(x, gamma, beta) -> Tensor:
-    """Normalize the last axis to mean 0 / variance 1, then scale and shift."""
+    """Normalize the last axis to mean 0 / variance 1, then scale and shift.
+
+    The tape node offers a rebuild of the output from xhat, which the
+    backward keeps anyway, by the forward's own two ops. So an op that
+    reads the output in its backward (matmul, ffn) keeps the rebuild
+    instead of the array, and gets the same bits back.
+    """
     t, ga, be = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     mu = t.data.mean(axis=-1, keepdims=True)
     xhat = t.data - mu  # centred here, normalized in place below
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     xhat *= inv
-    data = ga.data * xhat
-    data += be.data
     gamma, want_gamma = ga.data, ga.requires_grad
-    beta_shape, want_beta = be.data.shape, be.requires_grad
+    beta, want_beta = be.data, be.requires_grad
+
+    def rebuild():
+        out = gamma * xhat
+        out += beta
+        return out
+
+    data = rebuild()
 
     def backward(g):
         gy = g * gamma
@@ -544,10 +597,10 @@ def layer_norm(x, gamma, beta) -> Tensor:
             - xhat * (gy * xhat).mean(axis=-1, keepdims=True)
         )
         g_gamma = _unbroadcast(g * xhat, gamma.shape) if want_gamma else None
-        g_beta = _unbroadcast(g, beta_shape) if want_beta else None
+        g_beta = _unbroadcast(g, beta.shape) if want_beta else None
         return gx, g_gamma, g_beta
 
-    return _from_op(data, "layer_norm", (t, ga, be), backward)
+    return _from_op(data, "layer_norm", (t, ga, be), backward, rebuild)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -607,10 +660,12 @@ def ffn(x, w1, w2) -> Tensor:
     time: as many as keep the tile's hidden layer within _FFN_TILE_BYTES,
     and at least one. The backward reruns each tile's x @ w1 and GELU
     instead of keeping the hidden layer, its tanh and the GELU output on
-    the tape. Every product is the chain's per-window BLAS call, and the
-    per-window weight-gradient partials are summed by matmul's own
-    _unbroadcast, so outputs, gradients and the FLOP count equal those of
-    matmul -> gelu -> matmul bit for bit. The rerun is not counted.
+    the tape. Every product is the chain's per-window BLAS call, and each
+    window's weight-gradient partial is added, in window order, into one
+    accumulator per weight, which is the order of matmul's _unbroadcast
+    sum over the leading axes. So outputs, gradients and the FLOP count
+    equal those of matmul -> gelu -> matmul bit for bit. The rerun is not
+    counted.
     """
     x, w1, w2 = as_tensor(x), as_tensor(w1), as_tensor(w2)
     if (x.data.ndim < 2 or w1.data.ndim != 2 or w2.data.ndim != 2
@@ -620,7 +675,7 @@ def ffn(x, w1, w2) -> Tensor:
             f"{x.data.shape}, {w1.data.shape} and {w2.data.shape}"
         )
     x_shape, w1d, w2d = x.data.shape, w1.data, w2.data
-    wants = [t.requires_grad for t in (x, w1, w2)]
+    want_x, want_w1, want_w2 = (t.requires_grad for t in (x, w1, w2))
     wins = x.data.reshape((-1,) + x_shape[-2:])
     out = np.empty(wins.shape[:-1] + w2d.shape[1:])
     tile = max(1, _FFN_TILE_BYTES // (8 * w1d.shape[1] * wins.shape[1]))
@@ -633,34 +688,28 @@ def ffn(x, w1, w2) -> Tensor:
         np.matmul(act, w2d, out=out[t])
         _count_matmul(act, w2d, out[t])
     out_shape = out.shape
+    x_saved = _saved(x)
 
     def backward(g):
         g = g.reshape(out_shape)
-        gx, gw1, gw2 = (
-            np.empty(shape) if want else None
-            for want, shape in zip(wants, (wins.shape, wins.shape[:1] + w1d.shape,
-                                           wins.shape[:1] + w2d.shape))
-        )
+        wins = x_saved().reshape((-1,) + x_shape[-2:])
+        gx = np.empty(wins.shape) if want_x else None
+        # the accumulators start from +0.0, as numpy's leading-axis sum does
+        gw1 = np.zeros(w1d.shape) if want_w1 else None
+        gw2 = np.zeros(w2d.shape) if want_w2 else None
         for t in tiles:
             h = np.matmul(wins[t], w1d)
             act, th = _gelu_forward(h)
             if gw2 is not None:
-                np.matmul(np.swapaxes(act, -1, -2), g[t], out=gw2[t])
+                for part in np.matmul(np.swapaxes(act, -1, -2), g[t]):
+                    gw2 += part
             gh = _gelu_backward(np.matmul(g[t], np.swapaxes(w2d, -1, -2)), h, th)
             if gx is not None:
                 np.matmul(gh, np.swapaxes(w1d, -1, -2), out=gx[t])
             if gw1 is not None:
-                np.matmul(np.swapaxes(wins[t], -1, -2), gh, out=gw1[t])
-
-        def summed(gw, w):
-            """Per-window partials summed to the shape of w, as matmul does."""
-            return _unbroadcast(gw.reshape(x_shape[:-2] + w.shape), w.shape)
-
-        return (
-            None if gx is None else gx.reshape(x_shape),
-            None if gw1 is None else summed(gw1, w1d),
-            None if gw2 is None else summed(gw2, w2d),
-        )
+                for part in np.matmul(np.swapaxes(wins[t], -1, -2), gh):
+                    gw1 += part
+        return None if gx is None else gx.reshape(x_shape), gw1, gw2
 
     data = out.reshape(x_shape[:-1] + w2d.shape[1:])
     return _from_op(data, "ffn", (x, w1, w2), backward)

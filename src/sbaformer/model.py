@@ -211,9 +211,12 @@ def inter_attention(s: Tensor, prm: AttnParams, heads: int, return_weights: bool
 
 
 def fuse(y: Tensor, s_prime: Tensor, w_fuse: Tensor, valid) -> Tensor:
-    """Repeat each summary over its subgraph's rows, concat with them, map 2D -> D."""
-    sp = ad.repeat_rows(s_prime, prefix_sizes(valid))
-    return ad.matmul(ad.concat([y, sp], axis=-1), w_fuse)
+    """Each row of y joined with its subgraph's summary, mapped 2D -> D.
+
+    One `ad.fuse` op: the tape keeps y and the p summaries, not the
+    (..., n, 2D) concat, which the backward rebuilds.
+    """
+    return ad.fuse(y, s_prime, prefix_sizes(valid), w_fuse)
 
 
 def sba_block(

@@ -3,18 +3,20 @@
 The model never calls these. They are the reference chains of the fused
 ops in `sbaformer.autodiff`: a head split (reshape -> swapaxes), matmul ->
 mul -> softmax -> matmul and a head merge (swapaxes -> reshape) for
-`attention`, and matmul -> gelu -> matmul for `ffn`. Each one runs the
-package's own kernels (`_softmax_rows`, `_gelu_forward` and their
-backwards) one op at a time, so any difference from a fused op is the
-fusion's.
+`attention`, matmul -> gelu -> matmul for `ffn`, and repeat_rows ->
+concat -> matmul for `fuse`. Each one runs the package's own kernels
+(`_softmax_rows`, `_gelu_forward` and their backwards) one op at a time,
+so any difference from a fused op is the fusion's.
 """
 import numpy as np
 
 from sbaformer.autodiff import (
     Tensor,
+    _check_rows,
     _from_op,
     _gelu_backward,
     _gelu_forward,
+    _runs,
     _softmax_backward,
     _softmax_rows,
     _unbroadcast,
@@ -64,6 +66,33 @@ def div(a, b) -> Tensor:
         return ga, gb
 
     return _from_op(data, "div", (a, b), backward)
+
+
+def concat(parts, axis: int = -1) -> Tensor:
+    ts = [as_tensor(p) for p in parts]
+    data = np.concatenate([t.data for t in ts], axis=axis)
+    sizes = [t.data.shape[axis] for t in ts]
+
+    def backward(g):
+        return tuple(np.split(g, np.cumsum(sizes[:-1]), axis=axis))
+
+    return _from_op(data, "concat", tuple(ts), backward)
+
+
+def repeat_rows(x, sizes) -> Tensor:
+    """Row i of (..., p, d) repeated sizes[i] times: (..., sum(sizes), d).
+
+    The adjoint of a per-run sum, which is what the backward computes.
+    """
+    t = as_tensor(x)
+    sizes, starts = _runs(sizes)
+    _check_rows(t.data, sizes.size, "repeat_rows")
+    data = np.repeat(t.data, sizes, axis=-2)
+
+    def backward(g):
+        return (np.add.reduceat(g, starts, axis=-2),)
+
+    return _from_op(data, "repeat_rows", (t,), backward)
 
 
 def softmax(logits) -> Tensor:

@@ -3,6 +3,7 @@ import ast
 import math
 import sys
 import tracemalloc
+import weakref
 import zlib
 from pathlib import Path
 
@@ -386,8 +387,8 @@ def attention_case(x, aux, sizes):
     """x (a, b) and aux feed q, k and v (a, 2b): a rows in runs of `sizes`,
     split into 2 heads of width b."""
     xa, gx = rops.mul(x, Tensor(aux)), rops.gelu(x)
-    q, k = ad.concat([x, xa], axis=-1), ad.concat([xa, gx], axis=-1)
-    v = ad.concat([gx, rops.mul(x, x)], axis=-1)
+    q, k = rops.concat([x, xa], axis=-1), rops.concat([xa, gx], axis=-1)
+    v = rops.concat([gx, rops.mul(x, x)], axis=-1)
     return ad.attention(q, k, v, sizes, 2)[0]
 
 
@@ -425,12 +426,12 @@ class TestSegmentMean:
 
 class TestRowMoves:
     def test_repeat_rows_values(self):
-        out = ad.repeat_rows(Tensor([[1.0, 2.0], [3.0, 4.0]]), [1, 3])
+        out = rops.repeat_rows(Tensor([[1.0, 2.0], [3.0, 4.0]]), [1, 3])
         np.testing.assert_array_equal(out.data, [[1.0, 2.0]] + [[3.0, 4.0]] * 3)
         with pytest.raises(ShapeError):
-            ad.repeat_rows(Tensor(np.ones((2, 2))), [1, 1, 1])
+            rops.repeat_rows(Tensor(np.ones((2, 2))), [1, 1, 1])
         with pytest.raises(EmptyRunError):
-            ad.repeat_rows(Tensor(np.ones((2, 2))), [1, 0])
+            rops.repeat_rows(Tensor(np.ones((2, 2))), [1, 0])
 
     def test_permute_rows_values_and_contract(self):
         x = np.arange(8.0).reshape(4, 2)
@@ -439,6 +440,66 @@ class TestRowMoves:
         for order in ([0, 1, 2], [0, 0, 1, 2]):
             with pytest.raises(ContractError):
                 ad.permute_rows(Tensor(x), order)
+
+
+def chain_fuse(y, s, sizes, w):
+    """The three-op chain ad.fuse replaces."""
+    return ad.matmul(rops.concat([y, rops.repeat_rows(s, sizes)], axis=-1), w)
+
+
+def closure_arrays(fn):
+    """The arrays fn's closure cells hold, and those of the functions among them."""
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            yield value
+        elif callable(value):
+            yield from closure_arrays(value)
+
+
+class TestFuse:
+    SIZES = [3, 1, 2, 1]  # ragged runs over 7 rows; y is 4 wide and s 3
+
+    def _run(self, fn, lead, seed):
+        """[out, dy, ds, dw], the forward's FLOP count and the count after
+        the backward as well."""
+        rng = np.random.default_rng(seed)
+        y = Tensor(rng.standard_normal(lead + (7, 4)), requires_grad=True)
+        s = Tensor(rng.standard_normal(lead + (4, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((7, 5)), requires_grad=True)
+        weights = rng.standard_normal(lead + (7, 5))
+        before = ad.flops.total()
+        with ad.flops.counting():
+            out = fn(y, s, self.SIZES, w)
+            forward = ad.flops.total() - before
+            rops.tensor_sum(rops.mul(out, Tensor(weights))).backward()
+            after = ad.flops.total() - before
+        return [out.data, y.grad, s.grad, w.grad], forward, after
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["unbatched", "one-axis", "two-axes"])
+    def test_matches_unfused_chain_bit_for_bit(self, lead):
+        chain, chain_flops, _ = self._run(chain_fuse, lead, 60 + len(lead))
+        fused, fused_flops, after = self._run(ad.fuse, lead, 60 + len(lead))
+        assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
+        assert fused_flops == chain_flops and after == fused_flops
+
+    def test_tape_keeps_the_inputs_not_the_concat(self):
+        y, s, w = (Tensor(np.ones(shape), requires_grad=True)
+                   for shape in ((2, 7, 4), (2, 4, 3), (7, 5)))
+        out = ad.fuse(y, s, self.SIZES, w)
+        held = list(closure_arrays(out._backward))
+        assert any(a is y.data for a in held) and any(a is s.data for a in held)
+        assert max(a.nbytes for a in held) < 8 * 2 * 7 * 7  # the (2, 7, 7) concat
+
+    def test_bad_shapes_raise(self):
+        y, s, w = (Tensor(np.ones(shape)) for shape in ((7, 4), (4, 3), (7, 5)))
+        for args in ((y, s, [3, 1, 2], w), (y, Tensor(np.ones((3, 3))), self.SIZES, w),
+                     (y, s, self.SIZES, Tensor(np.ones((6, 5)))),
+                     (y, s, self.SIZES, Tensor(np.ones((1, 7, 5))))):
+            with pytest.raises(ShapeError, match="fuse"):
+                ad.fuse(*args)
+        with pytest.raises(EmptyRunError):
+            ad.fuse(y, s, [3, 0, 3, 1], w)
 
 
 class TestLayerNorm:
@@ -565,6 +626,41 @@ class TestFfn:
                 ad.ffn(*args)
 
 
+class TestLayerNormRebuild:
+    """matmul and ffn keep a rebuild of a layer-norm output, not the output."""
+
+    CONSUMERS = {
+        "matmul": lambda h, w1, w2: ad.matmul(ad.matmul(h, w1), w2),
+        "ffn": ad.ffn,
+    }
+
+    def _run(self, consumer, keep_output, seed):
+        """[out, dx, dgamma, dbeta, dw1, dw2], and whether the layer-norm
+        output outlived the consumer's forward."""
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal((2, 3, 5, 4)), requires_grad=True)
+        gamma = Tensor(1.0 + 0.1 * rng.standard_normal(4), requires_grad=True)
+        beta = Tensor(0.1 * rng.standard_normal(4), requires_grad=True)
+        w1, w2 = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for shape in ((4, 12), (12, 4)))
+        h = ad.layer_norm(x, gamma, beta)
+        if keep_output:
+            h._op._rebuild = None  # the consumer keeps the output array itself
+        output = weakref.ref(h.data)
+        out = self.CONSUMERS[consumer](h, w1, w2)
+        del h
+        alive = output() is not None
+        rops.tensor_sum(rops.mul(out, Tensor(rng.standard_normal(out.shape)))).backward()
+        return [out.data] + [t.grad for t in (x, gamma, beta, w1, w2)], alive
+
+    @pytest.mark.parametrize("consumer", sorted(CONSUMERS))
+    def test_rebuild_keeps_every_bit_and_frees_the_output(self, consumer):
+        rebuilt, rebuilt_alive = self._run(consumer, False, 70)
+        kept, kept_alive = self._run(consumer, True, 70)
+        assert all(np.array_equal(a, b) for a, b in zip(rebuilt, kept))
+        assert kept_alive and not rebuilt_alive
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         w = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
@@ -615,11 +711,17 @@ class TestGradientSoundness:
         ),
         "softmax": lambda x, aux: rops.softmax(x),
         "segment_mean": lambda x, aux: ad.segment_mean(x, uneven_runs(x.shape[-2])),
-        "repeat_rows": lambda x, aux: ad.repeat_rows(
+        "repeat_rows": lambda x, aux: rops.repeat_rows(
             rops.mul(x, x), [1 + i % 3 for i in range(x.shape[-2])]
         ),
         "permute_rows": lambda x, aux: ad.permute_rows(rops.mul(x, x), np.argsort(aux[:, 0])),
-        "concat": lambda x, aux: ad.concat([x, rops.mul(x, Tensor(aux))], axis=-1),
+        "concat": lambda x, aux: rops.concat([x, rops.mul(x, Tensor(aux))], axis=-1),
+        # x (a, b) feeds the rows, the run means and the (2b, a) weight
+        "fuse": lambda x, aux: ad.fuse(
+            x, ad.segment_mean(rops.mul(x, x), uneven_runs(x.shape[-2])),
+            uneven_runs(x.shape[-2]),
+            rops.swapaxes(rops.concat([x, rops.mul(x, Tensor(aux))], axis=-1), -1, -2),
+        ),
         "swapaxes": lambda x, aux: rops.swapaxes(rops.mul(x, x), -1, -2),
         "reshape": lambda x, aux: ad.reshape(rops.mul(x, x), x.shape[::-1]),
         "mae": lambda x, aux: ad.mae(x, Tensor(aux)),

@@ -52,6 +52,21 @@ def run_config(synth_dir, tmp_path_factory):
     return path, work / "out"
 
 
+@pytest.fixture(scope="module")
+def trained(run_config, tmp_path_factory):
+    """run_config's (config path, out_dir) for a copy of its config that
+    has been trained once per module, so the tests that read a checkpoint
+    do not depend on which test trained first."""
+    config_path, _ = run_config
+    cfg = json.loads(config_path.read_text())
+    work = tmp_path_factory.mktemp("trained")
+    cfg["paths"]["out_dir"] = str(work / "out")
+    path = work / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(path)]) == 0
+    return path, work / "out"
+
+
 @pytest.fixture
 def no_setup_work(monkeypatch):
     """Fail the test if the run set-up reaches the partitioner or the PE."""
@@ -221,16 +236,16 @@ class TestTrainEvalCommands:
         echoed = load_config(out_dir / "effective_config.json")
         assert echoed == load_config(config_path)
 
-    def test_train_rerun_history_byte_identical(self, run_config):
-        config_path, out_dir = run_config
+    def test_train_rerun_history_byte_identical(self, trained):
+        config_path, out_dir = trained
         first = (out_dir / "history.jsonl").read_bytes()
         ck_first = (out_dir / "checkpoint.bin").read_bytes()
         assert main(["train", "--config", str(config_path)]) == 0
         assert (out_dir / "history.jsonl").read_bytes() == first
         assert (out_dir / "checkpoint.bin").read_bytes() == ck_first
 
-    def test_eval_prints_horizon_table(self, run_config, capsys):
-        config_path, out_dir = run_config
+    def test_eval_prints_horizon_table(self, trained, capsys):
+        config_path, out_dir = trained
         rc = main(["eval", "--config", str(config_path),
                    "--checkpoint", str(out_dir / "checkpoint"), "--split", "test"])
         assert rc == 0
@@ -275,8 +290,8 @@ class TestTrainEvalCommands:
         assert main(["train", "--config", str(bad)]) == 2
         assert f"{coords}{message}" in capsys.readouterr().err
 
-    def test_truncated_checkpoint_exit_2(self, run_config, tmp_path, capsys):
-        config_path, out_dir = run_config
+    def test_truncated_checkpoint_exit_2(self, trained, tmp_path, capsys):
+        config_path, out_dir = trained
         for ext in (".bin", ".json"):
             blob = (out_dir / f"checkpoint{ext}").read_bytes()
             (tmp_path / f"ck{ext}").write_bytes(blob[:-8] if ext == ".bin" else blob)
@@ -284,8 +299,8 @@ class TestTrainEvalCommands:
         assert rc == 2
         assert "ck.bin: payload holds" in capsys.readouterr().err
 
-    def test_truncated_checkpoint_sidecar_exit_2(self, run_config, tmp_path, capsys):
-        config_path, out_dir = run_config
+    def test_truncated_checkpoint_sidecar_exit_2(self, trained, tmp_path, capsys):
+        config_path, out_dir = trained
         (tmp_path / "ck.bin").write_bytes((out_dir / "checkpoint.bin").read_bytes())
         (tmp_path / "ck.json").write_bytes((out_dir / "checkpoint.json").read_bytes()[:100])
         rc = main(["eval", "--config", str(config_path), "--checkpoint", str(tmp_path / "ck")])
@@ -300,8 +315,8 @@ class TestTrainEvalCommands:
         (lambda doc: doc["config"].update(heads=True),
          "malformed value (model sizes must be integers: heads)"),
     ], ids=["no-config", "unknown-config-key", "float-d-model", "bool-heads"])
-    def test_bad_checkpoint_config_exit_2(self, run_config, tmp_path, capsys, edit, message):
-        config_path, out_dir = run_config
+    def test_bad_checkpoint_config_exit_2(self, trained, tmp_path, capsys, edit, message):
+        config_path, out_dir = trained
         (tmp_path / "ck.bin").write_bytes((out_dir / "checkpoint.bin").read_bytes())
         doc = json.loads((out_dir / "checkpoint.json").read_text())
         edit(doc)
@@ -347,9 +362,9 @@ class TestTrainEvalCommands:
         assert "model sizes must be >= 1: heads" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_eval_mismatched_checkpoint_exit_2(self, run_config, tmp_path, capsys,
+    def test_eval_mismatched_checkpoint_exit_2(self, trained, tmp_path, capsys,
                                                no_setup_work):
-        config_path, out_dir = run_config
+        config_path, out_dir = trained
         wide = _with_d_model(config_path, tmp_path, 16)
         rc = main(["eval", "--config", str(wide), "--checkpoint", str(out_dir / "checkpoint")])
         assert rc == 2
@@ -491,8 +506,8 @@ class TestBenchCommand:
 
 
 class TestDumpAttention:
-    def test_dump_rows_stochastic_and_valid_sizes(self, run_config, tmp_path):
-        config_path, out_dir = run_config
+    def test_dump_rows_stochastic_and_valid_sizes(self, trained, tmp_path):
+        config_path, out_dir = trained
         dump_dir = tmp_path / "attn"
         rc = main(["dump-attention", "--config", str(config_path),
                    "--checkpoint", str(out_dir / "checkpoint"),
@@ -512,8 +527,8 @@ class TestDumpAttention:
         mat = np.fromfile(dump_dir / "block0_inter.bin", dtype="<f8").reshape(p, p)
         np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_mismatched_checkpoint_exit_2(self, run_config, tmp_path, capsys, no_setup_work):
-        config_path, out_dir = run_config
+    def test_mismatched_checkpoint_exit_2(self, trained, tmp_path, capsys, no_setup_work):
+        config_path, out_dir = trained
         wide = _with_d_model(config_path, tmp_path, 16)
         rc = main(["dump-attention", "--config", str(wide),
                    "--checkpoint", str(out_dir / "checkpoint"),
@@ -522,8 +537,8 @@ class TestDumpAttention:
         assert "d_model (checkpoint 8, run 16)" in capsys.readouterr().err
         assert not (tmp_path / "attn").exists()
 
-    def test_window_out_of_range_exit_2(self, run_config, tmp_path, capsys, no_setup_work):
-        config_path, out_dir = run_config
+    def test_window_out_of_range_exit_2(self, trained, tmp_path, capsys, no_setup_work):
+        config_path, out_dir = trained
         rc = main(["dump-attention", "--config", str(config_path),
                    "--checkpoint", str(out_dir / "checkpoint"),
                    "--window", "999999", "--out-dir", str(tmp_path / "y")])
