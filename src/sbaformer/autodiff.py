@@ -28,13 +28,17 @@ arrays, shapes and flags it reads (saved tensors, as in PyTorch's autograd;
 Paszke et al. 2019). So the tape keeps what the backward needs, and an op
 output no backward reads, such as a residual sum or the attention output, is
 freed once the caller drops it. A node may also offer a rebuild of its
-output from what its own backward keeps: layer_norm's is gamma * xhat +
-beta, by the forward's own ops. An op whose backward reads an operand
-(matmul, ffn, fuse) keeps that rebuild, through `_saved`, instead of the
-array, and gets the same bits back (selective recomputation; Korthikanti et
-al. 2022). On the e2e config (n=64, d=32, batch 16) the tape after one
-forward holds 22.0 activation units, one unit being a (batch, n, d) float64
-array.
+output from what its own backward keeps, by the forward's own ops:
+layer_norm's is gamma * xhat + beta, and a matmul whose backward keeps both
+operands offers their product. An op whose backward reads an operand
+(matmul, attention, ffn, fuse) keeps that rebuild, through `_saved`,
+instead of the array, and gets the same bits back (selective recomputation;
+Korthikanti et al. 2022). So attention over the projections of a layer norm
+keeps only the layer norm's xhat and the three weights, and reruns the
+projections in its backward; within one backward each such layer norm is
+rebuilt at most twice. On the e2e config (n=64, d=32, batch 16) the tape
+after one forward holds 12.4 activation units, one unit being a
+(batch, n, d) float64 array.
 """
 from __future__ import annotations
 
@@ -48,6 +52,9 @@ from .errors import ContractError, EmptyRunError, NumericError, ShapeError
 
 _DEBUG_CHECKS = True
 _GRAD_ENABLED = True
+# `shared`, inside a `_shared_reads` block of this thread: each rebuild read
+# so far -> the array it gave, which later reads share (see `_saved`)
+_READS = threading.local()
 
 
 def set_debug_checks(enabled: bool) -> bool:
@@ -134,6 +141,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_op")
+    _rebuild = None  # only op nodes offer a rebuild
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -175,8 +183,10 @@ class Tensor:
         runs each op node's backward and hands each leaf its grad, since
         every consumer of a node comes before it. An op output never gets a
         grad: its node's entry in the per-call grad map is dropped as soon
-        as its backward has run. The root must be a scalar. Each call adds
-        exactly one contribution, so repeated calls accumulate.
+        as its backward has run. The reads of a node's rebuild share one
+        array until the walk reaches the node (see `_saved`). The root must
+        be a scalar. Each call adds exactly one contribution, so repeated
+        calls accumulate.
         """
         if self.data.shape != ():
             raise ContractError(
@@ -187,22 +197,25 @@ class Tensor:
         root = self._node
         order = _toposort(root)
         local = {id(root): np.asarray(1.0)}
-        for node in reversed(order):
-            g = local.pop(id(node), None)
-            if g is None:
-                continue
-            if node._backward is None:  # a leaf
-                g = np.asarray(g, dtype=np.float64)
-                node.grad = g.copy() if node.grad is None else node.grad + g
-                continue
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not parent.requires_grad:
+        with _shared_reads() as shared:
+            for node in reversed(order):
+                # every reader of this node's output has run its backward
+                shared.pop(node._rebuild, None)
+                g = local.pop(id(node), None)
+                if g is None:
                     continue
-                key = id(parent)
-                if key in local:
-                    local[key] = local[key] + pg
-                else:
-                    local[key] = pg
+                if node._backward is None:  # a leaf
+                    g = np.asarray(g, dtype=np.float64)
+                    node.grad = g.copy() if node.grad is None else node.grad + g
+                    continue
+                for parent, pg in zip(node._parents, node._backward(g)):
+                    if pg is None or not parent.requires_grad:
+                        continue
+                    key = id(parent)
+                    if key in local:
+                        local[key] = local[key] + pg
+                    else:
+                        local[key] = pg
 
 
 def _toposort(root: Tensor | _Node) -> list:
@@ -244,11 +257,41 @@ def _from_op(data, op, parents, backward, rebuild=None) -> Tensor:
 
 def _saved(t: Tensor):
     """A function that gives t's data back in a backward: the rebuild that
-    t's op node offers, or else one that returns the array itself."""
-    if t._op is not None and t._op._rebuild is not None:
-        return t._op._rebuild
-    data = t.data
-    return lambda: data
+    t's op node offers, or else one that returns the array itself.
+
+    A backward walk is a `_shared_reads` block: the first read of a
+    rebuild serves every later read until the walk reaches t's node, after
+    the last reader's backward has run. Readers must not write into what
+    they are given.
+    """
+    rebuild = t._node._rebuild
+    if rebuild is None:
+        data = t.data
+        return lambda: data
+
+    def read():
+        shared = getattr(_READS, "shared", None)
+        if shared is None:
+            return rebuild()
+        out = shared.get(rebuild)
+        if out is None:
+            out = shared[rebuild] = rebuild()
+        return out
+
+    return read
+
+
+@contextlib.contextmanager
+def _shared_reads():
+    """Reads of a rebuild inside the block share one array; the block
+    yields them, keyed by rebuild. What the block rebuilds first goes when
+    it ends; what an outer block rebuilt stays."""
+    outer = getattr(_READS, "shared", None)
+    _READS.shared = shared = {} if outer is None else dict(outer)
+    try:
+        yield shared
+    finally:
+        _READS.shared = outer
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -297,6 +340,10 @@ def matmul(a, b) -> Tensor:
     # each operand's gradient reads only the other operand
     a_saved = _saved(a) if b.requires_grad else None
     b_saved = _saved(b) if a.requires_grad else None
+    rebuild = None
+    if a_saved is not None and b_saved is not None:
+        def rebuild():
+            return np.matmul(a_saved(), b_saved())
 
     def backward(g):
         ga = gb = None
@@ -306,7 +353,7 @@ def matmul(a, b) -> Tensor:
             gb = _unbroadcast(np.matmul(np.swapaxes(a_saved(), -1, -2), g), b_shape)
         return ga, gb
 
-    return _from_op(data, "matmul", (a, b), backward)
+    return _from_op(data, "matmul", (a, b), backward, rebuild)
 
 
 def reshape(x, shape) -> Tensor:
@@ -374,9 +421,11 @@ def _run_weights(qi: np.ndarray, kt: np.ndarray, scale: float, stats=None) -> tu
 # Weights budget of one `attention` chunk. A run's scores, their softmax and
 # the backward's score-sized temporaries exist one chunk at a time. The
 # backward holds three chunk-sized arrays at once (the rebuilt weights, the
-# score gradient and the softmax-backward product), so the budget is one
-# activation unit of the e2e config (16 windows, 64 rows, width 32): a
-# larger chunk sets a training step's peak there.
+# score gradient and the softmax-backward product) beside the rebuilt q, k
+# and v and their gradients. The budget is one activation unit of the e2e
+# config (16 windows, 64 rows, width 32), whose training step peaks in the
+# last block's intra attention backward: at 25.7 units, against 23.6 at
+# 64 KiB and 30.3 at 1 MiB.
 _ATTN_TILE_BYTES = 1 << 18
 
 
@@ -406,12 +455,15 @@ def attention(q, k, v, sizes, heads: int, return_weights: bool = False):
     of the first leading axis of the views (windows when batched, heads
     when not), as many as keep a chunk's weights within _ATTN_TILE_BYTES,
     so the op holds one chunk's weights at a time. It keeps only each
-    chunk's row max and row sum of the softmax. The backward walks the same
-    chunks and rebuilds their weights from q and k with those
-    (FlashAttention's recomputation; Dao et al. 2022). Every product is one
+    chunk's row max and row sum of the softmax, and q, k and v through
+    `_saved`: the arrays of leaves, the products that matmul outputs
+    rebuild. The backward first rebuilds q, k and v, which share one
+    rebuild of a common input, then walks the same chunks and rebuilds
+    their weights from q and k with the row statistics (FlashAttention's
+    recomputation; Dao et al. 2022). Every product is one
     BLAS call per 2-D slice and the softmax works row by row, so outputs
     and gradients equal those of a head split, matmul, scale, softmax,
-    matmul and head merge bit for bit at any chunk size. The rebuild is not
+    matmul and head merge bit for bit at any chunk size. No rebuild is
     counted as FLOPs.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
@@ -441,6 +493,7 @@ def attention(q, k, v, sizes, heads: int, return_weights: bool = False):
     data = np.empty(shape)
     heads_out = split(data)
     wants = [t.requires_grad for t in (q, k, v)]
+    saved = [_saved(t) for t in (q, k, v)]
     stats = []
     weights = [] if return_weights else None
     for piece in pieces:
@@ -455,6 +508,8 @@ def attention(q, k, v, sizes, heads: int, return_weights: bool = False):
         del w  # free this chunk's weights before the next chunk's are made
 
     def backward(g):
+        with _shared_reads():  # q, k and v of one input rebuild it once
+            qd, kd, vd = [split(rows()) for rows in saved]
         g = split(g)
         grads = [np.empty(shape) if want else None for want in wants]
         gq, gk, gv = (None if a is None else split(a) for a in grads)
@@ -570,8 +625,9 @@ def layer_norm(x, gamma, beta) -> Tensor:
 
     The tape node offers a rebuild of the output from xhat, which the
     backward keeps anyway, by the forward's own two ops. So an op that
-    reads the output in its backward (matmul, ffn) keeps the rebuild
-    instead of the array, and gets the same bits back.
+    reads the output in its backward (matmul, ffn, and attention through
+    the projections' rebuilds) keeps the rebuild instead of the array, and
+    gets the same bits back.
     """
     t, ga, be = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     mu = t.data.mean(axis=-1, keepdims=True)

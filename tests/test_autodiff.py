@@ -661,6 +661,83 @@ class TestLayerNormRebuild:
         assert kept_alive and not rebuilt_alive
 
 
+class TestMatmulRebuild:
+    """A matmul whose backward keeps both operands offers their product as
+    a rebuild; attention keeps the rebuilds of q, k and v, not the arrays."""
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((4, 5), (5, 3)),
+        ((2, 4, 5), (2, 5, 3)),
+        ((2, 3, 4, 5), (5, 3)),
+        ((3, 1, 4, 5), (2, 5, 3)),
+    ], ids=["2-D", "batched", "broadcast", "broadcast-both"])
+    def test_rebuild_equals_the_output(self, a_shape, b_shape):
+        rng = np.random.default_rng(71)
+        a, b = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                for shape in (a_shape, b_shape))
+        out = ad.matmul(a, b)
+        assert np.array_equal(out._op._rebuild(), out.data)
+        # and over an operand that is itself rebuilt
+        h = ad.layer_norm(a, Tensor(np.full(5, 1.1), requires_grad=True), Tensor(np.zeros(5)))
+        out = ad.matmul(h, b)
+        assert np.array_equal(out._op._rebuild(), out.data)
+
+    @pytest.mark.parametrize("wants", [(True, False), (False, True)], ids=["a", "b"])
+    def test_no_rebuild_when_an_operand_needs_no_grad(self, wants):
+        rng = np.random.default_rng(72)
+        a, b = (Tensor(rng.standard_normal(shape), requires_grad=want)
+                for shape, want in zip(((4, 5), (5, 3)), wants))
+        assert ad.matmul(a, b)._op._rebuild is None
+
+    def test_attention_over_leaves_keeps_their_arrays(self):
+        q, k, v = np.random.default_rng(73).standard_normal((3, 2, 5, 8))
+        weights = np.random.default_rng(74).standard_normal(q.shape)
+        qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
+        out, _ = ad.attention(qt, kt, vt, [5], 2)
+        fn = out._backward
+        cells = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
+        assert all(read() is t.data for read, t in zip(cells["saved"], (qt, kt, vt)))
+        rops.tensor_sum(rops.mul(out, Tensor(weights))).backward()
+        qc, kc, vc = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
+        chain, _ = unfused_attention(qc, kc, vc, 2)
+        rops.tensor_sum(rops.mul(chain, Tensor(weights))).backward()
+        assert all(np.array_equal(a, b) for a, b in zip(
+            [out.data, qt.grad, kt.grad, vt.grad], [chain.data, qc.grad, kc.grad, vc.grad]))
+
+    def _sublayer(self, keep_arrays, seed):
+        """[out, dx, dgamma, dbeta, dwq, dwk, dwv] of attention over the
+        projections of one layer norm, whether q, k or v outlived the
+        forward, and how often the backward rebuilt the layer norm."""
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
+        gamma = Tensor(1.0 + 0.1 * rng.standard_normal(8), requires_grad=True)
+        beta = Tensor(0.1 * rng.standard_normal(8), requires_grad=True)
+        ws = [Tensor(rng.standard_normal((8, 8)), requires_grad=True) for _ in range(3)]
+        h = ad.layer_norm(x, gamma, beta)
+        rebuild, rebuilds = h._op._rebuild, []
+        h._op._rebuild = lambda: rebuilds.append(1) or rebuild()
+        qkv = [ad.matmul(h, w) for w in ws]
+        if keep_arrays:
+            for t in qkv:
+                t._op._rebuild = None  # attention keeps the arrays themselves
+        arrays = [weakref.ref(t.data) for t in qkv]
+        out, _ = ad.attention(*qkv, [2, 3], 2)
+        del h, qkv
+        alive = any(a() is not None for a in arrays)
+        rops.tensor_sum(rops.mul(out, Tensor(rng.standard_normal(out.shape)))).backward()
+        return [out.data] + [t.grad for t in [x, gamma, beta] + ws], alive, len(rebuilds)
+
+    def test_rebuilt_qkv_keep_every_bit_and_free_the_arrays(self):
+        rebuilt, rebuilt_alive, rebuilt_count = self._sublayer(False, 75)
+        kept, kept_alive, kept_count = self._sublayer(True, 75)
+        assert all(np.array_equal(a, b) for a, b in zip(rebuilt, kept))
+        assert kept_alive and not rebuilt_alive
+        # attention's three projections share one rebuild of their input,
+        # and the three weight gradients another
+        assert (rebuilt_count, kept_count) == (2, 1)
+        assert getattr(ad._READS, "shared", None) is None  # nothing is held past the walk
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         w = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)

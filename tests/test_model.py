@@ -927,6 +927,29 @@ class TestFullModelGradients:
                       for plan in model.series.plans)
         assert chain_bytes - fused_bytes >= weights
 
+    def test_qkv_rebuild_keeps_every_bit_and_shrinks_the_tape(self, monkeypatch):
+        attention = ad.attention
+
+        def keeping_attention(q, k, v, sizes, heads, return_weights=False):
+            """attention that keeps the q, k and v arrays: their nodes offer no rebuild."""
+            for t in (q, k, v):
+                if t._op is not None:
+                    t._op._rebuild = None
+            return attention(q, k, v, sizes, heads, return_weights)
+
+        rng = np.random.default_rng(27)
+        b, n, d = 4, 16, 12
+        model, _ = tiny_model(rng, n=n, t=4, d=d, l=2, heads=2, p0=2)
+        x = rng.standard_normal((b, n, 4, 1))
+        target = rng.standard_normal((b, n, 3, 1))
+        rebuilt_bytes, rebuilt, rebuilt_flops = self._tape_run(model, x, target)
+        monkeypatch.setattr(ad, "attention", keeping_attention)
+        kept_bytes, kept, kept_flops = self._tape_run(model, x, target)
+        assert all(np.array_equal(a, b) for a, b in zip(rebuilt, kept))
+        assert rebuilt_flops == kept_flops  # the projections' rerun is not counted
+        # q, k and v of every block's intra attention
+        assert kept_bytes - rebuilt_bytes >= 3 * model.config.l * 8 * b * n * d
+
 
 class TestTapeKeepsWhatBackwardReads:
     """The e2e config's tape holds only the arrays its backward closures read."""
@@ -953,10 +976,11 @@ class TestTapeKeepsWhatBackwardReads:
         finally:
             tracemalloc.stop()
         assert out.requires_grad
-        # 22.0 units measured, output included. Keeping each layer-norm
-        # output and the fuse concat holds 31.25; a tape that keeps every
-        # op output alive through its parent links holds 63.6
-        assert held <= 23 * unit
+        # 12.4 units measured, output included. Keeping attention's q, k
+        # and v holds 22.0; keeping each layer-norm output and the fuse
+        # concat as well, 31.25; a tape that keeps every op output alive
+        # through its parent links, 63.6
+        assert held <= 13 * unit
 
     def test_backward_peak_in_activation_units(self):
         model, x, target = self._e2e_inputs()
@@ -968,21 +992,30 @@ class TestTapeKeepsWhatBackwardReads:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # the tape plus the backward's temporaries at their largest: 32.3
-        # units measured. Keeping the layer-norm outputs and the fuse
-        # concat, per-window ffn weight-gradient partials and 1 MiB
-        # attention chunks peak at 46.1
-        assert peak <= 33 * unit
+        # the tape plus the backward's temporaries at their largest, in the
+        # last block's intra attention backward: 25.7 units measured.
+        # Keeping q, k and v peaks at 32.3; keeping the layer-norm outputs
+        # and the fuse concat as well, with per-window ffn weight-gradient
+        # partials and 1 MiB attention chunks, at 46.1
+        assert peak <= 27 * unit
 
     def test_no_backward_closure_holds_a_tensor(self):
         def held(fn):
-            """What fn's closure cells hold, and what those of the
-            functions among them hold: a rebuild or a saved operand."""
-            for cell in fn.__closure__ or ():
-                value = cell.cell_contents
-                yield from value if isinstance(value, (tuple, list)) else (value,)
-                for inner in getattr(value, "__closure__", None) or ():
-                    yield inner.cell_contents
+            """What fn's closure cells hold, at any depth: the items of the
+            sequences and the closures of the functions among them (saved
+            operands, their rebuilds and what those rebuilds read)."""
+            seen, stack = set(), [fn]
+            while stack:
+                value = stack.pop()
+                if id(value) in seen:
+                    continue
+                seen.add(id(value))
+                yield value
+                if isinstance(value, (tuple, list)):
+                    stack.extend(value)
+                else:
+                    stack.extend(cell.cell_contents
+                                 for cell in getattr(value, "__closure__", None) or ())
 
         model, x, target = self._e2e_inputs()
         root = md.mae_loss(model.forward(Tensor(x)), target)._node
