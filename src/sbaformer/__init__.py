@@ -10,7 +10,6 @@ from .autodiff import (
     FlopCounter,
     Tensor,
     flops,
-    layer_norm,
     matmul,
     no_grad,
     set_debug_checks,
@@ -103,7 +102,6 @@ __all__ = [
     "intra_attention",
     "laplacian",
     "laplacian_pe",
-    "layer_norm",
     "load_checkpoint",
     "mae_loss",
     "make_grid_graph",

@@ -4,18 +4,14 @@ Everything the attention blocks need lives here: batched matmul,
 elementwise add and reshape, fused multi-head scaled dot-product attention
 within runs of consecutive rows (one run being attention over all rows)
 that splits its rows into heads itself and holds one bounded chunk of
-weights at a time, layer norm, a fused GELU feed-forward that recomputes
-its hidden layer in the backward, the row moves of the subgraph layout (a
+weights at a time, the two pre-norm sublayers as one op each
+(`attn_sublayer`, `ffn_sublayer`), the row moves of the subgraph layout (a
 row permutation and a mean over each run of rows), a fused map of each row
 joined with its run's summary (`fuse`) and the mean absolute error loss.
-All data is 64-bit. matmul, attention, ffn and fuse feed a global FLOP
-counter when counting is enabled.
-
-The tests hold the unfused chains the fused ops replace (head split ->
-matmul -> mul -> softmax -> matmul -> head merge for attention, matmul ->
-gelu -> matmul for ffn, repeat_rows -> concat -> matmul for fuse) as tape
-ops of their own, built on this module's row softmax and GELU kernels, and
-compare the fused ops against them bit for bit.
+All data is 64-bit. matmul, attention, the sublayers and fuse feed a
+global FLOP counter when counting is enabled. The tests compare each fused
+op bit for bit with the unfused chain of tape ops it replaces, built on
+this module's layer-norm, softmax and GELU kernels.
 
 Gradients are first-order only and are stored on leaf tensors (those created
 with requires_grad=True rather than by an op); intermediate gradients live
@@ -25,20 +21,17 @@ accumulates, matching the usual optimizer contract.
 The tape links nodes, not tensors: an op output records a `_Node` of its
 parents' nodes and its backward, and each backward closure captures only the
 arrays, shapes and flags it reads (saved tensors, as in PyTorch's autograd;
-Paszke et al. 2019). So the tape keeps what the backward needs, and an op
-output no backward reads, such as a residual sum or the attention output, is
-freed once the caller drops it. A node may also offer a rebuild of its
-output from what its own backward keeps, by the forward's own ops:
-layer_norm's is gamma * xhat + beta, and a matmul whose backward keeps both
-operands offers their product. An op whose backward reads an operand
-(matmul, attention, ffn, fuse) keeps that rebuild, through `_saved`,
-instead of the array, and gets the same bits back (selective recomputation;
-Korthikanti et al. 2022). So attention over the projections of a layer norm
-keeps only the layer norm's xhat and the three weights, and reruns the
-projections in its backward; within one backward each such layer norm is
-rebuilt at most twice. On the e2e config (n=64, d=32, batch 16) the tape
-after one forward holds 12.4 activation units, one unit being a
-(batch, n, d) float64 array.
+Paszke et al. 2019). So an op output that no backward reads is freed once
+the caller drops it. The sublayers and fuse walk tiles of whole windows,
+one window being an (n, d) slice of their input, with the tape on or off:
+the forward writes each tile into one preallocated output, and the
+backward reruns each tile's forward before its gradients (FlashAttention's
+trade applied to window tiles; Dao et al. 2022). So layer-norm outputs,
+q, k and v, the FFN hidden layer and the fuse concat exist only at tile
+size, and a sublayer's node keeps its input, its weights and row
+statistics. On the e2e config (n=64, d=32, batch 16) the tape after one
+forward holds 12.5 activation units, one unit being a (batch, n, d)
+float64 array.
 """
 from __future__ import annotations
 
@@ -52,9 +45,6 @@ from .errors import ContractError, EmptyRunError, NumericError, ShapeError
 
 _DEBUG_CHECKS = True
 _GRAD_ENABLED = True
-# `shared`, inside a `_shared_reads` block of this thread: each rebuild read
-# so far -> the array it gave, which later reads share (see `_saved`)
-_READS = threading.local()
 
 
 def set_debug_checks(enabled: bool) -> bool:
@@ -79,7 +69,7 @@ def no_grad():
 
 class FlopCounter:
     """One running FLOP count, multiplies plus adds, of the forward products
-    of matmul, attention, ffn and fuse while enabled: b·m·n·(2k−1) per
+    of matmul, attention, the sublayers and fuse while enabled: b·m·n·(2k−1) per
     batch of b (m x k) @ (k x n) products.
 
     Disabled counting leaves results bit-identical; the counter only ever
@@ -115,18 +105,16 @@ flops = FlopCounter()
 
 
 class _Node:
-    """The tape's record of one op output: its parents' nodes, its backward
-    and, for an op that offers one, a rebuild of its output; no output
-    data."""
+    """The tape's record of one op output: its parents' nodes and its
+    backward; no output data."""
 
-    __slots__ = ("_parents", "_backward", "_rebuild")
+    __slots__ = ("_parents", "_backward")
     requires_grad = True  # the tape records an op only when a parent needs a grad
     grad = None  # only leaf tensors get a grad
 
-    def __init__(self, parents: tuple, backward, rebuild=None):
+    def __init__(self, parents: tuple, backward):
         self._parents = parents
         self._backward = backward
-        self._rebuild = rebuild
 
 
 class Tensor:
@@ -137,11 +125,10 @@ class Tensor:
     from a tensor goes on through nodes. Every other tensor (a parameter,
     an input, a constant) is a node of its own, with no parents and no
     backward. The tape never holds an op output's `data`: a backward that
-    reads it captures the array itself, or the rebuild its node offers.
+    reads it captures the array itself.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_op")
-    _rebuild = None  # only op nodes offer a rebuild
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -183,10 +170,8 @@ class Tensor:
         runs each op node's backward and hands each leaf its grad, since
         every consumer of a node comes before it. An op output never gets a
         grad: its node's entry in the per-call grad map is dropped as soon
-        as its backward has run. The reads of a node's rebuild share one
-        array until the walk reaches the node (see `_saved`). The root must
-        be a scalar. Each call adds exactly one contribution, so repeated
-        calls accumulate.
+        as its backward has run. The root must be a scalar. Each call adds
+        exactly one contribution, so repeated calls accumulate.
         """
         if self.data.shape != ():
             raise ContractError(
@@ -197,25 +182,22 @@ class Tensor:
         root = self._node
         order = _toposort(root)
         local = {id(root): np.asarray(1.0)}
-        with _shared_reads() as shared:
-            for node in reversed(order):
-                # every reader of this node's output has run its backward
-                shared.pop(node._rebuild, None)
-                g = local.pop(id(node), None)
-                if g is None:
+        for node in reversed(order):
+            g = local.pop(id(node), None)
+            if g is None:
+                continue
+            if node._backward is None:  # a leaf
+                g = np.asarray(g, dtype=np.float64)
+                node.grad = g.copy() if node.grad is None else node.grad + g
+                continue
+            for parent, pg in zip(node._parents, node._backward(g)):
+                if pg is None or not parent.requires_grad:
                     continue
-                if node._backward is None:  # a leaf
-                    g = np.asarray(g, dtype=np.float64)
-                    node.grad = g.copy() if node.grad is None else node.grad + g
-                    continue
-                for parent, pg in zip(node._parents, node._backward(g)):
-                    if pg is None or not parent.requires_grad:
-                        continue
-                    key = id(parent)
-                    if key in local:
-                        local[key] = local[key] + pg
-                    else:
-                        local[key] = pg
+                key = id(parent)
+                if key in local:
+                    local[key] = local[key] + pg
+                else:
+                    local[key] = pg
 
 
 def _toposort(root: Tensor | _Node) -> list:
@@ -246,52 +228,13 @@ def _finite(data: np.ndarray, op: str) -> np.ndarray:
     return data
 
 
-def _from_op(data, op, parents, backward, rebuild=None) -> Tensor:
+def _from_op(data, op, parents, backward) -> Tensor:
     _finite(data, op)
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._op = _Node(tuple(p._node for p in parents), backward, rebuild)
+        out._op = _Node(tuple(p._node for p in parents), backward)
     return out
-
-
-def _saved(t: Tensor):
-    """A function that gives t's data back in a backward: the rebuild that
-    t's op node offers, or else one that returns the array itself.
-
-    A backward walk is a `_shared_reads` block: the first read of a
-    rebuild serves every later read until the walk reaches t's node, after
-    the last reader's backward has run. Readers must not write into what
-    they are given.
-    """
-    rebuild = t._node._rebuild
-    if rebuild is None:
-        data = t.data
-        return lambda: data
-
-    def read():
-        shared = getattr(_READS, "shared", None)
-        if shared is None:
-            return rebuild()
-        out = shared.get(rebuild)
-        if out is None:
-            out = shared[rebuild] = rebuild()
-        return out
-
-    return read
-
-
-@contextlib.contextmanager
-def _shared_reads():
-    """Reads of a rebuild inside the block share one array; the block
-    yields them, keyed by rebuild. What the block rebuilds first goes when
-    it ends; what an outer block rebuilt stays."""
-    outer = getattr(_READS, "shared", None)
-    _READS.shared = shared = {} if outer is None else dict(outer)
-    try:
-        yield shared
-    finally:
-        _READS.shared = outer
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -338,22 +281,18 @@ def matmul(a, b) -> Tensor:
     _count_matmul(a.data, b.data, data)
     a_shape, b_shape = a.data.shape, b.data.shape
     # each operand's gradient reads only the other operand
-    a_saved = _saved(a) if b.requires_grad else None
-    b_saved = _saved(b) if a.requires_grad else None
-    rebuild = None
-    if a_saved is not None and b_saved is not None:
-        def rebuild():
-            return np.matmul(a_saved(), b_saved())
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
         ga = gb = None
-        if b_saved is not None:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b_saved(), -1, -2)), a_shape)
-        if a_saved is not None:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a_saved(), -1, -2), g), b_shape)
+        if b_data is not None:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape)
+        if a_data is not None:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape)
         return ga, gb
 
-    return _from_op(data, "matmul", (a, b), backward, rebuild)
+    return _from_op(data, "matmul", (a, b), backward)
 
 
 def reshape(x, shape) -> Tensor:
@@ -418,24 +357,79 @@ def _run_weights(qi: np.ndarray, kt: np.ndarray, scale: float, stats=None) -> tu
     return _softmax_rows(w, stats)
 
 
-# Weights budget of one `attention` chunk. A run's scores, their softmax and
-# the backward's score-sized temporaries exist one chunk at a time. The
-# backward holds three chunk-sized arrays at once (the rebuilt weights, the
-# score gradient and the softmax-backward product) beside the rebuilt q, k
-# and v and their gradients. The budget is one activation unit of the e2e
-# config (16 windows, 64 rows, width 32), whose training step peaks in the
-# last block's intra attention backward: at 25.7 units, against 23.6 at
-# 64 KiB and 30.3 at 1 MiB.
+# Weights budget of one `attention` chunk: a run's scores and the backward's
+# three score-sized temporaries exist one chunk at a time. One activation
+# unit of the e2e config (16 windows, 64 rows, width 32).
 _ATTN_TILE_BYTES = 1 << 18
+# Budget of one window tile of the sublayers and `fuse`, in bytes of the
+# tile's widest array of rows (its layer-norm output, q, k or v, or fuse's
+# concat), and of one FFN sub-tile's hidden layer. Tile-sized temporaries
+# then stay in L2 and below glibc's default mmap threshold (128 KiB), so the
+# heap reuses them instead of mapping them afresh: with 256 KiB tiles an
+# e2e training step's backward took about 2 ms (7%) longer.
+_WINDOW_TILE_BYTES = 1 << 16
+_FFN_TILE_BYTES = 1 << 16
 
 
-def _chunks(lead: tuple, s: int) -> list:
-    """Index prefixes that cut a run of s rows along the first of its
-    leading axes `lead`: as many items a chunk as keep the chunk's
-    (..., s, s) weights within _ATTN_TILE_BYTES, and at least one. An empty
-    first axis gives one empty chunk."""
-    step = max(1, _ATTN_TILE_BYTES // (8 * s * s * max(1, math.prod(lead[1:]))))
-    return [(slice(lo, lo + step),) for lo in range(0, max(1, lead[0]), step)]
+def _head_view(rows: np.ndarray, heads: int) -> np.ndarray:
+    """The (..., heads, n, d_head) view of (..., n, d) rows."""
+    return np.swapaxes(rows.reshape(rows.shape[:-1] + (heads, rows.shape[-1] // heads)), -2, -3)
+
+
+def _scale(width: int, heads: int) -> float:
+    """1/sqrt(d_head) for `heads` heads side by side in `width` columns."""
+    if heads < 1 or width % heads:
+        raise ShapeError(f"attention cannot split width {width} into {heads} heads")
+    return 1.0 / math.sqrt(width // heads)
+
+
+def _pieces(lead: tuple, sizes: np.ndarray, starts: np.ndarray, whole: bool) -> list:
+    """Indices into head views with leading axes `lead`: each run of rows,
+    whole or cut along the first leading axis into chunks of as many items
+    as keep a chunk's (..., s, s) weights within _ATTN_TILE_BYTES, and at
+    least one (an empty axis gives one empty chunk)."""
+    pieces = []
+    for a, s in zip(starts.tolist(), sizes.tolist()):
+        run = (..., slice(a, a + s), slice(None))
+        if whole:
+            pieces.append(run)
+            continue
+        step = max(1, _ATTN_TILE_BYTES // (8 * s * s * max(1, math.prod(lead[1:]))))
+        pieces += [(slice(lo, lo + step),) + run for lo in range(0, max(1, lead[0]), step)]
+    return pieces
+
+
+def _attend(qd, kd, vd, out, pieces: list, scale: float, weights=None) -> list:
+    """softmax(q k^T * scale) v over head views, piece by piece, written
+    through the head view `out`. Returns each piece's row statistics, and
+    appends each piece's weights to `weights` when it is a list."""
+    stats = []
+    for piece in pieces:
+        qi, kt, vi, o = qd[piece], np.swapaxes(kd[piece], -1, -2), vd[piece], out[piece]
+        w, st = _run_weights(qi, kt, scale)
+        _count_matmul(qi, kt, w)
+        np.matmul(w, vi, out=o)
+        _count_matmul(w, vi, o)
+        stats.append(st)
+        if weights is not None:
+            weights.append(w)
+        del w  # free this chunk's weights before the next chunk's are made
+    return stats
+
+
+def _attend_backward(g, qd, kd, vd, grads: list, pieces: list, stats: list, scale: float):
+    """The gradients of `_attend` given the head view g of dL/dout, written
+    through the head views `grads` of q, k and v. Each piece's weights are
+    rebuilt from q, k and the forward's statistics."""
+    gq, gk, gv = grads
+    for piece, st in zip(pieces, stats):
+        w, _ = _run_weights(qd[piece], np.swapaxes(kd[piece], -1, -2), scale, st)
+        gi = g[piece]
+        np.matmul(np.swapaxes(w, -1, -2), gi, out=gv[piece])
+        gs = _softmax_backward(np.matmul(gi, np.swapaxes(vd[piece], -1, -2)), w)
+        gs *= scale
+        np.matmul(gs, kd[piece], out=gq[piece])
+        np.matmul(np.swapaxes(gs, -1, -2), qd[piece], out=gk[piece])
 
 
 def attention(q, k, v, sizes, heads: int, return_weights: bool = False):
@@ -453,18 +447,13 @@ def attention(q, k, v, sizes, heads: int, return_weights: bool = False):
     set; then it is a list of arrays (..., heads, sizes[i], sizes[i]) whose
     rows sum to one, one whole run each. Otherwise each run goes in chunks
     of the first leading axis of the views (windows when batched, heads
-    when not), as many as keep a chunk's weights within _ATTN_TILE_BYTES,
-    so the op holds one chunk's weights at a time. It keeps only each
-    chunk's row max and row sum of the softmax, and q, k and v through
-    `_saved`: the arrays of leaves, the products that matmul outputs
-    rebuild. The backward first rebuilds q, k and v, which share one
-    rebuild of a common input, then walks the same chunks and rebuilds
-    their weights from q and k with the row statistics (FlashAttention's
-    recomputation; Dao et al. 2022). Every product is one
-    BLAS call per 2-D slice and the softmax works row by row, so outputs
-    and gradients equal those of a head split, matmul, scale, softmax,
-    matmul and head merge bit for bit at any chunk size. No rebuild is
-    counted as FLOPs.
+    when not) within _ATTN_TILE_BYTES, so the op holds one chunk's weights
+    at a time. It keeps q, k and v and each chunk's row max and row sum of
+    the softmax; the backward rebuilds each chunk's weights from them
+    (FlashAttention's recomputation; Dao et al. 2022), uncounted. Every
+    product is one BLAS call per 2-D slice and the softmax works row by
+    row, so outputs and gradients equal those of a head split, matmul,
+    scale, softmax, matmul and head merge bit for bit at any chunk size.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     shape = q.data.shape
@@ -475,59 +464,265 @@ def attention(q, k, v, sizes, heads: int, return_weights: bool = False):
         )
     sizes, starts = _runs(sizes)
     _check_rows(q.data, int(sizes.sum()), "attention")
-    if heads < 1 or shape[-1] % heads:
-        raise ShapeError(f"attention cannot split width {shape[-1]} into {heads} heads")
-    d_head = shape[-1] // heads
-
-    def split(rows: np.ndarray) -> np.ndarray:
-        """The (..., heads, n, d_head) view of (..., n, d) rows."""
-        return np.swapaxes(rows.reshape(rows.shape[:-1] + (heads, d_head)), -2, -3)
-
-    scale = 1.0 / math.sqrt(d_head)
-    qd, kd, vd = split(q.data), split(k.data), split(v.data)
-    pieces = [
-        chunk + (..., slice(a, a + s), slice(None))
-        for a, s in zip(starts.tolist(), sizes.tolist())
-        for chunk in ([()] if return_weights else _chunks(qd.shape[:-2], s))
-    ]
+    scale = _scale(shape[-1], heads)
+    qd, kd, vd = (_head_view(t.data, heads) for t in (q, k, v))
+    pieces = _pieces(qd.shape[:-2], sizes, starts, return_weights)
     data = np.empty(shape)
-    heads_out = split(data)
-    wants = [t.requires_grad for t in (q, k, v)]
-    saved = [_saved(t) for t in (q, k, v)]
-    stats = []
     weights = [] if return_weights else None
-    for piece in pieces:
-        qi, kt, vi, out = qd[piece], np.swapaxes(kd[piece], -1, -2), vd[piece], heads_out[piece]
-        w, st = _run_weights(qi, kt, scale)
-        _count_matmul(qi, kt, w)
-        np.matmul(w, vi, out=out)
-        _count_matmul(w, vi, out)
-        stats.append(st)
-        if weights is not None:
-            weights.append(w)
-        del w  # free this chunk's weights before the next chunk's are made
+    stats = _attend(qd, kd, vd, _head_view(data, heads), pieces, scale, weights)
 
     def backward(g):
-        with _shared_reads():  # q, k and v of one input rebuild it once
-            qd, kd, vd = [split(rows()) for rows in saved]
-        g = split(g)
-        grads = [np.empty(shape) if want else None for want in wants]
-        gq, gk, gv = (None if a is None else split(a) for a in grads)
-        for piece, st in zip(pieces, stats):
-            w, _ = _run_weights(qd[piece], np.swapaxes(kd[piece], -1, -2), scale, st)
-            gi = g[piece]
-            if gv is not None:
-                np.matmul(np.swapaxes(w, -1, -2), gi, out=gv[piece])
-            if gq is not None or gk is not None:
-                gs = _softmax_backward(np.matmul(gi, np.swapaxes(vd[piece], -1, -2)), w)
-                gs *= scale
-                if gq is not None:
-                    np.matmul(gs, kd[piece], out=gq[piece])
-                if gk is not None:
-                    np.matmul(np.swapaxes(gs, -1, -2), qd[piece], out=gk[piece])
+        grads = [np.empty(shape) for _ in range(3)]
+        views = [_head_view(a, heads) for a in grads]
+        _attend_backward(_head_view(g, heads), qd, kd, vd, views, pieces, stats, scale)
         return tuple(grads)
 
     return _from_op(data, "attention", (q, k, v), backward), weights
+
+
+def _windows(rows: np.ndarray) -> np.ndarray:
+    """The (windows, n, d) view of (..., n, d) rows: the leading axes become
+    one axis of windows, and rows with none are one window."""
+    return rows.reshape((-1,) + rows.shape[-2:])
+
+
+def _tiles(windows: int, window_bytes: int, budget) -> list:
+    """Slices of whole windows, as many a tile as keep tile * window_bytes
+    within budget (all of them when budget is None), and at least one."""
+    step = max(1, windows if budget is None else budget // max(1, window_bytes))
+    return [slice(lo, lo + step) for lo in range(0, windows, step)]
+
+
+def _add_windows(acc: np.ndarray, parts: np.ndarray):
+    """Add each window's partial (windows, a, b) into acc, in window order:
+    from zeros, the order of numpy's sum over the windows."""
+    for part in parts:
+        np.add(acc, part, out=acc)
+
+
+def _sum_after(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """acc plus every row of rows (..., d), one at a time in order: numpy's
+    one-pass sum over all leading axes, continued from acc. From zeros, tile
+    by tile, it gives a whole batch's sum bit for bit, where adding per-tile
+    sums would not."""
+    return np.concatenate([acc[None], rows.reshape(-1, rows.shape[-1])]).sum(axis=0)
+
+
+_LN_EPS = 1e-5  # added to the variance before the square root
+
+
+def _normalize(x: np.ndarray, stats=None) -> tuple:
+    """(xhat, stats): x normalized to mean 0 and variance 1 over its last
+    axis, in its centred buffer, and stats its rows' mean and reciprocal
+    deviation. Given the stats of an earlier call on the same rows, it skips
+    both reductions and gives the same bits, as `_softmax_rows` does."""
+    if stats is None:
+        mu = _row_mean(x)
+        xhat = x - mu  # centred here, normalized in place below
+        stats = mu, 1.0 / np.sqrt(_row_mean(xhat * xhat) + _LN_EPS)
+    else:
+        xhat = x - stats[0]
+    xhat *= stats[1]
+    return xhat, stats
+
+
+def _scale_shift(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """gamma * xhat + beta, in place of one temporary."""
+    out = gamma * xhat
+    out += beta
+    return out
+
+
+def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma) -> np.ndarray:
+    """Gradient into x of the layer norm, given dL/dout = g."""
+    gy = g * gamma
+    return inv * (gy - _row_mean(gy) - xhat * _row_mean(gy * xhat))
+
+
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True) with the same bits (numpy's mean is
+    this sum divided by the count), without numpy's Python-level wrapper,
+    whose cost shows on the small tiles of the sublayers."""
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+
+
+def _check_norm(op: str, x: Tensor, gamma: Tensor, beta: Tensor, expects: str, ok):
+    """Raise ShapeError naming op unless x is (..., n, d) rows, gamma and
+    beta are (d,), and ok(d) holds for the weights that `expects` names."""
+    shape = x.data.shape
+    d = shape[-1] if len(shape) >= 2 else None
+    if d is None or gamma.data.shape != (d,) or beta.data.shape != (d,) or not ok(d):
+        raise ShapeError(
+            f"{op} expects x (..., n, d), gamma and beta (d,) and {expects}; got x {shape}, "
+            f"gamma {gamma.data.shape} and beta {beta.data.shape}"
+        )
+
+
+def _sublayer(op: str, x: Tensor, gamma: Tensor, beta: Tensor, weights: list, whole: bool,
+              branch, branch_backward) -> Tensor:
+    """x + branch(h), h being the layer norm of x scaled by gamma and
+    shifted by beta, as one tape node that keeps x, the weights and the
+    layer norm's row statistics.
+
+    The op walks tiles of x's windows within _WINDOW_TILE_BYTES of (n, d)
+    rows, or one tile of all of them if whole is set. branch(h, out) writes
+    the branch of one tile's layer-norm output into out, its rows of one
+    preallocated output, and returns what the tile's backward needs.
+    branch_backward(norm, g, saved, grads) reruns a tile, norm() giving its
+    layer-norm output again from the row statistics, adds its weight
+    gradients into grads and returns the gradient into h. gamma's and
+    beta's gradients continue one row sum across tiles.
+    """
+    xd, gd, bd = x.data, gamma.data, beta.data
+    wins = _windows(xd)
+    tiles = _tiles(len(wins), 8 * math.prod(wins.shape[1:]), None if whole else _WINDOW_TILE_BYTES)
+    out = np.empty(wins.shape)
+    norms, saved = [], []
+
+    def normed(xt):
+        """The layer norm of tile rows xt, scaled and shifted in place
+        (xhat * gamma has the bits of gamma * xhat)."""
+        h, stats = _normalize(xt)
+        norms.append(stats)
+        h *= gd
+        h += bd
+        return h
+
+    for t in tiles:
+        saved.append(branch(normed(wins[t]), out[t]))  # branch holds the only h
+        out[t] += wins[t]
+    shapes = [w.data.shape for w in weights]
+
+    def backward(g):
+        wins, g = _windows(xd), _windows(g)
+        gx, d = None, xd.shape[-1]
+        # the accumulators start from +0.0, as numpy's sums do
+        sums = [np.zeros(d), np.zeros(d)]
+        grads = [np.zeros(shape) for shape in shapes]
+        for t, stats, tile_saved in zip(tiles, norms, saved):
+            xhat = _normalize(wins[t], stats)[0]
+            gh = branch_backward(lambda: _scale_shift(xhat, gd, bd), g[t], tile_saved, grads)
+            gx = np.empty(wins.shape) if gx is None else gx  # after the branch's peak
+            np.add(g[t], _layer_norm_backward(gh, xhat, stats[1], gd), out=gx[t])
+            sums = [_sum_after(sums[0], gh * xhat), _sum_after(sums[1], gh)]
+        return (gx.reshape(xd.shape), *sums, *grads)
+
+    return _from_op(out.reshape(xd.shape), op, (x, gamma, beta, *weights), backward)
+
+
+def attn_sublayer(x, gamma, beta, wq, wk, wv, sizes, heads: int, return_weights: bool = False):
+    """x + attention(h @ wq, h @ wk, h @ wv, sizes, heads), h being the
+    layer norm of x scaled by gamma and shifted by beta, as one tape node
+    that keeps x, the weights and the row statistics of the layer norm and
+    of each attention chunk.
+
+    x is (..., n, d) rows in consecutive runs of `sizes`; gamma and beta
+    are (d,) and wq, wk and wv (d, d). The op walks tiles of whole windows
+    (see `_sublayer`). Per tile the forward runs the layer norm, the
+    projections and `attention`'s chunks; the backward reruns the layer
+    norm and the projections, uncounted, before attention's chunked
+    backward. So the layer-norm output, q, k, v and their gradients exist
+    only at tile size. Returns (output, weights) as `attention` does; with
+    return_weights all windows are one tile. Every product is the chain's
+    per-window BLAS call, each window's weight gradient is added in window
+    order, and the layer norm's input gradient adds the q, k and v terms in
+    the chain's order, so everything equals layer norm -> three matmuls ->
+    attention -> add bit for bit.
+    """
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    ws = [as_tensor(w) for w in (wq, wk, wv)]
+    wd = [w.data for w in ws]
+    _check_norm("attn_sublayer", x, gamma, beta, "wq, wk and wv (d, d)",
+                lambda d: all(w.shape == (d, d) for w in wd))
+    sizes, starts = _runs(sizes)
+    _check_rows(x.data, int(sizes.sum()), "attn_sublayer")
+    scale = _scale(x.data.shape[-1], heads)
+    weights = [] if return_weights else None
+
+    def project(h, count: bool) -> list:
+        """Head views of h @ wq, h @ wk and h @ wv, counted if asked."""
+        qkv = [np.matmul(h, w) for w in wd]
+        for w, a in zip(wd, qkv if count else ()):
+            _count_matmul(h, w, a)
+        return [_head_view(a, heads) for a in qkv]
+
+    def branch(h, out):
+        views = project(h, True)
+        del h
+        pieces = _pieces(views[0].shape[:-2], sizes, starts, return_weights)
+        return pieces, _attend(*views, _head_view(out, heads), pieces, scale, weights)
+
+    def branch_backward(norm, g, saved, grads):
+        pieces, stats = saved
+        views = project(norm(), False)
+        gqkv = [np.empty(g.shape) for _ in wd]
+        _attend_backward(_head_view(g, heads), *views, [_head_view(a, heads) for a in gqkv],
+                         pieces, stats, scale)
+        del views
+        h = norm()  # again, rather than outlive attention's backward
+        for acc, ga in zip(grads, gqkv):
+            _add_windows(acc, np.matmul(np.swapaxes(h, -1, -2), ga))
+        del h
+        gh = np.matmul(gqkv[0], wd[0].T)  # the chain's tape adds the q, k, v terms so
+        gh += np.matmul(gqkv[1], wd[1].T)
+        gh += np.matmul(gqkv[2], wd[2].T)
+        return gh
+
+    out = _sublayer("attn_sublayer", x, gamma, beta, ws, return_weights, branch, branch_backward)
+    if weights is not None:
+        weights = [w.reshape(x.data.shape[:-2] + w.shape[1:]) for w in weights]
+    return out, weights
+
+
+def ffn_sublayer(x, gamma, beta, w1, w2) -> Tensor:
+    """x + gelu(h @ w1) @ w2, h being the layer norm of x scaled by gamma and
+    shifted by beta, as one tape node that keeps x, the weights and the
+    layer norm's row statistics.
+
+    x is (..., n, d); gamma and beta are (d,), w1 (d, hidden) and w2
+    (hidden, d). The op walks tiles of whole windows (see `_sublayer`), and
+    each tile's hidden layer in sub-tiles within _FFN_TILE_BYTES; the backward reruns each tile's
+    forward, uncounted, so no layer-norm output, hidden layer, tanh or GELU
+    output sits on the tape. Every product is the chain's per-window BLAS
+    call and each window's weight gradient is added in window order, so
+    everything equals layer norm -> matmul -> gelu -> matmul -> add bit for
+    bit.
+    """
+    x, gamma, beta, w1, w2 = (as_tensor(t) for t in (x, gamma, beta, w1, w2))
+    w1d, w2d = w1.data, w2.data
+    _check_norm("ffn_sublayer", x, gamma, beta, "w1 (d, h) and w2 (h, d)",
+                lambda d: w1d.ndim == 2 and w1d.shape[0] == d and w2d.shape == (w1d.shape[1], d))
+
+    def hidden_tiles(h):
+        """Sub-tiles of the windows of h within _FFN_TILE_BYTES of hidden layer."""
+        return _tiles(len(h), 8 * h.shape[1] * w1d.shape[1], _FFN_TILE_BYTES)
+
+    def branch(h, out):
+        for u in hidden_tiles(h):
+            z = np.matmul(h[u], w1d)
+            _count_matmul(h[u], w1d, z)
+            _finite(z, "ffn_sublayer")
+            act = _gelu_forward(z)[0]
+            del z  # each sub-tile's temporaries go before the next one's exist
+            np.matmul(act, w2d, out=out[u])
+            _count_matmul(act, w2d, out[u])
+            del act
+
+    def branch_backward(norm, g, _, grads):
+        h = norm()
+        gh = np.empty(h.shape)
+        for u in hidden_tiles(h):
+            z = np.matmul(h[u], w1d)
+            act, th = _gelu_forward(z)
+            _add_windows(grads[1], np.matmul(np.swapaxes(act, -1, -2), g[u]))
+            del act
+            gz = _gelu_backward(np.matmul(g[u], w2d.T), z, th)
+            del z, th
+            _add_windows(grads[0], np.matmul(np.swapaxes(h[u], -1, -2), gz))
+            np.matmul(gz, w1d.T, out=gh[u])
+        return gh
+
+    return _sublayer("ffn_sublayer", x, gamma, beta, [w1, w2], False, branch, branch_backward)
 
 
 def segment_mean(x, sizes) -> Tensor:
@@ -555,45 +750,51 @@ def fuse(y, s, sizes, w) -> Tensor:
     y is (..., n, d_y) rows in consecutive runs of `sizes`, which must sum
     to n; s is (..., len(sizes), d_s), one row a run, and w is
     (d_y + d_s, d_out). Row r of the output is [y_r, s_i] @ w for the run i
-    that holds r. The forward joins y and the repeated s with np.repeat and
-    np.concatenate, and the backward rebuilds that join for w's gradient.
-    g @ w^T splits at d_y into y's gradient and the repeated rows', which
-    np.add.reduceat sums over each run. These are the calls of the
-    repeat_rows -> concat -> matmul chain, so outputs, gradients and the
-    FLOP count equal the chain's bit for bit.
+    that holds r. The op walks tiles of whole windows within
+    _WINDOW_TILE_BYTES of concat: the forward joins a tile with np.repeat
+    and np.concatenate into one preallocated output's rows, and the
+    backward rebuilds each tile's join for w's gradient, added window by
+    window. g @ w^T splits at d_y into y's gradient and the repeated rows',
+    which np.add.reduceat sums over each run. These are the calls of the
+    repeat_rows -> concat -> matmul chain, window by window, so everything
+    equals the chain's bit for bit.
     """
     y, s, w = as_tensor(y), as_tensor(s), as_tensor(w)
     sizes, starts = _runs(sizes)
     _check_rows(y.data, int(sizes.sum()), "fuse")
     _check_rows(s.data, sizes.size, "fuse")
-    width = y.data.shape[-1]
-    if w.data.ndim != 2 or w.data.shape[0] != width + s.data.shape[-1]:
+    yd, sd, wd = y.data, s.data, w.data
+    width = yd.shape[-1]
+    if wd.ndim != 2 or wd.shape[0] != width + sd.shape[-1] or yd.shape[:-2] != sd.shape[:-2]:
         raise ShapeError(
-            f"fuse expects w ({width} + {s.data.shape[-1]}, d_out); got {w.data.shape}"
+            f"fuse expects y (..., n, d_y), s (..., p, d_s) and w (d_y + d_s, d_out); got "
+            f"{yd.shape}, {sd.shape} and {wd.shape}"
         )
 
-    # the repeat lives until the product exists, as in the chain: freeing it
-    # first fragments the heaps of `predict`'s worker threads, whose peak RSS
-    # then creeps up by several MB over a long run
-    rep = np.repeat(s.data, sizes, axis=-2)
-    rows = np.concatenate([y.data, rep], axis=-1)
-    data = np.matmul(rows, w.data)
-    _count_matmul(rows, w.data, data)
-    del rows, rep
-    w_shape = w.data.shape
-    y_saved, s_saved = (_saved(y), _saved(s)) if w.requires_grad else (None, None)
-    w_saved = _saved(w) if y.requires_grad or s.requires_grad else None
+    def join(wy, ws, t):
+        """The concat of tile t of the windows wy and the repeated ws."""
+        return np.concatenate([wy[t], np.repeat(ws[t], sizes, axis=-2)], axis=-1)
+
+    wy, ws = _windows(yd), _windows(sd)
+    out = np.empty(wy.shape[:-1] + wd.shape[1:])
+    tiles = _tiles(len(wy), 8 * wy.shape[1] * wd.shape[0], _WINDOW_TILE_BYTES)
+    for t in tiles:
+        rows = join(wy, ws, t)
+        np.matmul(rows, wd, out=out[t])
+        _count_matmul(rows, wd, out[t])
+        del rows
 
     def backward(g):
-        gy = gs = gw = None
-        if w_saved is not None:
-            gy, g_rep = np.split(np.matmul(g, np.swapaxes(w_saved(), -1, -2)), [width], axis=-1)
-            gs = np.add.reduceat(g_rep, starts, axis=-2)
-        if y_saved is not None:
-            rows = np.concatenate([y_saved(), np.repeat(s_saved(), sizes, axis=-2)], axis=-1)
-            gw = _unbroadcast(np.matmul(np.swapaxes(rows, -1, -2), g), w_shape)
-        return gy, gs, gw
+        wy, ws, g = _windows(yd), _windows(sd), _windows(g)
+        gy, gs, gw = np.empty(wy.shape), np.empty(ws.shape), np.zeros(wd.shape)
+        for t in tiles:
+            g_y, g_rep = np.split(np.matmul(g[t], wd.T), [width], axis=-1)
+            gy[t], gs[t] = g_y, np.add.reduceat(g_rep, starts, axis=-2)
+            del g_y, g_rep
+            _add_windows(gw, np.matmul(np.swapaxes(join(wy, ws, t), -1, -2), g[t]))
+        return gy.reshape(yd.shape), gs.reshape(sd.shape), gw
 
+    data = out.reshape(yd.shape[:-1] + wd.shape[1:])
     return _from_op(data, "fuse", (y, s, w), backward)
 
 
@@ -615,48 +816,6 @@ def permute_rows(x, order) -> Tensor:
         return (np.take(g, inverse, axis=-2),)
 
     return _from_op(data, "permute_rows", (t,), backward)
-
-
-_LN_EPS = 1e-5  # added to the variance before the square root
-
-
-def layer_norm(x, gamma, beta) -> Tensor:
-    """Normalize the last axis to mean 0 / variance 1, then scale and shift.
-
-    The tape node offers a rebuild of the output from xhat, which the
-    backward keeps anyway, by the forward's own two ops. So an op that
-    reads the output in its backward (matmul, ffn, and attention through
-    the projections' rebuilds) keeps the rebuild instead of the array, and
-    gets the same bits back.
-    """
-    t, ga, be = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    mu = t.data.mean(axis=-1, keepdims=True)
-    xhat = t.data - mu  # centred here, normalized in place below
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat *= inv
-    gamma, want_gamma = ga.data, ga.requires_grad
-    beta, want_beta = be.data, be.requires_grad
-
-    def rebuild():
-        out = gamma * xhat
-        out += beta
-        return out
-
-    data = rebuild()
-
-    def backward(g):
-        gy = g * gamma
-        gx = inv * (
-            gy
-            - gy.mean(axis=-1, keepdims=True)
-            - xhat * (gy * xhat).mean(axis=-1, keepdims=True)
-        )
-        g_gamma = _unbroadcast(g * xhat, gamma.shape) if want_gamma else None
-        g_beta = _unbroadcast(g, beta.shape) if want_beta else None
-        return gx, g_gamma, g_beta
-
-    return _from_op(data, "layer_norm", (t, ga, be), backward, rebuild)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -700,75 +859,6 @@ def _gelu_backward(g: np.ndarray, xd: np.ndarray, th: np.ndarray) -> np.ndarray:
     gx += du
     gx *= g
     return gx
-
-
-# Hidden-layer budget of one `ffn` tile. Its few tile-sized temporaries stay
-# in L2 and below glibc's default mmap threshold (128 KiB), so the heap
-# reuses them every step instead of mapping and faulting them in afresh.
-_FFN_TILE_BYTES = 1 << 16
-
-
-def ffn(x, w1, w2) -> Tensor:
-    """gelu(x @ w1) @ w2 as one tape node that saves only its inputs.
-
-    x is (..., n, d); w1 (d, h) and w2 (h, d_out) are 2-D. Each (n, d)
-    slice of x is a window, and the op runs a tile of whole windows at a
-    time: as many as keep the tile's hidden layer within _FFN_TILE_BYTES,
-    and at least one. The backward reruns each tile's x @ w1 and GELU
-    instead of keeping the hidden layer, its tanh and the GELU output on
-    the tape. Every product is the chain's per-window BLAS call, and each
-    window's weight-gradient partial is added, in window order, into one
-    accumulator per weight, which is the order of matmul's _unbroadcast
-    sum over the leading axes. So outputs, gradients and the FLOP count
-    equal those of matmul -> gelu -> matmul bit for bit. The rerun is not
-    counted.
-    """
-    x, w1, w2 = as_tensor(x), as_tensor(w1), as_tensor(w2)
-    if (x.data.ndim < 2 or w1.data.ndim != 2 or w2.data.ndim != 2
-            or x.data.shape[-1] != w1.data.shape[0] or w1.data.shape[1] != w2.data.shape[0]):
-        raise ShapeError(
-            f"ffn expects x (..., n, d), w1 (d, h) and w2 (h, d_out); got "
-            f"{x.data.shape}, {w1.data.shape} and {w2.data.shape}"
-        )
-    x_shape, w1d, w2d = x.data.shape, w1.data, w2.data
-    want_x, want_w1, want_w2 = (t.requires_grad for t in (x, w1, w2))
-    wins = x.data.reshape((-1,) + x_shape[-2:])
-    out = np.empty(wins.shape[:-1] + w2d.shape[1:])
-    tile = max(1, _FFN_TILE_BYTES // (8 * w1d.shape[1] * wins.shape[1]))
-    tiles = [slice(lo, lo + tile) for lo in range(0, len(wins), tile)]
-    for t in tiles:
-        h = np.matmul(wins[t], w1d)
-        _count_matmul(wins[t], w1d, h)
-        _finite(h, "ffn")
-        act, _ = _gelu_forward(h)
-        np.matmul(act, w2d, out=out[t])
-        _count_matmul(act, w2d, out[t])
-    out_shape = out.shape
-    x_saved = _saved(x)
-
-    def backward(g):
-        g = g.reshape(out_shape)
-        wins = x_saved().reshape((-1,) + x_shape[-2:])
-        gx = np.empty(wins.shape) if want_x else None
-        # the accumulators start from +0.0, as numpy's leading-axis sum does
-        gw1 = np.zeros(w1d.shape) if want_w1 else None
-        gw2 = np.zeros(w2d.shape) if want_w2 else None
-        for t in tiles:
-            h = np.matmul(wins[t], w1d)
-            act, th = _gelu_forward(h)
-            if gw2 is not None:
-                for part in np.matmul(np.swapaxes(act, -1, -2), g[t]):
-                    gw2 += part
-            gh = _gelu_backward(np.matmul(g[t], np.swapaxes(w2d, -1, -2)), h, th)
-            if gx is not None:
-                np.matmul(gh, np.swapaxes(w1d, -1, -2), out=gx[t])
-            if gw1 is not None:
-                for part in np.matmul(np.swapaxes(wins[t], -1, -2), gh):
-                    gw1 += part
-        return None if gx is None else gx.reshape(x_shape), gw1, gw2
-
-    data = out.reshape(x_shape[:-1] + w2d.shape[1:])
-    return _from_op(data, "ffn", (x, w1, w2), backward)
 
 
 def mae(pred, target) -> Tensor:

@@ -6,9 +6,11 @@ summary token, attend across summaries, repeat each refreshed summary over
 its subgraph's rows, fuse with the local representation through a 2D->D
 linear map, restore node order and add a block-level residual. Blocks are
 stacked over a coarsening partition series. All sublayers are pre-norm with
-residuals. An attention sublayer is a layer norm, the q, k and v
-projections, one `ad.attention` op over rows, which splits the heads
-itself, and the residual add.
+residuals, and each is one op: `ad.attn_sublayer` (a layer norm, the q, k
+and v projections, attention over runs of rows and the residual add) and
+`ad.ffn_sublayer` (a layer norm, the GELU feed-forward and the residual
+add). Each walks tiles of whole windows, so with the tape on or off its
+layer-norm output, q, k and v and hidden layer exist only at tile size.
 
 A block holds exactly the n node rows, so there is no padding: intra
 attention costs the sum of s_i^2 over the subgraph sizes s_i, and every
@@ -160,25 +162,13 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
 
 def _attn_sublayer(x: Tensor, prm: AttnParams, heads: int, sizes, return_weights: bool = False):
     """x + multi-head attention of the layer-normed x within each run of
-    `sizes` rows.
-
-    Returns (y, alpha). alpha is None unless return_weights is set; then
-    it holds each run's (..., heads, s, s) weights. With the tape off the
-    layer norm is freed once q, k and v exist, and q, k and v once
-    attention returns, so the residual add holds only x, the attention
-    output and the sum.
-    """
-    h = ad.layer_norm(x, prm.ln1_gamma, prm.ln1_beta)
-    qkv = [ad.matmul(h, w) for w in (prm.wq, prm.wk, prm.wv)]
-    del h
-    att, alpha = ad.attention(*qkv, sizes, heads, return_weights=return_weights)
-    del qkv
-    return ad.add(x, att), alpha
+    `sizes` rows: (y, alpha), alpha as `ad.attn_sublayer` returns it."""
+    return ad.attn_sublayer(x, prm.ln1_gamma, prm.ln1_beta, prm.wq, prm.wk, prm.wv, sizes,
+                            heads, return_weights)
 
 
 def _ffn_sublayer(x: Tensor, prm: AttnParams) -> Tensor:
-    h = ad.layer_norm(x, prm.ln2_gamma, prm.ln2_beta)
-    return ad.add(x, ad.ffn(h, prm.ffn_w1, prm.ffn_w2))
+    return ad.ffn_sublayer(x, prm.ln2_gamma, prm.ln2_beta, prm.ffn_w1, prm.ffn_w2)
 
 
 def intra_attention(xp: Tensor, valid, prm: AttnParams, heads: int, return_weights: bool = False):
@@ -189,8 +179,11 @@ def intra_attention(xp: Tensor, valid, prm: AttnParams, heads: int, return_weigh
     must come first in each row (ContractError otherwise). Returns
     (y, alpha). alpha is None unless return_weights is set; then it is a
     list of p arrays (..., heads, s_i, s_i), s_i the size of subgraph i.
+    With the tape off, xp is freed once the attention sublayer returns,
+    unless the caller holds it.
     """
     u, alpha = _attn_sublayer(xp, prm, heads, prefix_sizes(valid), return_weights)
+    del xp
     return _ffn_sublayer(u, prm), alpha
 
 
@@ -214,7 +207,7 @@ def fuse(y: Tensor, s_prime: Tensor, w_fuse: Tensor, valid) -> Tensor:
     """Each row of y joined with its subgraph's summary, mapped 2D -> D.
 
     One `ad.fuse` op: the tape keeps y and the p summaries, not the
-    (..., n, 2D) concat, which the backward rebuilds.
+    (..., n, 2D) concat, which exists one window tile at a time.
     """
     return ad.fuse(y, s_prime, prefix_sizes(valid), w_fuse)
 
@@ -228,17 +221,21 @@ def sba_block(
 ) -> Tensor:
     """One block in node order: partition, attend, pool, exchange, fuse, residual.
 
-    The attention weights are kept only when capture asks for them.
+    The attention weights are kept only when capture asks for them. With
+    the tape off, each activation is freed as soon as the next one exists:
+    the layout copy inside `intra_attention`, y once fused, and the fused
+    rows once they are back in node order.
     """
     keep = capture is not None
-    xp = apply_plan(x, plan)
-    y, alpha = intra_attention(xp, plan.mask, prm.intra, heads, keep)
-    s = pool_subgraphs(y, plan.mask)
-    s2, alpha2 = inter_attention(s, prm.inter, heads, keep)
-    fused = fuse(y, s2, prm.fuse, plan.mask)
+    y, alpha = intra_attention(apply_plan(x, plan), plan.mask, prm.intra, heads, keep)
+    s2, alpha2 = inter_attention(pool_subgraphs(y, plan.mask), prm.inter, heads, keep)
     if keep:
         capture.append(_capture_block(alpha, alpha2))
-    return ad.add(revert_plan(fused, plan), x)
+    fused = fuse(y, s2, prm.fuse, plan.mask)
+    del y
+    back = revert_plan(fused, plan)
+    del fused
+    return ad.add(back, x)
 
 
 def _capture_block(alpha: list, alpha2: list) -> dict:
@@ -378,10 +375,11 @@ class SbaTransformer:
         unit in which `_TILE_BYTES` caps a `predict` tile.
 
         The FFN hidden layer counts at its whole-window size, and the
-        attention scores at all heads of the largest run, though `ad.ffn`
-        tiles the first by `ad._FFN_TILE_BYTES` and `ad.attention` chunks
-        the second by `ad._ATTN_TILE_BYTES`; so each is an upper bound. A
-        tape-off forward of k windows peaks at a few times k units.
+        attention scores at all heads of the largest run, though the
+        sublayer ops walk window tiles within `ad._WINDOW_TILE_BYTES` and
+        attention chunks its scores within `ad._ATTN_TILE_BYTES`; so each
+        is an upper bound. A tape-off forward of k windows holds its block
+        input, two activations and one window tile's temporaries at once.
         """
         mc = self.config
         run = max(max(plan.m, plan.p) for plan in self.series.plans)
@@ -429,9 +427,9 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
                 }
             )
             q, k, v = (Tensor(rng.standard_normal((plan.n, h * dh))) for _ in range(3))
-            ad.attention(q, k, v, plan.sizes, h)
+            ad.attention(q, k, v, plan.sizes, h, return_weights=False)
             qs, ks, vs = (Tensor(rng.standard_normal((plan.p, h * dh))) for _ in range(3))
-            ad.attention(qs, ks, vs, [plan.p], h)
+            ad.attention(qs, ks, vs, [plan.p], h, return_weights=False)
     measured_total, ad.flops.count = ad.flops.total() - before, before
     closed_total = sum(blk["intra"] + blk["inter"] for blk in per_block)
     return {

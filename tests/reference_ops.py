@@ -3,10 +3,12 @@
 The model never calls these. They are the reference chains of the fused
 ops in `sbaformer.autodiff`: a head split (reshape -> swapaxes), matmul ->
 mul -> softmax -> matmul and a head merge (swapaxes -> reshape) for
-`attention`, matmul -> gelu -> matmul for `ffn`, and repeat_rows ->
-concat -> matmul for `fuse`. Each one runs the package's own kernels
-(`_softmax_rows`, `_gelu_forward` and their backwards) one op at a time,
-so any difference from a fused op is the fusion's.
+`attention`, layer_norm -> three matmuls -> attention -> add for
+`attn_sublayer`, layer_norm -> matmul -> gelu -> matmul -> add for
+`ffn_sublayer`, and repeat_rows -> concat -> matmul for `fuse`. Each one
+runs the package's own kernels (`_normalize`, `_softmax_rows`,
+`_gelu_forward` and their backwards) one op at a time, so any difference
+from a fused op is the fusion's.
 """
 import numpy as np
 
@@ -16,6 +18,9 @@ from sbaformer.autodiff import (
     _from_op,
     _gelu_backward,
     _gelu_forward,
+    _layer_norm_backward,
+    _normalize,
+    _scale_shift,
     _runs,
     _softmax_backward,
     _softmax_rows,
@@ -130,3 +135,19 @@ def tensor_sum(x) -> Tensor:
         return (np.broadcast_to(g, shape),)
 
     return _from_op(data, "sum", (t,), backward)
+
+
+def layer_norm(x, gamma, beta) -> Tensor:
+    """Normalize the last axis to mean 0 / variance 1, then scale and shift."""
+    t, ga, be = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    xhat, (_, inv) = _normalize(t.data)
+    data = _scale_shift(xhat, ga.data, be.data)
+    gamma, want_gamma = ga.data, ga.requires_grad
+    beta_shape, want_beta = be.data.shape, be.requires_grad
+
+    def backward(g):
+        g_gamma = _unbroadcast(g * xhat, gamma.shape) if want_gamma else None
+        g_beta = _unbroadcast(g, beta_shape) if want_beta else None
+        return _layer_norm_backward(g, xhat, inv, gamma), g_gamma, g_beta
+
+    return _from_op(data, "layer_norm", (t, ga, be), backward)

@@ -383,6 +383,25 @@ def uneven_runs(n):
     return sizes
 
 
+def norm_params(x, aux):
+    """gamma and beta (b,) of x (a, b): column means of x * aux (plus one)
+    and of x, so their gradients reach x."""
+    a, b = x.shape[-2:]
+    gamma = ad.reshape(ad.segment_mean(rops.mul(x, Tensor(aux)), [a]), (b,))
+    return ad.add(gamma, Tensor(np.ones(b))), ad.reshape(ad.segment_mean(x, [a]), (b,))
+
+
+def attn_sublayer_case(x, aux):
+    """x (a, b) and aux feed the (a, 2b) rows of 2 heads in uneven runs,
+    their gamma and beta, and the three (2b, 2b) projections."""
+    rows = rops.concat([x, rops.mul(x, Tensor(aux))], axis=-1)
+    mix = Tensor(np.concatenate([aux, aux[::-1]], axis=-1) / x.shape[-2])
+    wq, wk, wv = (ad.matmul(rops.swapaxes(r, -1, -2), mix)
+                  for r in (rows, rops.gelu(rows), rops.mul(rows, rows)))
+    gamma, beta = norm_params(rows, np.concatenate([aux, aux], axis=-1))
+    return ad.attn_sublayer(rows, gamma, beta, wq, wk, wv, uneven_runs(x.shape[-2]), 2)[0]
+
+
 def attention_case(x, aux, sizes):
     """x (a, b) and aux feed q, k and v (a, 2b): a rows in runs of `sizes`,
     split into 2 heads of width b."""
@@ -448,13 +467,20 @@ def chain_fuse(y, s, sizes, w):
 
 
 def closure_arrays(fn):
-    """The arrays fn's closure cells hold, and those of the functions among them."""
-    for cell in fn.__closure__ or ():
-        value = cell.cell_contents
+    """The arrays fn's closure cells hold, at any depth: the items of lists
+    and tuples, and the closures of the functions among them."""
+    seen, stack = set(), [fn]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
         if isinstance(value, np.ndarray):
             yield value
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
         elif callable(value):
-            yield from closure_arrays(value)
+            stack.extend(cell.cell_contents for cell in getattr(value, "__closure__", None) or ())
 
 
 class TestFuse:
@@ -503,18 +529,20 @@ class TestFuse:
 
 
 class TestLayerNorm:
+    """The layer norm kernel of the sublayer ops, through its reference op."""
+
     def test_constant_row_goes_to_beta(self):
-        out = ad.layer_norm(Tensor([3.0, 3.0, 3.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        out = rops.layer_norm(Tensor([3.0, 3.0, 3.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
     def test_already_normalized(self):
         # variance 1: only eps = 1e-5 moves the row
-        out = ad.layer_norm(Tensor([-1.0, 1.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        out = rops.layer_norm(Tensor([-1.0, 1.0]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
         np.testing.assert_allclose(out.data, np.array([-1.0, 1.0]) / np.sqrt(1 + 1e-5),
                                    atol=1e-12)
 
     def test_scalar_oracle_value(self):
-        out = ad.layer_norm(Tensor([0.0, 2.0, 4.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        out = rops.layer_norm(Tensor([0.0, 2.0, 4.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
         np.testing.assert_allclose(
             out.data, [-1.2247425750014138, 0.0, 1.2247425750014138], atol=1e-12
         )
@@ -555,41 +583,72 @@ class TestGelu:
 
 
 def unfused_ffn(x, w1, w2):
-    """The three-op chain ad.ffn replaces."""
+    """matmul -> gelu -> matmul, the FFN of the chain ad.ffn_sublayer replaces."""
     return ad.matmul(rops.gelu(ad.matmul(x, w1)), w2)
 
 
+def chain_ffn_sublayer(x, gamma, beta, w1, w2):
+    """The chain ad.ffn_sublayer replaces: layer norm, the FFN, residual add."""
+    return ad.add(x, unfused_ffn(rops.layer_norm(x, gamma, beta), w1, w2))
+
+
+def chain_attn_sublayer(x, gamma, beta, wq, wk, wv, sizes, heads):
+    """The chain ad.attn_sublayer replaces: layer norm, three projections,
+    attention, residual add."""
+    h = rops.layer_norm(x, gamma, beta)
+    att, _ = ad.attention(*(ad.matmul(h, w) for w in (wq, wk, wv)), sizes, heads,
+                          return_weights=False)
+    return ad.add(x, att)
+
+
+def run_with_grads(fn, arrays, weights):
+    """[out, the grad of every input] of fn over leaves of `arrays`, with a
+    sum weighted by `weights` as the loss; the forward's FLOP count; and the
+    count after the backward as well."""
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    before = ad.flops.total()
+    with ad.flops.counting():
+        out = fn(*leaves)
+        forward = ad.flops.total() - before
+        rops.tensor_sum(rops.mul(out, Tensor(weights))).backward()
+        after = ad.flops.total() - before
+    return [out.data] + [t.grad for t in leaves], forward, after
+
+
+def traced_held(fn):
+    """fn's result and the traced bytes still held once it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
 class TestFfn:
+    """ad.ffn_sublayer against its unfused chain."""
+
     D, H = 4, 12  # one (5, 4) window's hidden layer is 5 * 12 * 8 = 480 bytes
 
-    def _run(self, fn, x0, w10, w20, weights):
-        """[out, dx, dw1, dw2] and the forward's FLOP count, with the count
-        after the backward as well."""
-        x, w1, w2 = (Tensor(a.copy(), requires_grad=True) for a in (x0, w10, w20))
-        before = ad.flops.total()
-        with ad.flops.counting():
-            out = fn(x, w1, w2)
-            forward = ad.flops.total() - before
-            rops.tensor_sum(rops.mul(out, Tensor(weights))).backward()
-            after = ad.flops.total() - before
-        return [out.data, x.grad, w1.grad, w2.grad], forward, after
-
     def _case(self, shape, seed):
+        """(x, gamma, beta, w1, w2) and the output's weights."""
         rng = np.random.default_rng(seed)
         x0 = rng.standard_normal(shape + (5, self.D))
-        w10 = rng.standard_normal((self.D, self.H))
-        w20 = rng.standard_normal((self.H, self.D))
-        return x0, w10, w20, rng.standard_normal(x0.shape)
+        arrays = (x0, 1.0 + 0.1 * rng.standard_normal(self.D), 0.1 * rng.standard_normal(self.D),
+                  rng.standard_normal((self.D, self.H)), rng.standard_normal((self.H, self.D)))
+        return arrays, rng.standard_normal(x0.shape)
 
     @pytest.mark.parametrize("shape", [(), (7,), (2, 3)], ids=["unbatched", "one-axis", "two-axes"])
     @pytest.mark.parametrize("budget", [1, 3 * 480 + 7, 1 << 30], ids=["1", "3", "all"])
     def test_matches_unfused_chain_bit_for_bit(self, monkeypatch, shape, budget):
         # tiles of one window, of three (7 windows end in a ragged tile of
         # one) and of every window
-        case = self._case(shape, 40 + len(shape))
-        chain, chain_flops, _ = self._run(unfused_ffn, *case)
+        arrays, weights = self._case(shape, 40 + len(shape))
+        chain, chain_flops, _ = run_with_grads(chain_ffn_sublayer, arrays, weights)
         monkeypatch.setattr(ad, "_FFN_TILE_BYTES", budget)
-        fused, fused_flops, after = self._run(ad.ffn, *case)
+        monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", budget)  # 9 windows at "3"
+        fused, fused_flops, after = run_with_grads(ad.ffn_sublayer, arrays, weights)
         assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
         assert fused_flops == chain_flops and after == fused_flops
 
@@ -597,106 +656,166 @@ class TestFfn:
         calls = []
         monkeypatch.setattr(ad, "_count_matmul", lambda a, b, out: calls.append(out.shape[0]))
         monkeypatch.setattr(ad, "_FFN_TILE_BYTES", 3 * 480 + 7)
-        x0, w10, w20, _ = self._case((7,), 44)
-        ad.ffn(Tensor(x0), Tensor(w10), Tensor(w20))
+        arrays, _ = self._case((7,), 44)
+        ad.ffn_sublayer(*(Tensor(a) for a in arrays))
         assert calls == [3, 3, 3, 3, 1, 1]  # x @ w1 then gelu @ w2, per tile
 
     def test_leaves_without_grad_get_none(self):
-        x0, w10, w20, weights = self._case((3,), 45)
-        x, w1 = Tensor(x0), Tensor(w10)
-        w2 = Tensor(w20.copy(), requires_grad=True)
-        rops.tensor_sum(rops.mul(ad.ffn(x, w1, w2), Tensor(weights))).backward()
-        ref = Tensor(w20.copy(), requires_grad=True)
-        rops.tensor_sum(rops.mul(unfused_ffn(Tensor(x0), Tensor(w10), ref), Tensor(weights))).backward()
-        assert x.grad is None and w1.grad is None
+        arrays, weights = self._case((3,), 45)
+        x, gamma, beta, w1 = (Tensor(a) for a in arrays[:4])
+        w2 = Tensor(arrays[4].copy(), requires_grad=True)
+        rops.tensor_sum(rops.mul(ad.ffn_sublayer(x, gamma, beta, w1, w2), Tensor(weights))).backward()
+        ref = Tensor(arrays[4].copy(), requires_grad=True)
+        chain = chain_ffn_sublayer(*(Tensor(a) for a in arrays[:4]), ref)
+        rops.tensor_sum(rops.mul(chain, Tensor(weights))).backward()
+        assert x.grad is None and gamma.grad is None and w1.grad is None
         assert np.array_equal(w2.grad, ref.grad)
 
     def test_overflowing_hidden_layer_names_ffn(self):
-        x = Tensor(np.full((2, 3, self.D), 1e200))
+        # the layer norm maps x to beta, and beta @ w1 overflows
+        x = Tensor(np.ones((2, 3, self.D)))
         w1 = Tensor(np.full((self.D, self.H), -1e200))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericError, match="ffn"):
-            ad.ffn(x, w1, Tensor(np.zeros((self.H, self.D))))
+            ad.ffn_sublayer(x, Tensor(np.ones(self.D)), Tensor(np.full(self.D, 1e200)), w1,
+                            Tensor(np.zeros((self.H, self.D))))
 
     def test_bad_shapes_raise(self):
-        x, w1, w2 = (Tensor(np.ones(s)) for s in ((5, 4), (4, 12), (12, 4)))
-        for args in ((Tensor(np.ones(4)), w1, w2), (x, Tensor(np.ones((3, 12))), w2),
-                     (x, w1, Tensor(np.ones((11, 4)))), (x, Tensor(np.ones((1, 4, 12))), w2)):
-            with pytest.raises(ShapeError, match="ffn expects"):
-                ad.ffn(*args)
+        x, g, w1, w2 = (Tensor(np.ones(s)) for s in ((5, 4), (4,), (4, 12), (12, 4)))
+        for args in ((Tensor(np.ones(4)), g, g, w1, w2), (x, g, g, Tensor(np.ones((3, 12))), w2),
+                     (x, g, g, w1, Tensor(np.ones((11, 4)))), (x, g, g, Tensor(np.ones((1, 4, 12))), w2),
+                     (x, g, g, w1, Tensor(np.ones((12, 5)))), (x, Tensor(np.ones(3)), g, w1, w2),
+                     (x, g, Tensor(np.ones((1, 4))), w1, w2)):
+            with pytest.raises(ShapeError, match="ffn_sublayer expects"):
+                ad.ffn_sublayer(*args)
+
+
+class TestAttnSublayer:
+    """ad.attn_sublayer against its unfused chain."""
+
+    SIZES = [3, 1, 2, 1]  # ragged runs over 7 rows, 2 heads of width 4
+    WINDOW = 8 * 7 * 8  # one window's (7, 8) rows
+
+    def _case(self, lead, seed):
+        """(x, gamma, beta, wq, wk, wv) and the output's weights."""
+        rng = np.random.default_rng(seed)
+        x0 = rng.standard_normal(lead + (7, 8))
+        arrays = (x0, 1.0 + 0.1 * rng.standard_normal(8), 0.1 * rng.standard_normal(8),
+                  *(rng.standard_normal((8, 8)) / 3 for _ in range(3)))
+        return arrays, rng.standard_normal(x0.shape)
+
+    def _fused(self, *args):
+        return ad.attn_sublayer(*args, self.SIZES, 2)[0]
+
+    def _chain(self, *args):
+        return chain_attn_sublayer(*args, self.SIZES, 2)
+
+    @pytest.mark.parametrize("lead", [(), (7,), (2, 3)], ids=["unbatched", "one-axis", "two-axes"])
+    @pytest.mark.parametrize("budget", [1, 3 * WINDOW + 7, 1 << 30], ids=["1", "3", "all"])
+    def test_matches_unfused_chain_bit_for_bit(self, monkeypatch, lead, budget):
+        # tiles of one window, of three (7 windows end in a ragged tile of
+        # one) and of every window; attention chunks of one window as well
+        arrays, weights = self._case(lead, 80 + len(lead))
+        chain, chain_flops, _ = run_with_grads(self._chain, arrays, weights)
+        monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", budget)
+        monkeypatch.setattr(ad, "_ATTN_TILE_BYTES", min(budget, 1 << 18))
+        fused, fused_flops, after = run_with_grads(self._fused, arrays, weights)
+        assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
+        assert fused_flops == chain_flops and after == fused_flops
+
+    def test_weights_are_whole_runs_at_any_budget(self, monkeypatch):
+        arrays, _ = self._case((5,), 84)
+        monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", 1)
+        out, weights = ad.attn_sublayer(*(Tensor(a) for a in arrays), self.SIZES, 2,
+                                        return_weights=True)
+        h = rops.layer_norm(*(Tensor(a) for a in arrays[:3]))
+        att, ref = ad.attention(*(ad.matmul(h, Tensor(w)) for w in arrays[3:]), self.SIZES, 2,
+                                return_weights=True)
+        assert np.array_equal(out.data, arrays[0] + att.data)
+        assert [w.shape for w in weights] == [(5, 2, s, s) for s in self.SIZES]
+        assert all(np.array_equal(a, b) for a, b in zip(weights, ref))
+
+    def test_tiles_cover_the_windows(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ad, "_count_matmul", lambda a, b, out: calls.append(out.shape[0]))
+        monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", 3 * self.WINDOW + 7)
+        arrays, _ = self._case((7,), 85)
+        ad.attn_sublayer(*(Tensor(a) for a in arrays), [7], 2)
+        # per tile: three projections, then the run's scores and output
+        assert calls == [3] * 5 + [3] * 5 + [1] * 5
+
+    def test_tape_keeps_x_and_the_weights(self):
+        arrays, _ = self._case((4,), 86)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out, _ = ad.attn_sublayer(*leaves, self.SIZES, 2)
+        held = list(closure_arrays(out._backward))
+        assert all(any(a is t.data for a in held) for t in leaves)
+        # x is the only activation-sized array: no layer-norm output, q, k or v
+        assert [a is leaves[0].data for a in held if a.nbytes >= arrays[0].nbytes] == [True]
+
+    def test_bad_shapes_raise(self):
+        x, g, w = (Tensor(np.ones(s)) for s in ((7, 8), (8,), (8, 8)))
+        for args in ((Tensor(np.ones(8)), g, g, w, w, w), (x, Tensor(np.ones(7)), g, w, w, w),
+                     (x, g, Tensor(np.ones((1, 8))), w, w, w), (x, g, g, Tensor(np.ones((8, 4))), w, w),
+                     (x, g, g, w, w, Tensor(np.ones((2, 8, 8))))):
+            with pytest.raises(ShapeError, match="attn_sublayer expects"):
+                ad.attn_sublayer(*args, self.SIZES, 2)
+        with pytest.raises(ShapeError, match="attn_sublayer"):
+            ad.attn_sublayer(x, g, g, w, w, w, [3, 3], 2)
+        with pytest.raises(ShapeError, match="width 8 into 3 heads"):
+            ad.attn_sublayer(x, g, g, w, w, w, self.SIZES, 3)
+        with pytest.raises(EmptyRunError):
+            ad.attn_sublayer(x, g, g, w, w, w, [3, 0, 4], 2)
 
 
 class TestLayerNormRebuild:
-    """matmul and ffn keep a rebuild of a layer-norm output, not the output."""
+    """The sublayer ops rerun their layer norm in the backward, tile by
+    tile, where the unfused chain's tape keeps its output: for the q, k and
+    v matmuls, or for the FFN."""
 
-    CONSUMERS = {
-        "matmul": lambda h, w1, w2: ad.matmul(ad.matmul(h, w1), w2),
-        "ffn": ad.ffn,
+    CONSUMERS = {  # (fused, chain, weight shapes); 2 heads over runs of 7 and 9 rows
+        "matmul": (lambda x, g, b, w1, w2: ad.attn_sublayer(x, g, b, w1, w2, w1, [7, 9], 2)[0],
+                   lambda x, g, b, w1, w2: chain_attn_sublayer(x, g, b, w1, w2, w1, [7, 9], 2),
+                   ((16, 16), (16, 16))),
+        "ffn": (ad.ffn_sublayer, chain_ffn_sublayer, ((16, 48), (48, 16))),
     }
 
-    def _run(self, consumer, keep_output, seed):
-        """[out, dx, dgamma, dbeta, dw1, dw2], and whether the layer-norm
-        output outlived the consumer's forward."""
-        rng = np.random.default_rng(seed)
-        x = Tensor(rng.standard_normal((2, 3, 5, 4)), requires_grad=True)
-        gamma = Tensor(1.0 + 0.1 * rng.standard_normal(4), requires_grad=True)
-        beta = Tensor(0.1 * rng.standard_normal(4), requires_grad=True)
-        w1, w2 = (Tensor(rng.standard_normal(shape), requires_grad=True)
-                  for shape in ((4, 12), (12, 4)))
-        h = ad.layer_norm(x, gamma, beta)
-        if keep_output:
-            h._op._rebuild = None  # the consumer keeps the output array itself
-        output = weakref.ref(h.data)
-        out = self.CONSUMERS[consumer](h, w1, w2)
-        del h
-        alive = output() is not None
-        rops.tensor_sum(rops.mul(out, Tensor(rng.standard_normal(out.shape)))).backward()
-        return [out.data] + [t.grad for t in (x, gamma, beta, w1, w2)], alive
-
     @pytest.mark.parametrize("consumer", sorted(CONSUMERS))
-    def test_rebuild_keeps_every_bit_and_frees_the_output(self, consumer):
-        rebuilt, rebuilt_alive = self._run(consumer, False, 70)
-        kept, kept_alive = self._run(consumer, True, 70)
-        assert all(np.array_equal(a, b) for a, b in zip(rebuilt, kept))
-        assert kept_alive and not rebuilt_alive
+    def test_rebuild_keeps_every_bit_and_frees_the_output(self, monkeypatch, consumer):
+        fused_fn, chain_fn, shapes = self.CONSUMERS[consumer]
+        rng = np.random.default_rng(70)
+        arrays = (rng.standard_normal((4, 3, 16, 16)), 1.0 + 0.1 * rng.standard_normal(16),
+                  0.1 * rng.standard_normal(16), *(rng.standard_normal(s) / 4 for s in shapes))
+        weights = rng.standard_normal(arrays[0].shape)
+        chain, _, _ = run_with_grads(chain_fn, arrays, weights)
+        # with the tape on, the chain holds the layer-norm output and more
+        # beyond its own output; the fused op holds row statistics, two
+        # values a row for the layer norm and two a head for attention
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        unit = arrays[0].nbytes
+        _, chain_held = traced_held(lambda: chain_fn(*leaves))
+        _, fused_held = traced_held(lambda: fused_fn(*leaves))
+        assert fused_held - unit < unit and chain_held - unit >= 4 * unit
+        # the backward's rerun gives the chain's bits in tiles of one window
+        monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", 1)
+        monkeypatch.setattr(ad, "_FFN_TILE_BYTES", 1)
+        fused, _, _ = run_with_grads(fused_fn, arrays, weights)
+        assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
 
 
 class TestMatmulRebuild:
-    """A matmul whose backward keeps both operands offers their product as
-    a rebuild; attention keeps the rebuilds of q, k and v, not the arrays."""
-
-    @pytest.mark.parametrize("a_shape, b_shape", [
-        ((4, 5), (5, 3)),
-        ((2, 4, 5), (2, 5, 3)),
-        ((2, 3, 4, 5), (5, 3)),
-        ((3, 1, 4, 5), (2, 5, 3)),
-    ], ids=["2-D", "batched", "broadcast", "broadcast-both"])
-    def test_rebuild_equals_the_output(self, a_shape, b_shape):
-        rng = np.random.default_rng(71)
-        a, b = (Tensor(rng.standard_normal(shape), requires_grad=True)
-                for shape in (a_shape, b_shape))
-        out = ad.matmul(a, b)
-        assert np.array_equal(out._op._rebuild(), out.data)
-        # and over an operand that is itself rebuilt
-        h = ad.layer_norm(a, Tensor(np.full(5, 1.1), requires_grad=True), Tensor(np.zeros(5)))
-        out = ad.matmul(h, b)
-        assert np.array_equal(out._op._rebuild(), out.data)
-
-    @pytest.mark.parametrize("wants", [(True, False), (False, True)], ids=["a", "b"])
-    def test_no_rebuild_when_an_operand_needs_no_grad(self, wants):
-        rng = np.random.default_rng(72)
-        a, b = (Tensor(rng.standard_normal(shape), requires_grad=want)
-                for shape, want in zip(((4, 5), (5, 3)), wants))
-        assert ad.matmul(a, b)._op._rebuild is None
+    """attn_sublayer reruns its q, k and v matmuls in the backward, tile by
+    tile, where the unfused chain's attention keeps q, k and v; attention
+    over leaves keeps their arrays."""
 
     def test_attention_over_leaves_keeps_their_arrays(self):
         q, k, v = np.random.default_rng(73).standard_normal((3, 2, 5, 8))
         weights = np.random.default_rng(74).standard_normal(q.shape)
         qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
         out, _ = ad.attention(qt, kt, vt, [5], 2)
-        fn = out._backward
-        cells = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
-        assert all(read() is t.data for read, t in zip(cells["saved"], (qt, kt, vt)))
+        held = list(closure_arrays(out._backward))
+        assert all(any(np.shares_memory(a, t.data) for a in held) for t in (qt, kt, vt))
+        assert max(a.nbytes for a in held) == q.nbytes
         rops.tensor_sum(rops.mul(out, Tensor(weights))).backward()
         qc, kc, vc = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
         chain, _ = unfused_attention(qc, kc, vc, 2)
@@ -704,38 +823,27 @@ class TestMatmulRebuild:
         assert all(np.array_equal(a, b) for a, b in zip(
             [out.data, qt.grad, kt.grad, vt.grad], [chain.data, qc.grad, kc.grad, vc.grad]))
 
-    def _sublayer(self, keep_arrays, seed):
-        """[out, dx, dgamma, dbeta, dwq, dwk, dwv] of attention over the
-        projections of one layer norm, whether q, k or v outlived the
-        forward, and how often the backward rebuilt the layer norm."""
-        rng = np.random.default_rng(seed)
-        x = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
-        gamma = Tensor(1.0 + 0.1 * rng.standard_normal(8), requires_grad=True)
-        beta = Tensor(0.1 * rng.standard_normal(8), requires_grad=True)
-        ws = [Tensor(rng.standard_normal((8, 8)), requires_grad=True) for _ in range(3)]
-        h = ad.layer_norm(x, gamma, beta)
-        rebuild, rebuilds = h._op._rebuild, []
-        h._op._rebuild = lambda: rebuilds.append(1) or rebuild()
-        qkv = [ad.matmul(h, w) for w in ws]
-        if keep_arrays:
-            for t in qkv:
-                t._op._rebuild = None  # attention keeps the arrays themselves
-        arrays = [weakref.ref(t.data) for t in qkv]
+    def test_rebuilt_qkv_keep_every_bit_and_free_the_arrays(self, monkeypatch):
+        # one window a tile: the backward reruns the projections window by
+        # window, and the forward leaves no q, k or v on the tape
+        rng = np.random.default_rng(75)
+        arrays = (rng.standard_normal((2, 5, 8)), 1.0 + 0.1 * rng.standard_normal(8),
+                  0.1 * rng.standard_normal(8), *(rng.standard_normal((8, 8)) for _ in range(3)))
+        weights = rng.standard_normal(arrays[0].shape)
+        chain, _, _ = run_with_grads(lambda *a: chain_attn_sublayer(*a, [2, 3], 2), arrays, weights)
+        monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", 1)
+        fused, _, _ = run_with_grads(lambda *a: ad.attn_sublayer(*a, [2, 3], 2)[0], arrays, weights)
+        assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        h = rops.layer_norm(*leaves[:3])
+        qkv = [ad.matmul(h, w) for w in leaves[3:]]
+        arrays_alive = [weakref.ref(t.data) for t in qkv]
         out, _ = ad.attention(*qkv, [2, 3], 2)
         del h, qkv
-        alive = any(a() is not None for a in arrays)
-        rops.tensor_sum(rops.mul(out, Tensor(rng.standard_normal(out.shape)))).backward()
-        return [out.data] + [t.grad for t in [x, gamma, beta] + ws], alive, len(rebuilds)
-
-    def test_rebuilt_qkv_keep_every_bit_and_free_the_arrays(self):
-        rebuilt, rebuilt_alive, rebuilt_count = self._sublayer(False, 75)
-        kept, kept_alive, kept_count = self._sublayer(True, 75)
-        assert all(np.array_equal(a, b) for a, b in zip(rebuilt, kept))
-        assert kept_alive and not rebuilt_alive
-        # attention's three projections share one rebuild of their input,
-        # and the three weight gradients another
-        assert (rebuilt_count, kept_count) == (2, 1)
-        assert getattr(ad._READS, "shared", None) is None  # nothing is held past the walk
+        assert all(a() is not None for a in arrays_alive)  # the chain keeps them
+        out = ad.attn_sublayer(*leaves, [2, 3], 2)[0]
+        held = closure_arrays(out._backward)
+        assert [a is leaves[0].data for a in held if a.nbytes >= arrays[0].nbytes] == [True]
 
 
 class TestBackward:
@@ -780,10 +888,13 @@ class TestGradientSoundness:
         "div": lambda x, aux: rops.div(x, Tensor(np.abs(aux) + 1.0)),
         "gelu": lambda x, aux: rops.gelu(x),
         # x (a, b) feeds all three operands, so dw1 and dw2 reach dx too
-        "ffn": lambda x, aux: ad.ffn(
-            x, rops.swapaxes(rops.mul(x, Tensor(aux)), -1, -2), rops.mul(x, x)
+        # x (a, b) feeds all five operands, so every gradient reaches dx
+        "ffn": lambda x, aux: ad.ffn_sublayer(
+            x, *norm_params(x, aux), rops.swapaxes(rops.mul(x, Tensor(aux)), -1, -2),
+            rops.mul(x, x),
         ),
-        "layer_norm": lambda x, aux: ad.layer_norm(
+        "attn_sublayer": lambda x, aux: attn_sublayer_case(x, aux),
+        "layer_norm": lambda x, aux: rops.layer_norm(
             x, Tensor(aux[0] + 2.0), Tensor(aux[1])
         ),
         "softmax": lambda x, aux: rops.softmax(x),

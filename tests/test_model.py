@@ -403,8 +403,9 @@ class TestTiledPredict:
 
     def test_tile_working_set_is_a_few_window_units(self):
         # e2e config at the rule's tile for a 64-window batch on 2 workers:
-        # a tape-off forward of k >= 4 windows peaks at about 2.6 k units of
-        # `_window_bytes` (tracemalloc), one window at about 4.4
+        # the 16-window tape-off forward peaks at 1.27 k units of
+        # `_window_bytes` (tracemalloc), 1.88 k before the sublayers walked
+        # window tiles
         g = make_grid_graph(8, 8)
         config = md.ModelConfig(n=64, t=24, c=1, f=12, d_model=32, l=3, heads=4, p0=8, k_pe=8)
         model = md.SbaTransformer(config, build_scale_series(g, 8, 3, seed=0),
@@ -419,7 +420,7 @@ class TestTiledPredict:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * tile * unit
+        assert peak <= 1.5 * tile * unit
 
     @pytest.mark.parametrize("tile, counts", [(1, [1] * 7), (3, [1, 3, 3]), (7, [7])])
     def test_tiles_equal_one_whole_batch_forward(self, monkeypatch, tile, counts):
@@ -598,8 +599,9 @@ class TestAttentionWorkingSet:
     def test_tape_off_forward_holds_a_chunk_of_scores(self):
         # one run of 128 rows, 4 heads, 8 windows: the batch's scores are
         # 4 MiB (16 units), over the 256 KiB attention budget, so a chunk
-        # of one window (2 units) is all that exists at once. 8.5 units
-        # measured; holding the whole batch's scores peaks at 25.0
+        # of one window (2 units) is all that exists at once. 6.4 units
+        # measured (8.5 before the sublayers walked window tiles); holding
+        # the whole batch's scores peaks at 25.0
         b, n, d = 8, 128, 32
         config = md.ModelConfig(n=n, t=4, c=1, f=2, d_model=d, l=1, heads=4, p0=1, k_pe=2)
         model = md.SbaTransformer(config, pt.ScaleSeries(plans=[uniform_plan(n, 1)]),
@@ -615,7 +617,27 @@ class TestAttentionWorkingSet:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * unit
+        assert peak <= 8 * unit
+
+    def test_tape_off_forward_of_forecast_grid576_in_units(self):
+        # the forecast_grid576 benchmark config (24x24 grid, p0=16, l=3,
+        # d=64, 4 heads) on 16 windows: the block input, two activations
+        # and one window's temporaries at a time, 3.85 units measured.
+        # Whole-batch q, k, v and layer-norm outputs peaked at 7.06
+        g = make_grid_graph(24, 24)
+        config = md.ModelConfig(n=576, t=24, c=1, f=12, d_model=64, l=3, heads=4, p0=16, k_pe=8)
+        model = md.SbaTransformer(config, build_scale_series(g, 16, 3, seed=0), np.zeros((576, 8)))
+        x = np.random.default_rng(41).standard_normal((16, 576, 24, 1))
+        unit = 8 * 16 * 576 * 64  # one (batch, n, d_model) float64 array
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with ad.no_grad():
+                model.forward(Tensor(x))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * unit
 
 
 class TestMaeLoss:
@@ -824,7 +846,10 @@ class TestFullModelGradients:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     stack.append(parent)
-        assert inner > 50
+        # 9 ops a block (two sublayers a branch, 2 row permutations,
+        # segment_mean, fuse and the residual add), 3 in the embedding, 2 in
+        # the head and the loss: 2 * 9 + 3 + 2 + 1
+        assert inner == 24
 
     def test_gradcheck_against_finite_differences(self):
         from test_autodiff import assert_grads_close
@@ -875,7 +900,7 @@ class TestFullModelGradients:
 
     def test_fused_ffn_keeps_every_bit_and_shrinks_the_tape(self, monkeypatch):
         def unfused_sublayer(x, prm):
-            h = ad.layer_norm(x, prm.ln2_gamma, prm.ln2_beta)
+            h = rops.layer_norm(x, prm.ln2_gamma, prm.ln2_beta)
             return ad.add(x, ad.matmul(rops.gelu(ad.matmul(h, prm.ffn_w1)), prm.ffn_w2))
 
         rng = np.random.default_rng(24)
@@ -890,6 +915,18 @@ class TestFullModelGradients:
         # the intra hidden layer, its GELU tanh and the GELU output, per block
         hidden = 8 * b * n * model.config.ffn_mult * d
         assert chain_bytes - fused_bytes >= 3 * model.config.l * hidden
+
+    @staticmethod
+    def _chain_sublayer(attention):
+        """md._attn_sublayer as the unfused chain over `attention`: layer
+        norm, three matmuls, attention and the residual add."""
+        def sublayer(x, prm, heads, sizes, return_weights=False):
+            h = rops.layer_norm(x, prm.ln1_gamma, prm.ln1_beta)
+            qkv = [ad.matmul(h, w) for w in (prm.wq, prm.wk, prm.wv)]
+            att, alpha = attention(*qkv, sizes, heads, return_weights=return_weights)
+            return ad.add(x, att), alpha
+
+        return sublayer
 
     def test_attention_rebuild_keeps_every_bit_and_shrinks_the_tape(self, monkeypatch):
         from test_autodiff import unfused_attention
@@ -918,7 +955,7 @@ class TestFullModelGradients:
         x = rng.standard_normal((b, 16, 4, 1))
         target = rng.standard_normal((b, 16, 3, 1))
         fused_bytes, fused, fused_flops = self._tape_run(model, x, target)
-        monkeypatch.setattr(ad, "attention", chain_attention)
+        monkeypatch.setattr(md, "_attn_sublayer", self._chain_sublayer(chain_attention))
         chain_bytes, chain, chain_flops = self._tape_run(model, x, target)
         assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
         assert fused_flops == chain_flops  # the rebuild's q k^T is not counted
@@ -928,27 +965,20 @@ class TestFullModelGradients:
         assert chain_bytes - fused_bytes >= weights
 
     def test_qkv_rebuild_keeps_every_bit_and_shrinks_the_tape(self, monkeypatch):
-        attention = ad.attention
-
-        def keeping_attention(q, k, v, sizes, heads, return_weights=False):
-            """attention that keeps the q, k and v arrays: their nodes offer no rebuild."""
-            for t in (q, k, v):
-                if t._op is not None:
-                    t._op._rebuild = None
-            return attention(q, k, v, sizes, heads, return_weights)
-
+        # the chain's attention keeps q, k and v, and its matmuls the
+        # layer-norm output; the sublayer op reruns them in its backward
         rng = np.random.default_rng(27)
         b, n, d = 4, 16, 12
         model, _ = tiny_model(rng, n=n, t=4, d=d, l=2, heads=2, p0=2)
         x = rng.standard_normal((b, n, 4, 1))
         target = rng.standard_normal((b, n, 3, 1))
         rebuilt_bytes, rebuilt, rebuilt_flops = self._tape_run(model, x, target)
-        monkeypatch.setattr(ad, "attention", keeping_attention)
+        monkeypatch.setattr(md, "_attn_sublayer", self._chain_sublayer(ad.attention))
         kept_bytes, kept, kept_flops = self._tape_run(model, x, target)
         assert all(np.array_equal(a, b) for a, b in zip(rebuilt, kept))
         assert rebuilt_flops == kept_flops  # the projections' rerun is not counted
-        # q, k and v of every block's intra attention
-        assert kept_bytes - rebuilt_bytes >= 3 * model.config.l * 8 * b * n * d
+        # the layer-norm output and q, k and v of every block's intra attention
+        assert kept_bytes - rebuilt_bytes >= 4 * model.config.l * 8 * b * n * d
 
 
 class TestTapeKeepsWhatBackwardReads:
@@ -976,10 +1006,11 @@ class TestTapeKeepsWhatBackwardReads:
         finally:
             tracemalloc.stop()
         assert out.requires_grad
-        # 12.4 units measured, output included. Keeping attention's q, k
-        # and v holds 22.0; keeping each layer-norm output and the fuse
-        # concat as well, 31.25; a tape that keeps every op output alive
-        # through its parent links, 63.6
+        # 12.5 units measured, output included: each sublayer keeps its
+        # input and its layer norm's row statistics, fuse its y and
+        # summaries. Keeping attention's q, k and v holds 22.0; keeping
+        # each layer-norm output and the fuse concat as well, 31.25; a tape
+        # that keeps every op output alive through its parent links, 63.6
         assert held <= 13 * unit
 
     def test_backward_peak_in_activation_units(self):
@@ -992,18 +1023,19 @@ class TestTapeKeepsWhatBackwardReads:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # the tape plus the backward's temporaries at their largest, in the
-        # last block's intra attention backward: 25.7 units measured.
-        # Keeping q, k and v peaks at 32.3; keeping the layer-norm outputs
-        # and the fuse concat as well, with per-window ffn weight-gradient
-        # partials and 1 MiB attention chunks, at 46.1
-        assert peak <= 27 * unit
+        # the tape plus the backward's temporaries at their largest, which
+        # window tiles keep to a few quarter units: 21.5 units measured.
+        # Rebuilding the whole batch's q, k and v peaked at 25.7, keeping
+        # them at 32.3; keeping the layer-norm outputs and the fuse concat
+        # as well, with per-window ffn weight-gradient partials and 1 MiB
+        # attention chunks, at 46.1
+        assert peak <= 23 * unit
 
     def test_no_backward_closure_holds_a_tensor(self):
         def held(fn):
             """What fn's closure cells hold, at any depth: the items of the
             sequences and the closures of the functions among them (saved
-            operands, their rebuilds and what those rebuilds read)."""
+            operands and the helpers a backward calls)."""
             seen, stack = set(), [fn]
             while stack:
                 value = stack.pop()
@@ -1024,17 +1056,17 @@ class TestTapeKeepsWhatBackwardReads:
             node = stack.pop()
             if node._backward is not None:  # an op node; leaves have no backward
                 ops += 1
-                for fn in (node._backward, node._rebuild):
-                    if fn is not None:
-                        assert not any(isinstance(v, Tensor) for v in held(fn)), fn.__qualname__
+                fn = node._backward
+                assert not any(isinstance(v, Tensor) for v in held(fn)), fn.__qualname__
             for parent in node._parents:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     stack.append(parent)
-        # a branch is 9 ops: layer norm, 3 matmuls, attention and add, then
-        # layer norm, ffn and add. A block is 2 branches and 5 more: 2 row
-        # permutations, segment_mean, fuse and the residual add. 3 blocks,
-        # the embedding's 2 matmuls and add (the input's reshape needs no
-        # grad), the head's matmul and reshape, and the loss: 3 * 23 + 3 +
-        # 2 + 1
-        assert ops == 75
+        # a branch is 2 ops, attn_sublayer and ffn_sublayer. A block is 2
+        # branches and 5 more: 2 row permutations, segment_mean, fuse and
+        # the residual add. 3 blocks, the embedding's 2 matmuls and add (the
+        # input's reshape needs no grad), the head's matmul and reshape, and
+        # the loss: 3 * 9 + 3 + 2 + 1. Before the sublayers were ops, a
+        # branch was 9 (layer norm, 3 matmuls, attention, add, then layer
+        # norm, ffn, add) and the tape 3 * 23 + 6 = 75
+        assert ops == 33
