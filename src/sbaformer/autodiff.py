@@ -4,14 +4,15 @@ Everything the attention blocks need lives here: batched matmul,
 elementwise add and reshape, fused multi-head scaled dot-product attention
 within runs of consecutive rows (one run being attention over all rows)
 that splits its rows into heads itself and holds one bounded chunk of
-weights at a time, the two pre-norm sublayers as one op each
-(`attn_sublayer`, `ffn_sublayer`), the row moves of the subgraph layout (a
-row permutation and a mean over each run of rows), a fused map of each row
+weights at a time, a whole pre-norm attention branch (layer norm,
+attention and residual, then layer norm, GELU feed-forward and residual)
+as one op (`layer`), the row moves of the subgraph layout (a row
+permutation and a mean over each run of rows), a fused map of each row
 joined with its run's summary (`fuse`) and the mean absolute error loss.
-All data is 64-bit. matmul, attention, the sublayers and fuse feed a
-global FLOP counter when counting is enabled. The tests compare each fused
-op bit for bit with the unfused chain of tape ops it replaces, built on
-this module's layer-norm, softmax and GELU kernels.
+All data is 64-bit. matmul, attention, layer and fuse feed a global FLOP
+counter when counting is enabled. The tests compare each fused op bit for
+bit with the unfused chain of tape ops it replaces, built on this module's
+layer-norm, softmax and GELU kernels.
 
 Gradients are first-order only and are stored on leaf tensors (those created
 with requires_grad=True rather than by an op); intermediate gradients live
@@ -22,16 +23,16 @@ The tape links nodes, not tensors: an op output records a `_Node` of its
 parents' nodes and its backward, and each backward closure captures only the
 arrays, shapes and flags it reads (saved tensors, as in PyTorch's autograd;
 Paszke et al. 2019). So an op output that no backward reads is freed once
-the caller drops it. The sublayers and fuse walk tiles of whole windows,
-one window being an (n, d) slice of their input, with the tape on or off:
-the forward writes each tile into one preallocated output, and the
-backward reruns each tile's forward before its gradients (FlashAttention's
-trade applied to window tiles; Dao et al. 2022). So layer-norm outputs,
-q, k and v, the FFN hidden layer and the fuse concat exist only at tile
-size, and a sublayer's node keeps its input, its weights and row
-statistics. On the e2e config (n=64, d=32, batch 16) the tape after one
-forward holds 12.5 activation units, one unit being a (batch, n, d)
-float64 array.
+the caller drops it. `layer` and fuse walk tiles of whole windows, one
+window being an (n, d) slice of their input, with the tape on or off: the
+forward writes each tile into one preallocated output, and the backward
+reruns each tile's forward before its gradients (FlashAttention's trade
+applied to window tiles; Dao et al. 2022). So layer-norm outputs, q, k
+and v, the FFN hidden layer and the fuse concat exist only at tile size,
+and with the tape off so does a layer's branch output u. A layer's node
+keeps its input, u, its weights and row statistics. On the e2e config
+(n=64, d=32, batch 16) the tape after one forward holds 12.5 activation
+units, one unit being a (batch, n, d) float64 array.
 """
 from __future__ import annotations
 
@@ -69,7 +70,7 @@ def no_grad():
 
 class FlopCounter:
     """One running FLOP count, multiplies plus adds, of the forward products
-    of matmul, attention, the sublayers and fuse while enabled: b·m·n·(2k−1) per
+    of matmul, attention, layer and fuse while enabled: b·m·n·(2k−1) per
     batch of b (m x k) @ (k x n) products.
 
     Disabled counting leaves results bit-identical; the counter only ever
@@ -198,6 +199,7 @@ class Tensor:
                     local[key] = local[key] + pg
                 else:
                     local[key] = pg
+            pg = None  # a summed-in gradient goes now, not during the next backward
 
 
 def _toposort(root: Tensor | _Node) -> list:
@@ -228,10 +230,15 @@ def _finite(data: np.ndarray, op: str) -> np.ndarray:
     return data
 
 
+def _records(parents) -> bool:
+    """Whether an op over these parents goes on the tape."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _from_op(data, op, parents, backward) -> Tensor:
     _finite(data, op)
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._op = _Node(tuple(p._node for p in parents), backward)
     return out
@@ -361,14 +368,20 @@ def _run_weights(qi: np.ndarray, kt: np.ndarray, scale: float, stats=None) -> tu
 # three score-sized temporaries exist one chunk at a time. One activation
 # unit of the e2e config (16 windows, 64 rows, width 32).
 _ATTN_TILE_BYTES = 1 << 18
-# Budget of one window tile of the sublayers and `fuse`, in bytes of the
-# tile's widest array of rows (its layer-norm output, q, k or v, or fuse's
-# concat), and of one FFN sub-tile's hidden layer. Tile-sized temporaries
-# then stay in L2 and below glibc's default mmap threshold (128 KiB), so the
-# heap reuses them instead of mapping them afresh: with 256 KiB tiles an
-# e2e training step's backward took about 2 ms (7%) longer.
+# Budget of one window tile of `layer` and `fuse`, in bytes of the tile's
+# widest array of rows (its layer-norm output, q, k or v, or fuse's concat),
+# and of one FFN sub-tile's hidden layer. Tile-sized temporaries then stay
+# in L2 and below glibc's default mmap threshold (128 KiB), so the heap
+# reuses them instead of mapping them afresh: with 256 KiB tiles an e2e
+# training step's backward took about 2 ms (7%) longer.
 _WINDOW_TILE_BYTES = 1 << 16
 _FFN_TILE_BYTES = 1 << 16
+# Hidden-layer budget of one band of rows in `layer`'s FFN forward, for a
+# window whose hidden layer exceeds it: 288 rows at width 64 (hidden 256),
+# half an n=576 window. On two workers (a 2-core Xeon, BLAS on one thread)
+# a `forecast_grid576` predict read 13% slower than with whole windows in
+# bands of 128 rows and 3% in bands of 192; bands of 288 rows matched.
+_FFN_BAND_BYTES = 576 << 10
 
 
 def _head_view(rows: np.ndarray, heads: int) -> np.ndarray:
@@ -383,23 +396,33 @@ def _scale(width: int, heads: int) -> float:
     return 1.0 / math.sqrt(width // heads)
 
 
+def _chunks(lead: tuple, item_bytes: int, run: tuple) -> list:
+    """Indices that cover the leading axes `lead` of items of item_bytes
+    each, then `run`: the first axis in chunks of as many of its items as
+    fit _ATTN_TILE_BYTES, and at least one (an empty axis gives one empty
+    chunk); where one item is over budget and more axes follow, each item
+    on its own, cut along the next axes the same way."""
+    inner = item_bytes * math.prod(lead[1:])
+    if inner > _ATTN_TILE_BYTES and len(lead) > 1:
+        return [(slice(i, i + 1),) + rest for i in range(lead[0])
+                for rest in _chunks(lead[1:], item_bytes, run)]
+    step = max(1, _ATTN_TILE_BYTES // max(1, inner))
+    return [(slice(lo, lo + step),) + run for lo in range(0, max(1, lead[0]), step)]
+
+
 def _pieces(lead: tuple, sizes: np.ndarray, starts: np.ndarray, whole: bool) -> list:
     """Indices into head views with leading axes `lead`: each run of rows,
-    whole or cut along the first leading axis into chunks of as many items
-    as keep a chunk's (..., s, s) weights within _ATTN_TILE_BYTES, and at
-    least one (an empty axis gives one empty chunk)."""
+    whole, or in chunks of the leading axes whose (..., s, s) weights fit
+    _ATTN_TILE_BYTES where they can (`_chunks`): windows when batched, and
+    heads once one window's run is over budget."""
     pieces = []
     for a, s in zip(starts.tolist(), sizes.tolist()):
         run = (..., slice(a, a + s), slice(None))
-        if whole:
-            pieces.append(run)
-            continue
-        step = max(1, _ATTN_TILE_BYTES // (8 * s * s * max(1, math.prod(lead[1:]))))
-        pieces += [(slice(lo, lo + step),) + run for lo in range(0, max(1, lead[0]), step)]
+        pieces += [run] if whole else _chunks(lead, 8 * s * s, run)
     return pieces
 
 
-def _attend(qd, kd, vd, out, pieces: list, scale: float, weights=None) -> list:
+def _attend(qd, kd, vd, out, pieces: list, scale: float, weights) -> list:
     """softmax(q k^T * scale) v over head views, piece by piece, written
     through the head view `out`. Returns each piece's row statistics, and
     appends each piece's weights to `weights` when it is a list."""
@@ -432,7 +455,7 @@ def _attend_backward(g, qd, kd, vd, grads: list, pieces: list, stats: list, scal
         np.matmul(np.swapaxes(gs, -1, -2), qd[piece], out=gk[piece])
 
 
-def attention(q, k, v, sizes, heads: int, return_weights: bool = False):
+def attention(q, k, v, sizes, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention within each run of consecutive rows.
 
     q, k and v are (..., n, d) rows of `heads` heads side by side, each
@@ -443,17 +466,14 @@ def attention(q, k, v, sizes, heads: int, return_weights: bool = False):
     op works on (..., heads, n, d_head) views of its rows, and the output
     is (..., n, d) rows written through such a view of one buffer.
 
-    Returns (output, weights). weights is None unless return_weights is
-    set; then it is a list of arrays (..., heads, sizes[i], sizes[i]) whose
-    rows sum to one, one whole run each. Otherwise each run goes in chunks
-    of the first leading axis of the views (windows when batched, heads
-    when not) within _ATTN_TILE_BYTES, so the op holds one chunk's weights
-    at a time. It keeps q, k and v and each chunk's row max and row sum of
-    the softmax; the backward rebuilds each chunk's weights from them
-    (FlashAttention's recomputation; Dao et al. 2022), uncounted. Every
-    product is one BLAS call per 2-D slice and the softmax works row by
-    row, so outputs and gradients equal those of a head split, matmul,
-    scale, softmax, matmul and head merge bit for bit at any chunk size.
+    Each run goes in chunks of the views' leading axes (`_pieces`) within
+    _ATTN_TILE_BYTES, so the op holds one chunk's weights at a time. It
+    keeps q, k and v and each chunk's row max and row sum of the softmax;
+    the backward rebuilds each chunk's weights from them (FlashAttention's
+    recomputation; Dao et al. 2022), uncounted. Every product is one BLAS
+    call per 2-D slice and the softmax works row by row, so outputs and
+    gradients equal those of a head split, matmul, scale, softmax, matmul
+    and head merge bit for bit at any chunk size.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     shape = q.data.shape
@@ -466,10 +486,9 @@ def attention(q, k, v, sizes, heads: int, return_weights: bool = False):
     _check_rows(q.data, int(sizes.sum()), "attention")
     scale = _scale(shape[-1], heads)
     qd, kd, vd = (_head_view(t.data, heads) for t in (q, k, v))
-    pieces = _pieces(qd.shape[:-2], sizes, starts, return_weights)
+    pieces = _pieces(qd.shape[:-2], sizes, starts, False)
     data = np.empty(shape)
-    weights = [] if return_weights else None
-    stats = _attend(qd, kd, vd, _head_view(data, heads), pieces, scale, weights)
+    stats = _attend(qd, kd, vd, _head_view(data, heads), pieces, scale, None)
 
     def backward(g):
         grads = [np.empty(shape) for _ in range(3)]
@@ -477,7 +496,7 @@ def attention(q, k, v, sizes, heads: int, return_weights: bool = False):
         _attend_backward(_head_view(g, heads), qd, kd, vd, views, pieces, stats, scale)
         return tuple(grads)
 
-    return _from_op(data, "attention", (q, k, v), backward), weights
+    return _from_op(data, "attention", (q, k, v), backward)
 
 
 def _windows(rows: np.ndarray) -> np.ndarray:
@@ -491,6 +510,27 @@ def _tiles(windows: int, window_bytes: int, budget) -> list:
     within budget (all of them when budget is None), and at least one."""
     step = max(1, windows if budget is None else budget // max(1, window_bytes))
     return [slice(lo, lo + step) for lo in range(0, windows, step)]
+
+
+def _bands(windows: int, rows: int, row_bytes: int) -> list:
+    """Indices into a tile's (windows, rows, ·) arrays, one FFN forward
+    sub-tile each, row_bytes being one row's hidden layer: tiles of whole
+    windows within _FFN_TILE_BYTES, or, where one window's hidden layer
+    exceeds _FFN_BAND_BYTES, each window in bands of its rows within that.
+
+    A band never holds one row unless its window does: numpy sends a
+    one-row product to gemv, whose bits differ from gemm's, while the
+    product of two or more of a window's rows is those rows of the
+    window's product bit for bit. So a last band of one row joins the band
+    before it.
+    """
+    if rows * row_bytes <= _FFN_BAND_BYTES:
+        return [(t,) for t in _tiles(windows, rows * row_bytes, _FFN_TILE_BYTES)]
+    cuts = list(range(0, rows, max(2, _FFN_BAND_BYTES // row_bytes))) + [rows]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return [(slice(w, w + 1), slice(a, b)) for w in range(windows)
+            for a, b in zip(cuts, cuts[1:])]
 
 
 def _add_windows(acc: np.ndarray, parts: np.ndarray):
@@ -542,120 +582,128 @@ def _layer_norm_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gamma
 def _row_mean(a: np.ndarray) -> np.ndarray:
     """a.mean(axis=-1, keepdims=True) with the same bits (numpy's mean is
     this sum divided by the count), without numpy's Python-level wrapper,
-    whose cost shows on the small tiles of the sublayers."""
+    whose cost shows on the small tiles of `layer`."""
     return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
 
 
-def _check_norm(op: str, x: Tensor, gamma: Tensor, beta: Tensor, expects: str, ok):
-    """Raise ShapeError naming op unless x is (..., n, d) rows, gamma and
-    beta are (d,), and ok(d) holds for the weights that `expects` names."""
-    shape = x.data.shape
-    d = shape[-1] if len(shape) >= 2 else None
-    if d is None or gamma.data.shape != (d,) or beta.data.shape != (d,) or not ok(d):
+def layer(x, gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2, sizes, heads: int,
+          return_weights: bool = False):
+    """One pre-norm attention branch, u = x + attention(h1 @ wq, h1 @ wk,
+    h1 @ wv, sizes, heads) and then u + gelu(h2 @ w1) @ w2, as one tape
+    node. h1 is the layer norm of x scaled by gamma1 and shifted by beta1,
+    h2 that of u by gamma2 and beta2.
+
+    x is (..., n, d) rows in consecutive runs of `sizes`; the gammas and
+    betas are (d,), wq, wk and wv (d, d), w1 (d, hidden) and w2 (hidden,
+    d). Returns (output, weights); weights is None unless return_weights is
+    set, and then a list of arrays (..., heads, sizes[i], sizes[i]) whose
+    rows sum to one, one whole run each, with all windows in one tile.
+
+    The forward walks tiles of whole windows within _WINDOW_TILE_BYTES of
+    (n, d) rows. Per tile it runs the first layer norm, the projections and
+    `attention`'s chunks (`_pieces`) into u's rows, adds the residual, runs
+    the second layer norm, and writes u + the FFN into the tile's rows of
+    one preallocated output. The FFN forward runs in sub-tiles of windows,
+    or in bands of a window's rows (`_bands`), and builds its GELU in the
+    tanh's buffer. With the tape off, u's rows are the output's own, so u,
+    like the layer-norm outputs, q, k, v and the hidden layer, exists only
+    at tile size. With it on, the node keeps x, u and the row statistics
+    of both layer norms and of each attention chunk.
+
+    The backward walks the same tiles: it reruns each tile's second layer
+    norm and its FFN in sub-tiles of whole windows, since a weight
+    gradient's partial sums a window's rows, then the first layer norm and
+    the projections before attention's chunked backward, all uncounted. So
+    u's gradient exists only at tile size too. Every product is the chain's
+    per-window BLAS call, each window's weight-gradient partial is added in
+    window order, the first layer norm's input gradient adds the q, k and v
+    terms in the chain's order and each gamma's and beta's gradient
+    continues one row sum across tiles, so everything equals layer norm ->
+    three matmuls -> attention -> add -> layer norm -> matmul -> gelu ->
+    matmul -> add bit for bit.
+    """
+    x = as_tensor(x)
+    params = [as_tensor(t) for t in (gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2)]
+    xd = x.data
+    g1, b1, *wqkv, g2, b2, w1d, w2d = [p.data for p in params]
+    d = xd.shape[-1] if xd.ndim >= 2 else None
+    hidden = w1d.shape[-1] if w1d.ndim == 2 else None
+    want = [(d,), (d,), (d, d), (d, d), (d, d), (d,), (d,), (d, hidden), (hidden, d)]
+    if d is None or [p.data.shape for p in params] != want:
         raise ShapeError(
-            f"{op} expects x (..., n, d), gamma and beta (d,) and {expects}; got x {shape}, "
-            f"gamma {gamma.data.shape} and beta {beta.data.shape}"
+            f"layer expects x (..., n, d), gammas and betas (d,), wq, wk and wv (d, d), w1 "
+            f"(d, h) and w2 (h, d); got x {xd.shape} and {[p.data.shape for p in params]}"
         )
-
-
-def _sublayer(op: str, x: Tensor, gamma: Tensor, beta: Tensor, weights: list, whole: bool,
-              branch, branch_backward) -> Tensor:
-    """x + branch(h), h being the layer norm of x scaled by gamma and
-    shifted by beta, as one tape node that keeps x, the weights and the
-    layer norm's row statistics.
-
-    The op walks tiles of x's windows within _WINDOW_TILE_BYTES of (n, d)
-    rows, or one tile of all of them if whole is set. branch(h, out) writes
-    the branch of one tile's layer-norm output into out, its rows of one
-    preallocated output, and returns what the tile's backward needs.
-    branch_backward(norm, g, saved, grads) reruns a tile, norm() giving its
-    layer-norm output again from the row statistics, adds its weight
-    gradients into grads and returns the gradient into h. gamma's and
-    beta's gradients continue one row sum across tiles.
-    """
-    xd, gd, bd = x.data, gamma.data, beta.data
-    wins = _windows(xd)
-    tiles = _tiles(len(wins), 8 * math.prod(wins.shape[1:]), None if whole else _WINDOW_TILE_BYTES)
-    out = np.empty(wins.shape)
-    norms, saved = [], []
-
-    def normed(xt):
-        """The layer norm of tile rows xt, scaled and shifted in place
-        (xhat * gamma has the bits of gamma * xhat)."""
-        h, stats = _normalize(xt)
-        norms.append(stats)
-        h *= gd
-        h += bd
-        return h
-
-    for t in tiles:
-        saved.append(branch(normed(wins[t]), out[t]))  # branch holds the only h
-        out[t] += wins[t]
-    shapes = [w.data.shape for w in weights]
-
-    def backward(g):
-        wins, g = _windows(xd), _windows(g)
-        gx, d = None, xd.shape[-1]
-        # the accumulators start from +0.0, as numpy's sums do
-        sums = [np.zeros(d), np.zeros(d)]
-        grads = [np.zeros(shape) for shape in shapes]
-        for t, stats, tile_saved in zip(tiles, norms, saved):
-            xhat = _normalize(wins[t], stats)[0]
-            gh = branch_backward(lambda: _scale_shift(xhat, gd, bd), g[t], tile_saved, grads)
-            gx = np.empty(wins.shape) if gx is None else gx  # after the branch's peak
-            np.add(g[t], _layer_norm_backward(gh, xhat, stats[1], gd), out=gx[t])
-            sums = [_sum_after(sums[0], gh * xhat), _sum_after(sums[1], gh)]
-        return (gx.reshape(xd.shape), *sums, *grads)
-
-    return _from_op(out.reshape(xd.shape), op, (x, gamma, beta, *weights), backward)
-
-
-def attn_sublayer(x, gamma, beta, wq, wk, wv, sizes, heads: int, return_weights: bool = False):
-    """x + attention(h @ wq, h @ wk, h @ wv, sizes, heads), h being the
-    layer norm of x scaled by gamma and shifted by beta, as one tape node
-    that keeps x, the weights and the row statistics of the layer norm and
-    of each attention chunk.
-
-    x is (..., n, d) rows in consecutive runs of `sizes`; gamma and beta
-    are (d,) and wq, wk and wv (d, d). The op walks tiles of whole windows
-    (see `_sublayer`). Per tile the forward runs the layer norm, the
-    projections and `attention`'s chunks; the backward reruns the layer
-    norm and the projections, uncounted, before attention's chunked
-    backward. So the layer-norm output, q, k, v and their gradients exist
-    only at tile size. Returns (output, weights) as `attention` does; with
-    return_weights all windows are one tile. Every product is the chain's
-    per-window BLAS call, each window's weight gradient is added in window
-    order, and the layer norm's input gradient adds the q, k and v terms in
-    the chain's order, so everything equals layer norm -> three matmuls ->
-    attention -> add bit for bit.
-    """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    ws = [as_tensor(w) for w in (wq, wk, wv)]
-    wd = [w.data for w in ws]
-    _check_norm("attn_sublayer", x, gamma, beta, "wq, wk and wv (d, d)",
-                lambda d: all(w.shape == (d, d) for w in wd))
     sizes, starts = _runs(sizes)
-    _check_rows(x.data, int(sizes.sum()), "attn_sublayer")
-    scale = _scale(x.data.shape[-1], heads)
+    _check_rows(xd, int(sizes.sum()), "layer")
+    scale = _scale(d, heads)
+    wins = _windows(xd)
+    rows, row_bytes = wins.shape[1], 8 * hidden
+    tiles = _tiles(len(wins), 8 * rows * d, None if return_weights else _WINDOW_TILE_BYTES)
+    out = np.empty(wins.shape)
+    ud = np.empty(wins.shape) if _records((x, *params)) else out  # u for the backward
     weights = [] if return_weights else None
+    saved = []
+
+    def normed(a, gamma, beta):
+        """(h, stats): the layer norm of rows a, scaled and shifted in place
+        (xhat * gamma has the bits of gamma * xhat)."""
+        h, stats = _normalize(a)
+        h *= gamma
+        h += beta
+        return h, stats
 
     def project(h, count: bool) -> list:
         """Head views of h @ wq, h @ wk and h @ wv, counted if asked."""
-        qkv = [np.matmul(h, w) for w in wd]
-        for w, a in zip(wd, qkv if count else ()):
+        qkv = [np.matmul(h, w) for w in wqkv]
+        for w, a in zip(wqkv, qkv if count else ()):
             _count_matmul(h, w, a)
         return [_head_view(a, heads) for a in qkv]
 
-    def branch(h, out):
+    for t in tiles:
+        ut, ot = ud[t], out[t]
+        h, norm1 = normed(wins[t], g1, b1)
         views = project(h, True)
         del h
         pieces = _pieces(views[0].shape[:-2], sizes, starts, return_weights)
-        return pieces, _attend(*views, _head_view(out, heads), pieces, scale, weights)
+        stats = _attend(*views, _head_view(ut, heads), pieces, scale, weights)
+        del views
+        ut += wins[t]
+        h, norm2 = normed(ut, g2, b2)
+        for band in _bands(len(h), rows, row_bytes):
+            z = np.matmul(h[band], w1d)
+            _count_matmul(h[band], w1d, z)
+            _finite(z, "layer's ffn")
+            act = _gelu_forward(z, False)[0]
+            del z  # each band's temporaries go before the next one's exist
+            f = np.matmul(act, w2d)
+            _count_matmul(act, w2d, f)
+            del act
+            np.add(ut[band], f, out=ot[band])
+            del f
+        del h
+        saved.append((norm1, pieces, stats, norm2))
 
-    def branch_backward(norm, g, saved, grads):
-        pieces, stats = saved
+    def ffn_backward(h, g, grads):
+        """The FFN's input gradient given dL/dout = g, its weight gradients
+        added into grads."""
+        gh = np.empty(h.shape)
+        for s in _tiles(len(h), rows * row_bytes, _FFN_TILE_BYTES):
+            z = np.matmul(h[s], w1d)
+            act, th = _gelu_forward(z, True)
+            _add_windows(grads[1], np.matmul(np.swapaxes(act, -1, -2), g[s]))
+            del act
+            gz = _gelu_backward(np.matmul(g[s], w2d.T), z, th)
+            del z, th
+            _add_windows(grads[0], np.matmul(np.swapaxes(h[s], -1, -2), gz))
+            np.matmul(gz, w1d.T, out=gh[s])
+        return gh
+
+    def attn_backward(norm, g, pieces, stats, grads):
+        """The attention's input gradient given dL/du = g, norm() giving the
+        tile's first layer-norm output; the weight gradients go into grads."""
         views = project(norm(), False)
-        gqkv = [np.empty(g.shape) for _ in wd]
+        gqkv = [np.empty(g.shape) for _ in wqkv]
         _attend_backward(_head_view(g, heads), *views, [_head_view(a, heads) for a in gqkv],
                          pieces, stats, scale)
         del views
@@ -663,66 +711,32 @@ def attn_sublayer(x, gamma, beta, wq, wk, wv, sizes, heads: int, return_weights:
         for acc, ga in zip(grads, gqkv):
             _add_windows(acc, np.matmul(np.swapaxes(h, -1, -2), ga))
         del h
-        gh = np.matmul(gqkv[0], wd[0].T)  # the chain's tape adds the q, k, v terms so
-        gh += np.matmul(gqkv[1], wd[1].T)
-        gh += np.matmul(gqkv[2], wd[2].T)
+        gh = np.matmul(gqkv[0], wqkv[0].T)  # the chain's tape adds the q, k, v terms so
+        gh += np.matmul(gqkv[1], wqkv[1].T)
+        gh += np.matmul(gqkv[2], wqkv[2].T)
         return gh
 
-    out = _sublayer("attn_sublayer", x, gamma, beta, ws, return_weights, branch, branch_backward)
+    def backward(g):
+        wins, us, g = _windows(xd), _windows(ud), _windows(g)
+        gx = None
+        # the accumulators start from +0.0, as numpy's sums do
+        sums = [np.zeros(d) for _ in range(4)]  # gamma1, beta1, gamma2, beta2
+        grads = [np.zeros(w.shape) for w in (*wqkv, w1d, w2d)]
+        for t, (norm1, pieces, stats, norm2) in zip(tiles, saved):
+            xhat = _normalize(us[t], norm2)[0]
+            gh = ffn_backward(_scale_shift(xhat, g2, b2), g[t], grads[3:])
+            gu = g[t] + _layer_norm_backward(gh, xhat, norm2[1], g2)
+            sums[2:] = _sum_after(sums[2], gh * xhat), _sum_after(sums[3], gh)
+            xhat = _normalize(wins[t], norm1)[0]
+            gh = attn_backward(lambda: _scale_shift(xhat, g1, b1), gu, pieces, stats, grads[:3])
+            gx = np.empty(wins.shape) if gx is None else gx  # after the tile's peak
+            np.add(gu, _layer_norm_backward(gh, xhat, norm1[1], g1), out=gx[t])
+            sums[:2] = _sum_after(sums[0], gh * xhat), _sum_after(sums[1], gh)
+        return (gx.reshape(xd.shape), *sums[:2], *grads[:3], *sums[2:], *grads[3:])
+
     if weights is not None:
-        weights = [w.reshape(x.data.shape[:-2] + w.shape[1:]) for w in weights]
-    return out, weights
-
-
-def ffn_sublayer(x, gamma, beta, w1, w2) -> Tensor:
-    """x + gelu(h @ w1) @ w2, h being the layer norm of x scaled by gamma and
-    shifted by beta, as one tape node that keeps x, the weights and the
-    layer norm's row statistics.
-
-    x is (..., n, d); gamma and beta are (d,), w1 (d, hidden) and w2
-    (hidden, d). The op walks tiles of whole windows (see `_sublayer`), and
-    each tile's hidden layer in sub-tiles within _FFN_TILE_BYTES; the backward reruns each tile's
-    forward, uncounted, so no layer-norm output, hidden layer, tanh or GELU
-    output sits on the tape. Every product is the chain's per-window BLAS
-    call and each window's weight gradient is added in window order, so
-    everything equals layer norm -> matmul -> gelu -> matmul -> add bit for
-    bit.
-    """
-    x, gamma, beta, w1, w2 = (as_tensor(t) for t in (x, gamma, beta, w1, w2))
-    w1d, w2d = w1.data, w2.data
-    _check_norm("ffn_sublayer", x, gamma, beta, "w1 (d, h) and w2 (h, d)",
-                lambda d: w1d.ndim == 2 and w1d.shape[0] == d and w2d.shape == (w1d.shape[1], d))
-
-    def hidden_tiles(h):
-        """Sub-tiles of the windows of h within _FFN_TILE_BYTES of hidden layer."""
-        return _tiles(len(h), 8 * h.shape[1] * w1d.shape[1], _FFN_TILE_BYTES)
-
-    def branch(h, out):
-        for u in hidden_tiles(h):
-            z = np.matmul(h[u], w1d)
-            _count_matmul(h[u], w1d, z)
-            _finite(z, "ffn_sublayer")
-            act = _gelu_forward(z)[0]
-            del z  # each sub-tile's temporaries go before the next one's exist
-            np.matmul(act, w2d, out=out[u])
-            _count_matmul(act, w2d, out[u])
-            del act
-
-    def branch_backward(norm, g, _, grads):
-        h = norm()
-        gh = np.empty(h.shape)
-        for u in hidden_tiles(h):
-            z = np.matmul(h[u], w1d)
-            act, th = _gelu_forward(z)
-            _add_windows(grads[1], np.matmul(np.swapaxes(act, -1, -2), g[u]))
-            del act
-            gz = _gelu_backward(np.matmul(g[u], w2d.T), z, th)
-            del z, th
-            _add_windows(grads[0], np.matmul(np.swapaxes(h[u], -1, -2), gz))
-            np.matmul(gz, w1d.T, out=gh[u])
-        return gh
-
-    return _sublayer("ffn_sublayer", x, gamma, beta, [w1, w2], False, branch, branch_backward)
+        weights = [w.reshape(xd.shape[:-2] + w.shape[1:]) for w in weights]
+    return _from_op(out.reshape(xd.shape), "layer", (x, *params), backward), weights
 
 
 def segment_mean(x, sizes) -> Tensor:
@@ -821,8 +835,10 @@ def permute_rows(x, order) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def _gelu_forward(xd: np.ndarray) -> tuple:
+def _gelu_forward(xd: np.ndarray, keep_tanh: bool) -> tuple:
     """(x * Phi(x), th) via the tanh approximation; the backward needs th.
+    Without keep_tanh the output is built in th's buffer, with the same
+    bits and one input-sized array fewer, and th is None.
 
     The cube is x * x * x: numpy's float power is an order of magnitude
     slower. In-place updates touch only arrays created here, never xd.
@@ -833,10 +849,10 @@ def _gelu_forward(xd: np.ndarray) -> tuple:
     th += xd
     th *= _GELU_C
     np.tanh(th, out=th)
-    data = th + 1.0
+    data = th + 1.0 if keep_tanh else np.add(th, 1.0, out=th)
     data *= xd
     data *= 0.5
-    return data, th
+    return data, th if keep_tanh else None
 
 
 def _gelu_backward(g: np.ndarray, xd: np.ndarray, th: np.ndarray) -> np.ndarray:

@@ -5,12 +5,13 @@ within each subgraph over its own rows only, mean-pool each subgraph to a
 summary token, attend across summaries, repeat each refreshed summary over
 its subgraph's rows, fuse with the local representation through a 2D->D
 linear map, restore node order and add a block-level residual. Blocks are
-stacked over a coarsening partition series. All sublayers are pre-norm with
-residuals, and each is one op: `ad.attn_sublayer` (a layer norm, the q, k
-and v projections, attention over runs of rows and the residual add) and
-`ad.ffn_sublayer` (a layer norm, the GELU feed-forward and the residual
-add). Each walks tiles of whole windows, so with the tape on or off its
-layer-norm output, q, k and v and hidden layer exist only at tile size.
+stacked over a coarsening partition series. Each attention branch, intra
+and inter, is one op, `ad.layer`: a pre-norm attention sublayer (layer
+norm, the q, k and v projections, attention over runs of rows and the
+residual add) and a pre-norm GELU feed-forward sublayer with its residual.
+It walks tiles of whole windows, so with the tape on or off its layer-norm
+outputs, q, k, v and hidden layer exist only at tile size, and with the
+tape off so does the branch output between its two sublayers.
 
 A block holds exactly the n node rows, so there is no padding: intra
 attention costs the sum of s_i^2 over the subgraph sizes s_i, and every
@@ -160,17 +161,6 @@ def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
 # forward graph
 
 
-def _attn_sublayer(x: Tensor, prm: AttnParams, heads: int, sizes, return_weights: bool = False):
-    """x + multi-head attention of the layer-normed x within each run of
-    `sizes` rows: (y, alpha), alpha as `ad.attn_sublayer` returns it."""
-    return ad.attn_sublayer(x, prm.ln1_gamma, prm.ln1_beta, prm.wq, prm.wk, prm.wv, sizes,
-                            heads, return_weights)
-
-
-def _ffn_sublayer(x: Tensor, prm: AttnParams) -> Tensor:
-    return ad.ffn_sublayer(x, prm.ln2_gamma, prm.ln2_beta, prm.ffn_w1, prm.ffn_w2)
-
-
 def intra_attention(xp: Tensor, valid, prm: AttnParams, heads: int, return_weights: bool = False):
     """Per-subgraph self-attention and FFN over node rows in subgraph order.
 
@@ -179,12 +169,10 @@ def intra_attention(xp: Tensor, valid, prm: AttnParams, heads: int, return_weigh
     must come first in each row (ContractError otherwise). Returns
     (y, alpha). alpha is None unless return_weights is set; then it is a
     list of p arrays (..., heads, s_i, s_i), s_i the size of subgraph i.
-    With the tape off, xp is freed once the attention sublayer returns,
-    unless the caller holds it.
     """
-    u, alpha = _attn_sublayer(xp, prm, heads, prefix_sizes(valid), return_weights)
-    del xp
-    return _ffn_sublayer(u, prm), alpha
+    return ad.layer(xp, prm.ln1_gamma, prm.ln1_beta, prm.wq, prm.wk, prm.wv, prm.ln2_gamma,
+                    prm.ln2_beta, prm.ffn_w1, prm.ffn_w2, prefix_sizes(valid), heads,
+                    return_weights)
 
 
 def pool_subgraphs(y: Tensor, valid) -> Tensor:
@@ -199,8 +187,8 @@ def inter_attention(s: Tensor, prm: AttnParams, heads: int, return_weights: bool
     None unless return_weights is set; then it is a one-element list
     holding the (..., heads, p, p) weights.
     """
-    u, alpha = _attn_sublayer(s, prm, heads, [s.shape[-2]], return_weights)
-    return _ffn_sublayer(u, prm), alpha
+    return ad.layer(s, prm.ln1_gamma, prm.ln1_beta, prm.wq, prm.wk, prm.wv, prm.ln2_gamma,
+                    prm.ln2_beta, prm.ffn_w1, prm.ffn_w2, [s.shape[-2]], heads, return_weights)
 
 
 def fuse(y: Tensor, s_prime: Tensor, w_fuse: Tensor, valid) -> Tensor:
@@ -371,15 +359,18 @@ class SbaTransformer:
         return out.reshape(x.shape[:-3] + out.shape[1:])
 
     def _window_bytes(self) -> int:
-        """f64 bytes of one window's largest temporary in `forward`: the
-        unit in which `_TILE_BYTES` caps a `predict` tile.
+        """f64 bytes of one window's largest temporary in `forward`, or an
+        upper bound of it: the unit in which `_TILE_BYTES` caps a `predict`
+        tile.
 
         The FFN hidden layer counts at its whole-window size, and the
-        attention scores at all heads of the largest run, though the
-        sublayer ops walk window tiles within `ad._WINDOW_TILE_BYTES` and
-        attention chunks its scores within `ad._ATTN_TILE_BYTES`; so each
-        is an upper bound. A tape-off forward of k windows holds its block
-        input, two activations and one window tile's temporaries at once.
+        attention scores at all heads of the largest run. Both are bounds:
+        `ad.layer` runs a window's FFN forward in bands of rows within
+        `ad._FFN_BAND_BYTES` once its hidden layer exceeds that, and
+        attention chunks its scores by window and head within
+        `ad._ATTN_TILE_BYTES`. A tape-off forward of k windows holds its
+        block input, two activations and one window tile's temporaries at
+        once.
         """
         mc = self.config
         run = max(max(plan.m, plan.p) for plan in self.series.plans)
@@ -427,9 +418,9 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
                 }
             )
             q, k, v = (Tensor(rng.standard_normal((plan.n, h * dh))) for _ in range(3))
-            ad.attention(q, k, v, plan.sizes, h, return_weights=False)
+            ad.attention(q, k, v, plan.sizes, h)
             qs, ks, vs = (Tensor(rng.standard_normal((plan.p, h * dh))) for _ in range(3))
-            ad.attention(qs, ks, vs, [plan.p], h, return_weights=False)
+            ad.attention(qs, ks, vs, [plan.p], h)
     measured_total, ad.flops.count = ad.flops.total() - before, before
     closed_total = sum(blk["intra"] + blk["inter"] for blk in per_block)
     return {

@@ -3,9 +3,9 @@
 The model never calls these. They are the reference chains of the fused
 ops in `sbaformer.autodiff`: a head split (reshape -> swapaxes), matmul ->
 mul -> softmax -> matmul and a head merge (swapaxes -> reshape) for
-`attention`, layer_norm -> three matmuls -> attention -> add for
-`attn_sublayer`, layer_norm -> matmul -> gelu -> matmul -> add for
-`ffn_sublayer`, and repeat_rows -> concat -> matmul for `fuse`. Each one
+`attention`, layer_norm -> three matmuls -> attention -> add and then
+layer_norm -> matmul -> gelu -> matmul -> add for `layer`, and
+repeat_rows -> concat -> matmul for `fuse`. Each one
 runs the package's own kernels (`_normalize`, `_softmax_rows`,
 `_gelu_forward` and their backwards) one op at a time, so any difference
 from a fused op is the fusion's.
@@ -118,7 +118,7 @@ def gelu(x) -> Tensor:
     """x * Phi(x) via the tanh approximation."""
     t = as_tensor(x)
     xd = t.data
-    data, th = _gelu_forward(xd)
+    data, th = _gelu_forward(xd, True)
 
     def backward(g):
         return (_gelu_backward(g, xd, th),)

@@ -126,16 +126,20 @@ class TestFlopCounter:
 
     def test_disabled_counting_is_bit_identical_for_attention(self):
         q, k, v = np.random.default_rng(2).standard_normal((3, 2, 5, 4))
+        arrays = layer_arrays(np.random.default_rng(3), (2,), 5, 4, 8)
 
         def run():
             qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
-            out, weights = ad.attention(qt, kt, vt, [2, 3], 2, return_weights=True)
+            out = ad.attention(qt, kt, vt, [2, 3], 2)
             rops.tensor_sum(rops.mul(out, out)).backward()
-            return [out.data, *weights, qt.grad, kt.grad, vt.grad]
+            # the layer's attention weights, which only a capture returns
+            y, weights = ad.layer(*(Tensor(a) for a in arrays), [2, 3], 2, return_weights=True)
+            return [out.data, qt.grad, kt.grad, vt.grad, y.data, *weights]
 
         plain = run()
         with ad.flops.counting():
             counted = run()
+        assert len(plain) == 7
         assert all(np.array_equal(a, b) for a, b in zip(plain, counted))
 
 
@@ -188,51 +192,46 @@ def unfused_attention(q, k, v, heads):
 class TestAttention:
     def _run(self, fn, q, k, v, weights):
         qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
-        out, alpha = fn(qt, kt, vt)
+        out = fn(qt, kt, vt)
         rops.tensor_sum(rops.mul(out, Tensor(weights))).backward()
-        return [out.data, alpha.data, qt.grad, kt.grad, vt.grad]
+        return [out.data, qt.grad, kt.grad, vt.grad]
 
     def test_matches_unfused_chain_bit_for_bit(self):
         # (batch, s, d) rows of 2 heads as one run, as inter attention sees them
         q, k, v = np.random.default_rng(12).standard_normal((3, 3, 5, 8))
         weights = np.random.default_rng(13).standard_normal(q.shape)
-
-        def one_run(qt, kt, vt):
-            out, alpha = ad.attention(qt, kt, vt, [5], 2, return_weights=True)
-            return out, Tensor(alpha[0])
-
-        fused = self._run(one_run, q, k, v, weights)
-        chain = self._run(lambda qt, kt, vt: unfused_attention(qt, kt, vt, 2), q, k, v, weights)
+        fused = self._run(lambda qt, kt, vt: ad.attention(qt, kt, vt, [5], 2), q, k, v, weights)
+        chain = self._run(lambda qt, kt, vt: unfused_attention(qt, kt, vt, 2)[0], q, k, v, weights)
         for a, b in zip(fused, chain):
             assert np.array_equal(a, b)
 
     def test_weights_only_on_request(self):
-        q, k, v = (Tensor(a) for a in np.random.default_rng(14).standard_normal((3, 2, 6, 4)))
-        out, weights = ad.attention(q, k, v, [2, 4], 2)
-        kept, asked = ad.attention(q, k, v, [2, 4], 2, return_weights=True)
+        # only `layer` returns weights, for a capture; attention returns rows
+        arrays = layer_arrays(np.random.default_rng(14), (2,), 6, 4, 8)
+        out, weights = ad.layer(*(Tensor(a) for a in arrays), [2, 4], 2)
+        kept, asked = ad.layer(*(Tensor(a) for a in arrays), [2, 4], 2, return_weights=True)
         assert weights is None and np.array_equal(out.data, kept.data)
         assert [w.shape for w in asked] == [(2, 2, 2, 2), (2, 2, 4, 4)]
+        q = Tensor(arrays[0])
+        assert isinstance(ad.attention(q, q, q, [2, 4], 2), Tensor)
 
     def test_tape_off_holds_one_run_of_weights(self):
-        # the largest run comes last, so both peaks fall in it and hold the
-        # same output temporary; without the request the earlier runs'
-        # weights are freed, with it they are all still held
-        sizes = [3, 1, 4, 2, 6]
+        # the largest run comes last, so the peak falls in it: beside its
+        # output the op holds that run's weights and its own temporaries
+        # (259.7 KB, 1.5 times the weights), less than all runs' weights
+        sizes = [30, 10, 40, 20, 60]
         b, h = 2, 3
         q, k, v = (Tensor(a) for a in np.random.default_rng(15).standard_normal(
             (3, b, sum(sizes), h * 4)))
-
-        def peak(return_weights):
-            tracemalloc.start()
-            try:
-                with ad.no_grad():
-                    ad.attention(q, k, v, sizes, h, return_weights=return_weights)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                out = ad.attention(q, k, v, sizes, h)
+            peak = tracemalloc.get_traced_memory()[1] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
         squares = [s * s for s in sizes]
-        assert peak(True) - peak(False) >= 8 * b * h * (sum(squares) - max(squares))
+        assert 8 * b * h * max(squares) <= peak < 8 * b * h * sum(squares)
 
     def test_tape_holds_row_statistics_not_weights(self):
         # after the forward the op keeps each run's row max and row sum, two
@@ -244,7 +243,7 @@ class TestAttention:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out, _ = ad.attention(q, k, v, sizes, h)
+            out = ad.attention(q, k, v, sizes, h)
             held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
         finally:
             tracemalloc.stop()
@@ -284,15 +283,15 @@ class TestSubgraphAttention:
     def test_each_part_matches_attention_on_its_slice(self):
         q, k, v = self._leaves(20)
         weights = np.random.default_rng(21).standard_normal(q.shape)
-        out, alpha = ad.attention(q, k, v, self.SIZES, 2, return_weights=True)
+        out = ad.attention(q, k, v, self.SIZES, 2)
         rops.tensor_sum(rops.mul(out, Tensor(weights))).backward()
-        for i, (a, s) in enumerate(zip([0, 5, 6], self.SIZES)):
+        for a, s in zip([0, 5, 6], self.SIZES):
             part = (..., slice(a, a + s), slice(None))
             qs, ks, vs = (Tensor(t.data[part], requires_grad=True) for t in (q, k, v))
-            ref, ref_alpha = unfused_attention(qs, ks, vs, 2)
+            ref, _ = unfused_attention(qs, ks, vs, 2)
             rops.tensor_sum(rops.mul(ref, Tensor(weights[part]))).backward()
-            got = [out.data[part], alpha[i], q.grad[part], k.grad[part], v.grad[part]]
-            want = [ref.data, ref_alpha.data, qs.grad, ks.grad, vs.grad]
+            got = [out.data[part], q.grad[part], k.grad[part], v.grad[part]]
+            want = [ref.data, qs.grad, ks.grad, vs.grad]
             for a, b in zip(got, want):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
@@ -311,8 +310,9 @@ class TestSubgraphAttention:
 
 
 class TestAttentionChunks:
-    """Each run goes in chunks of the first leading axis of the op's head
-    views; the bits must not move."""
+    """Each run goes in chunks of the leading axes of the op's head views:
+    windows, and heads once one window's run is over budget; the bits must
+    not move."""
 
     SIZES = [3, 1, 4]
 
@@ -322,29 +322,30 @@ class TestAttentionChunks:
         shape = lead + (sum(self.SIZES), 4 * heads)
         return rng.standard_normal((3,) + shape), rng.standard_normal(shape)
 
-    def _run(self, qkv, heads, weights, return_weights=False):
+    def _run(self, qkv, heads, weights):
         qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in qkv)
         before = ad.flops.total()
         with ad.flops.counting():
-            out, alpha = ad.attention(qt, kt, vt, self.SIZES, heads,
-                                      return_weights=return_weights)
+            out = ad.attention(qt, kt, vt, self.SIZES, heads)
         counted = ad.flops.total() - before
         rops.tensor_sum(rops.mul(out, Tensor(weights))).backward()
-        return [out.data, qt.grad, kt.grad, vt.grad], counted, alpha
+        return [out.data, qt.grad, kt.grad, vt.grad], counted
 
     # batched: 5 windows of 2 heads; unbatched: 5 heads; no-lead: rows with
     # no leading axis and one head, so the heads view has a single item
     @pytest.mark.parametrize("lead, heads", [((5,), 2), ((), 5), ((), 1)],
                              ids=["batched", "unbatched", "no-lead"])
-    @pytest.mark.parametrize("step", [1, 2, None], ids=["1", "ragged", "all"])
+    @pytest.mark.parametrize("step", [1, 2, None, 0.5], ids=["1", "ragged", "all", "head"])
     def test_matches_the_unchunked_op_bit_for_bit(self, monkeypatch, lead, heads, step):
         # chunks of one item, of two (5 items end in a ragged chunk of one)
-        # in the largest run, and of every item
+        # in the largest run, of every item, and of half an item: one head
+        # of a batched window at a time
         qkv, weights = self._leaves(lead, heads, 50 + len(lead))
-        whole, whole_flops, _ = self._run(qkv, heads, weights)
+        whole, whole_flops = self._run(qkv, heads, weights)
         per_item = 8 * math.prod((lead + (heads,))[1:]) * max(self.SIZES) ** 2
-        monkeypatch.setattr(ad, "_ATTN_TILE_BYTES", 1 << 40 if step is None else step * per_item)
-        chunked, chunked_flops, _ = self._run(qkv, heads, weights)
+        monkeypatch.setattr(ad, "_ATTN_TILE_BYTES",
+                            1 << 40 if step is None else int(step * per_item))
+        chunked, chunked_flops = self._run(qkv, heads, weights)
         assert all(np.array_equal(a, b) for a, b in zip(chunked, whole))
         assert chunked_flops == whole_flops
 
@@ -358,19 +359,39 @@ class TestAttentionChunks:
         # and 2 windows a chunk
         assert calls == [3, 3, 2, 2, 5, 5, 2, 2, 2, 2, 1, 1]
 
+    def test_chunks_cut_heads_once_a_window_is_over_budget(self, monkeypatch):
+        # a budget of one head's weights in the run of 4: one window's runs
+        # of 3 (2 heads, 144 B) and 4 (256 B) are over it, so they go a
+        # window and a head at a time; the run of 1 (16 B a window) fits 8
+        # windows, so all 5 go at once
+        calls = []
+        monkeypatch.setattr(ad, "_count_matmul",
+                            lambda a, b, out: calls.append(out.shape[:2]))
+        monkeypatch.setattr(ad, "_ATTN_TILE_BYTES", 8 * 4 * 4)
+        qkv, _ = self._leaves((5,), 2, 57)
+        ad.attention(*(Tensor(a) for a in qkv), self.SIZES, 2)
+        assert calls == [(1, 1)] * 20 + [(5, 2)] * 2 + [(1, 1)] * 20
+
     def test_weights_are_whole_runs_at_any_budget(self, monkeypatch):
-        qkv, weights = self._leaves((5,), 2, 55)
-        whole, _, alpha = self._run(qkv, 2, weights, return_weights=True)
+        # a layer's capture holds whole runs, and they are the reference
+        # softmax of its projections run by run
+        arrays = layer_arrays(np.random.default_rng(55), (5,), sum(self.SIZES), 8, 16)
+        leaves = [Tensor(a) for a in arrays]
+        whole, alpha = ad.layer(*leaves, self.SIZES, 2, return_weights=True)
         monkeypatch.setattr(ad, "_ATTN_TILE_BYTES", 1)
-        chunked, _, chunked_alpha = self._run(qkv, 2, weights, return_weights=True)
+        monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", 1)
+        chunked, chunked_alpha = ad.layer(*leaves, self.SIZES, 2, return_weights=True)
         assert [a.shape for a in chunked_alpha] == [(5, 2, s, s) for s in self.SIZES]
-        assert all(np.array_equal(a, b) for a, b in zip(chunked + chunked_alpha, whole + alpha))
+        assert all(np.array_equal(a, b) for a, b in zip([chunked.data] + chunked_alpha,
+                                                        [whole.data] + alpha))
+        assert all(np.array_equal(a, b) for a, b in zip(alpha, reference_weights(
+            arrays, self.SIZES, 2)))
 
     @pytest.mark.parametrize("lead", [(0, 2), (2, 0), (0,)])
     def test_empty_leading_axis(self, monkeypatch, lead):
         monkeypatch.setattr(ad, "_ATTN_TILE_BYTES", 1)
         qkv, weights = self._leaves(lead, 2, 56)
-        got, counted, _ = self._run(qkv, 2, weights)
+        got, counted = self._run(qkv, 2, weights)
         assert [a.shape for a in got] == [weights.shape] * 4
         assert counted == 0
 
@@ -391,15 +412,23 @@ def norm_params(x, aux):
     return ad.add(gamma, Tensor(np.ones(b))), ad.reshape(ad.segment_mean(x, [a]), (b,))
 
 
-def attn_sublayer_case(x, aux):
-    """x (a, b) and aux feed the (a, 2b) rows of 2 heads in uneven runs,
-    their gamma and beta, and the three (2b, 2b) projections."""
+def layer_case(x, aux, halves):
+    """x (a, b) and aux feed the (a, 2b) rows of a 2-head `layer` in uneven
+    runs, and the weights of the halves it names: gamma1, beta1, wq, wk and
+    wv of "attn", gamma2, beta2, w1 and w2 of "ffn" (hidden width 2b). The
+    other weights are constants."""
     rows = rops.concat([x, rops.mul(x, Tensor(aux))], axis=-1)
+    width = rows.shape[-1]
     mix = Tensor(np.concatenate([aux, aux[::-1]], axis=-1) / x.shape[-2])
-    wq, wk, wv = (ad.matmul(rops.swapaxes(r, -1, -2), mix)
-                  for r in (rows, rops.gelu(rows), rops.mul(rows, rows)))
+    fed = [ad.matmul(rops.swapaxes(r, -1, -2), mix)
+           for r in (rows, rops.gelu(rows), rops.mul(rows, rows))]
+    fixed = np.random.default_rng(width).standard_normal((5, width, width)) / width
     gamma, beta = norm_params(rows, np.concatenate([aux, aux], axis=-1))
-    return ad.attn_sublayer(rows, gamma, beta, wq, wk, wv, uneven_runs(x.shape[-2]), 2)[0]
+    attn = [gamma, beta, *fed] if "attn" in halves else [
+        Tensor(1.0 + fixed[0, 0]), Tensor(fixed[0, 1]), *(Tensor(w) for w in fixed[:3])]
+    ffn = [gamma, beta, fed[1], fed[2]] if "ffn" in halves else [
+        Tensor(1.0 + fixed[3, 0]), Tensor(fixed[3, 1]), Tensor(fixed[3]), Tensor(fixed[4])]
+    return ad.layer(rows, *attn, *ffn, uneven_runs(x.shape[-2]), 2)[0]
 
 
 def attention_case(x, aux, sizes):
@@ -408,7 +437,7 @@ def attention_case(x, aux, sizes):
     xa, gx = rops.mul(x, Tensor(aux)), rops.gelu(x)
     q, k = rops.concat([x, xa], axis=-1), rops.concat([xa, gx], axis=-1)
     v = rops.concat([gx, rops.mul(x, x)], axis=-1)
-    return ad.attention(q, k, v, sizes, 2)[0]
+    return ad.attention(q, k, v, sizes, 2)
 
 
 class TestSegmentMean:
@@ -529,7 +558,7 @@ class TestFuse:
 
 
 class TestLayerNorm:
-    """The layer norm kernel of the sublayer ops, through its reference op."""
+    """The layer norm kernel of `layer`, through its reference op."""
 
     def test_constant_row_goes_to_beta(self):
         out = rops.layer_norm(Tensor([3.0, 3.0, 3.0]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
@@ -583,22 +612,47 @@ class TestGelu:
 
 
 def unfused_ffn(x, w1, w2):
-    """matmul -> gelu -> matmul, the FFN of the chain ad.ffn_sublayer replaces."""
+    """matmul -> gelu -> matmul, the FFN of the chain ad.layer replaces."""
     return ad.matmul(rops.gelu(ad.matmul(x, w1)), w2)
 
 
 def chain_ffn_sublayer(x, gamma, beta, w1, w2):
-    """The chain ad.ffn_sublayer replaces: layer norm, the FFN, residual add."""
+    """The second half of the chain ad.layer replaces: layer norm, the FFN,
+    residual add."""
     return ad.add(x, unfused_ffn(rops.layer_norm(x, gamma, beta), w1, w2))
 
 
 def chain_attn_sublayer(x, gamma, beta, wq, wk, wv, sizes, heads):
-    """The chain ad.attn_sublayer replaces: layer norm, three projections,
-    attention, residual add."""
+    """The first half of the chain ad.layer replaces: layer norm, three
+    projections, attention, residual add."""
     h = rops.layer_norm(x, gamma, beta)
-    att, _ = ad.attention(*(ad.matmul(h, w) for w in (wq, wk, wv)), sizes, heads,
-                          return_weights=False)
-    return ad.add(x, att)
+    return ad.add(x, ad.attention(*(ad.matmul(h, w) for w in (wq, wk, wv)), sizes, heads))
+
+
+def chain_layer(x, gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2, sizes, heads):
+    """The chain ad.layer replaces: chain_attn_sublayer, then chain_ffn_sublayer."""
+    u = chain_attn_sublayer(x, gamma1, beta1, wq, wk, wv, sizes, heads)
+    return chain_ffn_sublayer(u, gamma2, beta2, w1, w2)
+
+
+def layer_arrays(rng, lead, rows, d, hidden):
+    """(x, gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2) of a layer over
+    lead + (rows, d) input with an FFN `hidden` wide."""
+    return (rng.standard_normal(lead + (rows, d)),
+            1.0 + 0.1 * rng.standard_normal(d), 0.1 * rng.standard_normal(d),
+            *(rng.standard_normal((d, d)) / 3 for _ in range(3)),
+            1.0 + 0.1 * rng.standard_normal(d), 0.1 * rng.standard_normal(d),
+            rng.standard_normal((d, hidden)) / 2, rng.standard_normal((hidden, d)) / 2)
+
+
+def reference_weights(arrays, sizes, heads):
+    """Each run's attention weights of a layer over `arrays`: the reference
+    softmax of its layer-normed projections, run by run."""
+    h = rops.layer_norm(*(Tensor(a) for a in arrays[:3]))
+    q, k = (ad.matmul(h, Tensor(w)).data for w in arrays[3:5])
+    runs = [(..., slice(a, a + s), slice(None)) for a, s in zip(np.cumsum(sizes) - sizes, sizes)]
+    return [unfused_attention(Tensor(q[r]), Tensor(k[r]), Tensor(k[r]), heads)[1].data
+            for r in runs]
 
 
 def run_with_grads(fn, arrays, weights):
@@ -626,89 +680,116 @@ def traced_held(fn):
         tracemalloc.stop()
 
 
+def ffn_calls(monkeypatch, arrays) -> list:
+    """A list that collects the output shape of each counted product by
+    w1 or w2 of a layer over `arrays`."""
+    calls, ffn = [], {arrays[8].shape, arrays[9].shape}
+    monkeypatch.setattr(ad, "_count_matmul",
+                        lambda a, b, out: calls.append(out.shape) if b.shape in ffn else None)
+    return calls
+
+
 class TestFfn:
-    """ad.ffn_sublayer against its unfused chain."""
+    """The FFN half of ad.layer against its unfused chain."""
 
     D, H = 4, 12  # one (5, 4) window's hidden layer is 5 * 12 * 8 = 480 bytes
 
     def _case(self, shape, seed):
-        """(x, gamma, beta, w1, w2) and the output's weights."""
+        """The layer's arrays over (shape, 5, D) and the output's weights."""
         rng = np.random.default_rng(seed)
-        x0 = rng.standard_normal(shape + (5, self.D))
-        arrays = (x0, 1.0 + 0.1 * rng.standard_normal(self.D), 0.1 * rng.standard_normal(self.D),
-                  rng.standard_normal((self.D, self.H)), rng.standard_normal((self.H, self.D)))
-        return arrays, rng.standard_normal(x0.shape)
+        arrays = layer_arrays(rng, shape, 5, self.D, self.H)
+        return arrays, rng.standard_normal(arrays[0].shape)
+
+    @staticmethod
+    def _fused(*args):
+        return ad.layer(*args, [2, 3], 2)[0]
+
+    @staticmethod
+    def _chain(*args):
+        return chain_layer(*args, [2, 3], 2)
 
     @pytest.mark.parametrize("shape", [(), (7,), (2, 3)], ids=["unbatched", "one-axis", "two-axes"])
     @pytest.mark.parametrize("budget", [1, 3 * 480 + 7, 1 << 30], ids=["1", "3", "all"])
     def test_matches_unfused_chain_bit_for_bit(self, monkeypatch, shape, budget):
-        # tiles of one window, of three (7 windows end in a ragged tile of
-        # one) and of every window
+        # FFN sub-tiles of one window, of three (7 windows end in a ragged
+        # tile of one) and of every window; at "1" the forward also runs
+        # each window's 5 rows in bands of 2 and 3
         arrays, weights = self._case(shape, 40 + len(shape))
-        chain, chain_flops, _ = run_with_grads(chain_ffn_sublayer, arrays, weights)
+        chain, chain_flops, _ = run_with_grads(self._chain, arrays, weights)
         monkeypatch.setattr(ad, "_FFN_TILE_BYTES", budget)
+        monkeypatch.setattr(ad, "_FFN_BAND_BYTES", budget)
         monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", budget)  # 9 windows at "3"
-        fused, fused_flops, after = run_with_grads(ad.ffn_sublayer, arrays, weights)
-        assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
+        fused, fused_flops, after = run_with_grads(self._fused, arrays, weights)
+        assert len(fused) == 11 and all(np.array_equal(a, b) for a, b in zip(fused, chain))
         assert fused_flops == chain_flops and after == fused_flops
 
     def test_tiles_cover_the_windows(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(ad, "_count_matmul", lambda a, b, out: calls.append(out.shape[0]))
-        monkeypatch.setattr(ad, "_FFN_TILE_BYTES", 3 * 480 + 7)
         arrays, _ = self._case((7,), 44)
-        ad.ffn_sublayer(*(Tensor(a) for a in arrays))
-        assert calls == [3, 3, 3, 3, 1, 1]  # x @ w1 then gelu @ w2, per tile
+        calls = ffn_calls(monkeypatch, arrays)
+        monkeypatch.setattr(ad, "_FFN_TILE_BYTES", 3 * 480 + 7)
+        ad.layer(*(Tensor(a) for a in arrays), [2, 3], 2)
+        # x @ w1 then gelu @ w2, per sub-tile of whole windows
+        assert [shape[0] for shape in calls] == [3, 3, 3, 3, 1, 1]
+
+    @pytest.mark.parametrize("rows, bands", [(2, [2, 3]), (3, [3, 2]), (4, [5])])
+    def test_bands_cover_each_window(self, monkeypatch, rows, bands):
+        # bands of 2, 3 and 4 rows' hidden layer over a window of 5 rows: a
+        # last band of one row joins the band before it
+        arrays, _ = self._case((3,), 45)
+        calls = ffn_calls(monkeypatch, arrays)
+        monkeypatch.setattr(ad, "_FFN_BAND_BYTES", rows * 8 * self.H)
+        ad.layer(*(Tensor(a) for a in arrays), [2, 3], 2)
+        per_window = [s for b in bands for s in ((1, b, self.H), (1, b, self.D))]
+        assert calls == per_window * 3
 
     def test_leaves_without_grad_get_none(self):
         arrays, weights = self._case((3,), 45)
-        x, gamma, beta, w1 = (Tensor(a) for a in arrays[:4])
-        w2 = Tensor(arrays[4].copy(), requires_grad=True)
-        rops.tensor_sum(rops.mul(ad.ffn_sublayer(x, gamma, beta, w1, w2), Tensor(weights))).backward()
-        ref = Tensor(arrays[4].copy(), requires_grad=True)
-        chain = chain_ffn_sublayer(*(Tensor(a) for a in arrays[:4]), ref)
-        rops.tensor_sum(rops.mul(chain, Tensor(weights))).backward()
-        assert x.grad is None and gamma.grad is None and w1.grad is None
+        leaves = [Tensor(a) for a in arrays[:9]]
+        w2 = Tensor(arrays[9].copy(), requires_grad=True)
+        rops.tensor_sum(rops.mul(self._fused(*leaves, w2), Tensor(weights))).backward()
+        ref = Tensor(arrays[9].copy(), requires_grad=True)
+        rops.tensor_sum(rops.mul(self._chain(*leaves, ref), Tensor(weights))).backward()
+        assert all(t.grad is None for t in leaves)
         assert np.array_equal(w2.grad, ref.grad)
 
     def test_overflowing_hidden_layer_names_ffn(self):
-        # the layer norm maps x to beta, and beta @ w1 overflows
-        x = Tensor(np.ones((2, 3, self.D)))
-        w1 = Tensor(np.full((self.D, self.H), -1e200))
+        # attention maps x to x, the second layer norm maps it to beta2,
+        # and beta2 @ w1 overflows
+        d, h = self.D, self.H
+        args = [np.ones((2, 3, d)), np.ones(d), np.zeros(d), *([np.zeros((d, d))] * 3),
+                np.ones(d), np.full(d, 1e200), np.full((d, h), -1e200), np.zeros((h, d))]
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NumericError, match="ffn"):
-            ad.ffn_sublayer(x, Tensor(np.ones(self.D)), Tensor(np.full(self.D, 1e200)), w1,
-                            Tensor(np.zeros((self.H, self.D))))
+            ad.layer(*(Tensor(a) for a in args), [3], 2)
 
     def test_bad_shapes_raise(self):
-        x, g, w1, w2 = (Tensor(np.ones(s)) for s in ((5, 4), (4,), (4, 12), (12, 4)))
-        for args in ((Tensor(np.ones(4)), g, g, w1, w2), (x, g, g, Tensor(np.ones((3, 12))), w2),
-                     (x, g, g, w1, Tensor(np.ones((11, 4)))), (x, g, g, Tensor(np.ones((1, 4, 12))), w2),
-                     (x, g, g, w1, Tensor(np.ones((12, 5)))), (x, Tensor(np.ones(3)), g, w1, w2),
-                     (x, g, Tensor(np.ones((1, 4))), w1, w2)):
-            with pytest.raises(ShapeError, match="ffn_sublayer expects"):
-                ad.ffn_sublayer(*args)
+        x, g, w, w1, w2 = (np.ones(s) for s in ((5, 4), (4,), (4, 4), (4, 12), (12, 4)))
+        good = [x, g, g, w, w, w, g, g, w1, w2]
+        for i, bad in [(0, np.ones(4)), (8, np.ones((3, 12))), (9, np.ones((11, 4))),
+                       (8, np.ones((1, 4, 12))), (9, np.ones((12, 5))), (6, np.ones(3)),
+                       (7, np.ones((1, 4)))]:
+            args = [Tensor(bad if j == i else a) for j, a in enumerate(good)]
+            with pytest.raises(ShapeError, match="layer expects"):
+                ad.layer(*args, [5], 2)
 
 
 class TestAttnSublayer:
-    """ad.attn_sublayer against its unfused chain."""
+    """The attention half of ad.layer, and the whole op, against its unfused chain."""
 
     SIZES = [3, 1, 2, 1]  # ragged runs over 7 rows, 2 heads of width 4
     WINDOW = 8 * 7 * 8  # one window's (7, 8) rows
 
     def _case(self, lead, seed):
-        """(x, gamma, beta, wq, wk, wv) and the output's weights."""
+        """The layer's arrays over (lead, 7, 8) and the output's weights."""
         rng = np.random.default_rng(seed)
-        x0 = rng.standard_normal(lead + (7, 8))
-        arrays = (x0, 1.0 + 0.1 * rng.standard_normal(8), 0.1 * rng.standard_normal(8),
-                  *(rng.standard_normal((8, 8)) / 3 for _ in range(3)))
-        return arrays, rng.standard_normal(x0.shape)
+        arrays = layer_arrays(rng, lead, 7, 8, 16)
+        return arrays, rng.standard_normal(arrays[0].shape)
 
     def _fused(self, *args):
-        return ad.attn_sublayer(*args, self.SIZES, 2)[0]
+        return ad.layer(*args, self.SIZES, 2)[0]
 
     def _chain(self, *args):
-        return chain_attn_sublayer(*args, self.SIZES, 2)
+        return chain_layer(*args, self.SIZES, 2)
 
     @pytest.mark.parametrize("lead", [(), (7,), (2, 3)], ids=["unbatched", "one-axis", "two-axes"])
     @pytest.mark.parametrize("budget", [1, 3 * WINDOW + 7, 1 << 30], ids=["1", "3", "all"])
@@ -720,19 +801,19 @@ class TestAttnSublayer:
         monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", budget)
         monkeypatch.setattr(ad, "_ATTN_TILE_BYTES", min(budget, 1 << 18))
         fused, fused_flops, after = run_with_grads(self._fused, arrays, weights)
-        assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
+        assert len(fused) == 11 and all(np.array_equal(a, b) for a, b in zip(fused, chain))
         assert fused_flops == chain_flops and after == fused_flops
 
     def test_weights_are_whole_runs_at_any_budget(self, monkeypatch):
         arrays, _ = self._case((5,), 84)
         monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", 1)
-        out, weights = ad.attn_sublayer(*(Tensor(a) for a in arrays), self.SIZES, 2,
-                                        return_weights=True)
-        h = rops.layer_norm(*(Tensor(a) for a in arrays[:3]))
-        att, ref = ad.attention(*(ad.matmul(h, Tensor(w)) for w in arrays[3:]), self.SIZES, 2,
+        out, weights = ad.layer(*(Tensor(a) for a in arrays), self.SIZES, 2,
                                 return_weights=True)
-        assert np.array_equal(out.data, arrays[0] + att.data)
+        with ad.no_grad():
+            chain = self._chain(*(Tensor(a) for a in arrays))
+        assert np.array_equal(out.data, chain.data)
         assert [w.shape for w in weights] == [(5, 2, s, s) for s in self.SIZES]
+        ref = reference_weights(arrays, self.SIZES, 2)
         assert all(np.array_equal(a, b) for a, b in zip(weights, ref))
 
     def test_tiles_cover_the_windows(self, monkeypatch):
@@ -740,71 +821,128 @@ class TestAttnSublayer:
         monkeypatch.setattr(ad, "_count_matmul", lambda a, b, out: calls.append(out.shape[0]))
         monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", 3 * self.WINDOW + 7)
         arrays, _ = self._case((7,), 85)
-        ad.attn_sublayer(*(Tensor(a) for a in arrays), [7], 2)
-        # per tile: three projections, then the run's scores and output
-        assert calls == [3] * 5 + [3] * 5 + [1] * 5
+        ad.layer(*(Tensor(a) for a in arrays), [7], 2)
+        # per tile: three projections, the run's scores and output, then
+        # the FFN's two products
+        assert calls == [3] * 7 + [3] * 7 + [1] * 7
 
     def test_tape_keeps_x_and_the_weights(self):
         arrays, _ = self._case((4,), 86)
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
-        out, _ = ad.attn_sublayer(*leaves, self.SIZES, 2)
+        out, _ = ad.layer(*leaves, self.SIZES, 2)
         held = list(closure_arrays(out._backward))
         assert all(any(a is t.data for a in held) for t in leaves)
-        # x is the only activation-sized array: no layer-norm output, q, k or v
-        assert [a is leaves[0].data for a in held if a.nbytes >= arrays[0].nbytes] == [True]
+        # x and u are the only activation-sized arrays: no layer-norm
+        # output, q, k, v or hidden layer, and not the output
+        big = [a for a in held if a.nbytes >= arrays[0].nbytes]
+        assert len(big) == 2 and any(a is leaves[0].data for a in big)
+        assert not any(np.shares_memory(a, out.data) for a in held)
 
     def test_bad_shapes_raise(self):
-        x, g, w = (Tensor(np.ones(s)) for s in ((7, 8), (8,), (8, 8)))
-        for args in ((Tensor(np.ones(8)), g, g, w, w, w), (x, Tensor(np.ones(7)), g, w, w, w),
-                     (x, g, Tensor(np.ones((1, 8))), w, w, w), (x, g, g, Tensor(np.ones((8, 4))), w, w),
-                     (x, g, g, w, w, Tensor(np.ones((2, 8, 8))))):
-            with pytest.raises(ShapeError, match="attn_sublayer expects"):
-                ad.attn_sublayer(*args, self.SIZES, 2)
-        with pytest.raises(ShapeError, match="attn_sublayer"):
-            ad.attn_sublayer(x, g, g, w, w, w, [3, 3], 2)
+        x, g, w, w1 = (np.ones(s) for s in ((7, 8), (8,), (8, 8), (8, 16)))
+        good = [x, g, g, w, w, w, g, g, w1, w1.T]
+        for i, bad in [(0, np.ones(8)), (1, np.ones(7)), (2, np.ones((1, 8))),
+                       (3, np.ones((8, 4))), (5, np.ones((2, 8, 8)))]:
+            args = [Tensor(bad if j == i else a) for j, a in enumerate(good)]
+            with pytest.raises(ShapeError, match="layer expects"):
+                ad.layer(*args, self.SIZES, 2)
+        args = [Tensor(a) for a in good]
+        with pytest.raises(ShapeError, match="layer"):
+            ad.layer(*args, [3, 3], 2)
         with pytest.raises(ShapeError, match="width 8 into 3 heads"):
-            ad.attn_sublayer(x, g, g, w, w, w, self.SIZES, 3)
+            ad.layer(*args, self.SIZES, 3)
         with pytest.raises(EmptyRunError):
-            ad.attn_sublayer(x, g, g, w, w, w, [3, 0, 4], 2)
+            ad.layer(*args, [3, 0, 4], 2)
+
+
+class TestLayerBands:
+    """The FFN forward's bands give the chain's bits. numpy sends a one-row
+    product to gemv, whose bits differ from gemm's, so no band may hold one
+    row of a window of more."""
+
+    def test_no_band_holds_one_row_of_a_larger_window(self, monkeypatch):
+        for step in range(1, 9):
+            monkeypatch.setattr(ad, "_FFN_BAND_BYTES", 8 * step)
+            for rows in range(1, 41):
+                bands = ad._bands(2, rows, 8)
+                if rows <= step:  # a window within budget goes whole
+                    assert all(len(b) == 1 for b in bands)
+                    continue
+                assert [b[0] for b in bands] == [slice(w, w + 1) for w in (0, 1)
+                                                 for _ in range(len(bands) // 2)]
+                spans = [(b[1].start, b[1].stop) for b in bands[: len(bands) // 2]]
+                assert spans[0][0] == 0 and spans[-1][1] == rows
+                assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+                assert all(2 <= hi - lo <= max(2, step) + 1 for lo, hi in spans)
+
+    # 1 B: every budget at 1 byte, so 7-row windows run in bands of 2, 2
+    # and 3 rows; last-row: bands of 3 rows, whose last band would hold
+    # one row of 7; one-row: windows of one row, as the inter branch at
+    # p=1 has, at 1 B budgets
+    CASES = {"1B": (7, [2, 5], None), "last-row": (7, [7], 3), "one-row": (1, [1], None)}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_chain_bit_for_bit(self, monkeypatch, case):
+        rows, sizes, band_rows = self.CASES[case]
+        rng = np.random.default_rng(90)
+        arrays = layer_arrays(rng, (3,), rows, 8, 32)
+        weights = rng.standard_normal(arrays[0].shape)
+        chain, chain_flops, _ = run_with_grads(lambda *a: chain_layer(*a, sizes, 2), arrays,
+                                               weights)
+        with ad.no_grad():
+            chain_off = chain_layer(*(Tensor(a) for a in arrays), sizes, 2).data
+        for name in ("_FFN_TILE_BYTES", "_FFN_BAND_BYTES", "_WINDOW_TILE_BYTES",
+                     "_ATTN_TILE_BYTES"):
+            monkeypatch.setattr(ad, name, 1)
+        if band_rows:
+            monkeypatch.setattr(ad, "_FFN_BAND_BYTES", band_rows * 8 * 32)
+        fused, fused_flops, after = run_with_grads(lambda *a: ad.layer(*a, sizes, 2)[0], arrays,
+                                                   weights)
+        with ad.no_grad():
+            fused_off = ad.layer(*(Tensor(a) for a in arrays), sizes, 2)[0].data
+        assert len(fused) == 11 and all(np.array_equal(a, b) for a, b in zip(fused, chain))
+        assert np.array_equal(fused_off, chain_off)
+        assert fused_flops == chain_flops and after == fused_flops
+        bands = ad._bands(3, rows, 8 * 32)
+        assert [b[-1].stop - b[-1].start for b in bands[:len(bands) // 3]] == (
+            {"1B": [2, 2, 3], "last-row": [3, 4], "one-row": [1]}[case])
 
 
 class TestLayerNormRebuild:
-    """The sublayer ops rerun their layer norm in the backward, tile by
-    tile, where the unfused chain's tape keeps its output: for the q, k and
-    v matmuls, or for the FFN."""
+    """`layer` reruns both layer norms in the backward, tile by tile, where
+    the unfused chain's tape keeps their outputs: for the q, k and v
+    matmuls, or for the FFN."""
 
-    CONSUMERS = {  # (fused, chain, weight shapes); 2 heads over runs of 7 and 9 rows
-        "matmul": (lambda x, g, b, w1, w2: ad.attn_sublayer(x, g, b, w1, w2, w1, [7, 9], 2)[0],
-                   lambda x, g, b, w1, w2: chain_attn_sublayer(x, g, b, w1, w2, w1, [7, 9], 2),
-                   ((16, 16), (16, 16))),
-        "ffn": (ad.ffn_sublayer, chain_ffn_sublayer, ((16, 48), (48, 16))),
+    CONSUMERS = {  # the weights that need a gradient besides x
+        "matmul": (3, 4, 5),  # wq, wk and wv: the chain keeps the first norm's output
+        "ffn": (8, 9),  # w1 and w2: the chain keeps the second norm's output
     }
 
     @pytest.mark.parametrize("consumer", sorted(CONSUMERS))
     def test_rebuild_keeps_every_bit_and_frees_the_output(self, monkeypatch, consumer):
-        fused_fn, chain_fn, shapes = self.CONSUMERS[consumer]
+        # 2 heads over runs of 7 and 9 rows, hidden width 48
         rng = np.random.default_rng(70)
-        arrays = (rng.standard_normal((4, 3, 16, 16)), 1.0 + 0.1 * rng.standard_normal(16),
-                  0.1 * rng.standard_normal(16), *(rng.standard_normal(s) / 4 for s in shapes))
+        arrays = layer_arrays(rng, (4, 3), 16, 16, 48)
         weights = rng.standard_normal(arrays[0].shape)
-        chain, _, _ = run_with_grads(chain_fn, arrays, weights)
-        # with the tape on, the chain holds the layer-norm output and more
-        # beyond its own output; the fused op holds row statistics, two
-        # values a row for the layer norm and two a head for attention
-        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        chain, _, _ = run_with_grads(lambda *a: chain_layer(*a, [7, 9], 2), arrays, weights)
+        # with the tape on, the chain holds a layer-norm output and more
+        # beyond its own output; the fused op holds u and row statistics,
+        # two values a row for each layer norm and two a head for attention
+        leaves = [Tensor(a, requires_grad=i == 0 or i in self.CONSUMERS[consumer])
+                  for i, a in enumerate(arrays)]
         unit = arrays[0].nbytes
-        _, chain_held = traced_held(lambda: chain_fn(*leaves))
-        _, fused_held = traced_held(lambda: fused_fn(*leaves))
-        assert fused_held - unit < unit and chain_held - unit >= 4 * unit
+        _, chain_held = traced_held(lambda: chain_layer(*leaves, [7, 9], 2))
+        _, fused_held = traced_held(lambda: ad.layer(*leaves, [7, 9], 2)[0])
+        assert fused_held - 2 * unit < unit and chain_held - unit >= 4 * unit
         # the backward's rerun gives the chain's bits in tiles of one window
         monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", 1)
         monkeypatch.setattr(ad, "_FFN_TILE_BYTES", 1)
-        fused, _, _ = run_with_grads(fused_fn, arrays, weights)
+        fused, _, _ = run_with_grads(lambda *a: ad.layer(*a, [7, 9], 2)[0], arrays, weights)
         assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
 
 
 class TestMatmulRebuild:
-    """attn_sublayer reruns its q, k and v matmuls in the backward, tile by
+    """`layer` reruns its q, k and v matmuls in the backward, tile by
     tile, where the unfused chain's attention keeps q, k and v; attention
     over leaves keeps their arrays."""
 
@@ -812,7 +950,7 @@ class TestMatmulRebuild:
         q, k, v = np.random.default_rng(73).standard_normal((3, 2, 5, 8))
         weights = np.random.default_rng(74).standard_normal(q.shape)
         qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
-        out, _ = ad.attention(qt, kt, vt, [5], 2)
+        out = ad.attention(qt, kt, vt, [5], 2)
         held = list(closure_arrays(out._backward))
         assert all(any(np.shares_memory(a, t.data) for a in held) for t in (qt, kt, vt))
         assert max(a.nbytes for a in held) == q.nbytes
@@ -827,23 +965,22 @@ class TestMatmulRebuild:
         # one window a tile: the backward reruns the projections window by
         # window, and the forward leaves no q, k or v on the tape
         rng = np.random.default_rng(75)
-        arrays = (rng.standard_normal((2, 5, 8)), 1.0 + 0.1 * rng.standard_normal(8),
-                  0.1 * rng.standard_normal(8), *(rng.standard_normal((8, 8)) for _ in range(3)))
+        arrays = layer_arrays(rng, (2,), 5, 8, 8)  # w1 and w2 smaller than x
         weights = rng.standard_normal(arrays[0].shape)
-        chain, _, _ = run_with_grads(lambda *a: chain_attn_sublayer(*a, [2, 3], 2), arrays, weights)
+        chain, _, _ = run_with_grads(lambda *a: chain_layer(*a, [2, 3], 2), arrays, weights)
         monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", 1)
-        fused, _, _ = run_with_grads(lambda *a: ad.attn_sublayer(*a, [2, 3], 2)[0], arrays, weights)
+        fused, _, _ = run_with_grads(lambda *a: ad.layer(*a, [2, 3], 2)[0], arrays, weights)
         assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
         leaves = [Tensor(a, requires_grad=True) for a in arrays]
         h = rops.layer_norm(*leaves[:3])
-        qkv = [ad.matmul(h, w) for w in leaves[3:]]
+        qkv = [ad.matmul(h, w) for w in leaves[3:6]]
         arrays_alive = [weakref.ref(t.data) for t in qkv]
-        out, _ = ad.attention(*qkv, [2, 3], 2)
+        out = ad.attention(*qkv, [2, 3], 2)
         del h, qkv
         assert all(a() is not None for a in arrays_alive)  # the chain keeps them
-        out = ad.attn_sublayer(*leaves, [2, 3], 2)[0]
-        held = closure_arrays(out._backward)
-        assert [a is leaves[0].data for a in held if a.nbytes >= arrays[0].nbytes] == [True]
+        out = ad.layer(*leaves, [2, 3], 2)[0]
+        big = [a for a in closure_arrays(out._backward) if a.nbytes >= arrays[0].nbytes]
+        assert len(big) == 2 and any(a is leaves[0].data for a in big)  # x and u
 
 
 class TestBackward:
@@ -887,13 +1024,11 @@ class TestGradientSoundness:
         "mul": lambda x, aux: rops.mul(x, Tensor(aux)),
         "div": lambda x, aux: rops.div(x, Tensor(np.abs(aux) + 1.0)),
         "gelu": lambda x, aux: rops.gelu(x),
-        # x (a, b) feeds all three operands, so dw1 and dw2 reach dx too
-        # x (a, b) feeds all five operands, so every gradient reaches dx
-        "ffn": lambda x, aux: ad.ffn_sublayer(
-            x, *norm_params(x, aux), rops.swapaxes(rops.mul(x, Tensor(aux)), -1, -2),
-            rops.mul(x, x),
-        ),
-        "attn_sublayer": lambda x, aux: attn_sublayer_case(x, aux),
+        # x (a, b) feeds the rows of a layer and the weights of one half of
+        # it, or of both, so every gradient of that half reaches dx
+        "ffn": lambda x, aux: layer_case(x, aux, ("ffn",)),
+        "attn_sublayer": lambda x, aux: layer_case(x, aux, ("attn",)),
+        "layer": lambda x, aux: layer_case(x, aux, ("attn", "ffn")),
         "layer_norm": lambda x, aux: rops.layer_norm(
             x, Tensor(aux[0] + 2.0), Tensor(aux[1])
         ),

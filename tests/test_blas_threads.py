@@ -6,7 +6,8 @@ one with OPENBLAS_NUM_THREADS=1 and one with =2, and compares digests of the
 forecasts, the gradients and the updated parameters, and of a `predict`
 whose tiles run on two worker threads beside the BLAS threads. When a
 pinned digest breaks, it tells whether threading or the code changed the
-bits.
+bits. A second guard runs `layer` at two BLAS threads with its FFN forward
+in bands of a window's rows and with whole windows, and compares the two.
 """
 import os
 import pathlib
@@ -48,16 +49,48 @@ print(hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in parts))
 """
 
 
-def _digest(threads: int) -> str:
+BANDS = """
+import numpy as np
+from sbaformer import autodiff as ad
+from sbaformer.autodiff import Tensor
+
+# two windows of forecast_grid576's shapes (576 rows, d=64, 4 heads, hidden
+# 256) in runs of its level-2 sizes: each window's FFN runs in 288-row bands
+rng = np.random.default_rng(0)
+d, hidden = 64, 256
+arrays = [rng.standard_normal((2, 576, d)), 1.0 + 0.1 * rng.standard_normal(d),
+          0.1 * rng.standard_normal(d), *(rng.standard_normal((d, d)) / 8 for _ in range(3)),
+          1.0 + 0.1 * rng.standard_normal(d), 0.1 * rng.standard_normal(d),
+          rng.standard_normal((d, hidden)) / 8, rng.standard_normal((hidden, d)) / 16]
+
+
+def forward():
+    with ad.no_grad():
+        return ad.layer(*(Tensor(a) for a in arrays), [182, 182, 212], 4)[0].data
+
+
+assert len(ad._bands(2, 576, 8 * hidden)) > 2
+banded = forward()
+ad._FFN_BAND_BYTES = 1 << 40
+assert len(ad._bands(2, 576, 8 * hidden)) == 2
+print(np.array_equal(banded, forward()))
+"""
+
+
+def _run(script: str, threads: int) -> str:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=str(threads))
     proc = subprocess.run(
-        [sys.executable, "-c", STEP], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
 
 def test_one_and_two_blas_threads_give_the_same_bits():
-    one = _digest(1)
+    one = _run(STEP, 1)
     assert len(one) == 64
-    assert _digest(2) == one
+    assert _run(STEP, 2) == one
+
+
+def test_bands_give_the_bits_of_whole_windows_under_two_blas_threads():
+    assert _run(BANDS, 2) == "True"

@@ -589,7 +589,7 @@ class TestAttentionWorkingSet:
         q, k, v = (Tensor(a, requires_grad=True) for a in rng.standard_normal((3, 3, 7, 8)))
         for tape in (True, False):
             with contextlib.nullcontext() if tape else ad.no_grad():
-                att, _ = ad.attention(q, k, v, [3, 4], 2)
+                att = ad.attention(q, k, v, [3, 4], 2)
             assert att.shape == (3, 7, 8)
             assert att.data.flags.c_contiguous and att.data.flags.owndata
             if tape:
@@ -598,9 +598,10 @@ class TestAttentionWorkingSet:
 
     def test_tape_off_forward_holds_a_chunk_of_scores(self):
         # one run of 128 rows, 4 heads, 8 windows: the batch's scores are
-        # 4 MiB (16 units), over the 256 KiB attention budget, so a chunk
-        # of one window (2 units) is all that exists at once. 6.4 units
-        # measured (8.5 before the sublayers walked window tiles); holding
+        # 4 MiB (16 units), over the 256 KiB attention budget, and so are
+        # one window's (2 units), so a chunk of two heads (1 unit) is all
+        # that exists at once. 5.4 units measured (6.4 with chunks of one
+        # window, 8.5 before the sublayers walked window tiles); holding
         # the whole batch's scores peaks at 25.0
         b, n, d = 8, 128, 32
         config = md.ModelConfig(n=n, t=4, c=1, f=2, d_model=d, l=1, heads=4, p0=1, k_pe=2)
@@ -617,13 +618,14 @@ class TestAttentionWorkingSet:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * unit
+        assert peak <= 6 * unit
 
     def test_tape_off_forward_of_forecast_grid576_in_units(self):
         # the forecast_grid576 benchmark config (24x24 grid, p0=16, l=3,
         # d=64, 4 heads) on 16 windows: the block input, two activations
-        # and one window's temporaries at a time, 3.85 units measured.
-        # Whole-batch q, k, v and layer-norm outputs peaked at 7.06
+        # and one window's temporaries at a time, 3.54 units measured.
+        # A batch-sized branch output u and a whole window's hidden layer
+        # peaked at 3.85; whole-batch q, k, v and layer-norm outputs at 7.06
         g = make_grid_graph(24, 24)
         config = md.ModelConfig(n=576, t=24, c=1, f=12, d_model=64, l=3, heads=4, p0=16, k_pe=8)
         model = md.SbaTransformer(config, build_scale_series(g, 16, 3, seed=0), np.zeros((576, 8)))
@@ -637,7 +639,29 @@ class TestAttentionWorkingSet:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * unit
+        assert peak <= 3.75 * unit
+
+    def test_tape_off_intra_attention_holds_its_output_and_a_tile(self):
+        # intra attention of 16 windows at each level of the forecast_grid576
+        # config: the output and one window tile's temporaries (the layer
+        # norms, q, k, v, a chunk of scores, a band of the hidden layer),
+        # 8.5 window units measured over the output. With u and a whole
+        # window's hidden layer it peaked at 29.6 window units over it
+        g = make_grid_graph(24, 24)
+        config = md.ModelConfig(n=576, t=24, c=1, f=12, d_model=64, l=3, heads=4, p0=16, k_pe=8)
+        model = md.SbaTransformer(config, build_scale_series(g, 16, 3, seed=0), np.zeros((576, 8)))
+        xp = Tensor(np.random.default_rng(42).standard_normal((16, 576, 64)))
+        window = 8 * 576 * 64  # one window's (n, d_model) float64 rows
+        for plan, blk in zip(model.series.plans, model.params.blocks):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                with ad.no_grad():
+                    y, _ = md.intra_attention(xp, plan.mask, blk.intra, 4)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= y.data.nbytes + 9 * window
 
 
 class TestMaeLoss:
@@ -846,10 +870,10 @@ class TestFullModelGradients:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     stack.append(parent)
-        # 9 ops a block (two sublayers a branch, 2 row permutations,
+        # 7 ops a block (one layer a branch, 2 row permutations,
         # segment_mean, fuse and the residual add), 3 in the embedding, 2 in
-        # the head and the loss: 2 * 9 + 3 + 2 + 1
-        assert inner == 24
+        # the head and the loss: 2 * 7 + 3 + 2 + 1
+        assert inner == 20
 
     def test_gradcheck_against_finite_differences(self):
         from test_autodiff import assert_grads_close
@@ -899,17 +923,13 @@ class TestFullModelGradients:
         return held, [out.data] + [t.grad for t in model.params.tensors()], ad.flops.total() - counted
 
     def test_fused_ffn_keeps_every_bit_and_shrinks_the_tape(self, monkeypatch):
-        def unfused_sublayer(x, prm):
-            h = rops.layer_norm(x, prm.ln2_gamma, prm.ln2_beta)
-            return ad.add(x, ad.matmul(rops.gelu(ad.matmul(h, prm.ffn_w1)), prm.ffn_w2))
-
         rng = np.random.default_rng(24)
         b, n, d = 4, 16, 16
         model, _ = tiny_model(rng, n=n, t=4, d=d, l=2, heads=2, p0=4)
         x = rng.standard_normal((b, n, 4, 1))
         target = rng.standard_normal((b, n, 3, 1))
         fused_bytes, fused, _ = self._tape_run(model, x, target)
-        monkeypatch.setattr(md, "_ffn_sublayer", unfused_sublayer)
+        monkeypatch.setattr(ad, "layer", self._chain_layer(ad.attention))
         chain_bytes, chain, _ = self._tape_run(model, x, target)
         assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
         # the intra hidden layer, its GELU tanh and the GELU output, per block
@@ -917,16 +937,18 @@ class TestFullModelGradients:
         assert chain_bytes - fused_bytes >= 3 * model.config.l * hidden
 
     @staticmethod
-    def _chain_sublayer(attention):
-        """md._attn_sublayer as the unfused chain over `attention`: layer
-        norm, three matmuls, attention and the residual add."""
-        def sublayer(x, prm, heads, sizes, return_weights=False):
-            h = rops.layer_norm(x, prm.ln1_gamma, prm.ln1_beta)
-            qkv = [ad.matmul(h, w) for w in (prm.wq, prm.wk, prm.wv)]
-            att, alpha = attention(*qkv, sizes, heads, return_weights=return_weights)
-            return ad.add(x, att), alpha
+    def _chain_layer(attention):
+        """ad.layer as the unfused chain over `attention`: layer norm, three
+        matmuls, attention and the residual add, then layer norm, matmul,
+        gelu, matmul and the residual add."""
+        def layer(x, g1, b1, wq, wk, wv, g2, b2, w1, w2, sizes, heads, return_weights):
+            assert not return_weights
+            h = rops.layer_norm(x, g1, b1)
+            u = ad.add(x, attention(*(ad.matmul(h, w) for w in (wq, wk, wv)), sizes, heads))
+            h = rops.layer_norm(u, g2, b2)
+            return ad.add(u, ad.matmul(rops.gelu(ad.matmul(h, w1)), w2)), None
 
-        return sublayer
+        return layer
 
     def test_attention_rebuild_keeps_every_bit_and_shrinks_the_tape(self, monkeypatch):
         from test_autodiff import unfused_attention
@@ -940,13 +962,13 @@ class TestFullModelGradients:
 
             return ad._from_op(x.data[..., a : a + s, :], "rows", (x,), backward)
 
-        def chain_attention(q, k, v, sizes, heads, return_weights=False):
+        def chain_attention(q, k, v, sizes, heads):
             """The weight-keeping chain run by run, joined along the rows."""
             outs = [
                 unfused_attention(rows(q, a, s), rows(k, a, s), rows(v, a, s), heads)[0]
                 for a, s in zip(np.cumsum(sizes) - sizes, sizes)
             ]
-            return rops.concat(outs, axis=-2), None
+            return rops.concat(outs, axis=-2)
 
         rng = np.random.default_rng(25)
         b, h = 4, 2
@@ -955,7 +977,7 @@ class TestFullModelGradients:
         x = rng.standard_normal((b, 16, 4, 1))
         target = rng.standard_normal((b, 16, 3, 1))
         fused_bytes, fused, fused_flops = self._tape_run(model, x, target)
-        monkeypatch.setattr(md, "_attn_sublayer", self._chain_sublayer(chain_attention))
+        monkeypatch.setattr(ad, "layer", self._chain_layer(chain_attention))
         chain_bytes, chain, chain_flops = self._tape_run(model, x, target)
         assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
         assert fused_flops == chain_flops  # the rebuild's q k^T is not counted
@@ -966,14 +988,14 @@ class TestFullModelGradients:
 
     def test_qkv_rebuild_keeps_every_bit_and_shrinks_the_tape(self, monkeypatch):
         # the chain's attention keeps q, k and v, and its matmuls the
-        # layer-norm output; the sublayer op reruns them in its backward
+        # layer-norm output; the layer op reruns them in its backward
         rng = np.random.default_rng(27)
         b, n, d = 4, 16, 12
         model, _ = tiny_model(rng, n=n, t=4, d=d, l=2, heads=2, p0=2)
         x = rng.standard_normal((b, n, 4, 1))
         target = rng.standard_normal((b, n, 3, 1))
         rebuilt_bytes, rebuilt, rebuilt_flops = self._tape_run(model, x, target)
-        monkeypatch.setattr(md, "_attn_sublayer", self._chain_sublayer(ad.attention))
+        monkeypatch.setattr(ad, "layer", self._chain_layer(ad.attention))
         kept_bytes, kept, kept_flops = self._tape_run(model, x, target)
         assert all(np.array_equal(a, b) for a, b in zip(rebuilt, kept))
         assert rebuilt_flops == kept_flops  # the projections' rerun is not counted
@@ -1006,8 +1028,8 @@ class TestTapeKeepsWhatBackwardReads:
         finally:
             tracemalloc.stop()
         assert out.requires_grad
-        # 12.5 units measured, output included: each sublayer keeps its
-        # input and its layer norm's row statistics, fuse its y and
+        # 12.5 units measured, output included: each layer keeps its input,
+        # its branch output u and the row statistics, fuse its y and
         # summaries. Keeping attention's q, k and v holds 22.0; keeping
         # each layer-norm output and the fuse concat as well, 31.25; a tape
         # that keeps every op output alive through its parent links, 63.6
@@ -1024,12 +1046,12 @@ class TestTapeKeepsWhatBackwardReads:
         finally:
             tracemalloc.stop()
         # the tape plus the backward's temporaries at their largest, which
-        # window tiles keep to a few quarter units: 21.5 units measured.
+        # window tiles keep to a few quarter units: 21.55 units measured.
         # Rebuilding the whole batch's q, k and v peaked at 25.7, keeping
         # them at 32.3; keeping the layer-norm outputs and the fuse concat
         # as well, with per-window ffn weight-gradient partials and 1 MiB
         # attention chunks, at 46.1
-        assert peak <= 23 * unit
+        assert peak <= 22 * unit
 
     def test_no_backward_closure_holds_a_tensor(self):
         def held(fn):
@@ -1062,11 +1084,12 @@ class TestTapeKeepsWhatBackwardReads:
                 if id(parent) not in seen:
                     seen.add(id(parent))
                     stack.append(parent)
-        # a branch is 2 ops, attn_sublayer and ffn_sublayer. A block is 2
-        # branches and 5 more: 2 row permutations, segment_mean, fuse and
-        # the residual add. 3 blocks, the embedding's 2 matmuls and add (the
-        # input's reshape needs no grad), the head's matmul and reshape, and
-        # the loss: 3 * 9 + 3 + 2 + 1. Before the sublayers were ops, a
-        # branch was 9 (layer norm, 3 matmuls, attention, add, then layer
-        # norm, ffn, add) and the tape 3 * 23 + 6 = 75
-        assert ops == 33
+        # a branch is 1 op, `layer`. A block is 2 branches and 5 more: 2
+        # row permutations, segment_mean, fuse and the residual add. 3
+        # blocks, the embedding's 2 matmuls and add (the input's reshape
+        # needs no grad), the head's matmul and reshape, and the loss:
+        # 3 * 7 + 3 + 2 + 1. With a branch of two sublayer ops the tape was
+        # 3 * 9 + 6 = 33; before the sublayers were ops, a branch was 9 ops
+        # (layer norm, 3 matmuls, attention, add, then layer norm, ffn,
+        # add) and the tape 3 * 23 + 6 = 75
+        assert ops == 27
