@@ -16,8 +16,11 @@ layer-norm, softmax and GELU kernels.
 
 Gradients are first-order only and are stored on leaf tensors (those created
 with requires_grad=True rather than by an op); intermediate gradients live
-only while backward() runs. Calling backward() again without resetting grads
-accumulates, matching the usual optimizer contract.
+only while backward() runs. backward() spends its tape: each node lets go
+of what its backward saved as soon as that backward has run, and a second
+call on the same tape raises ContractError. Grads accumulate across tapes
+(forward and backward twice without resetting grads sums both), matching
+the usual optimizer contract.
 
 The tape links nodes, not tensors: an op output records a `_Node` of its
 parents' nodes and its backward, and each backward closure captures only the
@@ -171,8 +174,13 @@ class Tensor:
         runs each op node's backward and hands each leaf its grad, since
         every consumer of a node comes before it. An op output never gets a
         grad: its node's entry in the per-call grad map is dropped as soon
-        as its backward has run. The root must be a scalar. Each call adds
-        exactly one contribution, so repeated calls accumulate.
+        as its backward has run. The root must be a scalar.
+
+        The walk spends the tape: once a node's backward has run, the node
+        holds `_spent` instead, so the arrays that backward saved are freed
+        while the rest of the walk runs (PyTorch's autograd without
+        retain_graph). A second call on the same tape raises ContractError;
+        grads accumulate across tapes, one forward and backward each.
         """
         if self.data.shape != ():
             raise ContractError(
@@ -191,7 +199,10 @@ class Tensor:
                 g = np.asarray(g, dtype=np.float64)
                 node.grad = g.copy() if node.grad is None else node.grad + g
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
+            grads = node._backward(g)
+            node._backward = _spent  # its saved arrays go now, not when the walk ends
+            g = None
+            for parent, pg in zip(node._parents, grads):
                 if pg is None or not parent.requires_grad:
                     continue
                 key = id(parent)
@@ -199,7 +210,12 @@ class Tensor:
                     local[key] = local[key] + pg
                 else:
                     local[key] = pg
-            pg = None  # a summed-in gradient goes now, not during the next backward
+            grads = pg = None  # a summed-in gradient goes now, not during the next backward
+
+
+def _spent(g):
+    """The backward of a node whose backward has already run."""
+    raise ContractError("backward already ran on this tape; run the forward again")
 
 
 def _toposort(root: Tensor | _Node) -> list:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, as_completed
+import threading
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -319,20 +319,22 @@ class SbaTransformer:
         return ad.reshape(out, out.shape[:-1] + (self.config.f, self.config.c))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Forecasts with the tape off, in tiles of windows run on one
-        worker thread per usable CPU.
+        """Forecasts with the tape off, in tiles of windows run by the
+        calling thread and one more thread per further usable CPU.
 
         x is (..., n, t, c); one window (n, t, c) runs as a tile of one.
         The windows run through `forward` a tile at a time, two tiles per
         worker where `_TILE_BYTES` allows (`_tile_windows`), and each tile
         writes its forecasts into its own slice of one preallocated output.
-        The tiles run on a thread pool of one worker per CPU the process may
-        use (capped at the tile count; `taskset` limits it), which lives only
-        inside this call and under `ad.no_grad()`; numpy's kernels release
-        the GIL, so tiles overlap. Every op works on each window on its own,
-        so the result equals one whole-batch forward bit for bit at any
-        tile size and worker count. The first tile to fail cancels the
-        tiles not yet started, and its error is raised here.
+        The workers, one per CPU the process may use (capped at the tile
+        count; `taskset` limits it), are the calling thread and threads that
+        live only inside this call; all of them take tiles from one shared
+        iterator under `ad.no_grad()`, and with one worker no thread starts.
+        numpy's kernels release the GIL, so tiles overlap. Every op works on
+        each window on its own, so the result equals one whole-batch forward
+        bit for bit at any tile size and worker count. The first tile to
+        fail stops the tiles not yet started, and its error is raised here
+        once every thread has ended.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim < 3:
@@ -343,19 +345,35 @@ class SbaTransformer:
         cpus = _usable_cpus()
         tile = _tile_windows(len(windows), cpus, self._window_bytes())
         starts = range(0, len(windows), tile)
+        pending = iter(starts)
+        lock = threading.Lock()
+        errors = []  # the first holds the error to raise; any stops the tiles
 
-        def run(lo):
-            out[lo : lo + tile] = self.forward(Tensor(windows[lo : lo + tile])).data
+        def take():
+            with lock:
+                return None if errors else next(pending, None)
 
-        workers = max(1, min(cpus, len(starts)))
-        with ad.no_grad(), ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(run, lo) for lo in starts]
+        def drain():
             try:
-                for done in as_completed(futures):
-                    done.result()
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
+                while (lo := take()) is not None:
+                    out[lo : lo + tile] = self.forward(Tensor(windows[lo : lo + tile])).data
+            except BaseException as error:
+                with lock:
+                    errors.append(error)
+
+        helpers = [threading.Thread(target=drain)
+                   for _ in range(min(cpus, len(starts)) - 1)]
+        with ad.no_grad():
+            try:
+                for thread in helpers:
+                    thread.start()
+                drain()
+            finally:
+                for thread in helpers:
+                    if thread.ident is not None:  # started
+                        thread.join()
+        if errors:
+            raise errors[0]
         return out.reshape(x.shape[:-3] + out.shape[1:])
 
     def _window_bytes(self) -> int:

@@ -113,9 +113,9 @@ def _batched_mae(model: SbaTransformer, series_norm, windows) -> float:
     """Mean of per-window MAE over a window set.
 
     Windows are gathered _EVAL_BATCH at a time and forecast by `model.predict`,
-    which runs with the tape off in tiles of windows, two per worker thread
-    under a memory cap, on one worker thread per usable CPU; neither the
-    tile size nor the worker count changes the bits.
+    which runs with the tape off in tiles of windows, two per worker under a
+    memory cap, one worker per usable CPU, the calling thread among them;
+    neither the tile size nor the worker count changes the bits.
     """
     total = 0.0
     for lo in range(0, len(windows), _EVAL_BATCH):
@@ -198,7 +198,7 @@ def evaluate(model: SbaTransformer, dataset: Dataset, split: str = "test") -> di
     """Metric report on de-normalized forecasts, with a persistence reference row.
 
     Forecasts come from `model.predict` (tape off, tiles of windows on one
-    worker thread per usable CPU, _EVAL_BATCH windows gathered at a time;
+    worker per usable CPU, _EVAL_BATCH windows gathered at a time;
     bit-identical at any tile size and worker count) on the normalized series
     and are inverted back to the raw scale before scoring; the persistence
     row goes through the exact same metric path.

@@ -996,11 +996,37 @@ class TestBackward:
         np.testing.assert_allclose(w.grad, w.data, atol=1e-12)
 
     def test_repeated_calls_accumulate(self):
+        # two tapes, one forward and backward each: the grads add up
+        w = Tensor(np.ones(3), requires_grad=True)
+        for _ in range(2):
+            rops.tensor_sum(rops.mul(w, 2.0)).backward()
+        np.testing.assert_array_equal(w.grad, 4.0 * np.ones(3))
+
+    def test_second_backward_on_one_tape_raises(self):
         w = Tensor(np.ones(3), requires_grad=True)
         loss = rops.tensor_sum(rops.mul(w, 2.0))
         loss.backward()
+        with pytest.raises(ContractError, match="backward already ran on this tape"):
+            loss.backward()
+        np.testing.assert_array_equal(w.grad, 2.0 * np.ones(3))  # the second call added nothing
+
+    def test_backward_frees_what_a_layer_saved(self):
+        # x is an op output, so only the layer's node holds its array once
+        # the caller drops it; u never leaves the node
+        rng = np.random.default_rng(87)
+        arrays = layer_arrays(rng, (4,), 7, 8, 16)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        x = ad.add(leaves[0], leaves[0])
+        out, _ = ad.layer(x, *leaves[1:], [3, 1, 2, 1], 2)
+        big = [a for a in closure_arrays(out._backward) if a.nbytes >= arrays[0].nbytes]
+        assert len(big) == 2 and any(a is x.data for a in big)  # x and u
+        saved = [weakref.ref(a) for a in big]
+        del x, big
+        loss = rops.tensor_sum(rops.mul(out, Tensor(rng.standard_normal(arrays[0].shape))))
+        assert all(a() is not None for a in saved)  # the tape holds them
         loss.backward()
-        np.testing.assert_array_equal(w.grad, 4.0 * np.ones(3))
+        assert all(a() is None for a in saved)  # the root is still referenced
+        assert out._backward is ad._spent and loss._backward is ad._spent
 
     def test_non_scalar_root_rejected(self):
         w = Tensor(np.ones(3), requires_grad=True)
