@@ -32,10 +32,12 @@ forward writes each tile into one preallocated output, and the backward
 reruns each tile's forward before its gradients (FlashAttention's trade
 applied to window tiles; Dao et al. 2022). So layer-norm outputs, q, k
 and v, the FFN hidden layer and the fuse concat exist only at tile size,
-and with the tape off so does a layer's branch output u. A layer's node
-keeps its input, u, its weights and row statistics. On the e2e config
-(n=64, d=32, batch 16) the tape after one forward holds 12.5 activation
-units, one unit being a (batch, n, d) float64 array.
+and with the tape off so does a layer's branch output u. One rule cuts
+every such working set under a byte budget (`_cover`): tiles of windows,
+bands of a window's rows and attention chunks of windows and heads. A
+layer's node keeps its input, u, its weights and row statistics. On the
+e2e config (n=64, d=32, batch 16) the tape after one forward holds 12.5
+activation units, one unit being a (batch, n, d) float64 array.
 """
 from __future__ import annotations
 
@@ -391,12 +393,12 @@ _ATTN_TILE_BYTES = 1 << 18
 # reuses them instead of mapping them afresh: with 256 KiB tiles an e2e
 # training step's backward took about 2 ms (7%) longer.
 _WINDOW_TILE_BYTES = 1 << 16
-_FFN_TILE_BYTES = 1 << 16
-# Hidden-layer budget of one band of rows in `layer`'s FFN forward, for a
-# window whose hidden layer exceeds it: 288 rows at width 64 (hidden 256),
-# half an n=576 window. On two workers (a 2-core Xeon, BLAS on one thread)
-# a `forecast_grid576` predict read 13% slower than with whole windows in
-# bands of 128 rows and 3% in bands of 192; bands of 288 rows matched.
+# Hidden-layer budget of one band of a window's rows in `layer`'s FFN
+# forward, once the window is over _WINDOW_TILE_BYTES (so it is no smaller):
+# 288 rows at width 64 (hidden 256), half an n=576 window. On two workers (a
+# 2-core Xeon, BLAS on one thread) a `forecast_grid576` predict read 13%
+# slower than with whole windows in bands of 128 rows and 3% in bands of
+# 192; bands of 288 rows matched.
 _FFN_BAND_BYTES = 576 << 10
 
 
@@ -412,30 +414,36 @@ def _scale(width: int, heads: int) -> float:
     return 1.0 / math.sqrt(width // heads)
 
 
-def _chunks(lead: tuple, item_bytes: int, run: tuple) -> list:
-    """Indices that cover the leading axes `lead` of items of item_bytes
-    each, then `run`: the first axis in chunks of as many of its items as
-    fit _ATTN_TILE_BYTES, and at least one (an empty axis gives one empty
-    chunk); where one item is over budget and more axes follow, each item
-    on its own, cut along the next axes the same way."""
+def _cover(lead: tuple, item_bytes: int, budgets: tuple, least: int = 1) -> list:
+    """Index tuples that cover the leading axes `lead` of an array whose
+    innermost items take item_bytes each, one working set a tuple. Each axis
+    goes in slices of as many of its items as fit its budget in `budgets`,
+    and at least one (an empty axis gives one empty slice); where one item
+    is over budget and more axes follow, each item goes on its own, cut
+    along the next axis the same way. A slice of the last axis holds at
+    least `least` items, and a shorter last slice joins the one before it,
+    so that slice may hold least - 1 items over its budget.
+    """
     inner = item_bytes * math.prod(lead[1:])
-    if inner > _ATTN_TILE_BYTES and len(lead) > 1:
+    if inner > budgets[0] and len(lead) > 1:
         return [(slice(i, i + 1),) + rest for i in range(lead[0])
-                for rest in _chunks(lead[1:], item_bytes, run)]
-    step = max(1, _ATTN_TILE_BYTES // max(1, inner))
-    return [(slice(lo, lo + step),) + run for lo in range(0, max(1, lead[0]), step)]
+                for rest in _cover(lead[1:], item_bytes, budgets[1:], least)]
+    least = least if len(lead) == 1 else 1
+    cuts = list(range(0, max(1, lead[0]), max(least, budgets[0] // max(1, inner)))) + [lead[0]]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] < least:
+        del cuts[-2]
+    return [(slice(a, b),) for a, b in zip(cuts, cuts[1:])]
 
 
 def _pieces(lead: tuple, sizes: np.ndarray, starts: np.ndarray, whole: bool) -> list:
     """Indices into head views with leading axes `lead`: each run of rows,
     whole, or in chunks of the leading axes whose (..., s, s) weights fit
-    _ATTN_TILE_BYTES where they can (`_chunks`): windows when batched, and
+    _ATTN_TILE_BYTES where they can (`_cover`): windows when batched, and
     heads once one window's run is over budget."""
-    pieces = []
-    for a, s in zip(starts.tolist(), sizes.tolist()):
-        run = (..., slice(a, a + s), slice(None))
-        pieces += [run] if whole else _chunks(lead, 8 * s * s, run)
-    return pieces
+    budgets = (_ATTN_TILE_BYTES,) * len(lead)
+    return [c + (..., slice(a, a + s), slice(None))
+            for a, s in zip(starts.tolist(), sizes.tolist())
+            for c in ([()] if whole else _cover(lead, 8 * s * s, budgets))]
 
 
 def _attend(qd, kd, vd, out, pieces: list, scale: float, weights) -> list:
@@ -521,34 +529,6 @@ def _windows(rows: np.ndarray) -> np.ndarray:
     return rows.reshape((-1,) + rows.shape[-2:])
 
 
-def _tiles(windows: int, window_bytes: int, budget) -> list:
-    """Slices of whole windows, as many a tile as keep tile * window_bytes
-    within budget (all of them when budget is None), and at least one."""
-    step = max(1, windows if budget is None else budget // max(1, window_bytes))
-    return [slice(lo, lo + step) for lo in range(0, windows, step)]
-
-
-def _bands(windows: int, rows: int, row_bytes: int) -> list:
-    """Indices into a tile's (windows, rows, ·) arrays, one FFN forward
-    sub-tile each, row_bytes being one row's hidden layer: tiles of whole
-    windows within _FFN_TILE_BYTES, or, where one window's hidden layer
-    exceeds _FFN_BAND_BYTES, each window in bands of its rows within that.
-
-    A band never holds one row unless its window does: numpy sends a
-    one-row product to gemv, whose bits differ from gemm's, while the
-    product of two or more of a window's rows is those rows of the
-    window's product bit for bit. So a last band of one row joins the band
-    before it.
-    """
-    if rows * row_bytes <= _FFN_BAND_BYTES:
-        return [(t,) for t in _tiles(windows, rows * row_bytes, _FFN_TILE_BYTES)]
-    cuts = list(range(0, rows, max(2, _FFN_BAND_BYTES // row_bytes))) + [rows]
-    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-        del cuts[-2]
-    return [(slice(w, w + 1), slice(a, b)) for w in range(windows)
-            for a, b in zip(cuts, cuts[1:])]
-
-
 def _add_windows(acc: np.ndarray, parts: np.ndarray):
     """Add each window's partial (windows, a, b) into acc, in window order:
     from zeros, the order of numpy's sum over the windows."""
@@ -619,12 +599,15 @@ def layer(x, gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2, sizes, heads: int
     (n, d) rows. Per tile it runs the first layer norm, the projections and
     `attention`'s chunks (`_pieces`) into u's rows, adds the residual, runs
     the second layer norm, and writes u + the FFN into the tile's rows of
-    one preallocated output. The FFN forward runs in sub-tiles of windows,
-    or in bands of a window's rows (`_bands`), and builds its GELU in the
-    tanh's buffer. With the tape off, u's rows are the output's own, so u,
-    like the layer-norm outputs, q, k, v and the hidden layer, exists only
-    at tile size. With it on, the node keeps x, u and the row statistics
-    of both layer norms and of each attention chunk.
+    one preallocated output. The FFN forward runs in sub-tiles of windows
+    within _WINDOW_TILE_BYTES of hidden layer or, a window over it, in bands
+    of its rows within _FFN_BAND_BYTES (`_cover`), and builds its GELU in
+    the tanh's buffer. A band holds two rows or more unless its window has
+    one: numpy sends a one-row product to gemv, whose bits differ from
+    gemm's on the window's rows. With the tape off, u's rows are the
+    output's own, so u, like the layer-norm outputs, q, k, v and the hidden
+    layer, exists only at tile size. With it on, the node keeps x, u and
+    the row statistics of both layer norms and of each attention chunk.
 
     The backward walks the same tiles: it reruns each tile's second layer
     norm and its FFN in sub-tiles of whole windows, since a weight
@@ -655,7 +638,8 @@ def layer(x, gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2, sizes, heads: int
     scale = _scale(d, heads)
     wins = _windows(xd)
     rows, row_bytes = wins.shape[1], 8 * hidden
-    tiles = _tiles(len(wins), 8 * rows * d, None if return_weights else _WINDOW_TILE_BYTES)
+    tiles = _cover((len(wins),), 8 * rows * d,
+                   (wins.nbytes if return_weights else _WINDOW_TILE_BYTES,))
     out = np.empty(wins.shape)
     ud = np.empty(wins.shape) if _records((x, *params)) else out  # u for the backward
     weights = [] if return_weights else None
@@ -686,7 +670,7 @@ def layer(x, gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2, sizes, heads: int
         del views
         ut += wins[t]
         h, norm2 = normed(ut, g2, b2)
-        for band in _bands(len(h), rows, row_bytes):
+        for band in _cover(h.shape[:2], row_bytes, (_WINDOW_TILE_BYTES, _FFN_BAND_BYTES), 2):
             z = np.matmul(h[band], w1d)
             _count_matmul(h[band], w1d, z)
             _finite(z, "layer's ffn")
@@ -704,7 +688,7 @@ def layer(x, gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2, sizes, heads: int
         """The FFN's input gradient given dL/dout = g, its weight gradients
         added into grads."""
         gh = np.empty(h.shape)
-        for s in _tiles(len(h), rows * row_bytes, _FFN_TILE_BYTES):
+        for s in _cover((len(h),), rows * row_bytes, (_WINDOW_TILE_BYTES,)):
             z = np.matmul(h[s], w1d)
             act, th = _gelu_forward(z, True)
             _add_windows(grads[1], np.matmul(np.swapaxes(act, -1, -2), g[s]))
@@ -807,7 +791,7 @@ def fuse(y, s, sizes, w) -> Tensor:
 
     wy, ws = _windows(yd), _windows(sd)
     out = np.empty(wy.shape[:-1] + wd.shape[1:])
-    tiles = _tiles(len(wy), 8 * wy.shape[1] * wd.shape[0], _WINDOW_TILE_BYTES)
+    tiles = _cover((len(wy),), 8 * wy.shape[1] * wd.shape[0], (_WINDOW_TILE_BYTES,))
     for t in tiles:
         rows = join(wy, ws, t)
         np.matmul(rows, wd, out=out[t])

@@ -262,14 +262,16 @@ def mae_loss(pred: Tensor, target) -> Tensor:
     return ad.mae(pred, tgt)
 
 
-# Memory cap of one `predict` tile, counted in `_window_bytes` per window.
-_TILE_BYTES = 6 << 20
+# Memory cap of one `predict` tile, in bytes of its (tile, n, d_model)
+# activations: `ad.layer` and `ad.fuse` bound their own temporaries, so what
+# grows with a tile is a few such arrays. 5 windows at n=576, d_model=64.
+_TILE_BYTES = 3 << 19
 
 
 def _tile_windows(windows: int, workers: int, window_bytes: int) -> int:
     """Windows per `predict` tile: two tiles per worker, for load balance,
-    but no more windows than keep `tile * window_bytes` within `_TILE_BYTES`,
-    and never fewer than one."""
+    but no more windows than keep `tile * window_bytes`, the tile's
+    activation bytes, within `_TILE_BYTES`, and never fewer than one."""
     per_worker = -(-windows // (2 * workers))
     return max(1, min(per_worker, _TILE_BYTES // window_bytes))
 
@@ -322,9 +324,9 @@ class SbaTransformer:
         """Forecasts with the tape off, in tiles of windows run by the
         calling thread and one more thread per further usable CPU.
 
-        x is (..., n, t, c); one window (n, t, c) runs as a tile of one.
-        The windows run through `forward` a tile at a time, two tiles per
-        worker where `_TILE_BYTES` allows (`_tile_windows`), and each tile
+        x is (..., n, t, c); one window (n, t, c) runs as a tile of one. The
+        windows run through `forward` a tile at a time, two tiles per worker
+        within `_TILE_BYTES` of activations (`_tile_windows`), and each tile
         writes its forecasts into its own slice of one preallocated output.
         The workers, one per CPU the process may use (capped at the tile
         count; `taskset` limits it), are the calling thread and threads that
@@ -332,9 +334,9 @@ class SbaTransformer:
         iterator under `ad.no_grad()`, and with one worker no thread starts.
         numpy's kernels release the GIL, so tiles overlap. Every op works on
         each window on its own, so the result equals one whole-batch forward
-        bit for bit at any tile size and worker count. The first tile to
-        fail stops the tiles not yet started, and its error is raised here
-        once every thread has ended.
+        bit for bit at any tile size and worker count. The first tile to fail
+        stops the tiles not yet started, and its error is raised here once
+        every thread has ended.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim < 3:
@@ -343,7 +345,7 @@ class SbaTransformer:
         windows = x.reshape((-1,) + x.shape[-3:])
         out = np.empty((len(windows), x.shape[-3], mc.f, mc.c))
         cpus = _usable_cpus()
-        tile = _tile_windows(len(windows), cpus, self._window_bytes())
+        tile = _tile_windows(len(windows), cpus, 8 * mc.n * mc.d_model)
         starts = range(0, len(windows), tile)
         pending = iter(starts)
         lock = threading.Lock()
@@ -375,24 +377,6 @@ class SbaTransformer:
         if errors:
             raise errors[0]
         return out.reshape(x.shape[:-3] + out.shape[1:])
-
-    def _window_bytes(self) -> int:
-        """f64 bytes of one window's largest temporary in `forward`, or an
-        upper bound of it: the unit in which `_TILE_BYTES` caps a `predict`
-        tile.
-
-        The FFN hidden layer counts at its whole-window size, and the
-        attention scores at all heads of the largest run. Both are bounds:
-        `ad.layer` runs a window's FFN forward in bands of rows within
-        `ad._FFN_BAND_BYTES` once its hidden layer exceeds that, and
-        attention chunks its scores by window and head within
-        `ad._ATTN_TILE_BYTES`. A tape-off forward of k windows holds its
-        block input, two activations and one window tile's temporaries at
-        once.
-        """
-        mc = self.config
-        run = max(max(plan.m, plan.p) for plan in self.series.plans)
-        return 8 * max(mc.n * mc.ffn_mult * mc.d_model, mc.heads * run * run)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,46 @@ def test_no_private_definition_is_left_unused():
     assert offenders == []
 
 
+def _working_set_names(tree):
+    """Line numbers where code names autodiff's tile helpers (`_cover`,
+    `_pieces`) or one of its `_*_BYTES` budgets, by name, by attribute of
+    the imported module or by import. Docstrings are strings, not names."""
+    helpers = {"_cover", "_pieces"}
+
+    def budget(name):
+        return name.startswith("_") and name.endswith("_BYTES")
+
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names
+               if alias.name.split(".")[-1] == "autodiff"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("autodiff"):
+            yield from (node.lineno for a in node.names if a.name in helpers or budget(a.name))
+        elif isinstance(node, ast.Name) and node.id in helpers:
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and (node.attr in helpers or (
+                budget(node.attr) and getattr(node.value, "id", None) in modules)):
+            yield node.lineno
+
+
+def test_only_autodiff_names_its_tile_helpers_and_budgets():
+    # working sets are cut by one rule in one module: `predict` sizes its
+    # tiles in activation bytes, without reaching into autodiff's budgets
+    src = Path(sbaformer.__file__).parent
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "autodiff.py"
+        for line in _working_set_names(ast.parse(path.read_text()))
+    ]
+    assert offenders == []
+    assert list(_working_set_names(ast.parse((src / "autodiff.py").read_text())))
+    caught = ast.parse('"""ad._FFN_BAND_BYTES in prose"""\nfrom . import autodiff as ad\n'
+                       "a = ad._ATTN_TILE_BYTES\nb = ad._cover\n"
+                       "from .autodiff import _WINDOW_TILE_BYTES\n_TILE_BYTES = 1\n")
+    assert sorted(_working_set_names(caught)) == [3, 4, 5]
+
+
 def _public_defs(body):
     """Public functions and classes of a statement list, and the public
     methods of its classes."""

@@ -1,5 +1,6 @@
 """Tensor core: forward contracts, the FLOP counter, and gradient soundness."""
 import ast
+import itertools
 import math
 import sys
 import tracemalloc
@@ -689,6 +690,38 @@ def ffn_calls(monkeypatch, arrays) -> list:
     return calls
 
 
+def ffn_bands(windows, rows, row_bytes) -> list:
+    """The FFN forward's sub-tiles of a tile of `windows` windows of `rows`
+    rows, each row's hidden layer taking row_bytes, at the current budgets."""
+    return ad._cover((windows, rows), row_bytes, (ad._WINDOW_TILE_BYTES, ad._FFN_BAND_BYTES), 2)
+
+
+def cover_faults(lead, item, budgets, least) -> list:
+    """The index tuples of ad._cover(lead, item, budgets, least) that break
+    its rule, or one tuple-less fault when they do not cover the leading
+    axes exactly once, in order. A tuple selects single items of every axis
+    but the one it cuts; what it holds there fits that axis's budget or is
+    one item, and on the last axis it holds `least` items or more (all of
+    the axis when it is shorter), with at most least - 1 over its budget in
+    the axis's last slice, which a shorter remainder joined."""
+    cover = ad._cover(lead, item, budgets, least)
+    index = np.arange(math.prod(lead)).reshape(lead)
+    if [i for c in cover for i in index[c].ravel().tolist()] != list(range(index.size)):
+        return ["not an exact cover in order"]
+    faults = []
+    for c in cover:
+        axis, (start, stop, _) = len(c) - 1, c[-1].indices(lead[len(c) - 1])
+        held, inner = stop - start, item * math.prod(lead[axis + 1:])
+        fits = held * inner <= budgets[axis] or held == 1
+        if axis == len(lead) - 1:
+            spare = least - 1 if stop == lead[axis] else 0
+            fits = (held - spare) * inner <= budgets[axis] or held - spare <= least
+            fits = fits and held >= min(least, lead[axis])
+        if any(s.indices(n)[1] - s.indices(n)[0] != 1 for s, n in zip(c[:-1], lead)) or not fits:
+            faults.append(c)
+    return faults
+
+
 class TestFfn:
     """The FFN half of ad.layer against its unfused chain."""
 
@@ -716,7 +749,6 @@ class TestFfn:
         # each window's 5 rows in bands of 2 and 3
         arrays, weights = self._case(shape, 40 + len(shape))
         chain, chain_flops, _ = run_with_grads(self._chain, arrays, weights)
-        monkeypatch.setattr(ad, "_FFN_TILE_BYTES", budget)
         monkeypatch.setattr(ad, "_FFN_BAND_BYTES", budget)
         monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", budget)  # 9 windows at "3"
         fused, fused_flops, after = run_with_grads(self._fused, arrays, weights)
@@ -726,18 +758,21 @@ class TestFfn:
     def test_tiles_cover_the_windows(self, monkeypatch):
         arrays, _ = self._case((7,), 44)
         calls = ffn_calls(monkeypatch, arrays)
-        monkeypatch.setattr(ad, "_FFN_TILE_BYTES", 3 * 480 + 7)
+        monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", 3 * 480 + 7)
         ad.layer(*(Tensor(a) for a in arrays), [2, 3], 2)
-        # x @ w1 then gelu @ w2, per sub-tile of whole windows
+        # x @ w1 then gelu @ w2, per sub-tile of whole windows, all 7 in one
+        # tile of (5, 4) rows
         assert [shape[0] for shape in calls] == [3, 3, 3, 3, 1, 1]
 
     @pytest.mark.parametrize("rows, bands", [(2, [2, 3]), (3, [3, 2]), (4, [5])])
     def test_bands_cover_each_window(self, monkeypatch, rows, bands):
-        # bands of 2, 3 and 4 rows' hidden layer over a window of 5 rows: a
-        # last band of one row joins the band before it
+        # bands of 2, 3 and 4 rows' hidden layer over a window of 5 rows,
+        # which is over the sub-tile budget too: a last band of one row
+        # joins the band before it
         arrays, _ = self._case((3,), 45)
         calls = ffn_calls(monkeypatch, arrays)
         monkeypatch.setattr(ad, "_FFN_BAND_BYTES", rows * 8 * self.H)
+        monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", rows * 8 * self.H)
         ad.layer(*(Tensor(a) for a in arrays), [2, 3], 2)
         per_window = [s for b in bands for s in ((1, b, self.H), (1, b, self.D))]
         assert calls == per_window * 3
@@ -804,6 +839,15 @@ class TestAttnSublayer:
         assert len(fused) == 11 and all(np.array_equal(a, b) for a, b in zip(fused, chain))
         assert fused_flops == chain_flops and after == fused_flops
 
+    @pytest.mark.parametrize("lead", [(0,), (2, 0)])
+    def test_empty_window_axis_matches_the_chain(self, lead):
+        # no windows: the forward and the backward run one empty tile
+        arrays, weights = self._case(lead, 87)
+        chain, chain_flops, _ = run_with_grads(self._chain, arrays, weights)
+        fused, fused_flops, after = run_with_grads(self._fused, arrays, weights)
+        assert len(fused) == 11 and all(np.array_equal(a, b) for a, b in zip(fused, chain))
+        assert fused_flops == chain_flops == after == 0
+
     def test_weights_are_whole_runs_at_any_budget(self, monkeypatch):
         arrays, _ = self._case((5,), 84)
         monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", 1)
@@ -822,9 +866,10 @@ class TestAttnSublayer:
         monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", 3 * self.WINDOW + 7)
         arrays, _ = self._case((7,), 85)
         ad.layer(*(Tensor(a) for a in arrays), [7], 2)
-        # per tile: three projections, the run's scores and output, then
-        # the FFN's two products
-        assert calls == [3] * 7 + [3] * 7 + [1] * 7
+        # per tile: three projections and the run's scores and output, then
+        # the FFN's two products a window at a time, since one window's
+        # (7, 16) hidden layer takes 896 of the same budget
+        assert calls == ([3] * 5 + [1] * 6) * 2 + [1] * 7
 
     def test_tape_keeps_x_and_the_weights(self):
         arrays, _ = self._case((4,), 86)
@@ -863,8 +908,9 @@ class TestLayerBands:
     def test_no_band_holds_one_row_of_a_larger_window(self, monkeypatch):
         for step in range(1, 9):
             monkeypatch.setattr(ad, "_FFN_BAND_BYTES", 8 * step)
+            monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", 8 * step)
             for rows in range(1, 41):
-                bands = ad._bands(2, rows, 8)
+                bands = ffn_bands(2, rows, 8)
                 if rows <= step:  # a window within budget goes whole
                     assert all(len(b) == 1 for b in bands)
                     continue
@@ -874,6 +920,38 @@ class TestLayerBands:
                 assert spans[0][0] == 0 and spans[-1][1] == rows
                 assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
                 assert all(2 <= hi - lo <= max(2, step) + 1 for lo, hi in spans)
+        # the cover rule over empty, short and long axes, items and budgets
+        # below, at and above one item of each axis, and one, two and three
+        # items at least on the last axis
+        for lead in [(0,), (1,), (7,), (2, 0), (0, 3), (3, 1), (5, 7), (2, 3, 4), (1, 41)]:
+            for item in (1, 8, 24):
+                for budgets in itertools.product((1, 8, 40, 200, 1 << 40), repeat=len(lead)):
+                    for least in (1, 2, 3):
+                        assert cover_faults(lead, item, budgets, least) == [], (
+                            lead, item, budgets, least)
+
+    def test_shipped_budgets_keep_the_benchmark_working_sets(self):
+        # the tiles, bands and chunks the shipped budgets give on the two
+        # benchmark shapes, as literals. A window is banded once it is over
+        # its sub-tile budget, so the band budget must not be below it.
+        assert ad._FFN_BAND_BYTES >= ad._WINDOW_TILE_BYTES
+        tile = ad._WINDOW_TILE_BYTES
+        # e2e (n=64, d=32, batch 16, hidden 128): 4-window tiles, FFN
+        # sub-tiles of one window
+        assert ad._cover((16,), 8 * 64 * 32, (tile,)) == [
+            (slice(lo, lo + 4),) for lo in range(0, 16, 4)]
+        assert ffn_bands(4, 64, 8 * 128) == [(slice(w, w + 1),) for w in range(4)]
+        assert ad._cover((4,), 8 * 64 * 128, (tile,)) == [(slice(w, w + 1),) for w in range(4)]
+        # forecast_grid576 (n=576, d=64, 4 heads, hidden 256): one-window
+        # tiles, two 288-row FFN bands a window, and a level-2 run of 182
+        # rows a head at a time, where one of 79 goes whole
+        assert ad._cover((16,), 8 * 576 * 64, (tile,)) == [(slice(w, w + 1),) for w in range(16)]
+        assert ffn_bands(1, 576, 8 * 256) == [(slice(0, 1), slice(0, 288)),
+                                              (slice(0, 1), slice(288, 576))]
+        runs = [(..., slice(0, 182), slice(None)), (..., slice(182, 261), slice(None))]
+        assert ad._pieces((1, 4), np.array([182, 79]), np.array([0, 182]), False) == [
+            (slice(0, 1), slice(h, h + 1)) + runs[0] for h in range(4)] + [
+            (slice(0, 1),) + runs[1]]
 
     # 1 B: every budget at 1 byte, so 7-row windows run in bands of 2, 2
     # and 3 rows; last-row: bands of 3 rows, whose last band would hold
@@ -891,8 +969,7 @@ class TestLayerBands:
                                                weights)
         with ad.no_grad():
             chain_off = chain_layer(*(Tensor(a) for a in arrays), sizes, 2).data
-        for name in ("_FFN_TILE_BYTES", "_FFN_BAND_BYTES", "_WINDOW_TILE_BYTES",
-                     "_ATTN_TILE_BYTES"):
+        for name in ("_FFN_BAND_BYTES", "_WINDOW_TILE_BYTES", "_ATTN_TILE_BYTES"):
             monkeypatch.setattr(ad, name, 1)
         if band_rows:
             monkeypatch.setattr(ad, "_FFN_BAND_BYTES", band_rows * 8 * 32)
@@ -903,7 +980,7 @@ class TestLayerBands:
         assert len(fused) == 11 and all(np.array_equal(a, b) for a, b in zip(fused, chain))
         assert np.array_equal(fused_off, chain_off)
         assert fused_flops == chain_flops and after == fused_flops
-        bands = ad._bands(3, rows, 8 * 32)
+        bands = ffn_bands(3, rows, 8 * 32)
         assert [b[-1].stop - b[-1].start for b in bands[:len(bands) // 3]] == (
             {"1B": [2, 2, 3], "last-row": [3, 4], "one-row": [1]}[case])
 
@@ -936,7 +1013,6 @@ class TestLayerNormRebuild:
         assert fused_held - 2 * unit < unit and chain_held - unit >= 4 * unit
         # the backward's rerun gives the chain's bits in tiles of one window
         monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", 1)
-        monkeypatch.setattr(ad, "_FFN_TILE_BYTES", 1)
         fused, _, _ = run_with_grads(lambda *a: ad.layer(*a, [7, 9], 2)[0], arrays, weights)
         assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
 

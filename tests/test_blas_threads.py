@@ -43,7 +43,7 @@ adam_step(model.params, TrainState.for_params(model.params), TrainConfig(lr=2e-3
 parts += [t.data for t in params]
 # predict of 8 windows on 2 worker threads: the rule gives 4 tiles of 2
 md._usable_cpus = lambda: 2
-assert md._tile_windows(8, 2, model._window_bytes()) == 2
+assert md._tile_windows(8, 2, 8 * 64 * 32) == 2
 parts.append(model.predict(rng.standard_normal((8, 64, 24, 1))))
 print(hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in parts)).hexdigest())
 """
@@ -69,10 +69,11 @@ def forward():
         return ad.layer(*(Tensor(a) for a in arrays), [182, 182, 212], 4)[0].data
 
 
-assert len(ad._bands(2, 576, 8 * hidden)) > 2
+budgets = ad._WINDOW_TILE_BYTES, ad._FFN_BAND_BYTES
+assert len(ad._cover((2, 576), 8 * hidden, budgets, 2)) > 2
 banded = forward()
 ad._FFN_BAND_BYTES = 1 << 40
-assert len(ad._bands(2, 576, 8 * hidden)) == 2
+assert len(ad._cover((2, 576), 8 * hidden, (budgets[0], ad._FFN_BAND_BYTES), 2)) == 2
 print(np.array_equal(banded, forward()))
 """
 
