@@ -2,9 +2,12 @@
 
 With the subgraph size m held fixed, the local term grows linearly in n and
 the global term quadratically in the (much smaller) subgraph count, so the
-total grows far slower than dense attention's n^2. The FLOP counter measures
-the actual attention matmuls, and `sbaformer bench` checks it against the
-closed form.
+total grows far slower than dense attention's n^2. `sbaformer bench` runs
+the model's two branch ops, intra and inter attention, on one dummy window
+with the FLOP counter on, takes off the closed form of their projections
+and FFN, and checks what is left against the attention closed form. Its
+`wall_ms` column times those two branch ops, with the making of their
+dummy rows and weights.
 """
 import sys
 

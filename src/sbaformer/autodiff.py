@@ -1,18 +1,17 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Everything the attention blocks need lives here: batched matmul,
-elementwise add and reshape, fused multi-head scaled dot-product attention
-within runs of consecutive rows (one run being attention over all rows)
-that splits its rows into heads itself and holds one bounded chunk of
-weights at a time, a whole pre-norm attention branch (layer norm,
-attention and residual, then layer norm, GELU feed-forward and residual)
-as one op (`layer`), the row moves of the subgraph layout (a row
-permutation and a mean over each run of rows), a fused map of each row
-joined with its run's summary (`fuse`) and the mean absolute error loss.
-All data is 64-bit. matmul, attention, layer and fuse feed a global FLOP
+elementwise add and reshape, a whole pre-norm attention branch as one op
+(`layer`: layer norm, multi-head scaled dot-product attention within runs
+of consecutive rows and residual, then layer norm, GELU feed-forward and
+residual), whose attention splits its rows into heads itself and holds one
+bounded chunk of weights at a time, the row moves of the subgraph layout
+(a row permutation and a mean over each run of rows), a fused map of each
+row joined with its run's summary (`fuse`) and the mean absolute error
+loss. All data is 64-bit. matmul, layer and fuse feed a global FLOP
 counter when counting is enabled. The tests compare each fused op bit for
 bit with the unfused chain of tape ops it replaces, built on this module's
-layer-norm, softmax and GELU kernels.
+layer-norm, softmax, GELU and attention kernels.
 
 Gradients are first-order only and are stored on leaf tensors (those created
 with requires_grad=True rather than by an op); intermediate gradients live
@@ -75,7 +74,7 @@ def no_grad():
 
 class FlopCounter:
     """One running FLOP count, multiplies plus adds, of the forward products
-    of matmul, attention, layer and fuse while enabled: b·m·n·(2k−1) per
+    of matmul, layer and fuse while enabled: b·m·n·(2k−1) per
     batch of b (m x k) @ (k x n) products.
 
     Disabled counting leaves results bit-identical; the counter only ever
@@ -382,8 +381,8 @@ def _run_weights(qi: np.ndarray, kt: np.ndarray, scale: float, stats=None) -> tu
     return _softmax_rows(w, stats)
 
 
-# Weights budget of one `attention` chunk: a run's scores and the backward's
-# three score-sized temporaries exist one chunk at a time. One activation
+# Weights budget of one chunk of `layer`'s attention: a run's scores and the
+# backward's three score-sized temporaries exist one chunk at a time. One activation
 # unit of the e2e config (16 windows, 64 rows, width 32).
 _ATTN_TILE_BYTES = 1 << 18
 # Budget of one window tile of `layer` and `fuse`, in bytes of the tile's
@@ -479,50 +478,6 @@ def _attend_backward(g, qd, kd, vd, grads: list, pieces: list, stats: list, scal
         np.matmul(np.swapaxes(gs, -1, -2), qd[piece], out=gk[piece])
 
 
-def attention(q, k, v, sizes, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention within each run of consecutive rows.
-
-    q, k and v are (..., n, d) rows of `heads` heads side by side, each
-    d_head = d / heads columns wide; sizes splits the n rows into
-    consecutive runs and must sum to n. Run i computes, head by head,
-    softmax(q k^T / sqrt(d_head)) v over its own rows only, at its exact
-    size, so no mask is needed; sizes [n] is attention over all rows. The
-    op works on (..., heads, n, d_head) views of its rows, and the output
-    is (..., n, d) rows written through such a view of one buffer.
-
-    Each run goes in chunks of the views' leading axes (`_pieces`) within
-    _ATTN_TILE_BYTES, so the op holds one chunk's weights at a time. It
-    keeps q, k and v and each chunk's row max and row sum of the softmax;
-    the backward rebuilds each chunk's weights from them (FlashAttention's
-    recomputation; Dao et al. 2022), uncounted. Every product is one BLAS
-    call per 2-D slice and the softmax works row by row, so outputs and
-    gradients equal those of a head split, matmul, scale, softmax, matmul
-    and head merge bit for bit at any chunk size.
-    """
-    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    shape = q.data.shape
-    if k.data.shape != shape or v.data.shape != shape:
-        raise ShapeError(
-            f"attention needs q, k and v of one shape (..., n, d); got "
-            f"{q.data.shape}, {k.data.shape} and {v.data.shape}"
-        )
-    sizes, starts = _runs(sizes)
-    _check_rows(q.data, int(sizes.sum()), "attention")
-    scale = _scale(shape[-1], heads)
-    qd, kd, vd = (_head_view(t.data, heads) for t in (q, k, v))
-    pieces = _pieces(qd.shape[:-2], sizes, starts, False)
-    data = np.empty(shape)
-    stats = _attend(qd, kd, vd, _head_view(data, heads), pieces, scale, None)
-
-    def backward(g):
-        grads = [np.empty(shape) for _ in range(3)]
-        views = [_head_view(a, heads) for a in grads]
-        _attend_backward(_head_view(g, heads), qd, kd, vd, views, pieces, stats, scale)
-        return tuple(grads)
-
-    return _from_op(data, "attention", (q, k, v), backward)
-
-
 def _windows(rows: np.ndarray) -> np.ndarray:
     """The (windows, n, d) view of (..., n, d) rows: the leading axes become
     one axis of windows, and rows with none are one window."""
@@ -585,9 +540,11 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
 def layer(x, gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2, sizes, heads: int,
           return_weights: bool = False):
     """One pre-norm attention branch, u = x + attention(h1 @ wq, h1 @ wk,
-    h1 @ wv, sizes, heads) and then u + gelu(h2 @ w1) @ w2, as one tape
-    node. h1 is the layer norm of x scaled by gamma1 and shifted by beta1,
-    h2 that of u by gamma2 and beta2.
+    h1 @ wv) and then u + gelu(h2 @ w1) @ w2, as one tape node. h1 is the
+    layer norm of x scaled by gamma1 and shifted by beta1, h2 that of u by
+    gamma2 and beta2. Run i of the attention computes, head by head,
+    softmax(q k^T / sqrt(d_head)) v over its own rows only, at its exact
+    size, so no mask is needed; sizes [n] is attention over all rows.
 
     x is (..., n, d) rows in consecutive runs of `sizes`; the gammas and
     betas are (d,), wq, wk and wv (d, d), w1 (d, hidden) and w2 (hidden,
@@ -597,7 +554,7 @@ def layer(x, gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2, sizes, heads: int
 
     The forward walks tiles of whole windows within _WINDOW_TILE_BYTES of
     (n, d) rows. Per tile it runs the first layer norm, the projections and
-    `attention`'s chunks (`_pieces`) into u's rows, adds the residual, runs
+    attention's chunks (`_pieces`) into u's rows, adds the residual, runs
     the second layer norm, and writes u + the FFN into the tile's rows of
     one preallocated output. The FFN forward runs in sub-tiles of windows
     within _WINDOW_TILE_BYTES of hidden layer or, a window over it, in bands

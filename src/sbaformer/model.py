@@ -392,20 +392,25 @@ def _attention_flops(batch: int, s: int, dh: int) -> int:
 def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
     """Attention FLOPs per block: closed form next to an instrumented run.
 
-    Only the two attention matmuls count (scores and weights-times-values);
-    the per-node projections are linear in n and excluded on both sides. The
-    intra term sums each subgraph at its exact size s_i, which is what the
-    model computes; padding adds nothing. The measured pass drives the
-    attention op on dummy (rows, heads * d_head) tensors with the model's
-    head count and the counter on, once over the n node rows in the
-    subgraph runs and once over the p summaries as one run, so the two
-    columns must agree. The pass is measured as the difference of
+    Only the two attention matmuls count (scores and weights-times-values).
+    The intra term sums each subgraph at its exact size s_i, which is what
+    the model computes; padding adds nothing. The measured pass runs the
+    model's own branches with the counter on and the tape off: per plan,
+    `intra_attention` over dummy (n, d_model) rows in the plan's subgraph
+    runs and `inter_attention` over dummy (p, d_model) rows, one branch's
+    weights serving every plan. From the count it takes the closed form of
+    what a branch counts besides attention, the q, k and v projections and
+    the FFN pair over each of its rows, so a miscount anywhere in `layer`
+    moves `ratio` off 1. The pass is measured as the difference of
     `ad.flops`, which then holds the caller's count again.
 
     Returns `per_block` (p, m and the closed-form intra and inter FLOPs of
     each block), `closed_total`, `measured_total` and their `ratio`.
     """
-    h, dh = config.heads, config.d_head
+    h, dh, d = config.heads, config.d_head, config.d_model
+    hidden = config.ffn_mult * d
+    per_row = 3 * d * (2 * d - 1) + hidden * (2 * d - 1) + d * (2 * hidden - 1)
+    prm = init_params(config).blocks[0].intra
     rng = np.random.default_rng(0)
     per_block = []
     before = ad.flops.total()
@@ -419,11 +424,10 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
                     "inter": _attention_flops(h, plan.p, dh),
                 }
             )
-            q, k, v = (Tensor(rng.standard_normal((plan.n, h * dh))) for _ in range(3))
-            ad.attention(q, k, v, plan.sizes, h)
-            qs, ks, vs = (Tensor(rng.standard_normal((plan.p, h * dh))) for _ in range(3))
-            ad.attention(qs, ks, vs, [plan.p], h)
-    measured_total, ad.flops.count = ad.flops.total() - before, before
+            intra_attention(Tensor(rng.standard_normal((plan.n, d))), plan.mask, prm, h)
+            inter_attention(Tensor(rng.standard_normal((plan.p, d))), prm, h)
+    counted, ad.flops.count = ad.flops.total() - before, before
+    measured_total = counted - per_row * sum(plan.n + plan.p for plan in series.plans)
     closed_total = sum(blk["intra"] + blk["inter"] for blk in per_block)
     return {
         "per_block": per_block,
@@ -436,14 +440,14 @@ def flops_estimate(config: ModelConfig, series: ScaleSeries) -> dict:
 def attention_peak_bytes(config: ModelConfig, series: ScaleSeries) -> int:
     """Analytic peak working set of one block's attention, in bytes.
 
-    An attention op over `rows` rows holds q, k, v and its output, the row
-    max and row sum of every run (kept for the backward), and the weights
-    of one run at a time, the largest. A block counts its intra op over
-    the n node rows, whose largest run is m, and its inter op over the p
-    summaries, one run; the largest block wins, at f64 sizes.
-    Deterministic by construction. Once a run's weights over all heads
-    exceed `ad._ATTN_TILE_BYTES`, the op holds them a chunk of heads at a
-    time, and this count is an upper bound.
+    The attention inside a `layer` over `rows` rows of one window holds q,
+    k, v and its output, the row max and row sum of every run (kept for the
+    backward), and the weights of one run at a time, the largest. A block
+    counts its intra branch over the n node rows, whose largest run is m,
+    and its inter branch over the p summaries, one run; the largest block
+    wins, at f64 sizes. Deterministic by construction. Once a run's weights
+    over all heads exceed `ad._ATTN_TILE_BYTES`, the op holds them a chunk
+    of heads at a time, and this count is an upper bound.
     """
     h, dh = config.heads, config.d_head
 

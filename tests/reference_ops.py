@@ -1,25 +1,31 @@
 """Unfused tape ops that the fused-op tests compare against bit for bit.
 
 The model never calls these. They are the reference chains of the fused
-ops in `sbaformer.autodiff`: a head split (reshape -> swapaxes), matmul ->
-mul -> softmax -> matmul and a head merge (swapaxes -> reshape) for
-`attention`, layer_norm -> three matmuls -> attention -> add and then
-layer_norm -> matmul -> gelu -> matmul -> add for `layer`, and
-repeat_rows -> concat -> matmul for `fuse`. Each one
-runs the package's own kernels (`_normalize`, `_softmax_rows`,
-`_gelu_forward` and their backwards) one op at a time, so any difference
-from a fused op is the fusion's.
+ops in `sbaformer.autodiff`: layer_norm -> three matmuls -> attention ->
+add and then layer_norm -> matmul -> gelu -> matmul -> add for `layer`,
+and repeat_rows -> concat -> matmul for `fuse`. Each one runs the
+package's own kernels (`_normalize`, `_softmax_rows`, `_gelu_forward` and
+their backwards) one op at a time, so any difference from a fused op is
+the fusion's. `attention` is `layer`'s attention as an op of its own, on
+the package's chunked kernels (`_attend` and its backward); the tests
+check it in turn against a head split (reshape -> swapaxes), matmul ->
+mul -> softmax -> matmul and a head merge (swapaxes -> reshape).
 """
 import numpy as np
 
 from sbaformer.autodiff import (
     Tensor,
+    _attend,
+    _attend_backward,
     _check_rows,
     _from_op,
     _gelu_backward,
     _gelu_forward,
+    _head_view,
     _layer_norm_backward,
     _normalize,
+    _pieces,
+    _scale,
     _scale_shift,
     _runs,
     _softmax_backward,
@@ -27,6 +33,7 @@ from sbaformer.autodiff import (
     _unbroadcast,
     as_tensor,
 )
+from sbaformer.errors import ShapeError
 
 
 def mul(a, b) -> Tensor:
@@ -151,3 +158,44 @@ def layer_norm(x, gamma, beta) -> Tensor:
         return _layer_norm_backward(g, xhat, inv, gamma), g_gamma, g_beta
 
     return _from_op(data, "layer_norm", (t, ga, be), backward)
+
+
+def attention(q, k, v, sizes, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention within each run of consecutive rows.
+
+    q, k and v are (..., n, d) rows of `heads` heads side by side, each
+    d_head = d / heads columns wide; sizes splits the n rows into
+    consecutive runs and must sum to n. Run i computes, head by head,
+    softmax(q k^T / sqrt(d_head)) v over its own rows only, at its exact
+    size; sizes [n] is attention over all rows. The op works on (..., heads,
+    n, d_head) views of its rows, and the output is (..., n, d) rows written
+    through such a view of one buffer.
+
+    Each run goes in chunks of the views' leading axes (`_pieces`) within
+    `_ATTN_TILE_BYTES`, as in `layer`. The op keeps q, k and v and each
+    chunk's row max and row sum of the softmax; the backward rebuilds each
+    chunk's weights from them, uncounted. Outputs and gradients equal those
+    of the unfused chain bit for bit at any chunk size.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    shape = q.data.shape
+    if k.data.shape != shape or v.data.shape != shape:
+        raise ShapeError(
+            f"attention needs q, k and v of one shape (..., n, d); got "
+            f"{q.data.shape}, {k.data.shape} and {v.data.shape}"
+        )
+    sizes, starts = _runs(sizes)
+    _check_rows(q.data, int(sizes.sum()), "attention")
+    scale = _scale(shape[-1], heads)
+    qd, kd, vd = (_head_view(t.data, heads) for t in (q, k, v))
+    pieces = _pieces(qd.shape[:-2], sizes, starts, False)
+    data = np.empty(shape)
+    stats = _attend(qd, kd, vd, _head_view(data, heads), pieces, scale, None)
+
+    def backward(g):
+        grads = [np.empty(shape) for _ in range(3)]
+        views = [_head_view(a, heads) for a in grads]
+        _attend_backward(_head_view(g, heads), qd, kd, vd, views, pieces, stats, scale)
+        return tuple(grads)
+
+    return _from_op(data, "attention", (q, k, v), backward)

@@ -131,7 +131,7 @@ class TestFlopCounter:
 
         def run():
             qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
-            out = ad.attention(qt, kt, vt, [2, 3], 2)
+            out = rops.attention(qt, kt, vt, [2, 3], 2)
             rops.tensor_sum(rops.mul(out, out)).backward()
             # the layer's attention weights, which only a capture returns
             y, weights = ad.layer(*(Tensor(a) for a in arrays), [2, 3], 2, return_weights=True)
@@ -181,7 +181,7 @@ def merge_heads(x):
 
 
 def unfused_attention(q, k, v, heads):
-    """The chain ad.attention replaces within each run: split the rows into
+    """The chain rops.attention replaces within each run: split the rows into
     heads, then matmul -> mul -> softmax -> matmul, then merge the heads.
     Returns the output rows and the (..., heads, n, n) weights."""
     q, k, v = (split_heads(t, heads) for t in (q, k, v))
@@ -201,7 +201,7 @@ class TestAttention:
         # (batch, s, d) rows of 2 heads as one run, as inter attention sees them
         q, k, v = np.random.default_rng(12).standard_normal((3, 3, 5, 8))
         weights = np.random.default_rng(13).standard_normal(q.shape)
-        fused = self._run(lambda qt, kt, vt: ad.attention(qt, kt, vt, [5], 2), q, k, v, weights)
+        fused = self._run(lambda qt, kt, vt: rops.attention(qt, kt, vt, [5], 2), q, k, v, weights)
         chain = self._run(lambda qt, kt, vt: unfused_attention(qt, kt, vt, 2)[0], q, k, v, weights)
         for a, b in zip(fused, chain):
             assert np.array_equal(a, b)
@@ -214,7 +214,7 @@ class TestAttention:
         assert weights is None and np.array_equal(out.data, kept.data)
         assert [w.shape for w in asked] == [(2, 2, 2, 2), (2, 2, 4, 4)]
         q = Tensor(arrays[0])
-        assert isinstance(ad.attention(q, q, q, [2, 4], 2), Tensor)
+        assert isinstance(rops.attention(q, q, q, [2, 4], 2), Tensor)
 
     def test_tape_off_holds_one_run_of_weights(self):
         # the largest run comes last, so the peak falls in it: beside its
@@ -227,7 +227,7 @@ class TestAttention:
         tracemalloc.start()
         try:
             with ad.no_grad():
-                out = ad.attention(q, k, v, sizes, h)
+                out = rops.attention(q, k, v, sizes, h)
             peak = tracemalloc.get_traced_memory()[1] - out.data.nbytes
         finally:
             tracemalloc.stop()
@@ -244,7 +244,7 @@ class TestAttention:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = ad.attention(q, k, v, sizes, h)
+            out = rops.attention(q, k, v, sizes, h)
             held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
         finally:
             tracemalloc.stop()
@@ -253,10 +253,10 @@ class TestAttention:
 
     def test_extent_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            ad.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 5))),
+            rops.attention(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 5))),
                          Tensor(np.ones((3, 2))), [3], 1)
         with pytest.raises(ShapeError):
-            ad.attention(Tensor(np.ones(4)), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 2))), [3], 1)
+            rops.attention(Tensor(np.ones(4)), Tensor(np.ones((3, 4))), Tensor(np.ones((3, 2))), [3], 1)
 
     def test_q_k_and_v_of_different_shapes_raise(self):
         rows = Tensor(np.ones((2, 3, 4)))
@@ -264,13 +264,13 @@ class TestAttention:
             for args in ((Tensor(np.ones(other)), rows, rows), (rows, Tensor(np.ones(other)), rows),
                          (rows, rows, Tensor(np.ones(other)))):
                 with pytest.raises(ShapeError, match="one shape"):
-                    ad.attention(*args, [3], 2)
+                    rops.attention(*args, [3], 2)
 
     @pytest.mark.parametrize("heads", [3, 5, 0, -2])
     def test_width_not_divisible_by_heads_raises(self, heads):
         rows = Tensor(np.ones((2, 3, 4)))
         with pytest.raises(ShapeError, match=f"width 4 into {heads} heads"):
-            ad.attention(rows, rows, rows, [3], heads)
+            rops.attention(rows, rows, rows, [3], heads)
 
 
 class TestSubgraphAttention:
@@ -284,7 +284,7 @@ class TestSubgraphAttention:
     def test_each_part_matches_attention_on_its_slice(self):
         q, k, v = self._leaves(20)
         weights = np.random.default_rng(21).standard_normal(q.shape)
-        out = ad.attention(q, k, v, self.SIZES, 2)
+        out = rops.attention(q, k, v, self.SIZES, 2)
         rops.tensor_sum(rops.mul(out, Tensor(weights))).backward()
         for a, s in zip([0, 5, 6], self.SIZES):
             part = (..., slice(a, a + s), slice(None))
@@ -299,15 +299,15 @@ class TestSubgraphAttention:
     def test_empty_part_raises(self):
         q, k, v = self._leaves(22)
         with pytest.raises(EmptyRunError):
-            ad.attention(q, k, v, [5, 0, 4], 2)
+            rops.attention(q, k, v, [5, 0, 4], 2)
 
     def test_bad_sizes_or_shapes_raise(self):
         q, k, v = self._leaves(23)
         for sizes in ([5, 1], [6, 1, 3], []):  # 6, 10 and 0 rows for 9
             with pytest.raises(ShapeError):
-                ad.attention(q, k, v, sizes, 2)
+                rops.attention(q, k, v, sizes, 2)
         with pytest.raises(ShapeError):
-            ad.attention(q, Tensor(k.data[..., :6]), v, self.SIZES, 2)
+            rops.attention(q, Tensor(k.data[..., :6]), v, self.SIZES, 2)
 
 
 class TestAttentionChunks:
@@ -327,7 +327,7 @@ class TestAttentionChunks:
         qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in qkv)
         before = ad.flops.total()
         with ad.flops.counting():
-            out = ad.attention(qt, kt, vt, self.SIZES, heads)
+            out = rops.attention(qt, kt, vt, self.SIZES, heads)
         counted = ad.flops.total() - before
         rops.tensor_sum(rops.mul(out, Tensor(weights))).backward()
         return [out.data, qt.grad, kt.grad, vt.grad], counted
@@ -355,7 +355,7 @@ class TestAttentionChunks:
         monkeypatch.setattr(ad, "_count_matmul", lambda a, b, out: calls.append(out.shape[0]))
         monkeypatch.setattr(ad, "_ATTN_TILE_BYTES", 2 * 8 * 2 * 4 * 4)
         qkv, _ = self._leaves((5,), 2, 54)
-        ad.attention(*(Tensor(a) for a in qkv), self.SIZES, 2)
+        rops.attention(*(Tensor(a) for a in qkv), self.SIZES, 2)
         # scores then output per chunk: runs of 3, 1 and 4 rows take 3, 5
         # and 2 windows a chunk
         assert calls == [3, 3, 2, 2, 5, 5, 2, 2, 2, 2, 1, 1]
@@ -370,7 +370,7 @@ class TestAttentionChunks:
                             lambda a, b, out: calls.append(out.shape[:2]))
         monkeypatch.setattr(ad, "_ATTN_TILE_BYTES", 8 * 4 * 4)
         qkv, _ = self._leaves((5,), 2, 57)
-        ad.attention(*(Tensor(a) for a in qkv), self.SIZES, 2)
+        rops.attention(*(Tensor(a) for a in qkv), self.SIZES, 2)
         assert calls == [(1, 1)] * 20 + [(5, 2)] * 2 + [(1, 1)] * 20
 
     def test_weights_are_whole_runs_at_any_budget(self, monkeypatch):
@@ -438,7 +438,7 @@ def attention_case(x, aux, sizes):
     xa, gx = rops.mul(x, Tensor(aux)), rops.gelu(x)
     q, k = rops.concat([x, xa], axis=-1), rops.concat([xa, gx], axis=-1)
     v = rops.concat([gx, rops.mul(x, x)], axis=-1)
-    return ad.attention(q, k, v, sizes, 2)
+    return rops.attention(q, k, v, sizes, 2)
 
 
 class TestSegmentMean:
@@ -627,7 +627,7 @@ def chain_attn_sublayer(x, gamma, beta, wq, wk, wv, sizes, heads):
     """The first half of the chain ad.layer replaces: layer norm, three
     projections, attention, residual add."""
     h = rops.layer_norm(x, gamma, beta)
-    return ad.add(x, ad.attention(*(ad.matmul(h, w) for w in (wq, wk, wv)), sizes, heads))
+    return ad.add(x, rops.attention(*(ad.matmul(h, w) for w in (wq, wk, wv)), sizes, heads))
 
 
 def chain_layer(x, gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2, sizes, heads):
@@ -1026,7 +1026,7 @@ class TestMatmulRebuild:
         q, k, v = np.random.default_rng(73).standard_normal((3, 2, 5, 8))
         weights = np.random.default_rng(74).standard_normal(q.shape)
         qt, kt, vt = (Tensor(a.copy(), requires_grad=True) for a in (q, k, v))
-        out = ad.attention(qt, kt, vt, [5], 2)
+        out = rops.attention(qt, kt, vt, [5], 2)
         held = list(closure_arrays(out._backward))
         assert all(any(np.shares_memory(a, t.data) for a in held) for t in (qt, kt, vt))
         assert max(a.nbytes for a in held) == q.nbytes
@@ -1051,7 +1051,7 @@ class TestMatmulRebuild:
         h = rops.layer_norm(*leaves[:3])
         qkv = [ad.matmul(h, w) for w in leaves[3:6]]
         arrays_alive = [weakref.ref(t.data) for t in qkv]
-        out = ad.attention(*qkv, [2, 3], 2)
+        out = rops.attention(*qkv, [2, 3], 2)
         del h, qkv
         assert all(a() is not None for a in arrays_alive)  # the chain keeps them
         out = ad.layer(*leaves, [2, 3], 2)[0]
@@ -1204,7 +1204,7 @@ class TestGradientSoundness:
         for name, case in self.CASES.items():
             x0, aux = self._inputs(name, np.random.default_rng(0))
             case(Tensor(x0), aux)
-        assert "attention" in ops and sorted(ops - covered) == []
+        assert "layer" in ops and sorted(ops - covered) == []
 
     def test_permute_roundtrip_gradient(self):
         rng = np.random.default_rng(11)

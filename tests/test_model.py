@@ -584,7 +584,7 @@ class TestAttentionWorkingSet:
         q, k, v = (Tensor(a, requires_grad=True) for a in rng.standard_normal((3, 3, 7, 8)))
         for tape in (True, False):
             with contextlib.nullcontext() if tape else ad.no_grad():
-                att = ad.attention(q, k, v, [3, 4], 2)
+                att = rops.attention(q, k, v, [3, 4], 2)
             assert att.shape == (3, 7, 8)
             assert att.data.flags.c_contiguous and att.data.flags.owndata
             if tape:
@@ -719,7 +719,7 @@ class TestFlopsEstimate:
         q, k, v = rng.standard_normal((3, p, m, h * dh))
         before = ad.flops.total()
         with ad.flops.counting():
-            ad.attention(Tensor(q), Tensor(k), Tensor(v), [m], h)
+            rops.attention(Tensor(q), Tensor(k), Tensor(v), [m], h)
         assert ad.flops.total() - before == md._attention_flops(p * h, m, dh)
 
     def test_subgraph_attention_counts_each_part_at_its_size(self):
@@ -729,7 +729,7 @@ class TestFlopsEstimate:
         q, k, v = rng.standard_normal((3, sum(sizes), h * dh))
         before = ad.flops.total()
         with ad.flops.counting():
-            ad.attention(Tensor(q), Tensor(k), Tensor(v), sizes, h)
+            rops.attention(Tensor(q), Tensor(k), Tensor(v), sizes, h)
         assert ad.flops.total() - before == sum(md._attention_flops(h, s, dh) for s in sizes)
 
     def test_uneven_parts_cost_their_squared_sizes(self):
@@ -767,6 +767,30 @@ class TestFlopsEstimate:
             p = int(rng.choice([1, 2, 4, 8]))
             est = md.flops_estimate(self._config(n, p, d=32, heads=2), self._series(n, p))
             assert est["measured_total"] == est["closed_total"]
+        # three plans under a one-block config, as `bench` builds its
+        # configs: every plan is measured, not one per block
+        series = build_scale_series(make_grid_graph(8, 8), 8, 3, seed=0)
+        est = md.flops_estimate(self._config(64, 8, d=32, heads=2), series)
+        assert len(est["per_block"]) == 3
+        assert est["measured_total"] == est["closed_total"]
+
+    def test_measured_side_runs_the_model_layer(self, monkeypatch):
+        # the e2e series: each plan runs its intra and its inter branch
+        # through `ad.layer`, and whatever layer counts reaches the total
+        series = build_scale_series(make_grid_graph(8, 8), 8, 3, seed=0)
+        config = md.ModelConfig(n=64, t=1, c=1, f=1, d_model=32, l=3, heads=4, p0=8, k_pe=1)
+        calls = []
+        layer = ad.layer
+
+        def counted(x, *args):
+            calls.append(x.shape)
+            ad.flops.add(1)
+            return layer(x, *args)
+
+        monkeypatch.setattr(ad, "layer", counted)
+        est = md.flops_estimate(config, series)
+        assert calls == [shape for plan in series.plans for shape in ((plan.n, 32), (plan.p, 32))]
+        assert est["measured_total"] == est["closed_total"] + 6
 
 
 class TestModelConfig:
@@ -924,7 +948,7 @@ class TestFullModelGradients:
         x = rng.standard_normal((b, n, 4, 1))
         target = rng.standard_normal((b, n, 3, 1))
         fused_bytes, fused, _ = self._tape_run(model, x, target)
-        monkeypatch.setattr(ad, "layer", self._chain_layer(ad.attention))
+        monkeypatch.setattr(ad, "layer", self._chain_layer(rops.attention))
         chain_bytes, chain, _ = self._tape_run(model, x, target)
         assert all(np.array_equal(a, b) for a, b in zip(fused, chain))
         # the intra hidden layer, its GELU tanh and the GELU output, per block
@@ -990,7 +1014,7 @@ class TestFullModelGradients:
         x = rng.standard_normal((b, n, 4, 1))
         target = rng.standard_normal((b, n, 3, 1))
         rebuilt_bytes, rebuilt, rebuilt_flops = self._tape_run(model, x, target)
-        monkeypatch.setattr(ad, "layer", self._chain_layer(ad.attention))
+        monkeypatch.setattr(ad, "layer", self._chain_layer(rops.attention))
         kept_bytes, kept, kept_flops = self._tape_run(model, x, target)
         assert all(np.array_equal(a, b) for a, b in zip(rebuilt, kept))
         assert rebuilt_flops == kept_flops  # the projections' rerun is not counted
