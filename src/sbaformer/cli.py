@@ -361,11 +361,11 @@ def cmd_bench(args) -> int:
 def cmd_dump_attention(args) -> int:
     cfg = load_config(args.config)
     dataset, _, model = _assemble(cfg, args.checkpoint, (args.split, args.window))
-    _, series_norm, by_split = split_setup(dataset, model.config.t, model.config.f)
-    xs, _ = window_arrays(series_norm, by_split[args.split], at=[args.window])
+    normalizer, by_split = split_setup(dataset, model.config.t, model.config.f)
+    xs, _ = window_arrays(dataset.series, by_split[args.split], at=[args.window])
     capture = []
     with ad.no_grad():
-        model.forward(Tensor(xs[0]), capture=capture)
+        model.forward(Tensor(normalizer.apply(xs[0])), capture=capture)
 
     os.makedirs(args.out_dir, exist_ok=True)
     for b, block in enumerate(capture):

@@ -111,6 +111,9 @@ def validate_config(doc: dict) -> dict:
         for key, (default, _) in keys.items():
             if default is REQUIRED and effective[section][key] is None:
                 raise ConfigError(f"missing required config key: {section}.{key}")
+    for section in ("partition", "train"):
+        if effective[section]["seed"] < 0:
+            raise ConfigError(f"{section}.seed must be >= 0, got {effective[section]['seed']}")
     if effective["partition"]["p0"] is None:
         name = effective["data"]["name"]
         if name in DATASET_P_DEFAULTS:

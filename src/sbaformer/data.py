@@ -126,15 +126,18 @@ def make_windows(step_range, t: int, f: int, stride: int = 1, split: str = "trai
 
 
 def split_setup(dataset: Dataset, t: int, f: int):
-    """Chronological splits of a dataset, normalized on the train range only.
+    """Chronological splits of a dataset and a normalizer fit on the train range only.
 
-    Returns (normalizer, normalized series, {split name: WindowSet}).
+    Returns (normalizer, {split name: WindowSet}). No normalized copy of the
+    series is made: callers gather raw windows with
+    `window_arrays(dataset.series, ...)` and apply the normalizer to each
+    batch. The op is elementwise, so every bit equals a gather from a
+    normalized copy of the whole series.
     """
     bounds = chrono_split(dataset.steps, min_len=t + f)
     train_lo, train_hi = bounds[0]
     normalizer = Normalizer.fit(dataset.series[:, train_lo:train_hi])
-    windows = {name: make_windows(b, t, f, split=name) for name, b in zip(SPLITS, bounds)}
-    return normalizer, normalizer.apply(dataset.series), windows
+    return normalizer, {name: make_windows(b, t, f, split=name) for name, b in zip(SPLITS, bounds)}
 
 
 def window_arrays(series: np.ndarray, windows, at=None):
@@ -191,6 +194,10 @@ def synth_diffusion(
         raise ConfigError(f"n and steps must be >= 1, got n={n}, steps={steps}")
     if not period > 0:
         raise ConfigError(f"period must be > 0, got {period}")
+    if noise_std < 0:
+        raise ConfigError(f"noise_std must be >= 0, got {noise_std}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if graph is None:
         graph = make_grid_graph(*_grid_shape(n))
     if graph.n != n:

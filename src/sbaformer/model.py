@@ -126,6 +126,8 @@ class ModelParams:
 
 def init_params(config: ModelConfig, seed: int = 0) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) linear maps, unit layer norms."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     d = config.d_model
 
@@ -484,16 +486,20 @@ def _parse_manifest(doc):
 
 
 def load_checkpoint(path):
-    """Returns (params, config, seed); shapes are validated against the manifest."""
+    """Returns (params, config, seed). Only the manifest `save_checkpoint`
+    writes is accepted: every parameter once, in manifest order, with its
+    shape, at the running sum of the sizes before it."""
     flat, (config, seed, tensors) = read_blob(path, _parse_manifest)
     params = init_params(config, seed)
-    by_name = dict(params.named())
-    if len(tensors) != len(by_name):
+    named = list(params.named())
+    offsets = np.cumsum([0] + [t.data.size for _, t in named]).tolist()
+    if len(tensors) != len(named) or flat.size != offsets[-1]:
         raise InputError("checkpoint manifest does not match the parameter manifest")
-    for name, shape, offset in tensors:
-        t = by_name.get(name)
-        if t is None or list(t.data.shape) != shape or not 0 <= offset <= flat.size - t.data.size:
-            raise InputError(f"unexpected checkpoint tensor {name}")
+    for (name, t), offset, entry in zip(named, offsets, tensors):
+        if entry != (name, list(t.data.shape), offset):
+            raise InputError(
+                f"unexpected checkpoint tensor {entry[0]}: expected {name} at offset {offset}"
+            )
         # a copy per tensor, so no parameter is a view into the shared blob
         t.data = flat[offset : offset + t.data.size].reshape(t.data.shape).copy()
     return params, config, seed

@@ -223,6 +223,8 @@ def partition_kway(
         raise InputError(f"p must lie in [1, {n}], got {p}")
     if balance_factor < 1:
         raise InputError("balance_factor must be >= 1")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     if p == 1:
         return plan_from_assign(np.zeros(n, dtype=np.int64), 1, g, balance_factor, seed)
     if p == n:

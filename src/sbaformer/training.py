@@ -47,6 +47,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not self.eps > 0:
             raise ConfigError("eps must be > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.grad_clip is not None and not self.grad_clip > 0:
             raise ConfigError("grad_clip must be > 0 when set")
 
@@ -109,20 +111,16 @@ def _train_step(model: SbaTransformer, state: TrainState, cfg: TrainConfig, xs, 
     return loss.item()
 
 
-def _batched_mae(model: SbaTransformer, series_norm, windows) -> float:
-    """Mean of per-window MAE over a window set.
-
-    Windows are gathered _EVAL_BATCH at a time and forecast by `model.predict`,
-    which runs with the tape off in tiles of windows, two per worker under a
-    memory cap, one worker per usable CPU, the calling thread among them;
-    neither the tile size nor the worker count changes the bits.
+def _forecasts(model: SbaTransformer, series, normalizer, windows):
+    """(normalized forecast, raw inputs, raw targets) per batch of _EVAL_BATCH
+    windows, each gathered once from the raw series: the loop of validation and
+    `evaluate`. `model.predict` runs with the tape off in tiles of windows, two
+    per worker under a memory cap, one worker per usable CPU, the calling thread
+    among them; neither the tile size nor the worker count changes the bits.
     """
-    total = 0.0
     for lo in range(0, len(windows), _EVAL_BATCH):
-        sel = range(lo, min(lo + _EVAL_BATCH, len(windows)))
-        xs, ys = window_arrays(series_norm, windows, at=sel)
-        total += float(np.abs(model.predict(xs) - ys).mean()) * len(sel)
-    return total / len(windows)
+        xs, ys = window_arrays(series, windows, at=range(lo, min(lo + _EVAL_BATCH, len(windows))))
+        yield model.predict(normalizer.apply(xs)), xs, ys
 
 
 def train(model: SbaTransformer, dataset: Dataset, cfg: TrainConfig):
@@ -137,7 +135,7 @@ def train(model: SbaTransformer, dataset: Dataset, cfg: TrainConfig):
         raise ContractError(
             f"dataset ({dataset.n} nodes, {dataset.c} ch) does not match the model config"
         )
-    _, series_norm, windows = split_setup(dataset, mc.t, mc.f)
+    normalizer, windows = split_setup(dataset, mc.t, mc.f)
     train_ws, val_ws = windows["train"], windows["val"]
     if not len(train_ws) or not len(val_ws):
         raise ConfigError("train/val splits yield no complete windows")
@@ -156,7 +154,7 @@ def train(model: SbaTransformer, dataset: Dataset, cfg: TrainConfig):
         with ad.flops.counting():
             for lo in range(0, len(order), cfg.batch_size):
                 sel = order[lo : lo + cfg.batch_size]
-                xs, ys = window_arrays(series_norm, train_ws, at=sel)
+                xs, ys = map(normalizer.apply, window_arrays(dataset.series, train_ws, at=sel))
                 try:
                     losses.append(_train_step(model, state, cfg, xs, ys))
                 except NumericError as exc:
@@ -167,7 +165,10 @@ def train(model: SbaTransformer, dataset: Dataset, cfg: TrainConfig):
             history.append({"epoch": epoch, "aborted": True})
             timings.append(time.perf_counter() - tic)
             break
-        val_mae = _batched_mae(model, series_norm, val_ws)
+        val_mae = sum(
+            float(np.abs(pred - normalizer.apply(ys)).mean()) * len(ys)
+            for pred, _, ys in _forecasts(model, dataset.series, normalizer, val_ws)
+        ) / len(val_ws)
         history.append(
             {
                 "epoch": epoch,
@@ -197,36 +198,32 @@ def persistence_forecast(xs: np.ndarray, f: int) -> np.ndarray:
 def evaluate(model: SbaTransformer, dataset: Dataset, split: str = "test") -> dict:
     """Metric report on de-normalized forecasts, with a persistence reference row.
 
-    Forecasts come from `model.predict` (tape off, tiles of windows on one
-    worker per usable CPU, _EVAL_BATCH windows gathered at a time;
-    bit-identical at any tile size and worker count) on the normalized series
-    and are inverted back to the raw scale before scoring; the persistence
-    row goes through the exact same metric path.
+    Forecasts come from the loop that validation uses (`_forecasts`: each
+    batch gathered once from the raw series and normalized before
+    `model.predict`) and are inverted back to the raw scale before scoring
+    against the raw targets; the persistence row repeats the same raw
+    inputs and goes through the exact same metric path.
     """
     mc = model.config
     if dataset.n != mc.n or dataset.c != mc.c:
         raise ContractError("checkpoint config does not match the dataset shapes")
     if split not in SPLITS:
         raise ConfigError(f"unknown split {split!r}")
-    normalizer, series_norm, by_split = split_setup(dataset, mc.t, mc.f)
+    normalizer, by_split = split_setup(dataset, mc.t, mc.f)
     windows = by_split[split]
     if not len(windows):
         raise ConfigError(f"{split} split yields no complete windows")
 
     preds, targets, naive = [], [], []
-    for lo in range(0, len(windows), _EVAL_BATCH):
-        sel = range(lo, min(lo + _EVAL_BATCH, len(windows)))
-        xs_n, _ = window_arrays(series_norm, windows, at=sel)
-        xs_raw, ys_raw = window_arrays(dataset.series, windows, at=sel)
-        preds.append(normalizer.invert(model.predict(xs_n)))
-        targets.append(ys_raw)
-        naive.append(persistence_forecast(xs_raw, mc.f))
+    for pred, xs, ys in _forecasts(model, dataset.series, normalizer, windows):
+        preds.append(normalizer.invert(pred))
+        targets.append(ys)
+        naive.append(persistence_forecast(xs, mc.f))
     pred = np.concatenate(preds)
     target = np.concatenate(targets)
-    report = {
+    return {
         "split": split,
         "windows": len(windows),
         "model": metrics(pred, target),
         "persistence": metrics(np.concatenate(naive), target),
     }
-    return report

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The end-to-end training
 criteria drive the real CLI and run twice so the determinism criterion can
 compare artifact bytes.
 """
+import hashlib
 import itertools
 import json
 import math
@@ -291,6 +292,13 @@ def test_c09_end_to_end_learning(e2e_runs):
               f"{run['train_seconds']:.0f}s)")
 
 
+E2E_DIGESTS = {
+    "history.jsonl": "a567502bcd0954af47252f91a92dce08301919302afea5fec7028b2a3fa4a297",
+    "checkpoint.bin": "b06da3f03a0ffbf2bc13eddc130f45a2b9cb72328001c980327b3ebd7a5341bc",
+    "metrics_test.json": "541121d8bd49f27c2d87befcad70525f6fffa6f44c9f5060438c540bb3107b78",
+}
+
+
 def test_c10_determinism(e2e_runs, tmp_path):
     a, b = e2e_runs
     hist_a = (a["out_dir"] / "history.jsonl").read_bytes()
@@ -302,6 +310,13 @@ def test_c10_determinism(e2e_runs, tmp_path):
     assert plan_a == plan_b
     ck_a = (a["out_dir"] / "checkpoint.bin").read_bytes()
     assert ck_a == (b["out_dir"] / "checkpoint.bin").read_bytes()
+    # literal digests from before batches were normalized as they are
+    # gathered: a change of bits from one commit to the next fails here
+    digests = {
+        name: hashlib.sha256((a["out_dir"] / name).read_bytes()).hexdigest()
+        for name in E2E_DIGESTS
+    }
+    assert digests == E2E_DIGESTS
     # criterion 6's partitioner rerun: identical seeds, identical plan bytes
     rng = np.random.default_rng(3)
     g = random_connected_graph(30, rng)
@@ -310,7 +325,7 @@ def test_c10_determinism(e2e_runs, tmp_path):
         pt.save_plans(path, build_scale_series(g, 4, 2, seed=9))
     assert paths[0].read_bytes() == paths[1].read_bytes()
     report(10, "re-runs with identical seeds produced byte-identical plan "
-               "files, histories, and checkpoints")
+               "files, histories, and checkpoints, and the pinned e2e digests")
 
 
 def test_c11_hyperparameter_conformance():

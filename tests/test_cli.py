@@ -184,6 +184,15 @@ class TestPartitionCommand:
         assert rc == 2
         assert "maximum feasible levels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("parts", [1, 4, 16])
+    def test_negative_seed_exit_2(self, synth_dir, tmp_path, capsys, parts):
+        # p = 1 and p = n return before the partitioner seeds its generator
+        rc = main(["partition", "--graph", str(synth_dir / "graph.csv"), "--parts", str(parts),
+                   "--seed", "-1", "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_bad_edge_line_exit_2(self, tmp_path, capsys):
         graph = tmp_path / "graph.csv"
         graph.write_text("0,1,1.0\n1,1,1.0\n")
@@ -350,6 +359,40 @@ class TestTrainEvalCommands:
         assert main(["train", "--config", str(bad)] + flags) == 2
         assert f"{key} must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, flags, message", [
+        ("partition", [], "partition.seed must be >= 0, got -1"),
+        ("train", [], "train.seed must be >= 0, got -1"),
+        (None, ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ], ids=["partition-seed", "train-seed", "seed-flag"])
+    def test_negative_seed_exit_2(self, run_config, tmp_path, capsys, no_setup_work,
+                                  section, flags, message):
+        def negative(cfg):
+            if section:
+                cfg[section]["seed"] = -1
+
+        bad = _edited(run_config[0], tmp_path, negative)
+        assert main(["train", "--config", str(bad)] + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["tensors"][1].update(name="embed", shape=doc["tensors"][0]["shape"]),
+         "unexpected checkpoint tensor embed: expected pe_proj at offset"),
+        (lambda doc: doc["tensors"][2].update(offset=doc["tensors"][1]["offset"]),
+         "unexpected checkpoint tensor block0.intra.wq: expected block0.intra.wq at offset"),
+        (lambda doc: doc.update(seed=-1), "seed must be >= 0, got -1"),
+    ], ids=["name-twice", "overlapping-offsets", "negative-seed"])
+    def test_checkpoint_manifest_save_would_not_write_exit_2(self, trained, tmp_path, capsys,
+                                                             edit, message):
+        config_path, out_dir = trained
+        (tmp_path / "ck.bin").write_bytes((out_dir / "checkpoint.bin").read_bytes())
+        doc = json.loads((out_dir / "checkpoint.json").read_text())
+        edit(doc)
+        (tmp_path / "ck.json").write_text(json.dumps(doc))
+        rc = main(["eval", "--config", str(config_path), "--checkpoint", str(tmp_path / "ck")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_zero_heads_exit_2(self, run_config, tmp_path, capsys, no_setup_work):
         config_path, _ = run_config
@@ -552,6 +595,8 @@ class TestDumpAttention:
     ("--nodes", "-4", "n and steps must be >= 1, got n=-4"),
     ("--steps", "0", "n and steps must be >= 1, got n=64, steps=0"),
     ("--period", "0", "period must be > 0, got 0.0"),
+    ("--noise-std", "-1", "noise_std must be >= 0, got -1.0"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
 ])
 def test_synth_rejects_sizes_it_cannot_build(tmp_path, capsys, flag, value, message):
     rc = main(["synth", "--out", str(tmp_path / "d"), flag, value])

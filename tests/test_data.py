@@ -1,4 +1,6 @@
 """Loading, splitting, windowing, normalization, synthesis, metrics."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,16 +96,40 @@ class TestNormalizer:
 class TestSplitSetup:
     def test_matches_the_composed_steps(self):
         ds = dt.synth_diffusion(n=9, steps=120, seed=3)
-        normalizer, series_norm, windows = dt.split_setup(ds, t=6, f=3)
+        normalizer, windows = dt.split_setup(ds, t=6, f=3)
         bounds = dt.chrono_split(ds.steps, min_len=9)
         fit = dt.Normalizer.fit(ds.series[:, bounds[0][0] : bounds[0][1]])
         assert np.array_equal(normalizer.mean, fit.mean)
         assert np.array_equal(normalizer.std, fit.std)
-        assert np.array_equal(series_norm, fit.apply(ds.series))
         assert list(windows) == list(dt.SPLITS)
         for name, b in zip(dt.SPLITS, bounds):
             assert windows[name].split == name
             assert windows[name].indices == dt.make_windows(b, 6, 3).indices
+            # a raw gather normalized per batch, bit for bit a gather from
+            # the normalized whole series
+            gathered = dt.window_arrays(ds.series, windows[name])
+            for whole, raw in zip(dt.window_arrays(fit.apply(ds.series), windows[name]), gathered):
+                assert np.array_equal(whole, normalizer.apply(raw))
+
+    def test_allocates_less_than_one_payload(self):
+        # the set-up and one batch of each kind never hold a second series;
+        # the train-range fit's centred temporary is 0.6 payloads
+        n, steps = 64, 8000
+        series = np.random.default_rng(0).standard_normal((n, steps, 1)) * 3 + 1
+        ds = dt.Dataset(series=series, graph=dt.make_grid_graph(8, 8))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            normalizer, windows = dt.split_setup(ds, t=12, f=6)
+            batch = [normalizer.apply(a) for a in dt.window_arrays(
+                ds.series, windows["train"], at=range(16))]
+            val = [normalizer.apply(a) for a in dt.window_arrays(
+                ds.series, windows["val"], at=range(64))]
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert batch[0].shape == (16, n, 12, 1) and val[1].shape == (64, n, 6, 1)
+        assert peak < series.nbytes, peak / series.nbytes
 
     def test_short_split_raises_config_error(self):
         ds = dt.synth_diffusion(n=9, steps=40, seed=3)

@@ -13,6 +13,7 @@ from sbaformer.data import (
     Normalizer,
     chrono_split,
     make_windows,
+    metrics,
     split_setup,
     synth_diffusion,
     window_arrays,
@@ -24,7 +25,6 @@ from sbaformer.partition import build_scale_series
 from sbaformer.training import (
     TrainConfig,
     TrainState,
-    _batched_mae,
     adam_step,
     evaluate,
     persistence_forecast,
@@ -200,7 +200,7 @@ class TestTrainLoop:
         # abort record; the params returned are those of epoch 0
         cfg = TrainConfig(lr=1e-3, max_epochs=4, patience=10, batch_size=8, seed=0)
         model, ds = small_setup(seed=7)
-        _, _, windows = split_setup(ds, model.config.t, model.config.f)
+        _, windows = split_setup(ds, model.config.t, model.config.f)
         per_epoch = -(-len(windows["train"]) // cfg.batch_size)
         assert per_epoch > 2
         calls = []
@@ -236,9 +236,14 @@ class TestTrainLoop:
 
         model, ds = small_setup(n=64, steps=300, t=12, f=6, d=16, l=2, p0=4)
         cfg = TrainConfig(batch_size=16, max_epochs=1)
-        _, series_norm, windows = split_setup(ds, model.config.t, model.config.f)
+        normalizer, windows = split_setup(ds, model.config.t, model.config.f)
         assert len(windows["train"]) > 8 * cfg.batch_size
-        xs, ys = window_arrays(series_norm, windows["train"], at=range(cfg.batch_size))
+        batch = range(cfg.batch_size)
+        xs, ys = map(normalizer.apply, window_arrays(ds.series, windows["train"], at=batch))
+        # the batch train gathers, bit for bit the gather from a normalized series
+        for got, old in zip((xs, ys), window_arrays(normalizer.apply(ds.series),
+                                                    windows["train"], at=batch)):
+            assert np.array_equal(got, old)
 
         def one_step():
             mae_loss(model.forward(Tensor(xs)), Tensor(ys)).backward()
@@ -266,19 +271,21 @@ class TestEvaluate:
             assert row["rmse"] >= row["mae"]
 
     def test_denormalization_consistency(self):
-        # evaluating an untrained model through the normalized pipeline must
-        # equal forecasting by hand and de-normalizing, within float noise
-        model, ds = small_setup(seed=9)
+        # evaluating an untrained model, one gather per batch, must equal bit
+        # for bit forecasting on gathers from the normalized series by hand,
+        # de-normalizing, and scoring raw targets and persistence
+        model, ds = small_setup(n=9, steps=400, seed=9)
         report = evaluate(model, ds, "val")
         splits = chrono_split(ds.steps, min_len=9)
         norm = Normalizer.fit(ds.series[:, splits[0][0] : splits[0][1]])
         ws = make_windows(splits[1], model.config.t, model.config.f, split="val")
+        assert len(ws) > 64  # more than one batch
         xs_n, _ = window_arrays(norm.apply(ds.series), ws)
-        _, ys_raw = window_arrays(ds.series, ws)
+        xs_raw, ys_raw = window_arrays(ds.series, ws)
         pred = norm.invert(model.predict(xs_n))
-        np.testing.assert_allclose(
-            report["model"]["mae"], np.abs(pred - ys_raw).mean(), atol=1e-9
-        )
+        assert report["model"] == metrics(pred, ys_raw)
+        naive = persistence_forecast(xs_raw, model.config.f)
+        assert report["persistence"] == metrics(naive, ys_raw)
 
     def test_lr_zero_training_equals_initialization_eval(self):
         model, ds = small_setup(seed=10)
@@ -289,10 +296,12 @@ class TestEvaluate:
         assert init_report["model"]["mae"] == trained_report["model"]["mae"]
 
     def test_tiled_predict_leaves_scores_unchanged(self, monkeypatch):
-        # the whole-batch tape-off forward both functions ran before predict
-        # took tiles, against one-window tiles
+        # the whole-batch tape-off forward on gathers from the normalized
+        # series, as both scores ran before predict took tiles and batches
+        # were normalized as they are gathered, against one-window tiles
         model, ds = small_setup(n=9, steps=400, seed=11)
-        _, series_norm, windows = split_setup(ds, model.config.t, model.config.f)
+        normalizer, windows = split_setup(ds, model.config.t, model.config.f)
+        series_norm = normalizer.apply(ds.series)
         val = windows["val"]
         assert len(val) > 64
         total = 0.0
@@ -304,5 +313,7 @@ class TestEvaluate:
         monkeypatch.setattr(md, "_tile_windows", lambda windows, workers, window_bytes: windows)
         whole = evaluate(model, ds, "val")
         monkeypatch.setattr(md, "_tile_windows", lambda windows, workers, window_bytes: 1)
-        assert _batched_mae(model, series_norm, val) == total / len(val)
+        # lr = 0 keeps the initial weights, so the first epoch scores them
+        _, history, _ = train(model, ds, TrainConfig(lr=0.0, max_epochs=1))
+        assert history[0]["val_mae"] == total / len(val)
         assert evaluate(model, ds, "val") == whole
