@@ -1,14 +1,20 @@
 """Balanced k-way partitioning and the coarsening scale series.
 
 Builds a sensor grid, partitions it into 8 balanced subgraphs, and then
-pair-merges the partition twice, printing the layout at every scale. The
-coarser scales are what successive attention blocks consume: the subgraph
-count halves each level, so the receptive field of the local attention
-doubles while the global exchange shrinks.
+runs `sbaformer partition` on its saved edge list, which pair-merges the
+partition twice and prints the layout at every scale. The coarser scales
+are what successive attention blocks consume: the subgraph count halves
+each level, so the receptive field of the local attention doubles while the
+global exchange shrinks.
 """
+import json
+import sys
+
 import numpy as np
 
-from sbaformer import build_scale_series, make_grid_graph, partition_kway
+from sbaformer import make_grid_graph, partition_kway
+from sbaformer.cli import main
+from sbaformer.graph import save_graph
 
 graph = make_grid_graph(8, 8)
 print(f"graph: {graph.n} nodes, {sum(1 for _ in graph.edges())} edges (8x8 grid)")
@@ -23,14 +29,20 @@ for part in range(plan.p):
     print(f"  subgraph {part}: {nodes.tolist()}")
 
 # the multiscale series: 8 -> 4 -> 2 subgraphs by merging the most strongly
-# connected pairs first, so neighborhoods grow along the grid structure
-series = build_scale_series(graph, p0=8, l=3, seed=0)
-print("\nscale series:")
-for level, p in enumerate(series.plans):
-    print(f"  level {level}: p={p.p} m={p.m} min={p.sizes.min()} edge_cut={p.edge_cut:g}")
-for level, mapping in enumerate(series.merge_maps):
+# connected pairs first, so neighborhoods grow along the grid structure. The
+# `partition` command builds it from the saved edge list, prints each level
+# and writes the plan file, which also holds the merge maps
+save_graph("graph.csv", graph)
+print("\nscale series (sbaformer partition):")
+status = main(["partition", "--graph", "graph.csv", "--parts", "8", "--levels", "3",
+               "--out", "scale_series.json"])
+if status:
+    sys.exit(status)
+with open("scale_series.json") as fh:
+    merge_maps = json.load(fh)["merge_maps"]
+for level, mapping in enumerate(merge_maps):
     groups = {}
     for fine, coarse in enumerate(mapping):
-        groups.setdefault(int(coarse), []).append(fine)
+        groups.setdefault(coarse, []).append(fine)
     print(f"  merge {level}->{level + 1}: "
           + ", ".join(f"{v} -> {k}" for k, v in sorted(groups.items())))

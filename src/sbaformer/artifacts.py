@@ -5,20 +5,22 @@ the target only once the write has finished, so an interrupted process leaves
 the previous file (or none) and no temporary. Files are not fsynced: this guards
 against a crash of the process, not of the machine.
 
-JSON has one written form: sorted keys, indent 2, a trailing newline, and one
-read, `read_json`, which turns a document that is not JSON, lacks a key its
-reader looks up or holds a value the reader cannot use (TypeError,
-ValueError or ConfigError) into HeaderMismatchError (exit 2) naming the
-file. Arrays are blobs: little-endian f64 in `<stem>.bin` plus a JSON
-sidecar `<stem>.json`, the stem being the path without a trailing ".bin"
-("ckpt" and "ckpt.bin" name one pair; "s.dat" names s.dat.bin and
-s.dat.json). The blob is written before its sidecar, and the reader checks
-the payload size against the sidecar's shape. Tables (edge
-lists, coordinates, CSV series, bench results) are comma-separated text, one
-row per line: `write_csv` writes floats with `repr` and everything else with
-`str`, and `read_csv` converts each field by its column's kind, turning a
-wrong field count or an unconvertible field into DataLoadError (exit 2)
-naming `<path>:<line>:`.
+JSON has one written form: sorted keys, indent 2, a trailing newline, and
+no NaN or infinity (the writers raise ValueError), and one read,
+`read_json`, which turns a document that is not JSON (NaN, Infinity and
+-Infinity included), lacks a key its reader looks up or holds a value the
+reader cannot use (TypeError, ValueError or ConfigError) into
+HeaderMismatchError (exit 2) naming the file. Arrays are blobs:
+little-endian f64 in `<stem>.bin` plus a JSON sidecar `<stem>.json`, the
+stem being the path without a trailing ".bin" ("ckpt" and "ckpt.bin" name
+one pair; "s.dat" names s.dat.bin and s.dat.json). The blob is written
+before its sidecar, and the reader checks that the payload holds exactly 8
+bytes per value of the sidecar's shape. Tables (edge lists, coordinates,
+CSV series, demo 05's cost table) are comma-separated text, one row per
+line: `write_csv` writes floats with `repr` and everything else with `str`,
+and `read_csv` converts each field by its column's kind, turning a wrong
+field count or an unconvertible field into DataLoadError (exit 2) naming
+`<path>:<line>:`.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ def atomic_open(path, mode: str = "w"):
 
 def write_json(path, doc):
     with atomic_open(path) as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -57,20 +59,25 @@ def write_jsonl(path, records):
     """One compact, key-sorted JSON object per line."""
     with atomic_open(path) as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _not_a_number(token):
+    raise ValueError(f"{token} is not a JSON number")
 
 
 def read_json(path, parse):
     """Returns `parse(doc)` for the JSON document at `path`.
 
-    Text that does not parse as JSON, a document without a key that `parse`
-    looks up, or a value it cannot use (TypeError, ValueError, or a
-    ConfigError from a config object it builds) raises HeaderMismatchError
-    naming the path, so `parse` should read every field.
+    Text that does not parse as JSON (NaN, Infinity and -Infinity included),
+    a document without a key that `parse` looks up, or a value it cannot use
+    (TypeError, ValueError, or a ConfigError from a config object it builds)
+    raises HeaderMismatchError naming the path, so `parse` should read every
+    field.
     """
     with open(path) as fh:
         try:
-            return parse(json.load(fh))
+            return parse(json.load(fh, parse_constant=_not_a_number))
         except json.JSONDecodeError as exc:
             raise HeaderMismatchError(f"{path}: not valid JSON ({exc})") from None
         except KeyError as exc:
@@ -135,8 +142,12 @@ def read_blob(path, parse):
         return tuple(int(v) for v in shape), fields
 
     shape, fields = read_json(stem + ".json", shape_and_fields)
-    flat = np.fromfile(stem + ".bin", dtype="<f8").astype(np.float64, copy=False)
-    if flat.size != math.prod(shape):
-        raise HeaderMismatchError(f"{stem}.bin: payload holds {flat.size} values, "
-                                  f"sidecar implies {math.prod(shape)}")
+    values = math.prod(shape)
+    with open(stem + ".bin", "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != 8 * values:
+            held = f"{size // 8} values" + (f" and {size % 8} bytes" if size % 8 else "")
+            raise HeaderMismatchError(f"{stem}.bin: payload holds {held}, "
+                                      f"sidecar implies {values}")
+        flat = np.fromfile(fh, dtype="<f8").astype(np.float64, copy=False)
     return flat.reshape(shape), fields

@@ -49,7 +49,19 @@ import numpy as np
 from .errors import ContractError, EmptyRunError, NumericError, ShapeError
 
 _DEBUG_CHECKS = True
-_GRAD_ENABLED = True
+
+
+class _GradMode(threading.local):
+    """Whether ops record the tape, per thread: `no_grad` on one thread
+    leaves another thread's forward on its tape."""
+
+    enabled = True
+
+    def __bool__(self):
+        return self.enabled
+
+
+_GRAD_ENABLED = _GradMode()
 
 
 def set_debug_checks(enabled: bool) -> bool:
@@ -62,14 +74,13 @@ def set_debug_checks(enabled: bool) -> bool:
 
 @contextlib.contextmanager
 def no_grad():
-    """Run forward passes without recording the tape."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Run forward passes on the calling thread without recording the tape."""
+    previous = _GRAD_ENABLED.enabled
+    _GRAD_ENABLED.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_ENABLED.enabled = previous
 
 
 class FlopCounter:
@@ -249,7 +260,7 @@ def _finite(data: np.ndarray, op: str) -> np.ndarray:
 
 def _records(parents) -> bool:
     """Whether an op over these parents goes on the tape."""
-    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    return _GRAD_ENABLED.enabled and any(p.requires_grad for p in parents)
 
 
 def _from_op(data, op, parents, backward) -> Tensor:

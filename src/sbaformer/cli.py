@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: partition, synth, train, eval, bench, dump-attention. Configs
+Subcommands: partition, synth, train, eval, dump-attention. Configs
 are strict JSON (see config.py); flags only override scalar fields. Exit
 codes: 0 success, 2 user/input error, 3 internal contract violation. All
 artifacts are written deterministically, so re-runs are byte-identical
@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from dataclasses import asdict
 
 import numpy as np
 
 from . import autodiff as ad
-from .artifacts import write_blob, write_csv, write_json, write_jsonl
+from .artifacts import write_blob, write_json, write_jsonl
 from .autodiff import Tensor
 from .config import load_config
 from .data import (
@@ -48,25 +47,11 @@ from .model import (
     ModelConfig,
     SbaTransformer,
     _usable_cpus,
-    attention_peak_bytes,
-    flops_estimate,
     load_checkpoint,
     save_checkpoint,
 )
-from .partition import build_scale_series, uniform_plan, save_plans, ScaleSeries
+from .partition import build_scale_series, save_plans
 from .training import TrainConfig, evaluate, train
-
-
-def _positive_int_list(text: str):
-    try:
-        values = [int(v) for v in text.split(",") if v]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    if not values:
-        raise argparse.ArgumentTypeError(f"needs at least one entry, got {text!r}")
-    if min(values) < 1:
-        raise argparse.ArgumentTypeError(f"entries must be >= 1, got {text}")
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,14 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=SPLITS, default="test")
-
-    p = sub.add_parser("bench", help="attention cost scaling, instrumented")
-    p.add_argument("--n-list", type=_positive_int_list, default=[256, 512, 1024])
-    p.add_argument("--m", type=int, default=32, help="subgraph size in sba mode")
-    p.add_argument("--d", type=int, default=64)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--mode", choices=("sba", "dense", "both"), default="both")
-    p.add_argument("--out", required=True, help="CSV output path")
 
     p = sub.add_parser("dump-attention", help="write per-block attention matrices")
     p.add_argument("--config", required=True)
@@ -302,62 +279,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _bench_one(mode: str, n: int, m: int, d: int, heads: int) -> dict:
-    plan = uniform_plan(n, 1 if mode == "dense" else n // m)
-    series = ScaleSeries(plans=[plan])
-    mc = ModelConfig(n=n, t=1, c=1, f=1, d_model=d, l=1, heads=heads, p0=plan.p, k_pe=1)
-    was_debug = ad.set_debug_checks(False)
-    try:
-        flops_estimate(mc, series)  # untimed: the first call of a process warms up
-        tic = time.perf_counter()
-        est = flops_estimate(mc, series)
-        wall_ms = (time.perf_counter() - tic) * 1e3
-    finally:
-        ad.set_debug_checks(was_debug)
-    if abs(est["ratio"] - 1.0) > 0.01:
-        raise ContractError(
-            f"measured/closed-form flops disagree beyond 1%: ratio {est['ratio']}"
-        )
-    return {
-        "mode": mode,
-        "n": n,
-        "p": plan.p,
-        "m": plan.m,
-        "d": d,
-        "flops_measured": est["measured_total"],
-        "flops_closed_form": est["closed_total"],
-        "wall_ms": wall_ms,
-        "peak_bytes_estimate": attention_peak_bytes(mc, series),
-    }
-
-
-def cmd_bench(args) -> int:
-    modes = ("sba", "dense") if args.mode == "both" else (args.mode,)
-    if args.m < 1:
-        raise InputError(f"--m must be >= 1, got {args.m}")
-    for n in args.n_list:
-        if "sba" in modes and n % args.m != 0:
-            raise InputError(f"n={n} must be a multiple of m={args.m} in sba mode")
-    fields = [
-        "mode", "n", "p", "m", "d",
-        "flops_measured", "flops_closed_form", "wall_ms", "peak_bytes_estimate",
-    ]
-    rows = [
-        _bench_one(mode, n, args.m, args.d, args.heads)
-        for mode in modes
-        for n in args.n_list
-    ]
-    table = ([f"{v:.6f}" if isinstance(v, float) else v for v in map(row.get, fields)]
-             for row in rows)
-    write_csv(args.out, table, fields)
-    for row in rows:
-        print(
-            f"{row['mode']:>5} n={row['n']:<5d} p={row['p']:<4d} m={row['m']:<4d} "
-            f"flops={row['flops_measured']:.3e} wall={row['wall_ms']:.2f}ms"
-        )
-    return 0
-
-
 def cmd_dump_attention(args) -> int:
     cfg = load_config(args.config)
     dataset, _, model = _assemble(cfg, args.checkpoint, (args.split, args.window))
@@ -393,7 +314,6 @@ COMMANDS = {
     "synth": cmd_synth,
     "train": cmd_train,
     "eval": cmd_eval,
-    "bench": cmd_bench,
     "dump-attention": cmd_dump_attention,
 }
 

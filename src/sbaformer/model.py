@@ -332,8 +332,9 @@ class SbaTransformer:
         writes its forecasts into its own slice of one preallocated output.
         The workers, one per CPU the process may use (capped at the tile
         count; `taskset` limits it), are the calling thread and threads that
-        live only inside this call; all of them take tiles from one shared
-        iterator under `ad.no_grad()`, and with one worker no thread starts.
+        live only inside this call; each of them enters `ad.no_grad()`, whose
+        mode is per thread, and takes tiles from one shared iterator. With
+        one worker no thread starts.
         numpy's kernels release the GIL, so tiles overlap. Every op works on
         each window on its own, so the result equals one whole-batch forward
         bit for bit at any tile size and worker count. The first tile to fail
@@ -359,23 +360,23 @@ class SbaTransformer:
 
         def drain():
             try:
-                while (lo := take()) is not None:
-                    out[lo : lo + tile] = self.forward(Tensor(windows[lo : lo + tile])).data
+                with ad.no_grad():  # the tape mode is per thread
+                    while (lo := take()) is not None:
+                        out[lo : lo + tile] = self.forward(Tensor(windows[lo : lo + tile])).data
             except BaseException as error:
                 with lock:
                     errors.append(error)
 
         helpers = [threading.Thread(target=drain)
                    for _ in range(min(cpus, len(starts)) - 1)]
-        with ad.no_grad():
-            try:
-                for thread in helpers:
-                    thread.start()
-                drain()
-            finally:
-                for thread in helpers:
-                    if thread.ident is not None:  # started
-                        thread.join()
+        try:
+            for thread in helpers:
+                thread.start()
+            drain()
+        finally:
+            for thread in helpers:
+                if thread.ident is not None:  # started
+                    thread.join()
         if errors:
             raise errors[0]
         return out.reshape(x.shape[:-3] + out.shape[1:])

@@ -221,8 +221,8 @@ def partition_kway(
     n = g.n
     if not 1 <= p <= n:
         raise InputError(f"p must lie in [1, {n}], got {p}")
-    if balance_factor < 1:
-        raise InputError("balance_factor must be >= 1")
+    if not (math.isfinite(balance_factor) and balance_factor >= 1):
+        raise InputError(f"balance_factor must be a finite number >= 1, got {balance_factor}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
     if p == 1:

@@ -8,6 +8,7 @@ so re-runs produce byte-identical histories).
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -36,8 +37,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigError("lr must be >= 0")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be a finite number >= 0, got {self.lr}")
         if not (len(self.betas) == 2 and all(isinstance(b, (int, float)) for b in self.betas)):
             raise ConfigError(f"betas must be two numbers, got {list(self.betas)}")
         if not (0 < self.betas[0] < 1 and 0 < self.betas[1] < 1):

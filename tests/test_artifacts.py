@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sbaformer
-from sbaformer.artifacts import atomic_open, write_blob, write_json
+from sbaformer.artifacts import atomic_open, write_blob, write_json, write_jsonl
 from sbaformer.cli import main
 from sbaformer.data import load_series, save_series
 from sbaformer.errors import HeaderMismatchError
@@ -100,16 +100,18 @@ def _json_file(tmp_path, kind):
 
 
 class TestBlobs:
-    @pytest.mark.parametrize("kind, cut", [(k, c) for k in PAIRS for c in (-8, 8)])
+    @pytest.mark.parametrize("kind, cut", [(k, c) for k in PAIRS for c in (-8, 3, 8)])
     def test_wrong_blob_size(self, tmp_path, kind, cut):
+        # 3 trailing bytes are a partial value, not a blob of the right size
         blob, load = PAIRS[kind](tmp_path)
         load()
         data = blob.read_bytes()
         blob.write_bytes(data[:cut] if cut < 0 else data + bytes(cut))
-        expect = len(data) // 8
+        held, tail = divmod(len(data) + cut, 8)
+        tail = f" and {tail} bytes" if tail else ""
         with pytest.raises(
             HeaderMismatchError,
-            match=f"{blob}: payload holds {expect + cut // 8} values, sidecar implies {expect}",
+            match=f"{blob}: payload holds {held} values{tail}, sidecar implies {len(data) // 8}",
         ):
             load()
 
@@ -144,6 +146,16 @@ class TestBlobs:
         with pytest.raises(HeaderMismatchError, match=f"{path}: malformed value"):
             load()
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_token(self, tmp_path, token):
+        path, load = _json_file(tmp_path, "series")
+        doc = json.loads(path.read_text())
+        doc["freq_minutes"] = "@"
+        path.write_text(json.dumps(doc).replace('"@"', token))
+        with pytest.raises(HeaderMismatchError,
+                           match=f"{path}: malformed value \\({token} is not a JSON number"):
+            load()
+
     def test_checkpoint_tensors_own_their_arrays(self, tmp_path):
         _, load = _checkpoint_pair(tmp_path)
         params, _, _ = load()
@@ -175,6 +187,15 @@ class TestAtomicWrites:
         with pytest.raises(ValueError):
             write_blob(tmp_path / "x", [np.ones(8), "not a number"], {"n": 8})
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_json_writers_refuse_non_finite_numbers(self, tmp_path, value):
+        write_json(tmp_path / "doc.json", {"a": 1})
+        for write in (write_json, write_jsonl):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                write(tmp_path / "doc.json", [{"a": value}])
+        assert os.listdir(tmp_path) == ["doc.json"]
+        assert json.loads((tmp_path / "doc.json").read_text()) == {"a": 1}
 
     def test_interrupted_first_write_leaves_nothing(self, tmp_path):
         with pytest.raises(KeyboardInterrupt):

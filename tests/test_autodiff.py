@@ -3,6 +3,7 @@ import ast
 import itertools
 import math
 import sys
+import threading
 import tracemalloc
 import weakref
 import zlib
@@ -1114,6 +1115,31 @@ class TestBackward:
         with ad.no_grad():
             out = rops.tensor_sum(rops.mul(w, 2.0))
         assert not out.requires_grad and out._backward is None
+
+    def test_no_grad_holds_only_on_its_own_thread(self):
+        # a predict on one thread must not take a training step's tape on
+        # another off the record
+        w = Tensor(np.ones(3), requires_grad=True)
+        entered, release, inside = threading.Event(), threading.Event(), []
+
+        def hold():
+            with ad.no_grad():
+                inside.append(rops.mul(w, 2.0).requires_grad)
+                entered.set()
+                release.wait(10)
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        try:
+            assert entered.wait(10)
+            out = rops.tensor_sum(rops.mul(w, 2.0))
+        finally:
+            release.set()
+            thread.join()
+        assert inside == [False]
+        assert out.requires_grad
+        out.backward()
+        np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
 
 
 class TestGradientSoundness:

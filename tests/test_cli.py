@@ -1,12 +1,10 @@
 """End-to-end command-line behavior: artifacts, exit codes, idempotence."""
 import json
 import os
-import types
 
 import numpy as np
 import pytest
 
-from sbaformer import cli
 from sbaformer.cli import main
 from sbaformer.config import DATASET_P_DEFAULTS, default_config, load_config, validate_config
 from sbaformer.data import load_series, make_grid_graph, save_series
@@ -191,6 +189,16 @@ class TestPartitionCommand:
                    "--seed", "-1", "--out", str(tmp_path / "x.json")])
         assert rc == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("balance", ["nan", "inf"])
+    def test_non_finite_balance_exit_2(self, synth_dir, tmp_path, capsys, balance):
+        # Python's json would write the plan's factor as NaN or Infinity
+        rc = main(["partition", "--graph", str(synth_dir / "graph.csv"), "--parts", "4",
+                   "--balance", balance, "--out", str(tmp_path / "x.json")])
+        assert rc == 2
+        assert f"balance_factor must be a finite number >= 1, got {float(balance)}" in (
+            capsys.readouterr().err)
         assert not (tmp_path / "x.json").exists()
 
     def test_bad_edge_line_exit_2(self, tmp_path, capsys):
@@ -455,6 +463,23 @@ class TestTrainEvalCommands:
         assert f"{path}: payload contains non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("section, key, token, message", [
+        ("train", "lr", "NaN", "malformed value (NaN is not a JSON number)"),
+        ("partition", "balance_factor", "Infinity",
+         "malformed value (Infinity is not a JSON number)"),
+        ("train", "lr", "1e999", "lr must be a finite number >= 0, got inf"),
+        ("partition", "balance_factor", "1e999",
+         "balance_factor must be a finite number >= 1, got inf"),
+    ])
+    def test_non_finite_config_number_exit_2(self, run_config, tmp_path, capsys,
+                                             section, key, token, message):
+        # 1e999 is valid JSON that Python reads as inf
+        bad = _edited(run_config[0], tmp_path, lambda cfg: cfg[section].update({key: "@"}))
+        bad.write_text(bad.read_text().replace('"@"', token))
+        assert main(["train", "--config", str(bad)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_config_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"data": ')
@@ -471,81 +496,12 @@ class TestTrainEvalCommands:
         assert "train.batchsize" in capsys.readouterr().err
 
 
-class TestBenchCommand:
-    def test_rows_and_scaling(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        rc = main(["bench", "--n-list", "64,128,256", "--m", "32", "--d", "32",
-                   "--heads", "2", "--mode", "both", "--out", str(out)])
-        assert rc == 0
-        lines = out.read_text().strip().splitlines()
-        header = lines[0].split(",")
-        assert header == ["mode", "n", "p", "m", "d", "flops_measured",
-                          "flops_closed_form", "wall_ms", "peak_bytes_estimate"]
-        rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
-        assert len(rows) == 6
-        dense = {int(r["n"]): float(r["flops_measured"]) for r in rows if r["mode"] == "dense"}
-        sba = {int(r["n"]): float(r["flops_measured"]) for r in rows if r["mode"] == "sba"}
-        assert dense[128] / dense[64] >= 3.9
-        assert sba[128] / sba[64] < 3.0
-        for r in rows:
-            assert abs(float(r["flops_measured"]) / float(r["flops_closed_form"]) - 1) <= 0.01
-
-    def test_flop_columns_are_pinned(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--n-list", "64,128,256", "--m", "16", "--out", str(out)]) == 0
-        lines = out.read_text().strip().splitlines()
-        rows = [dict(zip(lines[0].split(","), l.split(","))) for l in lines[1:]]
-        counts = [(r["mode"], int(r["n"]), int(r["flops_measured"]), int(r["flops_closed_form"]))
-                  for r in rows]
-        assert counts == [
-            ("sba", 64, 257728, 257728),
-            ("sba", 128, 523520, 523520),
-            ("sba", 256, 1079296, 1079296),
-            ("dense", 64, 1028284, 1028284),
-            ("dense", 128, 4120764, 4120764),
-            ("dense", 256, 16498876, 16498876),
-        ]
-
-    def test_each_row_times_a_warm_call(self, monkeypatch):
-        events = []
-        estimate = cli.flops_estimate
-
-        def recording(*args):
-            events.append("estimate")
-            return estimate(*args)
-
-        def tick():
-            events.append("tick")
-            return 0.0
-
-        monkeypatch.setattr(cli, "flops_estimate", recording)
-        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=tick))
-        cli._bench_one("sba", 64, 16, 64, 4)
-        assert events == ["estimate", "tick", "estimate", "tick"]
-
-    def test_zero_m_exit_2(self, tmp_path, capsys):
-        rc = main(["bench", "--n-list", "64", "--m", "0", "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
-        assert "--m must be >= 1" in capsys.readouterr().err
-
-    def test_n_list_entry_below_one_rejected(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["bench", "--n-list", "64,0", "--out", str(tmp_path / "x.csv")])
-        assert exit_info.value.code == 2
-        assert "entries must be >= 1" in capsys.readouterr().err
-
-    def test_empty_n_list_rejected(self, tmp_path, capsys):
-        out = tmp_path / "x.csv"
-        with pytest.raises(SystemExit) as exit_info:
-            main(["bench", "--n-list", ",", "--out", str(out)])
-        assert exit_info.value.code == 2
-        assert "needs at least one entry" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_sba_requires_divisible_n(self, tmp_path, capsys):
-        rc = main(["bench", "--n-list", "100", "--m", "32", "--mode", "sba",
-                   "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
+def test_bench_is_not_a_command(capsys):
+    # the attention-cost table is demo 05's, through flops_estimate
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench", "--out", "bench.csv"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestDumpAttention:

@@ -706,6 +706,18 @@ class TestFlopsEstimate:
         # p fixed at 16 while m doubles: quadratic in m up to the (dh-1) adds
         assert 3.8 < intra_b / intra_a < 4.05
 
+    def test_dense_quadruples_and_fixed_m_doubles_with_n(self):
+        # n = 64, 128 and 256 at d=32 and 2 heads: dense (p=1, so m doubles
+        # with n) quadruples per doubling; at m=32 only p doubles
+        for m, least, most in ((None, 3.9, math.inf), (32, 0.0, 3.0)):
+            totals = []
+            for n in (64, 128, 256):
+                p = 1 if m is None else n // m
+                est = md.flops_estimate(self._config(n, p, d=32, heads=2), self._series(n, p))
+                assert abs(est["ratio"] - 1.0) <= 0.01
+                totals.append(est["measured_total"])
+            assert all(least <= b / a < most for a, b in zip(totals, totals[1:]))
+
     def test_sba_beats_dense_by_8x_at_1024(self):
         sba = md.flops_estimate(self._config(1024, 32), self._series(1024, 32))
         dense = md.flops_estimate(self._config(1024, 1), self._series(1024, 1))
@@ -751,6 +763,23 @@ class TestFlopsEstimate:
             {"p": 2, "m": 39, "intra": 264056, "inter": 432},
         ]
 
+    def test_flop_columns_are_pinned(self):
+        # uniform sba plans of m=16 and dense plans, d=64 and 4 heads
+        counts = []
+        for mode in ("sba", "dense"):
+            for n in (64, 128, 256):
+                p = 1 if mode == "dense" else n // 16
+                est = md.flops_estimate(self._config(n, p), self._series(n, p))
+                counts.append((mode, n, est["measured_total"], est["closed_total"]))
+        assert counts == [
+            ("sba", 64, 257728, 257728),
+            ("sba", 128, 523520, 523520),
+            ("sba", 256, 1079296, 1079296),
+            ("dense", 64, 1028284, 1028284),
+            ("dense", 128, 4120764, 4120764),
+            ("dense", 256, 16498876, 16498876),
+        ]
+
     def test_caller_count_survives(self, monkeypatch):
         config, series = self._config(64, 4), self._series(64, 4)
         monkeypatch.setattr(ad.flops, "count", 0)
@@ -767,8 +796,8 @@ class TestFlopsEstimate:
             p = int(rng.choice([1, 2, 4, 8]))
             est = md.flops_estimate(self._config(n, p, d=32, heads=2), self._series(n, p))
             assert est["measured_total"] == est["closed_total"]
-        # three plans under a one-block config, as `bench` builds its
-        # configs: every plan is measured, not one per block
+        # three plans under a one-block config, as demo 05 and c08 build
+        # their configs: every plan is measured, not one per block
         series = build_scale_series(make_grid_graph(8, 8), 8, 3, seed=0)
         est = md.flops_estimate(self._config(64, 8, d=32, heads=2), series)
         assert len(est["per_block"]) == 3

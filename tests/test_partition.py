@@ -285,6 +285,13 @@ class TestPartitionKway:
         with pytest.raises(InputError):
             pt.partition_kway(path_graph(3), p=4)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.5])
+    def test_balance_factor_must_be_finite_and_at_least_one(self, factor):
+        # a NaN or infinite factor would partition with no cap at all
+        with pytest.raises(InputError,
+                           match=f"balance_factor must be a finite number >= 1, got {factor}"):
+            pt.partition_kway(path_graph(8), p=2, balance_factor=factor)
+
     def test_over_balance_flagged_never_silent(self):
         # a lopsided raw assignment must carry the flag and the achieved factor
         plan = pt.plan_from_assign(np.array([0, 0, 0, 0, 0, 1]), 2)

@@ -57,6 +57,12 @@ class TestAdamStep:
         with pytest.raises(ConfigError, match=f"{field} must be > 0"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3])
+    def test_config_rejects_lr_that_is_not_a_finite_number_at_least_zero(self, value):
+        # a NaN lr aborts at the first step and would save untrained parameters
+        with pytest.raises(ConfigError, match=f"lr must be a finite number >= 0, got {value}"):
+            TrainConfig(lr=value)
+
     @pytest.mark.parametrize("field, value", [
         ("max_epochs", 0), ("max_epochs", -1), ("patience", 0), ("patience", -2),
     ])
