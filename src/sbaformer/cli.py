@@ -35,7 +35,6 @@ from .graph import (
     SpatialGraph,
     build_epsilon_graph,
     build_gaussian_graph,
-    check_pe_sizes,
     laplacian_pe,
     load_coords,
     load_graph,
@@ -119,11 +118,9 @@ def _build_graph(cfg, n: int):
         if gc["epsilon"] is None:
             raise InputError("graph.builder=epsilon requires graph.epsilon")
         return build_epsilon_graph(coords, gc["epsilon"])
-    if gc["builder"] == "gaussian":
-        if gc["sigma"] is None:
-            raise InputError("graph.builder=gaussian requires graph.sigma")
-        return build_gaussian_graph(coords, gc["sigma"], gc["threshold"])
-    raise InputError(f"unknown graph.builder {gc['builder']!r}")
+    if gc["sigma"] is None:
+        raise InputError("graph.builder=gaussian requires graph.sigma")
+    return build_gaussian_graph(coords, gc["sigma"], gc["threshold"])
 
 
 def _assemble(cfg, checkpoint=None, window=None):
@@ -132,12 +129,11 @@ def _assemble(cfg, checkpoint=None, window=None):
     The cheap checks run first: the series shape and the model section give
     the ModelConfig, and a checkpoint's config must equal it field by field
     (InputError naming the fields that differ). Every split must hold t + f
-    steps, the encoding sizes must fit pe.block_limit, and a `window` given
-    as (split, index) must name a window of that split. Only then are the
-    graph, the scale series and the encoding built, from the config alone:
-    the copies `train` records beside a checkpoint are never read, so a bare
-    checkpoint needs no run directory. Without a checkpoint the model is
-    freshly initialized from train.seed.
+    steps, and a `window` given as (split, index) must name a window of that
+    split. Only then are the graph, the scale series and the encoding built,
+    from the config alone: the copies `train` records beside a checkpoint
+    are never read, so a bare checkpoint needs no run directory. Without a
+    checkpoint the model is freshly initialized from train.seed.
     """
     dc, pc = cfg["data"], cfg["partition"]
     series, meta = load_series(dc["series"], dc["format"])
@@ -156,7 +152,6 @@ def _assemble(cfg, checkpoint=None, window=None):
                 + ", ".join(differ)
             )
     bounds = chrono_split(series.shape[1], min_len=mc.t + mc.f)
-    check_pe_sizes(mc.k_pe, cfg["pe"]["block_limit"])
     if window is not None:
         split, index = window
         count = len(make_windows(bounds[SPLITS.index(split)], mc.t, mc.f))
@@ -225,12 +220,9 @@ def _environment() -> dict:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["train"]["seed"] = args.seed
-    if args.max_epochs is not None:
-        cfg["train"]["max_epochs"] = args.max_epochs
-    train_config = TrainConfig(**{**cfg["train"], "betas": tuple(cfg["train"]["betas"])})
+    flags = {"seed": args.seed, "max_epochs": args.max_epochs}
+    cfg = load_config(args.config, {"train": {k: v for k, v in flags.items() if v is not None}})
+    train_config = TrainConfig(**cfg["train"])
     dataset, pe, model = _assemble(cfg)  # a bad config fails before out_dir exists
     out_dir = cfg["paths"]["out_dir"]
     os.makedirs(out_dir, exist_ok=True)

@@ -1,119 +1,140 @@
-"""Run configuration: strict JSON schema with defaults.
+"""Run configuration: strict JSON schema with defaults and one rule per key.
 
 Unknown keys are rejected with their full path; silent typos are
-configuration bugs. Scalar CLI flags may override fields after validation.
-
-Per-dataset initial subgraph counts (the partition.p0 default when the
-dataset name matches): SD 8, GBA 8, GLA 64, CA 128, WEST 16, EAST 8,
-ALL 64. Unknown names require an explicit p0.
+configuration bugs. Every key of the effective config, CLI flag overrides
+included, is checked against its SCHEMA row before any file is read.
 """
 from __future__ import annotations
 
 import copy
+import math
 
 from .artifacts import read_json
 from .errors import ConfigError
 
-DATASET_P_DEFAULTS = {
-    "SD": 8,
-    "GBA": 8,
-    "GLA": 64,
-    "CA": 128,
-    "WEST": 16,
-    "EAST": 8,
-    "ALL": 64,
-}
+# The documented initial subgraph counts: partition.p0 when it is omitted and
+# data.name is one of these. Other names require an explicit p0.
+DATASET_P_DEFAULTS = {"SD": 8, "GBA": 8, "GLA": 64, "CA": 128, "WEST": 16, "EAST": 8, "ALL": 64}
 
-# (default, allowed types); REQUIRED means the key must be present
+# REQUIRED as a default means the key must be present
 REQUIRED = object()
 
 _NUM = (int, float)
 
+# Rules by name: a number must also be finite when its row takes floats.
+RULES = {
+    ">= 0": lambda v: v >= 0,
+    "> 0": lambda v: v > 0,
+    ">= 1": lambda v: v >= 1,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "two numbers in (0, 1)": lambda v: len(v) == 2 and all(
+        isinstance(b, _NUM) and 0 < b < 1 for b in v
+    ),
+}
+
+# (default, allowed types, rule). A rule is a key of RULES, a tuple of the
+# allowed names, or None; a None value passes its rule.
 SCHEMA = {
     "data": {
-        "series": (REQUIRED, str),
-        "graph": (None, (str, type(None))),
-        "coords": (None, (str, type(None))),
-        "format": ("bin", str),
-        "name": ("dataset", str),
-        "freq_minutes": (15, int),
+        "series": (REQUIRED, str, None),
+        "graph": (None, (str, type(None)), None),
+        "coords": (None, (str, type(None)), None),
+        "format": ("bin", str, ("bin", "csv")),
+        "name": ("dataset", str, None),
+        "freq_minutes": (15, int, ">= 1"),
     },
     "graph": {
-        "builder": ("file", str),
-        "epsilon": (None, (*_NUM, type(None))),
-        "sigma": (None, (*_NUM, type(None))),
-        "threshold": (0.0, _NUM),
+        "builder": ("file", str, ("file", "epsilon", "gaussian")),
+        "epsilon": (None, (*_NUM, type(None)), "> 0"),
+        "sigma": (None, (*_NUM, type(None)), "> 0"),
+        "threshold": (0.0, _NUM, "in [0, 1)"),
     },
     "partition": {
-        "p0": (None, (int, type(None))),
-        "balance_factor": (1.3, _NUM),
-        "seed": (0, int),
+        "p0": (None, (int, type(None)), ">= 1"),
+        "balance_factor": (1.3, _NUM, ">= 1"),
+        "seed": (0, int, ">= 0"),
     },
     "model": {
-        "d_model": (512, int),
-        "l": (3, int),
-        "heads": (4, int),
-        "t": (96, int),
-        "f": (12, int),
-        "ffn_mult": (4, int),
+        "d_model": (512, int, ">= 1"),
+        "l": (3, int, ">= 1"),
+        "heads": (4, int, ">= 1"),
+        "t": (96, int, ">= 1"),
+        "f": (12, int, ">= 1"),
+        "ffn_mult": (4, int, ">= 1"),
     },
     "train": {
-        "lr": (1e-3, _NUM),
-        "betas": ([0.9, 0.999], list),
-        "eps": (1e-8, _NUM),
-        "batch_size": (16, int),
-        "max_epochs": (50, int),
-        "patience": (10, int),
-        "grad_clip": (None, (*_NUM, type(None))),
-        "seed": (0, int),
+        "lr": (1e-3, _NUM, ">= 0"),
+        "betas": ([0.9, 0.999], (list, tuple), "two numbers in (0, 1)"),
+        "eps": (1e-8, _NUM, "> 0"),
+        "batch_size": (16, int, ">= 1"),
+        "max_epochs": (50, int, ">= 1"),
+        "patience": (10, int, ">= 1"),
+        "grad_clip": (None, (*_NUM, type(None)), "> 0"),
+        "seed": (0, int, ">= 0"),
     },
     "pe": {
-        "k": (8, int),
-        "block_limit": (2000, int),
+        "k": (8, int, ">= 1"),
+        "block_limit": (2000, int, ">= 1"),
     },
     "paths": {
-        "out_dir": (REQUIRED, str),
+        "out_dir": (REQUIRED, str, None),
     },
 }
 
 
+def check_section(section: str, values: dict):
+    """ConfigError naming the first of `values` (key -> value) that is
+    missing, of a type its SCHEMA[section] row does not allow, or outside
+    that row's rule."""
+    for key, value in values.items():
+        default, types, rule = SCHEMA[section][key]
+        if default is REQUIRED and value is None:
+            raise ConfigError(f"missing required config key: {section}.{key}")
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"bad type for {section}.{key}: expected {types}, got {value!r}")
+        if rule is None or value is None:
+            continue
+        if isinstance(rule, tuple):
+            ok, rule = value in rule, "one of " + ", ".join(map(repr, rule))
+        else:
+            ok = (not isinstance(value, float) or math.isfinite(value)) and RULES[rule](value)
+            rule = f"a finite number {rule}" if isinstance(1.5, types) else rule
+        if not ok:
+            raise ConfigError(f"{section}.{key} must be {rule}, got {value!r}")
+
+
 def default_config() -> dict:
     """The full schema defaults (required fields present as None)."""
-    out = {}
-    for section, keys in SCHEMA.items():
-        out[section] = {
-            key: (None if default is REQUIRED else copy.deepcopy(default))
-            for key, (default, _) in keys.items()
-        }
-    return out
+    return {
+        section: {key: None if row[0] is REQUIRED else copy.deepcopy(row[0])
+                  for key, row in keys.items()}
+        for section, keys in SCHEMA.items()
+    }
 
 
-def validate_config(doc: dict) -> dict:
-    """Merge a raw document over the defaults, strictly."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
+def validate_config(doc: dict, overrides: dict | None = None) -> dict:
+    """Merge a raw document, then `overrides` (section -> key -> value), over
+    the defaults, strictly, and check every key against its SCHEMA row."""
     effective = default_config()
-    for section, content in doc.items():
-        if section not in SCHEMA:
-            raise ConfigError(f"unknown config section: {section}")
-        if not isinstance(content, dict):
-            raise ConfigError(f"section {section} must be an object")
-        for key, value in content.items():
-            if key not in SCHEMA[section]:
-                raise ConfigError(f"unknown config key: {section}.{key}")
-            _, types = SCHEMA[section][key]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ConfigError(
-                    f"bad type for {section}.{key}: expected {types}, got {value!r}"
-                )
-            effective[section][key] = copy.deepcopy(value)
-    for section, keys in SCHEMA.items():
-        for key, (default, _) in keys.items():
-            if default is REQUIRED and effective[section][key] is None:
-                raise ConfigError(f"missing required config key: {section}.{key}")
-    for section in ("partition", "train"):
-        if effective[section]["seed"] < 0:
-            raise ConfigError(f"{section}.seed must be >= 0, got {effective[section]['seed']}")
+    for part in (doc, overrides or {}):
+        if not isinstance(part, dict):
+            raise ConfigError("config root must be a JSON object")
+        for section, content in part.items():
+            if section not in SCHEMA:
+                raise ConfigError(f"unknown config section: {section}")
+            if not isinstance(content, dict):
+                raise ConfigError(f"section {section} must be an object")
+            for key, value in content.items():
+                if key not in SCHEMA[section]:
+                    raise ConfigError(f"unknown config key: {section}.{key}")
+                effective[section][key] = copy.deepcopy(value)
+    for section, values in effective.items():
+        check_section(section, values)
+    pe = effective["pe"]
+    if pe["block_limit"] < pe["k"] + 1:
+        raise ConfigError(
+            f"pe.block_limit must be at least k+1 = {pe['k'] + 1}, got {pe['block_limit']}"
+        )
     if effective["partition"]["p0"] is None:
         name = effective["data"]["name"]
         if name in DATASET_P_DEFAULTS:
@@ -126,5 +147,7 @@ def validate_config(doc: dict) -> dict:
     return effective
 
 
-def load_config(path) -> dict:
-    return read_json(path, validate_config)
+def load_config(path, overrides: dict | None = None) -> dict:
+    """The validated config at `path`, with `overrides` merged over it first,
+    so a CLI flag meets the same rule as its key."""
+    return read_json(path, lambda doc: validate_config(doc, overrides))

@@ -188,6 +188,10 @@ def synth_diffusion(
     gamma = 0 freezes the dynamics entirely (with amp = std = 0 the series
     stays at its initial state).
     """
+    named = {"gamma": gamma, "season_amp": season_amp, "noise_std": noise_std, "period": period}
+    for name, value in named.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if not 0 <= gamma < 1:
         raise ConfigError(f"gamma must lie in [0, 1), got {gamma}")
     if n < 1 or steps < 1:

@@ -112,8 +112,8 @@ def _check_coords(coords) -> np.ndarray:
 def build_epsilon_graph(coords, epsilon: float) -> SpatialGraph:
     """Unit-weight edge between every pair closer than epsilon."""
     coords = _check_coords(coords)
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise InputError(f"epsilon must be a finite number > 0, got {epsilon}")
     dist = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1))
     src, dst = np.nonzero(np.triu(dist < epsilon, k=1))
     return SpatialGraph(len(coords), src, dst, np.ones(src.size), coords)
@@ -122,8 +122,8 @@ def build_epsilon_graph(coords, epsilon: float) -> SpatialGraph:
 def build_gaussian_graph(coords, sigma: float, threshold: float) -> SpatialGraph:
     """Thresholded Gaussian kernel weights: exp(-d^2/sigma^2), dropped below threshold."""
     coords = _check_coords(coords)
-    if sigma <= 0:
-        raise InputError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise InputError(f"sigma must be a finite number > 0, got {sigma}")
     if not 0 <= threshold < 1:
         raise InputError("threshold must lie in [0, 1)")
     d2 = ((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=-1)
@@ -206,14 +206,6 @@ class PositionalEncoding:
     source: str  # "whole-graph" | "per-subgraph"
 
 
-def check_pe_sizes(k: int, block_limit: int):
-    """The size checks of laplacian_pe, which need no graph."""
-    if k < 1:
-        raise InputError("k must be >= 1")
-    if block_limit < k + 1:
-        raise InputError("block_limit must be at least k+1")
-
-
 def laplacian_pe(g: SpatialGraph, k: int, block_limit: int = 2000) -> PositionalEncoding:
     """Eigenvectors of the k smallest Laplacian eigenvalues as node features.
 
@@ -224,7 +216,10 @@ def laplacian_pe(g: SpatialGraph, k: int, block_limit: int = 2000) -> Positional
     rows assembled back into node order. A graph or block of fewer than k
     nodes gets its trailing columns zero-padded.
     """
-    check_pe_sizes(k, block_limit)
+    if k < 1:
+        raise InputError("k must be >= 1")
+    if block_limit < k + 1:
+        raise InputError("block_limit must be at least k+1")
     if g.n <= block_limit:
         blocks, source = [np.arange(g.n)], "whole-graph"
     else:

@@ -8,7 +8,6 @@ so re-runs produce byte-identical histories).
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import check_section
 from .data import SPLITS, Dataset, metrics, split_setup, window_arrays
 from .errors import ConfigError, ContractError, NumericError
 from .model import ModelParams, SbaTransformer, mae_loss
@@ -37,21 +37,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.lr) and self.lr >= 0):
-            raise ConfigError(f"lr must be a finite number >= 0, got {self.lr}")
-        if not (len(self.betas) == 2 and all(isinstance(b, (int, float)) for b in self.betas)):
-            raise ConfigError(f"betas must be two numbers, got {list(self.betas)}")
-        if not (0 < self.betas[0] < 1 and 0 < self.betas[1] < 1):
-            raise ConfigError("betas must lie in (0, 1)")
-        for name in ("batch_size", "max_epochs", "patience"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if not self.eps > 0:
-            raise ConfigError("eps must be > 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ConfigError("grad_clip must be > 0 when set")
+        check_section("train", vars(self))
 
 
 @dataclass

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from sbaformer.cli import main
-from sbaformer.config import DATASET_P_DEFAULTS, default_config, load_config, validate_config
+from sbaformer.config import (
+    DATASET_P_DEFAULTS,
+    SCHEMA,
+    default_config,
+    load_config,
+    validate_config,
+)
 from sbaformer.data import load_series, make_grid_graph, save_series
 from sbaformer.errors import ConfigError
 from sbaformer.graph import save_graph
@@ -65,14 +71,21 @@ def trained(run_config, tmp_path_factory):
     return path, work / "out"
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("set-up work ran before the cheap checks failed")
+
+
 @pytest.fixture
 def no_setup_work(monkeypatch):
     """Fail the test if the run set-up reaches the partitioner or the PE."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("set-up work ran before the cheap checks failed")
+    monkeypatch.setattr("sbaformer.cli.build_scale_series", _forbidden)
+    monkeypatch.setattr("sbaformer.cli.laplacian_pe", _forbidden)
 
-    monkeypatch.setattr("sbaformer.cli.build_scale_series", forbidden)
-    monkeypatch.setattr("sbaformer.cli.laplacian_pe", forbidden)
+
+@pytest.fixture
+def no_file_read(monkeypatch, no_setup_work):
+    """Fail the test if the run reads its series, or does any later set-up work."""
+    monkeypatch.setattr("sbaformer.cli.load_series", _forbidden)
 
 
 def _with_d_model(config_path, tmp_path, d_model):
@@ -351,7 +364,7 @@ class TestTrainEvalCommands:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(bad)]) == 2
-        assert f"{key} must be > 0" in capsys.readouterr().err
+        assert f"train.{key} must be a finite number > 0, got {value}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value, flags", [
@@ -410,7 +423,7 @@ class TestTrainEvalCommands:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(bad)]) == 2
-        assert "model sizes must be >= 1: heads" in capsys.readouterr().err
+        assert "model.heads must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_eval_mismatched_checkpoint_exit_2(self, trained, tmp_path, capsys,
@@ -496,6 +509,72 @@ class TestTrainEvalCommands:
         assert "train.batchsize" in capsys.readouterr().err
 
 
+# One value just outside each rule of RULES that SCHEMA uses.
+_OUTSIDE = {">= 0": -1, "> 0": 0, ">= 1": 0, "in [0, 1)": 1,
+            "two numbers in (0, 1)": [0.9, 1.0]}
+
+
+def _rule_breaking_values():
+    """(section, key, JSON token) for every SCHEMA row with a rule: a name
+    not in its tuple, or one value just outside its rule and, on rows that
+    take floats, 1e999 (which Python's json reads as inf)."""
+    for section, rows in SCHEMA.items():
+        for key, (_, types, rule) in rows.items():
+            if isinstance(rule, tuple):
+                yield section, key, '"bogus"'
+            elif rule is not None:
+                takes_floats = isinstance(1.5, types)
+                outside = _OUTSIDE[rule]
+                yield section, key, json.dumps(float(outside) if takes_floats else outside)
+                if takes_floats:
+                    yield section, key, "1e999"
+
+
+@pytest.mark.parametrize("section, key, token", list(_rule_breaking_values()),
+                         ids=lambda v: str(v).replace('"', "").replace(" ", ""))
+def test_every_rule_exits_2_before_reading_a_file(run_config, tmp_path, capsys,
+                                                 no_file_read, section, key, token):
+    bad = _edited(run_config[0], tmp_path,
+                  lambda cfg: cfg.setdefault(section, {}).update({key: "@"}))
+    bad.write_text(bad.read_text().replace('"@"', token))
+    assert main(["train", "--config", str(bad)]) == 2
+    assert f"{section}.{key} must be " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("data", "freq_minutes", -5), ("pe", "block_limit", 2),
+], ids=["negative-freq-minutes", "block-limit-below-k"])
+def test_config_faults_exit_2_before_reading_a_file(run_config, tmp_path, capsys,
+                                                    no_file_read, section, key, value):
+    bad = _edited(run_config[0], tmp_path, lambda cfg: cfg[section].update({key: value}))
+    assert main(["train", "--config", str(bad)]) == 2
+    assert f"{section}.{key} must be " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--seed", "-1", "train.seed"), ("--max-epochs", "0", "train.max_epochs"),
+])
+def test_train_flags_meet_their_keys_rule(run_config, tmp_path, capsys, no_file_read,
+                                          flag, value, key):
+    good = _edited(run_config[0], tmp_path, lambda cfg: None)
+    assert main(["train", "--config", str(good), flag, value]) == 2
+    assert f"{key} must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_flags_land_in_the_effective_config(run_config, tmp_path):
+    config_path = _edited(run_config[0], tmp_path, lambda cfg: None)
+    assert main(["train", "--config", str(config_path), "--seed", "3", "--max-epochs", "1"]) == 0
+    out = tmp_path / "out"
+    effective = json.loads((out / "effective_config.json").read_text())
+    assert (effective["train"]["seed"], effective["train"]["max_epochs"]) == (3, 1)
+    assert len((out / "history.jsonl").read_text().splitlines()) == 1
+    flags = {"train": {"seed": 3, "max_epochs": 1}}
+    assert load_config(out / "effective_config.json") == load_config(config_path, flags)
+
+
 def test_bench_is_not_a_command(capsys):
     # the attention-cost table is demo 05's, through flops_estimate
     with pytest.raises(SystemExit) as exit_info:
@@ -553,6 +632,12 @@ class TestDumpAttention:
     ("--period", "0", "period must be > 0, got 0.0"),
     ("--noise-std", "-1", "noise_std must be >= 0, got -1.0"),
     ("--seed", "-1", "seed must be >= 0, got -1"),
+    ("--noise-std", "nan", "noise_std must be finite, got nan"),
+    ("--noise-std", "inf", "noise_std must be finite, got inf"),
+    ("--season-amp", "nan", "season_amp must be finite, got nan"),
+    ("--season-amp", "inf", "season_amp must be finite, got inf"),
+    ("--period", "inf", "period must be finite, got inf"),
+    ("--gamma", "nan", "gamma must be finite, got nan"),
 ])
 def test_synth_rejects_sizes_it_cannot_build(tmp_path, capsys, flag, value, message):
     rc = main(["synth", "--out", str(tmp_path / "d"), flag, value])

@@ -109,6 +109,17 @@ def test_builders_reject_coords_not_n_by_dim(build, coords):
         build(coords)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0], ids=["nan", "inf", "zero"])
+@pytest.mark.parametrize("name, build", [
+    ("epsilon", lambda value: gr.build_epsilon_graph([[0.0, 0.0], [1.0, 0.0]], epsilon=value)),
+    ("sigma", lambda value: gr.build_gaussian_graph([[0.0, 0.0], [1.0, 0.0]], value, 0.1)),
+], ids=["epsilon", "gaussian"])
+def test_builders_reject_a_scale_that_is_not_finite_and_positive(name, build, value):
+    # nan made an empty graph and inf the complete one
+    with pytest.raises(InputError, match=f"{name} must be a finite number > 0, got {value}"):
+        build(value)
+
+
 class TestGaussianGraph:
     def test_coincident_pair_weight_one(self):
         g = gr.build_gaussian_graph([[1.0, 1.0], [1.0, 1.0]], sigma=2.0, threshold=0.5)

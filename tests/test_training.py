@@ -54,7 +54,8 @@ class TestAdamStep:
     ])
     def test_config_rejects_values_that_break_training(self, field, value):
         # a negative clip flips the step's sign; eps = 0 turns a zero gradient into 0/0
-        with pytest.raises(ConfigError, match=f"{field} must be > 0"):
+        message = f"train.{field} must be a finite number > 0, got {value}"
+        with pytest.raises(ConfigError, match=message):
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3])
