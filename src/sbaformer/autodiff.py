@@ -32,10 +32,12 @@ reruns each tile's forward before its gradients (FlashAttention's trade
 applied to window tiles; Dao et al. 2022). So layer-norm outputs, q, k
 and v, the FFN hidden layer and the fuse concat exist only at tile size,
 and with the tape off so does a layer's branch output u. One rule cuts
-every such working set under a byte budget (`_cover`): tiles of windows,
-bands of a window's rows and attention chunks of windows and heads. A
-layer's node keeps its input, u, its weights and row statistics. On the
-e2e config (n=64, d=32, batch 16) the tape after one forward holds 12.5
+every such working set, and `predict`'s tiles, under a byte budget
+(`_cover`), once per op call: tiles of windows, bands of a window's rows
+and attention chunks of windows and heads. Zero windows give no tile,
+empty outputs and input gradients and zero weight gradients. A layer's
+node keeps its input, u, its weights and row statistics. On the e2e
+config (n=64, d=32, batch 16) the tape after one forward holds 12.5
 activation units, one unit being a (batch, n, d) float64 array.
 """
 from __future__ import annotations
@@ -428,18 +430,20 @@ def _cover(lead: tuple, item_bytes: int, budgets: tuple, least: int = 1) -> list
     """Index tuples that cover the leading axes `lead` of an array whose
     innermost items take item_bytes each, one working set a tuple. Each axis
     goes in slices of as many of its items as fit its budget in `budgets`,
-    and at least one (an empty axis gives one empty slice); where one item
-    is over budget and more axes follow, each item goes on its own, cut
-    along the next axis the same way. A slice of the last axis holds at
-    least `least` items, and a shorter last slice joins the one before it,
-    so that slice may hold least - 1 items over its budget.
+    and at least one; where one item is over budget and more axes follow,
+    each item goes on its own, cut along the next axis the same way. A slice
+    of the last axis holds at least `least` items, and a shorter last slice
+    joins the one before it, so that slice may hold least - 1 items over its
+    budget. Zero items, on any axis, give no tuple.
     """
+    if not math.prod(lead):
+        return []
     inner = item_bytes * math.prod(lead[1:])
     if inner > budgets[0] and len(lead) > 1:
         return [(slice(i, i + 1),) + rest for i in range(lead[0])
                 for rest in _cover(lead[1:], item_bytes, budgets[1:], least)]
     least = least if len(lead) == 1 else 1
-    cuts = list(range(0, max(1, lead[0]), max(least, budgets[0] // max(1, inner)))) + [lead[0]]
+    cuts = list(range(0, lead[0], max(least, budgets[0] // max(1, inner)))) + [lead[0]]
     if len(cuts) > 2 and cuts[-1] - cuts[-2] < least:
         del cuts[-2]
     return [(slice(a, b),) for a, b in zip(cuts, cuts[1:])]
@@ -563,31 +567,33 @@ def layer(x, gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2, sizes, heads: int
     set, and then a list of arrays (..., heads, sizes[i], sizes[i]) whose
     rows sum to one, one whole run each, with all windows in one tile.
 
-    The forward walks tiles of whole windows within _WINDOW_TILE_BYTES of
-    (n, d) rows. Per tile it runs the first layer norm, the projections and
-    attention's chunks (`_pieces`) into u's rows, adds the residual, runs
-    the second layer norm, and writes u + the FFN into the tile's rows of
-    one preallocated output. The FFN forward runs in sub-tiles of windows
-    within _WINDOW_TILE_BYTES of hidden layer or, a window over it, in bands
-    of its rows within _FFN_BAND_BYTES (`_cover`), and builds its GELU in
-    the tanh's buffer. A band holds two rows or more unless its window has
-    one: numpy sends a one-row product to gemv, whose bits differ from
-    gemm's on the window's rows. With the tape off, u's rows are the
-    output's own, so u, like the layer-norm outputs, q, k, v and the hidden
-    layer, exists only at tile size. With it on, the node keeps x, u and
-    the row statistics of both layer norms and of each attention chunk.
+    Before its loops the op sizes its working sets once (`_cover`): tiles
+    of whole windows within _WINDOW_TILE_BYTES of (n, d) rows and, per
+    distinct tile length, attention's chunks (`_pieces`), the FFN forward's
+    sub-tiles of windows within _WINDOW_TILE_BYTES of hidden layer or, a
+    window over it, bands of its rows within _FFN_BAND_BYTES, and the FFN
+    backward's sub-tiles. Per tile the forward runs the first layer norm,
+    the projections and attention's chunks into u's rows, adds the
+    residual, runs the second layer norm, and writes u + the FFN, its GELU
+    built in the tanh's buffer, into the tile's rows of one preallocated
+    output. A band holds two rows or more unless its window has one: numpy
+    sends a one-row product to gemv, whose bits differ from gemm's on the
+    window's rows. With the tape off, u's rows are the output's own, so u,
+    like the layer-norm outputs, q, k, v and the hidden layer, exists only
+    at tile size. With it on, the node keeps x, u and the row statistics of
+    both layer norms and of each attention chunk.
 
     The backward walks the same tiles: it reruns each tile's second layer
     norm and its FFN in sub-tiles of whole windows, since a weight
     gradient's partial sums a window's rows, then the first layer norm and
     the projections before attention's chunked backward, all uncounted. So
-    u's gradient exists only at tile size too. Every product is the chain's
-    per-window BLAS call, each window's weight-gradient partial is added in
-    window order, the first layer norm's input gradient adds the q, k and v
-    terms in the chain's order and each gamma's and beta's gradient
-    continues one row sum across tiles, so everything equals layer norm ->
-    three matmuls -> attention -> add -> layer norm -> matmul -> gelu ->
-    matmul -> add bit for bit.
+    u's gradient exists only at tile size too, and x's goes over u's rows
+    once the tile has read them. Every product is the chain's per-window
+    BLAS call, each window's weight-gradient partial is added in window
+    order, the first layer norm's input gradient adds the q, k and v terms
+    in the chain's order and each gamma's and beta's gradient continues one
+    row sum across tiles: all equals layer norm -> three matmuls -> attention
+    -> add -> layer norm -> matmul -> gelu -> matmul -> add bit for bit.
     """
     x = as_tensor(x)
     params = [as_tensor(t) for t in (gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2)]
@@ -608,6 +614,11 @@ def layer(x, gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2, sizes, heads: int
     rows, row_bytes = wins.shape[1], 8 * hidden
     tiles = _cover((len(wins),), 8 * rows * d,
                    (wins.nbytes if return_weights else _WINDOW_TILE_BYTES,))
+    plans = {k: (_pieces((k, heads), sizes, starts, return_weights),
+                 _cover((k, rows), row_bytes, (_WINDOW_TILE_BYTES, _FFN_BAND_BYTES), 2),
+                 _cover((k,), rows * row_bytes, (_WINDOW_TILE_BYTES,)))
+             for k in {t.stop - t.start for t, in tiles}}
+    tiles = [(t, plans[t.stop - t.start]) for t, in tiles]
     out = np.empty(wins.shape)
     ud = np.empty(wins.shape) if _records((x, *params)) else out  # u for the backward
     weights = [] if return_weights else None
@@ -628,17 +639,16 @@ def layer(x, gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2, sizes, heads: int
             _count_matmul(h, w, a)
         return [_head_view(a, heads) for a in qkv]
 
-    for t in tiles:
+    for t, (pieces, bands, _) in tiles:
         ut, ot = ud[t], out[t]
         h, norm1 = normed(wins[t], g1, b1)
         views = project(h, True)
         del h
-        pieces = _pieces(views[0].shape[:-2], sizes, starts, return_weights)
         stats = _attend(*views, _head_view(ut, heads), pieces, scale, weights)
         del views
         ut += wins[t]
         h, norm2 = normed(ut, g2, b2)
-        for band in _cover(h.shape[:2], row_bytes, (_WINDOW_TILE_BYTES, _FFN_BAND_BYTES), 2):
+        for band in bands:
             z = np.matmul(h[band], w1d)
             _count_matmul(h[band], w1d, z)
             _finite(z, "layer's ffn")
@@ -650,13 +660,13 @@ def layer(x, gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2, sizes, heads: int
             np.add(ut[band], f, out=ot[band])
             del f
         del h
-        saved.append((norm1, pieces, stats, norm2))
+        saved.append((norm1, stats, norm2))
 
-    def ffn_backward(h, g, grads):
+    def ffn_backward(h, g, grads, subtiles):
         """The FFN's input gradient given dL/dout = g, its weight gradients
         added into grads."""
         gh = np.empty(h.shape)
-        for s in _cover((len(h),), rows * row_bytes, (_WINDOW_TILE_BYTES,)):
+        for s in subtiles:
             z = np.matmul(h[s], w1d)
             act, th = _gelu_forward(z, True)
             _add_windows(grads[1], np.matmul(np.swapaxes(act, -1, -2), g[s]))
@@ -685,22 +695,20 @@ def layer(x, gamma1, beta1, wq, wk, wv, gamma2, beta2, w1, w2, sizes, heads: int
         return gh
 
     def backward(g):
-        wins, us, g = _windows(xd), _windows(ud), _windows(g)
-        gx = None
+        wins, g = _windows(xd), _windows(g)
         # the accumulators start from +0.0, as numpy's sums do
         sums = [np.zeros(d) for _ in range(4)]  # gamma1, beta1, gamma2, beta2
         grads = [np.zeros(w.shape) for w in (*wqkv, w1d, w2d)]
-        for t, (norm1, pieces, stats, norm2) in zip(tiles, saved):
-            xhat = _normalize(us[t], norm2)[0]
-            gh = ffn_backward(_scale_shift(xhat, g2, b2), g[t], grads[3:])
+        for (t, (pieces, _, subtiles)), (norm1, stats, norm2) in zip(tiles, saved):
+            xhat = _normalize(ud[t], norm2)[0]
+            gh = ffn_backward(_scale_shift(xhat, g2, b2), g[t], grads[3:], subtiles)
             gu = g[t] + _layer_norm_backward(gh, xhat, norm2[1], g2)
             sums[2:] = _sum_after(sums[2], gh * xhat), _sum_after(sums[3], gh)
             xhat = _normalize(wins[t], norm1)[0]
             gh = attn_backward(lambda: _scale_shift(xhat, g1, b1), gu, pieces, stats, grads[:3])
-            gx = np.empty(wins.shape) if gx is None else gx  # after the tile's peak
-            np.add(gu, _layer_norm_backward(gh, xhat, norm1[1], g1), out=gx[t])
+            np.add(gu, _layer_norm_backward(gh, xhat, norm1[1], g1), out=ud[t])  # x's gradient
             sums[:2] = _sum_after(sums[0], gh * xhat), _sum_after(sums[1], gh)
-        return (gx.reshape(xd.shape), *sums[:2], *grads[:3], *sums[2:], *grads[3:])
+        return (ud.reshape(xd.shape), *sums[:2], *grads[:3], *sums[2:], *grads[3:])
 
     if weights is not None:
         weights = [w.reshape(xd.shape[:-2] + w.shape[1:]) for w in weights]

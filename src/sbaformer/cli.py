@@ -105,21 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_graph(cfg, n: int):
     gc, dc = cfg["graph"], cfg["data"]
     if gc["builder"] == "file":
-        if dc["graph"] is None:
-            raise InputError("graph.builder=file requires data.graph")
         graph = load_graph(dc["graph"], n=n)
         if dc["coords"] is None:
             return graph
         return SpatialGraph(graph.n, *graph.edge_arrays(), load_coords(dc["coords"], n))
-    if dc["coords"] is None:
-        raise InputError(f"graph.builder={gc['builder']} requires data.coords")
     coords = load_coords(dc["coords"], n)
     if gc["builder"] == "epsilon":
-        if gc["epsilon"] is None:
-            raise InputError("graph.builder=epsilon requires graph.epsilon")
         return build_epsilon_graph(coords, gc["epsilon"])
-    if gc["sigma"] is None:
-        raise InputError("graph.builder=gaussian requires graph.sigma")
     return build_gaussian_graph(coords, gc["sigma"], gc["threshold"])
 
 

@@ -103,6 +103,12 @@ def check_section(section: str, values: dict):
             raise ConfigError(f"{section}.{key} must be {rule}, got {value!r}")
 
 
+def check_heads(d_model: int, heads: int):
+    """ConfigError unless `heads` attention heads split d_model evenly."""
+    if d_model % heads:
+        raise ConfigError(f"d_model={d_model} must be divisible by heads={heads}")
+
+
 def default_config() -> dict:
     """The full schema defaults (required fields present as None)."""
     return {
@@ -135,6 +141,7 @@ def validate_config(doc: dict, overrides: dict | None = None) -> dict:
         raise ConfigError(
             f"pe.block_limit must be at least k+1 = {pe['k'] + 1}, got {pe['block_limit']}"
         )
+    check_heads(effective["model"]["d_model"], effective["model"]["heads"])
     if effective["partition"]["p0"] is None:
         name = effective["data"]["name"]
         if name in DATASET_P_DEFAULTS:
@@ -144,10 +151,20 @@ def validate_config(doc: dict, overrides: dict | None = None) -> dict:
                 "partition.p0 not set and dataset name has no documented default; "
                 f"known names: {sorted(DATASET_P_DEFAULTS)}"
             )
+    builder = effective["graph"]["builder"]
+    needs = {"file": [("data", "graph")], "epsilon": [("data", "coords"), ("graph", "epsilon")],
+             "gaussian": [("data", "coords"), ("graph", "sigma")]}[builder]
+    for section, key in needs:
+        if effective[section][key] is None:
+            raise ConfigError(f"graph.builder={builder} requires {section}.{key}")
     return effective
 
 
 def load_config(path, overrides: dict | None = None) -> dict:
-    """The validated config at `path`, with `overrides` merged over it first,
-    so a CLI flag meets the same rule as its key."""
+    """The validated config at `path`, with `overrides` merged over it, so a
+    CLI flag meets the same rule as its key. The overrides are checked
+    against their SCHEMA rows before the file is read, so an error in one
+    names the flag's key, not the file."""
+    for section, values in (overrides or {}).items():
+        check_section(section, values)
     return read_json(path, lambda doc: validate_config(doc, overrides))

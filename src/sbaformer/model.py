@@ -29,7 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .artifacts import read_blob, write_blob
-from .autodiff import Tensor
+from .autodiff import Tensor, _cover
+from .config import check_heads
 from .errors import ConfigError, ContractError, InputError, ShapeError
 from .partition import PartitionPlan, ScaleSeries, apply_plan, prefix_sizes, revert_plan
 
@@ -55,10 +56,7 @@ class ModelConfig:
         small = [name for name, value in vars(self).items() if value < 1]
         if small:
             raise ConfigError(f"model sizes must be >= 1: {', '.join(small)}")
-        if self.d_model % self.heads != 0:
-            raise ConfigError(
-                f"d_model={self.d_model} must be divisible by heads={self.heads}"
-            )
+        check_heads(self.d_model, self.heads)
 
     @property
     def d_head(self) -> int:
@@ -230,7 +228,7 @@ def sba_block(
 
 def _capture_block(alpha: list, alpha2: list) -> dict:
     """Head-averaged attention maps at valid sizes, for dump/inspection."""
-    if alpha2[0].ndim != 3:
+    if [a.ndim for a in alpha2] != [3]:  # zero windows give no weights at all
         raise ContractError("attention capture expects a single unbatched window")
     return {
         "intra": [a.mean(axis=0) for a in alpha],  # each (h, s_i, s_i) -> (s_i, s_i)
@@ -268,14 +266,6 @@ def mae_loss(pred: Tensor, target) -> Tensor:
 # activations: `ad.layer` and `ad.fuse` bound their own temporaries, so what
 # grows with a tile is a few such arrays. 5 windows at n=576, d_model=64.
 _TILE_BYTES = 3 << 19
-
-
-def _tile_windows(windows: int, workers: int, window_bytes: int) -> int:
-    """Windows per `predict` tile: two tiles per worker, for load balance,
-    but no more windows than keep `tile * window_bytes`, the tile's
-    activation bytes, within `_TILE_BYTES`, and never fewer than one."""
-    per_worker = -(-windows // (2 * workers))
-    return max(1, min(per_worker, _TILE_BYTES // window_bytes))
 
 
 def _usable_cpus() -> int:
@@ -326,15 +316,15 @@ class SbaTransformer:
         """Forecasts with the tape off, in tiles of windows run by the
         calling thread and one more thread per further usable CPU.
 
-        x is (..., n, t, c); one window (n, t, c) runs as a tile of one. The
-        windows run through `forward` a tile at a time, two tiles per worker
-        within `_TILE_BYTES` of activations (`_tile_windows`), and each tile
-        writes its forecasts into its own slice of one preallocated output.
-        The workers, one per CPU the process may use (capped at the tile
-        count; `taskset` limits it), are the calling thread and threads that
-        live only inside this call; each of them enters `ad.no_grad()`, whose
-        mode is per thread, and takes tiles from one shared iterator. With
-        one worker no thread starts.
+        x is (..., n, t, c); one window (n, t, c) runs as a tile of one, and
+        zero windows run none. The windows run through `forward` a tile at a
+        time, two tiles per worker within `_TILE_BYTES` of activations (the
+        windows' `_cover`), and each tile writes its forecasts into its own
+        slice of one preallocated output. The workers, one per CPU the
+        process may use (capped at the tile count; `taskset` limits it), are
+        the calling thread and threads that live only inside this call; each
+        of them enters `ad.no_grad()`, whose mode is per thread, and takes
+        tiles from one shared iterator. With one worker no thread starts.
         numpy's kernels release the GIL, so tiles overlap. Every op works on
         each window on its own, so the result equals one whole-batch forward
         bit for bit at any tile size and worker count. The first tile to fail
@@ -348,9 +338,10 @@ class SbaTransformer:
         windows = x.reshape((-1,) + x.shape[-3:])
         out = np.empty((len(windows), x.shape[-3], mc.f, mc.c))
         cpus = _usable_cpus()
-        tile = _tile_windows(len(windows), cpus, 8 * mc.n * mc.d_model)
-        starts = range(0, len(windows), tile)
-        pending = iter(starts)
+        unit = 8 * mc.n * mc.d_model  # one window's activation bytes
+        per_tile = -(-len(windows) // (2 * cpus)) * unit  # two tiles a worker
+        tiles = _cover((len(windows),), unit, (min(_TILE_BYTES, per_tile),))
+        pending = iter(tiles)
         lock = threading.Lock()
         errors = []  # the first holds the error to raise; any stops the tiles
 
@@ -361,14 +352,14 @@ class SbaTransformer:
         def drain():
             try:
                 with ad.no_grad():  # the tape mode is per thread
-                    while (lo := take()) is not None:
-                        out[lo : lo + tile] = self.forward(Tensor(windows[lo : lo + tile])).data
+                    while (t := take()) is not None:
+                        out[t] = self.forward(Tensor(windows[t])).data
             except BaseException as error:
                 with lock:
                     errors.append(error)
 
         helpers = [threading.Thread(target=drain)
-                   for _ in range(min(cpus, len(starts)) - 1)]
+                   for _ in range(min(cpus, len(tiles)) - 1)]
         try:
             for thread in helpers:
                 thread.start()

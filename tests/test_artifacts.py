@@ -289,10 +289,10 @@ def test_no_private_definition_is_left_unused():
 
 
 def _working_set_names(tree):
-    """Line numbers where code names autodiff's tile helpers (`_cover`,
-    `_pieces`) or one of its `_*_BYTES` budgets, by name, by attribute of
+    """Line numbers where code names autodiff's attention chunker
+    (`_pieces`) or one of its `_*_BYTES` budgets, by name, by attribute of
     the imported module or by import. Docstrings are strings, not names."""
-    helpers = {"_cover", "_pieces"}
+    helpers = {"_pieces"}
 
     def budget(name):
         return name.startswith("_") and name.endswith("_BYTES")
@@ -310,9 +310,10 @@ def _working_set_names(tree):
             yield node.lineno
 
 
-def test_only_autodiff_names_its_tile_helpers_and_budgets():
-    # working sets are cut by one rule in one module: `predict` sizes its
-    # tiles in activation bytes, without reaching into autodiff's budgets
+def test_predict_cuts_by_cover_and_only_autodiff_names_its_budgets():
+    # working sets are cut by one rule, autodiff's `_cover`: `predict` takes
+    # its tiles from it under its own activation budget, without reaching
+    # into autodiff's budgets or its attention chunker
     src = Path(sbaformer.__file__).parent
     offenders = [
         f"{path.name}:{line}"
@@ -322,10 +323,42 @@ def test_only_autodiff_names_its_tile_helpers_and_budgets():
     ]
     assert offenders == []
     assert list(_working_set_names(ast.parse((src / "autodiff.py").read_text())))
+    model = ast.parse((src / "model.py").read_text())
+    assert "_cover" in {node.id for node in ast.walk(model) if isinstance(node, ast.Name)}
     caught = ast.parse('"""ad._FFN_BAND_BYTES in prose"""\nfrom . import autodiff as ad\n'
-                       "a = ad._ATTN_TILE_BYTES\nb = ad._cover\n"
-                       "from .autodiff import _WINDOW_TILE_BYTES\n_TILE_BYTES = 1\n")
+                       "a = ad._ATTN_TILE_BYTES\nb = ad._pieces\n"
+                       "from .autodiff import _WINDOW_TILE_BYTES\n_TILE_BYTES = 1\n"
+                       "c = ad._cover\n")
     assert sorted(_working_set_names(caught)) == [3, 4, 5]
+
+
+def _absolute_self_imports(tree):
+    """Line numbers of `import sbaformer...` and `from sbaformer... import`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "sbaformer" for name in names):
+            yield node.lineno
+
+
+def test_the_package_imports_itself_by_relative_imports_only():
+    # an absolute `sbaformer` import would bind whichever checkout comes
+    # first on the path when two trees are imported side by side
+    src = Path(sbaformer.__file__).parent
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(src.glob("*.py"))
+        for line in _absolute_self_imports(ast.parse(path.read_text()))
+    ]
+    assert offenders == []
+    caught = ast.parse("import numpy, sbaformer.model\nfrom sbaformer import cli\n"
+                       "from . import model\nfrom .autodiff import Tensor\n"
+                       "import sbaformer_extra\nfrom sbaformer.data import load_series\n")
+    assert list(_absolute_self_imports(caught)) == [1, 2, 6]
 
 
 def _public_defs(body):

@@ -842,7 +842,7 @@ class TestAttnSublayer:
 
     @pytest.mark.parametrize("lead", [(0,), (2, 0)])
     def test_empty_window_axis_matches_the_chain(self, lead):
-        # no windows: the forward and the backward run one empty tile
+        # no windows: the forward and the backward run no tile
         arrays, weights = self._case(lead, 87)
         chain, chain_flops, _ = run_with_grads(self._chain, arrays, weights)
         fused, fused_flops, after = run_with_grads(self._fused, arrays, weights)
@@ -984,6 +984,54 @@ class TestLayerBands:
         bands = ffn_bands(3, rows, 8 * 32)
         assert [b[-1].stop - b[-1].start for b in bands[:len(bands) // 3]] == (
             {"1B": [2, 2, 3], "last-row": [3, 4], "one-row": [1]}[case])
+
+
+class TestSizing:
+    """`layer` sizes its working sets once per call, before its loops, and
+    every op returns empty results over zero windows."""
+
+    @pytest.mark.parametrize("tile, tiles", [(1, 16), (4, 4)])
+    def test_layer_sizes_its_working_sets_once_per_call(self, monkeypatch, tile, tiles):
+        # 16 windows of (5, 8) rows in runs of 2 and 3, hidden width 8: no
+        # item of any cover is over its budget, so each cover is one call.
+        # The tiles are sized once, and their one length once: its two
+        # runs' attention chunks, its FFN bands and its FFN sub-tiles.
+        arrays = layer_arrays(np.random.default_rng(91), (16,), 5, 8, 8)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        covers, pieces = [], []
+        cover, chunker = ad._cover, ad._pieces
+        monkeypatch.setattr(ad, "_cover", lambda *a: covers.append(a[0]) or cover(*a))
+        monkeypatch.setattr(ad, "_pieces", lambda *a: pieces.append(a[0]) or chunker(*a))
+        monkeypatch.setattr(ad, "_WINDOW_TILE_BYTES", tile * 8 * 5 * 8)
+        out = ad.layer(*leaves, [2, 3], 2)[0]
+        assert len(cover((16,), 8 * 5 * 8, (ad._WINDOW_TILE_BYTES,))) == tiles
+        assert covers == [(16,), (tile, 2), (tile, 2), (tile, 5), (tile,)]
+        assert pieces == [(tile, 2)]
+        rops.tensor_sum(out).backward()
+        assert len(covers) == 5 and len(pieces) == 1
+        assert all(t.grad is not None for t in leaves)
+
+    @pytest.mark.parametrize("budget", ["shipped", "1B"])
+    @pytest.mark.parametrize("lead", [(0,), (2, 0)])
+    def test_zero_windows_give_empty_results(self, monkeypatch, budget, lead):
+        if budget == "1B":
+            for name in ("_FFN_BAND_BYTES", "_WINDOW_TILE_BYTES", "_ATTN_TILE_BYTES"):
+                monkeypatch.setattr(ad, name, 1)
+        rng = np.random.default_rng(92)
+        arrays = layer_arrays(rng, lead, 7, 8, 16)
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = ad.layer(*leaves, [3, 4], 2)[0]
+        rops.tensor_sum(out).backward()
+        assert out.shape == leaves[0].grad.shape == lead + (7, 8)
+        assert all(t.grad.shape == a.shape and not t.grad.any()
+                   for t, a in zip(leaves[1:], arrays[1:]))
+        y, s, w = (Tensor(np.ones(shape), requires_grad=True)
+                   for shape in (lead + (7, 4), lead + (2, 3), (7, 5)))
+        out = ad.fuse(y, s, [3, 4], w)
+        rops.tensor_sum(out).backward()
+        assert out.shape == lead + (7, 5)
+        assert (y.grad.shape, s.grad.shape) == (y.shape, s.shape)
+        assert w.grad.shape == (7, 5) and not w.grad.any()
 
 
 class TestLayerNormRebuild:

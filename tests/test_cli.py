@@ -143,7 +143,7 @@ class TestSchema:
 
     def test_p0_resolves_from_dataset_name(self):
         doc = {
-            "data": {"series": "x", "name": "GLA"},
+            "data": {"series": "x", "graph": "g", "name": "GLA"},
             "paths": {"out_dir": "y"},
         }
         assert validate_config(doc)["partition"]["p0"] == 64
@@ -542,14 +542,33 @@ def test_every_rule_exits_2_before_reading_a_file(run_config, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("data", "freq_minutes", -5), ("pe", "block_limit", 2),
-], ids=["negative-freq-minutes", "block-limit-below-k"])
+def _graph_edit(builder, drop=None, **keys):
+    """A config edit that picks a graph builder with `keys` and drops the
+    data key `drop`."""
+    def edit(cfg):
+        cfg["graph"] = {"builder": builder, **keys}
+        cfg["data"].pop(drop, None)
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda cfg: cfg["data"].update(freq_minutes=-5), "data.freq_minutes must be "),
+    (lambda cfg: cfg["pe"].update(block_limit=2), "pe.block_limit must be "),
+    (lambda cfg: cfg["model"].update(d_model=8, heads=3),
+     "d_model=8 must be divisible by heads=3"),
+    (_graph_edit("file", "graph"), "graph.builder=file requires data.graph"),
+    (_graph_edit("epsilon", "coords", epsilon=1.0), "graph.builder=epsilon requires data.coords"),
+    (_graph_edit("epsilon"), "graph.builder=epsilon requires graph.epsilon"),
+    (_graph_edit("gaussian", "coords", sigma=1.0), "graph.builder=gaussian requires data.coords"),
+    (_graph_edit("gaussian"), "graph.builder=gaussian requires graph.sigma"),
+], ids=["negative-freq-minutes", "block-limit-below-k", "heads-split-d-model",
+        "file-without-graph", "epsilon-without-coords", "epsilon-without-epsilon",
+        "gaussian-without-coords", "gaussian-without-sigma"])
 def test_config_faults_exit_2_before_reading_a_file(run_config, tmp_path, capsys,
-                                                    no_file_read, section, key, value):
-    bad = _edited(run_config[0], tmp_path, lambda cfg: cfg[section].update({key: value}))
+                                                    no_file_read, edit, message):
+    bad = _edited(run_config[0], tmp_path, edit)
     assert main(["train", "--config", str(bad)]) == 2
-    assert f"{section}.{key} must be " in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -558,9 +577,13 @@ def test_config_faults_exit_2_before_reading_a_file(run_config, tmp_path, capsys
 ])
 def test_train_flags_meet_their_keys_rule(run_config, tmp_path, capsys, no_file_read,
                                           flag, value, key):
+    # the message names the flag's key, not the config file: the flags are
+    # checked before the file is read, so a missing file gives the same one
     good = _edited(run_config[0], tmp_path, lambda cfg: None)
-    assert main(["train", "--config", str(good), flag, value]) == 2
-    assert f"{key} must be >= " in capsys.readouterr().err
+    for path in (good, tmp_path / "absent.json"):
+        assert main(["train", "--config", str(path), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be >= ") and str(path) not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -282,6 +283,14 @@ class TestSbaBlock:
             capture[0]["intra"][0], weights.mean(axis=0), atol=1e-12
         )
 
+    @pytest.mark.parametrize("lead", [(2,), (0,)])
+    def test_capture_of_a_batch_or_of_no_window_is_contract_error(self, lead):
+        rng = np.random.default_rng(13)
+        model, _ = tiny_model(rng)
+        x = rng.standard_normal(lead + (model.config.n, model.config.t, 1))
+        with ad.no_grad(), pytest.raises(ContractError, match="single unbatched window"):
+            model.forward(Tensor(x), capture=[])
+
     def test_block_diagonal_intra_weights(self):
         rng = np.random.default_rng(12)
         model, _ = tiny_model(rng, n=12, p0=4, l=1)
@@ -385,10 +394,13 @@ class TestTiledPredict:
             return model.forward(Tensor(xs)).data
 
     def _force_tile(self, monkeypatch, tile):
-        """Tiles of `tile` windows on any machine, whatever its CPU count."""
-        monkeypatch.setattr(md, "_tile_windows", lambda windows, workers, window_bytes: tile)
+        """Tiles of `tile` windows on any machine, whatever its CPU count:
+        predict's cover of the windows at a budget of `tile` of them."""
+        monkeypatch.setattr(md, "_cover", lambda lead, item_bytes, budgets:
+                            ad._cover(lead, item_bytes, (tile * item_bytes,)))
 
-    # window_bytes is one window's (n, d_model) activation
+    # window_bytes is one window's (n, d_model) activation; zero windows
+    # give no tile, so no forward runs
     @pytest.mark.parametrize("windows, workers, window_bytes, tile", [
         (16, 2, 8 * 576 * 64, 4),    # forecast_grid576: two tiles per worker
         (64, 2, 8 * 64 * 32, 16),    # the e2e validation batch
@@ -398,9 +410,38 @@ class TestTiledPredict:
         (0, 2, 8 * 64 * 32, 1),
         (7, 1, 8 * 64 * 32, 4),      # one worker: tiles of 4 and 3
     ])
-    def test_tile_is_two_per_worker_under_the_memory_cap(self, windows, workers,
+    def test_tile_is_two_per_worker_under_the_memory_cap(self, monkeypatch, windows, workers,
                                                          window_bytes, tile):
-        assert md._tile_windows(windows, workers, window_bytes) == tile
+        # predict itself, on a stand-in model of n = window_bytes / (8 * 64)
+        # nodes at d_model=64 whose forward records each tile's window count
+        n = window_bytes // (8 * 64)
+        calls = []
+
+        def forward(x):
+            calls.append(x.shape[0])
+            return Tensor(np.zeros(x.shape[:2] + (1, 1)))
+
+        stand_in = types.SimpleNamespace(
+            config=types.SimpleNamespace(n=n, d_model=64, f=1, c=1), forward=forward)
+        monkeypatch.setattr(md, "_usable_cpus", lambda: workers)
+        out = md.SbaTransformer.predict(stand_in, np.zeros((windows, n, 1, 1)))
+        assert out.shape == (windows, n, 1, 1)
+        assert sorted(calls, reverse=True) == [tile] * (windows // tile) + (
+            [windows % tile] if windows % tile else [])
+
+    @pytest.mark.parametrize("budget", ["shipped", "1B"])
+    def test_zero_windows_run_no_tile(self, monkeypatch, budget):
+        if budget == "1B":
+            for module, name in ((md, "_TILE_BYTES"), (ad, "_WINDOW_TILE_BYTES"),
+                                 (ad, "_FFN_BAND_BYTES"), (ad, "_ATTN_TILE_BYTES")):
+                monkeypatch.setattr(module, name, 1)
+        model, _ = tiny_model(np.random.default_rng(40))
+        mc = model.config
+        calls = self._recorded(model, monkeypatch)
+        for lead in ((0,), (3, 0)):
+            out = model.predict(np.zeros(lead + (mc.n, mc.t, 1)))
+            assert out.shape == lead + (mc.n, mc.f, 1)
+        assert calls == []
 
     def test_tile_working_set_is_a_few_window_units(self):
         # e2e config at the rule's tile for a 64-window batch on 2 workers:
@@ -411,7 +452,7 @@ class TestTiledPredict:
         model = md.SbaTransformer(config, build_scale_series(g, 8, 3, seed=0),
                                   laplacian_pe(g, 8).vectors)
         unit = 8 * config.n * config.d_model
-        tile = md._tile_windows(64, 2, unit)
+        tile = 16  # predict's tile of a 64-window batch on 2 workers
         xs = np.random.default_rng(38).standard_normal((tile, 64, 24, 1))
         tracemalloc.start()
         try:

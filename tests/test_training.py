@@ -317,9 +317,12 @@ class TestEvaluate:
                 sel = range(lo, min(lo + 64, len(val)))
                 xs, ys = window_arrays(series_norm, val, at=sel)
                 total += float(np.abs(model.forward(Tensor(xs)).data - ys).mean()) * len(sel)
-        monkeypatch.setattr(md, "_tile_windows", lambda windows, workers, window_bytes: windows)
+        # predict's cover of the windows in one tile, then in tiles of one
+        monkeypatch.setattr(md, "_cover", lambda lead, item_bytes, budgets:
+                            ad._cover(lead, item_bytes, (lead[0] * item_bytes,)))
         whole = evaluate(model, ds, "val")
-        monkeypatch.setattr(md, "_tile_windows", lambda windows, workers, window_bytes: 1)
+        monkeypatch.setattr(md, "_cover", lambda lead, item_bytes, budgets:
+                            ad._cover(lead, item_bytes, (item_bytes,)))
         # lr = 0 keeps the initial weights, so the first epoch scores them
         _, history, _ = train(model, ds, TrainConfig(lr=0.0, max_epochs=1))
         assert history[0]["val_mae"] == total / len(val)
