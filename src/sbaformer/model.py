@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .artifacts import read_blob, write_blob
-from .autodiff import Tensor, _cover
+from .autodiff import Tensor, _cover, _fits_a_window_tile
 from .config import check_heads
 from .errors import ConfigError, ContractError, InputError, ShapeError
 from .partition import PartitionPlan, ScaleSeries, apply_plan, prefix_sizes, revert_plan
@@ -314,20 +314,26 @@ class SbaTransformer:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Forecasts with the tape off, in tiles of windows run by the
-        calling thread and one more thread per further usable CPU.
+        calling thread and, once a window is large, one more thread per
+        further usable CPU.
 
         x is (..., n, t, c); one window (n, t, c) runs as a tile of one, and
         zero windows run none. The windows run through `forward` a tile at a
-        time, two tiles per worker within `_TILE_BYTES` of activations (the
-        windows' `_cover`), and each tile writes its forecasts into its own
-        slice of one preallocated output. The workers, one per CPU the
-        process may use (capped at the tile count; `taskset` limits it), are
-        the calling thread and threads that live only inside this call; each
-        of them enters `ad.no_grad()`, whose mode is per thread, and takes
-        tiles from one shared iterator. With one worker no thread starts.
-        numpy's kernels release the GIL, so tiles overlap. Every op works on
-        each window on its own, so the result equals one whole-batch forward
-        bit for bit at any tile size and worker count. The first tile to fail
+        time, two tiles per usable CPU within `_TILE_BYTES` of activations
+        (the windows' `_cover`), and each tile writes its forecasts into its
+        own slice of one preallocated output. The workers are the calling
+        thread and threads that live only inside this call; each of them
+        enters `ad.no_grad()`, whose mode is per thread, and takes tiles from
+        one shared iterator. There is one worker per CPU the process may use
+        (capped at the tile count; `taskset` limits it) when one window's
+        (n, d_model) activations are over a window tile of `layer`
+        (`_fits_a_window_tile`). Else the calling thread is the one worker
+        and no thread starts: `layer` then holds several windows in each of
+        its tiles, and its numpy calls are too short for a second core to
+        win back the GIL handoffs between them. numpy's kernels release the
+        GIL, so tiles on two workers overlap. Every op works on each window
+        on its own, so the result equals one whole-batch forward bit for bit
+        at any tile size and worker count. The first tile to fail
         stops the tiles not yet started, and its error is raised here once
         every thread has ended.
         """
@@ -339,8 +345,9 @@ class SbaTransformer:
         out = np.empty((len(windows), x.shape[-3], mc.f, mc.c))
         cpus = _usable_cpus()
         unit = 8 * mc.n * mc.d_model  # one window's activation bytes
-        per_tile = -(-len(windows) // (2 * cpus)) * unit  # two tiles a worker
+        per_tile = -(-len(windows) // (2 * cpus)) * unit  # two tiles a CPU
         tiles = _cover((len(windows),), unit, (min(_TILE_BYTES, per_tile),))
+        workers = 1 if _fits_a_window_tile(unit) else min(cpus, len(tiles))
         pending = iter(tiles)
         lock = threading.Lock()
         errors = []  # the first holds the error to raise; any stops the tiles
@@ -358,8 +365,7 @@ class SbaTransformer:
                 with lock:
                     errors.append(error)
 
-        helpers = [threading.Thread(target=drain)
-                   for _ in range(min(cpus, len(tiles)) - 1)]
+        helpers = [threading.Thread(target=drain) for _ in range(workers - 1)]
         try:
             for thread in helpers:
                 thread.start()

@@ -1,5 +1,6 @@
 """Model blocks against independent dense oracles, plus structural invariants."""
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -429,6 +430,81 @@ class TestTiledPredict:
         assert sorted(calls, reverse=True) == [tile] * (windows // tile) + (
             [windows % tile] if windows % tile else [])
 
+    @staticmethod
+    def _threads_made(monkeypatch):
+        """The threads constructed from here on, in a list."""
+        made = []
+
+        class Recorded(threading.Thread):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(md.threading, "Thread", Recorded)
+        return made
+
+    @staticmethod
+    def _stand_in(n, forward):
+        """A model of n nodes at d_model=64, one window of 8 * n * 64 bytes
+        of activations, whose forward is `forward`."""
+        return types.SimpleNamespace(
+            config=types.SimpleNamespace(n=n, d_model=64, f=1, c=1), forward=forward)
+
+    @pytest.mark.parametrize("n, cpus, helpers", [
+        (128, 2, 0),   # exactly ad._WINDOW_TILE_BYTES
+        (129, 2, 1),   # one row over it
+        (576, 2, 1),   # forecast_grid576
+        (576, 4, 3),   # 8 tiles of 2 windows
+        (576, 1, 0),
+    ])
+    def test_helper_threads_start_only_for_windows_over_the_window_tile(
+            self, monkeypatch, n, cpus, helpers):
+        calls = []
+
+        def forward(x):
+            calls.append(x.shape[0])
+            return Tensor(np.zeros(x.shape[:2] + (1, 1)))
+
+        monkeypatch.setattr(md, "_usable_cpus", lambda: cpus)
+        made = self._threads_made(monkeypatch)
+        out = md.SbaTransformer.predict(self._stand_in(n, forward), np.zeros((16, n, 1, 1)))
+        assert out.shape == (16, n, 1, 1) and sum(calls) == 16
+        assert len(made) == helpers
+
+    def test_e2e_size_predict_starts_no_thread(self, monkeypatch):
+        # the e2e validation batch on 2 CPUs: still four 16-window tiles, all
+        # on the calling thread, with the bits of one whole-batch forward
+        g = make_grid_graph(8, 8)
+        config = md.ModelConfig(n=64, t=24, c=1, f=12, d_model=32, l=3, heads=4, p0=8, k_pe=8)
+        model = md.SbaTransformer(config, build_scale_series(g, 8, 3, seed=0),
+                                  laplacian_pe(g, 8).vectors)
+        xs = np.random.default_rng(42).standard_normal((64, 64, 24, 1))
+        whole = self._whole_batch(model, xs)
+        monkeypatch.setattr(md, "_usable_cpus", lambda: 2)
+        made = self._threads_made(monkeypatch)
+        calls = self._recorded(model, monkeypatch)
+        assert np.array_equal(model.predict(xs), whole)
+        assert calls == [16] * 4 and made == []
+
+    def test_failed_tile_on_a_helper_thread_leaves_no_thread(self, monkeypatch):
+        # n=576 windows on 2 CPUs start a helper; the first tile to run
+        # fails, and predict raises its error once the helper has ended
+        order = itertools.count()
+
+        def forward(x):
+            if next(order) == 0:
+                raise NumericError("first tile")
+            threading.Event().wait(0.2)
+            return Tensor(np.zeros(x.shape[:2] + (1, 1)))
+
+        monkeypatch.setattr(md, "_usable_cpus", lambda: 2)
+        made = self._threads_made(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(NumericError, match="first tile"):
+            md.SbaTransformer.predict(self._stand_in(576, forward), np.zeros((16, 576, 1, 1)))
+        assert len(made) == 1 and threading.active_count() == before
+        assert next(order) <= 3  # the failed tile and at most one more a worker
+
     @pytest.mark.parametrize("budget", ["shipped", "1B"])
     def test_zero_windows_run_no_tile(self, monkeypatch, budget):
         if budget == "1B":
@@ -588,6 +664,35 @@ class TestTiledPredict:
         finally:
             sys.setswitchinterval(interval)
         assert counts == [serial] * 4
+
+    def test_flop_count_is_exact_on_helper_threads(self, monkeypatch):
+        # the test above on windows over a window tile of `layer` (n=144 at
+        # d_model=64, 72 KiB), so that 3 helper threads do start
+        g = make_grid_graph(12, 12)
+        config = md.ModelConfig(n=144, t=4, c=1, f=2, d_model=64, l=1, heads=4, p0=4, k_pe=4)
+        model = md.SbaTransformer(config, build_scale_series(g, 4, 1, seed=0),
+                                  laplacian_pe(g, 4).vectors)
+        xs = np.random.default_rng(43).standard_normal((12, 144, 4, 1))
+        before = ad.flops.total()
+        with ad.flops.counting(), ad.no_grad():
+            for i in range(len(xs)):
+                model.forward(Tensor(xs[i : i + 1]))
+        serial = ad.flops.total() - before
+        monkeypatch.setattr(md, "_TILE_BYTES", 1)
+        monkeypatch.setattr(md, "_usable_cpus", lambda: 4)
+        made = self._threads_made(monkeypatch)
+        counts = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                before = ad.flops.total()
+                with ad.flops.counting():
+                    model.predict(xs)
+                counts.append(ad.flops.total() - before)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [serial] * 3 and len(made) == 3 * 3
 
     def test_fewer_than_three_axes_is_shape_error(self):
         model, _ = tiny_model(np.random.default_rng(34))

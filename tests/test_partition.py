@@ -74,10 +74,11 @@ def best_balanced_bipartition(g, balance_factor=1.3):
 
 # ---------------------------------------------------------------------------
 # the scan-based FM refinement that _MoveQueue replaced, kept verbatim (but
-# for the names) as the oracle of TestMoveQueue: it rescores every movable
-# row before each move and rolls back by re-summing rows. scan_rebalance is
-# the rebalance that scored its moves with the same best_move (verbatim but
-# for the names and the inlined cap test), the oracle of TestRebalance
+# for the names and the pass's stop rule) as the oracle of TestMoveQueue: it
+# rescores every movable row before each move and rolls back by re-summing
+# rows. scan_rebalance is the rebalance that scored its moves with the same
+# best_move (verbatim but for the names and the inlined cap test), the
+# oracle of TestRebalance
 
 
 class ScanParts:
@@ -169,19 +170,20 @@ def scan_fm_refine(parts: ScanParts, max_passes: int = 10):
     """KL/FM passes: greedy single-node moves with best-prefix rollback.
 
     Moves may go downhill inside a pass; the pass keeps the prefix with the
-    best total gain. Only boundary nodes move. Balance and non-emptiness are
-    never violated. Ties break on (gain, lowest node, lowest target part) so
-    runs are deterministic.
+    best total gain, and stops once max(15, floor(sqrt(n))) moves have gone
+    by without a new best. Only boundary nodes move. Balance and
+    non-emptiness are never violated. Ties break on (gain, lowest node,
+    lowest target part) so runs are deterministic.
     """
     nn = parts.g.n
-    move_limit = nn if nn <= 128 else max(128, nn // 8)
+    patience = max(15, math.isqrt(nn))
     for _ in range(max_passes):
         locked = np.zeros(nn, dtype=bool)
         moves = []
         improvement = 0.0
         best_improvement = 0.0
         best_prefix = 0
-        while len(moves) < move_limit:
+        while len(moves) - best_prefix < patience:
             movable = parts.boundary & ~locked & (parts.part_count[parts.assign] > 1)
             best = parts.best_move(np.flatnonzero(movable))
             if best is None:
@@ -439,6 +441,45 @@ class TestMoveQueue:
         assert queue.pop() == scan.best_move(np.array([0])) == (-1e20, 0, 2)
 
 
+class TestFmRefine:
+    def test_a_pass_rolls_back_at_most_its_patience(self, monkeypatch):
+        # count each FM pass's moves and undos on every level of a 24x24
+        # grid: a pass stops once max(15, floor(sqrt(n))) moves have found
+        # no new best, so it rolls back no more than that; passes that ran
+        # to a fixed move cap rolled back 1,801 of 2,137 moves here
+        passes, inside = [], []
+        refine, start = pt._fm_refine, pt._MoveQueue.__init__
+
+        def counted(name, slot):
+            op = getattr(pt._Parts, name)
+
+            def wrapped(self, *args):
+                if inside:  # not the rebalance's moves
+                    passes[-1][slot] += 1
+                return op(self, *args)
+            monkeypatch.setattr(pt._Parts, name, wrapped)
+
+        def fm_refine(parts):
+            inside.append(parts)
+            try:
+                refine(parts)
+            finally:
+                inside.pop()
+
+        def new_pass(self, parts):
+            passes.append([parts.g.n, 0, 0])
+            start(self, parts)
+
+        counted("move", 1)
+        counted("undo", 2)
+        monkeypatch.setattr(pt, "_fm_refine", fm_refine)
+        monkeypatch.setattr(pt._MoveQueue, "__init__", new_pass)
+        pt.partition_kway(make_grid_graph(24, 24), 16)
+        assert len(passes) > 10
+        for n, moves, undos in passes:
+            assert undos <= max(15, math.isqrt(n)), (n, moves, undos)
+
+
 class TestRebalance:
     def test_no_fitting_move_falls_back_to_the_lightest_part(self):
         # part 0 weighs 5 over a cap of 3.5, and any node joining part 1
@@ -560,44 +601,45 @@ class TestScaleSeries:
         with pytest.raises(InputError, match="maximum feasible levels: 3"):
             pt.build_scale_series(g, p0=4, l=4)
 
-    # sha256 of the series JSON and the edge cuts, from before the CSR partitioner
+    # sha256 of the series JSON and the edge cuts; grid8, random200 and
+    # gauss160 from before the CSR partitioner, the other grids from the FM
+    # passes that stop once max(15, floor(sqrt(n))) moves find no new best
     FINGERPRINTS = {
         "grid8": ("ee2895c22cb5546d2c57d50ba9660a48760f1dea702f966dd81bb206ae7f7621",
                   [72, 50, 28]),
-        "grid24": ("a62f046c28201413d05547dfe18fb5733c936b33dbd31b433c830ed9628352cb",
-                   [370, 263, 162]),
+        "grid24": ("fd6655c2090e278d3826dfdc27f97f80a08de8465b8fcdbb27a178d8d1214033",
+                   [375.0, 271.0, 161.0]),
         "random200": ("16ad6302c95811292ecbd66861a78bb46ec8087c9f7dd6c294185674dfeccaaa",
                       [234.73305640161627, 185.18351413801054, 117.1157241377305]),
-        # computed by the partitioner before move() refreshed two table columns
-        "grid45": ("2f271296edbd567c53e0a7a09be0a3774e013e8c86c0c791a135be9fea951228",
-                   [1077.0, 796.0, 587.0]),
+        "grid45": ("c4d7d36c5e4fb4fd0bb9ce0dc49b58d42241c8b4ae89d4f5f66080185cff33bd",
+                   [1089.0, 822.0, 610.0]),
         "gauss160": ("0a276bc769f520f679562b17dbaf0f477db4d24d765739ae25737c27514ed694",
                      [96.95755460057515, 37.31753345022441, 0]),
-        # computed by the refinement that scanned every movable row per move
-        "grid64": ("00a0354f38f17f109d4d395ebbe6b0df9e01409b84032b2c8064af078d1021a3",
-                   [2323.0, 1775.0, 1288.0]),
+        "grid64": ("ba2daa99e63f812a878e1c86ee540c3b9a2c9d2f51f55577595ebd05c1e4d6f3",
+                   [2345.0, 1796.0, 1271.0]),
     }
 
-    # sha256 of each level's row order as int64 bytes, from the padded-table plans
+    # sha256 of each level's row order as int64 bytes; grid8, random200 and
+    # gauss160 from the padded-table plans, the other grids as FINGERPRINTS
     ORDERS = {
         "grid8": ["0a3ff31e91ceff2583e79314f658195c0a3660bfe08bd533f177ca0c385ace88",
                   "60070afc978b9111723f797e72d106d2c5d8413e7d04e95b37b6a15b07abc4f8",
                   "9a0bd3debaa2ea35c6693e0748de6bcb061792fbdd0d321f67bfe004d73f2e50"],
-        "grid24": ["299199c2fb011d739cda53b7124148c9988584432e516926c51b698796235469",
-                   "3dfbfd84c18d58d47bc2a9f787f2e54cf672346eb50cf6a071d1d76ee07815a4",
-                   "b4f0fa81a7c6e40e2fba47e337722983bf4160082f88ec5474a0fb3537189fb0"],
+        "grid24": ["8651f3f55cc04742e5ac5d9fa5be1117fca2514692d7177e79d46fb83c58944b",
+                   "73e382410b4069c055bc74087d14439afffeee1237b7e250e364489d4eefc87e",
+                   "384dd899696d5166a9677e10a369c8b9c449d01b266778c240d0c75da759897a"],
         "random200": ["be23440aa269944a96538a8592fcd028ce57d58006c70d6000c1567317e2f6a1",
                       "82e4d9e32f1b6ab714d949fecb6c0239e78e908eed67451ab17ab2014eda9439",
                       "46fb3f2271ae61042624607b04e193345082d824dd40bc1ba6dcffbdb92153a8"],
-        "grid45": ["bca9cde9d916ca6eab3bfd0dcc0a3cf72e11b8527dd1f30ac538dae6d2462c92",
-                   "b24e80a53918af7dfb1b4f3b6e52f372a80d82db120bf5124e6d0cd7f7b28c41",
-                   "c630a725fdf771a53bf4d62da88a13056b8f2e5f77a7b16c9c8d7c9495fe0790"],
+        "grid45": ["3ec6aee9d1c09564456420453145fab7a10ce2731e9251ad7b06bba358f8017f",
+                   "ae796166f3117b22979145c9513003614438811ce81d8d1f45ac749cff184040",
+                   "9f3b2b471f487caec2a22a14d86bdbb9b2307eea2c99b606186eefb345bbd705"],
         "gauss160": ["6722750efa01bd3ab4311d768c08054b42e9b2dc2fa80729880babb8c6910ea6",
                      "278c0b346d83a6aa6651eb3ae99b51ba1ad1b98825760c21ec2a5c5c5896c4a5",
                      "7be21acae1abdb46365b03d00614ebca75107f603ccf23a3c848143f811eeb67"],
-        "grid64": ["0727f805f375ba41816b30ddee2f29b01b1549106135e271af3406b87b1a89b2",
-                   "a7d49dc2c3dc08f08f37aa182dbbbec479af95586de35fbe977b961d165e0c51",
-                   "b985bf9e0e385a3a4bb61093e352823eaaeff7fdaefc538683fdf003d499f097"],
+        "grid64": ["5e4e17771dcb6c3c385e312a4ebd1ae7d443e5b913313bb592c191c68dd07a51",
+                   "05182656cc48b92404b78665f3e24df223edc243c421b8401ccade58394d5933",
+                   "bbdcd00a5574abb819e2c4f547410902101f86681b4cb37df8da475bea46e4ef"],
     }
     GRAPHS = [("grid8", 8), ("grid24", 16), ("random200", 8), ("grid45", 32), ("gauss160", 8),
               ("grid64", 64)]
