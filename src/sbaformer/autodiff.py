@@ -449,13 +449,6 @@ def _cover(lead: tuple, item_bytes: int, budgets: tuple, least: int = 1) -> list
     return [(slice(a, b),) for a, b in zip(cuts, cuts[1:])]
 
 
-def _fits_a_window_tile(window_bytes: int) -> bool:
-    """Whether a window whose widest array of rows takes window_bytes fits
-    one window tile of `layer` and `fuse`. Such windows share their tiles,
-    as many as fit; a larger window takes a tile of its own."""
-    return window_bytes <= _WINDOW_TILE_BYTES
-
-
 def _pieces(lead: tuple, sizes: np.ndarray, starts: np.ndarray, whole: bool) -> list:
     """Indices into head views with leading axes `lead`: each run of rows,
     whole, or in chunks of the leading axes whose (..., s, s) weights fit

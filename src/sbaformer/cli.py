@@ -201,13 +201,14 @@ def cmd_synth(args) -> int:
 
 def _environment() -> dict:
     """What a run's bits depend on beyond the code: numpy and its BLAS. The
-    CPU and predict worker counts ride along; they change timings, not bits."""
+    CPU count and the CPUs this process may use (which size `predict`'s
+    tiles and cap its workers) ride along; they change timings, not bits."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpu_count": os.cpu_count(),
-        "predict_workers": _usable_cpus(),
+        "usable_cpus": _usable_cpus(),
     }
 
 

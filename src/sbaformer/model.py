@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .artifacts import read_blob, write_blob
-from .autodiff import Tensor, _cover, _fits_a_window_tile
+from .autodiff import Tensor, _cover
 from .config import check_heads
 from .errors import ConfigError, ContractError, InputError, ShapeError
 from .partition import PartitionPlan, ScaleSeries, apply_plan, prefix_sizes, revert_plan
@@ -267,6 +267,13 @@ def mae_loss(pred: Tensor, target) -> Tensor:
 # grows with a tile is a few such arrays. 5 windows at n=576, d_model=64.
 _TILE_BYTES = 3 << 19
 
+# Windows over this many bytes of (n, d_model) f64 activations run their
+# tiles on helper threads too; smaller ones run on the calling thread. It is
+# the measured crossover: below it a second thread loses more to handing
+# the GIL back and forth between short numpy calls than its core gives back
+# (timings in the README).
+_THREADED_WINDOW_BYTES = 64 << 10
+
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the OS has one."""
@@ -326,11 +333,10 @@ class SbaTransformer:
         enters `ad.no_grad()`, whose mode is per thread, and takes tiles from
         one shared iterator. There is one worker per CPU the process may use
         (capped at the tile count; `taskset` limits it) when one window's
-        (n, d_model) activations are over a window tile of `layer`
-        (`_fits_a_window_tile`). Else the calling thread is the one worker
-        and no thread starts: `layer` then holds several windows in each of
-        its tiles, and its numpy calls are too short for a second core to
-        win back the GIL handoffs between them. numpy's kernels release the
+        (n, d_model) activations are over `_THREADED_WINDOW_BYTES`. Else the
+        calling thread is the one worker and no thread starts: its numpy
+        calls are then too short for a second core to win back the GIL
+        handoffs between them. numpy's kernels release the
         GIL, so tiles on two workers overlap. Every op works on each window
         on its own, so the result equals one whole-batch forward bit for bit
         at any tile size and worker count. The first tile to fail
@@ -347,7 +353,7 @@ class SbaTransformer:
         unit = 8 * mc.n * mc.d_model  # one window's activation bytes
         per_tile = -(-len(windows) // (2 * cpus)) * unit  # two tiles a CPU
         tiles = _cover((len(windows),), unit, (min(_TILE_BYTES, per_tile),))
-        workers = 1 if _fits_a_window_tile(unit) else min(cpus, len(tiles))
+        workers = min(cpus, len(tiles)) if unit > _THREADED_WINDOW_BYTES else 1
         pending = iter(tiles)
         lock = threading.Lock()
         errors = []  # the first holds the error to raise; any stops the tiles

@@ -7,12 +7,12 @@ level is a SpatialGraph. Refinement reads move gains from per-node rows of
 node-to-part edge weights. A move re-sums only the two entries it changes
 (the old and the new part) in its neighbours' rows, in CSR order, so the
 rows keep the bits of a full rebuild, and a rollback puts the replaced rows
-back. Each move is taken from a heap of candidate moves, built per pass
-from the boundary nodes only, in which only the moved node's neighbours are
-remade, in the order a scan over every legal move would give (Fiduccia and
-Mattheyses, DAC 1982). A pass ends once max(15, floor(sqrt(n))) moves have
-gone by without a new best prefix, as METIS's FM refinement ends its passes
-early, so it rolls back no more than that. The partitioner is
+back. Each move is taken from a heap of candidate moves in which only the
+moved node's neighbours are remade, in the order a scan over every legal
+move would give (Fiduccia and Mattheyses, DAC 1982). A pass ends once
+max(15, floor(sqrt(n))) moves have gone by without a new best prefix, as
+METIS's FM refinement ends its passes early, so it rolls back no more than
+that. The partitioner is
 deterministic for a fixed seed. Coarser scales are built by pair-merging
 subgraphs of the previous scale, so the halving relation holds exactly and
 boundary nodes of fine subgraphs meet inside coarser ones.
@@ -382,13 +382,6 @@ class _Parts:
             self.rows[c // p][c % p] = w
         # the CSR arrays as lists, for move()'s walks
         self._csr = g.indptr.tolist(), g.indices.tolist(), g.weights.tolist()
-        self._ends = g.edge_arrays()[:2]  # each edge's two nodes, for boundary()
-
-    def boundary(self) -> list:
-        """The nodes with a neighbour in another part, ascending."""
-        labels, (src, dst) = np.array(self.labels), self._ends
-        cut = labels[src] != labels[dst]
-        return np.union1d(src[cut], dst[cut]).tolist()
 
     def within_cap(self, weight):
         """Whether a part of this weight keeps the cap."""
@@ -453,8 +446,7 @@ class _MoveQueue:
     ones are dropped when popped.
 
     The legality rule is kept here: u is unlocked and on the boundary (only
-    such nodes get entries, in `_entries`; a pass's heap starts from the
-    entries of `parts.boundary()`), its part keeps at least one node
+    such nodes get entries, in `_entries`), its part keeps at least one node
     and the target stays within the cap (`_wait`, checked on popping, since
     part sizes and weights change under an entry). An entry that fails waits
     until a move could make it legal: its source part gains a node, its
@@ -470,7 +462,7 @@ class _MoveQueue:
         self.joined = [[] for _ in range(p)]  # entries waiting for a node to join part q
         self.left = [[] for _ in range(p)]  # ... for a node to leave part q
         self.left_any = []  # spread entries with no part to take them: any part losing a node
-        self.heap = [entry for u in parts.boundary() for entry in self._entries(u)]
+        self.heap = [entry for u in range(n) for entry in self._entries(u)]
         heapq.heapify(self.heap)
 
     def _entries(self, u):

@@ -4,10 +4,12 @@ Byte-identical re-runs hold for a fixed BLAS thread count. This guard runs
 one forward, backward and Adam step of the e2e config in two subprocesses,
 one with OPENBLAS_NUM_THREADS=1 and one with =2, and compares digests of the
 forecasts, the gradients and the updated parameters, and of a `predict`
-whose tiles run on two worker threads beside the BLAS threads. When a
-pinned digest breaks, it tells whether threading or the code changed the
-bits. A second guard runs `layer` at two BLAS threads with its FFN forward
-in bands of a window's rows and with whole windows, and compares the two.
+whose tiles run on two worker threads beside the BLAS threads: the calling
+thread and one helper, which `predict` starts for e2e-size windows only
+when `_THREADED_WINDOW_BYTES` is lowered. When a pinned digest breaks, it
+tells whether threading or the code changed the bits. A second guard runs
+`layer` at two BLAS threads with its FFN forward in bands of a window's
+rows and with whole windows, and compares the two.
 """
 import os
 import pathlib
@@ -18,6 +20,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 STEP = """
 import hashlib
+import threading
 import numpy as np
 from sbaformer import model as md
 from sbaformer.autodiff import Tensor
@@ -41,12 +44,26 @@ params = model.params.tensors()
 parts = [pred.data] + [t.grad for t in params]
 adam_step(model.params, TrainState.for_params(model.params), TrainConfig(lr=2e-3))
 parts += [t.data for t in params]
-# predict of 8 windows on 2 worker threads: the rule gives 4 tiles of 2
+# predict of 8 windows on 2 CPUs: the rule gives 4 tiles of 2. An e2e
+# window is under the size that starts helper threads, so that size is set
+# to 0 here, and each worker's first tile waits for the other's, so that
+# both workers run tiles
 md._usable_cpus = lambda: 2
-tiles, forward = [], model.forward
-model.forward = lambda x, capture=None: tiles.append(x.shape[0]) or forward(x, capture)
+md._THREADED_WINDOW_BYTES = 0
+tiles, workers, barrier, forward = [], set(), threading.Barrier(2, timeout=60), model.forward
+
+
+def recording(x, capture=None):
+    tiles.append(x.shape[0])
+    if threading.get_ident() not in workers:
+        workers.add(threading.get_ident())
+        barrier.wait()
+    return forward(x, capture)
+
+
+model.forward = recording
 parts.append(model.predict(rng.standard_normal((8, 64, 24, 1))))
-assert tiles == [2] * 4
+assert tiles == [2] * 4 and len(workers) == 2
 print(hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in parts)).hexdigest())
 """
 

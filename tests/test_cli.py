@@ -257,7 +257,7 @@ class TestTrainEvalCommands:
         assert env["numpy"] == np.__version__
         assert set(env["blas"]) == {"name", "version"}
         assert env["cpu_count"] == os.cpu_count()
-        assert env["predict_workers"] >= 1
+        assert 1 <= env["usable_cpus"] <= os.cpu_count()
         for name in ("history.jsonl", "checkpoint.json"):
             assert "numpy" not in (out_dir / name).read_text()
 

@@ -1,6 +1,5 @@
 """Model blocks against independent dense oracles, plus structural invariants."""
 import contextlib
-import itertools
 import json
 import math
 import sys
@@ -444,30 +443,38 @@ class TestTiledPredict:
         return made
 
     @staticmethod
-    def _stand_in(n, forward):
-        """A model of n nodes at d_model=64, one window of 8 * n * 64 bytes
-        of activations, whose forward is `forward`."""
-        return types.SimpleNamespace(
-            config=types.SimpleNamespace(n=n, d_model=64, f=1, c=1), forward=forward)
+    def _threaded_model():
+        """A model whose windows run on helper threads: n=144 at d_model=64,
+        72 KiB of activations a window, over `_THREADED_WINDOW_BYTES`."""
+        g = make_grid_graph(12, 12)
+        config = md.ModelConfig(n=144, t=4, c=1, f=2, d_model=64, l=2, heads=4, p0=8, k_pe=4)
+        model = md.SbaTransformer(config, build_scale_series(g, 8, 2, seed=0),
+                                  laplacian_pe(g, 4).vectors)
+        assert 8 * config.n * config.d_model > md._THREADED_WINDOW_BYTES
+        return model
 
     @pytest.mark.parametrize("n, cpus, helpers", [
-        (128, 2, 0),   # exactly ad._WINDOW_TILE_BYTES
+        (128, 2, 0),   # exactly _THREADED_WINDOW_BYTES
         (129, 2, 1),   # one row over it
         (576, 2, 1),   # forecast_grid576
         (576, 4, 3),   # 8 tiles of 2 windows
         (576, 1, 0),
     ])
-    def test_helper_threads_start_only_for_windows_over_the_window_tile(
+    def test_helper_threads_start_only_for_windows_over_the_crossover(
             self, monkeypatch, n, cpus, helpers):
+        # a stand-in model of n nodes at d_model=64, 8 * n * 64 bytes of
+        # activations a window
         calls = []
 
         def forward(x):
             calls.append(x.shape[0])
             return Tensor(np.zeros(x.shape[:2] + (1, 1)))
 
+        stand_in = types.SimpleNamespace(
+            config=types.SimpleNamespace(n=n, d_model=64, f=1, c=1), forward=forward)
         monkeypatch.setattr(md, "_usable_cpus", lambda: cpus)
         made = self._threads_made(monkeypatch)
-        out = md.SbaTransformer.predict(self._stand_in(n, forward), np.zeros((16, n, 1, 1)))
+        out = md.SbaTransformer.predict(stand_in, np.zeros((16, n, 1, 1)))
         assert out.shape == (16, n, 1, 1) and sum(calls) == 16
         assert len(made) == helpers
 
@@ -485,25 +492,6 @@ class TestTiledPredict:
         calls = self._recorded(model, monkeypatch)
         assert np.array_equal(model.predict(xs), whole)
         assert calls == [16] * 4 and made == []
-
-    def test_failed_tile_on_a_helper_thread_leaves_no_thread(self, monkeypatch):
-        # n=576 windows on 2 CPUs start a helper; the first tile to run
-        # fails, and predict raises its error once the helper has ended
-        order = itertools.count()
-
-        def forward(x):
-            if next(order) == 0:
-                raise NumericError("first tile")
-            threading.Event().wait(0.2)
-            return Tensor(np.zeros(x.shape[:2] + (1, 1)))
-
-        monkeypatch.setattr(md, "_usable_cpus", lambda: 2)
-        made = self._threads_made(monkeypatch)
-        before = threading.active_count()
-        with pytest.raises(NumericError, match="first tile"):
-            md.SbaTransformer.predict(self._stand_in(576, forward), np.zeros((16, 576, 1, 1)))
-        assert len(made) == 1 and threading.active_count() == before
-        assert next(order) <= 3  # the failed tile and at most one more a worker
 
     @pytest.mark.parametrize("budget", ["shipped", "1B"])
     def test_zero_windows_run_no_tile(self, monkeypatch, budget):
@@ -579,40 +567,37 @@ class TestTiledPredict:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_count_never_changes_bits(self, monkeypatch, workers):
-        rng = np.random.default_rng(36)
-        model, _ = tiny_model(rng)
-        xs = rng.standard_normal((7, model.config.n, model.config.t, 1))
+        model = self._threaded_model()
+        xs = np.random.default_rng(36).standard_normal((7, 144, 4, 1))
         whole = self._whole_batch(model, xs)
         monkeypatch.setattr(md, "_TILE_BYTES", 1)
         monkeypatch.setattr(md, "_usable_cpus", lambda: workers)
-        caller, threads = threading.get_ident(), set()
-        caller_ran = threading.Event()
+        made = self._threads_made(monkeypatch)
+        threads = set()
+        # each worker's first tile waits for the others', so that the
+        # scheduler cannot let one worker take all 7 tiles
+        barrier = threading.Barrier(workers, timeout=30.0)
         forward = model.forward
 
         def recording(x, capture=None):
-            threads.add(threading.get_ident())
-            if threading.get_ident() == caller:
-                caller_ran.set()
-            else:  # so that the scheduler cannot let a helper take all 7 tiles
-                caller_ran.wait(5.0)
+            if threading.get_ident() not in threads:
+                threads.add(threading.get_ident())
+                barrier.wait()
             return forward(x, capture)
 
         monkeypatch.setattr(model, "forward", recording)
         assert np.array_equal(model.predict(xs), whole)
-        assert 1 <= len(threads) <= workers
-        if workers == 1:  # no thread starts
-            assert threads == {caller}
-        else:
-            assert caller in threads
+        assert len(made) == workers - 1
+        assert threads == {threading.get_ident()} | {t.ident for t in made}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_tile_raises_cancels_the_rest_and_leaves_no_thread(self, monkeypatch, workers):
-        rng = np.random.default_rng(37)
-        model, _ = tiny_model(rng)
-        xs = rng.standard_normal((7, model.config.n, model.config.t, 1))
+        model = self._threaded_model()
+        xs = np.random.default_rng(37).standard_normal((7, 144, 4, 1))
         xs[0, 2, 1, 0] = np.nan
         monkeypatch.setattr(md, "_TILE_BYTES", 1)
         monkeypatch.setattr(md, "_usable_cpus", lambda: workers)
+        made = self._threads_made(monkeypatch)
         calls = []
         forward = model.forward
 
@@ -626,6 +611,7 @@ class TestTiledPredict:
         before = threading.active_count()
         with pytest.raises(NumericError):
             model.predict(xs)
+        assert len(made) == workers - 1
         assert threading.active_count() == before
         assert ad._GRAD_ENABLED
         # the failed tile, and on each worker at most one tile started before
@@ -633,25 +619,37 @@ class TestTiledPredict:
         assert len(calls) <= 1 + workers
 
     def test_flop_count_is_exact_under_threads(self, monkeypatch):
-        # e2e config, 64 one-window tiles on more workers than cores, with the
+        # 12 one-window tiles on 4 workers, more than the cores, with the
         # interpreter switching threads as often as it can: a lost update
         # in the counter would show as a short count
-        g = make_grid_graph(8, 8)
-        config = md.ModelConfig(n=64, t=24, c=1, f=12, d_model=32, l=3, heads=4, p0=8, k_pe=8)
-        model = md.SbaTransformer(config, build_scale_series(g, 8, 3, seed=0),
-                                  laplacian_pe(g, 8).vectors)
-        xs = np.random.default_rng(39).standard_normal((64, 64, 24, 1))
-        # the reference: the same 64 one-window tiles, one after another on
-        # this thread. Each tile projects the encoding once (64 x 8 @ 8 x 32,
-        # 30720 FLOPs), which a whole-batch forward does once in all.
+        model = self._threaded_model()
+        xs = np.random.default_rng(39).standard_normal((12, 144, 4, 1))
+        # the reference: the same 12 one-window tiles, one after another on
+        # this thread. Each tile projects the encoding once (144 x 4 @ 4 x 64,
+        # 64512 FLOPs), which a whole-batch forward does once in all.
         before = ad.flops.total()
         with ad.flops.counting(), ad.no_grad():
             for i in range(len(xs)):
                 model.forward(Tensor(xs[i : i + 1]))
         serial = ad.flops.total() - before
-        assert serial == 383_436_288 + 63 * 64 * 32 * 15
+        before = ad.flops.total()
+        with ad.flops.counting(), ad.no_grad():
+            model.forward(Tensor(xs))
+        assert serial == ad.flops.total() - before + 11 * 144 * 64 * 7
+        # the e2e config's count, for one window: 64 of them one after
+        # another make 383_436_288 FLOPs in one whole-batch forward plus 63
+        # encoding projections of 64 x 8 @ 8 x 32
+        g = make_grid_graph(8, 8)
+        config = md.ModelConfig(n=64, t=24, c=1, f=12, d_model=32, l=3, heads=4, p0=8, k_pe=8)
+        e2e = md.SbaTransformer(config, build_scale_series(g, 8, 3, seed=0),
+                                laplacian_pe(g, 8).vectors)
+        before = ad.flops.total()
+        with ad.flops.counting(), ad.no_grad():
+            e2e.forward(Tensor(np.zeros((1, 64, 24, 1))))
+        assert 64 * (ad.flops.total() - before) == 383_436_288 + 63 * 64 * 32 * 15
         monkeypatch.setattr(md, "_TILE_BYTES", 1)
         monkeypatch.setattr(md, "_usable_cpus", lambda: 4)
+        made = self._threads_made(monkeypatch)
         counts = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -663,36 +661,7 @@ class TestTiledPredict:
                 counts.append(ad.flops.total() - before)
         finally:
             sys.setswitchinterval(interval)
-        assert counts == [serial] * 4
-
-    def test_flop_count_is_exact_on_helper_threads(self, monkeypatch):
-        # the test above on windows over a window tile of `layer` (n=144 at
-        # d_model=64, 72 KiB), so that 3 helper threads do start
-        g = make_grid_graph(12, 12)
-        config = md.ModelConfig(n=144, t=4, c=1, f=2, d_model=64, l=1, heads=4, p0=4, k_pe=4)
-        model = md.SbaTransformer(config, build_scale_series(g, 4, 1, seed=0),
-                                  laplacian_pe(g, 4).vectors)
-        xs = np.random.default_rng(43).standard_normal((12, 144, 4, 1))
-        before = ad.flops.total()
-        with ad.flops.counting(), ad.no_grad():
-            for i in range(len(xs)):
-                model.forward(Tensor(xs[i : i + 1]))
-        serial = ad.flops.total() - before
-        monkeypatch.setattr(md, "_TILE_BYTES", 1)
-        monkeypatch.setattr(md, "_usable_cpus", lambda: 4)
-        made = self._threads_made(monkeypatch)
-        counts = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                before = ad.flops.total()
-                with ad.flops.counting():
-                    model.predict(xs)
-                counts.append(ad.flops.total() - before)
-        finally:
-            sys.setswitchinterval(interval)
-        assert counts == [serial] * 3 and len(made) == 3 * 3
+        assert counts == [serial] * 4 and len(made) == 4 * 3
 
     def test_fewer_than_three_axes_is_shape_error(self):
         model, _ = tiny_model(np.random.default_rng(34))
