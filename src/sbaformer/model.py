@@ -336,11 +336,11 @@ class SbaTransformer:
         (n, d_model) activations are over `_THREADED_WINDOW_BYTES`. Else the
         calling thread is the one worker and no thread starts: its numpy
         calls are then too short for a second core to win back the GIL
-        handoffs between them. numpy's kernels release the
-        GIL, so tiles on two workers overlap. Every op works on each window
-        on its own, so the result equals one whole-batch forward bit for bit
-        at any tile size and worker count. The first tile to fail
-        stops the tiles not yet started, and its error is raised here once
+        handoffs between them. numpy's kernels release the GIL, so tiles on
+        two workers overlap. Every op works on each window on its own, so
+        the result equals one whole-batch forward bit for bit at any tile
+        size and worker count. The first tile to fail stops the tiles not
+        yet started, and its error is raised here once
         every thread has ended.
         """
         x = np.asarray(x, dtype=np.float64)

@@ -12,10 +12,10 @@ moved node's neighbours are remade, in the order a scan over every legal
 move would give (Fiduccia and Mattheyses, DAC 1982). A pass ends once
 max(15, floor(sqrt(n))) moves have gone by without a new best prefix, as
 METIS's FM refinement ends its passes early, so it rolls back no more than
-that. The partitioner is
-deterministic for a fixed seed. Coarser scales are built by pair-merging
-subgraphs of the previous scale, so the halving relation holds exactly and
-boundary nodes of fine subgraphs meet inside coarser ones.
+that. The partitioner is deterministic for a fixed seed. Coarser scales are
+built by pair-merging subgraphs of the previous scale, so the halving
+relation holds exactly and boundary nodes of fine subgraphs meet inside
+coarser ones.
 """
 from __future__ import annotations
 
